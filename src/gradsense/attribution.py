@@ -2,8 +2,7 @@
 
 All three methods share one output type carrying signed per-(variable, cell)
 scores plus provenance.  Signs are preserved here; absolute values are taken
-only at the aggregation step (variable/spatial importance), because the
-detection side of the pipeline needs direction.
+only at the aggregation step (variable/spatial importance).
 """
 
 from __future__ import annotations
@@ -63,29 +62,47 @@ def _check_shapes(model, x: np.ndarray, baseline: np.ndarray | None = None):
         raise ValueError(f"baseline shape {baseline.shape} does not match input {x.shape}")
 
 
+def integrated_gradients_paths(model, x: np.ndarray, paths: list[tuple[np.ndarray, int]]
+                               ) -> tuple[list[np.ndarray], np.ndarray]:
+    """Signed IG maps for several straight paths into x, all nodes in one batch.
+
+    `paths` holds (baseline, steps) pairs.  Each path is a trapezoidal
+    quadrature over steps+1 nodes at k/steps, endpoint weights 0.5, interior
+    weights 1, so it costs steps+1 gradient evaluations; its map is
+    (x - baseline) times the averaged path gradient.  Also returns the
+    gradient at the first path's alpha = 1 node.  The model's batched
+    gradient is row-wise identical to a single call, so a path's map does not
+    depend on which other paths share the batch.
+    """
+    for _, steps in paths:
+        if steps < 1:
+            raise ValueError("steps must be >= 1")
+    points = []
+    for baseline, steps in paths:
+        _check_shapes(model, x, baseline)
+        alphas = (np.arange(steps + 1) / steps)[:, None, None, None]
+        points.append(baseline[None] + alphas * (x - baseline)[None])
+    grads = model.gradient_many(np.concatenate(points))
+    maps, offset = [], 0
+    for baseline, steps in paths:
+        weights = np.ones(steps + 1)
+        weights[0] = weights[-1] = 0.5
+        avg = np.tensordot(weights, grads[offset:offset + steps + 1], axes=1) / steps
+        maps.append((x - baseline) * avg)
+        offset += steps + 1
+    return maps, grads[paths[0][1]]
+
+
 def integrated_gradients(model, x: FieldTensor, baseline: np.ndarray, steps: int = 50,
                          baseline_name: str = "climatology") -> AttributionMap:
     """Path-integrated gradients from the baseline to the input.
 
-    Trapezoidal quadrature over steps+1 nodes at k/steps along the straight
-    path, endpoint weights 0.5, interior weights 1, so the method costs
-    steps+1 gradient evaluations.  Scores are (x - baseline) times the
-    averaged path gradient; for a linear model this is exact at any step
-    count, and the signed scores sum to F(x) - F(baseline) up to quadrature
-    error (completeness).
+    The single-path case of `integrated_gradients_paths`.  For a linear model
+    this is exact at any step count, and the signed scores sum to
+    F(x) - F(baseline) up to quadrature error (completeness).
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    xv = x.values
-    _check_shapes(model, xv, baseline)
-    diff = xv - baseline
-    alphas = np.arange(steps + 1) / steps
-    points = baseline[None] + alphas[:, None, None, None] * diff[None]
-    grads = model.gradient_many(points)
-    weights = np.ones(steps + 1)
-    weights[0] = weights[-1] = 0.5
-    avg = np.tensordot(weights, grads, axes=1) / steps
-    return AttributionMap(values=diff * avg, method="ig", baseline=baseline_name,
+    (values,), _ = integrated_gradients_paths(model, x.values, [(baseline, steps)])
+    return AttributionMap(values=values, method="ig", baseline=baseline_name,
                           steps=steps, timestamp=x.timestamp, model_id=model.model_id,
                           n_gradient_evals=steps + 1)
 
@@ -152,13 +169,6 @@ def spatial_importance(attr: AttributionMap, stations: StationGrid) -> np.ndarra
     if stations.grid.shape != attr.values.shape:
         raise ValueError("station grid does not match attribution shape")
     return np.abs(attr.values).sum(axis=0)[stations.lat_idx, stations.lon_idx]
-
-
-def spatial_signed(attr: AttributionMap, stations: StationGrid) -> np.ndarray:
-    """Signed per-station sum over variables (kept for detection diagnostics)."""
-    if stations.grid.shape != attr.values.shape:
-        raise ValueError("station grid does not match attribution shape")
-    return attr.values.sum(axis=0)[stations.lat_idx, stations.lon_idx]
 
 
 def time_average(vectors: list[np.ndarray] | np.ndarray) -> np.ndarray:

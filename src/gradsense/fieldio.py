@@ -1,24 +1,47 @@
-"""Flat binary field serialization and CSV exports.
+"""Flat binary field serialization, the named-array store, and CSV exports.
 
-Layout: magic "GSF1", header (counts, timestamp, box bounds), length-prefixed
-variable names, then the float64 payload in (variable, lat, lon) C order
-(variable-major, row-major).  Attribution maps reuse the same layout with a
-JSON provenance sidecar next to the binary file.
+Field layout: magic "GSF1", header (counts, timestamp, box bounds),
+length-prefixed variable names, then the float64 payload in (variable, lat,
+lon) C order (variable-major, row-major).  Attribution maps reuse the same
+layout with a JSON provenance sidecar next to the binary file.
+
+Store layout: magic "GSA1", a length-prefixed stamp string, the array count,
+then per array a length-prefixed name, its rank and shape, and the "<f8"
+payload in C order.  The store holds no timestamps, so equal inputs give equal
+bytes.  Every writer here goes through `atomic_open`, so a crash mid-write
+leaves the previous file (or none), never a truncated one.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
+import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from .grid import Climatology, FieldTensor, GridSpec
+from .grid import FieldTensor, GridSpec
 
 _MAGIC = b"GSF1"
 _HEADER = struct.Struct("<III q dddd")  # n_var, n_lat, n_lon, timestamp, box bounds
+
+
+@contextmanager
+def atomic_open(path: str | Path, mode: str = "w", **kwargs):
+    """Open a sibling temp file for writing; move it onto `path` on success."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_payload(fh, grid: GridSpec, values: np.ndarray, timestamp: int) -> None:
@@ -49,7 +72,7 @@ def _read_payload(fh) -> tuple[GridSpec, np.ndarray, int]:
 
 
 def save_field(path: str | Path, field: FieldTensor) -> None:
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         _write_payload(fh, field.grid, field.values, field.timestamp)
 
 
@@ -59,15 +82,58 @@ def load_field(path: str | Path) -> FieldTensor:
     return FieldTensor(grid=grid, values=values, timestamp=ts)
 
 
-def save_climatology(path: str | Path, clim: Climatology) -> None:
-    with open(path, "wb") as fh:
-        _write_payload(fh, clim.grid, clim.values, -1)
+_STORE_MAGIC = b"GSA1"
 
 
-def load_climatology(path: str | Path) -> Climatology:
-    with open(path, "rb") as fh:
-        grid, values, _ = _read_payload(fh)
-    return Climatology(grid=grid, values=values)
+def save_store(path: str | Path, stamp: str, arrays: dict[str, np.ndarray]) -> None:
+    """Write named float64 arrays under `stamp`, in the order given."""
+    raw_stamp = stamp.encode("utf-8")
+    with atomic_open(path, "wb") as fh:
+        fh.write(_STORE_MAGIC)
+        fh.write(struct.pack("<H", len(raw_stamp)) + raw_stamp)
+        fh.write(struct.pack("<I", len(arrays)))
+        for name, arr in arrays.items():
+            arr = np.asarray(arr, dtype="<f8")
+            raw = name.encode("utf-8")
+            fh.write(struct.pack("<H", len(raw)) + raw)
+            fh.write(struct.pack(f"<B{arr.ndim}q", arr.ndim, *arr.shape))
+            fh.write(arr.tobytes())
+
+
+def load_store(path: str | Path, stamp: str) -> dict[str, np.ndarray] | None:
+    """The arrays of the store at `path`, or None if it is missing or stamped otherwise.
+
+    A bad magic number, a short payload or trailing bytes raise ValueError.
+    """
+    try:
+        buf = memoryview(Path(path).read_bytes())
+    except FileNotFoundError:
+        return None
+    pos = 0
+
+    def take(n: int) -> memoryview:
+        nonlocal pos
+        if pos + n > len(buf):
+            raise ValueError(f"{path}: truncated store")
+        pos += n
+        return buf[pos - n:pos]
+
+    def unpack(layout: str) -> tuple:
+        return struct.unpack(layout, take(struct.calcsize(layout)))
+
+    if take(4) != _STORE_MAGIC:
+        raise ValueError(f"{path}: not an array store (bad magic)")
+    if bytes(take(unpack("<H")[0])).decode("utf-8") != stamp:
+        return None
+    arrays = {}
+    for _ in range(unpack("<I")[0]):
+        name = bytes(take(unpack("<H")[0])).decode("utf-8")
+        shape = unpack(f"<{unpack('<B')[0]}q")
+        payload = take(8 * math.prod(shape))
+        arrays[name] = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
+    if pos != len(buf):
+        raise ValueError(f"{path}: trailing bytes after the last array")
+    return arrays
 
 
 def fmt(x) -> str:
@@ -78,7 +144,7 @@ def fmt(x) -> str:
 def field_to_csv(path: str | Path, field_values: np.ndarray, grid: GridSpec,
                  value_column: str = "value") -> None:
     """Inspection-friendly long-format dump of one (V, lat, lon) array."""
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["variable", "lat_idx", "lon_idx", "lat", "lon", value_column])
         for v, name in enumerate(grid.variables):
@@ -92,7 +158,7 @@ def field_to_csv(path: str | Path, field_values: np.ndarray, grid: GridSpec,
 def save_attribution(path: str | Path, attr, grid: GridSpec) -> None:
     """Binary map plus a .json sidecar carrying method provenance."""
     path = Path(path)
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         _write_payload(fh, grid, attr.values, attr.timestamp)
     sidecar = {
         "method": attr.method,
@@ -102,7 +168,7 @@ def save_attribution(path: str | Path, attr, grid: GridSpec) -> None:
         "model_id": attr.model_id,
         "n_gradient_evals": attr.n_gradient_evals,
     }
-    with open(path.with_suffix(path.suffix + ".json"), "w") as fh:
+    with atomic_open(path.with_suffix(path.suffix + ".json")) as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

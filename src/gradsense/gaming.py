@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attribution import AttributionConfig, attribute, spatial_importance, spatial_signed
+from .attribution import AttributionConfig
 from .grid import Climatology, FieldTensor, StationGrid, TargetSpec
 from .metrics import pr_auc, topk_indices
 
@@ -127,8 +127,6 @@ class GamingOutcome:
     scenario: AttackScenario
     baseline_unsigned: np.ndarray
     attack_unsigned: np.ndarray
-    baseline_signed: np.ndarray
-    attack_signed: np.ndarray
     inflation_ratio: float
     mae_clean: float
     mae_change: float
@@ -136,31 +134,19 @@ class GamingOutcome:
     attack_reached_model: bool
 
 
-def _period_scores(model, fields, clim, stations, config: AttributionConfig,
-                   transform=None):
-    if config.method == "gti" and config.baseline == "climatology":
-        # one batched gradient pass over the whole period
-        if transform is None:
-            stack = np.stack([f.values for f in fields])
-        else:
-            stack = np.stack([transform(f).values for f in fields])
-        grads = model.gradient_many(stack)
-        maps = (stack - clim.values[None]) * grads
-        per_station = maps[:, :, stations.lat_idx, stations.lon_idx]
-        uns = np.abs(per_station).sum(axis=1).mean(axis=0)
-        sgn = per_station.sum(axis=1).mean(axis=0)
-        preds = model.forward_many(stack)
-        return uns, sgn, preds
-    uns = np.zeros(stations.n_stations)
-    sgn = np.zeros(stations.n_stations)
-    preds = np.empty(len(fields))
-    for i, f in enumerate(fields):
-        ft = transform(f) if transform is not None else f
-        amap = attribute(model, ft, config, clim, fields)
-        uns += spatial_importance(amap, stations)
-        sgn += spatial_signed(amap, stations)
-        preds[i] = model.forward(ft)
-    return uns / len(fields), sgn / len(fields), preds
+def _period_scores(model, fields, clim, stations, transform=None):
+    """Period-mean GTI station scores (climatology baseline) and per-field predictions.
+
+    One batched gradient pass over the whole period.
+    """
+    if transform is None:
+        stack = np.stack([f.values for f in fields])
+    else:
+        stack = np.stack([transform(f).values for f in fields])
+    grads = model.gradient_many(stack)
+    maps = (stack - clim.values[None]) * grads
+    per_station = maps[:, :, stations.lat_idx, stations.lon_idx]
+    return np.abs(per_station).sum(axis=1).mean(axis=0), model.forward_many(stack)
 
 
 def _attack_reaches(model, scenario: AttackScenario, stations: StationGrid) -> bool:
@@ -178,14 +164,19 @@ def run_gaming_experiment(model, truth, fields, clim, stations,
                           baseline_cache=None) -> list[GamingOutcome]:
     """Score every scenario against the paired clean baseline period.
 
-    The baseline period is the same timestamps without the attack, computed
-    once and shared.  Scenarios whose attackers all lie outside the model's
-    influence window cannot move the prediction or any in-window attribution,
-    so their attack-period scores equal the baseline exactly.
+    Scores are GTI against the climatology baseline, the only `config`
+    accepted.  The baseline period is the same timestamps without the attack,
+    computed once and shared; `baseline_cache` may supply it as the
+    (period-mean scores, per-field predictions) pair.  Scenarios whose
+    attackers all lie outside the model's influence window cannot move the
+    prediction or any in-window attribution, so their attack-period scores
+    equal the baseline exactly.
     """
+    if (config.method, config.baseline) != ("gti", "climatology"):
+        raise ValueError("gaming scores use GTI with the climatology baseline")
     if baseline_cache is None:
-        baseline_cache = _period_scores(model, fields, clim, stations, config)
-    base_uns, base_sgn, base_preds = baseline_cache
+        baseline_cache = _period_scores(model, fields, clim, stations)
+    base_uns, base_preds = baseline_cache
     y_star = np.array([truth.verify(f) for f in fields])
     mae_clean = float(np.abs(base_preds - y_star).mean())
 
@@ -196,12 +187,12 @@ def run_gaming_experiment(model, truth, fields, clim, stations,
         effective = (sc.kind == "spoof" or sc.magnitude_pct > 0)
         reached = _attack_reaches(model, sc, stations) and effective
         if reached:
-            atk_uns, atk_sgn, atk_preds = _period_scores(
-                model, fields, clim, stations, config,
+            atk_uns, atk_preds = _period_scores(
+                model, fields, clim, stations,
                 transform=lambda f: apply_attack(f, sc, clim, stations))
             mae_attack = float(np.abs(atk_preds - y_star).mean())
         else:
-            atk_uns, atk_sgn = base_uns.copy(), base_sgn.copy()
+            atk_uns = base_uns.copy()
             mae_attack = mae_clean
         attackers = np.asarray(sc.attackers)
         ratio = float(np.mean((atk_uns[attackers] + _EPS) / (base_uns[attackers] + _EPS)))
@@ -211,7 +202,6 @@ def run_gaming_experiment(model, truth, fields, clim, stations,
         honest_pp = float(np.abs(atk_shares[honest] - base_shares[honest]).mean() * 100.0)
         outcomes.append(GamingOutcome(
             scenario=sc, baseline_unsigned=base_uns.copy(), attack_unsigned=atk_uns,
-            baseline_signed=base_sgn.copy(), attack_signed=atk_sgn,
             inflation_ratio=ratio, mae_clean=mae_clean,
             mae_change=mae_attack - mae_clean, honest_share_change_pp=honest_pp,
             attack_reached_model=reached))

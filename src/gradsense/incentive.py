@@ -9,11 +9,12 @@ the seeded uniform strategy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import BootstrapCI, gini, spearman, topk_indices
+from .metrics import gini, spearman, topk_indices
 
 STRATEGIES = ("ig", "gti", "vg", "distance", "uniform", "oracle")
 
@@ -248,8 +249,12 @@ def shrinkage_fit(proxy_shares_per_t, dist_shares, utilities, objective: str = "
     For each fold the held-out timestamp's proxy shares are blended with the
     distance prior over a lambda grid and scored against true utility shares
     (inner objective: mean squared error, or negated captured utility of the
-    blend's top-k).  Reported lambda is the fold mean; delta_rho compares the
-    blended and pure time-averaged proxies on utility ranking.
+    blend's top-k).  The first lambda on the grid wins exact ties.  Captured
+    utility is summed exactly (`math.fsum`), so blends whose top-k hold the
+    same utilities tie exactly; a rounded sum would break such ties by where
+    the zero-utility stations sit.  Reported lambda is the fold mean;
+    delta_rho compares the blended and pure time-averaged proxies on utility
+    ranking.
     """
     if objective not in ("mse", "captured_utility"):
         raise ValueError("objective must be 'mse' or 'captured_utility'")
@@ -263,8 +268,8 @@ def shrinkage_fit(proxy_shares_per_t, dist_shares, utilities, objective: str = "
     def score(blend):
         if objective == "mse":
             return float(((blend - truth) ** 2).mean())
-        sel = topk_indices(blend, min(k, blend.size))
-        return -captured_utility(sel, u_abs)
+        # the total utility is a positive constant, so it need not divide here
+        return -math.fsum(u_abs[topk_indices(blend, min(k, blend.size))])
 
     per_fold = np.empty(p.shape[0])
     for t in range(p.shape[0]):

@@ -4,11 +4,13 @@ A single seeded config drives the whole desk matrix: synthetic data, a grid
 of surrogate models (depth x target x target variable), attribution and
 ablation passes, fidelity/method/calibration/selection/payment/convergence
 analyses, the gaming campaign, and detector evaluation.  Every stage writes
-deterministic CSV/JSON artifacts under the output directory; the manifest
+deterministic CSV/JSON results under the output directory; the manifest
 records the config hash and a content hash for every emitted file, so a
-rerun with the same config is byte-identical.  Stages can run standalone:
-prerequisites are loaded from persisted tables when present and recomputed
-otherwise.
+rerun with the same config is byte-identical.  Intermediate arrays (fields,
+per-timestamp tables, gaming scores) live in `fieldio` array stores stamped
+with the config hash.  Stages can run standalone: a prerequisite is loaded
+from its store when the stamp matches the config and recomputed (and the
+store overwritten) otherwise.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import csv
 import hashlib
 import json
 import math
-import time
 import warnings
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -27,14 +28,21 @@ import yaml
 
 from . import __version__, ablation, attribution as attr, fieldio, gaming, incentive, metrics
 from .fieldio import fmt
-from .grid import GridConfig, GridSpec, StationGrid, TargetSpec, make_grid, make_station_grid, make_target
-from .model import DeskModel, TruthGenerator, make_desk_model, make_truth, model_from_config
+from .grid import (Climatology, FieldTensor, GridConfig, GridSpec, StationGrid, TargetSpec,
+                   make_grid, make_station_grid, make_target)
+from .model import DeskModel, TruthGenerator, make_desk_model, make_truth
 from . import synth
 
 SCHEMA_VERSION = 1
 
 STAGES = ("gen", "fidelity", "methods", "calibrate", "select", "pay",
           "subadditivity", "game", "detect", "converge", "report")
+
+DATA_STORE = "data/fields.gsa"
+TABLES_STORE = "tables/tables.gsa"
+GAMING_STORE = "tables/gaming.gsa"
+# per-scenario GamingOutcome scalars kept in the gaming store
+_OUTCOME_FLOATS = ("inflation_ratio", "mae_clean", "mae_change", "honest_share_change_pp")
 
 
 @dataclass(frozen=True)
@@ -205,21 +213,33 @@ class Workspace:
         self.files.add(rel)
 
     def write_csv(self, rel: str, header: list[str], rows) -> None:
-        with open(self.path(rel), "w", newline="") as fh:
+        with fieldio.atomic_open(self.path(rel), "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(header)
             w.writerows(rows)
         self.register(rel)
 
     def write_json(self, rel: str, payload) -> None:
-        with open(self.path(rel), "w") as fh:
+        with fieldio.atomic_open(self.path(rel)) as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
         self.register(rel)
 
     def write_text(self, rel: str, text: str) -> None:
-        self.path(rel).write_text(text)
+        with fieldio.atomic_open(self.path(rel)) as fh:
+            fh.write(text)
         self.register(rel)
+
+    def save_store(self, rel: str, stamp: str, arrays: dict[str, np.ndarray]) -> None:
+        fieldio.save_store(self.path(rel), stamp, arrays)
+        self.register(rel)
+
+    def load_store(self, rel: str, stamp: str) -> dict[str, np.ndarray] | None:
+        """The store's arrays if it exists with this stamp, else None."""
+        arrays = fieldio.load_store(self.path(rel), stamp)
+        if arrays is not None:
+            self.register(rel)
+        return arrays
 
     def read_rows(self, rel: str) -> list[dict[str, str]]:
         with open(self.path(rel), newline="") as fh:
@@ -239,6 +259,11 @@ def _row(*values) -> list[str]:
     return [_cell(v) for v in values]
 
 
+def _store_name(kind: str, key) -> str:
+    """Array name of one table in the tables store, e.g. "su/d1-zurich-t2m/mean_replace/3"."""
+    return "/".join([kind, *map(str, key if isinstance(key, tuple) else (key,))])
+
+
 # -- run state ---------------------------------------------------------------
 
 
@@ -248,6 +273,7 @@ class RunState:
     def __init__(self, cfg: ExperimentConfig, workspace: Workspace | None = None):
         cfg.validate()
         self.cfg = cfg
+        self.stamp = config_hash(cfg)
         self.ws = workspace or Workspace(cfg.out_dir)
         self.grid: GridSpec = make_grid(GridConfig(
             cfg.n_lat, cfg.n_lon, cfg.lat_min, cfg.lat_max, cfg.lon_min, cfg.lon_max,
@@ -281,26 +307,18 @@ class RunState:
         if self.fields is not None:
             return
         cfg = self.cfg
-        clim_path = "data/climatology.bin"
-        first_field = f"data/field_{0:04d}.bin"
-        if self.ws.has(clim_path) and self.ws.has(f"data/field_{cfg.n_timestamps - 1:04d}.bin"):
-            self.clim = fieldio.load_climatology(self.ws.path(clim_path))
-            self.fields = [fieldio.load_field(self.ws.path(f"data/field_{t:04d}.bin"))
-                           for t in range(cfg.n_timestamps)]
-            for t in range(cfg.n_timestamps):
-                self.ws.register(f"data/field_{t:04d}.bin")
-            self.ws.register(clim_path)
-        else:
+        stored = self.ws.load_store(DATA_STORE, self.stamp)
+        if stored is None:
             self.fields, self.clim = synth.synth_fields(
                 cfg.seed, self.grid, cfg.n_timestamps, n_clim_draws=cfg.n_clim_draws)
-            fieldio.save_climatology(self.ws.path(clim_path), self.clim)
-            self.ws.register(clim_path)
-            for t, f in enumerate(self.fields):
-                rel = f"data/field_{t:04d}.bin"
-                fieldio.save_field(self.ws.path(rel), f)
-                self.ws.register(rel)
+            self.ws.save_store(DATA_STORE, self.stamp, {
+                "fields": np.stack([f.values for f in self.fields]),
+                "climatology": self.clim.values})
+        else:
+            self.fields = [FieldTensor(grid=self.grid, values=v, timestamp=t)
+                           for t, v in enumerate(stored["fields"])]
+            self.clim = Climatology(grid=self.grid, values=stored["climatology"])
         self.var_std = synth.field_std(self.fields)
-        _ = first_field
 
     def ensure_models(self) -> None:
         if self.models:
@@ -340,154 +358,75 @@ class RunState:
     def spatial_methods(self) -> list[str]:
         return [self.primary_key(), "gti", "vg"]
 
+    def _table_keys(self) -> dict[str, list]:
+        """Every key of each table kind, in store order."""
+        cfg, cids = self.cfg, self.config_ids()
+        return {"gi": [(cid, key) for cid in cids for key in self._method_keys()],
+                "si_u": [(cid, key) for cid in cids for key in self.spatial_methods()],
+                "gu": cids,
+                "su": [(cid, mode, patch) for cid in cids
+                       for mode in cfg.modes for patch in cfg.patches]}
+
     def ensure_tables(self) -> dict:
-        if self._tables:
-            return self._tables
-        if self.ws.has("tables/global_importance.csv") and self.ws.has("tables/spatial_utility.csv"):
-            self._load_tables()
-            return self._tables
-        self._compute_tables()
+        if not self._tables:
+            stored = self.ws.load_store(TABLES_STORE, self.stamp)
+            if stored is None:
+                self._compute_tables()
+            else:
+                self._tables = {kind: {key: stored[_store_name(kind, key)] for key in keys}
+                                for kind, keys in self._table_keys().items()}
         return self._tables
 
     def _compute_tables(self) -> None:
         self.ensure_models()
         cfg = self.cfg
         T, V, N = cfg.n_timestamps, self.grid.n_variables, self.stations.n_stations
-        gi: dict = {}
-        si_u: dict = {}
-        si_s: dict = {}
-        gu: dict = {}
-        su: dict = {}
+        keys = self._table_keys()
+        gi = {key: np.full((T, V), np.nan) for key in keys["gi"]}
+        si_u = {key: np.zeros((T, N)) for key in keys["si_u"]}
+        gu = {key: np.zeros((T, V)) for key in keys["gu"]}
+        su = {key: np.zeros((T, N)) for key in keys["su"]}
+        li, lj = self.stations.lat_idx, self.stations.lon_idx
+
+        def record(cid, key, t, values):
+            gi[(cid, key)][t] = np.abs(values).sum(axis=(1, 2))
+            if (cid, key) in si_u:
+                si_u[(cid, key)][t] = np.abs(values).sum(axis=0)[li, lj]
+
         step_grid = sorted(set(cfg.ig_step_grid))
         zp_steps = min(8, cfg.ig_steps)
         zero_base = np.zeros(self.grid.shape)
         for cid in self.config_ids():
             model, truth = self.models[cid]
-            for key in self._method_keys():
-                gi[(cid, key)] = np.full((T, V), np.nan)
-            for key in self.spatial_methods():
-                si_u[(cid, key)] = np.zeros((T, N))
-                si_s[(cid, key)] = np.zeros((T, N))
-            gu[cid] = np.zeros((T, V))
             specs = [ablation.PerturbationSpec(
                 mode=mode, patch=patch, magnitude=cfg.perturb_magnitude,
                 seed=child_seed(cfg.seed, "perturb", cid, mode, patch))
                 for mode in cfg.modes for patch in cfg.patches]
-            for spec in specs:
-                su[(cid, spec.mode, spec.patch)] = np.zeros((T, N))
             for t, f in enumerate(self.fields):
                 y_star = truth.verify(f)
-                # every quadrature node of every path variant in one gradient batch
+                # every quadrature node of every path variant in one gradient batch;
+                # the first path starts at climatology, so its alpha = 1 gradient
+                # is the gradient at x that GTI and VG use
                 paths = [(f"ig@{s}", self.clim.values, s) for s in step_grid]
                 paths.append((f"ig-zero@{zp_steps}", zero_base, zp_steps))
                 if t >= 1:
                     paths.append((f"ig-pers@{zp_steps}",
                                   attr.persistence_baseline(self.fields, t), zp_steps))
-                points, bounds = [], []
-                for _, base, steps in paths:
-                    alphas = (np.arange(steps + 1) / steps)[:, None, None, None]
-                    points.append(base[None] + alphas * (f.values - base)[None])
-                    bounds.append(points[-1].shape[0])
-                grads = model.gradient_many(np.concatenate(points))
-                offset = 0
-                for (key, base, steps), count in zip(paths, bounds):
-                    seg = grads[offset:offset + count]
-                    offset += count
-                    weights = np.ones(steps + 1)
-                    weights[0] = weights[-1] = 0.5
-                    avg = np.tensordot(weights, seg, axes=1) / steps
-                    self._record_map(gi, si_u, si_s, cid, key, t,
-                                     (f.values - base) * avg)
-                grad_at_x = grads[sum(bounds[:len(step_grid)]) - 1]  # alpha = 1 node
-                self._record_map(gi, si_u, si_s, cid, "gti", t,
-                                 (f.values - self.clim.values) * grad_at_x)
-                self._record_map(gi, si_u, si_s, cid, "vg", t, grad_at_x)
+                maps, grad_at_x = attr.integrated_gradients_paths(
+                    model, f.values, [(base, steps) for _, base, steps in paths])
+                for (key, _, _), values in zip(paths, maps):
+                    record(cid, key, t, values)
+                record(cid, "gti", t, (f.values - self.clim.values) * grad_at_x)
+                record(cid, "vg", t, grad_at_x)
                 gu[cid][t] = ablation.global_ablation(model, f, y_star, self.clim).values
                 for smap in ablation.spatial_utility_multi(model, f, y_star,
                                                            self.stations, specs,
                                                            self.clim, self.var_std):
                     su[(cid, smap.spec.mode, smap.spec.patch)][t] = smap.u_signed
-        self._tables = {"gi": gi, "si_u": si_u, "si_s": si_s, "gu": gu, "su": su}
-        self._persist_tables()
-
-    def _record_map(self, gi, si_u, si_s, cid, key, t, values) -> None:
-        gi[(cid, key)][t] = np.abs(values).sum(axis=(1, 2))
-        if (cid, key) in si_u:
-            li, lj = self.stations.lat_idx, self.stations.lon_idx
-            si_u[(cid, key)][t] = np.abs(values).sum(axis=0)[li, lj]
-            si_s[(cid, key)][t] = values.sum(axis=0)[li, lj]
-
-    def _persist_tables(self) -> None:
-        cfg = self.cfg
-        gi, si_u, si_s, gu, su = (self._tables[k] for k in ("gi", "si_u", "si_s", "gu", "su"))
-        rows = []
-        for (cid, key) in sorted(gi):
-            arr = gi[(cid, key)]
-            for t in range(arr.shape[0]):
-                if np.any(np.isnan(arr[t])):
-                    continue
-                for v, name in enumerate(self.grid.variables):
-                    rows.append(_row(cid, key, t, name, arr[t, v]))
-        self.ws.write_csv("tables/global_importance.csv",
-                          ["config_id", "method", "timestamp", "variable", "importance"], rows)
-        rows = []
-        for (cid, key) in sorted(si_u):
-            u, s = si_u[(cid, key)], si_s[(cid, key)]
-            for t in range(u.shape[0]):
-                for g in range(u.shape[1]):
-                    rows.append(_row(cid, key, t, g, u[t, g], s[t, g]))
-        self.ws.write_csv("tables/spatial_importance.csv",
-                          ["config_id", "method", "timestamp", "station_id",
-                           "importance_unsigned", "importance_signed"], rows)
-        rows = []
-        for cid in sorted(gu):
-            arr = gu[cid]
-            for t in range(arr.shape[0]):
-                for v, name in enumerate(self.grid.variables):
-                    rows.append(_row(cid, t, name, arr[t, v]))
-        self.ws.write_csv("tables/global_utility.csv",
-                          ["config_id", "timestamp", "variable", "utility"], rows)
-        rows = []
-        lats, lons = self.stations.lats, self.stations.lons
-        for (cid, mode, patch) in sorted(su):
-            arr = su[(cid, mode, patch)]
-            for t in range(arr.shape[0]):
-                for g in range(arr.shape[1]):
-                    rows.append(_row(cid, t, g, lats[g], lons[g], arr[t, g], abs(arr[t, g]),
-                                     mode, patch, cfg.perturb_magnitude))
-        self.ws.write_csv("tables/spatial_utility.csv",
-                          ["config_id", "timestamp", "station_id", "lat", "lon",
-                           "u_signed", "u_abs", "mode", "patch", "magnitude"], rows)
-
-    def _load_tables(self) -> None:
-        cfg = self.cfg
-        for rel in ("tables/global_importance.csv", "tables/spatial_importance.csv",
-                    "tables/global_utility.csv", "tables/spatial_utility.csv"):
-            self.ws.register(rel)
-        T, V, N = cfg.n_timestamps, self.grid.n_variables, self.stations.n_stations
-        vidx = {name: v for v, name in enumerate(self.grid.variables)}
-        gi: dict = {}
-        for r in self.ws.read_rows("tables/global_importance.csv"):
-            key = (r["config_id"], r["method"])
-            gi.setdefault(key, np.full((T, V), np.nan))[int(r["timestamp"]),
-                                                        vidx[r["variable"]]] = float(r["importance"])
-        si_u: dict = {}
-        si_s: dict = {}
-        for r in self.ws.read_rows("tables/spatial_importance.csv"):
-            key = (r["config_id"], r["method"])
-            t, g = int(r["timestamp"]), int(r["station_id"])
-            si_u.setdefault(key, np.zeros((T, N)))[t, g] = float(r["importance_unsigned"])
-            si_s.setdefault(key, np.zeros((T, N)))[t, g] = float(r["importance_signed"])
-        gu: dict = {}
-        for r in self.ws.read_rows("tables/global_utility.csv"):
-            gu.setdefault(r["config_id"], np.zeros((T, V)))[int(r["timestamp"]),
-                                                            vidx[r["variable"]]] = float(r["utility"])
-        su: dict = {}
-        for r in self.ws.read_rows("tables/spatial_utility.csv"):
-            key = (r["config_id"], r["mode"], int(r["patch"]))
-            su.setdefault(key, np.zeros((T, N)))[int(r["timestamp"]),
-                                                 int(r["station_id"])] = float(r["u_signed"])
-        self._tables = {"gi": gi, "si_u": si_u, "si_s": si_s, "gu": gu, "su": su}
+        self._tables = {"gi": gi, "si_u": si_u, "gu": gu, "su": su}
+        self.ws.save_store(TABLES_STORE, self.stamp, {
+            _store_name(kind, key): self._tables[kind][key]
+            for kind, kind_keys in keys.items() for key in kind_keys})
 
     # -- shared small helpers ------------------------------------------------
 
@@ -906,7 +845,7 @@ def build_scenarios(state: RunState, cid: str) -> list[gaming.AttackScenario]:
         for pct in g.magnitudes_pct:
             for s in range(g.n_seeds):
                 add("inflate", n, pct, "all_surface", "uniform", s)
-    depth_prefix, name, tv = cid.split("-", 2)[0], *cid.split("-", 2)[1:]
+    _, name, tv = cid.split("-", 2)
     if (name, tv) == tuple(g.extended_combo):
         for n in g.n_attackers:
             for pct in g.extended_magnitudes:
@@ -920,26 +859,24 @@ def build_scenarios(state: RunState, cid: str) -> list[gaming.AttackScenario]:
     for n in g.n_attackers:
         for s in range(g.spoof_seeds):
             add("spoof", n, 0.0, "all_surface", "close", s)
-    _ = depth_prefix
     return scenarios
 
 
 def stage_game(state: RunState) -> None:
     state.ensure_models()
-    tables = state.ensure_tables()
-    si_u, si_s = tables["si_u"], tables["si_s"]
+    si_u = state.ensure_tables()["si_u"]
     cfg = attr.AttributionConfig(method="gti", baseline="climatology")
-    manifest, outcome_rows, score_rows = {}, [], []
+    manifest, outcome_rows, arrays = {}, [], {}
     self_outcomes: dict[str, list[gaming.GamingOutcome]] = {}
+    n = state.stations.n_stations
     for cid in _gaming_config_ids(state):
         model, truth = state.models[cid]
         base_uns = si_u[(cid, "gti")].mean(axis=0)
-        base_sgn = si_s[(cid, "gti")].mean(axis=0)
         base_preds = model.forward_many(np.stack([f.values for f in state.fields]))
         scenarios = build_scenarios(state, cid)
         outcomes = gaming.run_gaming_experiment(
             model, truth, state.fields, state.clim, state.stations, scenarios, cfg,
-            baseline_cache=(base_uns, base_sgn, base_preds))
+            baseline_cache=(base_uns, base_preds))
         self_outcomes[cid] = outcomes
         for sc, o in zip(scenarios, outcomes):
             manifest[sc.scenario_id] = {
@@ -953,56 +890,37 @@ def stage_game(state: RunState) -> None:
                 sc.scope, sc.placement, ";".join(str(a) for a in sc.attackers),
                 o.inflation_ratio, o.mae_clean, o.mae_change, o.honest_share_change_pp,
                 o.attack_reached_model))
-            for g in range(state.stations.n_stations):
-                score_rows.append(_row(sc.scenario_id, g, o.baseline_unsigned[g],
-                                       o.attack_unsigned[g]))
+        # one row per scenario, in build_scenarios order
+        arrays[f"baseline/{cid}"] = base_uns
+        arrays[f"attack/{cid}"] = np.array([o.attack_unsigned for o in outcomes]).reshape(-1, n)
+        for name in _OUTCOME_FLOATS + ("attack_reached_model",):
+            arrays[f"{name}/{cid}"] = np.array([float(getattr(o, name)) for o in outcomes])
     state.ws.write_json("results/gaming_scenarios.json", manifest)
     state.ws.write_csv("results/gaming_outcomes.csv",
                        ["scenario_id", "config_id", "kind", "n_attackers", "magnitude_pct",
                         "scope", "placement", "attackers", "inflation_ratio", "mae_clean",
                         "mae_change", "honest_share_change_pp", "attack_reached_model"],
                        outcome_rows)
-    state.ws.write_csv("tables/gaming_scores.csv",
-                       ["scenario_id", "station_id", "baseline_unsigned", "attack_unsigned"],
-                       score_rows)
+    state.ws.save_store(GAMING_STORE, state.stamp, arrays)
     state._gaming_cache = self_outcomes
 
 
 def _load_gaming(state: RunState) -> dict[str, list[gaming.GamingOutcome]]:
     if state._gaming_cache is not None:
         return state._gaming_cache
-    if not state.ws.has("results/gaming_outcomes.csv"):
+    stored = state.ws.load_store(GAMING_STORE, state.stamp)
+    if stored is None:
         stage_game(state)
         return state._gaming_cache
-    state.ensure_models()
-    n = state.stations.n_stations
-    scores: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for r in state.ws.read_rows("tables/gaming_scores.csv"):
-        sid = r["scenario_id"]
-        if sid not in scores:
-            scores[sid] = (np.zeros(n), np.zeros(n))
-        g = int(r["station_id"])
-        scores[sid][0][g] = float(r["baseline_unsigned"])
-        scores[sid][1][g] = float(r["attack_unsigned"])
     cache: dict[str, list[gaming.GamingOutcome]] = {}
-    for r in state.ws.read_rows("results/gaming_outcomes.csv"):
-        sid = r["scenario_id"]
-        cid = r["config_id"]
-        attackers = tuple(int(a) for a in r["attackers"].split(";"))
-        sc = gaming.AttackScenario(
-            scenario_id=sid, kind=r["kind"], attackers=attackers,
-            magnitude_pct=float(r["magnitude_pct"]), scope=r["scope"],
-            scope_variables=gaming.resolve_scope(r["scope"], state.grid.variables,
-                                                 state.models[cid][0].target),
-            placement=r["placement"], seed=0)
-        b, a = scores[sid]
-        cache.setdefault(cid, []).append(gaming.GamingOutcome(
-            scenario=sc, baseline_unsigned=b, attack_unsigned=a,
-            baseline_signed=np.zeros(n), attack_signed=np.zeros(n),
-            inflation_ratio=float(r["inflation_ratio"]), mae_clean=float(r["mae_clean"]),
-            mae_change=float(r["mae_change"]),
-            honest_share_change_pp=float(r["honest_share_change_pp"]),
-            attack_reached_model=r["attack_reached_model"] == "True"))
+    for cid in _gaming_config_ids(state):
+        base = stored[f"baseline/{cid}"]
+        reached = stored[f"attack_reached_model/{cid}"]
+        cache[cid] = [gaming.GamingOutcome(
+            scenario=sc, baseline_unsigned=base.copy(), attack_unsigned=stored[f"attack/{cid}"][i],
+            attack_reached_model=bool(reached[i]),
+            **{name: float(stored[f"{name}/{cid}"][i]) for name in _OUTCOME_FLOATS})
+            for i, sc in enumerate(build_scenarios(state, cid))]
     state._gaming_cache = cache
     return cache
 
@@ -1234,14 +1152,12 @@ def run_full(cfg: ExperimentConfig, stage_filter: tuple[str, ...] | None = None)
         if name not in wanted:
             state.stage_status[name] = "skipped"
             continue
-        t0 = time.time()
         try:
             run_stage(state, name)
             state.stage_status[name] = "completed"
         except Exception as exc:  # record and continue with later stages
             state.stage_status[name] = f"failed: {exc}"
             failed.append((name, exc))
-        _ = t0
     manifest = write_manifest(state)
     manifest["ok"] = not failed
     return manifest

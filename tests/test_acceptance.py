@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from gradsense import ablation, attribution as attr, gaming, incentive, metrics, runner, synth
+from gradsense import (ablation, attribution as attr, fieldio, gaming, incentive, metrics, runner,
+                       synth)
 from gradsense.attribution import AttributionConfig
 from gradsense.grid import FieldTensor, GridConfig, make_grid, make_station_grid, make_target
 from gradsense.model import make_desk_model, make_linear_model, make_truth
@@ -351,17 +352,19 @@ def _manifest_scenarios(run):
 
 
 def _gaming_scores(run):
-    scores = {}
-    for r in _rows(run, "tables/gaming_scores.csv"):
-        b, a = scores.setdefault(r["scenario_id"], ({}, {}))
-        g = int(r["station_id"])
-        b[g] = float(r["baseline_unsigned"])
-        a[g] = float(r["attack_unsigned"])
-    out = {}
-    for sid, (b, a) in scores.items():
-        n = max(b) + 1
-        out[sid] = (np.array([b[g] for g in range(n)]),
-                    np.array([a[g] for g in range(n)]))
+    """Baseline and attack station scores per scenario, from the gaming store.
+
+    The store keeps one attack row per scenario of a config, in the order
+    results/gaming_outcomes.csv lists that config's scenarios.
+    """
+    store = fieldio.load_store(run["out"] / runner.GAMING_STORE,
+                               runner.config_hash(run["cfg"]))
+    assert store is not None
+    out, seen = {}, {}
+    for r in _rows(run, "results/gaming_outcomes.csv"):
+        cid = r["config_id"]
+        i = seen[cid] = seen.get(cid, -1) + 1
+        out[r["scenario_id"]] = (store[f"baseline/{cid}"], store[f"attack/{cid}"][i])
     return out
 
 

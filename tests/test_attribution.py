@@ -54,6 +54,23 @@ class TestIntegratedGradients:
         assert counting.gradient_evals == 13
         assert ig.n_gradient_evals == 13
 
+    @pytest.mark.parametrize("model_fixture", ["desk_model", "desk_model_d1"])
+    def test_multi_path_matches_single_paths(self, model_fixture, desk_data, request):
+        # one batch over every path gives each path's single-path map bit for bit
+        model = request.getfixturevalue(model_fixture)
+        fields, clim = desk_data
+        x = fields[3]
+        paths = [(clim.values, 1), (clim.values, 8), (np.zeros_like(x.values), 4),
+                 (fields[2].values, 3)]
+        counting = CountingModel(model)
+        maps, grad_end = attr.integrated_gradients_paths(counting, x.values, paths)
+        assert counting.gradient_evals == 2 + 9 + 5 + 4
+        for (base, steps), values in zip(paths, maps):
+            single = attr.integrated_gradients(model, x, base, steps)
+            assert np.array_equal(values, single.values)
+        end_node = clim.values + (x.values - clim.values)
+        assert np.array_equal(grad_end, model.gradient_values(end_node))
+
     def test_invalid_steps(self, desk_model, desk_data):
         fields, clim = desk_data
         with pytest.raises(ValueError):

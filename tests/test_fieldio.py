@@ -5,7 +5,7 @@ import pytest
 
 from gradsense import fieldio
 from gradsense.attribution import AttributionMap
-from gradsense.grid import Climatology, FieldTensor
+from gradsense.grid import FieldTensor
 
 
 class TestBinaryRoundTrip:
@@ -18,13 +18,6 @@ class TestBinaryRoundTrip:
         assert loaded.timestamp == 17
         assert loaded.grid == small_grid
         assert np.array_equal(loaded.values, f.values)
-
-    def test_climatology(self, small_grid, rng, tmp_path):
-        c = Climatology(grid=small_grid, values=rng.normal(size=small_grid.shape))
-        path = tmp_path / "c.bin"
-        fieldio.save_climatology(path, c)
-        loaded = fieldio.load_climatology(path)
-        assert np.array_equal(loaded.values, c.values)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.bin"
@@ -43,6 +36,72 @@ class TestBinaryRoundTrip:
         assert loaded.method == "ig" and loaded.steps == 8
         assert loaded.model_id == "desk-x" and loaded.n_gradient_evals == 9
         assert np.array_equal(loaded.values, amap.values)
+
+
+class TestStore:
+    def _arrays(self, rng):
+        return {"fields": rng.normal(size=(3, 2, 4, 5)), "scalar": np.array(2.5),
+                "nan/row": np.array([np.nan, -0.0, 1e-300]), "empty": np.zeros((0, 4))}
+
+    def test_round_trip(self, rng, tmp_path):
+        arrays = self._arrays(rng)
+        path = tmp_path / "s.gsa"
+        fieldio.save_store(path, "stamp-a", arrays)
+        loaded = fieldio.load_store(path, "stamp-a")
+        assert list(loaded) == list(arrays)
+        for name, arr in arrays.items():
+            assert loaded[name].dtype == np.float64 and loaded[name].shape == arr.shape
+            assert np.array_equal(loaded[name], arr, equal_nan=True)
+        assert np.signbit(loaded["nan/row"][1])
+
+    def test_deterministic_bytes(self, rng, tmp_path):
+        arrays = self._arrays(rng)
+        fieldio.save_store(tmp_path / "a.gsa", "s", arrays)
+        fieldio.save_store(tmp_path / "b.gsa", "s", arrays)
+        assert (tmp_path / "a.gsa").read_bytes() == (tmp_path / "b.gsa").read_bytes()
+
+    def test_other_stamp_or_missing_is_none(self, rng, tmp_path):
+        path = tmp_path / "s.gsa"
+        assert fieldio.load_store(path, "s") is None
+        fieldio.save_store(path, "stamp-a", self._arrays(rng))
+        assert fieldio.load_store(path, "stamp-b") is None
+
+    def test_bad_magic(self, tmp_path):
+        path = tmp_path / "s.gsa"
+        path.write_bytes(b"GSF1" + b"\x00" * 64)
+        with pytest.raises(ValueError, match="magic"):
+            fieldio.load_store(path, "s")
+
+    def test_truncated_or_padded_raises(self, rng, tmp_path):
+        path = tmp_path / "s.gsa"
+        fieldio.save_store(path, "s", self._arrays(rng))
+        raw = path.read_bytes()
+        for cut in (len(raw) - 1, len(raw) - 8, len(raw) // 2, 10):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(ValueError, match="truncated"):
+                fieldio.load_store(path, "s")
+        path.write_bytes(raw + b"\x00" * 8)
+        with pytest.raises(ValueError, match="trailing"):
+            fieldio.load_store(path, "s")
+
+
+class TestAtomicOpen:
+    def test_failed_write_keeps_previous_content(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text("old")
+        with pytest.raises(RuntimeError):
+            with fieldio.atomic_open(path) as fh:
+                fh.write("new")
+                raise RuntimeError("crash mid-write")
+        assert path.read_text() == "old"
+        assert [p.name for p in tmp_path.iterdir()] == ["t.txt"]
+
+    def test_failed_first_write_leaves_nothing(self, tmp_path):
+        with pytest.raises(RuntimeError):
+            with fieldio.atomic_open(tmp_path / "t.txt", "wb") as fh:
+                fh.write(b"partial")
+                raise RuntimeError("crash mid-write")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCsv:

@@ -17,8 +17,7 @@ def scenario(attackers, kind="inflate", pct=50.0, scope_vars=(0, 1, 2, 3, 4, 5),
 @pytest.fixture(scope="module")
 def baseline(desk_model, desk_data, desk_stations):
     fields, clim = desk_data
-    cfg = AttributionConfig(method="gti")
-    return gaming._period_scores(desk_model, fields, clim, desk_stations, cfg)
+    return gaming._period_scores(desk_model, fields, clim, desk_stations)
 
 
 class TestApplyAttack:
@@ -116,6 +115,16 @@ class TestExperiment:
         assert out.inflation_ratio == 1.0
         assert out.mae_change == 0.0
         assert not out.attack_reached_model
+
+    def test_rejects_non_gti_config(self, desk_model, desk_truth, desk_data,
+                                    desk_stations, baseline):
+        fields, clim = desk_data
+        for cfg in (AttributionConfig(method="ig"),
+                    AttributionConfig(method="gti", baseline="zero")):
+            with pytest.raises(ValueError):
+                gaming.run_gaming_experiment(desk_model, desk_truth, fields, clim,
+                                             desk_stations, [scenario([60])], cfg,
+                                             baseline_cache=baseline)
 
     def test_out_of_window_attack_copies_baseline(self, desk_model, desk_truth,
                                                   desk_data, desk_stations, baseline):

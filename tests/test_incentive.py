@@ -236,6 +236,29 @@ class TestShrinkage:
         assert 0.0 <= fit.lam <= 1.0
         assert fit.per_fold.shape == (6,)
 
+    def test_captured_utility_tie_ignores_zero_positions(self, rng):
+        # 12 of 40 stations hold all the utility and top every blend, so every
+        # lambda's top-20 captures all of it: the losses tie exactly and the
+        # first lambda wins, wherever the zero-utility stations sit
+        n, live = 40, np.arange(0, 36, 3)
+        dead = np.setdiff1d(np.arange(n), live)
+        util = np.zeros(n)
+        util[live] = rng.random(live.size) + 0.1
+        proxy = np.zeros((6, n))
+        proxy[:, live] = rng.random((6, live.size)) + 1.0
+        proxy[:, dead] = rng.random((6, dead.size)) * 0.1
+        dist = np.zeros(n)
+        dist[live] = rng.random(live.size) + 1.0
+        dist[dead] = rng.random(dead.size) * 0.1
+        for _ in range(20):
+            order = rng.permutation(dead)
+            p, d = proxy.copy(), dist.copy()
+            p[:, dead], d[dead] = proxy[:, order], dist[order]
+            fit = incentive.shrinkage_fit(p / p.sum(axis=1, keepdims=True), d / d.sum(),
+                                          util, objective="captured_utility", k=20)
+            assert np.all(fit.per_fold == 0.0)
+            assert fit.lam == 0.0
+
     def test_errors(self, rng):
         with pytest.raises(ValueError):
             incentive.shrinkage_fit(rng.random((2, 5)), np.full(5, 0.2), rng.random(5))

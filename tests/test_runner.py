@@ -1,13 +1,15 @@
+import dataclasses
 import hashlib
 import json
 import os
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gradsense import cli, runner
+from gradsense import cli, gaming, runner
 
 
 def tiny_config(out_dir, **overrides) -> runner.ExperimentConfig:
@@ -135,10 +137,61 @@ class TestRunFull:
         recomputed_state = runner.RunState(cfg)
         recomputed_state.ws.files.clear()
         recomputed_state._compute_tables()
-        for key, arr in recomputed_state._tables["su"].items():
-            assert np.allclose(loaded["su"][key], arr, equal_nan=True)
-        for key, arr in recomputed_state._tables["gi"].items():
-            assert np.allclose(loaded["gi"][key], arr, equal_nan=True)
+        assert set(loaded) == {"gi", "si_u", "gu", "su"}
+        for kind, tables in recomputed_state._tables.items():
+            assert list(loaded[kind]) == list(tables)
+            for key, arr in tables.items():
+                assert np.array_equal(loaded[kind][key], arr, equal_nan=True), (kind, key)
+
+    def test_loaded_gaming_matches_stage_game(self, tiny_run):
+        cfg, _, _ = tiny_run
+        state = runner.RunState(cfg)
+        runner.stage_game(state)
+        computed = state._gaming_cache
+        loaded = runner._load_gaming(runner.RunState(cfg))
+        assert list(loaded) == list(computed)
+        for cid, outcomes in computed.items():
+            assert len(loaded[cid]) == len(outcomes)
+            for a, b in zip(outcomes, loaded[cid]):
+                for f in dataclasses.fields(gaming.GamingOutcome):
+                    x, y = getattr(a, f.name), getattr(b, f.name)
+                    if isinstance(x, np.ndarray):
+                        assert np.array_equal(x, y), (cid, f.name)
+                    else:
+                        assert x == y and type(x) is type(y), (cid, f.name)
+
+    def test_intermediate_stores_layout(self, tiny_run):
+        _, out, manifest = tiny_run
+        assert sorted(p.name for p in (out / "tables").iterdir()) == ["gaming.gsa",
+                                                                      "tables.gsa"]
+        assert sorted(p.name for p in (out / "data").iterdir()) == [
+            "fields.gsa", "models.json", "stations.csv"]
+        for rel in (runner.DATA_STORE, runner.TABLES_STORE, runner.GAMING_STORE):
+            assert rel in manifest["files"]
+
+    def test_truncated_store_raises(self, tiny_run, tmp_path):
+        cfg, out, _ = tiny_run
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        store = copy / runner.TABLES_STORE
+        raw = store.read_bytes()
+        store.write_bytes(raw[:len(raw) - 8 * 17])
+        with pytest.raises(ValueError, match="truncated"):
+            runner.RunState(replace(cfg, out_dir=str(copy))).ensure_tables()
+
+    def test_stale_config_artifacts_recomputed(self, tmp_path):
+        # seed 7, then seed 8 into the same directory: every seed-8 result must
+        # equal a fresh seed-8 run's, standalone stages included
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        runner.run_full(tiny_config(reused, seed=7))
+        runner.run_full(tiny_config(fresh, seed=8))
+        manifest = runner.run_full(tiny_config(reused, seed=8), stage_filter=("detect",))
+        assert manifest["ok"]
+        for rel in ("results/gaming_results.csv", "results/detection_summary.csv"):
+            assert (reused / rel).read_bytes() == (fresh / rel).read_bytes(), rel
+        assert runner.run_full(tiny_config(reused, seed=8))["ok"]
+        for sub in ("results", "tables", "data"):
+            assert _hash_tree(reused / sub) == _hash_tree(fresh / sub), sub
 
     def test_stage_failure_recorded(self, tmp_path):
         cfg = tiny_config(tmp_path / "fail", n_timestamps=8)
@@ -153,6 +206,29 @@ class TestRunFull:
         state = runner.RunState(replace(cfg, selection_budgets=(3, 999)))
         with pytest.warns(UserWarning, match="clipped"):
             runner.run_stage(state, "select")
+
+
+class TestWorkspace:
+    def test_failed_writes_leave_previous_content_or_nothing(self, tmp_path):
+        ws = runner.Workspace(tmp_path / "ws")
+        ws.write_csv("results/a.csv", ["x"], [["1"]])
+        ws.write_text("results/r.md", "report\n")
+        before = {rel: ws.path(rel).read_bytes() for rel in ("results/a.csv", "results/r.md")}
+
+        def rows():
+            yield ["2"]
+            raise RuntimeError("crash mid-write")
+
+        for rel in ("results/a.csv", "results/b.csv"):
+            with pytest.raises(RuntimeError):
+                ws.write_csv(rel, ["x"], rows())
+        with pytest.raises(TypeError):  # json.dump has written part of the object
+            ws.write_json("results/c.json", {"a": 1, "b": object()})
+        with pytest.raises(UnicodeEncodeError):
+            ws.write_text("results/r.md", "new\ud800")
+        assert {rel: ws.path(rel).read_bytes() for rel in before} == before
+        assert sorted(p.name for p in (ws.root / "results").iterdir()) == ["a.csv", "r.md"]
+        assert ws.files == set(before)
 
 
 class TestCli:
