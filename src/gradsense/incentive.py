@@ -258,6 +258,8 @@ def shrinkage_fit(proxy_shares_per_t, dist_shares, utilities, objective: str = "
     """
     if objective not in ("mse", "captured_utility"):
         raise ValueError("objective must be 'mse' or 'captured_utility'")
+    if objective == "captured_utility" and k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     p = np.asarray(proxy_shares_per_t, dtype=np.float64)
     if p.ndim != 2 or p.shape[0] < 3:
         raise ValueError("need a (timestamps >= 3, stations) proxy share matrix")
@@ -265,15 +267,19 @@ def shrinkage_fit(proxy_shares_per_t, dist_shares, utilities, objective: str = "
     u_abs = np.abs(np.asarray(utilities, dtype=np.float64))
     truth = u_abs / u_abs.sum()
 
-    def score(blend):
-        if objective == "mse":
-            return float(((blend - truth) ** 2).mean())
-        # the total utility is a positive constant, so it need not divide here
-        return -math.fsum(u_abs[topk_indices(blend, min(k, blend.size))])
-
+    grid = _LAMBDA_GRID[:, None]
+    top_k = min(k, p.shape[1])
     per_fold = np.empty(p.shape[0])
     for t in range(p.shape[0]):
-        losses = [score(lam * p[t] + (1 - lam) * d) for lam in _LAMBDA_GRID]
+        blends = grid * p[t] + (1 - grid) * d  # one row per lambda
+        if objective == "mse":
+            losses = ((blends - truth) ** 2).mean(axis=1)
+        else:
+            # stable sort of the negated blend: `topk_indices`'s lower-index
+            # tie-break; the total utility is a positive constant, so it need
+            # not divide here
+            top = np.argsort(-blends, axis=1, kind="stable")[:, :top_k]
+            losses = [-math.fsum(u_abs[row]) for row in top]
         per_fold[t] = _LAMBDA_GRID[int(np.argmin(losses))]
     lam = float(per_fold.mean())
     pbar = p.mean(axis=0)

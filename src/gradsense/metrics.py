@@ -4,8 +4,9 @@ Everything here is implemented directly (average-rank Spearman with a
 t-approximation, one-sided Wilcoxon signed-rank with exact enumeration for
 small n, Benjamini-Hochberg step-up, trapezoidal PR-AUC with tie grouping,
 percentile bootstrap in i.i.d. and spatial-block flavours) so the exact
-conventions are pinned; SciPy supplies only distribution tail functions.
-All randomized procedures reproduce bit-identically from their seed.
+conventions are pinned.  The only SciPy import is `scipy.special.stdtr`, the
+Student t tail behind the Spearman p-value.  All randomized procedures
+reproduce bit-identically from their seed.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import t as _student_t
+from scipy.special import stdtr
 
 from .grid import StationGrid
 
@@ -49,36 +50,51 @@ class BootstrapCI:
 
 def average_ranks(x: np.ndarray) -> np.ndarray:
     """Ranks 1..n with tied values assigned the mean of their rank range."""
-    x = np.asarray(x, dtype=np.float64)
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size)
-    sx = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    return average_ranks_matrix(np.asarray(x, dtype=np.float64)[None])[0]
 
 
 def average_ranks_matrix(x: np.ndarray) -> np.ndarray:
-    """Row-wise tie-averaged ranks of a (rows, n) matrix (vectorized)."""
-    order = np.argsort(x, axis=1, kind="stable")
-    sx = np.take_along_axis(x, order, axis=1)
+    """Row-wise tie-averaged ranks of a (rows, n) matrix (vectorized).
+
+    A tie group that starts at sorted column `start` and holds `count` equal
+    values spans ranks start+1 .. start+count, so each member gets
+    start + (count+1)/2: a half-integer, which float64 holds exactly.
+    """
     rows, n = x.shape
-    col = np.arange(n)
-    new_group = np.ones((rows, n), dtype=bool)
-    new_group[:, 1:] = sx[:, 1:] != sx[:, :-1]
-    start = np.maximum.accumulate(np.where(new_group, col, 0), axis=1)
-    is_end = np.ones((rows, n), dtype=bool)
-    is_end[:, :-1] = new_group[:, 1:]
-    end = np.minimum.accumulate(np.where(is_end, col, n)[:, ::-1], axis=1)[:, ::-1]
-    avg_sorted = 0.5 * (start + end) + 1.0
-    ranks = np.empty_like(avg_sorted)
-    np.put_along_axis(ranks, order, avg_sorted, axis=1)
+    row = np.arange(rows)[:, None]
+    order = np.argsort(x, axis=1, kind="stable")
+    sx = x[row, order]
+    # flat group-start flags, one past the end closing the last group
+    starts = np.ones(rows * n + 1, dtype=bool)
+    starts[:-1].reshape(rows, n)[:, 1:] = sx[:, 1:] != sx[:, :-1]
+    bounds = np.flatnonzero(starts)
+    first, count = bounds[:-1], bounds[1:] - bounds[:-1]
+    ranks = np.empty((rows, n))
+    ranks[row, order] = np.repeat(first % n + 0.5 * (count + 1), count).reshape(rows, n)
     return ranks
+
+
+def resample_ranks(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Row-wise tie-averaged ranks of `x[idx]` for a (rows, m) index matrix.
+
+    Equals `average_ranks_matrix(x[idx])` bit for bit without sorting a row.
+    Each value gets a tie code (its position among the sorted distinct values
+    of `x`), one `bincount` counts every code per row, and a value whose code
+    has `count` copies in its row and `less` smaller values there spans rank
+    positions less+1 .. less+count, so its average rank is less + (count+1)/2.
+    That is the half-integer the sorting version computes, and float64 holds
+    it exactly, so the two agree in every bit.  A NaN is not equal to itself,
+    so each NaN occurrence is its own rank group; inputs with NaN therefore
+    take the sorting path.
+    """
+    if np.isnan(x).any():
+        return average_ranks_matrix(x[idx])
+    uniq, code = np.unique(x, return_inverse=True)
+    rows, k = idx.shape[0], uniq.size
+    cell = np.arange(rows)[:, None] * k + code[idx]  # (row, code) flat in (rows, k)
+    counts = np.bincount(cell.ravel(), minlength=rows * k).reshape(rows, k)
+    less = np.cumsum(counts, axis=1) - counts
+    return (less + 0.5 * (counts + 1)).ravel()[cell]
 
 
 class PairedSpearmanStat:
@@ -93,8 +109,8 @@ class PairedSpearmanStat:
         return rc.rho if not rc.undefined else math.nan
 
     def batched(self, arr: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        ra = average_ranks_matrix(arr[idx, 0])
-        rb = average_ranks_matrix(arr[idx, 1])
+        ra = resample_ranks(arr[:, 0], idx)
+        rb = resample_ranks(arr[:, 1], idx)
         ra -= ra.mean(axis=1, keepdims=True)
         rb -= rb.mean(axis=1, keepdims=True)
         den = np.sqrt((ra * ra).sum(axis=1) * (rb * rb).sum(axis=1))
@@ -117,17 +133,16 @@ def spearman(a, b) -> RankCorrelation:
         raise ValueError("need at least 3 observations")
     if np.all(a == a[0]) or np.all(b == b[0]):
         return RankCorrelation(rho=math.nan, n=n, p_value=math.nan, undefined=True)
-    ra = average_ranks(a)
-    rb = average_ranks(b)
-    ra -= ra.mean()
-    rb -= rb.mean()
+    ra, rb = average_ranks_matrix(np.array([a, b]))
+    ra = ra - ra.mean()
+    rb = rb - rb.mean()
     denom = math.sqrt(float(ra @ ra) * float(rb @ rb))
     rho = float(np.clip((ra @ rb) / denom, -1.0, 1.0))
     if abs(rho) == 1.0:
         p = 0.0
     else:
         tstat = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-        p = float(2.0 * _student_t.sf(abs(tstat), df=n - 2))
+        p = float(2.0 * stdtr(n - 2, -abs(tstat)))
     return RankCorrelation(rho=rho, n=n, p_value=p, undefined=False)
 
 
@@ -312,23 +327,23 @@ def bootstrap_block_spatial(values, blocks: list[np.ndarray], statistic,
         raise ValueError("blocks must partition the station set")
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), n_resamples)))
     draws = rng.integers(0, n_blocks, size=(n_resamples, n_blocks))
+    # one padded gather: row j of `table` lists block j's members, then -1s;
+    # dropping the pads keeps draw order and member order in every resample
+    sizes = np.array([len(b) for b in blocks])
+    table = np.full((n_blocks, sizes.max()), -1, dtype=np.intp)
+    for j, b in enumerate(blocks):
+        table[j, :len(b)] = b
+    gathered = table[draws].reshape(n_resamples, -1)
+    lengths = sizes[draws].sum(axis=1)
     batched = getattr(statistic, "batched", None)
     stats = np.empty(n_resamples)
-    if batched is not None:
-        # bucket resamples by total length so each bucket vectorizes
-        sizes = np.array([len(b) for b in blocks])
-        lengths = sizes[draws].sum(axis=1)
-        offsets = np.concatenate([[0], np.cumsum(sizes)])
-        flat = np.concatenate(blocks)
-        for length in np.unique(lengths):
-            sel = np.flatnonzero(lengths == length)
-            idx = np.empty((sel.size, length), dtype=np.intp)
-            for row, i in enumerate(sel):
-                idx[row] = np.concatenate(
-                    [flat[offsets[j]:offsets[j] + sizes[j]] for j in draws[i]])
+    # bucket resamples by total length so each bucket is one index matrix
+    for length in np.unique(lengths):
+        sel = np.flatnonzero(lengths == length)
+        rows = gathered[sel]
+        idx = rows[rows >= 0].reshape(sel.size, length)
+        if batched is not None:
             stats[sel] = batched(arr, idx)
-    else:
-        for i in range(n_resamples):
-            idx = np.concatenate([blocks[j] for j in draws[i]])
-            stats[i] = statistic(arr[idx])
+        else:
+            stats[sel] = [statistic(arr[row]) for row in idx]
     return _percentile_ci(stats, statistic(arr), level, n_resamples, "block")

@@ -19,6 +19,7 @@ import csv
 import hashlib
 import json
 import math
+import traceback
 import warnings
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -174,7 +175,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
-    with open(path, "w") as fh:
+    with fieldio.atomic_open(path) as fh:
         yaml.safe_dump(config_to_dict(cfg), fh, sort_keys=True)
 
 
@@ -195,6 +196,14 @@ def child_seed(master: int, *tags) -> int:
 # -- workspace --------------------------------------------------------------
 
 
+# intermediates of the layout before the config-stamped stores; nothing reads
+# them, and left in place they would sit outside the manifest
+_LEGACY_INTERMEDIATES = ("data/field_*.bin", "data/climatology.bin",
+                         "tables/global_importance.csv", "tables/spatial_importance.csv",
+                         "tables/global_utility.csv", "tables/spatial_utility.csv",
+                         "tables/gaming_scores.csv")
+
+
 class Workspace:
     """Output directory handle that tracks every file written for the manifest."""
 
@@ -202,6 +211,9 @@ class Workspace:
         self.root = Path(out_dir)
         for sub in ("data", "tables", "results"):
             (self.root / sub).mkdir(parents=True, exist_ok=True)
+        for pattern in _LEGACY_INTERMEDIATES:
+            for stale in self.root.glob(pattern):
+                stale.unlink()
         self.files: set[str] = set()
 
     def path(self, rel: str) -> Path:
@@ -287,6 +299,7 @@ class RunState:
         self._tables: dict = {}
         self._gaming_cache: dict | None = None
         self.stage_status: dict[str, str] = {}
+        self.failures: dict[str, str] = {}  # stage -> traceback
 
     # -- constituents ------------------------------------------------------
 
@@ -1133,6 +1146,8 @@ def write_manifest(state: RunState) -> dict:
         "stages": {name: state.stage_status.get(name, "not run") for name in STAGES},
         "files": files,
     }
+    if state.failures:  # absent on success, so a clean manifest keeps its bytes
+        manifest["failures"] = dict(state.failures)
     ws.write_json("manifest.json", manifest)
     return manifest
 
@@ -1141,13 +1156,13 @@ def run_full(cfg: ExperimentConfig, stage_filter: tuple[str, ...] | None = None)
     """Run every stage (or a filtered subset), write the manifest, and report.
 
     Stage failures are recorded and do not stop later stages; the returned
-    manifest carries per-stage status, and `ok` is False if anything failed.
+    manifest carries per-stage status, the traceback of each failed stage
+    under `failures`, and `ok` is False if anything failed.
     """
     state = RunState(cfg)
     save_config(cfg, state.ws.path("config.yaml"))
     state.ws.register("config.yaml")
     wanted = stage_filter or STAGES
-    failed = []
     for name in STAGES:
         if name not in wanted:
             state.stage_status[name] = "skipped"
@@ -1157,7 +1172,7 @@ def run_full(cfg: ExperimentConfig, stage_filter: tuple[str, ...] | None = None)
             state.stage_status[name] = "completed"
         except Exception as exc:  # record and continue with later stages
             state.stage_status[name] = f"failed: {exc}"
-            failed.append((name, exc))
+            state.failures[name] = traceback.format_exc()
     manifest = write_manifest(state)
-    manifest["ok"] = not failed
+    manifest["ok"] = not state.failures
     return manifest

@@ -88,3 +88,86 @@ class TestBlockBootstrap:
             ci_b = metrics.bootstrap_block_spatial(vals, blocks, mean_stat, 2000, seed=i)
             ratios.append(ci_b.width / ci_i.width)
         assert abs(np.mean(ratios) - 1.0) <= 0.15
+
+
+def oracle_block_bootstrap(values, blocks, statistic, n_resamples, level, seed):
+    """The per-resample list-comprehension index builder the gather replaced."""
+    arr = np.asarray(values, dtype=np.float64)
+    n_blocks = len(blocks)
+    rng = np.random.default_rng(np.random.SeedSequence((int(seed), n_resamples)))
+    draws = rng.integers(0, n_blocks, size=(n_resamples, n_blocks))
+    batched = getattr(statistic, "batched", None)
+    stats = np.empty(n_resamples)
+    if batched is not None:
+        sizes = np.array([len(b) for b in blocks])
+        lengths = sizes[draws].sum(axis=1)
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        flat = np.concatenate(blocks)
+        for length in np.unique(lengths):
+            sel = np.flatnonzero(lengths == length)
+            idx = np.empty((sel.size, length), dtype=np.intp)
+            for row, i in enumerate(sel):
+                idx[row] = np.concatenate(
+                    [flat[offsets[j]:offsets[j] + sizes[j]] for j in draws[i]])
+            stats[sel] = batched(arr, idx)
+    else:
+        for i in range(n_resamples):
+            idx = np.concatenate([blocks[j] for j in draws[i]])
+            stats[i] = statistic(arr[idx])
+    return metrics._percentile_ci(stats, statistic(arr), level, n_resamples, "block")
+
+
+class SortedRanksSpearmanStat(metrics.PairedSpearmanStat):
+    """`PairedSpearmanStat.batched` as it was: one sort per resample row."""
+
+    def batched(self, arr, idx):
+        ra = metrics.average_ranks_matrix(arr[idx, 0])
+        rb = metrics.average_ranks_matrix(arr[idx, 1])
+        ra -= ra.mean(axis=1, keepdims=True)
+        rb -= rb.mean(axis=1, keepdims=True)
+        den = np.sqrt((ra * ra).sum(axis=1) * (rb * rb).sum(axis=1))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return np.where(den > 0, np.clip((ra * rb).sum(axis=1) / den, -1, 1), np.nan)
+
+
+class TestVectorizedKernelsBitIdentical:
+    @pytest.mark.parametrize("block", [1, 2, 4])
+    def test_block_bootstrap_matches_oracle(self, rng, desk_stations, block):
+        blocks = metrics.station_blocks(desk_stations, block)
+        n = desk_stations.n_stations
+        spearman_stat = metrics.PairedSpearmanStat()
+        unbatched_spearman = spearman_stat.__call__  # no `batched` attribute
+        for seed in (0, 7, 11):
+            pairs = np.column_stack([rng.normal(size=n), rng.integers(0, 6, n) * 0.5])
+            for statistic in (spearman_stat, unbatched_spearman, mean_stat):
+                new = metrics.bootstrap_block_spatial(pairs, blocks, statistic, 1000,
+                                                      0.9, seed=seed)
+                old = oracle_block_bootstrap(pairs, blocks, statistic, 1000, 0.9, seed)
+                assert new == old, (block, seed, statistic)
+            old = oracle_block_bootstrap(pairs, blocks, SortedRanksSpearmanStat(), 1000,
+                                         0.9, seed)
+            assert metrics.bootstrap_block_spatial(pairs, blocks, spearman_stat, 1000,
+                                                   0.9, seed=seed) == old
+
+    def test_batched_spearman_heavy_ties_and_constant_rows(self, rng):
+        n, rows = 40, 300
+        arr = rng.integers(0, 3, size=(n, 2)).astype(float)
+        arr[:5, 0] = -0.0  # signed zeros tie with 0.0
+        idx = rng.integers(0, n, size=(rows, 25))
+        idx[:10] = idx[:10, :1]  # every index equal: both columns constant
+        idx[10:20] = rng.choice(np.flatnonzero(arr[:, 1] == 2.0), size=(10, 25))
+        new = metrics.PairedSpearmanStat().batched(arr, idx)
+        old = SortedRanksSpearmanStat().batched(arr, idx)
+        assert np.all(np.isnan(new[:20])) and np.isfinite(new[20:]).any()
+        assert np.array_equal(new, old, equal_nan=True)
+        for col in range(2):
+            assert np.array_equal(metrics.resample_ranks(arr[:, col], idx),
+                                  metrics.average_ranks_matrix(arr[idx, col]))
+
+    def test_resample_ranks_with_nan_and_inf(self, rng):
+        x = rng.integers(0, 4, size=30).astype(float)
+        x[[2, 9]] = np.nan
+        x[[4, 5]] = np.inf
+        idx = rng.integers(0, 30, size=(200, 30))
+        assert np.array_equal(metrics.resample_ranks(x, idx),
+                              metrics.average_ranks_matrix(x[idx]))

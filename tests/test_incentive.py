@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from gradsense import incentive
+from gradsense import incentive, metrics
 
 
 class TestSelect:
@@ -195,6 +197,23 @@ class TestPaymentStability:
             incentive.payment_stability(rng.random((5, 10)))
 
 
+def loop_shrinkage_folds(p, d, utilities, objective, k):
+    """Per-fold lambdas from the per-lambda scoring loop the grid matrix replaced."""
+    u_abs = np.abs(np.asarray(utilities, dtype=np.float64))
+    truth = u_abs / u_abs.sum()
+
+    def score(blend):
+        if objective == "mse":
+            return float(((blend - truth) ** 2).mean())
+        return -math.fsum(u_abs[metrics.topk_indices(blend, min(k, blend.size))])
+
+    per_fold = np.empty(p.shape[0])
+    for t in range(p.shape[0]):
+        losses = [score(lam * p[t] + (1 - lam) * d) for lam in incentive._LAMBDA_GRID]
+        per_fold[t] = incentive._LAMBDA_GRID[int(np.argmin(losses))]
+    return per_fold
+
+
 class TestShrinkage:
     def _shares(self, rng, n=20):
         p = rng.random(n) + 0.05
@@ -254,12 +273,34 @@ class TestShrinkage:
             order = rng.permutation(dead)
             p, d = proxy.copy(), dist.copy()
             p[:, dead], d[dead] = proxy[:, order], dist[order]
-            fit = incentive.shrinkage_fit(p / p.sum(axis=1, keepdims=True), d / d.sum(),
-                                          util, objective="captured_utility", k=20)
+            p, d = p / p.sum(axis=1, keepdims=True), d / d.sum()
+            fit = incentive.shrinkage_fit(p, d, util, objective="captured_utility", k=20)
             assert np.all(fit.per_fold == 0.0)
+            assert np.array_equal(
+                fit.per_fold, loop_shrinkage_folds(p, d, util, "captured_utility", 20))
             assert fit.lam == 0.0
 
+    def test_lambda_grid_matches_loop_oracle(self, rng):
+        cases = []
+        for n in (5, 20, 117):
+            dist = self._shares(rng, n)
+            truth = self._shares(rng, n)
+            proxy = np.stack([self._shares(rng, n) for _ in range(8)])
+            cases.append((proxy, dist, truth))
+            tied = np.round(proxy * n) / n  # coarse shares: many tied blends
+            cases.append((tied / tied.sum(axis=1, keepdims=True), dist, np.round(truth, 2)))
+        for proxy, dist, util in cases:
+            for objective, k in (("mse", 20), ("captured_utility", 20),
+                                 ("captured_utility", 3)):
+                fit = incentive.shrinkage_fit(proxy, dist, util, objective=objective, k=k)
+                folds = loop_shrinkage_folds(proxy, dist, util, objective, k)
+                assert np.array_equal(fit.per_fold, folds), (objective, k)
+                assert fit.lam == float(folds.mean())
+
     def test_errors(self, rng):
+        with pytest.raises(ValueError):
+            incentive.shrinkage_fit(np.full((4, 5), 0.2), np.full(5, 0.2), rng.random(5),
+                                    objective="captured_utility", k=0)
         with pytest.raises(ValueError):
             incentive.shrinkage_fit(rng.random((2, 5)), np.full(5, 0.2), rng.random(5))
         with pytest.raises(ValueError):

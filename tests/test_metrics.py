@@ -18,6 +18,75 @@ def brute_average_ranks(x):
     return ranks
 
 
+def loop_average_ranks(x):
+    """The per-element tie-group loop `average_ranks` used to run."""
+    x = np.asarray(x, dtype=np.float64)
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(x.size)
+    sx = x[order]
+    i = 0
+    while i < x.size:
+        j = i
+        while j + 1 < x.size and sx[j + 1] == sx[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def loop_spearman(a, b):
+    """`spearman` on loop ranks, with the p-value from `scipy.stats.t.sf`."""
+    ra, rb = loop_average_ranks(a), loop_average_ranks(b)
+    ra -= ra.mean()
+    rb -= rb.mean()
+    rho = float(np.clip((ra @ rb) / math.sqrt(float(ra @ ra) * float(rb @ rb)), -1.0, 1.0))
+    p = 0.0
+    if abs(rho) != 1.0:
+        t = rho * math.sqrt((a.size - 2) / (1.0 - rho * rho))
+        p = float(2.0 * sps.t.sf(abs(t), df=a.size - 2))
+    return metrics.RankCorrelation(rho=rho, n=a.size, p_value=p)
+
+
+def accumulate_average_ranks_matrix(x):
+    """The running-max/min group-bound version `average_ranks_matrix` replaced."""
+    order = np.argsort(x, axis=1, kind="stable")
+    sx = np.take_along_axis(x, order, axis=1)
+    rows, n = x.shape
+    col = np.arange(n)
+    new_group = np.ones((rows, n), dtype=bool)
+    new_group[:, 1:] = sx[:, 1:] != sx[:, :-1]
+    start = np.maximum.accumulate(np.where(new_group, col, 0), axis=1)
+    is_end = np.ones((rows, n), dtype=bool)
+    is_end[:, :-1] = new_group[:, 1:]
+    end = np.minimum.accumulate(np.where(is_end, col, n)[:, ::-1], axis=1)[:, ::-1]
+    avg_sorted = 0.5 * (start + end) + 1.0
+    ranks = np.empty_like(avg_sorted)
+    np.put_along_axis(ranks, order, avg_sorted, axis=1)
+    return ranks
+
+
+class TestAverageRanks:
+    def test_matrix_matches_accumulate_oracle(self, rng):
+        for shape in ((1, 1), (1, 117), (2, 9), (300, 40)):
+            for x in (rng.normal(size=shape), rng.integers(0, 3, size=shape) * 1.0):
+                assert np.array_equal(metrics.average_ranks_matrix(x),
+                                      accumulate_average_ranks_matrix(x))
+        x = rng.choice([0.0, -0.0, 1.0, np.nan, np.inf, -np.inf], size=(50, 30))
+        assert np.array_equal(metrics.average_ranks_matrix(x),
+                              accumulate_average_ranks_matrix(x))
+
+    def test_matches_loop_oracle(self, rng):
+        for size in (1, 2, 7, 117, 500):
+            for x in (rng.normal(size=size), rng.integers(0, 4, size=size) * 1.0):
+                assert np.array_equal(metrics.average_ranks(x), loop_average_ranks(x))
+        special = np.array([0.0, -0.0, np.nan, 1.0, np.inf, np.nan, -np.inf, 1.0, 0.0])
+        assert np.array_equal(metrics.average_ranks(special), loop_average_ranks(special))
+
+    def test_matches_brute_force(self, rng):
+        x = rng.integers(0, 5, size=60).astype(float)
+        assert np.array_equal(metrics.average_ranks(x), brute_average_ranks(x))
+
+
 class TestSpearman:
     def test_identical(self, rng):
         a = rng.permutation(20).astype(float)
@@ -45,6 +114,15 @@ class TestSpearman:
             ref_rho, ref_p = sps.spearmanr(a, b)
             assert ours.rho == pytest.approx(ref_rho, abs=1e-12)
             assert ours.p_value == pytest.approx(ref_p, abs=1e-9)
+
+    def test_matches_loop_oracle_with_scipy_t_tail(self, rng):
+        for i in range(300):
+            n = int(rng.integers(3, 150))
+            a = rng.normal(size=n) if i % 2 else rng.integers(0, 5, size=n) * 1.0
+            b = a * rng.uniform(-1, 1) + rng.normal(size=n)
+            if np.all(a == a[0]):
+                continue
+            assert metrics.spearman(a, b) == loop_spearman(a, b)
 
     def test_constant_flagged(self):
         rc = metrics.spearman(np.ones(5), np.arange(5.0))

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from gradsense import cli, gaming, runner
 
@@ -90,11 +91,30 @@ class TestRunFull:
         _, _, manifest = tiny_run
         assert manifest["ok"]
         assert all(v == "completed" for v in manifest["stages"].values())
+        assert "failures" not in manifest
 
     def test_manifest_lists_every_file(self, tiny_run):
         _, out, manifest = tiny_run
         on_disk = {str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()}
         assert set(manifest["files"]) | {"manifest.json"} == on_disk
+
+    def test_legacy_intermediates_removed(self, tiny_run, tmp_path):
+        # a directory written by the layout before the stores keeps these
+        cfg, out, _ = tiny_run
+        copy = tmp_path / "legacy"
+        shutil.copytree(out, copy)
+        legacy = [f"data/field_{t:04d}.bin" for t in range(cfg.n_timestamps)]
+        legacy += ["data/climatology.bin"] + [
+            f"tables/{name}.csv" for name in ("global_importance", "spatial_importance",
+                                              "global_utility", "spatial_utility",
+                                              "gaming_scores")]
+        for rel in legacy:
+            (copy / rel).write_bytes(b"stale")
+        manifest = runner.run_full(replace(cfg, out_dir=str(copy)))
+        assert manifest["ok"]
+        on_disk = {str(p.relative_to(copy)) for p in copy.rglob("*") if p.is_file()}
+        assert set(manifest["files"]) | {"manifest.json"} == on_disk
+        assert not any((copy / rel).exists() for rel in legacy)
 
     def test_manifest_hashes_match_disk(self, tiny_run):
         _, out, manifest = tiny_run
@@ -201,6 +221,26 @@ class TestRunFull:
         assert not manifest["ok"]
         assert manifest["stages"]["game"].startswith("failed")
 
+    def test_stage_failure_keeps_traceback(self, tmp_path, monkeypatch):
+        ran = []
+
+        def exploding_stage(state):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(runner._STAGE_FUNCS, "gen", exploding_stage)
+        monkeypatch.setitem(runner._STAGE_FUNCS, "report", lambda state: ran.append(1))
+        out = tmp_path / "tb"
+        manifest = runner.run_full(tiny_config(out), stage_filter=("gen", "report"))
+        assert not manifest["ok"]
+        assert manifest["stages"]["gen"] == "failed: boom"
+        assert manifest["stages"]["report"] == "completed" and ran == [1]
+        assert set(manifest["failures"]) == {"gen"}
+        trace = manifest["failures"]["gen"]
+        assert trace.startswith("Traceback") and "in exploding_stage" in trace
+        assert trace.rstrip().endswith("RuntimeError: boom")
+        on_disk = json.loads((out / "manifest.json").read_text())
+        assert on_disk["failures"] == manifest["failures"]
+
     def test_budget_clipping_warns(self, tiny_run):
         cfg, _, _ = tiny_run
         state = runner.RunState(replace(cfg, selection_budgets=(3, 999)))
@@ -226,9 +266,15 @@ class TestWorkspace:
             ws.write_json("results/c.json", {"a": 1, "b": object()})
         with pytest.raises(UnicodeEncodeError):
             ws.write_text("results/r.md", "new\ud800")
+        assert ws.files == set(before)
+        runner.save_config(tiny_config(ws.root), ws.path("config.yaml"))
+        before["config.yaml"] = ws.path("config.yaml").read_bytes()
+        with pytest.raises(yaml.representer.RepresenterError):
+            runner.save_config(tiny_config(ws.root, seed=object()), ws.path("config.yaml"))
         assert {rel: ws.path(rel).read_bytes() for rel in before} == before
         assert sorted(p.name for p in (ws.root / "results").iterdir()) == ["a.csv", "r.md"]
-        assert ws.files == set(before)
+        assert sorted(p.name for p in ws.root.iterdir()) == [
+            "config.yaml", "data", "results", "tables"]
 
 
 class TestCli:
