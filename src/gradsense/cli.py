@@ -1,15 +1,15 @@
 """Command-line entry points for the experiment runner.
 
-Subcommands map to pipeline stages; `full` runs everything and writes the
-manifest.  Config files are YAML documents matching ExperimentConfig (see
-README for the schema); --seed and --out override the file values, --fast
-switches to the reduced-cost variant.
+Subcommands map to pipeline stages; `full` runs everything.  Every command
+goes through `runner.run_full`, which saves the config and writes the
+manifest, with the traceback of any failed stage.  Config files are YAML
+documents matching ExperimentConfig (see README for the schema); --seed and
+--out override the file values, --fast switches to the reduced-cost variant.
 """
 
 from __future__ import annotations
 
 import argparse
-import sys
 from dataclasses import replace
 
 from . import runner
@@ -21,11 +21,12 @@ _STAGE_HELP = {
     "calibrate": "decile calibration, Gini ratios, overpayment",
     "select": "sensor selection strategies across budgets",
     "pay": "payments, stability intervals, shrinkage fits",
+    "subadditivity": "joint-ablation ratios of the nearest station sets",
     "game": "adversarial scenario campaign",
     "detect": "detector evaluation over gaming outcomes",
     "converge": "cycle-vs-aggregate recovery and convergence",
-    "full": "run every stage and write the manifest",
     "report": "markdown summary over existing results",
+    "full": "run every stage and write the manifest",
 }
 
 
@@ -33,8 +34,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="gradsense",
                                 description="desk-scale attribution valuation engine")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, help_text in _STAGE_HELP.items():
-        sp = sub.add_parser(name, help=help_text)
+    for name in runner.STAGES + ("full",):
+        sp = sub.add_parser(name, help=_STAGE_HELP[name])
         sp.add_argument("--config", help="YAML config path (defaults to built-in desk config)")
         sp.add_argument("--seed", type=int, help="override the master seed")
         sp.add_argument("--out", help="override the output directory")
@@ -62,22 +63,13 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     cfg = _resolve_config(args)
     if args.command == "full":
-        manifest = runner.run_full(cfg, stage_filter=tuple(args.stage_filter)
-                                   if getattr(args, "stage_filter", None) else None)
-        for name in runner.STAGES:
-            print(f"{name}: {manifest['stages'][name]}")
-        return 0 if manifest["ok"] else 1
-    state = runner.RunState(cfg)
-    runner.save_config(cfg, state.ws.path("config.yaml"))
-    state.ws.register("config.yaml")
-    try:
-        runner.run_stage(state, args.command)
-    except Exception as exc:
-        print(f"{args.command}: failed: {exc}", file=sys.stderr)
-        return 1
-    runner.write_manifest(state)
-    print(f"{args.command}: completed ({len(state.ws.files)} files tracked)")
-    return 0
+        stages = tuple(args.stage_filter) if args.stage_filter else None
+    else:
+        stages = (args.command,)
+    manifest = runner.run_full(cfg, stage_filter=stages)
+    for name in runner.STAGES:
+        print(f"{name}: {manifest['stages'][name]}")
+    return 0 if manifest["ok"] else 1
 
 
 if __name__ == "__main__":

@@ -7,6 +7,14 @@ percentile bootstrap in i.i.d. and spatial-block flavours) so the exact
 conventions are pinned.  The only SciPy import is `scipy.special.stdtr`, the
 Student t tail behind the Spearman p-value.  All randomized procedures
 reproduce bit-identically from their seed.
+
+Every Spearman correlation goes through one path: rows of average ranks
+(`average_ranks_matrix`, or `resample_ranks` for bootstrap resamples) and
+their row-wise Pearson correlation `_rank_rho`.  `spearman_rows` correlates
+matching rows of two matrices, `spearman` is its one-row case, and
+`PairedSpearmanStat.batched` feeds it resampled ranks.  Centred average ranks
+are multiples of 1/2, so every sum in `_rank_rho` is exact and no batching or
+summation order can change a bit of rho or of its p-value.
 """
 
 from __future__ import annotations
@@ -97,6 +105,45 @@ def resample_ranks(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return (less + 0.5 * (counts + 1)).ravel()[cell]
 
 
+def _rank_rho(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
+    """Row-wise Pearson correlation of two (rows, n) rank matrices; NaN where a row is constant.
+
+    Centres `ra` and `rb` in place.  Average ranks are multiples of 1/2 that
+    sum to n(n+1)/2, so each row mean is exactly (n+1)/2 and the centred
+    ranks are again multiples of 1/2.  Their products are multiples of 1/4, so
+    every partial sum below is a multiple of 1/4 no larger than n^3/4 in
+    magnitude, which float64 holds exactly for n up to about 10^5.  The sums
+    are therefore exact whatever their order: `(ra * rb).sum(axis=1)`,
+    `np.vecdot` and a 1-D `@` per row agree bit for bit, and a row's rho does
+    not depend on the other rows it is batched with.
+    """
+    ra -= ra.mean(axis=1, keepdims=True)
+    rb -= rb.mean(axis=1, keepdims=True)
+    den = np.sqrt((ra * ra).sum(axis=1) * (rb * rb).sum(axis=1))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(den > 0, np.clip((ra * rb).sum(axis=1) / den, -1.0, 1.0), np.nan)
+
+
+def spearman_rows(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Spearman rho and t-approximated p of each row pair of two (rows, n) matrices.
+
+    A row pair whose correlation is undefined (either row constant) gets NaN
+    for both rho and p.  Row i equals `spearman(a[i], b[i])` bit for bit.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape or a.ndim != 2:
+        raise ValueError("inputs must be equal-shape (rows, n) matrices")
+    rows, n = a.shape
+    if n < 3:
+        raise ValueError("need at least 3 observations")
+    ranks = average_ranks_matrix(np.concatenate([a, b]))
+    rho = _rank_rho(ranks[:rows], ranks[rows:])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        tstat = rho * np.sqrt((n - 2) / (1.0 - rho * rho))
+    return rho, np.where(np.abs(rho) == 1.0, 0.0, 2.0 * stdtr(n - 2, -np.abs(tstat)))
+
+
 class PairedSpearmanStat:
     """Spearman rho of the two columns of an (n, 2) sample; nan if undefined.
 
@@ -109,41 +156,24 @@ class PairedSpearmanStat:
         return rc.rho if not rc.undefined else math.nan
 
     def batched(self, arr: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        ra = resample_ranks(arr[:, 0], idx)
-        rb = resample_ranks(arr[:, 1], idx)
-        ra -= ra.mean(axis=1, keepdims=True)
-        rb -= rb.mean(axis=1, keepdims=True)
-        den = np.sqrt((ra * ra).sum(axis=1) * (rb * rb).sum(axis=1))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(den > 0, np.clip((ra * rb).sum(axis=1) / den, -1, 1), np.nan)
+        return _rank_rho(resample_ranks(arr[:, 0], idx), resample_ranks(arr[:, 1], idx))
 
 
 def spearman(a, b) -> RankCorrelation:
     """Spearman rho: Pearson correlation of average ranks, t-approximated p.
 
-    Constant inputs leave the correlation undefined; the result is flagged
-    rather than coerced to zero so aggregates cannot be silently polluted.
+    The one-row case of `spearman_rows`.  Constant inputs leave the
+    correlation undefined; the result is flagged rather than coerced to zero
+    so aggregates cannot be silently polluted.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("inputs must be equal-length vectors")
-    n = a.size
-    if n < 3:
-        raise ValueError("need at least 3 observations")
-    if np.all(a == a[0]) or np.all(b == b[0]):
-        return RankCorrelation(rho=math.nan, n=n, p_value=math.nan, undefined=True)
-    ra, rb = average_ranks_matrix(np.array([a, b]))
-    ra = ra - ra.mean()
-    rb = rb - rb.mean()
-    denom = math.sqrt(float(ra @ ra) * float(rb @ rb))
-    rho = float(np.clip((ra @ rb) / denom, -1.0, 1.0))
-    if abs(rho) == 1.0:
-        p = 0.0
-    else:
-        tstat = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-        p = float(2.0 * stdtr(n - 2, -abs(tstat)))
-    return RankCorrelation(rho=rho, n=n, p_value=p, undefined=False)
+    rho, p = spearman_rows(a[None], b[None])
+    if math.isnan(rho[0]):
+        return RankCorrelation(rho=math.nan, n=a.size, p_value=math.nan, undefined=True)
+    return RankCorrelation(rho=float(rho[0]), n=a.size, p_value=float(p[0]))
 
 
 def topk_indices(scores, k: int) -> np.ndarray:

@@ -114,6 +114,8 @@ class ExperimentConfig:
         names = [t.name for t in self.targets]
         if len(set(names)) != len(names):
             raise ValueError("target names must be unique")
+        if any("-" in name for name in names):  # config ids are d{depth}-{name}-{var}
+            raise ValueError("target names must not contain '-'")
         for combo in self.gaming.combos + (self.gaming.extended_combo,):
             if combo[0] not in names or combo[1] not in self.target_variables:
                 raise ValueError(f"gaming combo {combo} not in the target matrix")
@@ -121,6 +123,10 @@ class ExperimentConfig:
             raise ValueError("ig_steps must be part of ig_step_grid")
         if self.n_timestamps < 2:
             raise ValueError("need at least 2 timestamps")
+        if self.bootstrap_resamples < 1000:
+            raise ValueError("bootstrap_resamples must be at least 1000")
+        if not 0 < self.bootstrap_level < 1:
+            raise ValueError("bootstrap_level must be in (0, 1)")
 
 
 def fast_variant(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -152,15 +158,10 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         d["targets"] = tuple(TargetConfig(**t) for t in d["targets"])
     if "gaming" in d:
         g = dict(d["gaming"])
-        for key in ("combos",):
-            if key in g:
-                g[key] = tuple(tuple(c) for c in g[key])
-        if "extended_combo" in g:
-            g["extended_combo"] = tuple(g["extended_combo"])
-        for key, val in list(g.items()):
-            if isinstance(val, list):
-                g[key] = tuple(val)
-        d["gaming"] = GamingDesign(**g)
+        if "combos" in g:
+            g["combos"] = [tuple(c) for c in g["combos"]]
+        d["gaming"] = GamingDesign(**{k: tuple(v) if isinstance(v, list) else v
+                                      for k, v in g.items()})
     for key, val in list(d.items()):
         if isinstance(val, list):
             d[key] = tuple(val)
@@ -309,6 +310,11 @@ class RunState:
                 for t in self.cfg.targets
                 for tv in self.cfg.target_variables]
 
+    def target_of(self, cid: str) -> TargetSpec:
+        """The target of a config id d{depth}-{name}-{variable}, from the config alone."""
+        _, name, variable = cid.split("-", 2)
+        return self._target(name, variable)
+
     def _target(self, name: str, variable: str) -> TargetSpec:
         key = f"{name}-{variable}"
         if key not in self.targets:
@@ -444,10 +450,7 @@ class RunState:
     # -- shared small helpers ------------------------------------------------
 
     def distances(self, cid: str) -> np.ndarray:
-        target = self.models[cid][0].target if cid in self.models else None
-        if target is None:
-            self.ensure_models()
-            target = self.models[cid][0].target
+        target = self.target_of(cid)
         return self.stations.distances_to(target.lat, target.lon)
 
 
@@ -458,27 +461,41 @@ def _global_ks(state: RunState) -> tuple[int, ...]:
     return tuple(k for k in (1, 3, 5) if k <= state.grid.n_variables)
 
 
-def _fidelity_stats(imp: np.ndarray, util: np.ndarray, ks: tuple[int, ...], q: float):
-    """Aggregate + per-timestamp rank agreement between importance and utility."""
+@dataclass(frozen=True)
+class Agreement:
+    """Rank agreement between an importance and a utility table, both (T, n)."""
+    agg: metrics.RankCorrelation  # time-mean importance vs time-mean utility
+    overlaps: tuple[float, ...]  # top-k overlap of the time means, one per k
+    cycle_rho: np.ndarray  # defined per-timestamp rhos, in timestamp order
+    wilcoxon_p: float
+    bh_count: int
+    mean_cycle_rho: float
+    recovery: float  # mean per-timestamp rho against the mean utility, over agg.rho
+
+
+def _agreement(imp: np.ndarray, util: np.ndarray, ks: tuple[int, ...], q: float) -> Agreement:
+    """Aggregate and per-timestamp agreement; timestamps with NaN importance are left out."""
     imp_mean = np.nanmean(imp, axis=0)
     util_mean = util.mean(axis=0)
     agg = metrics.spearman(imp_mean, util_mean)
-    overlaps = [metrics.topk_overlap(imp_mean, util_mean, k) for k in ks]
-    per_t_rho, per_t_p = [], []
-    for t in range(imp.shape[0]):
-        if np.any(np.isnan(imp[t])):
-            continue
-        rc = metrics.spearman(imp[t], util[t])
-        if not rc.undefined:
-            per_t_rho.append(rc.rho)
-            per_t_p.append(rc.p_value)
+    ok = ~np.isnan(imp).any(axis=1)
+    cycles = imp[ok]
+    cyc_rho, cyc_p = metrics.spearman_rows(cycles, util[ok])
+    vs_mean, _ = metrics.spearman_rows(cycles, np.broadcast_to(util_mean, cycles.shape))
+    defined = ~np.isnan(cyc_rho)
+    cycle_rho, cycle_p = cyc_rho[defined], cyc_p[defined]
     try:
-        wil_p = metrics.wilcoxon_signed_rank(np.asarray(per_t_rho))
+        wil_p = metrics.wilcoxon_signed_rank(cycle_rho)
     except ValueError:
         wil_p = np.nan
-    bh_count = int(metrics.bh_fdr(np.asarray(per_t_p), q).sum()) if per_t_p else 0
-    mean_cycle_rho = float(np.mean(per_t_rho)) if per_t_rho else np.nan
-    return agg, overlaps, wil_p, bh_count, mean_cycle_rho, np.asarray(per_t_rho)
+    return Agreement(
+        agg=agg,
+        overlaps=tuple(metrics.topk_overlap(imp_mean, util_mean, k) for k in ks),
+        cycle_rho=cycle_rho, wilcoxon_p=wil_p,
+        bh_count=int(metrics.bh_fdr(cycle_p, q).sum()),
+        mean_cycle_rho=float(np.mean(cycle_rho)) if cycle_rho.size else np.nan,
+        recovery=(float(np.nanmean(vs_mean) / agg.rho)
+                  if not math.isnan(agg.rho) and agg.rho != 0 else np.nan))
 
 
 # -- stages -----------------------------------------------------------------
@@ -506,12 +523,12 @@ def stage_fidelity(state: RunState) -> None:
         util = gu[cid]
         for key in display:
             imp = gi[(cid, key)]
-            agg, ov, wil_p, bh, cyc, _ = _fidelity_stats(imp, util, gks, q)
+            ag = _agreement(imp, util, gks, q)
             pairs = np.column_stack([np.nanmean(imp, axis=0), util.mean(axis=0)])
             ci = metrics.bootstrap_iid(pairs, _spearman_stat, boot_n, level,
                                        seed=child_seed(cfg.seed, "gci", cid, key))
-            g_rows.append(_row(cid, key, agg.rho, agg.p_value, ci.lower, ci.upper,
-                               *ov, wil_p, bh, cyc))
+            g_rows.append(_row(cid, key, ag.agg.rho, ag.agg.p_value, ci.lower, ci.upper,
+                               *ag.overlaps, ag.wilcoxon_p, ag.bh_count, ag.mean_cycle_rho))
     state.ws.write_csv(
         "results/fidelity_global.csv",
         ["config_id", "method", "rho", "p_value", "ci_lower", "ci_upper"]
@@ -522,23 +539,21 @@ def stage_fidelity(state: RunState) -> None:
     blocks = metrics.station_blocks(state.stations)
     n = state.stations.n_stations
     ks = tuple(k for k in (5, 10, 20) if k <= n)
-    for cid in state.config_ids():
-        for mode in cfg.modes:
-            for patch in cfg.patches:
-                util_abs = np.abs(su[(cid, mode, patch)])
-                for key in display:
-                    imp = si_u[(cid, key)]
-                    agg, ov, wil_p, bh, cyc, _ = _fidelity_stats(imp, util_abs, ks, q)
-                    if key == state.primary_key():
-                        pairs = np.column_stack([imp.mean(axis=0), util_abs.mean(axis=0)])
-                        ci = metrics.bootstrap_block_spatial(
-                            pairs, blocks, _spearman_stat, boot_n, level,
-                            seed=child_seed(cfg.seed, "sci", cid, mode, patch))
-                        lo, hi = ci.lower, ci.upper
-                    else:
-                        lo = hi = np.nan
-                    s_rows.append(_row(cid, mode, patch, key, agg.rho, agg.p_value,
-                                       lo, hi, *ov, wil_p, bh, cyc))
+    for cid, mode, patch in _spatial_cases(state):
+        util_abs = np.abs(su[(cid, mode, patch)])
+        for key in display:
+            imp = si_u[(cid, key)]
+            ag = _agreement(imp, util_abs, ks, q)
+            if key == state.primary_key():
+                pairs = np.column_stack([imp.mean(axis=0), util_abs.mean(axis=0)])
+                ci = metrics.bootstrap_block_spatial(
+                    pairs, blocks, _spearman_stat, boot_n, level,
+                    seed=child_seed(cfg.seed, "sci", cid, mode, patch))
+                lo, hi = ci.lower, ci.upper
+            else:
+                lo = hi = np.nan
+            s_rows.append(_row(cid, mode, patch, key, ag.agg.rho, ag.agg.p_value, lo, hi,
+                               *ag.overlaps, ag.wilcoxon_p, ag.bh_count, ag.mean_cycle_rho))
     header = (["config_id", "mode", "patch", "method", "rho", "p_value",
                "ci_lower", "ci_upper"] + [f"top{k}" for k in ks]
               + ["wilcoxon_p", "bh_rejections", "mean_cycle_rho"])
@@ -557,13 +572,13 @@ def stage_methods(state: RunState) -> None:
         util = gu[cid]
         per_config[cid] = {}
         for key in display:
-            agg, ov, wil_p, _, _, _ = _fidelity_stats(gi[(cid, key)], util, gks, cfg.bh_q)
-            per_config[cid][key] = agg.rho
+            ag = _agreement(gi[(cid, key)], util, gks, cfg.bh_q)
+            per_config[cid][key] = ag.agg.rho
             s = summary[key]
-            s["rho"].append(agg.rho)
-            s["topk"].append(ov[-1])
-            s["agg_sig"] += int((not math.isnan(agg.p_value)) and agg.p_value < 0.05)
-            s["wil_sig"] += int((not math.isnan(wil_p)) and wil_p < 0.05)
+            s["rho"].append(ag.agg.rho)
+            s["topk"].append(ag.overlaps[-1])
+            s["agg_sig"] += int((not math.isnan(ag.agg.p_value)) and ag.agg.p_value < 0.05)
+            s["wil_sig"] += int((not math.isnan(ag.wilcoxon_p)) and ag.wilcoxon_p < 0.05)
     n_cfg = len(state.config_ids())
     rows = [_row(key, float(np.nanmean(s["rho"])), s["agg_sig"], s["wil_sig"],
                  float(np.mean(s["topk"])), n_cfg)
@@ -599,13 +614,13 @@ def stage_methods(state: RunState) -> None:
     b_rows = []
     zp = min(8, cfg.ig_steps)
     for cid in state.config_ids():
-        util = gu[cid]
-        ref_rc, *_ = _fidelity_stats(gi[(cid, f"ig@{zp}")], util, gks, cfg.bh_q)
-        for base, key in (("climatology", f"ig@{zp}"), ("zero", f"ig-zero@{zp}"),
-                          ("persistence", f"ig-pers@{zp}")):
-            agg, *_ = _fidelity_stats(gi[(cid, key)], util, gks, cfg.bh_q)
-            delta = agg.rho - ref_rc.rho if not math.isnan(agg.rho) else np.nan
-            b_rows.append(_row(cid, base, zp, agg.rho, delta))
+        util_mean = gu[cid].mean(axis=0)
+        rhos = {base: metrics.spearman(np.nanmean(gi[(cid, key)], axis=0), util_mean).rho
+                for base, key in (("climatology", f"ig@{zp}"), ("zero", f"ig-zero@{zp}"),
+                                  ("persistence", f"ig-pers@{zp}"))}
+        for base, rho in rhos.items():
+            delta = rho - rhos["climatology"] if not math.isnan(rho) else np.nan
+            b_rows.append(_row(cid, base, zp, rho, delta))
     state.ws.write_csv("results/baseline_sensitivity.csv",
                        ["config_id", "baseline", "steps", "rho", "delta_vs_climatology"],
                        b_rows)
@@ -625,7 +640,7 @@ def _scale_invariance_table(state: RunState) -> None:
     factor = 1000.0
     scaled_model = model.with_rescaled_variable(var, factor)
     n_check = min(10, cfg.n_timestamps)
-    ig_dev = gti_dev = 0.0
+    max_dev = {"ig": 0.0, "gti": 0.0}
     vg_rank_changed = False
     sel_same = True
     for t in range(n_check):
@@ -635,19 +650,14 @@ def _scale_invariance_table(state: RunState) -> None:
         scl = state.clim.values.copy()
         scl[var] *= factor
         sf = type(f)(grid=f.grid, values=sv, timestamp=f.timestamp)
-        for method, dev in (("ig", "ig_dev"), ("gti", "gti_dev")):
-            if method == "ig":
-                a0 = attr.integrated_gradients(model, f, state.clim.values, 8)
-                a1 = attr.integrated_gradients(scaled_model, sf, scl, 8)
-            else:
-                a0 = attr.gradient_times_input(model, f, state.clim.values)
-                a1 = attr.gradient_times_input(scaled_model, sf, scl)
+        maps = {"ig": (attr.integrated_gradients(model, f, state.clim.values, 8),
+                       attr.integrated_gradients(scaled_model, sf, scl, 8)),
+                "gti": (attr.gradient_times_input(model, f, state.clim.values),
+                        attr.gradient_times_input(scaled_model, sf, scl))}
+        for method, (a0, a1) in maps.items():
             scale = np.abs(a0.values).max()
             d = float(np.abs(a1.values - a0.values).max() / max(scale, 1e-300))
-            if method == "ig":
-                ig_dev = max(ig_dev, d)
-            else:
-                gti_dev = max(gti_dev, d)
+            max_dev[method] = max(max_dev[method], d)
             r0 = metrics.topk_indices(attr.spatial_importance(a0, state.stations), 20)
             r1 = metrics.topk_indices(attr.spatial_importance(a1, state.stations), 20)
             sel_same = sel_same and bool(np.array_equal(r0, r1))
@@ -659,8 +669,8 @@ def _scale_invariance_table(state: RunState) -> None:
     state.ws.write_csv("results/scale_invariance.csv",
                        ["config_id", "variable", "factor", "ig_max_rel_dev",
                         "gti_max_rel_dev", "vg_ranking_changed", "selections_unchanged"],
-                       [_row(cid, state.grid.variables[var], factor, ig_dev, gti_dev,
-                             vg_rank_changed, sel_same)])
+                       [_row(cid, state.grid.variables[var], factor, max_dev["ig"],
+                             max_dev["gti"], vg_rank_changed, sel_same)])
 
 
 def _spatial_cases(state: RunState):
@@ -673,7 +683,6 @@ def _spatial_cases(state: RunState):
 def stage_calibrate(state: RunState) -> None:
     tables = state.ensure_tables()
     si_u, su = tables["si_u"], tables["su"]
-    state.ensure_models()
     dec_rows, sum_rows = [], []
     for cid, mode, patch in _spatial_cases(state):
         util = np.abs(su[(cid, mode, patch)]).mean(axis=0)
@@ -704,7 +713,6 @@ def stage_select(state: RunState) -> None:
     cfg = state.cfg
     tables = state.ensure_tables()
     si_u, su = tables["si_u"], tables["su"]
-    state.ensure_models()
     n = state.stations.n_stations
     budgets = []
     for k in cfg.selection_budgets:
@@ -741,7 +749,6 @@ def stage_pay(state: RunState) -> None:
     cfg = state.cfg
     tables = state.ensure_tables()
     si_u, su = tables["si_u"], tables["su"]
-    state.ensure_models()
     pay_rows, stab_rows = [], []
     for cid in state.config_ids():
         for key in state.spatial_methods():
@@ -791,7 +798,6 @@ def stage_pay(state: RunState) -> None:
 
 def stage_subadditivity(state: RunState) -> None:
     cfg = state.cfg
-    state.ensure_data()
     state.ensure_models()
     rows = []
     depth = max(cfg.model_depths)
@@ -837,9 +843,7 @@ def build_scenarios(state: RunState, cid: str) -> list[gaming.AttackScenario]:
     """The desk scenario grid for one gaming configuration."""
     cfg = state.cfg
     g = cfg.gaming
-    state.ensure_models()
-    model, _ = state.models[cid]
-    target = model.target
+    target = state.target_of(cid)
     scenarios = []
 
     def add(kind, n, pct, scope, placement, seed_idx):
@@ -858,8 +862,7 @@ def build_scenarios(state: RunState, cid: str) -> list[gaming.AttackScenario]:
         for pct in g.magnitudes_pct:
             for s in range(g.n_seeds):
                 add("inflate", n, pct, "all_surface", "uniform", s)
-    _, name, tv = cid.split("-", 2)
-    if (name, tv) == tuple(g.extended_combo):
+    if (target.name, target.variable) == tuple(g.extended_combo):
         for n in g.n_attackers:
             for pct in g.extended_magnitudes:
                 for placement in g.extended_placements:
@@ -946,7 +949,7 @@ def stage_detect(state: RunState) -> None:
     for cid in sorted(outcomes_by_cid):
         outcomes = outcomes_by_cid[cid]
         per_scenario: dict[str, list[gaming.DetectionResult]] = {}
-        target = state.models[cid][0].target
+        target = state.target_of(cid)
         d7_data[cid] = []
         for o in outcomes:
             res = gaming.score_scenario(o, state.stations, neighbors=nbrs)
@@ -988,38 +991,23 @@ def stage_converge(state: RunState) -> None:
     key = state.primary_key()
     rows = []
 
-    def analyse(imp: np.ndarray, util: np.ndarray):
-        util_mean = util.mean(axis=0)
-        agg = metrics.spearman(np.nanmean(imp, axis=0), util_mean)
-        per_t_agg, per_t_cyc = [], []
-        for t in range(imp.shape[0]):
-            if np.any(np.isnan(imp[t])):
-                continue
-            a = metrics.spearman(imp[t], util_mean)
-            c = metrics.spearman(imp[t], util[t])
-            per_t_agg.append(np.nan if a.undefined else a.rho)
-            per_t_cyc.append(np.nan if c.undefined else c.rho)
-        recovery = (float(np.nanmean(per_t_agg) / agg.rho)
-                    if agg.rho and not math.isnan(agg.rho) and agg.rho != 0 else np.nan)
-        cyc = np.asarray([r for r in per_t_cyc if not math.isnan(r)])
+    def analyse(cid, scope, mode, patch, imp: np.ndarray, util: np.ndarray) -> list[str]:
+        ag = _agreement(imp, util, (), cfg.bh_q)
         converge_n = "never"
-        for n in range(6, cyc.size + 1):
+        for n in range(6, ag.cycle_rho.size + 1):
             try:
-                if metrics.wilcoxon_signed_rank(cyc[:n]) < 0.05:
+                if metrics.wilcoxon_signed_rank(ag.cycle_rho[:n]) < 0.05:
                     converge_n = str(n)
                     break
             except ValueError:
                 continue
-        return agg.rho, recovery, converge_n
+        return _row(cid, scope, mode, patch, ag.agg.rho, ag.recovery, converge_n)
 
     for cid in state.config_ids():
-        rho, recovery, conv = analyse(gi[(cid, key)], gu[cid])
-        rows.append(_row(cid, "global", "", "", rho, recovery, conv))
-        for mode in cfg.modes:
-            for patch in cfg.patches:
-                util = np.abs(su[(cid, mode, patch)])
-                rho, recovery, conv = analyse(si_u[(cid, key)], util)
-                rows.append(_row(cid, "spatial", mode, patch, rho, recovery, conv))
+        rows.append(analyse(cid, "global", "", "", gi[(cid, key)], gu[cid]))
+        rows += [analyse(cid, "spatial", mode, patch, si_u[(cid, key)],
+                         np.abs(su[(cid, mode, patch)]))
+                 for mode in cfg.modes for patch in cfg.patches]
     state.ws.write_csv("results/convergence.csv",
                        ["config_id", "scope", "mode", "patch", "rho_aggregate",
                         "recovery_ratio", "converge_n"], rows)
@@ -1112,19 +1100,7 @@ def stage_report(state: RunState) -> None:
     ws.write_text("results/report.md", "\n".join(lines))
 
 
-_STAGE_FUNCS = {
-    "gen": stage_gen,
-    "fidelity": stage_fidelity,
-    "methods": stage_methods,
-    "calibrate": stage_calibrate,
-    "select": stage_select,
-    "pay": stage_pay,
-    "subadditivity": stage_subadditivity,
-    "game": stage_game,
-    "detect": stage_detect,
-    "converge": stage_converge,
-    "report": stage_report,
-}
+_STAGE_FUNCS = {name: globals()[f"stage_{name}"] for name in STAGES}
 
 
 def run_stage(state: RunState, name: str) -> None:

@@ -142,6 +142,67 @@ class TestSpearman:
             metrics.spearman([1, 2, 3], [1, 2])
 
 
+def _row_matrices(rng):
+    """(a, b) matrix pairs: random, tied, signed zeros, NaN and inf, and n = 3."""
+    special = [0.0, -0.0, 1.0, np.nan, np.inf, -np.inf]
+    out = []
+    for rows, n in ((1, 3), (40, 3), (25, 17), (60, 150)):
+        out.append((rng.normal(size=(rows, n)), rng.normal(size=(rows, n))))
+        out.append((rng.integers(0, 3, size=(rows, n)) * 1.0,
+                    rng.integers(0, 4, size=(rows, n)) * 1.0))
+        out.append((rng.choice(special, size=(rows, n)), rng.choice(special, size=(rows, n))))
+    a = rng.normal(size=(30, 12))
+    b = a * rng.uniform(-1, 1, size=(30, 1)) + rng.normal(size=(30, 12))
+    a[:4] = 2.5  # constant importance rows
+    b[4:6] = -0.0  # constant utility rows
+    b[6:8] = a[6:8] * 3.0  # rho = 1, p = 0
+    b[8] = -a[8]  # rho = -1
+    out.append((a, b))
+    return out
+
+
+class TestSpearmanRows:
+    def test_rows_match_loop_oracle(self, rng):
+        for a, b in _row_matrices(rng):
+            rho, p = metrics.spearman_rows(a, b)
+            assert rho.shape == p.shape == (a.shape[0],)
+            for i in range(a.shape[0]):
+                if np.all(a[i] == a[i, 0]) or np.all(b[i] == b[i, 0]):
+                    assert math.isnan(rho[i]) and math.isnan(p[i])
+                    continue
+                ref = loop_spearman(a[i], b[i])
+                assert rho[i] == ref.rho and p[i] == ref.p_value, (a[i], b[i])
+                assert metrics.spearman(a[i], b[i]) == ref
+
+    def test_constant_rows_undefined(self):
+        a = np.array([[1.0, 1.0, 1.0, 1.0], [0.0, -0.0, 0.0, 0.0], [1.0, 2.0, 3.0, 4.0]])
+        b = np.array([[1.0, 2.0, 3.0, 4.0], [4.0, 3.0, 2.0, 1.0], [np.inf] * 4])
+        rho, p = metrics.spearman_rows(a, b)
+        assert np.isnan(rho).all() and np.isnan(p).all()
+        rc = metrics.spearman(a[0], b[0])
+        assert rc.undefined and math.isnan(rc.rho) and math.isnan(rc.p_value)
+
+    def test_shape_errors(self):
+        for a, b in ((np.ones((2, 5)), np.ones((3, 5))), (np.ones(5), np.ones(5)),
+                     (np.ones((2, 2)), np.ones((2, 2))), (np.ones((1, 2, 3)), np.ones((1, 2, 3)))):
+            with pytest.raises(ValueError):
+                metrics.spearman_rows(a, b)
+
+    def test_rank_rho_sums_are_exact(self, rng):
+        # centred average ranks are multiples of 1/2, so every summation order agrees
+        for n in (3, 4, 17, 150, 400):
+            for x in (rng.normal(size=(80, n)), rng.integers(0, 3, size=(80, n)) * 1.0):
+                ranks = metrics.average_ranks_matrix(np.concatenate([x, rng.permuted(x, axis=1)]))
+                ra, rb = ranks[:80], ranks[80:]
+                ra -= ra.mean(axis=1, keepdims=True)
+                rb -= rb.mean(axis=1, keepdims=True)
+                assert np.all(ra * 2.0 == np.round(ra * 2.0))
+                summed = (ra * rb).sum(axis=1)
+                assert np.array_equal(summed, np.array([r @ s for r, s in zip(ra, rb)]))
+                if hasattr(np, "vecdot"):
+                    assert np.array_equal(summed, np.vecdot(ra, rb))
+
+
 class TestTopK:
     def test_identical(self, rng):
         a = rng.normal(size=10)

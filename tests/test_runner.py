@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import shutil
 from dataclasses import replace
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
-from gradsense import cli, gaming, runner
+from gradsense import cli, gaming, metrics, runner
 
 
 def tiny_config(out_dir, **overrides) -> runner.ExperimentConfig:
@@ -61,6 +62,17 @@ class TestConfig:
             tiny_config(
                 tmp_path,
                 gaming=replace(runner.GamingDesign(), combos=(("oslo", "t2m"),)),
+            ).validate()
+        for bad in ({"bootstrap_resamples": 500}, {"bootstrap_level": 0.0},
+                    {"bootstrap_level": 1.0}, {"bootstrap_level": 1.5}):
+            with pytest.raises(ValueError, match="bootstrap"):
+                tiny_config(tmp_path, **bad).validate()
+        # config ids are d{depth}-{name}-{var}, parsed back with split("-", 2)
+        with pytest.raises(ValueError, match="'-'"):
+            tiny_config(
+                tmp_path, targets=(runner.TargetConfig("new-york", 47.4, 8.6),),
+                gaming=replace(runner.GamingDesign(), combos=(("new-york", "t2m"),),
+                               extended_combo=("new-york", "t2m")),
             ).validate()
 
     def test_schema_version_checked(self):
@@ -241,11 +253,118 @@ class TestRunFull:
         on_disk = json.loads((out / "manifest.json").read_text())
         assert on_disk["failures"] == manifest["failures"]
 
+    def test_analysis_stages_need_no_models(self, tiny_run, tmp_path, monkeypatch):
+        cfg, out, _ = tiny_run
+        copy = tmp_path / "nomodels"
+        shutil.copytree(out, copy)
+
+        def boom(self):
+            raise AssertionError("distances come from the config, not the models")
+
+        monkeypatch.setattr(runner.RunState, "ensure_models", boom)
+        state = runner.RunState(replace(cfg, out_dir=str(copy)))
+        for name in ("calibrate", "select", "pay"):
+            runner.run_stage(state, name)
+        for rel in ("calibration_deciles.csv", "calibration_summary.csv", "selection.csv",
+                    "payments.csv", "payment_stability.csv", "shrinkage.csv"):
+            assert (copy / "results" / rel).read_bytes() == (out / "results" / rel).read_bytes()
+
     def test_budget_clipping_warns(self, tiny_run):
         cfg, _, _ = tiny_run
         state = runner.RunState(replace(cfg, selection_budgets=(3, 999)))
         with pytest.warns(UserWarning, match="clipped"):
             runner.run_stage(state, "select")
+
+
+def oracle_fidelity_stats(imp, util, ks, q):
+    """The per-timestamp loop `_agreement` replaced in fidelity and methods."""
+    imp_mean = np.nanmean(imp, axis=0)
+    util_mean = util.mean(axis=0)
+    agg = metrics.spearman(imp_mean, util_mean)
+    overlaps = [metrics.topk_overlap(imp_mean, util_mean, k) for k in ks]
+    per_t_rho, per_t_p = [], []
+    for t in range(imp.shape[0]):
+        if np.any(np.isnan(imp[t])):
+            continue
+        rc = metrics.spearman(imp[t], util[t])
+        if not rc.undefined:
+            per_t_rho.append(rc.rho)
+            per_t_p.append(rc.p_value)
+    try:
+        wil_p = metrics.wilcoxon_signed_rank(np.asarray(per_t_rho))
+    except ValueError:
+        wil_p = np.nan
+    bh_count = int(metrics.bh_fdr(np.asarray(per_t_p), q).sum()) if per_t_p else 0
+    mean_cycle_rho = float(np.mean(per_t_rho)) if per_t_rho else np.nan
+    return agg, overlaps, wil_p, bh_count, mean_cycle_rho
+
+
+def oracle_converge(imp, util):
+    """The per-timestamp loop `_agreement` replaced in converge."""
+    util_mean = util.mean(axis=0)
+    agg = metrics.spearman(np.nanmean(imp, axis=0), util_mean)
+    per_t_agg, per_t_cyc = [], []
+    for t in range(imp.shape[0]):
+        if np.any(np.isnan(imp[t])):
+            continue
+        a = metrics.spearman(imp[t], util_mean)
+        c = metrics.spearman(imp[t], util[t])
+        per_t_agg.append(np.nan if a.undefined else a.rho)
+        per_t_cyc.append(np.nan if c.undefined else c.rho)
+    recovery = (float(np.nanmean(per_t_agg) / agg.rho)
+                if agg.rho and not math.isnan(agg.rho) and agg.rho != 0 else np.nan)
+    return agg.rho, recovery, np.asarray([r for r in per_t_cyc if not math.isnan(r)])
+
+
+def _same(x, y) -> bool:
+    return np.array_equal(np.asarray(x, dtype=float), np.asarray(y, dtype=float),
+                          equal_nan=True)
+
+
+class TestAgreement:
+    def _pairs(self, cfg):
+        state = runner.RunState(cfg)
+        tables = state.ensure_tables()
+        gks = runner._global_ks(state)
+        ks = tuple(k for k in (5, 10, 20) if k <= state.stations.n_stations)
+        for (cid, key), imp in tables["gi"].items():
+            yield imp, tables["gu"][cid], gks
+        for cid, mode, patch in runner._spatial_cases(state):
+            util = np.abs(tables["su"][(cid, mode, patch)])
+            for key in state.spatial_methods():
+                yield tables["si_u"][(cid, key)], util, ks
+
+    def _check(self, imp, util, ks, q=0.05):
+        ag = runner._agreement(imp, util, ks, q)
+        agg, overlaps, wil_p, bh, cyc = oracle_fidelity_stats(imp, util, ks, q)
+        assert ag.agg == agg
+        assert list(ag.overlaps) == overlaps
+        assert _same(ag.wilcoxon_p, wil_p) and ag.bh_count == bh
+        assert _same(ag.mean_cycle_rho, cyc)
+        rho, recovery, cycle_rho = oracle_converge(imp, util)
+        assert _same(ag.agg.rho, rho) and _same(ag.recovery, recovery)
+        assert np.array_equal(ag.cycle_rho, cycle_rho)
+        return ag
+
+    def test_matches_loop_oracles_on_every_table_pair(self, tiny_run):
+        cfg, _, _ = tiny_run
+        n_pairs = n_pers = 0
+        for imp, util, ks in self._pairs(cfg):
+            ag = self._check(imp, util, ks)
+            n_pairs += 1
+            if np.isnan(imp[0]).any():  # ig-pers has no persistence baseline at t = 0
+                n_pers += 1
+                assert ag.cycle_rho.size <= imp.shape[0] - 1
+        assert n_pers == len(cfg.model_depths) and n_pairs > 30
+
+    def test_constant_rows_left_out(self, tiny_run):
+        cfg, _, _ = tiny_run
+        imp, util, ks = next(self._pairs(cfg))
+        imp, util = imp.copy(), util.copy()
+        imp[2] = 1.5  # constant importance row
+        util[5] = -0.0  # constant utility row
+        ag = self._check(imp, util, ks)
+        assert ag.cycle_rho.size == imp.shape[0] - 2
 
 
 class TestWorkspace:
@@ -303,6 +422,34 @@ class TestCli:
         assert rc == 0
         saved = runner.load_config(tmp_path / "override" / "config.yaml")
         assert saved.seed == 123
+
+    def test_every_stage_parses(self):
+        parser = cli.build_parser()
+        for name in runner.STAGES + ("full",):
+            assert parser.parse_args([name]).command == name
+
+    def test_subadditivity_subcommand(self, tmp_path, capsys):
+        cfg_path = tmp_path / "c4.yaml"
+        runner.save_config(tiny_config(tmp_path / "sub"), cfg_path)
+        assert cli.main(["subadditivity", "--config", str(cfg_path)]) == 0
+        assert "subadditivity: completed" in capsys.readouterr().out
+        assert (tmp_path / "sub" / "results" / "subadditivity.csv").exists()
+        manifest = json.loads((tmp_path / "sub" / "manifest.json").read_text())
+        assert "results/subadditivity.csv" in manifest["files"]
+        assert {s for n, s in manifest["stages"].items() if n != "subadditivity"} == {
+            "skipped"}
+
+    def test_failed_stage_writes_traceback(self, tmp_path, monkeypatch):
+        def exploding_stage(state):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(runner._STAGE_FUNCS, "report", exploding_stage)
+        cfg_path = tmp_path / "c5.yaml"
+        runner.save_config(tiny_config(tmp_path / "fails"), cfg_path)
+        assert cli.main(["report", "--config", str(cfg_path)]) == 1
+        manifest = json.loads((tmp_path / "fails" / "manifest.json").read_text())
+        assert manifest["stages"]["report"] == "failed: boom"
+        assert manifest["failures"]["report"].rstrip().endswith("RuntimeError: boom")
 
     def test_unknown_stage_rejected(self):
         with pytest.raises(SystemExit):
