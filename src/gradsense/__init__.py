@@ -23,21 +23,17 @@ from .grid import (
 )
 from .synth import synth_fields
 from .model import (
-    ForecastOutcome,
     make_desk_model,
     make_linear_model,
     make_truth,
     model_from_config,
 )
 from .attribution import (
-    AttributionConfig,
     AttributionMap,
-    attribute,
     gradient_times_input,
     integrated_gradients,
     persistence_baseline,
     spatial_importance,
-    time_average,
     vanilla_gradient,
     variable_importance,
 )

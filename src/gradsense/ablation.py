@@ -4,7 +4,7 @@ Utility is the change in absolute target error when part of the input is
 replaced: whole variables swapped for climatology (global), or local patches
 around station cells perturbed (spatial).  Signed values are kept alongside
 absolute ones; patches clip at the grid boundary, so edge stations perturb
-fewer cells (the per-station cell count is part of the output).
+fewer cells.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ class SpatialUtilityMap:
     u_signed: np.ndarray
     spec: PerturbationSpec
     timestamp: int
-    cells_per_station: np.ndarray
 
     def __post_init__(self):
         u = np.asarray(self.u_signed, dtype=np.float64).copy()
@@ -66,9 +65,6 @@ class SpatialUtilityMap:
             raise ValueError("utility map contains non-finite values")
         u.flags.writeable = False
         object.__setattr__(self, "u_signed", u)
-        c = np.asarray(self.cells_per_station, dtype=np.intp).copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "cells_per_station", c)
 
     @property
     def u_abs(self) -> np.ndarray:
@@ -172,12 +168,7 @@ def spatial_utility_multi(model, x: FieldTensor, y_star: float, stations: Statio
         if active.size:
             u[active] = errs[b:b + active.size] - errs[0]
             b += active.size
-        cells = np.empty(n, dtype=np.intp)
-        for g in range(n):
-            rows, cols = patch_slices(stations.grid, *stations.cell(g), spec.patch)
-            cells[g] = (rows.stop - rows.start) * (cols.stop - cols.start)
-        maps.append(SpatialUtilityMap(u_signed=u, spec=spec, timestamp=x.timestamp,
-                                      cells_per_station=cells))
+        maps.append(SpatialUtilityMap(u_signed=u, spec=spec, timestamp=x.timestamp))
     return maps
 
 

@@ -11,27 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Climatology, FieldTensor, StationGrid
-
-METHODS = ("ig", "gti", "vg")
-BASELINES = ("climatology", "zero", "persistence")
-
-
-@dataclass(frozen=True)
-class AttributionConfig:
-    """Method plus baseline choice; `steps` only matters for "ig"."""
-
-    method: str = "ig"
-    baseline: str = "climatology"
-    steps: int = 50
-
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.baseline not in BASELINES:
-            raise ValueError(f"baseline must be one of {BASELINES}, got {self.baseline!r}")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+from .grid import FieldTensor, StationGrid
 
 
 @dataclass(frozen=True)
@@ -137,28 +117,6 @@ def persistence_baseline(fields: list[FieldTensor], t: int) -> np.ndarray:
     return fields[t - 1].values
 
 
-def baseline_values(config: AttributionConfig, clim: Climatology,
-                    fields: list[FieldTensor] | None, t: int) -> np.ndarray:
-    if config.baseline == "climatology":
-        return clim.values
-    if config.baseline == "zero":
-        return np.zeros(clim.grid.shape)
-    if fields is None:
-        raise ValueError("persistence baseline needs the ordered field list")
-    return persistence_baseline(fields, t)
-
-
-def attribute(model, x: FieldTensor, config: AttributionConfig, clim: Climatology,
-              fields: list[FieldTensor] | None = None) -> AttributionMap:
-    """Dispatch one attribution computation according to `config`."""
-    if config.method == "vg":
-        return vanilla_gradient(model, x)
-    base = baseline_values(config, clim, fields, x.timestamp)
-    if config.method == "ig":
-        return integrated_gradients(model, x, base, config.steps, config.baseline)
-    return gradient_times_input(model, x, base, config.baseline)
-
-
 def variable_importance(attr: AttributionMap) -> np.ndarray:
     """Per-variable importance: absolute scores summed over all cells."""
     return np.abs(attr.values).sum(axis=(1, 2))
@@ -170,12 +128,3 @@ def spatial_importance(attr: AttributionMap, stations: StationGrid) -> np.ndarra
         raise ValueError("station grid does not match attribution shape")
     return np.abs(attr.values).sum(axis=0)[stations.lat_idx, stations.lon_idx]
 
-
-def time_average(vectors: list[np.ndarray] | np.ndarray) -> np.ndarray:
-    """Unweighted mean of equal-length score vectors."""
-    if len(vectors) == 0:
-        raise ValueError("cannot average an empty list")
-    arr = np.asarray(vectors, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError("vectors must share one length")
-    return arr.mean(axis=0)

@@ -1,9 +1,8 @@
-"""Flat binary field serialization, the named-array store, and CSV exports.
+"""Flat binary field serialization and the named-array store.
 
 Field layout: magic "GSF1", header (counts, timestamp, box bounds),
 length-prefixed variable names, then the float64 payload in (variable, lat,
-lon) C order (variable-major, row-major).  Attribution maps reuse the same
-layout with a JSON provenance sidecar next to the binary file.
+lon) C order (variable-major, row-major).
 
 Store layout: magic "GSA1", a length-prefixed stamp string, the array count,
 then per array a length-prefixed name, its rank and shape, and the "<f8"
@@ -14,8 +13,6 @@ leaves the previous file (or none), never a truncated one.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import os
 import struct
@@ -44,41 +41,33 @@ def atomic_open(path: str | Path, mode: str = "w", **kwargs):
         raise
 
 
-def _write_payload(fh, grid: GridSpec, values: np.ndarray, timestamp: int) -> None:
-    fh.write(_MAGIC)
-    fh.write(_HEADER.pack(grid.n_variables, grid.n_lat, grid.n_lon, timestamp,
-                          grid.lat_min, grid.lat_max, grid.lon_min, grid.lon_max))
-    for name in grid.variables:
-        raw = name.encode("utf-8")
-        fh.write(struct.pack("<H", len(raw)))
-        fh.write(raw)
-    fh.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
-
-
-def _read_payload(fh) -> tuple[GridSpec, np.ndarray, int]:
-    if fh.read(4) != _MAGIC:
-        raise ValueError("not a field file (bad magic)")
-    n_var, n_lat, n_lon, ts, lat_min, lat_max, lon_min, lon_max = _HEADER.unpack(
-        fh.read(_HEADER.size))
-    names = []
-    for _ in range(n_var):
-        (ln,) = struct.unpack("<H", fh.read(2))
-        names.append(fh.read(ln).decode("utf-8"))
-    grid = GridSpec(n_lat=n_lat, n_lon=n_lon, lat_min=lat_min, lat_max=lat_max,
-                    lon_min=lon_min, lon_max=lon_max, variables=tuple(names))
-    count = n_var * n_lat * n_lon
-    values = np.frombuffer(fh.read(count * 8), dtype="<f8", count=count).reshape(grid.shape)
-    return grid, values, ts
-
-
 def save_field(path: str | Path, field: FieldTensor) -> None:
+    grid = field.grid
     with atomic_open(path, "wb") as fh:
-        _write_payload(fh, field.grid, field.values, field.timestamp)
+        fh.write(_MAGIC)
+        fh.write(_HEADER.pack(grid.n_variables, grid.n_lat, grid.n_lon, field.timestamp,
+                              grid.lat_min, grid.lat_max, grid.lon_min, grid.lon_max))
+        for name in grid.variables:
+            raw = name.encode("utf-8")
+            fh.write(struct.pack("<H", len(raw)))
+            fh.write(raw)
+        fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
 
 
 def load_field(path: str | Path) -> FieldTensor:
     with open(path, "rb") as fh:
-        grid, values, ts = _read_payload(fh)
+        if fh.read(4) != _MAGIC:
+            raise ValueError("not a field file (bad magic)")
+        n_var, n_lat, n_lon, ts, lat_min, lat_max, lon_min, lon_max = _HEADER.unpack(
+            fh.read(_HEADER.size))
+        names = []
+        for _ in range(n_var):
+            (ln,) = struct.unpack("<H", fh.read(2))
+            names.append(fh.read(ln).decode("utf-8"))
+        grid = GridSpec(n_lat=n_lat, n_lon=n_lon, lat_min=lat_min, lat_max=lat_max,
+                        lon_min=lon_min, lon_max=lon_max, variables=tuple(names))
+        count = n_var * n_lat * n_lon
+        values = np.frombuffer(fh.read(count * 8), dtype="<f8", count=count).reshape(grid.shape)
     return FieldTensor(grid=grid, values=values, timestamp=ts)
 
 
@@ -139,48 +128,3 @@ def load_store(path: str | Path, stamp: str) -> dict[str, np.ndarray] | None:
 def fmt(x) -> str:
     """Shortest exact decimal form of a float (round-trips bit-for-bit)."""
     return repr(float(x))
-
-
-def field_to_csv(path: str | Path, field_values: np.ndarray, grid: GridSpec,
-                 value_column: str = "value") -> None:
-    """Inspection-friendly long-format dump of one (V, lat, lon) array."""
-    with atomic_open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["variable", "lat_idx", "lon_idx", "lat", "lon", value_column])
-        for v, name in enumerate(grid.variables):
-            for i in range(grid.n_lat):
-                lat = grid.lat_of(i)
-                for j in range(grid.n_lon):
-                    w.writerow([name, i, j, fmt(lat), fmt(grid.lon_of(j)),
-                                fmt(field_values[v, i, j])])
-
-
-def save_attribution(path: str | Path, attr, grid: GridSpec) -> None:
-    """Binary map plus a .json sidecar carrying method provenance."""
-    path = Path(path)
-    with atomic_open(path, "wb") as fh:
-        _write_payload(fh, grid, attr.values, attr.timestamp)
-    sidecar = {
-        "method": attr.method,
-        "baseline": attr.baseline,
-        "steps": attr.steps,
-        "timestamp": attr.timestamp,
-        "model_id": attr.model_id,
-        "n_gradient_evals": attr.n_gradient_evals,
-    }
-    with atomic_open(path.with_suffix(path.suffix + ".json")) as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_attribution(path: str | Path):
-    from .attribution import AttributionMap
-
-    path = Path(path)
-    with open(path, "rb") as fh:
-        grid, values, ts = _read_payload(fh)
-    with open(path.with_suffix(path.suffix + ".json")) as fh:
-        side = json.load(fh)
-    return AttributionMap(values=values, method=side["method"], baseline=side["baseline"],
-                          steps=side["steps"], timestamp=ts, model_id=side["model_id"],
-                          n_gradient_evals=side["n_gradient_evals"])

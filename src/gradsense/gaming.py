@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attribution import AttributionConfig
 from .grid import Climatology, FieldTensor, StationGrid, TargetSpec
 from .metrics import pr_auc, topk_indices
 
@@ -160,20 +159,17 @@ def _attack_reaches(model, scenario: AttackScenario, stations: StationGrid) -> b
 
 def run_gaming_experiment(model, truth, fields, clim, stations,
                           scenarios: list[AttackScenario],
-                          config: AttributionConfig,
                           baseline_cache=None) -> list[GamingOutcome]:
     """Score every scenario against the paired clean baseline period.
 
-    Scores are GTI against the climatology baseline, the only `config`
-    accepted.  The baseline period is the same timestamps without the attack,
-    computed once and shared; `baseline_cache` may supply it as the
-    (period-mean scores, per-field predictions) pair.  Scenarios whose
+    Scores are GTI against the climatology baseline; no other method or
+    baseline is offered.  The baseline period is the same timestamps without
+    the attack, computed once and shared; `baseline_cache` may supply it as
+    the (period-mean scores, per-field predictions) pair.  Scenarios whose
     attackers all lie outside the model's influence window cannot move the
     prediction or any in-window attribution, so their attack-period scores
     equal the baseline exactly.
     """
-    if (config.method, config.baseline) != ("gti", "climatology"):
-        raise ValueError("gaming scores use GTI with the climatology baseline")
     if baseline_cache is None:
         baseline_cache = _period_scores(model, fields, clim, stations)
     base_uns, base_preds = baseline_cache

@@ -281,20 +281,6 @@ def pr_auc(scores, labels) -> float:
     return float(area)
 
 
-def topk_hit_rate(scores_per_scenario, attacker_sets, k: int) -> float:
-    """Fraction of scenarios with at least one attacker among the top-k scores."""
-    if len(scores_per_scenario) != len(attacker_sets):
-        raise ValueError("scenario lists must align")
-    if len(scores_per_scenario) == 0:
-        raise ValueError("no scenarios")
-    hits = 0
-    for scores, attackers in zip(scores_per_scenario, attacker_sets):
-        top = set(topk_indices(scores, k).tolist())
-        if top & set(int(a) for a in attackers):
-            hits += 1
-    return hits / len(scores_per_scenario)
-
-
 def _percentile_ci(stats: np.ndarray, point: float, level: float, resamples: int,
                    scheme: str) -> BootstrapCI:
     good = stats[np.isfinite(stats)]

@@ -121,6 +121,16 @@ class ExperimentConfig:
                 raise ValueError(f"gaming combo {combo} not in the target matrix")
         if self.ig_steps not in self.ig_step_grid:
             raise ValueError("ig_steps must be part of ig_step_grid")
+        if any(s < 1 for s in self.ig_step_grid):
+            raise ValueError("ig_step_grid entries must be >= 1")
+        if any(p < 1 or p % 2 == 0 for p in self.patches):
+            raise ValueError("patches must be odd positive cell counts")
+        if any(m not in ablation.MODES for m in self.modes):
+            raise ValueError(f"modes must be drawn from {ablation.MODES}")
+        if self.stability_top_k < 1:
+            raise ValueError("stability_top_k must be >= 1")
+        if any(k < 1 for k in self.selection_budgets):
+            raise ValueError("selection_budgets entries must be >= 1")
         if self.n_timestamps < 2:
             raise ValueError("need at least 2 timestamps")
         if self.bootstrap_resamples < 1000:
@@ -374,14 +384,14 @@ class RunState:
     def primary_key(self) -> str:
         return f"ig@{self.cfg.ig_steps}"
 
-    def spatial_methods(self) -> list[str]:
+    def scored_methods(self) -> list[str]:
         return [self.primary_key(), "gti", "vg"]
 
     def _table_keys(self) -> dict[str, list]:
         """Every key of each table kind, in store order."""
         cfg, cids = self.cfg, self.config_ids()
         return {"gi": [(cid, key) for cid in cids for key in self._method_keys()],
-                "si_u": [(cid, key) for cid in cids for key in self.spatial_methods()],
+                "si_u": [(cid, key) for cid in cids for key in self.scored_methods()],
                 "gu": cids,
                 "su": [(cid, mode, patch) for cid in cids
                        for mode in cfg.modes for patch in cfg.patches]}
@@ -517,7 +527,7 @@ def stage_fidelity(state: RunState) -> None:
     boot_n, level, q = cfg.bootstrap_resamples, cfg.bootstrap_level, cfg.bh_q
 
     g_rows = []
-    display = [state.primary_key(), "gti", "vg"]
+    display = state.scored_methods()
     gks = _global_ks(state)
     for cid in state.config_ids():
         util = gu[cid]
@@ -564,7 +574,7 @@ def stage_methods(state: RunState) -> None:
     cfg = state.cfg
     tables = state.ensure_tables()
     gi, gu = tables["gi"], tables["gu"]
-    display = [state.primary_key(), "gti", "vg"]
+    display = state.scored_methods()
     gks = _global_ks(state)
     per_config: dict[str, dict[str, float]] = {}
     summary = {key: {"rho": [], "agg_sig": 0, "wil_sig": 0, "topk": []} for key in display}
@@ -688,7 +698,7 @@ def stage_calibrate(state: RunState) -> None:
         util = np.abs(su[(cid, mode, patch)]).mean(axis=0)
         if util.sum() <= 0:
             continue
-        proxies = {key: si_u[(cid, key)].mean(axis=0) for key in state.spatial_methods()}
+        proxies = {key: si_u[(cid, key)].mean(axis=0) for key in state.scored_methods()}
         proxies["distance"] = incentive.distance_scores(state.distances(cid))
         proxies["uniform"] = np.ones(state.stations.n_stations)
         for name in sorted(proxies):
@@ -751,7 +761,7 @@ def stage_pay(state: RunState) -> None:
     si_u, su = tables["si_u"], tables["su"]
     pay_rows, stab_rows = [], []
     for cid in state.config_ids():
-        for key in state.spatial_methods():
+        for key in state.scored_methods():
             scores = si_u[(cid, key)]
             if scores.mean(axis=0).sum() <= 0:
                 continue
@@ -881,7 +891,6 @@ def build_scenarios(state: RunState, cid: str) -> list[gaming.AttackScenario]:
 def stage_game(state: RunState) -> None:
     state.ensure_models()
     si_u = state.ensure_tables()["si_u"]
-    cfg = attr.AttributionConfig(method="gti", baseline="climatology")
     manifest, outcome_rows, arrays = {}, [], {}
     self_outcomes: dict[str, list[gaming.GamingOutcome]] = {}
     n = state.stations.n_stations
@@ -891,7 +900,7 @@ def stage_game(state: RunState) -> None:
         base_preds = model.forward_many(np.stack([f.values for f in state.fields]))
         scenarios = build_scenarios(state, cid)
         outcomes = gaming.run_gaming_experiment(
-            model, truth, state.fields, state.clim, state.stations, scenarios, cfg,
+            model, truth, state.fields, state.clim, state.stations, scenarios,
             baseline_cache=(base_uns, base_preds))
         self_outcomes[cid] = outcomes
         for sc, o in zip(scenarios, outcomes):

@@ -152,15 +152,6 @@ class TestSpatialUtility:
                                      desk_stations, spec, clim)
         assert np.array_equal(s.u_abs, np.abs(s.u_signed))
 
-    def test_cells_metadata(self, desk_model, desk_data, desk_stations, desk_truth):
-        fields, clim = desk_data
-        spec = ablation.PerturbationSpec(mode="mean_replace", patch=5)
-        s = ablation.spatial_utility(desk_model, fields[0], desk_truth.verify(fields[0]),
-                                     desk_stations, spec, clim)
-        assert s.cells_per_station[0] == 9      # grid corner
-        interior = desk_stations.n_stations // 2
-        assert s.cells_per_station[interior] == 25
-
     def test_noise_utilities_are_realization_dominated(self, desk_model, desk_data,
                                                        desk_stations, desk_truth, var_std):
         # Single-realization noise utilities rank stations erratically across

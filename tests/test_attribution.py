@@ -174,21 +174,6 @@ class TestBaselines:
         ig = attr.integrated_gradients(desk_model, dup, base, 8, baseline_name="persistence")
         assert np.all(ig.values == 0.0)
 
-    def test_dispatch(self, desk_model, desk_data):
-        fields, clim = desk_data
-        for method in ("ig", "gti", "vg"):
-            cfg = attr.AttributionConfig(method=method, baseline="zero", steps=4)
-            amap = attr.attribute(desk_model, fields[1], cfg, clim, fields)
-            assert amap.method == method
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            attr.AttributionConfig(method="nope")
-        with pytest.raises(ValueError):
-            attr.AttributionConfig(baseline="nope")
-        with pytest.raises(ValueError):
-            attr.AttributionConfig(steps=0)
-
 
 class TestAggregation:
     def test_variable_importance_zero_map(self, desk_data, desk_model):
@@ -233,16 +218,3 @@ class TestAggregation:
         amap = attr.AttributionMap(values=vals, method="vg", baseline="none", steps=1,
                                    timestamp=0, model_id="m", n_gradient_evals=1)
         assert np.all(attr.spatial_importance(amap, small_stations) == 0.0)
-
-    def test_time_average(self, rng):
-        v = rng.normal(size=7)
-        assert np.array_equal(attr.time_average([v]), v)
-        assert np.allclose(attr.time_average([v, -v]), 0.0)
-        assert np.allclose(attr.time_average([np.abs(v), np.abs(-v)]), np.abs(v))
-        vs = [rng.normal(size=7) for _ in range(60)]
-        naive = sum(vs) / 60.0
-        assert np.allclose(attr.time_average(vs), naive, rtol=1e-12)
-        with pytest.raises(ValueError):
-            attr.time_average([])
-        with pytest.raises(ValueError):
-            attr.time_average([np.ones(3), np.ones(4)])

@@ -1,10 +1,7 @@
-import csv
-
 import numpy as np
 import pytest
 
 from gradsense import fieldio
-from gradsense.attribution import AttributionMap
 from gradsense.grid import FieldTensor
 
 
@@ -24,18 +21,6 @@ class TestBinaryRoundTrip:
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(ValueError):
             fieldio.load_field(path)
-
-    def test_attribution_sidecar(self, small_grid, rng, tmp_path):
-        amap = AttributionMap(values=rng.normal(size=small_grid.shape), method="ig",
-                              baseline="climatology", steps=8, timestamp=3,
-                              model_id="desk-x", n_gradient_evals=9)
-        path = tmp_path / "a.bin"
-        fieldio.save_attribution(path, amap, small_grid)
-        assert (tmp_path / "a.bin.json").exists()
-        loaded = fieldio.load_attribution(path)
-        assert loaded.method == "ig" and loaded.steps == 8
-        assert loaded.model_id == "desk-x" and loaded.n_gradient_evals == 9
-        assert np.array_equal(loaded.values, amap.values)
 
 
 class TestStore:
@@ -105,17 +90,6 @@ class TestAtomicOpen:
 
 
 class TestCsv:
-    def test_field_export(self, small_grid, rng, tmp_path):
-        vals = rng.normal(size=small_grid.shape)
-        path = tmp_path / "f.csv"
-        fieldio.field_to_csv(path, vals, small_grid)
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == small_grid.n_variables * small_grid.n_lat * small_grid.n_lon
-        r = rows[small_grid.n_lon + 3]  # variable 0, row 1, col 3
-        assert r["variable"] == small_grid.variables[0]
-        assert float(r["value"]) == vals[0, 1, 3]
-
     def test_fmt_roundtrip(self, rng):
         for x in rng.normal(size=50):
             assert float(fieldio.fmt(x)) == x

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from gradsense import gaming
-from gradsense.attribution import AttributionConfig
 from gradsense.metrics import topk_indices
 
 
@@ -110,21 +109,10 @@ class TestExperiment:
         sc = scenario([60], pct=0.0)
         out = gaming.run_gaming_experiment(desk_model, desk_truth, fields, clim,
                                            desk_stations, [sc],
-                                           AttributionConfig(method="gti"),
                                            baseline_cache=baseline)[0]
         assert out.inflation_ratio == 1.0
         assert out.mae_change == 0.0
         assert not out.attack_reached_model
-
-    def test_rejects_non_gti_config(self, desk_model, desk_truth, desk_data,
-                                    desk_stations, baseline):
-        fields, clim = desk_data
-        for cfg in (AttributionConfig(method="ig"),
-                    AttributionConfig(method="gti", baseline="zero")):
-            with pytest.raises(ValueError):
-                gaming.run_gaming_experiment(desk_model, desk_truth, fields, clim,
-                                             desk_stations, [scenario([60])], cfg,
-                                             baseline_cache=baseline)
 
     def test_out_of_window_attack_copies_baseline(self, desk_model, desk_truth,
                                                   desk_data, desk_stations, baseline):
@@ -132,7 +120,6 @@ class TestExperiment:
         sc = scenario([0], pct=200.0)  # far corner station
         out = gaming.run_gaming_experiment(desk_model, desk_truth, fields, clim,
                                            desk_stations, [sc],
-                                           AttributionConfig(method="gti"),
                                            baseline_cache=baseline)[0]
         assert not out.attack_reached_model
         assert np.array_equal(out.attack_unsigned, out.baseline_unsigned)
@@ -144,7 +131,6 @@ class TestExperiment:
         sc = scenario(close, pct=100.0)
         out = gaming.run_gaming_experiment(desk_model, desk_truth, fields, clim,
                                            desk_stations, [sc],
-                                           AttributionConfig(method="gti"),
                                            baseline_cache=baseline)[0]
         assert out.attack_reached_model
         assert out.inflation_ratio > 1.0
@@ -277,7 +263,6 @@ class TestEvaluation:
         scs = [scenario(close, pct=100.0), scenario(close, kind="spoof", pct=0.0)]
         outs = gaming.run_gaming_experiment(desk_model, desk_truth, fields, clim,
                                             desk_stations, scs,
-                                            AttributionConfig(method="gti"),
                                             baseline_cache=baseline)
         per = {o.scenario.scenario_id: gaming.score_scenario(o, desk_stations)
                for o in outs}

@@ -390,26 +390,3 @@ class TestPrAuc:
     def test_degenerate_labels(self):
         with pytest.raises(ValueError):
             metrics.pr_auc([1.0, 2.0], [1, 1])
-
-
-class TestTopkHitRate:
-    def test_attacker_on_top(self, rng):
-        scores = rng.normal(size=20)
-        scores[7] = scores.max() + 1
-        assert metrics.topk_hit_rate([scores], [{7}], 1) == 1.0
-
-    def test_attacker_last(self, rng):
-        scores = np.arange(20.0)
-        assert metrics.topk_hit_rate([scores], [{0}], 5) == 0.0
-
-    def test_chance_level(self, rng):
-        hits = []
-        for _ in range(1000):
-            scores = rng.normal(size=117)
-            attacker = int(rng.integers(0, 117))
-            hits.append(metrics.topk_hit_rate([scores], [{attacker}], 5))
-        assert np.mean(hits) == pytest.approx(5 / 117, abs=0.03)
-
-    def test_alignment_error(self):
-        with pytest.raises(ValueError):
-            metrics.topk_hit_rate([np.ones(3)], [], 1)

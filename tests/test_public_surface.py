@@ -1,0 +1,59 @@
+"""The names other code relies on: the README library sketch and the benchmark hooks."""
+
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+import gradsense
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_readme_library_sketch_runs():
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Library sketch\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, flags=re.S)
+    assert len(blocks) == 1
+    env: dict = {}
+    exec(compile(blocks[0], "README.md:library-sketch", "exec"), env)
+    alloc = env["alloc"]
+    assert alloc.budget == 10_000.0
+    assert alloc.amounts.sum() == pytest.approx(alloc.budget, rel=1e-12)
+    assert (alloc.amounts >= 0).all()
+
+
+def _bindings(tracing) -> dict:
+    """Every module global of gradsense and every traced method, by identity."""
+    out = {}
+    for key, mod in sorted(sys.modules.items()):
+        if mod is not None and (key == "gradsense" or key.startswith("gradsense.")):
+            out.update({(key, name): value for name, value in vars(mod).items()})
+    for mod_name, cls_name, attr, *_ in tracing.LAYERS:
+        if cls_name is not None:
+            owner = getattr(sys.modules[f"gradsense.{mod_name}"], cls_name)
+            out[(mod_name, cls_name, attr)] = owner.__dict__[attr]
+    return out
+
+
+def test_benchmark_tracer_finds_every_layer_and_restores(monkeypatch):
+    # perfbench/tracing.py looks each traced layer up by name; a deleted or
+    # renamed layer makes install raise AttributeError or KeyError
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracing
+
+    before = _bindings(tracing)
+    tracer = tracing.Tracer()
+    tracer.install(gradsense)
+    try:
+        installed = _bindings(tracing)
+        for mod_name, cls_name, attr, *_ in tracing.LAYERS:
+            key = ((mod_name, cls_name, attr) if cls_name is not None
+                   else (f"gradsense.{mod_name}", attr))
+            assert installed[key] is not before[key], key
+    finally:
+        tracer.restore()
+    after = _bindings(tracing)
+    assert after.keys() == before.keys()
+    assert all(after[k] is before[k] for k in before)

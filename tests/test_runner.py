@@ -67,6 +67,15 @@ class TestConfig:
                     {"bootstrap_level": 1.0}, {"bootstrap_level": 1.5}):
             with pytest.raises(ValueError, match="bootstrap"):
                 tiny_config(tmp_path, **bad).validate()
+        # a later stage rejects each of these, but only after building models and tables
+        for bad, match in (({"patches": (1, 2)}, "patches"), ({"patches": (0,)}, "patches"),
+                           ({"patches": (-1,)}, "patches"),
+                           ({"modes": ("mean_replace", "swap")}, "modes"),
+                           ({"ig_step_grid": (0, 8)}, "ig_step_grid"),
+                           ({"stability_top_k": 0}, "stability_top_k"),
+                           ({"selection_budgets": (0, 5)}, "selection_budgets")):
+            with pytest.raises(ValueError, match=match):
+                tiny_config(tmp_path, **bad).validate()
         # config ids are d{depth}-{name}-{var}, parsed back with split("-", 2)
         with pytest.raises(ValueError, match="'-'"):
             tiny_config(
@@ -331,7 +340,7 @@ class TestAgreement:
             yield imp, tables["gu"][cid], gks
         for cid, mode, patch in runner._spatial_cases(state):
             util = np.abs(tables["su"][(cid, mode, patch)])
-            for key in state.spatial_methods():
+            for key in state.scored_methods():
                 yield tables["si_u"][(cid, key)], util, ks
 
     def _check(self, imp, util, ks, q=0.05):
