@@ -131,7 +131,7 @@ def global_ablation(model, x: FieldTensor, y_star: float, clim: Climatology) -> 
     return GlobalUtilityVector(values=errs[1:] - errs[0], timestamp=x.timestamp)
 
 
-def _stations_in_reach(model, stations: StationGrid, patch: int) -> np.ndarray:
+def stations_in_reach(model, stations: StationGrid, patch: int) -> np.ndarray:
     """Station ids whose patch can intersect the model's influence window."""
     rw, cw = model.influence_window()
     half = patch // 2
@@ -151,7 +151,7 @@ def spatial_utility_multi(model, x: FieldTensor, y_star: float, stations: Statio
     specs share a single batched forward with the unperturbed base.
     """
     n = stations.n_stations
-    actives = [_stations_in_reach(model, stations, spec.patch) for spec in specs]
+    actives = [stations_in_reach(model, stations, spec.patch) for spec in specs]
     batch = np.empty((1 + sum(a.size for a in actives),) + model.grid.shape)
     batch[0] = x.values
     b = 1
@@ -206,19 +206,18 @@ def joint_ablation(model, x: FieldTensor, y_star: float, stations: StationGrid,
         rows, cols = patch_slices(grid, *stations.cell(g), spec.patch)
         mask[rows, cols] = True
     rows_idx, cols_idx = np.nonzero(mask)
-    vals = x.values.copy()
+    # one batch: the base, the joint perturbation, then each station alone
+    batch = np.empty((2 + len(ids),) + x.values.shape)
+    batch[0] = batch[1] = x.values
     rng = np.random.default_rng(
         np.random.SeedSequence((spec.seed, _JOINT_TAG, int(x.timestamp))))
-    _apply_mode(vals, rows_idx, cols_idx, spec, clim.values, var_std, rng)
+    _apply_mode(batch[1], rows_idx, cols_idx, spec, clim.values, var_std, rng)
+    for b, g in enumerate(ids, start=2):
+        batch[b] = _perturb_values(x, stations, g, spec, clim, var_std)
 
-    base_err = abs(model.forward_values(x.values) - y_star)
-    u_joint = abs(model.forward_values(vals) - y_star) - base_err
-
-    u_ind = np.array([
-        abs(model.forward_values(_perturb_values(x, stations, g, spec, clim, var_std))
-            - y_star) - base_err
-        for g in ids
-    ])
+    errs = np.abs(model.forward_many(batch) - y_star)
+    u_joint = errs[1] - errs[0]
+    u_ind = errs[2:] - errs[0]
     denom = u_ind.sum()
     defined = abs(denom) >= denominator_eps
     ratio = u_joint / denom if defined else np.nan

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .ablation import stations_in_reach
 from .grid import Climatology, FieldTensor, StationGrid, TargetSpec
 from .metrics import pr_auc, topk_indices
 
@@ -104,20 +105,29 @@ def sample_attackers(stations: StationGrid, target: TargetSpec, n: int,
     return fill(picks)
 
 
+def _attack_in_place(vals: np.ndarray, scenario: AttackScenario, clim: Climatology,
+                     stations: StationGrid) -> None:
+    """Attack a (..., V, n_lat, n_lon) array in place at every attacker cell at once."""
+    sv = np.asarray(scenario.scope_variables, dtype=np.intp)
+    if np.any((sv < 0) | (sv >= vals.shape[-3])):
+        raise ValueError("scope variable outside grid")
+    ids = np.asarray(scenario.attackers)
+    if np.any((ids < 0) | (ids >= stations.n_stations)):  # indexing would wrap a negative id
+        raise IndexError(f"invalid station id in {scenario.attackers}")
+    cells = (Ellipsis, sv[:, None], stations.lat_idx[ids], stations.lon_idx[ids])
+    c = clim.values[cells]
+    if scenario.kind == "inflate":
+        factor = 1.0 + scenario.magnitude_pct / 100.0
+        vals[cells] = c + factor * (vals[cells] - c)
+    else:
+        vals[cells] = c
+
+
 def apply_attack(x: FieldTensor, scenario: AttackScenario, clim: Climatology,
                  stations: StationGrid) -> FieldTensor:
     """Attacked copy of x; only attacker cells and scoped variables change."""
     vals = x.values.copy()
-    sv = list(scenario.scope_variables)
-    if any(v < 0 or v >= x.grid.n_variables for v in sv):
-        raise ValueError("scope variable outside grid")
-    for g in scenario.attackers:
-        i, j = stations.cell(g)
-        if scenario.kind == "inflate":
-            factor = 1.0 + scenario.magnitude_pct / 100.0
-            vals[sv, i, j] = clim.values[sv, i, j] + factor * (vals[sv, i, j] - clim.values[sv, i, j])
-        else:
-            vals[sv, i, j] = clim.values[sv, i, j]
+    _attack_in_place(vals, scenario, clim, stations)
     return FieldTensor(grid=x.grid, values=vals, timestamp=x.timestamp)
 
 
@@ -133,28 +143,15 @@ class GamingOutcome:
     attack_reached_model: bool
 
 
-def _period_scores(model, fields, clim, stations, transform=None):
+def _period_scores(model, stack: np.ndarray, clim, stations):
     """Period-mean GTI station scores (climatology baseline) and per-field predictions.
 
-    One batched gradient pass over the whole period.
+    One batched gradient pass over the (T, V, n_lat, n_lon) period stack.
     """
-    if transform is None:
-        stack = np.stack([f.values for f in fields])
-    else:
-        stack = np.stack([transform(f).values for f in fields])
     grads = model.gradient_many(stack)
     maps = (stack - clim.values[None]) * grads
     per_station = maps[:, :, stations.lat_idx, stations.lon_idx]
     return np.abs(per_station).sum(axis=1).mean(axis=0), model.forward_many(stack)
-
-
-def _attack_reaches(model, scenario: AttackScenario, stations: StationGrid) -> bool:
-    rw, cw = model.influence_window()
-    for g in scenario.attackers:
-        i, j = stations.cell(g)
-        if rw.start <= i < rw.stop and cw.start <= j < cw.stop:
-            return True
-    return False
 
 
 def run_gaming_experiment(model, truth, fields, clim, stations,
@@ -170,8 +167,9 @@ def run_gaming_experiment(model, truth, fields, clim, stations,
     prediction or any in-window attribution, so their attack-period scores
     equal the baseline exactly.
     """
+    stack = np.stack([f.values for f in fields])
     if baseline_cache is None:
-        baseline_cache = _period_scores(model, fields, clim, stations)
+        baseline_cache = _period_scores(model, stack, clim, stations)
     base_uns, base_preds = baseline_cache
     y_star = np.array([truth.verify(f) for f in fields])
     mae_clean = float(np.abs(base_preds - y_star).mean())
@@ -179,13 +177,14 @@ def run_gaming_experiment(model, truth, fields, clim, stations,
     outcomes = []
     base_total = base_uns.sum()
     base_shares = base_uns / base_total if base_total > 0 else np.zeros_like(base_uns)
+    in_reach = stations_in_reach(model, stations, 1)
     for sc in scenarios:
         effective = (sc.kind == "spoof" or sc.magnitude_pct > 0)
-        reached = _attack_reaches(model, sc, stations) and effective
+        reached = bool(np.isin(sc.attackers, in_reach).any()) and effective
         if reached:
-            atk_uns, atk_preds = _period_scores(
-                model, fields, clim, stations,
-                transform=lambda f: apply_attack(f, sc, clim, stations))
+            attacked = stack.copy()
+            _attack_in_place(attacked, sc, clim, stations)
+            atk_uns, atk_preds = _period_scores(model, attacked, clim, stations)
             mae_attack = float(np.abs(atk_preds - y_star).mean())
         else:
             atk_uns = base_uns.copy()

@@ -7,10 +7,12 @@ analyses, the gaming campaign, and detector evaluation.  Every stage writes
 deterministic CSV/JSON results under the output directory; the manifest
 records the config hash and a content hash for every emitted file, so a
 rerun with the same config is byte-identical.  Intermediate arrays (fields,
-per-timestamp tables, gaming scores) live in `fieldio` array stores stamped
-with the config hash.  Stages can run standalone: a prerequisite is loaded
-from its store when the stamp matches the config and recomputed (and the
-store overwritten) otherwise.
+per-timestamp tables, gaming outcomes) live in `fieldio` array stores stamped
+with the config hash, and every store goes through `Workspace.store`: loaded
+when the stamp matches the config, else computed and saved.  Either way the
+`RunState.ensure_*` entry points decode the arrays it returns, so a fresh and
+a resumed run share all code after that point.  Stages can run standalone; a
+stage writes only its own results, and its prerequisites go into stores.
 """
 
 from __future__ import annotations
@@ -253,15 +255,13 @@ class Workspace:
             fh.write(text)
         self.register(rel)
 
-    def save_store(self, rel: str, stamp: str, arrays: dict[str, np.ndarray]) -> None:
-        fieldio.save_store(self.path(rel), stamp, arrays)
-        self.register(rel)
-
-    def load_store(self, rel: str, stamp: str) -> dict[str, np.ndarray] | None:
-        """The store's arrays if it exists with this stamp, else None."""
+    def store(self, rel: str, stamp: str, compute) -> dict[str, np.ndarray]:
+        """The arrays of store `rel` under `stamp`; on a miss, `compute()` them and save."""
         arrays = fieldio.load_store(self.path(rel), stamp)
-        if arrays is not None:
-            self.register(rel)
+        if arrays is None:
+            arrays = compute()
+            fieldio.save_store(self.path(rel), stamp, arrays)
+        self.register(rel)
         return arrays
 
     def read_rows(self, rel: str) -> list[dict[str, str]]:
@@ -291,7 +291,7 @@ def _store_name(kind: str, key) -> str:
 
 
 class RunState:
-    """Shared context: data, models and lazily computed per-timestamp tables."""
+    """Shared context: data, models, and the per-timestamp tables and gaming outcomes."""
 
     def __init__(self, cfg: ExperimentConfig, workspace: Workspace | None = None):
         cfg.validate()
@@ -308,7 +308,7 @@ class RunState:
         self.var_std: np.ndarray | None = None
         self.models: dict[str, tuple[DeskModel, TruthGenerator]] = {}
         self._tables: dict = {}
-        self._gaming_cache: dict | None = None
+        self._outcomes: dict[str, list[gaming.GamingOutcome]] = {}
         self.stage_status: dict[str, str] = {}
         self.failures: dict[str, str] = {}  # stage -> traceback
 
@@ -335,42 +335,40 @@ class RunState:
     def ensure_data(self) -> None:
         if self.fields is not None:
             return
-        cfg = self.cfg
-        stored = self.ws.load_store(DATA_STORE, self.stamp)
-        if stored is None:
-            self.fields, self.clim = synth.synth_fields(
-                cfg.seed, self.grid, cfg.n_timestamps, n_clim_draws=cfg.n_clim_draws)
-            self.ws.save_store(DATA_STORE, self.stamp, {
-                "fields": np.stack([f.values for f in self.fields]),
-                "climatology": self.clim.values})
-        else:
-            self.fields = [FieldTensor(grid=self.grid, values=v, timestamp=t)
-                           for t, v in enumerate(stored["fields"])]
-            self.clim = Climatology(grid=self.grid, values=stored["climatology"])
+        stored = self.ws.store(DATA_STORE, self.stamp, self._synth_arrays)
+        self.fields = [FieldTensor(grid=self.grid, values=v, timestamp=t)
+                       for t, v in enumerate(stored["fields"])]
+        self.clim = Climatology(grid=self.grid, values=stored["climatology"])
         self.var_std = synth.field_std(self.fields)
+
+    def _synth_arrays(self) -> dict[str, np.ndarray]:
+        cfg = self.cfg
+        fields, clim = synth.synth_fields(cfg.seed, self.grid, cfg.n_timestamps,
+                                          n_clim_draws=cfg.n_clim_draws)
+        return {"fields": np.stack([f.values for f in fields]), "climatology": clim.values}
+
+    def make_model(self, cid: str) -> DeskModel:
+        """The surrogate of config id d{depth}-{name}-{variable}, from the config alone."""
+        cfg = self.cfg
+        return make_desk_model(child_seed(cfg.seed, "model", cid), self.grid,
+                               self.target_of(cid), depth=int(cid.split("-")[0][1:]),
+                               channels=cfg.channels, stencil_radius=cfg.stencil_radius)
 
     def ensure_models(self) -> None:
         if self.models:
             return
         self.ensure_data()
         cfg = self.cfg
+        stack = np.stack([f.values for f in self.fields])
         model_cfgs = {}
-        for depth in cfg.model_depths:
-            for tc in cfg.targets:
-                for tv in cfg.target_variables:
-                    cid = f"d{depth}-{tc.name}-{tv}"
-                    target = self._target(tc.name, tv)
-                    model = make_desk_model(child_seed(cfg.seed, "model", cid), self.grid,
-                                            target, depth=depth, channels=cfg.channels,
-                                            stencil_radius=cfg.stencil_radius)
-                    preds = model.forward_many(np.stack([f.values for f in self.fields]))
-                    noise_std = cfg.truth_noise_frac * float(preds.std())
-                    truth = make_truth(model, child_seed(cfg.seed, "truth", cid),
-                                       noise_std=noise_std,
-                                       weight_jitter=cfg.truth_weight_jitter)
-                    self.models[cid] = (model, truth)
-                    model_cfgs[cid] = {"model": model.to_config(), "noise_std": noise_std,
-                                       "truth_seed": child_seed(cfg.seed, "truth", cid)}
+        for cid in self.config_ids():
+            model = self.make_model(cid)
+            noise_std = cfg.truth_noise_frac * float(model.forward_many(stack).std())
+            truth = make_truth(model, child_seed(cfg.seed, "truth", cid),
+                               noise_std=noise_std, weight_jitter=cfg.truth_weight_jitter)
+            self.models[cid] = (model, truth)
+            model_cfgs[cid] = {"model": model.to_config(), "noise_std": noise_std,
+                               "truth_seed": child_seed(cfg.seed, "truth", cid)}
         self.ws.write_json("data/models.json", model_cfgs)
 
     # -- per-timestamp tables -----------------------------------------------
@@ -398,15 +396,13 @@ class RunState:
 
     def ensure_tables(self) -> dict:
         if not self._tables:
-            stored = self.ws.load_store(TABLES_STORE, self.stamp)
-            if stored is None:
-                self._compute_tables()
-            else:
-                self._tables = {kind: {key: stored[_store_name(kind, key)] for key in keys}
-                                for kind, keys in self._table_keys().items()}
+            stored = self.ws.store(TABLES_STORE, self.stamp, self._compute_tables)
+            self._tables = {kind: {key: stored[_store_name(kind, key)] for key in keys}
+                            for kind, keys in self._table_keys().items()}
         return self._tables
 
-    def _compute_tables(self) -> None:
+    def _compute_tables(self) -> dict[str, np.ndarray]:
+        """Every table array, keyed by its store name, in store order."""
         self.ensure_models()
         cfg = self.cfg
         T, V, N = cfg.n_timestamps, self.grid.n_variables, self.stations.n_stations
@@ -452,10 +448,43 @@ class RunState:
                                                            self.stations, specs,
                                                            self.clim, self.var_std):
                     su[(cid, smap.spec.mode, smap.spec.patch)][t] = smap.u_signed
-        self._tables = {"gi": gi, "si_u": si_u, "gu": gu, "su": su}
-        self.ws.save_store(TABLES_STORE, self.stamp, {
-            _store_name(kind, key): self._tables[kind][key]
-            for kind, kind_keys in keys.items() for key in kind_keys})
+        tables = {"gi": gi, "si_u": si_u, "gu": gu, "su": su}
+        return {_store_name(kind, key): tables[kind][key]
+                for kind, kind_keys in keys.items() for key in kind_keys}
+
+    # -- gaming outcomes -----------------------------------------------------
+
+    def ensure_gaming(self) -> dict[str, list[gaming.GamingOutcome]]:
+        """Per gaming config id, the outcome of each scenario in build_scenarios order."""
+        if not self._outcomes:
+            stored = self.ws.store(GAMING_STORE, self.stamp, self._gaming_arrays)
+            self._outcomes = {cid: [gaming.GamingOutcome(
+                scenario=sc, baseline_unsigned=stored[f"baseline/{cid}"].copy(),
+                attack_unsigned=stored[f"attack/{cid}"][i],
+                attack_reached_model=bool(stored[f"attack_reached_model/{cid}"][i]),
+                **{name: float(stored[f"{name}/{cid}"][i]) for name in _OUTCOME_FLOATS})
+                for i, sc in enumerate(build_scenarios(self, cid))]
+                for cid in _gaming_config_ids(self)}
+        return self._outcomes
+
+    def _gaming_arrays(self) -> dict[str, np.ndarray]:
+        self.ensure_models()
+        si_u = self.ensure_tables()["si_u"]
+        stack = np.stack([f.values for f in self.fields])
+        arrays = {}
+        for cid in _gaming_config_ids(self):
+            model, truth = self.models[cid]
+            base_uns = si_u[(cid, "gti")].mean(axis=0)
+            outcomes = gaming.run_gaming_experiment(
+                model, truth, self.fields, self.clim, self.stations,
+                build_scenarios(self, cid), baseline_cache=(base_uns, model.forward_many(stack)))
+            # one row per scenario, in build_scenarios order
+            arrays[f"baseline/{cid}"] = base_uns
+            arrays[f"attack/{cid}"] = np.array(
+                [o.attack_unsigned for o in outcomes]).reshape(-1, self.stations.n_stations)
+            for name in _OUTCOME_FLOATS + ("attack_reached_model",):
+                arrays[f"{name}/{cid}"] = np.array([float(getattr(o, name)) for o in outcomes])
+        return arrays
 
     # -- shared small helpers ------------------------------------------------
 
@@ -641,9 +670,9 @@ def stage_methods(state: RunState) -> None:
 def _scale_invariance_table(state: RunState) -> None:
     """Plant a unit change in one variable and record which proxies move."""
     cfg = state.cfg
-    state.ensure_models()
+    state.ensure_data()
     cid = state.config_ids()[len(state.config_ids()) // 2]
-    model, _ = state.models[cid]
+    model = state.make_model(cid)
     tables = state.ensure_tables()
     vg_imp = np.nanmean(tables["gi"][(cid, "vg")], axis=0)
     var = int(np.argmax(vg_imp))
@@ -814,6 +843,7 @@ def stage_subadditivity(state: RunState) -> None:
     cids = [c for c in state.config_ids() if c.startswith(f"d{depth}-")]
     for ci, cid in enumerate(cids):
         model, truth = state.models[cid]
+        y_stars = [truth.verify(f) for f in state.fields]
         order = np.argsort(state.distances(cid), kind="stable")
         modes = ("mean_replace", "scale_bias") if ci == 0 else ("mean_replace",)
         for size in (2, 3, 5):
@@ -824,10 +854,9 @@ def stage_subadditivity(state: RunState) -> None:
                         mode=mode, patch=patch, magnitude=cfg.perturb_magnitude,
                         seed=child_seed(cfg.seed, "subadd", cid, mode, patch))
                     ratios, flagged = [], 0
-                    for f in state.fields:
-                        res = ablation.joint_ablation(model, f, truth.verify(f),
-                                                      state.stations, ids, spec,
-                                                      state.clim, state.var_std)
+                    for f, y_star in zip(state.fields, y_stars):
+                        res = ablation.joint_ablation(model, f, y_star, state.stations, ids,
+                                                      spec, state.clim, state.var_std)
                         if res.ratio_defined:
                             ratios.append(res.ratio)
                         else:
@@ -889,21 +918,10 @@ def build_scenarios(state: RunState, cid: str) -> list[gaming.AttackScenario]:
 
 
 def stage_game(state: RunState) -> None:
-    state.ensure_models()
-    si_u = state.ensure_tables()["si_u"]
-    manifest, outcome_rows, arrays = {}, [], {}
-    self_outcomes: dict[str, list[gaming.GamingOutcome]] = {}
-    n = state.stations.n_stations
-    for cid in _gaming_config_ids(state):
-        model, truth = state.models[cid]
-        base_uns = si_u[(cid, "gti")].mean(axis=0)
-        base_preds = model.forward_many(np.stack([f.values for f in state.fields]))
-        scenarios = build_scenarios(state, cid)
-        outcomes = gaming.run_gaming_experiment(
-            model, truth, state.fields, state.clim, state.stations, scenarios,
-            baseline_cache=(base_uns, base_preds))
-        self_outcomes[cid] = outcomes
-        for sc, o in zip(scenarios, outcomes):
+    manifest, outcome_rows = {}, []
+    for cid, outcomes in state.ensure_gaming().items():
+        for o in outcomes:
+            sc = o.scenario
             manifest[sc.scenario_id] = {
                 "kind": sc.kind, "attackers": list(sc.attackers),
                 "magnitude_pct": sc.magnitude_pct, "scope": sc.scope,
@@ -915,43 +933,16 @@ def stage_game(state: RunState) -> None:
                 sc.scope, sc.placement, ";".join(str(a) for a in sc.attackers),
                 o.inflation_ratio, o.mae_clean, o.mae_change, o.honest_share_change_pp,
                 o.attack_reached_model))
-        # one row per scenario, in build_scenarios order
-        arrays[f"baseline/{cid}"] = base_uns
-        arrays[f"attack/{cid}"] = np.array([o.attack_unsigned for o in outcomes]).reshape(-1, n)
-        for name in _OUTCOME_FLOATS + ("attack_reached_model",):
-            arrays[f"{name}/{cid}"] = np.array([float(getattr(o, name)) for o in outcomes])
     state.ws.write_json("results/gaming_scenarios.json", manifest)
     state.ws.write_csv("results/gaming_outcomes.csv",
                        ["scenario_id", "config_id", "kind", "n_attackers", "magnitude_pct",
                         "scope", "placement", "attackers", "inflation_ratio", "mae_clean",
                         "mae_change", "honest_share_change_pp", "attack_reached_model"],
                        outcome_rows)
-    state.ws.save_store(GAMING_STORE, state.stamp, arrays)
-    state._gaming_cache = self_outcomes
-
-
-def _load_gaming(state: RunState) -> dict[str, list[gaming.GamingOutcome]]:
-    if state._gaming_cache is not None:
-        return state._gaming_cache
-    stored = state.ws.load_store(GAMING_STORE, state.stamp)
-    if stored is None:
-        stage_game(state)
-        return state._gaming_cache
-    cache: dict[str, list[gaming.GamingOutcome]] = {}
-    for cid in _gaming_config_ids(state):
-        base = stored[f"baseline/{cid}"]
-        reached = stored[f"attack_reached_model/{cid}"]
-        cache[cid] = [gaming.GamingOutcome(
-            scenario=sc, baseline_unsigned=base.copy(), attack_unsigned=stored[f"attack/{cid}"][i],
-            attack_reached_model=bool(reached[i]),
-            **{name: float(stored[f"{name}/{cid}"][i]) for name in _OUTCOME_FLOATS})
-            for i, sc in enumerate(build_scenarios(state, cid))]
-    state._gaming_cache = cache
-    return cache
 
 
 def stage_detect(state: RunState) -> None:
-    outcomes_by_cid = _load_gaming(state)
+    outcomes_by_cid = state.ensure_gaming()
     nbrs = gaming.neighbor_model(state.stations)
     results_rows, summary_rows = [], []
     d7_data: dict[str, list] = {}

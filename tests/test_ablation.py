@@ -249,3 +249,44 @@ class TestJointAblation:
         with pytest.raises(ValueError):
             ablation.joint_ablation(desk_model, fields[0], 0.0, desk_stations, [],
                                     spec, clim)
+
+    def test_matches_single_call_oracle(self, desk_model, desk_model_d1, linear_model,
+                                        desk_data, desk_stations, desk_truth, var_std):
+        fields, clim = desk_data
+
+        def oracle(model, x, y_star, ids, spec):
+            """The B=1 body: one forward_values call per base, joint and single field."""
+            ids = sorted(set(ids))
+            mask = np.zeros(desk_stations.grid.shape[1:], dtype=bool)
+            for g in ids:
+                mask[ablation.patch_slices(desk_stations.grid, *desk_stations.cell(g),
+                                           spec.patch)] = True
+            vals = x.values.copy()
+            rng = np.random.default_rng(
+                np.random.SeedSequence((spec.seed, ablation._JOINT_TAG, int(x.timestamp))))
+            ablation._apply_mode(vals, *np.nonzero(mask), spec, clim.values, var_std, rng)
+            base_err = abs(model.forward_values(x.values) - y_star)
+            u_joint = abs(model.forward_values(vals) - y_star) - base_err
+            u_ind = np.array([abs(model.forward_values(ablation._perturb_values(
+                x, desk_stations, g, spec, clim, var_std)) - y_star) - base_err for g in ids])
+            return u_joint, u_ind
+
+        n_cases = 0
+        for model in (desk_model, desk_model_d1, linear_model):
+            rw, cw = model.influence_window()
+            order = np.argsort(desk_stations.distances_to(model.target.lat,
+                                                          model.target.lon), kind="stable")
+            nearest = [int(g) for g in order[:4]]  # in the window; patch 5 overlaps
+            for ids in (nearest[:2], nearest, [0, 1], [0, nearest[0]]):
+                for mode in ("mean_replace", "scale_bias", "additive_noise"):
+                    for patch in (1, 5):
+                        spec = ablation.PerturbationSpec(mode=mode, patch=patch, seed=11)
+                        for x in fields[:2]:
+                            y_star = desk_truth.verify(x)
+                            res = ablation.joint_ablation(model, x, y_star, desk_stations,
+                                                          ids, spec, clim, var_std)
+                            u_joint, u_ind = oracle(model, x, y_star, ids, spec)
+                            assert res.u_joint == u_joint, (model.model_id, ids, mode, patch)
+                            assert np.array_equal(res.u_individual, u_ind)
+                            n_cases += 1
+        assert n_cases == 3 * 4 * 3 * 2 * 2

@@ -16,7 +16,33 @@ def scenario(attackers, kind="inflate", pct=50.0, scope_vars=(0, 1, 2, 3, 4, 5),
 @pytest.fixture(scope="module")
 def baseline(desk_model, desk_data, desk_stations):
     fields, clim = desk_data
-    return gaming._period_scores(desk_model, fields, clim, desk_stations)
+    return gaming._period_scores(desk_model, np.stack([f.values for f in fields]), clim,
+                                 desk_stations)
+
+
+def oracle_attack(values, sc, clim, stations):
+    """The per-cell loop `apply_attack` ran before it was vectorised."""
+    vals = values.copy()
+    sv = list(sc.scope_variables)
+    for g in sc.attackers:
+        i, j = stations.cell(g)
+        if sc.kind == "inflate":
+            factor = 1.0 + sc.magnitude_pct / 100.0
+            vals[sv, i, j] = clim.values[sv, i, j] + factor * (vals[sv, i, j] - clim.values[sv, i, j])
+        else:
+            vals[sv, i, j] = clim.values[sv, i, j]
+    return vals
+
+
+def oracle_scenarios(stations, target):
+    close = gaming.sample_attackers(stations, target, 5, "close", 3)
+    mixed = gaming.sample_attackers(stations, target, 3, "mixed", 4)
+    far = gaming.sample_attackers(stations, target, 2, "uniform", 9)
+    return [scenario(close, pct=30.0), scenario(mixed, pct=200.0, scope_vars=(1,)),
+            scenario(close[:1], pct=50.0, scope_vars=(0, 3)),
+            scenario(far, kind="spoof", pct=0.0), scenario(close, kind="spoof", pct=0.0,
+                                                           scope_vars=(2, 5)),
+            scenario(mixed, pct=0.0)]
 
 
 class TestApplyAttack:
@@ -53,6 +79,23 @@ class TestApplyAttack:
         assert new == pytest.approx(1.5 * old, rel=1e-12)
         diff = np.sum(out.values != fields[0].values)
         assert diff == 1
+
+    def test_matches_per_cell_loop(self, desk_data, desk_stations, desk_target):
+        fields, clim = desk_data
+        for sc in oracle_scenarios(desk_stations, desk_target):
+            for f in fields[:3]:
+                out = gaming.apply_attack(f, sc, clim, desk_stations)
+                assert np.array_equal(out.values, oracle_attack(f.values, sc, clim,
+                                                                desk_stations)), sc
+
+    def test_invalid_inputs_rejected(self, desk_data, desk_stations):
+        fields, clim = desk_data
+        with pytest.raises(ValueError, match="scope variable"):
+            gaming.apply_attack(fields[0], scenario([3], scope_vars=(0, 6)), clim,
+                                desk_stations)
+        for bad in (-1, desk_stations.n_stations):  # -1 would wrap to the last station
+            with pytest.raises(IndexError, match="station id"):
+                gaming.apply_attack(fields[0], scenario([3, bad]), clim, desk_stations)
 
     def test_scope_resolution(self, desk_grid, desk_target):
         assert gaming.resolve_scope("single_target_var", desk_grid.variables,
@@ -135,6 +178,33 @@ class TestExperiment:
         assert out.attack_reached_model
         assert out.inflation_ratio > 1.0
         assert out.honest_share_change_pp < 100.0 * (out.inflation_ratio - 1.0)
+
+
+    def test_matches_per_field_oracle(self, desk_model, desk_model_d1, desk_truth, desk_data,
+                                      desk_stations, desk_target):
+        fields, clim = desk_data
+        scs = oracle_scenarios(desk_stations, desk_target)
+        for model in (desk_model, desk_model_d1):
+            base_uns, base_preds = gaming._period_scores(
+                model, np.stack([f.values for f in fields]), clim, desk_stations)
+            y_star = np.array([desk_truth.verify(f) for f in fields])
+            outs = gaming.run_gaming_experiment(model, desk_truth, fields, clim,
+                                                desk_stations, scs)
+            n_reached = 0
+            for sc, out in zip(scs, outs):
+                assert np.array_equal(out.baseline_unsigned, base_uns)
+                if not out.attack_reached_model:
+                    assert np.array_equal(out.attack_unsigned, base_uns)
+                    continue
+                n_reached += 1
+                stack = np.stack([oracle_attack(f.values, sc, clim, desk_stations)
+                                  for f in fields])
+                atk_uns, atk_preds = gaming._period_scores(model, stack, clim, desk_stations)
+                assert np.array_equal(out.attack_unsigned, atk_uns), sc
+                mae_change = (float(np.abs(atk_preds - y_star).mean())
+                              - float(np.abs(base_preds - y_star).mean()))
+                assert out.mae_change == mae_change, sc
+            assert 0 < n_reached < len(scs)
 
 
 class TestDetectors:

@@ -177,29 +177,75 @@ class TestRunFull:
         loaded = fresh.ensure_tables()
         recomputed_state = runner.RunState(cfg)
         recomputed_state.ws.files.clear()
-        recomputed_state._compute_tables()
+        recomputed = recomputed_state._compute_tables()
         assert set(loaded) == {"gi", "si_u", "gu", "su"}
-        for kind, tables in recomputed_state._tables.items():
-            assert list(loaded[kind]) == list(tables)
+        # every computed array is compared, in store order
+        names = [runner._store_name(kind, key) for kind in loaded for key in loaded[kind]]
+        assert names == list(recomputed)
+        compared = set()
+        for kind, tables in loaded.items():
             for key, arr in tables.items():
-                assert np.array_equal(loaded[kind][key], arr, equal_nan=True), (kind, key)
+                name = runner._store_name(kind, key)
+                assert np.array_equal(arr, recomputed[name], equal_nan=True), (kind, key)
+                compared.add(kind)
+        assert compared == {"gi", "si_u", "gu", "su"} and len(names) > 0
 
-    def test_loaded_gaming_matches_stage_game(self, tiny_run):
-        cfg, _, _ = tiny_run
-        state = runner.RunState(cfg)
-        runner.stage_game(state)
-        computed = state._gaming_cache
-        loaded = runner._load_gaming(runner.RunState(cfg))
-        assert list(loaded) == list(computed)
-        for cid, outcomes in computed.items():
-            assert len(loaded[cid]) == len(outcomes)
-            for a, b in zip(outcomes, loaded[cid]):
+    def test_loaded_gaming_matches_computed(self, tiny_run, tmp_path, monkeypatch):
+        cfg, out, _ = tiny_run
+        copy = tmp_path / "nogaming"
+        shutil.copytree(out, copy)
+        (copy / runner.GAMING_STORE).unlink()
+        raw, real = [], gaming.run_gaming_experiment
+
+        def recording(*args, **kwargs):
+            raw.append(real(*args, **kwargs))
+            return raw[-1]
+
+        monkeypatch.setattr(gaming, "run_gaming_experiment", recording)
+        computed = runner.RunState(replace(cfg, out_dir=str(copy))).ensure_gaming()
+        monkeypatch.undo()
+        loaded = runner.RunState(cfg).ensure_gaming()
+        assert list(loaded) == list(computed) == runner._gaming_config_ids(runner.RunState(cfg))
+        assert len(raw) == len(loaded) > 0
+        for cid, outcomes in zip(loaded, raw):
+            assert len(loaded[cid]) == len(computed[cid]) == len(outcomes) > 0
+            for a, b, c in zip(outcomes, loaded[cid], computed[cid]):
                 for f in dataclasses.fields(gaming.GamingOutcome):
-                    x, y = getattr(a, f.name), getattr(b, f.name)
+                    x, y, z = getattr(a, f.name), getattr(b, f.name), getattr(c, f.name)
                     if isinstance(x, np.ndarray):
-                        assert np.array_equal(x, y), (cid, f.name)
+                        assert np.array_equal(x, y) and np.array_equal(x, z), (cid, f.name)
                     else:
-                        assert x == y and type(x) is type(y), (cid, f.name)
+                        assert x == y == z and type(x) is type(y) is type(z), (cid, f.name)
+        assert (copy / runner.GAMING_STORE).read_bytes() == (out / runner.GAMING_STORE).read_bytes()
+
+    def test_game_reuses_matching_gaming_store(self, tiny_run, tmp_path, monkeypatch):
+        cfg, out, _ = tiny_run
+        copy = tmp_path / "regame"
+        shutil.copytree(out, copy)
+        for rel in ("gaming_outcomes.csv", "gaming_scenarios.json"):
+            (copy / "results" / rel).unlink()
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a matching gaming store runs no experiment")
+
+        monkeypatch.setattr(gaming, "run_gaming_experiment", boom)
+        state = runner.RunState(replace(cfg, out_dir=str(copy)))
+        runner.run_stage(state, "game")
+        runner.run_stage(state, "detect")
+        for rel in ("gaming_outcomes.csv", "gaming_scenarios.json", "gaming_results.csv",
+                    "detection_summary.csv"):
+            assert (copy / "results" / rel).read_bytes() == (out / "results" / rel).read_bytes()
+
+    def test_detect_alone_writes_only_its_results(self, tiny_run, tmp_path):
+        cfg, out, _ = tiny_run
+        alone = tmp_path / "detect"
+        manifest = runner.run_full(replace(cfg, out_dir=str(alone)), stage_filter=("detect",))
+        assert manifest["ok"]
+        for rel in (runner.GAMING_STORE, "results/gaming_results.csv",
+                    "results/detection_summary.csv"):
+            assert (alone / rel).read_bytes() == (out / rel).read_bytes(), rel
+        assert sorted(p.name for p in (alone / "results").iterdir()) == [
+            "detection_summary.csv", "gaming_results.csv"]
 
     def test_intermediate_stores_layout(self, tiny_run):
         _, out, manifest = tiny_run
@@ -268,14 +314,17 @@ class TestRunFull:
         shutil.copytree(out, copy)
 
         def boom(self):
-            raise AssertionError("distances come from the config, not the models")
+            raise AssertionError("analysis stages read the stores and build no shared models")
 
         monkeypatch.setattr(runner.RunState, "ensure_models", boom)
         state = runner.RunState(replace(cfg, out_dir=str(copy)))
-        for name in ("calibrate", "select", "pay"):
+        for name in ("fidelity", "methods", "calibrate", "select", "pay", "converge"):
             runner.run_stage(state, name)
-        for rel in ("calibration_deciles.csv", "calibration_summary.csv", "selection.csv",
-                    "payments.csv", "payment_stability.csv", "shrinkage.csv"):
+        for rel in ("fidelity_global.csv", "fidelity_spatial.csv", "methods_summary.csv",
+                    "methods_pairwise.csv", "k_sensitivity.csv", "baseline_sensitivity.csv",
+                    "scale_invariance.csv", "calibration_deciles.csv", "calibration_summary.csv",
+                    "selection.csv", "payments.csv", "payment_stability.csv", "shrinkage.csv",
+                    "convergence.csv"):
             assert (copy / "results" / rel).read_bytes() == (out / "results" / rel).read_bytes()
 
     def test_budget_clipping_warns(self, tiny_run):
