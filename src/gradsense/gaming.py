@@ -361,16 +361,14 @@ def _logistic_gd(features: np.ndarray, labels: np.ndarray, iters: int = 300,
     return w
 
 
-def scenario_features(outcome: GamingOutcome, stations: StationGrid, target: TargetSpec,
-                      neighbors=None) -> np.ndarray:
-    """Per-station feature rows: d3, d4, d5, baseline share, distance to target."""
-    d3 = detector_d3_rank_jump(outcome.baseline_unsigned, outcome.attack_unsigned)
-    d4 = detector_d4_proxy_log_ratio(outcome.baseline_unsigned, outcome.attack_unsigned)
-    d5 = detector_d5_spatial_residual(outcome.attack_unsigned, stations, neighbors=neighbors)
+def scenario_features(outcome: GamingOutcome, detections: list[DetectionResult],
+                      stations: StationGrid, target: TargetSpec) -> np.ndarray:
+    """Per-station feature rows: d3, d4, d5 (from `score_scenario`), baseline share, distance."""
+    suspicion = {r.detector: r.suspicion for r in detections}
     total = outcome.baseline_unsigned.sum()
-    share = outcome.baseline_unsigned / total if total > 0 else np.zeros_like(d4)
+    share = outcome.baseline_unsigned / total if total > 0 else np.zeros_like(suspicion["d4"])
     dist = stations.distances_to(target.lat, target.lon)
-    return np.column_stack([d3, d4, d5, share, dist])
+    return np.column_stack([suspicion["d3"], suspicion["d4"], suspicion["d5"], share, dist])
 
 
 def detector_d7_supervised(config_data: dict[str, list[tuple[np.ndarray, np.ndarray]]],

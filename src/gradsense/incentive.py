@@ -17,6 +17,8 @@ import numpy as np
 from .metrics import gini, spearman, topk_indices
 
 STRATEGIES = ("ig", "gti", "vg", "distance", "uniform", "oracle")
+MIN_STATIONS = 10    # decile_calibration: one station per decile at least
+MIN_TIMESTAMPS = 10  # payment_stability: cycles to resample
 
 
 @dataclass(frozen=True)
@@ -157,8 +159,8 @@ def decile_calibration(proxy_scores, utilities) -> CalibrationReport:
     proxy = np.asarray(proxy_scores, dtype=np.float64)
     u_abs = np.abs(np.asarray(utilities, dtype=np.float64))
     n = proxy.size
-    if n < 10:
-        raise ValueError("decile calibration needs at least 10 stations")
+    if n < MIN_STATIONS:
+        raise ValueError(f"decile calibration needs at least {MIN_STATIONS} stations")
     if u_abs.shape != proxy.shape:
         raise ValueError("proxy and utility vectors must align")
     order = np.lexsort((np.arange(n), proxy))  # ascending, ties by id
@@ -203,8 +205,8 @@ def payment_stability(score_matrix, n_resamples: int = 10000, level: float = 0.9
     if m.ndim != 2:
         raise ValueError("score matrix must be (timestamps, stations)")
     t, n = m.shape
-    if t < 10:
-        raise ValueError(f"need at least 10 timestamps, got {t}")
+    if t < MIN_TIMESTAMPS:
+        raise ValueError(f"need at least {MIN_TIMESTAMPS} timestamps, got {t}")
     if n_resamples < 1000:
         raise ValueError("need at least 1000 resamples")
     point_scores = m.mean(axis=0)

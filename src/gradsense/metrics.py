@@ -3,18 +3,25 @@
 Everything here is implemented directly (average-rank Spearman with a
 t-approximation, one-sided Wilcoxon signed-rank with exact enumeration for
 small n, Benjamini-Hochberg step-up, trapezoidal PR-AUC with tie grouping,
-percentile bootstrap in i.i.d. and spatial-block flavours) so the exact
-conventions are pinned.  The only SciPy import is `scipy.special.stdtr`, the
-Student t tail behind the Spearman p-value.  All randomized procedures
-reproduce bit-identically from their seed.
+percentile bootstrap over spatial blocks) so the exact conventions are
+pinned.  The only SciPy import is `scipy.special.stdtr`, the Student t tail
+behind the Spearman p-value.  All randomized procedures reproduce
+bit-identically from their seed.
 
 Every Spearman correlation goes through one path: rows of average ranks
 (`average_ranks_matrix`, or `resample_ranks` for bootstrap resamples) and
 their row-wise Pearson correlation `_rank_rho`.  `spearman_rows` correlates
 matching rows of two matrices, `spearman` is its one-row case, and
-`PairedSpearmanStat.batched` feeds it resampled ranks.  Centred average ranks
-are multiples of 1/2, so every sum in `_rank_rho` is exact and no batching or
+`paired_spearman` feeds it resampled ranks.  Centred average ranks are
+multiples of 1/2, so every sum in `_rank_rho` is exact and no batching or
 summation order can change a bit of rho or of its p-value.
+
+There is one bootstrap resampler, `bootstrap_block_spatial`; `bootstrap_iid`
+is its case with one singleton block per row, in index order, which draws the
+index matrix an i.i.d. row draw would.  A bootstrap statistic is one batched
+function, `statistic(values, idx)`, returning the statistic of `values[row]`
+for each row of a (resamples, m) index matrix; the point estimate is its value
+on the identity resample `np.arange(n)[None]`.
 """
 
 from __future__ import annotations
@@ -26,6 +33,8 @@ import numpy as np
 from scipy.special import stdtr
 
 from .grid import StationGrid
+
+MIN_SAMPLES = 3  # observations behind a Spearman rho or a bootstrap
 
 
 @dataclass(frozen=True)
@@ -43,7 +52,6 @@ class BootstrapCI:
     upper: float
     level: float
     resamples: int
-    scheme: str
 
     def __post_init__(self):
         if self.resamples < 1000:
@@ -135,28 +143,13 @@ def spearman_rows(a, b) -> tuple[np.ndarray, np.ndarray]:
     if a.shape != b.shape or a.ndim != 2:
         raise ValueError("inputs must be equal-shape (rows, n) matrices")
     rows, n = a.shape
-    if n < 3:
-        raise ValueError("need at least 3 observations")
+    if n < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} observations")
     ranks = average_ranks_matrix(np.concatenate([a, b]))
     rho = _rank_rho(ranks[:rows], ranks[rows:])
     with np.errstate(invalid="ignore", divide="ignore"):
         tstat = rho * np.sqrt((n - 2) / (1.0 - rho * rho))
     return rho, np.where(np.abs(rho) == 1.0, 0.0, 2.0 * stdtr(n - 2, -np.abs(tstat)))
-
-
-class PairedSpearmanStat:
-    """Spearman rho of the two columns of an (n, 2) sample; nan if undefined.
-
-    Usable as a bootstrap statistic; `batched` evaluates many index resamples
-    at once, which the bootstrap helpers exploit when present.
-    """
-
-    def __call__(self, rows: np.ndarray) -> float:
-        rc = spearman(rows[:, 0], rows[:, 1])
-        return rc.rho if not rc.undefined else math.nan
-
-    def batched(self, arr: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return _rank_rho(resample_ranks(arr[:, 0], idx), resample_ranks(arr[:, 1], idx))
 
 
 def spearman(a, b) -> RankCorrelation:
@@ -174,6 +167,14 @@ def spearman(a, b) -> RankCorrelation:
     if math.isnan(rho[0]):
         return RankCorrelation(rho=math.nan, n=a.size, p_value=math.nan, undefined=True)
     return RankCorrelation(rho=float(rho[0]), n=a.size, p_value=float(p[0]))
+
+
+def paired_spearman(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Spearman rho of the two columns of an (n, 2) sample, per resample row of `idx`.
+
+    A bootstrap statistic; NaN where a resample leaves either column constant.
+    """
+    return _rank_rho(resample_ranks(values[:, 0], idx), resample_ranks(values[:, 1], idx))
 
 
 def topk_indices(scores, k: int) -> np.ndarray:
@@ -281,59 +282,43 @@ def pr_auc(scores, labels) -> float:
     return float(area)
 
 
-def _percentile_ci(stats: np.ndarray, point: float, level: float, resamples: int,
-                   scheme: str) -> BootstrapCI:
+def _percentile_ci(stats: np.ndarray, point: float, level: float,
+                   resamples: int) -> BootstrapCI:
     good = stats[np.isfinite(stats)]
     if good.size < stats.size // 2 or good.size == 0:
         raise ValueError("statistic was undefined on most resamples")
     alpha = (1.0 - level) / 2.0
     lo, hi = np.percentile(good, [100 * alpha, 100 * (1 - alpha)])
     return BootstrapCI(point=float(point), lower=float(lo), upper=float(hi),
-                       level=level, resamples=resamples, scheme=scheme)
+                       level=level, resamples=resamples)
 
 
 def bootstrap_iid(values, statistic, n_resamples: int = 10000, level: float = 0.95,
                   seed: int = 0) -> BootstrapCI:
-    """Percentile CI by resampling rows of `values` with replacement."""
-    arr = np.asarray(values, dtype=np.float64)
-    n = arr.shape[0]
-    if n < 3:
-        raise ValueError("need at least 3 samples to bootstrap")
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), n_resamples)))
-    idx = rng.integers(0, n, size=(n_resamples, n))
-    batched = getattr(statistic, "batched", None)
-    if batched is not None:
-        stats = np.asarray(batched(arr, idx))
-    else:
-        stats = np.array([statistic(arr[row]) for row in idx])
-    return _percentile_ci(stats, statistic(arr), level, n_resamples, "iid")
+    """Percentile CI resampling rows of `values` with replacement: singleton blocks."""
+    n = np.shape(values)[0]
+    if n < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples to bootstrap")
+    return bootstrap_block_spatial(values, list(np.arange(n)[:, None]), statistic,
+                                   n_resamples, level, seed)
 
 
 def station_blocks(stations: StationGrid, block: int = 2) -> list[np.ndarray]:
     """Partition a strided station lattice into block x block neighbourhoods."""
     if block < 1:
         raise ValueError("block must be >= 1")
-    rows = np.unique(stations.lat_idx)
+    # a station's lattice row and column are its ranks among the occupied ones
+    row = np.searchsorted(np.unique(stations.lat_idx), stations.lat_idx)
     cols = np.unique(stations.lon_idx)
-    row_rank = {int(r): i for i, r in enumerate(rows)}
-    col_rank = {int(c): i for i, c in enumerate(cols)}
-    n_cb = math.ceil(cols.size / block)
-    keys = np.array([
-        (row_rank[int(stations.lat_idx[g])] // block) * n_cb
-        + col_rank[int(stations.lon_idx[g])] // block
-        for g in range(stations.n_stations)
-    ])
+    col = np.searchsorted(cols, stations.lon_idx)
+    keys = (row // block) * math.ceil(cols.size / block) + col // block
     return [np.flatnonzero(keys == key) for key in np.unique(keys)]
 
 
 def bootstrap_block_spatial(values, blocks: list[np.ndarray], statistic,
                             n_resamples: int = 10000, level: float = 0.95,
                             seed: int = 0) -> BootstrapCI:
-    """Percentile CI resampling whole spatial blocks; members move together.
-
-    With singleton blocks in index order this draws the exact same index
-    paths as `bootstrap_iid` for the same seed.
-    """
+    """Percentile CI resampling whole spatial blocks; members move together."""
     arr = np.asarray(values, dtype=np.float64)
     n_blocks = len(blocks)
     if n_blocks == 0 or any(len(b) == 0 for b in blocks):
@@ -351,15 +336,11 @@ def bootstrap_block_spatial(values, blocks: list[np.ndarray], statistic,
         table[j, :len(b)] = b
     gathered = table[draws].reshape(n_resamples, -1)
     lengths = sizes[draws].sum(axis=1)
-    batched = getattr(statistic, "batched", None)
     stats = np.empty(n_resamples)
     # bucket resamples by total length so each bucket is one index matrix
     for length in np.unique(lengths):
         sel = np.flatnonzero(lengths == length)
         rows = gathered[sel]
-        idx = rows[rows >= 0].reshape(sel.size, length)
-        if batched is not None:
-            stats[sel] = batched(arr, idx)
-        else:
-            stats[sel] = [statistic(arr[row]) for row in idx]
-    return _percentile_ci(stats, statistic(arr), level, n_resamples, "block")
+        stats[sel] = statistic(arr, rows[rows >= 0].reshape(sel.size, length))
+    point = statistic(arr, np.arange(arr.shape[0])[None])[0]
+    return _percentile_ci(stats, point, level, n_resamples)

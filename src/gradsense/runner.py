@@ -13,6 +13,8 @@ when the stamp matches the config, else computed and saved.  Either way the
 `RunState.ensure_*` entry points decode the arrays it returns, so a fresh and
 a resumed run share all code after that point.  Stages can run standalone; a
 stage writes only its own results, and its prerequisites go into stores.
+`run_full` under a config other than the directory's saved `config.yaml`
+first removes the artifacts of the old one.
 """
 
 from __future__ import annotations
@@ -108,8 +110,8 @@ class ExperimentConfig:
     gaming: GamingDesign = field(default_factory=GamingDesign)
 
     def validate(self) -> None:
-        make_grid(GridConfig(self.n_lat, self.n_lon, self.lat_min, self.lat_max,
-                             self.lon_min, self.lon_max, self.variables))
+        grid = make_grid(GridConfig(self.n_lat, self.n_lon, self.lat_min, self.lat_max,
+                                    self.lon_min, self.lon_max, self.variables))
         for tv in self.target_variables:
             if tv not in self.variables:
                 raise ValueError(f"target variable {tv!r} not in grid variables")
@@ -133,8 +135,13 @@ class ExperimentConfig:
             raise ValueError("stability_top_k must be >= 1")
         if any(k < 1 for k in self.selection_budgets):
             raise ValueError("selection_budgets entries must be >= 1")
-        if self.n_timestamps < 2:
-            raise ValueError("need at least 2 timestamps")
+        # the pay, fidelity and calibrate stages reject smaller inputs
+        if self.n_timestamps < incentive.MIN_TIMESTAMPS:
+            raise ValueError(f"need at least {incentive.MIN_TIMESTAMPS} timestamps")
+        if len(self.variables) < metrics.MIN_SAMPLES:
+            raise ValueError(f"need at least {metrics.MIN_SAMPLES} variables")
+        if make_station_grid(grid, self.station_stride).n_stations < incentive.MIN_STATIONS:
+            raise ValueError(f"station_stride leaves under {incentive.MIN_STATIONS} stations")
         if self.bootstrap_resamples < 1000:
             raise ValueError("bootstrap_resamples must be at least 1000")
         if not 0 < self.bootstrap_level < 1:
@@ -271,6 +278,13 @@ class Workspace:
     def has(self, rel: str) -> bool:
         return self.path(rel).exists()
 
+    def clear(self) -> None:
+        """Remove the files directly in data/, tables/ and results/, and the manifest."""
+        stale = [p for sub in ("data", "tables", "results") for p in (self.root / sub).glob("*")]
+        for p in stale + [self.root / "manifest.json"]:
+            if p.is_file():
+                p.unlink()
+
 
 def _cell(value) -> str:
     if isinstance(value, float):
@@ -348,7 +362,9 @@ class RunState:
         return {"fields": np.stack([f.values for f in fields]), "climatology": clim.values}
 
     def make_model(self, cid: str) -> DeskModel:
-        """The surrogate of config id d{depth}-{name}-{variable}, from the config alone."""
+        """The surrogate of config id d{depth}-{name}-{variable}; reuses an `ensure_models` one."""
+        if cid in self.models:
+            return self.models[cid][0]
         cfg = self.cfg
         return make_desk_model(child_seed(cfg.seed, "model", cid), self.grid,
                                self.target_of(cid), depth=int(cid.split("-")[0][1:]),
@@ -493,9 +509,6 @@ class RunState:
         return self.stations.distances_to(target.lat, target.lon)
 
 
-_spearman_stat = metrics.PairedSpearmanStat()
-
-
 def _global_ks(state: RunState) -> tuple[int, ...]:
     return tuple(k for k in (1, 3, 5) if k <= state.grid.n_variables)
 
@@ -564,7 +577,7 @@ def stage_fidelity(state: RunState) -> None:
             imp = gi[(cid, key)]
             ag = _agreement(imp, util, gks, q)
             pairs = np.column_stack([np.nanmean(imp, axis=0), util.mean(axis=0)])
-            ci = metrics.bootstrap_iid(pairs, _spearman_stat, boot_n, level,
+            ci = metrics.bootstrap_iid(pairs, metrics.paired_spearman, boot_n, level,
                                        seed=child_seed(cfg.seed, "gci", cid, key))
             g_rows.append(_row(cid, key, ag.agg.rho, ag.agg.p_value, ci.lower, ci.upper,
                                *ag.overlaps, ag.wilcoxon_p, ag.bh_count, ag.mean_cycle_rho))
@@ -586,7 +599,7 @@ def stage_fidelity(state: RunState) -> None:
             if key == state.primary_key():
                 pairs = np.column_stack([imp.mean(axis=0), util_abs.mean(axis=0)])
                 ci = metrics.bootstrap_block_spatial(
-                    pairs, blocks, _spearman_stat, boot_n, level,
+                    pairs, blocks, metrics.paired_spearman, boot_n, level,
                     seed=child_seed(cfg.seed, "sci", cid, mode, patch))
                 lo, hi = ci.lower, ci.upper
             else:
@@ -669,7 +682,6 @@ def stage_methods(state: RunState) -> None:
 
 def _scale_invariance_table(state: RunState) -> None:
     """Plant a unit change in one variable and record which proxies move."""
-    cfg = state.cfg
     state.ensure_data()
     cid = state.config_ids()[len(state.config_ids()) // 2]
     model = state.make_model(cid)
@@ -678,12 +690,10 @@ def _scale_invariance_table(state: RunState) -> None:
     var = int(np.argmax(vg_imp))
     factor = 1000.0
     scaled_model = model.with_rescaled_variable(var, factor)
-    n_check = min(10, cfg.n_timestamps)
     max_dev = {"ig": 0.0, "gti": 0.0}
     vg_rank_changed = False
     sel_same = True
-    for t in range(n_check):
-        f = state.fields[t]
+    for f in state.fields[:10]:  # the first 10 cycles suffice to see a proxy move
         sv = f.values.copy()
         sv[var] *= factor
         scl = state.clim.values.copy()
@@ -961,8 +971,8 @@ def stage_detect(state: RunState) -> None:
             if o.scenario.kind == "inflate":
                 labels = np.zeros(state.stations.n_stations, dtype=int)
                 labels[list(o.scenario.attackers)] = 1
-                d7_data[cid].append((gaming.scenario_features(o, state.stations, target,
-                                                              neighbors=nbrs), labels))
+                d7_data[cid].append((gaming.scenario_features(o, res, state.stations, target),
+                                     labels))
         for s in gaming.evaluate_detection(per_scenario, outcomes,
                                            state.stations.n_stations):
             summary_rows.append(_row(cid, s.kind, s.detector, s.n_scenarios,
@@ -1136,7 +1146,15 @@ def run_full(cfg: ExperimentConfig, stage_filter: tuple[str, ...] | None = None)
     under `failures`, and `ok` is False if anything failed.
     """
     state = RunState(cfg)
-    save_config(cfg, state.ws.path("config.yaml"))
+    saved = state.ws.path("config.yaml")
+    if saved.exists():  # else gradsense never ran here, and nothing is its to clear
+        try:  # saved before any stage runs, config.yaml names the last config run here
+            old = config_hash(load_config(saved))
+        except (OSError, yaml.YAMLError, ValueError, TypeError, AttributeError):
+            old = None  # unreadable
+        if old != state.stamp:  # one directory never mixes the artifacts of two configs
+            state.ws.clear()
+    save_config(cfg, saved)
     state.ws.register("config.yaml")
     wanted = stage_filter or STAGES
     for name in STAGES:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,9 @@ from gradsense import metrics, synth
 from gradsense.grid import GridConfig, make_grid, make_station_grid
 
 
-def mean_stat(rows):
-    return float(np.mean(rows if rows.ndim == 1 else rows[:, 0]))
+def mean_stat(values, idx):
+    """Mean of each resample row (of the first column, for an (n, 2) sample)."""
+    return (values if values.ndim == 1 else values[:, 0])[idx].mean(axis=1)
 
 
 class TestIidBootstrap:
@@ -32,6 +35,75 @@ class TestIidBootstrap:
     def test_minimum_resamples_enforced(self, rng):
         with pytest.raises(ValueError):
             metrics.bootstrap_iid(rng.normal(size=10), mean_stat, 500)
+
+
+class OldPairedSpearmanStat:
+    """`PairedSpearmanStat` as it was: `__call__` on a sample, `batched` on index rows."""
+
+    def __call__(self, rows):
+        rc = metrics.spearman(rows[:, 0], rows[:, 1])
+        return rc.rho if not rc.undefined else math.nan
+
+    def batched(self, arr, idx):
+        return metrics._rank_rho(metrics.resample_ranks(arr[:, 0], idx),
+                                 metrics.resample_ranks(arr[:, 1], idx))
+
+
+def old_mean_stat(rows):
+    return float(np.mean(rows if rows.ndim == 1 else rows[:, 0]))
+
+
+def oracle_bootstrap_iid(values, statistic, n_resamples, level, seed):
+    """`bootstrap_iid` as it was: its own row draw, then `batched` or a per-row loop."""
+    arr = np.asarray(values, dtype=np.float64)
+    n = arr.shape[0]
+    rng = np.random.default_rng(np.random.SeedSequence((int(seed), n_resamples)))
+    idx = rng.integers(0, n, size=(n_resamples, n))
+    batched = getattr(statistic, "batched", None)
+    if batched is not None:
+        stats = np.asarray(batched(arr, idx))
+    else:
+        stats = np.array([statistic(arr[row]) for row in idx])
+    return metrics._percentile_ci(stats, statistic(arr), level, n_resamples)
+
+
+def _iid_cases(rng, n):
+    """(name, (n, 2) sample) pairs: plain, tied, signed-zero, NaN, near-constant, constant."""
+    x = rng.normal(size=n)
+    ties = rng.integers(0, 3, size=(n, 2)).astype(float)
+    zeros = rng.choice([-0.0, 0.0, 1.0], size=(n, 2))
+    with_nan = rng.normal(size=(n, 2))
+    with_nan[rng.integers(0, n), 0] = np.nan
+    near_constant = np.full(n, 2.5)
+    near_constant[rng.integers(0, n)] = -1.0
+    return [("plain", np.column_stack([x, x + rng.normal(size=n)])),
+            ("ties", ties), ("signed_zero", zeros), ("nan", with_nan),
+            ("near_constant", np.column_stack([near_constant, x])),
+            ("constant", np.column_stack([x, np.full(n, -0.0)]))]
+
+
+class TestIidIsSingletonBlocks:
+    def test_matches_old_iid_body(self, rng):
+        compared = raised = 0
+        for n in (3, 4, 6, 17, 60):
+            for name, pairs in _iid_cases(rng, n):
+                old_point = OldPairedSpearmanStat()(pairs)
+                new_point = metrics.paired_spearman(pairs, np.arange(n)[None])[0]
+                assert np.array_equal(new_point, old_point, equal_nan=True), (n, name)
+                for seed, level in ((0, 0.95), (7, 0.9), (123, 0.5)):
+                    for new_stat, old_stat in ((metrics.paired_spearman, OldPairedSpearmanStat()),
+                                               (mean_stat, old_mean_stat)):
+                        try:
+                            old = oracle_bootstrap_iid(pairs, old_stat, 1000, level, seed)
+                        except ValueError as exc:
+                            with pytest.raises(ValueError, match=str(exc)):
+                                metrics.bootstrap_iid(pairs, new_stat, 1000, level, seed)
+                            raised += 1
+                            continue
+                        new = metrics.bootstrap_iid(pairs, new_stat, 1000, level, seed)
+                        assert new == old, (n, name, seed, level, new_stat)
+                        compared += 1
+        assert compared >= 120 and raised >= 15
 
 
 class TestStationBlocks:
@@ -96,38 +168,23 @@ def oracle_block_bootstrap(values, blocks, statistic, n_resamples, level, seed):
     n_blocks = len(blocks)
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), n_resamples)))
     draws = rng.integers(0, n_blocks, size=(n_resamples, n_blocks))
-    batched = getattr(statistic, "batched", None)
     stats = np.empty(n_resamples)
-    if batched is not None:
-        sizes = np.array([len(b) for b in blocks])
-        lengths = sizes[draws].sum(axis=1)
-        offsets = np.concatenate([[0], np.cumsum(sizes)])
-        flat = np.concatenate(blocks)
-        for length in np.unique(lengths):
-            sel = np.flatnonzero(lengths == length)
-            idx = np.empty((sel.size, length), dtype=np.intp)
-            for row, i in enumerate(sel):
-                idx[row] = np.concatenate(
-                    [flat[offsets[j]:offsets[j] + sizes[j]] for j in draws[i]])
-            stats[sel] = batched(arr, idx)
-    else:
-        for i in range(n_resamples):
-            idx = np.concatenate([blocks[j] for j in draws[i]])
-            stats[i] = statistic(arr[idx])
-    return metrics._percentile_ci(stats, statistic(arr), level, n_resamples, "block")
+    for i in range(n_resamples):
+        idx = np.concatenate([blocks[j] for j in draws[i]])
+        stats[i] = statistic(arr, idx[None])[0]
+    point = statistic(arr, np.arange(arr.shape[0])[None])[0]
+    return metrics._percentile_ci(stats, point, level, n_resamples)
 
 
-class SortedRanksSpearmanStat(metrics.PairedSpearmanStat):
-    """`PairedSpearmanStat.batched` as it was: one sort per resample row."""
-
-    def batched(self, arr, idx):
-        ra = metrics.average_ranks_matrix(arr[idx, 0])
-        rb = metrics.average_ranks_matrix(arr[idx, 1])
-        ra -= ra.mean(axis=1, keepdims=True)
-        rb -= rb.mean(axis=1, keepdims=True)
-        den = np.sqrt((ra * ra).sum(axis=1) * (rb * rb).sum(axis=1))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(den > 0, np.clip((ra * rb).sum(axis=1) / den, -1, 1), np.nan)
+def sorted_ranks_spearman(values, idx):
+    """`paired_spearman` as it was first batched: one sort per resample row."""
+    ra = metrics.average_ranks_matrix(values[idx, 0])
+    rb = metrics.average_ranks_matrix(values[idx, 1])
+    ra -= ra.mean(axis=1, keepdims=True)
+    rb -= rb.mean(axis=1, keepdims=True)
+    den = np.sqrt((ra * ra).sum(axis=1) * (rb * rb).sum(axis=1))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(den > 0, np.clip((ra * rb).sum(axis=1) / den, -1, 1), np.nan)
 
 
 class TestVectorizedKernelsBitIdentical:
@@ -135,19 +192,16 @@ class TestVectorizedKernelsBitIdentical:
     def test_block_bootstrap_matches_oracle(self, rng, desk_stations, block):
         blocks = metrics.station_blocks(desk_stations, block)
         n = desk_stations.n_stations
-        spearman_stat = metrics.PairedSpearmanStat()
-        unbatched_spearman = spearman_stat.__call__  # no `batched` attribute
         for seed in (0, 7, 11):
             pairs = np.column_stack([rng.normal(size=n), rng.integers(0, 6, n) * 0.5])
-            for statistic in (spearman_stat, unbatched_spearman, mean_stat):
+            for statistic in (metrics.paired_spearman, mean_stat):
                 new = metrics.bootstrap_block_spatial(pairs, blocks, statistic, 1000,
                                                       0.9, seed=seed)
                 old = oracle_block_bootstrap(pairs, blocks, statistic, 1000, 0.9, seed)
                 assert new == old, (block, seed, statistic)
-            old = oracle_block_bootstrap(pairs, blocks, SortedRanksSpearmanStat(), 1000,
-                                         0.9, seed)
-            assert metrics.bootstrap_block_spatial(pairs, blocks, spearman_stat, 1000,
-                                                   0.9, seed=seed) == old
+            old = oracle_block_bootstrap(pairs, blocks, sorted_ranks_spearman, 1000, 0.9, seed)
+            assert metrics.bootstrap_block_spatial(pairs, blocks, metrics.paired_spearman,
+                                                   1000, 0.9, seed=seed) == old
 
     def test_batched_spearman_heavy_ties_and_constant_rows(self, rng):
         n, rows = 40, 300
@@ -156,8 +210,8 @@ class TestVectorizedKernelsBitIdentical:
         idx = rng.integers(0, n, size=(rows, 25))
         idx[:10] = idx[:10, :1]  # every index equal: both columns constant
         idx[10:20] = rng.choice(np.flatnonzero(arr[:, 1] == 2.0), size=(10, 25))
-        new = metrics.PairedSpearmanStat().batched(arr, idx)
-        old = SortedRanksSpearmanStat().batched(arr, idx)
+        new = metrics.paired_spearman(arr, idx)
+        old = sorted_ranks_spearman(arr, idx)
         assert np.all(np.isnan(new[:20])) and np.isfinite(new[20:]).any()
         assert np.array_equal(new, old, equal_nan=True)
         for col in range(2):

@@ -336,6 +336,16 @@ class TestEvaluation:
                                             baseline_cache=baseline)
         per = {o.scenario.scenario_id: gaming.score_scenario(o, desk_stations)
                for o in outs}
+        # the D7 features reuse the d3/d4/d5 suspicions; oracle: recomputing them
+        dist = desk_stations.distances_to(desk_target.lat, desk_target.lon)
+        for o in outs:
+            b, a = o.baseline_unsigned, o.attack_unsigned
+            recomputed = np.column_stack([
+                gaming.detector_d3_rank_jump(b, a), gaming.detector_d4_proxy_log_ratio(b, a),
+                gaming.detector_d5_spatial_residual(a, desk_stations), b / b.sum(), dist])
+            features = gaming.scenario_features(o, per[o.scenario.scenario_id],
+                                                desk_stations, desk_target)
+            assert np.array_equal(features, recomputed)
         summaries = gaming.evaluate_detection(per, outs, desk_stations.n_stations)
         kinds = {(s.kind, s.detector) for s in summaries}
         assert ("inflate", "d4") in kinds and ("spoof", "d4") in kinds

@@ -73,9 +73,13 @@ class TestConfig:
                            ({"modes": ("mean_replace", "swap")}, "modes"),
                            ({"ig_step_grid": (0, 8)}, "ig_step_grid"),
                            ({"stability_top_k": 0}, "stability_top_k"),
-                           ({"selection_budgets": (0, 5)}, "selection_budgets")):
+                           ({"selection_budgets": (0, 5)}, "selection_budgets"),
+                           ({"n_timestamps": 9}, "timestamps"),
+                           ({"variables": ("t2m", "u10m")}, "variables"),
+                           ({"station_stride": 7}, "station_stride")):  # 3 x 3 stations
             with pytest.raises(ValueError, match=match):
                 tiny_config(tmp_path, **bad).validate()
+        tiny_config(tmp_path, n_timestamps=10, station_stride=6).validate()  # 3 x 4 stations
         # config ids are d{depth}-{name}-{var}, parsed back with split("-", 2)
         with pytest.raises(ValueError, match="'-'"):
             tiny_config(
@@ -280,8 +284,47 @@ class TestRunFull:
         for sub in ("results", "tables", "data"):
             assert _hash_tree(reused / sub) == _hash_tree(fresh / sub), sub
 
+    def test_config_change_clears_other_artifacts(self, tiny_run, tmp_path):
+        cfg, out, _ = tiny_run
+
+        def on_disk(root):
+            return {str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()}
+
+        def rerun(name, stages, **changes):
+            copy = tmp_path / name
+            shutil.copytree(out, copy)
+            if name == "garbled":
+                (copy / "config.yaml").write_text("seed: [unclosed\n")
+            if name == "foreign":  # a directory gradsense never ran in, with files of its own
+                (copy / "config.yaml").unlink()
+                (copy / "data/mine.csv").write_text("a,b\n")
+            (copy / "data/own").mkdir()
+            (copy / "data/own/notes.txt").write_text("kept\n")
+            manifest = runner.run_full(replace(cfg, out_dir=str(copy), **changes),
+                                       stage_filter=stages)
+            assert manifest["ok"], name
+            return copy, manifest
+
+        # the same config keeps the files of the stages this run skips
+        same, _ = rerun("same", ("report",))
+        assert on_disk(same) == on_disk(out) | {"data/own/notes.txt"}
+        assert (same / "results/report.md").read_bytes() == (out / "results/report.md").read_bytes()
+        # without a config.yaml nothing is cleared, so a foreign file survives a new config
+        foreign, _ = rerun("foreign", ("report",), seed=8)
+        assert on_disk(foreign) == on_disk(out) | {"data/own/notes.txt", "data/mine.csv"}
+        # another config, or an unreadable config.yaml, leaves only what this run wrote
+        for name, stages, changes, results in (
+                ("garbled", ("report",), {}, ["report.md"]),
+                ("reseeded", ("detect",), {"seed": 8},
+                 ["detection_summary.csv", "gaming_results.csv"])):
+            copy, manifest = rerun(name, stages, **changes)
+            # files in subdirectories are never gradsense's and stay
+            assert on_disk(copy) == set(manifest["files"]) | {"manifest.json",
+                                                                "data/own/notes.txt"}, name
+            assert sorted(p.name for p in (copy / "results").iterdir()) == results, name
+
     def test_stage_failure_recorded(self, tmp_path):
-        cfg = tiny_config(tmp_path / "fail", n_timestamps=8)
+        cfg = tiny_config(tmp_path / "fail", n_timestamps=10)
         bad = replace(cfg, gaming=replace(cfg.gaming, combos=(("zurich", "t2m"),),
                                           n_attackers=(500,)))
         manifest = runner.run_full(bad, stage_filter=("gen", "game"))
