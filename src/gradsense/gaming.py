@@ -155,22 +155,19 @@ def _period_scores(model, stack: np.ndarray, clim, stations):
 
 
 def run_gaming_experiment(model, truth, fields, clim, stations,
-                          scenarios: list[AttackScenario],
-                          baseline_cache=None) -> list[GamingOutcome]:
+                          scenarios: list[AttackScenario]) -> list[GamingOutcome]:
     """Score every scenario against the paired clean baseline period.
 
     Scores are GTI against the climatology baseline; no other method or
     baseline is offered.  The baseline period is the same timestamps without
-    the attack, computed once and shared; `baseline_cache` may supply it as
-    the (period-mean scores, per-field predictions) pair.  Scenarios whose
-    attackers all lie outside the model's influence window cannot move the
-    prediction or any in-window attribution, so their attack-period scores
-    equal the baseline exactly.
+    the attack, scored once by the same `_period_scores` call as each attack
+    period, so both take the gradient at the fields themselves.  Scenarios
+    whose attackers all lie outside the model's influence window cannot move
+    the prediction or any in-window attribution, so their attack-period
+    scores equal the baseline exactly.
     """
     stack = np.stack([f.values for f in fields])
-    if baseline_cache is None:
-        baseline_cache = _period_scores(model, stack, clim, stations)
-    base_uns, base_preds = baseline_cache
+    base_uns, base_preds = _period_scores(model, stack, clim, stations)
     y_star = np.array([truth.verify(f) for f in fields])
     mae_clean = float(np.abs(base_preds - y_star).mean())
 

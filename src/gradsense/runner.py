@@ -142,6 +142,8 @@ class ExperimentConfig:
             raise ValueError(f"need at least {metrics.MIN_SAMPLES} variables")
         if make_station_grid(grid, self.station_stride).n_stations < incentive.MIN_STATIONS:
             raise ValueError(f"station_stride leaves under {incentive.MIN_STATIONS} stations")
+        if not self.gaming.n_attackers:
+            raise ValueError("gaming.n_attackers is empty, so no scenario is built")
         if self.bootstrap_resamples < 1000:
             raise ValueError("bootstrap_resamples must be at least 1000")
         if not 0 < self.bootstrap_level < 1:
@@ -194,16 +196,25 @@ def load_config(path: str | Path) -> ExperimentConfig:
         return config_from_dict(yaml.safe_load(fh))
 
 
-def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
+def _dump_yaml(d: dict, path: str | Path) -> None:
     with fieldio.atomic_open(path) as fh:
-        yaml.safe_dump(config_to_dict(cfg), fh, sort_keys=True)
+        yaml.safe_dump(d, fh, sort_keys=True)
+
+
+def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
+    _dump_yaml(config_to_dict(cfg), path)
+
+
+def _identity(cfg: ExperimentConfig) -> dict:
+    """The config without `out_dir`: what `config_hash` hashes and a run's config.yaml holds."""
+    d = config_to_dict(cfg)
+    del d["out_dir"]
+    return d
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
     """Hash of the experiment identity (the output location does not count)."""
-    d = config_to_dict(cfg)
-    d.pop("out_dir", None)
-    blob = json.dumps(d, sort_keys=True).encode()
+    blob = json.dumps(_identity(cfg), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 
 
@@ -245,10 +256,12 @@ class Workspace:
         self.files.add(rel)
 
     def write_csv(self, rel: str, header: list[str], rows) -> None:
+        """Write `rows` of raw cells: `fmt` for a float, `str` for anything else."""
         with fieldio.atomic_open(self.path(rel), "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(header)
-            w.writerows(rows)
+            w.writerows([fmt(v) if isinstance(v, float) else str(v) for v in row]
+                        for row in rows)
         self.register(rel)
 
     def write_json(self, rel: str, payload) -> None:
@@ -284,16 +297,6 @@ class Workspace:
         for p in stale + [self.root / "manifest.json"]:
             if p.is_file():
                 p.unlink()
-
-
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return fmt(value)
-    return str(value)
-
-
-def _row(*values) -> list[str]:
-    return [_cell(v) for v in values]
 
 
 def _store_name(kind: str, key) -> str:
@@ -389,10 +392,13 @@ class RunState:
 
     # -- per-timestamp tables -----------------------------------------------
 
+    def cheap_steps(self) -> int:
+        """Quadrature steps of the zero- and persistence-baseline IG variants."""
+        return min(8, self.cfg.ig_steps)
+
     def _method_keys(self) -> list[str]:
         keys = [f"ig@{k}" for k in sorted(set(self.cfg.ig_step_grid))]
-        keys += ["gti", "vg", f"ig-zero@{min(8, self.cfg.ig_steps)}",
-                 f"ig-pers@{min(8, self.cfg.ig_steps)}"]
+        keys += ["gti", "vg", f"ig-zero@{self.cheap_steps()}", f"ig-pers@{self.cheap_steps()}"]
         return keys
 
     def primary_key(self) -> str:
@@ -435,7 +441,7 @@ class RunState:
                 si_u[(cid, key)][t] = np.abs(values).sum(axis=0)[li, lj]
 
         step_grid = sorted(set(cfg.ig_step_grid))
-        zp_steps = min(8, cfg.ig_steps)
+        zp_steps = self.cheap_steps()
         zero_base = np.zeros(self.grid.shape)
         for cid in self.config_ids():
             model, truth = self.models[cid]
@@ -446,8 +452,8 @@ class RunState:
             for t, f in enumerate(self.fields):
                 y_star = truth.verify(f)
                 # every quadrature node of every path variant in one gradient batch;
-                # the first path starts at climatology, so its alpha = 1 gradient
-                # is the gradient at x that GTI and VG use
+                # GTI and VG use the alpha = 1 gradient of the first path, taken at
+                # clim + (x - clim), which equals x only within rounding
                 paths = [(f"ig@{s}", self.clim.values, s) for s in step_grid]
                 paths.append((f"ig-zero@{zp_steps}", zero_base, zp_steps))
                 if t >= 1:
@@ -485,17 +491,14 @@ class RunState:
 
     def _gaming_arrays(self) -> dict[str, np.ndarray]:
         self.ensure_models()
-        si_u = self.ensure_tables()["si_u"]
-        stack = np.stack([f.values for f in self.fields])
         arrays = {}
         for cid in _gaming_config_ids(self):
             model, truth = self.models[cid]
-            base_uns = si_u[(cid, "gti")].mean(axis=0)
-            outcomes = gaming.run_gaming_experiment(
-                model, truth, self.fields, self.clim, self.stations,
-                build_scenarios(self, cid), baseline_cache=(base_uns, model.forward_many(stack)))
+            outcomes = gaming.run_gaming_experiment(model, truth, self.fields, self.clim,
+                                                    self.stations, build_scenarios(self, cid))
+            if outcomes:  # ensure_gaming reads a baseline only through a scenario
+                arrays[f"baseline/{cid}"] = outcomes[0].baseline_unsigned
             # one row per scenario, in build_scenarios order
-            arrays[f"baseline/{cid}"] = base_uns
             arrays[f"attack/{cid}"] = np.array(
                 [o.attack_unsigned for o in outcomes]).reshape(-1, self.stations.n_stations)
             for name in _OUTCOME_FLOATS + ("attack_reached_model",):
@@ -511,6 +514,23 @@ class RunState:
 
 def _global_ks(state: RunState) -> tuple[int, ...]:
     return tuple(k for k in (1, 3, 5) if k <= state.grid.n_variables)
+
+
+def _spatial_cases(state: RunState, tables: dict):
+    """Each spatial ablation case (cid, mode, patch) with its (T, N) |utility|."""
+    su = tables["su"]
+    for cid in state.config_ids():
+        for mode in state.cfg.modes:
+            for patch in state.cfg.patches:
+                yield cid, mode, patch, np.abs(su[(cid, mode, patch)])
+
+
+def _valued_cases(state: RunState, tables: dict):
+    """The spatial cases whose time-mean |utility| is positive somewhere, with that mean."""
+    for cid, mode, patch, util in _spatial_cases(state, tables):
+        util_mean = util.mean(axis=0)
+        if util_mean.sum() > 0:
+            yield cid, mode, patch, util_mean
 
 
 @dataclass(frozen=True)
@@ -550,13 +570,20 @@ def _agreement(imp: np.ndarray, util: np.ndarray, ks: tuple[int, ...], q: float)
                   if not math.isnan(agg.rho) and agg.rho != 0 else np.nan))
 
 
+def _global_agreements(state: RunState, tables: dict) -> dict[tuple[str, str], Agreement]:
+    """Per (cid, scored method), the agreement of variable importance with ablation utility."""
+    return {(cid, key): _agreement(tables["gi"][(cid, key)], tables["gu"][cid],
+                                   _global_ks(state), state.cfg.bh_q)
+            for cid in state.config_ids() for key in state.scored_methods()}
+
+
 # -- stages -----------------------------------------------------------------
 
 
 def stage_gen(state: RunState) -> None:
     state.ensure_models()
     st = state.stations
-    rows = [_row(g, int(st.lat_idx[g]), int(st.lon_idx[g]), st.lats[g], st.lons[g])
+    rows = [(g, int(st.lat_idx[g]), int(st.lon_idx[g]), st.lats[g], st.lons[g])
             for g in range(st.n_stations)]
     state.ws.write_csv("data/stations.csv",
                        ["station_id", "lat_idx", "lon_idx", "lat", "lon"], rows)
@@ -565,22 +592,17 @@ def stage_gen(state: RunState) -> None:
 def stage_fidelity(state: RunState) -> None:
     cfg = state.cfg
     tables = state.ensure_tables()
-    gi, si_u, gu, su = tables["gi"], tables["si_u"], tables["gu"], tables["su"]
+    gi, si_u, gu = tables["gi"], tables["si_u"], tables["gu"]
     boot_n, level, q = cfg.bootstrap_resamples, cfg.bootstrap_level, cfg.bh_q
 
     g_rows = []
-    display = state.scored_methods()
     gks = _global_ks(state)
-    for cid in state.config_ids():
-        util = gu[cid]
-        for key in display:
-            imp = gi[(cid, key)]
-            ag = _agreement(imp, util, gks, q)
-            pairs = np.column_stack([np.nanmean(imp, axis=0), util.mean(axis=0)])
-            ci = metrics.bootstrap_iid(pairs, metrics.paired_spearman, boot_n, level,
-                                       seed=child_seed(cfg.seed, "gci", cid, key))
-            g_rows.append(_row(cid, key, ag.agg.rho, ag.agg.p_value, ci.lower, ci.upper,
-                               *ag.overlaps, ag.wilcoxon_p, ag.bh_count, ag.mean_cycle_rho))
+    for (cid, key), ag in _global_agreements(state, tables).items():
+        pairs = np.column_stack([np.nanmean(gi[(cid, key)], axis=0), gu[cid].mean(axis=0)])
+        ci = metrics.bootstrap_iid(pairs, metrics.paired_spearman, boot_n, level,
+                                   seed=child_seed(cfg.seed, "gci", cid, key))
+        g_rows.append((cid, key, ag.agg.rho, ag.agg.p_value, ci.lower, ci.upper,
+                       *ag.overlaps, ag.wilcoxon_p, ag.bh_count, ag.mean_cycle_rho))
     state.ws.write_csv(
         "results/fidelity_global.csv",
         ["config_id", "method", "rho", "p_value", "ci_lower", "ci_upper"]
@@ -591,9 +613,8 @@ def stage_fidelity(state: RunState) -> None:
     blocks = metrics.station_blocks(state.stations)
     n = state.stations.n_stations
     ks = tuple(k for k in (5, 10, 20) if k <= n)
-    for cid, mode, patch in _spatial_cases(state):
-        util_abs = np.abs(su[(cid, mode, patch)])
-        for key in display:
+    for cid, mode, patch, util_abs in _spatial_cases(state, tables):
+        for key in state.scored_methods():
             imp = si_u[(cid, key)]
             ag = _agreement(imp, util_abs, ks, q)
             if key == state.primary_key():
@@ -604,8 +625,8 @@ def stage_fidelity(state: RunState) -> None:
                 lo, hi = ci.lower, ci.upper
             else:
                 lo = hi = np.nan
-            s_rows.append(_row(cid, mode, patch, key, ag.agg.rho, ag.agg.p_value, lo, hi,
-                               *ag.overlaps, ag.wilcoxon_p, ag.bh_count, ag.mean_cycle_rho))
+            s_rows.append((cid, mode, patch, key, ag.agg.rho, ag.agg.p_value, lo, hi,
+                           *ag.overlaps, ag.wilcoxon_p, ag.bh_count, ag.mean_cycle_rho))
     header = (["config_id", "mode", "patch", "method", "rho", "p_value",
                "ci_lower", "ci_upper"] + [f"top{k}" for k in ks]
               + ["wilcoxon_p", "bh_rejections", "mean_cycle_rho"])
@@ -616,36 +637,22 @@ def stage_methods(state: RunState) -> None:
     cfg = state.cfg
     tables = state.ensure_tables()
     gi, gu = tables["gi"], tables["gu"]
-    display = state.scored_methods()
-    gks = _global_ks(state)
-    per_config: dict[str, dict[str, float]] = {}
-    summary = {key: {"rho": [], "agg_sig": 0, "wil_sig": 0, "topk": []} for key in display}
-    for cid in state.config_ids():
-        util = gu[cid]
-        per_config[cid] = {}
-        for key in display:
-            ag = _agreement(gi[(cid, key)], util, gks, cfg.bh_q)
-            per_config[cid][key] = ag.agg.rho
-            s = summary[key]
-            s["rho"].append(ag.agg.rho)
-            s["topk"].append(ag.overlaps[-1])
-            s["agg_sig"] += int((not math.isnan(ag.agg.p_value)) and ag.agg.p_value < 0.05)
-            s["wil_sig"] += int((not math.isnan(ag.wilcoxon_p)) and ag.wilcoxon_p < 0.05)
-    n_cfg = len(state.config_ids())
-    rows = [_row(key, float(np.nanmean(s["rho"])), s["agg_sig"], s["wil_sig"],
-                 float(np.mean(s["topk"])), n_cfg)
-            for key, s in summary.items()]
+    display, cids = state.scored_methods(), state.config_ids()
+    ags = _global_agreements(state, tables)
+    rows = []
+    for key in display:
+        col = [ags[(cid, key)] for cid in cids]  # a NaN p-value is never significant
+        rows.append((key, float(np.nanmean([ag.agg.rho for ag in col])),
+                     sum(int(ag.agg.p_value < 0.05) for ag in col),
+                     sum(int(ag.wilcoxon_p < 0.05) for ag in col),
+                     float(np.mean([ag.overlaps[-1] for ag in col])), len(cids)))
     state.ws.write_csv("results/methods_summary.csv",
                        ["method", "mean_rho", "agg_sig", "wilcoxon_sig",
-                        f"mean_top{gks[-1]}", "n_configs"], rows)
+                        f"mean_top{_global_ks(state)[-1]}", "n_configs"], rows)
 
-    pair_rows = []
-    for a in display:
-        for b in display:
-            if a >= b:
-                continue
-            wins = sum(per_config[c][a] > per_config[c][b] for c in per_config)
-            pair_rows.append(_row(a, b, wins, n_cfg))
+    pair_rows = [(a, b, sum(int(ags[(c, a)].agg.rho > ags[(c, b)].agg.rho) for c in cids),
+                  len(cids))
+                 for a in display for b in display if a < b]
     state.ws.write_csv("results/methods_pairwise.csv",
                        ["method_a", "method_b", "wins_a", "n_configs"], pair_rows)
 
@@ -658,13 +665,13 @@ def stage_methods(state: RunState) -> None:
         for s in steps:
             key = f"ig@{s}"
             rc = metrics.spearman(np.nanmean(gi[(cid, key)], axis=0), ref_rank)
-            k_rows.append(_row(cid, s, cfg.ig_steps, rc.rho))
+            k_rows.append((cid, s, cfg.ig_steps, rc.rho))
     state.ws.write_csv("results/k_sensitivity.csv",
                        ["config_id", "steps", "reference_steps", "rank_rho"], k_rows)
 
     # baseline sensitivity: zero and persistence baselines vs climatology
     b_rows = []
-    zp = min(8, cfg.ig_steps)
+    zp = state.cheap_steps()
     for cid in state.config_ids():
         util_mean = gu[cid].mean(axis=0)
         rhos = {base: metrics.spearman(np.nanmean(gi[(cid, key)], axis=0), util_mean).rho
@@ -672,7 +679,7 @@ def stage_methods(state: RunState) -> None:
                                   ("persistence", f"ig-pers@{zp}"))}
         for base, rho in rhos.items():
             delta = rho - rhos["climatology"] if not math.isnan(rho) else np.nan
-            b_rows.append(_row(cid, base, zp, rho, delta))
+            b_rows.append((cid, base, zp, rho, delta))
     state.ws.write_csv("results/baseline_sensitivity.csv",
                        ["config_id", "baseline", "steps", "rho", "delta_vs_climatology"],
                        b_rows)
@@ -718,25 +725,15 @@ def _scale_invariance_table(state: RunState) -> None:
     state.ws.write_csv("results/scale_invariance.csv",
                        ["config_id", "variable", "factor", "ig_max_rel_dev",
                         "gti_max_rel_dev", "vg_ranking_changed", "selections_unchanged"],
-                       [_row(cid, state.grid.variables[var], factor, max_dev["ig"],
-                             max_dev["gti"], vg_rank_changed, sel_same)])
-
-
-def _spatial_cases(state: RunState):
-    for cid in state.config_ids():
-        for mode in state.cfg.modes:
-            for patch in state.cfg.patches:
-                yield cid, mode, patch
+                       [(cid, state.grid.variables[var], factor, max_dev["ig"],
+                         max_dev["gti"], vg_rank_changed, sel_same)])
 
 
 def stage_calibrate(state: RunState) -> None:
     tables = state.ensure_tables()
-    si_u, su = tables["si_u"], tables["su"]
+    si_u = tables["si_u"]
     dec_rows, sum_rows = [], []
-    for cid, mode, patch in _spatial_cases(state):
-        util = np.abs(su[(cid, mode, patch)]).mean(axis=0)
-        if util.sum() <= 0:
-            continue
+    for cid, mode, patch, util in _valued_cases(state, tables):
         proxies = {key: si_u[(cid, key)].mean(axis=0) for key in state.scored_methods()}
         proxies["distance"] = incentive.distance_scores(state.distances(cid))
         proxies["uniform"] = np.ones(state.stations.n_stations)
@@ -746,10 +743,10 @@ def stage_calibrate(state: RunState) -> None:
                 continue
             rep = incentive.decile_calibration(proxy, util)
             for b in range(10):
-                dec_rows.append(_row(cid, mode, patch, name, b + 1,
-                                     rep.decile_mean_utility[b]))
-            sum_rows.append(_row(cid, mode, patch, name, rep.gini_ratio,
-                                 rep.overpayment_total, rep.share_spearman))
+                dec_rows.append((cid, mode, patch, name, b + 1,
+                                 rep.decile_mean_utility[b]))
+            sum_rows.append((cid, mode, patch, name, rep.gini_ratio,
+                             rep.overpayment_total, rep.share_spearman))
     state.ws.write_csv("results/calibration_deciles.csv",
                        ["config_id", "mode", "patch", "proxy", "decile", "mean_utility"],
                        dec_rows)
@@ -761,7 +758,7 @@ def stage_calibrate(state: RunState) -> None:
 def stage_select(state: RunState) -> None:
     cfg = state.cfg
     tables = state.ensure_tables()
-    si_u, su = tables["si_u"], tables["su"]
+    si_u = tables["si_u"]
     n = state.stations.n_stations
     budgets = []
     for k in cfg.selection_budgets:
@@ -771,10 +768,7 @@ def stage_select(state: RunState) -> None:
         if k not in budgets:
             budgets.append(k)
     rows = []
-    for cid, mode, patch in _spatial_cases(state):
-        util = np.abs(su[(cid, mode, patch)]).mean(axis=0)
-        if util.sum() <= 0:
-            continue
+    for cid, mode, patch, util in _valued_cases(state, tables):
         dist = state.distances(cid)
         for k in budgets:
             for strategy in incentive.STRATEGIES:
@@ -787,8 +781,8 @@ def stage_select(state: RunState) -> None:
                 elif strategy == "uniform":
                     kwargs["seed"] = child_seed(cfg.seed, "uniform", cid, mode, patch, k)
                 res = incentive.select(strategy, k, util, **kwargs)
-                rows.append(_row(cid, mode, patch, strategy, k, res.captured,
-                                 res.efficiency_ratio, res.optimality_ratio))
+                rows.append((cid, mode, patch, strategy, k, res.captured,
+                             res.efficiency_ratio, res.optimality_ratio))
     state.ws.write_csv("results/selection.csv",
                        ["config_id", "mode", "patch", "strategy", "k", "captured",
                         "efficiency_ratio", "optimality_ratio"], rows)
@@ -797,7 +791,7 @@ def stage_select(state: RunState) -> None:
 def stage_pay(state: RunState) -> None:
     cfg = state.cfg
     tables = state.ensure_tables()
-    si_u, su = tables["si_u"], tables["su"]
+    si_u = tables["si_u"]
     pay_rows, stab_rows = [], []
     for cid in state.config_ids():
         for key in state.scored_methods():
@@ -809,9 +803,9 @@ def stage_pay(state: RunState) -> None:
                 top_k=cfg.stability_top_k, seed=child_seed(cfg.seed, "stab", cid, key))
             alloc = incentive.payment(scores.mean(axis=0), cfg.budget)
             for g in range(state.stations.n_stations):
-                pay_rows.append(_row(cid, key, g, alloc.shares[g], alloc.amounts[g],
-                                     stab.lower[g], stab.upper[g]))
-            stab_rows.append(_row(cid, key, stab.ci_to_share, stab.top_k, stab.resamples))
+                pay_rows.append((cid, key, g, alloc.shares[g], alloc.amounts[g],
+                                 stab.lower[g], stab.upper[g]))
+            stab_rows.append((cid, key, stab.ci_to_share, stab.top_k, stab.resamples))
     state.ws.write_csv("results/payments.csv",
                        ["config_id", "method", "station_id", "share", "amount",
                         "share_ci_lower", "share_ci_upper"], pay_rows)
@@ -822,10 +816,7 @@ def stage_pay(state: RunState) -> None:
     # shrinkage toward the distance prior, both inner objectives
     sh_rows = []
     key = state.primary_key()
-    for cid, mode, patch in _spatial_cases(state):
-        util = np.abs(su[(cid, mode, patch)]).mean(axis=0)
-        if util.sum() <= 0:
-            continue
+    for cid, mode, patch, util in _valued_cases(state, tables):
         scores = si_u[(cid, key)]
         totals = scores.sum(axis=1)
         ok = totals > 0
@@ -838,8 +829,8 @@ def stage_pay(state: RunState) -> None:
             fit = incentive.shrinkage_fit(proxy_shares, dist_shares, util,
                                           objective=objective, k=cfg.stability_top_k)
             for fold, lam in enumerate(fit.per_fold):
-                sh_rows.append(_row(cid, mode, patch, objective, fold, lam,
-                                    fit.lam, fit.delta_rho))
+                sh_rows.append((cid, mode, patch, objective, fold, lam,
+                                fit.lam, fit.delta_rho))
     state.ws.write_csv("results/shrinkage.csv",
                        ["config_id", "mode", "patch", "objective", "fold", "lambda",
                         "lambda_mean", "delta_rho"], sh_rows)
@@ -872,9 +863,9 @@ def stage_subadditivity(state: RunState) -> None:
                         else:
                             flagged += 1
                     med = float(np.median(ratios)) if ratios else np.nan
-                    rows.append(_row(cid, mode, patch, size,
-                                     ";".join(str(g) for g in ids), med,
-                                     len(ratios), flagged))
+                    rows.append((cid, mode, patch, size,
+                                 ";".join(str(g) for g in ids), med,
+                                 len(ratios), flagged))
     state.ws.write_csv("results/subadditivity.csv",
                        ["config_id", "mode", "patch", "set_size", "station_ids",
                         "median_ratio", "n_defined", "n_flagged"], rows)
@@ -938,7 +929,7 @@ def stage_game(state: RunState) -> None:
                 "scope_variables": list(sc.scope_variables),
                 "placement": sc.placement, "seed": sc.seed, "config_id": cid,
             }
-            outcome_rows.append(_row(
+            outcome_rows.append((
                 sc.scenario_id, cid, sc.kind, len(sc.attackers), sc.magnitude_pct,
                 sc.scope, sc.placement, ";".join(str(a) for a in sc.attackers),
                 o.inflation_ratio, o.mae_clean, o.mae_change, o.honest_share_change_pp,
@@ -965,9 +956,9 @@ def stage_detect(state: RunState) -> None:
             res = gaming.score_scenario(o, state.stations, neighbors=nbrs)
             per_scenario[o.scenario.scenario_id] = res
             for r in res:
-                results_rows.append(_row(r.scenario_id, r.detector, r.pr_auc, r.hit_at_1,
-                                         r.hit_at_5, o.inflation_ratio, o.mae_change,
-                                         r.flagged))
+                results_rows.append((r.scenario_id, r.detector, r.pr_auc, r.hit_at_1,
+                                     r.hit_at_5, o.inflation_ratio, o.mae_change,
+                                     r.flagged))
             if o.scenario.kind == "inflate":
                 labels = np.zeros(state.stations.n_stations, dtype=int)
                 labels[list(o.scenario.attackers)] = 1
@@ -975,8 +966,8 @@ def stage_detect(state: RunState) -> None:
                                      labels))
         for s in gaming.evaluate_detection(per_scenario, outcomes,
                                            state.stations.n_stations):
-            summary_rows.append(_row(cid, s.kind, s.detector, s.n_scenarios,
-                                     s.mean_pr_auc, s.hit_at_1, s.hit_at_5, s.prevalence))
+            summary_rows.append((cid, s.kind, s.detector, s.n_scenarios,
+                                 s.mean_pr_auc, s.hit_at_1, s.hit_at_5, s.prevalence))
     state.ws.write_csv("results/gaming_results.csv",
                        ["scenario_id", "detector", "pr_auc", "hit_at_1", "hit_at_5",
                         "inflation_ratio", "mae_change", "flagged"], results_rows)
@@ -985,10 +976,10 @@ def stage_detect(state: RunState) -> None:
     if len(d7_data) >= 2:
         d7 = gaming.detector_d7_supervised(d7_data)
         for cid in sorted(d7):
-            summary_rows.append(_row(cid, "inflate", "d7", len(d7[cid]),
-                                     float(np.mean(d7[cid])), np.nan, np.nan,
-                                     float(np.mean([y.sum() / y.size
-                                                    for _, y in d7_data[cid]]))))
+            summary_rows.append((cid, "inflate", "d7", len(d7[cid]),
+                                 float(np.mean(d7[cid])), np.nan, np.nan,
+                                 float(np.mean([y.sum() / y.size
+                                                for _, y in d7_data[cid]]))))
     state.ws.write_csv("results/detection_summary.csv",
                        ["config_id", "kind", "detector", "n_scenarios", "mean_pr_auc",
                         "hit_at_1", "hit_at_5", "prevalence"], summary_rows)
@@ -997,11 +988,10 @@ def stage_detect(state: RunState) -> None:
 def stage_converge(state: RunState) -> None:
     cfg = state.cfg
     tables = state.ensure_tables()
-    gi, si_u, gu, su = tables["gi"], tables["si_u"], tables["gu"], tables["su"]
+    gi, si_u, gu = tables["gi"], tables["si_u"], tables["gu"]
     key = state.primary_key()
-    rows = []
 
-    def analyse(cid, scope, mode, patch, imp: np.ndarray, util: np.ndarray) -> list[str]:
+    def analyse(cid, scope, mode, patch, imp: np.ndarray, util: np.ndarray) -> tuple:
         ag = _agreement(imp, util, (), cfg.bh_q)
         converge_n = "never"
         for n in range(6, ag.cycle_rho.size + 1):
@@ -1011,16 +1001,16 @@ def stage_converge(state: RunState) -> None:
                     break
             except ValueError:
                 continue
-        return _row(cid, scope, mode, patch, ag.agg.rho, ag.recovery, converge_n)
+        return (cid, scope, mode, patch, ag.agg.rho, ag.recovery, converge_n)
 
-    for cid in state.config_ids():
-        rows.append(analyse(cid, "global", "", "", gi[(cid, key)], gu[cid]))
-        rows += [analyse(cid, "spatial", mode, patch, si_u[(cid, key)],
-                         np.abs(su[(cid, mode, patch)]))
-                 for mode in cfg.modes for patch in cfg.patches]
+    rows = {cid: [analyse(cid, "global", "", "", gi[(cid, key)], gu[cid])]
+            for cid in state.config_ids()}  # each config's spatial rows follow its global row
+    for cid, mode, patch, util in _spatial_cases(state, tables):
+        rows[cid].append(analyse(cid, "spatial", mode, patch, si_u[(cid, key)], util))
     state.ws.write_csv("results/convergence.csv",
                        ["config_id", "scope", "mode", "patch", "rho_aggregate",
-                        "recovery_ratio", "converge_n"], rows)
+                        "recovery_ratio", "converge_n"],
+                       [row for cid_rows in rows.values() for row in cid_rows])
 
 
 def _mean_of(rows, col, where=None) -> float:
@@ -1154,7 +1144,7 @@ def run_full(cfg: ExperimentConfig, stage_filter: tuple[str, ...] | None = None)
             old = None  # unreadable
         if old != state.stamp:  # one directory never mixes the artifacts of two configs
             state.ws.clear()
-    save_config(cfg, saved)
+    _dump_yaml(_identity(cfg), saved)  # the directory's name is no part of its contents
     state.ws.register("config.yaml")
     wanted = stage_filter or STAGES
     for name in STAGES:

@@ -13,13 +13,6 @@ def scenario(attackers, kind="inflate", pct=50.0, scope_vars=(0, 1, 2, 3, 4, 5),
         placement=placement, seed=seed)
 
 
-@pytest.fixture(scope="module")
-def baseline(desk_model, desk_data, desk_stations):
-    fields, clim = desk_data
-    return gaming._period_scores(desk_model, np.stack([f.values for f in fields]), clim,
-                                 desk_stations)
-
-
 def oracle_attack(values, sc, clim, stations):
     """The per-cell loop `apply_attack` ran before it was vectorised."""
     vals = values.copy()
@@ -147,34 +140,31 @@ class TestPlacement:
 
 class TestExperiment:
     def test_null_scenario_exact_identity(self, desk_model, desk_truth, desk_data,
-                                          desk_stations, baseline):
+                                          desk_stations):
         fields, clim = desk_data
         sc = scenario([60], pct=0.0)
         out = gaming.run_gaming_experiment(desk_model, desk_truth, fields, clim,
-                                           desk_stations, [sc],
-                                           baseline_cache=baseline)[0]
+                                           desk_stations, [sc])[0]
         assert out.inflation_ratio == 1.0
         assert out.mae_change == 0.0
         assert not out.attack_reached_model
 
     def test_out_of_window_attack_copies_baseline(self, desk_model, desk_truth,
-                                                  desk_data, desk_stations, baseline):
+                                                  desk_data, desk_stations):
         fields, clim = desk_data
         sc = scenario([0], pct=200.0)  # far corner station
         out = gaming.run_gaming_experiment(desk_model, desk_truth, fields, clim,
-                                           desk_stations, [sc],
-                                           baseline_cache=baseline)[0]
+                                           desk_stations, [sc])[0]
         assert not out.attack_reached_model
         assert np.array_equal(out.attack_unsigned, out.baseline_unsigned)
 
     def test_inflation_increases_attacker_score(self, desk_model, desk_truth, desk_data,
-                                                desk_stations, desk_target, baseline):
+                                                desk_stations, desk_target):
         fields, clim = desk_data
         close = gaming.sample_attackers(desk_stations, desk_target, 1, "close", 2)
         sc = scenario(close, pct=100.0)
         out = gaming.run_gaming_experiment(desk_model, desk_truth, fields, clim,
-                                           desk_stations, [sc],
-                                           baseline_cache=baseline)[0]
+                                           desk_stations, [sc])[0]
         assert out.attack_reached_model
         assert out.inflation_ratio > 1.0
         assert out.honest_share_change_pp < 100.0 * (out.inflation_ratio - 1.0)
@@ -327,13 +317,12 @@ class TestSupervised:
 
 class TestEvaluation:
     def test_score_scenario_and_summary(self, desk_model, desk_truth, desk_data,
-                                        desk_stations, desk_target, baseline):
+                                        desk_stations, desk_target):
         fields, clim = desk_data
         close = gaming.sample_attackers(desk_stations, desk_target, 1, "close", 7)
         scs = [scenario(close, pct=100.0), scenario(close, kind="spoof", pct=0.0)]
         outs = gaming.run_gaming_experiment(desk_model, desk_truth, fields, clim,
-                                            desk_stations, scs,
-                                            baseline_cache=baseline)
+                                            desk_stations, scs)
         per = {o.scenario.scenario_id: gaming.score_scenario(o, desk_stations)
                for o in outs}
         # the D7 features reuse the d3/d4/d5 suspicions; oracle: recomputing them

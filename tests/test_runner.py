@@ -76,7 +76,9 @@ class TestConfig:
                            ({"selection_budgets": (0, 5)}, "selection_budgets"),
                            ({"n_timestamps": 9}, "timestamps"),
                            ({"variables": ("t2m", "u10m")}, "variables"),
-                           ({"station_stride": 7}, "station_stride")):  # 3 x 3 stations
+                           ({"station_stride": 7}, "station_stride"),  # 3 x 3 stations
+                           ({"gaming": replace(tiny_config(tmp_path).gaming, n_attackers=())},
+                            "n_attackers")):
             with pytest.raises(ValueError, match=match):
                 tiny_config(tmp_path, **bad).validate()
         tiny_config(tmp_path, n_timestamps=10, station_stride=6).validate()  # 3 x 4 stations
@@ -240,11 +242,18 @@ class TestRunFull:
                     "detection_summary.csv"):
             assert (copy / "results" / rel).read_bytes() == (out / "results" / rel).read_bytes()
 
-    def test_detect_alone_writes_only_its_results(self, tiny_run, tmp_path):
+    def test_detect_alone_writes_only_its_results(self, tiny_run, tmp_path, monkeypatch):
+        # the gaming store depends on the data, the models and the gaming design only
         cfg, out, _ = tiny_run
+
+        def boom(self):
+            raise AssertionError("the gaming stages read no attribution table")
+
+        monkeypatch.setattr(runner.RunState, "_compute_tables", boom)
         alone = tmp_path / "detect"
         manifest = runner.run_full(replace(cfg, out_dir=str(alone)), stage_filter=("detect",))
         assert manifest["ok"]
+        assert not (alone / runner.TABLES_STORE).exists()
         for rel in (runner.GAMING_STORE, "results/gaming_results.csv",
                     "results/detection_summary.csv"):
             assert (alone / rel).read_bytes() == (out / rel).read_bytes(), rel
@@ -283,6 +292,22 @@ class TestRunFull:
         assert runner.run_full(tiny_config(reused, seed=8))["ok"]
         for sub in ("results", "tables", "data"):
             assert _hash_tree(reused / sub) == _hash_tree(fresh / sub), sub
+
+    def test_run_directory_independent_of_location(self, tiny_run, tmp_path):
+        # the saved config.yaml names no directory, so the manifest hashes the same bytes
+        cfg, out, _ = tiny_run
+        elsewhere = tmp_path / "elsewhere"
+        assert runner.run_full(replace(cfg, out_dir=str(elsewhere)))["ok"]
+        assert _hash_tree(elsewhere) == _hash_tree(out)
+        assert runner.load_config(out / "config.yaml") == replace(
+            cfg, out_dir=runner.ExperimentConfig().out_dir)
+
+    def test_gaming_design_without_scenarios(self, tmp_path):
+        cfg = tiny_config(tmp_path / "none")
+        cfg = replace(cfg, gaming=replace(cfg.gaming, n_seeds=0, extended_seeds=0,
+                                          scope_seeds=0, spoof_seeds=0))
+        assert runner.run_full(cfg, stage_filter=("game", "detect"))["ok"]
+        assert (tmp_path / "none/results/gaming_outcomes.csv").read_text().count("\n") == 1
 
     def test_config_change_clears_other_artifacts(self, tiny_run, tmp_path):
         cfg, out, _ = tiny_run
@@ -430,8 +455,7 @@ class TestAgreement:
         ks = tuple(k for k in (5, 10, 20) if k <= state.stations.n_stations)
         for (cid, key), imp in tables["gi"].items():
             yield imp, tables["gu"][cid], gks
-        for cid, mode, patch in runner._spatial_cases(state):
-            util = np.abs(tables["su"][(cid, mode, patch)])
+        for cid, mode, patch, util in runner._spatial_cases(state, tables):
             for key in state.scored_methods():
                 yield tables["si_u"][(cid, key)], util, ks
 
