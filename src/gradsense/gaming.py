@@ -6,11 +6,13 @@ station's report with the long-term mean outright.  Attacks touch only the
 attacker cells and the scoped variables.  Detector formulas (log score
 ratio, rank jump, spatial residual, supervised logistic regression, robust
 z-score) are compact reconstructions of the named detector families.
+A campaign on one model is one `GamingRun` of arrays (the clean baseline, one
+row per scenario), whose fields are also that config's gaming-store arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,15 +134,15 @@ def apply_attack(x: FieldTensor, scenario: AttackScenario, clim: Climatology,
 
 
 @dataclass(frozen=True)
-class GamingOutcome:
-    scenario: AttackScenario
-    baseline_unsigned: np.ndarray
-    attack_unsigned: np.ndarray
-    inflation_ratio: float
-    mae_clean: float
-    mae_change: float
-    honest_share_change_pp: float
-    attack_reached_model: bool
+class GamingRun:
+    """One config's campaign as float64 arrays, rows in scenario order; fields in store order."""
+    baseline: np.ndarray  # (N,) period-mean GTI station scores without the attack
+    attack: np.ndarray  # (S, N) the same scores under each scenario's attack
+    inflation_ratio: np.ndarray  # (S,) mean attacker score ratio, attack over baseline
+    mae_clean: np.ndarray  # (S,) forecast MAE without the attack
+    mae_change: np.ndarray  # (S,) attack-period MAE minus mae_clean
+    honest_share_change_pp: np.ndarray  # (S,) mean |share change| of honest stations
+    attack_reached_model: np.ndarray  # (S,) 1 where an attacker lies in the model's window
 
 
 def _period_scores(model, stack: np.ndarray, clim, stations):
@@ -155,7 +157,7 @@ def _period_scores(model, stack: np.ndarray, clim, stations):
 
 
 def run_gaming_experiment(model, truth, fields, clim, stations,
-                          scenarios: list[AttackScenario]) -> list[GamingOutcome]:
+                          scenarios: list[AttackScenario]) -> GamingRun:
     """Score every scenario against the paired clean baseline period.
 
     Scores are GTI against the climatology baseline; no other method or
@@ -171,33 +173,30 @@ def run_gaming_experiment(model, truth, fields, clim, stations,
     y_star = np.array([truth.verify(f) for f in fields])
     mae_clean = float(np.abs(base_preds - y_star).mean())
 
-    outcomes = []
+    n_sc = len(scenarios)
+    attack = np.tile(base_uns, (n_sc, 1))  # an attack that misses the model scores as clean
+    ratio, honest_pp, reached, mae_change = np.zeros((4, n_sc))
     base_total = base_uns.sum()
     base_shares = base_uns / base_total if base_total > 0 else np.zeros_like(base_uns)
     in_reach = stations_in_reach(model, stations, 1)
-    for sc in scenarios:
+    for i, sc in enumerate(scenarios):
         effective = (sc.kind == "spoof" or sc.magnitude_pct > 0)
-        reached = bool(np.isin(sc.attackers, in_reach).any()) and effective
-        if reached:
+        reached[i] = bool(np.isin(sc.attackers, in_reach).any()) and effective
+        if reached[i]:
             attacked = stack.copy()
             _attack_in_place(attacked, sc, clim, stations)
-            atk_uns, atk_preds = _period_scores(model, attacked, clim, stations)
-            mae_attack = float(np.abs(atk_preds - y_star).mean())
-        else:
-            atk_uns = base_uns.copy()
-            mae_attack = mae_clean
+            attack[i], atk_preds = _period_scores(model, attacked, clim, stations)
+            mae_change[i] = float(np.abs(atk_preds - y_star).mean()) - mae_clean
+        atk_uns = attack[i]
         attackers = np.asarray(sc.attackers)
-        ratio = float(np.mean((atk_uns[attackers] + _EPS) / (base_uns[attackers] + _EPS)))
+        ratio[i] = np.mean((atk_uns[attackers] + _EPS) / (base_uns[attackers] + _EPS))
         atk_total = atk_uns.sum()
         atk_shares = atk_uns / atk_total if atk_total > 0 else np.zeros_like(atk_uns)
         honest = np.setdiff1d(np.arange(stations.n_stations), attackers)
-        honest_pp = float(np.abs(atk_shares[honest] - base_shares[honest]).mean() * 100.0)
-        outcomes.append(GamingOutcome(
-            scenario=sc, baseline_unsigned=base_uns.copy(), attack_unsigned=atk_uns,
-            inflation_ratio=ratio, mae_clean=mae_clean,
-            mae_change=mae_attack - mae_clean, honest_share_change_pp=honest_pp,
-            attack_reached_model=reached))
-    return outcomes
+        honest_pp[i] = np.abs(atk_shares[honest] - base_shares[honest]).mean() * 100.0
+    return GamingRun(baseline=base_uns, attack=attack, inflation_ratio=ratio,
+                     mae_clean=np.full(n_sc, mae_clean), mae_change=mae_change,
+                     honest_share_change_pp=honest_pp, attack_reached_model=reached)
 
 
 # -- detectors ------------------------------------------------------------
@@ -269,78 +268,38 @@ def detector_u1_baseline_free(scores, eps: float = _EPS) -> tuple[np.ndarray, bo
     return np.abs(z), bool(defined)
 
 
-@dataclass(frozen=True)
-class DetectionResult:
-    detector: str
-    scenario_id: str
-    suspicion: np.ndarray
-    pr_auc: float
-    hit_at_1: float
-    hit_at_5: float
-    flagged: bool = False
+DETECTORS = ("d3", "d4", "d5", "u1")  # the unsupervised family, in `score_scenario` order
 
 
-def score_scenario(outcome: GamingOutcome, stations: StationGrid,
-                   neighbors=None) -> list[DetectionResult]:
-    """Run the unsupervised detector family on one gaming outcome."""
-    sc = outcome.scenario
-    attackers = set(sc.attackers)
-    labels = np.zeros(stations.n_stations, dtype=int)
-    labels[list(attackers)] = 1
-    results = []
-    suspicions = {
-        "d3": (detector_d3_rank_jump(outcome.baseline_unsigned, outcome.attack_unsigned), False),
-        "d4": (detector_d4_proxy_log_ratio(outcome.baseline_unsigned, outcome.attack_unsigned),
-               False),
-        "d5": (detector_d5_spatial_residual(outcome.attack_unsigned, stations,
-                                            neighbors=neighbors), False),
-    }
-    u1, defined = detector_u1_baseline_free(outcome.attack_unsigned)
-    suspicions["u1"] = (u1, not defined)
-    for name, (s, flagged) in suspicions.items():
-        top1 = set(topk_indices(s, 1).tolist())
-        top5 = set(topk_indices(s, min(5, stations.n_stations)).tolist())
-        results.append(DetectionResult(
-            detector=name, scenario_id=sc.scenario_id, suspicion=s,
-            pr_auc=pr_auc(s, labels), hit_at_1=float(bool(top1 & attackers)),
-            hit_at_5=float(bool(top5 & attackers)), flagged=flagged))
-    return results
+def attacker_labels(scenario: AttackScenario, n_stations: int) -> np.ndarray:
+    """Per-station 0/1 labels, 1 at the scenario's attackers."""
+    labels = np.zeros(n_stations, dtype=int)
+    labels[list(scenario.attackers)] = 1
+    return labels
 
 
-@dataclass(frozen=True)
-class DetectionSummary:
-    detector: str
-    kind: str
-    n_scenarios: int
-    mean_pr_auc: float
-    hit_at_1: float
-    hit_at_5: float
-    prevalence: float
+def score_scenario(scenario: AttackScenario, baseline: np.ndarray, attack_row: np.ndarray,
+                   stations: StationGrid, neighbors=None) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Run the unsupervised detector family on one scenario's station scores.
 
+    Returns the suspicions (one row per detector of `DETECTORS`, one column
+    per station), a (detectors x 3) array of PR-AUC, hit@1 and hit@5 against
+    the attackers, and whether U1 met a zero MAD.
+    """
+    u1, mad_defined = detector_u1_baseline_free(attack_row)
+    suspicions = np.stack([
+        detector_d3_rank_jump(baseline, attack_row),
+        detector_d4_proxy_log_ratio(baseline, attack_row),
+        detector_d5_spatial_residual(attack_row, stations, neighbors=neighbors), u1])
+    labels = attacker_labels(scenario, stations.n_stations)
+    attackers = set(scenario.attackers)
 
-def evaluate_detection(per_scenario: dict[str, list[DetectionResult]],
-                       outcomes: list[GamingOutcome],
-                       n_stations: int) -> list[DetectionSummary]:
-    """Aggregate detector metrics, inflate and spoof scenarios kept apart."""
-    by_id = {o.scenario.scenario_id: o for o in outcomes}
-    summaries = []
-    detectors = sorted({r.detector for rs in per_scenario.values() for r in rs})
-    for kind in KINDS:
-        ids = [sid for sid, o in by_id.items() if o.scenario.kind == kind]
-        if not ids:
-            continue
-        prev = float(np.mean([len(by_id[sid].scenario.attackers) / n_stations for sid in ids]))
-        for det in detectors:
-            rows = [r for sid in ids for r in per_scenario[sid] if r.detector == det]
-            if not rows:
-                continue
-            summaries.append(DetectionSummary(
-                detector=det, kind=kind, n_scenarios=len(rows),
-                mean_pr_auc=float(np.mean([r.pr_auc for r in rows])),
-                hit_at_1=float(np.mean([r.hit_at_1 for r in rows])),
-                hit_at_5=float(np.mean([r.hit_at_5 for r in rows])),
-                prevalence=prev))
-    return summaries
+    def hit(s, k):
+        return float(bool(set(topk_indices(s, k).tolist()) & attackers))
+
+    metrics = np.array([(pr_auc(s, labels), hit(s, 1), hit(s, min(5, stations.n_stations)))
+                        for s in suspicions])
+    return suspicions, metrics, not mad_defined
 
 
 # -- supervised detector ---------------------------------------------------
@@ -356,16 +315,6 @@ def _logistic_gd(features: np.ndarray, labels: np.ndarray, iters: int = 300,
         p = 1.0 / (1.0 + np.exp(-np.clip(x @ w, -35, 35)))
         w -= lr * (x.T @ (p - y)) / x.shape[0]
     return w
-
-
-def scenario_features(outcome: GamingOutcome, detections: list[DetectionResult],
-                      stations: StationGrid, target: TargetSpec) -> np.ndarray:
-    """Per-station feature rows: d3, d4, d5 (from `score_scenario`), baseline share, distance."""
-    suspicion = {r.detector: r.suspicion for r in detections}
-    total = outcome.baseline_unsigned.sum()
-    share = outcome.baseline_unsigned / total if total > 0 else np.zeros_like(suspicion["d4"])
-    dist = stations.distances_to(target.lat, target.lon)
-    return np.column_stack([suspicion["d3"], suspicion["d4"], suspicion["d5"], share, dist])
 
 
 def detector_d7_supervised(config_data: dict[str, list[tuple[np.ndarray, np.ndarray]]],

@@ -144,8 +144,6 @@ class CalibrationReport:
     decile_mean_utility: np.ndarray
     gini_ratio: float
     overpayment_total: float
-    proxy_shares: np.ndarray
-    true_shares: np.ndarray
     share_spearman: float
 
 
@@ -177,8 +175,7 @@ def decile_calibration(proxy_scores, utilities) -> CalibrationReport:
     over, _ = overpayment(pp, pt)
     rc = spearman(pp, pt)
     return CalibrationReport(decile_mean_utility=means, gini_ratio=float(g_ratio),
-                             overpayment_total=over, proxy_shares=pp, true_shares=pt,
-                             share_spearman=rc.rho)
+                             overpayment_total=over, share_spearman=rc.rho)
 
 
 @dataclass(frozen=True)
@@ -237,7 +234,6 @@ def payment_stability(score_matrix, n_resamples: int = 10000, level: float = 0.9
 class ShrinkageFit:
     lam: float
     per_fold: np.ndarray
-    objective: str
     delta_rho: float
 
 
@@ -287,5 +283,4 @@ def shrinkage_fit(proxy_shares_per_t, dist_shares, utilities, objective: str = "
     pbar = p.mean(axis=0)
     rho_blend = spearman(lam * pbar + (1 - lam) * d, truth).rho
     rho_pure = spearman(pbar, truth).rho
-    return ShrinkageFit(lam=lam, per_fold=per_fold, objective=objective,
-                        delta_rho=float(rho_blend - rho_pure))
+    return ShrinkageFit(lam=lam, per_fold=per_fold, delta_rho=float(rho_blend - rho_pure))

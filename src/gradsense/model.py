@@ -62,6 +62,9 @@ def _conv(w: np.ndarray, h: np.ndarray) -> np.ndarray:
     return out.reshape(b, co, hh, ww)
 
 
+MIN_DEPTH, MAX_DEPTH = 1, 6  # the stencil-layer counts a DeskModel accepts
+
+
 class DeskModel:
     """Seeded stencil-tanh surrogate producing a scalar forecast at a target cell."""
 
@@ -69,8 +72,8 @@ class DeskModel:
 
     def __init__(self, grid: GridSpec, target: TargetSpec, seed: int, depth: int = 3,
                  channels: int = 4, stencil_radius: int = 2, _weights=None):
-        if not 1 <= depth <= 6:
-            raise ValueError(f"depth must be in [1, 6], got {depth}")
+        if not MIN_DEPTH <= depth <= MAX_DEPTH:
+            raise ValueError(f"depth must be in [{MIN_DEPTH}, {MAX_DEPTH}], got {depth}")
         if stencil_radius < 1:
             raise ValueError("stencil radius must be >= 1")
         self.grid = grid

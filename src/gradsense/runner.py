@@ -7,7 +7,7 @@ analyses, the gaming campaign, and detector evaluation.  Every stage writes
 deterministic CSV/JSON results under the output directory; the manifest
 records the config hash and a content hash for every emitted file, so a
 rerun with the same config is byte-identical.  Intermediate arrays (fields,
-per-timestamp tables, gaming outcomes) live in `fieldio` array stores stamped
+per-timestamp tables, gaming runs) live in `fieldio` array stores stamped
 with the config hash, and every store goes through `Workspace.store`: loaded
 when the stamp matches the config, else computed and saved.  Either way the
 `RunState.ensure_*` entry points decode the arrays it returns, so a fresh and
@@ -25,7 +25,7 @@ import json
 import math
 import traceback
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields as dataclass_fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,7 @@ from . import __version__, ablation, attribution as attr, fieldio, gaming, incen
 from .fieldio import fmt
 from .grid import (Climatology, FieldTensor, GridConfig, GridSpec, StationGrid, TargetSpec,
                    make_grid, make_station_grid, make_target)
-from .model import DeskModel, TruthGenerator, make_desk_model, make_truth
+from .model import MAX_DEPTH, MIN_DEPTH, DeskModel, TruthGenerator, make_desk_model, make_truth
 from . import synth
 
 SCHEMA_VERSION = 1
@@ -46,8 +46,8 @@ STAGES = ("gen", "fidelity", "methods", "calibrate", "select", "pay",
 DATA_STORE = "data/fields.gsa"
 TABLES_STORE = "tables/tables.gsa"
 GAMING_STORE = "tables/gaming.gsa"
-# per-scenario GamingOutcome scalars kept in the gaming store
-_OUTCOME_FLOATS = ("inflation_ratio", "mae_clean", "mae_change", "honest_share_change_pp")
+# each gaming config's arrays in the gaming store, as "{name}/{config id}", in this order
+_GAMING_ARRAYS = tuple(f.name for f in dataclass_fields(gaming.GamingRun))
 
 
 @dataclass(frozen=True)
@@ -127,6 +127,12 @@ class ExperimentConfig:
             raise ValueError("ig_steps must be part of ig_step_grid")
         if any(s < 1 for s in self.ig_step_grid):
             raise ValueError("ig_step_grid entries must be >= 1")
+        if self.cheap_steps() not in self.ig_step_grid:  # the baseline-sensitivity reference
+            raise ValueError(f"ig_step_grid must hold cheap_steps() = {self.cheap_steps()}")
+        if not self.model_depths:
+            raise ValueError("model_depths is empty, so no model is built")
+        if any(not MIN_DEPTH <= d <= MAX_DEPTH for d in self.model_depths):
+            raise ValueError(f"model_depths must lie in [{MIN_DEPTH}, {MAX_DEPTH}]")
         if any(p < 1 or p % 2 == 0 for p in self.patches):
             raise ValueError("patches must be odd positive cell counts")
         if any(m not in ablation.MODES for m in self.modes):
@@ -148,6 +154,10 @@ class ExperimentConfig:
             raise ValueError("bootstrap_resamples must be at least 1000")
         if not 0 < self.bootstrap_level < 1:
             raise ValueError("bootstrap_level must be in (0, 1)")
+
+    def cheap_steps(self) -> int:
+        """Quadrature steps of the zero- and persistence-baseline IG variants."""
+        return min(8, self.ig_steps)
 
 
 def fast_variant(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -308,7 +318,7 @@ def _store_name(kind: str, key) -> str:
 
 
 class RunState:
-    """Shared context: data, models, and the per-timestamp tables and gaming outcomes."""
+    """Shared context: data, models, and the per-timestamp tables and gaming runs."""
 
     def __init__(self, cfg: ExperimentConfig, workspace: Workspace | None = None):
         cfg.validate()
@@ -325,7 +335,7 @@ class RunState:
         self.var_std: np.ndarray | None = None
         self.models: dict[str, tuple[DeskModel, TruthGenerator]] = {}
         self._tables: dict = {}
-        self._outcomes: dict[str, list[gaming.GamingOutcome]] = {}
+        self._gaming: dict[str, tuple[list[gaming.AttackScenario], gaming.GamingRun]] = {}
         self.stage_status: dict[str, str] = {}
         self.failures: dict[str, str] = {}  # stage -> traceback
 
@@ -392,13 +402,10 @@ class RunState:
 
     # -- per-timestamp tables -----------------------------------------------
 
-    def cheap_steps(self) -> int:
-        """Quadrature steps of the zero- and persistence-baseline IG variants."""
-        return min(8, self.cfg.ig_steps)
-
     def _method_keys(self) -> list[str]:
         keys = [f"ig@{k}" for k in sorted(set(self.cfg.ig_step_grid))]
-        keys += ["gti", "vg", f"ig-zero@{self.cheap_steps()}", f"ig-pers@{self.cheap_steps()}"]
+        cheap = self.cfg.cheap_steps()
+        keys += ["gti", "vg", f"ig-zero@{cheap}", f"ig-pers@{cheap}"]
         return keys
 
     def primary_key(self) -> str:
@@ -441,7 +448,7 @@ class RunState:
                 si_u[(cid, key)][t] = np.abs(values).sum(axis=0)[li, lj]
 
         step_grid = sorted(set(cfg.ig_step_grid))
-        zp_steps = self.cheap_steps()
+        zp_steps = cfg.cheap_steps()
         zero_base = np.zeros(self.grid.shape)
         for cid in self.config_ids():
             model, truth = self.models[cid]
@@ -474,35 +481,30 @@ class RunState:
         return {_store_name(kind, key): tables[kind][key]
                 for kind, kind_keys in keys.items() for key in kind_keys}
 
-    # -- gaming outcomes -----------------------------------------------------
+    # -- gaming runs ----------------------------------------------------------
 
-    def ensure_gaming(self) -> dict[str, list[gaming.GamingOutcome]]:
-        """Per gaming config id, the outcome of each scenario in build_scenarios order."""
-        if not self._outcomes:
+    def ensure_gaming(self) -> dict[str, tuple[list[gaming.AttackScenario], gaming.GamingRun]]:
+        """Per gaming config id, its build_scenarios list and the GamingRun over it.
+
+        The store holds each run field as `{field}/{config id}`, so a loaded and
+        a computed run hold the same arrays; with no scenario, only the baseline
+        is nonempty.
+        """
+        if not self._gaming:
             stored = self.ws.store(GAMING_STORE, self.stamp, self._gaming_arrays)
-            self._outcomes = {cid: [gaming.GamingOutcome(
-                scenario=sc, baseline_unsigned=stored[f"baseline/{cid}"].copy(),
-                attack_unsigned=stored[f"attack/{cid}"][i],
-                attack_reached_model=bool(stored[f"attack_reached_model/{cid}"][i]),
-                **{name: float(stored[f"{name}/{cid}"][i]) for name in _OUTCOME_FLOATS})
-                for i, sc in enumerate(build_scenarios(self, cid))]
+            self._gaming = {cid: (build_scenarios(self, cid), gaming.GamingRun(
+                **{name: stored[f"{name}/{cid}"] for name in _GAMING_ARRAYS}))
                 for cid in _gaming_config_ids(self)}
-        return self._outcomes
+        return self._gaming
 
     def _gaming_arrays(self) -> dict[str, np.ndarray]:
         self.ensure_models()
         arrays = {}
         for cid in _gaming_config_ids(self):
             model, truth = self.models[cid]
-            outcomes = gaming.run_gaming_experiment(model, truth, self.fields, self.clim,
-                                                    self.stations, build_scenarios(self, cid))
-            if outcomes:  # ensure_gaming reads a baseline only through a scenario
-                arrays[f"baseline/{cid}"] = outcomes[0].baseline_unsigned
-            # one row per scenario, in build_scenarios order
-            arrays[f"attack/{cid}"] = np.array(
-                [o.attack_unsigned for o in outcomes]).reshape(-1, self.stations.n_stations)
-            for name in _OUTCOME_FLOATS + ("attack_reached_model",):
-                arrays[f"{name}/{cid}"] = np.array([float(getattr(o, name)) for o in outcomes])
+            run = gaming.run_gaming_experiment(model, truth, self.fields, self.clim,
+                                               self.stations, build_scenarios(self, cid))
+            arrays.update({f"{name}/{cid}": getattr(run, name) for name in _GAMING_ARRAYS})
         return arrays
 
     # -- shared small helpers ------------------------------------------------
@@ -671,7 +673,7 @@ def stage_methods(state: RunState) -> None:
 
     # baseline sensitivity: zero and persistence baselines vs climatology
     b_rows = []
-    zp = state.cheap_steps()
+    zp = cfg.cheap_steps()
     for cid in state.config_ids():
         util_mean = gu[cid].mean(axis=0)
         rhos = {base: metrics.spearman(np.nanmean(gi[(cid, key)], axis=0), util_mean).rho
@@ -872,11 +874,8 @@ def stage_subadditivity(state: RunState) -> None:
 
 
 def _gaming_config_ids(state: RunState) -> list[str]:
-    out = []
-    for depth in state.cfg.model_depths:
-        for name, tv in state.cfg.gaming.combos:
-            out.append(f"d{depth}-{name}-{tv}")
-    return out
+    return [f"d{depth}-{name}-{tv}" for depth in state.cfg.model_depths
+            for name, tv in state.cfg.gaming.combos]
 
 
 def build_scenarios(state: RunState, cid: str) -> list[gaming.AttackScenario]:
@@ -920,9 +919,8 @@ def build_scenarios(state: RunState, cid: str) -> list[gaming.AttackScenario]:
 
 def stage_game(state: RunState) -> None:
     manifest, outcome_rows = {}, []
-    for cid, outcomes in state.ensure_gaming().items():
-        for o in outcomes:
-            sc = o.scenario
+    for cid, (scenarios, run) in state.ensure_gaming().items():
+        for i, sc in enumerate(scenarios):
             manifest[sc.scenario_id] = {
                 "kind": sc.kind, "attackers": list(sc.attackers),
                 "magnitude_pct": sc.magnitude_pct, "scope": sc.scope,
@@ -932,8 +930,8 @@ def stage_game(state: RunState) -> None:
             outcome_rows.append((
                 sc.scenario_id, cid, sc.kind, len(sc.attackers), sc.magnitude_pct,
                 sc.scope, sc.placement, ";".join(str(a) for a in sc.attackers),
-                o.inflation_ratio, o.mae_clean, o.mae_change, o.honest_share_change_pp,
-                o.attack_reached_model))
+                run.inflation_ratio[i], run.mae_clean[i], run.mae_change[i],
+                run.honest_share_change_pp[i], bool(run.attack_reached_model[i])))
     state.ws.write_json("results/gaming_scenarios.json", manifest)
     state.ws.write_csv("results/gaming_outcomes.csv",
                        ["scenario_id", "config_id", "kind", "n_attackers", "magnitude_pct",
@@ -943,36 +941,39 @@ def stage_game(state: RunState) -> None:
 
 
 def stage_detect(state: RunState) -> None:
-    outcomes_by_cid = state.ensure_gaming()
-    nbrs = gaming.neighbor_model(state.stations)
+    st = state.stations
+    nbrs = gaming.neighbor_model(st)
     results_rows, summary_rows = [], []
     d7_data: dict[str, list] = {}
-    for cid in sorted(outcomes_by_cid):
-        outcomes = outcomes_by_cid[cid]
-        per_scenario: dict[str, list[gaming.DetectionResult]] = {}
-        target = state.target_of(cid)
-        d7_data[cid] = []
-        for o in outcomes:
-            res = gaming.score_scenario(o, state.stations, neighbors=nbrs)
-            per_scenario[o.scenario.scenario_id] = res
-            for r in res:
-                results_rows.append((r.scenario_id, r.detector, r.pr_auc, r.hit_at_1,
-                                     r.hit_at_5, o.inflation_ratio, o.mae_change,
-                                     r.flagged))
-            if o.scenario.kind == "inflate":
-                labels = np.zeros(state.stations.n_stations, dtype=int)
-                labels[list(o.scenario.attackers)] = 1
-                d7_data[cid].append((gaming.scenario_features(o, res, state.stations, target),
-                                     labels))
-        for s in gaming.evaluate_detection(per_scenario, outcomes,
-                                           state.stations.n_stations):
-            summary_rows.append((cid, s.kind, s.detector, s.n_scenarios,
-                                 s.mean_pr_auc, s.hit_at_1, s.hit_at_5, s.prevalence))
+    for cid, (scenarios, run) in sorted(state.ensure_gaming().items()):
+        # PR-AUC, hit@1 and hit@5 of each detector on each scenario
+        scored = np.empty((len(scenarios), len(gaming.DETECTORS), 3))
+        total = run.baseline.sum()
+        share = run.baseline / total if total > 0 else np.zeros_like(run.baseline)
+        dist = state.distances(cid)
+        for i, sc in enumerate(scenarios):
+            suspicions, scored[i], u1_zero_mad = gaming.score_scenario(
+                sc, run.baseline, run.attack[i], st, nbrs)
+            for det, row in zip(gaming.DETECTORS, scored[i].tolist()):
+                results_rows.append((sc.scenario_id, det, *row, run.inflation_ratio[i],
+                                     run.mae_change[i], det == "u1" and u1_zero_mad))
+            if sc.kind == "inflate":  # D7 features: d3, d4, d5, baseline share, distance
+                d7_data.setdefault(cid, []).append((
+                    np.column_stack([*suspicions[:3], share, dist]),
+                    gaming.attacker_labels(sc, st.n_stations)))
+        prevalence = np.array([len(sc.attackers) for sc in scenarios]) / st.n_stations
+        for kind in gaming.KINDS:
+            mine = np.array([sc.kind == kind for sc in scenarios], dtype=bool)
+            if not mine.any():
+                continue
+            for d, det in enumerate(gaming.DETECTORS):
+                summary_rows.append((cid, kind, det, int(mine.sum()),
+                                     *(scored[mine, d, m].mean() for m in range(3)),
+                                     prevalence[mine].mean()))
     state.ws.write_csv("results/gaming_results.csv",
                        ["scenario_id", "detector", "pr_auc", "hit_at_1", "hit_at_5",
                         "inflation_ratio", "mae_change", "flagged"], results_rows)
 
-    d7_data = {cid: rows for cid, rows in d7_data.items() if rows}
     if len(d7_data) >= 2:
         d7 = gaming.detector_d7_supervised(d7_data)
         for cid in sorted(d7):

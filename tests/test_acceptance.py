@@ -374,9 +374,9 @@ def test_criterion_11_gaming_suite(full_run, desk_model, desk_truth, desk_data,
     # null scenarios: exact identity
     null = gaming.AttackScenario("null", "inflate", (60,), 0.0, "all_surface",
                                  tuple(range(6)), "uniform", 1)
-    out = gaming.run_gaming_experiment(desk_model, desk_truth, fields, clim,
-                                       desk_stations, [null])[0]
-    assert out.inflation_ratio == 1.0 and out.mae_change == 0.0
+    run = gaming.run_gaming_experiment(desk_model, desk_truth, fields, clim,
+                                       desk_stations, [null])
+    assert run.inflation_ratio[0] == 1.0 and run.mae_change[0] == 0.0
 
     scen = _manifest_scenarios(full_run)
     scores = _gaming_scores(full_run)

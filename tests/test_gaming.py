@@ -1,7 +1,11 @@
+import csv
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from gradsense import gaming
+from gradsense import gaming, runner
 from gradsense.metrics import topk_indices
 
 
@@ -143,32 +147,31 @@ class TestExperiment:
                                           desk_stations):
         fields, clim = desk_data
         sc = scenario([60], pct=0.0)
-        out = gaming.run_gaming_experiment(desk_model, desk_truth, fields, clim,
-                                           desk_stations, [sc])[0]
-        assert out.inflation_ratio == 1.0
-        assert out.mae_change == 0.0
-        assert not out.attack_reached_model
+        run = gaming.run_gaming_experiment(desk_model, desk_truth, fields, clim,
+                                           desk_stations, [sc])
+        assert run.inflation_ratio[0] == 1.0
+        assert run.mae_change[0] == 0.0
+        assert not run.attack_reached_model[0]
 
     def test_out_of_window_attack_copies_baseline(self, desk_model, desk_truth,
                                                   desk_data, desk_stations):
         fields, clim = desk_data
         sc = scenario([0], pct=200.0)  # far corner station
-        out = gaming.run_gaming_experiment(desk_model, desk_truth, fields, clim,
-                                           desk_stations, [sc])[0]
-        assert not out.attack_reached_model
-        assert np.array_equal(out.attack_unsigned, out.baseline_unsigned)
+        run = gaming.run_gaming_experiment(desk_model, desk_truth, fields, clim,
+                                           desk_stations, [sc])
+        assert not run.attack_reached_model[0]
+        assert np.array_equal(run.attack[0], run.baseline)
 
     def test_inflation_increases_attacker_score(self, desk_model, desk_truth, desk_data,
                                                 desk_stations, desk_target):
         fields, clim = desk_data
         close = gaming.sample_attackers(desk_stations, desk_target, 1, "close", 2)
         sc = scenario(close, pct=100.0)
-        out = gaming.run_gaming_experiment(desk_model, desk_truth, fields, clim,
-                                           desk_stations, [sc])[0]
-        assert out.attack_reached_model
-        assert out.inflation_ratio > 1.0
-        assert out.honest_share_change_pp < 100.0 * (out.inflation_ratio - 1.0)
-
+        run = gaming.run_gaming_experiment(desk_model, desk_truth, fields, clim,
+                                           desk_stations, [sc])
+        assert run.attack_reached_model[0]
+        assert run.inflation_ratio[0] > 1.0
+        assert run.honest_share_change_pp[0] < 100.0 * (run.inflation_ratio[0] - 1.0)
 
     def test_matches_per_field_oracle(self, desk_model, desk_model_d1, desk_truth, desk_data,
                                       desk_stations, desk_target):
@@ -178,22 +181,22 @@ class TestExperiment:
             base_uns, base_preds = gaming._period_scores(
                 model, np.stack([f.values for f in fields]), clim, desk_stations)
             y_star = np.array([desk_truth.verify(f) for f in fields])
-            outs = gaming.run_gaming_experiment(model, desk_truth, fields, clim,
-                                                desk_stations, scs)
+            run = gaming.run_gaming_experiment(model, desk_truth, fields, clim,
+                                               desk_stations, scs)
+            assert np.array_equal(run.baseline, base_uns)
             n_reached = 0
-            for sc, out in zip(scs, outs):
-                assert np.array_equal(out.baseline_unsigned, base_uns)
-                if not out.attack_reached_model:
-                    assert np.array_equal(out.attack_unsigned, base_uns)
+            for i, sc in enumerate(scs):
+                if not run.attack_reached_model[i]:
+                    assert np.array_equal(run.attack[i], base_uns)
                     continue
                 n_reached += 1
                 stack = np.stack([oracle_attack(f.values, sc, clim, desk_stations)
                                   for f in fields])
                 atk_uns, atk_preds = gaming._period_scores(model, stack, clim, desk_stations)
-                assert np.array_equal(out.attack_unsigned, atk_uns), sc
+                assert np.array_equal(run.attack[i], atk_uns), sc
                 mae_change = (float(np.abs(atk_preds - y_star).mean())
                               - float(np.abs(base_preds - y_star).mean()))
-                assert out.mae_change == mae_change, sc
+                assert run.mae_change[i] == mae_change, sc
             assert 0 < n_reached < len(scs)
 
 
@@ -316,36 +319,98 @@ class TestSupervised:
 
 
 class TestEvaluation:
-    def test_score_scenario_and_summary(self, desk_model, desk_truth, desk_data,
-                                        desk_stations, desk_target):
+    @staticmethod
+    def _desk_runs(models, truth, desk_data, stations, target):
+        """Two inflate scenarios and one spoof per model, keyed by the default config's ids."""
         fields, clim = desk_data
-        close = gaming.sample_attackers(desk_stations, desk_target, 1, "close", 7)
-        scs = [scenario(close, pct=100.0), scenario(close, kind="spoof", pct=0.0)]
-        outs = gaming.run_gaming_experiment(desk_model, desk_truth, fields, clim,
-                                            desk_stations, scs)
-        per = {o.scenario.scenario_id: gaming.score_scenario(o, desk_stations)
-               for o in outs}
-        # the D7 features reuse the d3/d4/d5 suspicions; oracle: recomputing them
+        scs = [scenario(gaming.sample_attackers(stations, target, 1, "close", seed), pct=100.0)
+               for seed in (7, 8)]
+        scs.append(scenario(scs[0].attackers, kind="spoof", pct=0.0))
+        runs = {}
+        for model in models:
+            cid = f"d{model.depth}-{target.name}-{target.variable}"
+            cid_scs = [replace(sc, scenario_id=f"{cid}:{i}") for i, sc in enumerate(scs)]
+            runs[cid] = (cid_scs, gaming.run_gaming_experiment(model, truth, fields, clim,
+                                                                stations, cid_scs))
+        return runs
+
+    @staticmethod
+    def _detect(out, monkeypatch, runs):
+        """The detect stage over `runs`: the D7 input it builds and its two result tables."""
+        state = runner.RunState(replace(runner.ExperimentConfig(), out_dir=str(out)))
+        monkeypatch.setattr(state, "ensure_gaming", lambda: runs)
+        d7_input, real = {}, gaming.detector_d7_supervised
+
+        def recording(config_data, **kwargs):
+            d7_input.update(config_data)
+            return real(config_data, **kwargs)
+
+        monkeypatch.setattr(gaming, "detector_d7_supervised", recording)
+        runner.run_stage(state, "detect")
+
+        def rows(rel):
+            with open(out / rel, newline="") as fh:
+                return list(csv.DictReader(fh))
+
+        return d7_input, rows("results/gaming_results.csv"), rows("results/detection_summary.csv")
+
+    def test_score_scenario_and_summary(self, desk_model, desk_model_d1, desk_truth, desk_data,
+                                        desk_stations, desk_target, tmp_path, monkeypatch):
+        runs = self._desk_runs((desk_model, desk_model_d1), desk_truth, desk_data,
+                               desk_stations, desk_target)
+        d7_input, results, summary = self._detect(tmp_path, monkeypatch, runs)
+        assert sorted(d7_input) == sorted(runs)
         dist = desk_stations.distances_to(desk_target.lat, desk_target.lon)
-        for o in outs:
-            b, a = o.baseline_unsigned, o.attack_unsigned
-            recomputed = np.column_stack([
-                gaming.detector_d3_rank_jump(b, a), gaming.detector_d4_proxy_log_ratio(b, a),
-                gaming.detector_d5_spatial_residual(a, desk_stations), b / b.sum(), dist])
-            features = gaming.scenario_features(o, per[o.scenario.scenario_id],
-                                                desk_stations, desk_target)
-            assert np.array_equal(features, recomputed)
-        summaries = gaming.evaluate_detection(per, outs, desk_stations.n_stations)
-        kinds = {(s.kind, s.detector) for s in summaries}
+        per_scenario = {}  # (config id, kind, detector) -> per-scenario PR-AUCs
+        for cid, (scs, run) in runs.items():
+            b = run.baseline
+            inflate = iter(d7_input[cid])
+            for i, sc in enumerate(scs):
+                a = run.attack[i]
+                suspicions, scored, _ = gaming.score_scenario(sc, b, a, desk_stations)
+                u1, _ = gaming.detector_u1_baseline_free(a)
+                fresh = [gaming.detector_d3_rank_jump(b, a),
+                         gaming.detector_d4_proxy_log_ratio(b, a),
+                         gaming.detector_d5_spatial_residual(a, desk_stations), u1]
+                assert np.array_equal(suspicions, np.array(fresh))
+                for det, row in zip(gaming.DETECTORS, scored):
+                    per_scenario.setdefault((cid, sc.kind, det), []).append(row[0])
+                if sc.kind == "inflate":
+                    # the D7 features reuse the d3/d4/d5 suspicions; oracle: recomputing them
+                    features, labels = next(inflate)
+                    assert np.array_equal(features, np.column_stack([*fresh[:3], b / b.sum(),
+                                                                     dist]))
+                    assert np.flatnonzero(labels).tolist() == sorted(sc.attackers)
+            assert next(inflate, None) is None
+        # the stage writes each score_scenario row: configs sorted, then scenario, detector
+        assert [(r["scenario_id"], r["detector"]) for r in results] == [
+            (sc.scenario_id, det) for cid in sorted(runs) for sc in runs[cid][0]
+            for det in gaming.DETECTORS]
+        kinds = {(s["kind"], s["detector"]) for s in summary}
         assert ("inflate", "d4") in kinds and ("spoof", "d4") in kinds
-        for s in summaries:
-            assert 0.0 <= s.mean_pr_auc <= 1.0
+        for s in summary:
+            assert 0.0 <= float(s["mean_pr_auc"]) <= 1.0
+            if s["detector"] == "d7":
+                continue
             # aggregation matches the per-scenario mean
-            rows = [r.pr_auc for sid, rs in per.items() for r in rs
-                    if r.detector == s.detector
-                    and next(o for o in outs if o.scenario.scenario_id == sid)
-                    .scenario.kind == s.kind]
-            assert s.mean_pr_auc == pytest.approx(np.mean(rows))
+            rows = per_scenario[(s["config_id"], s["kind"], s["detector"])]
+            assert int(s["n_scenarios"]) == len(rows)
+            assert float(s["mean_pr_auc"]) == pytest.approx(np.mean(rows))
+
+    def test_zero_baseline_share_feature(self, desk_model, desk_model_d1, desk_truth, desk_data,
+                                         desk_stations, desk_target, tmp_path, monkeypatch):
+        # an all-zero baseline has no shares; the D7 share feature is 0 there, not NaN
+        runs = {cid: (scs, replace(run, baseline=np.zeros_like(run.baseline)))
+                for cid, (scs, run) in self._desk_runs((desk_model, desk_model_d1), desk_truth,
+                                                       desk_data, desk_stations,
+                                                       desk_target).items()}
+        d7_input, _, summary = self._detect(tmp_path, monkeypatch, runs)
+        assert sorted(d7_input) == sorted(runs)
+        for rows in d7_input.values():
+            for features, _ in rows:
+                assert np.all(features[:, 3] == 0.0)
+                assert np.isfinite(features).all()
+        assert all(not math.isnan(float(s["mean_pr_auc"])) for s in summary)
 
     def test_perfect_detector_metrics(self, desk_stations):
         labels_pos = {40}
