@@ -26,6 +26,7 @@ import math
 import traceback
 import warnings
 from dataclasses import asdict, dataclass, field, fields as dataclass_fields, replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -181,21 +182,40 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return clean(d)
 
 
+_SCALARS = {"int": (int,), "float": (int, float), "str": (str,)}  # bool is no int here
+
+
+def _fields_of(cls, d, where: str) -> dict:
+    """`d` as keyword arguments of dataclass `cls`, lists (and lists in them) made tuples.
+
+    An unknown key or a value unlike its field's annotation raises ValueError naming
+    the key, after the prefix `where`.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"config {where.rstrip('.') or 'document'} must be a mapping")
+    kinds = {f.name: f.type for f in dataclass_fields(cls)}
+    for key, val in d.items():
+        if key not in kinds:
+            raise ValueError(f"unknown config key {where}{key}")
+        kind = kinds[key]
+        seq = kind.startswith("tuple[")
+        entry = _SCALARS.get(kind[6:].split(",")[0] if seq else kind)  # X of tuple[X, ...]
+        if seq != isinstance(val, (list, tuple)) or entry and any(
+                type(v) not in entry for v in (val if seq else [val])):
+            raise ValueError(f"config key {where}{key} must be {kind}, not {val!r}")
+    return {key: tuple(tuple(v) if isinstance(v, list) else v for v in val)
+            if isinstance(val, (list, tuple)) else val for key, val in d.items()}
+
+
 def config_from_dict(d: dict) -> ExperimentConfig:
-    d = dict(d)
+    d = _fields_of(ExperimentConfig, d, "")
     if d.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {d.get('schema_version')!r}")
     if "targets" in d:
-        d["targets"] = tuple(TargetConfig(**t) for t in d["targets"])
+        d["targets"] = tuple(TargetConfig(**_fields_of(TargetConfig, t, "targets."))
+                             for t in d["targets"])
     if "gaming" in d:
-        g = dict(d["gaming"])
-        if "combos" in g:
-            g["combos"] = [tuple(c) for c in g["combos"]]
-        d["gaming"] = GamingDesign(**{k: tuple(v) if isinstance(v, list) else v
-                                      for k, v in g.items()})
-    for key, val in list(d.items()):
-        if isinstance(val, list):
-            d[key] = tuple(val)
+        d["gaming"] = GamingDesign(**_fields_of(GamingDesign, d["gaming"], "gaming."))
     cfg = ExperimentConfig(**d)
     cfg.validate()
     return cfg
@@ -262,28 +282,28 @@ class Workspace:
         p.parent.mkdir(parents=True, exist_ok=True)
         return p
 
-    def register(self, rel: str) -> None:
-        self.files.add(rel)
+    def write_csv(self, rel: str, header: tuple[str, ...], rows) -> None:
+        """Write `rows` of raw cells: `fmt` for a float, `str` for anything else.
 
-    def write_csv(self, rel: str, header: list[str], rows) -> None:
-        """Write `rows` of raw cells: `fmt` for a float, `str` for anything else."""
+        A row whose width is not the header's raises ValueError and leaves `rel` as it was.
+        """
         with fieldio.atomic_open(self.path(rel), "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(header)
-            w.writerows([fmt(v) if isinstance(v, float) else str(v) for v in row]
-                        for row in rows)
-        self.register(rel)
+            for i, row in enumerate(rows):
+                if len(row) != len(header):
+                    raise ValueError(f"{rel}: row {i} has {len(row)} cells for "
+                                     f"{len(header)} columns")
+                w.writerow([fmt(v) if isinstance(v, float) else str(v) for v in row])
+        self.files.add(rel)
 
     def write_json(self, rel: str, payload) -> None:
-        with fieldio.atomic_open(self.path(rel)) as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        self.register(rel)
+        self.write_text(rel, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     def write_text(self, rel: str, text: str) -> None:
         with fieldio.atomic_open(self.path(rel)) as fh:
             fh.write(text)
-        self.register(rel)
+        self.files.add(rel)
 
     def store(self, rel: str, stamp: str, compute) -> dict[str, np.ndarray]:
         """The arrays of store `rel` under `stamp`; on a miss, `compute()` them and save."""
@@ -291,15 +311,12 @@ class Workspace:
         if arrays is None:
             arrays = compute()
             fieldio.save_store(self.path(rel), stamp, arrays)
-        self.register(rel)
+        self.files.add(rel)
         return arrays
 
     def read_rows(self, rel: str) -> list[dict[str, str]]:
         with open(self.path(rel), newline="") as fh:
             return list(csv.DictReader(fh))
-
-    def has(self, rel: str) -> bool:
-        return self.path(rel).exists()
 
     def clear(self) -> None:
         """Remove the files directly in data/, tables/ and results/, and the manifest."""
@@ -329,7 +346,6 @@ class RunState:
             cfg.n_lat, cfg.n_lon, cfg.lat_min, cfg.lat_max, cfg.lon_min, cfg.lon_max,
             cfg.variables))
         self.stations: StationGrid = make_station_grid(self.grid, cfg.station_stride)
-        self.targets: dict[str, TargetSpec] = {}
         self.fields: list | None = None
         self.clim = None
         self.var_std: np.ndarray | None = None
@@ -341,23 +357,18 @@ class RunState:
 
     # -- constituents ------------------------------------------------------
 
-    def config_ids(self) -> list[str]:
-        return [f"d{depth}-{t.name}-{tv}"
-                for depth in self.cfg.model_depths
-                for t in self.cfg.targets
-                for tv in self.cfg.target_variables]
+    def config_ids(self, combos=None) -> list[str]:
+        """Ids d{depth}-{name}-{variable} of every model, or of the (name, variable) `combos`."""
+        if combos is None:
+            combos = [(t.name, tv) for t in self.cfg.targets for tv in self.cfg.target_variables]
+        return [f"d{depth}-{name}-{tv}" for depth in self.cfg.model_depths
+                for name, tv in combos]
 
     def target_of(self, cid: str) -> TargetSpec:
         """The target of a config id d{depth}-{name}-{variable}, from the config alone."""
         _, name, variable = cid.split("-", 2)
-        return self._target(name, variable)
-
-    def _target(self, name: str, variable: str) -> TargetSpec:
-        key = f"{name}-{variable}"
-        if key not in self.targets:
-            tc = next(t for t in self.cfg.targets if t.name == name)
-            self.targets[key] = make_target(self.grid, tc.name, tc.lat, tc.lon, variable)
-        return self.targets[key]
+        tc = next(t for t in self.cfg.targets if t.name == name)
+        return make_target(self.grid, tc.name, tc.lat, tc.lon, variable)
 
     def ensure_data(self) -> None:
         if self.fields is not None:
@@ -403,10 +414,9 @@ class RunState:
     # -- per-timestamp tables -----------------------------------------------
 
     def _method_keys(self) -> list[str]:
-        keys = [f"ig@{k}" for k in sorted(set(self.cfg.ig_step_grid))]
         cheap = self.cfg.cheap_steps()
-        keys += ["gti", "vg", f"ig-zero@{cheap}", f"ig-pers@{cheap}"]
-        return keys
+        return [*(f"ig@{k}" for k in sorted(set(self.cfg.ig_step_grid))), "gti", "vg",
+                f"ig-zero@{cheap}", f"ig-pers@{cheap}"]
 
     def primary_key(self) -> str:
         return f"ig@{self.cfg.ig_steps}"
@@ -518,18 +528,15 @@ def _global_ks(state: RunState) -> tuple[int, ...]:
     return tuple(k for k in (1, 3, 5) if k <= state.grid.n_variables)
 
 
-def _spatial_cases(state: RunState, tables: dict):
+def _spatial_cases(tables: dict):
     """Each spatial ablation case (cid, mode, patch) with its (T, N) |utility|."""
-    su = tables["su"]
-    for cid in state.config_ids():
-        for mode in state.cfg.modes:
-            for patch in state.cfg.patches:
-                yield cid, mode, patch, np.abs(su[(cid, mode, patch)])
+    for (cid, mode, patch), util in tables["su"].items():  # in `_table_keys` order
+        yield cid, mode, patch, np.abs(util)
 
 
-def _valued_cases(state: RunState, tables: dict):
+def _valued_cases(tables: dict):
     """The spatial cases whose time-mean |utility| is positive somewhere, with that mean."""
-    for cid, mode, patch, util in _spatial_cases(state, tables):
+    for cid, mode, patch, util in _spatial_cases(tables):
         util_mean = util.mean(axis=0)
         if util_mean.sum() > 0:
             yield cid, mode, patch, util_mean
@@ -582,13 +589,28 @@ def _global_agreements(state: RunState, tables: dict) -> dict[tuple[str, str], A
 # -- stages -----------------------------------------------------------------
 
 
+STATIONS_COLUMNS = ("station_id", "lat_idx", "lon_idx", "lat", "lon")
+
+
 def stage_gen(state: RunState) -> None:
     state.ensure_models()
     st = state.stations
     rows = [(g, int(st.lat_idx[g]), int(st.lon_idx[g]), st.lats[g], st.lons[g])
             for g in range(st.n_stations)]
-    state.ws.write_csv("data/stations.csv",
-                       ["station_id", "lat_idx", "lon_idx", "lat", "lon"], rows)
+    state.ws.write_csv("data/stations.csv", STATIONS_COLUMNS, rows)
+
+
+def fidelity_columns(spatial: bool, ks: tuple[int, ...]) -> tuple[str, ...]:
+    """The header of fidelity_spatial.csv, or of fidelity_global.csv (no mode or patch)."""
+    case = ("config_id", "mode", "patch", "method") if spatial else ("config_id", "method")
+    return (*case, "rho", "p_value", "ci_lower", "ci_upper", *(f"top{k}" for k in ks),
+            "wilcoxon_p", "bh_rejections", "mean_cycle_rho")
+
+
+def _fidelity_cells(ag: Agreement, ci_lower: float, ci_upper: float) -> tuple:
+    """The cells of a fidelity row after its case columns."""
+    return (ag.agg.rho, ag.agg.p_value, ci_lower, ci_upper, *ag.overlaps, ag.wilcoxon_p,
+            ag.bh_count, ag.mean_cycle_rho)
 
 
 def stage_fidelity(state: RunState) -> None:
@@ -603,19 +625,14 @@ def stage_fidelity(state: RunState) -> None:
         pairs = np.column_stack([np.nanmean(gi[(cid, key)], axis=0), gu[cid].mean(axis=0)])
         ci = metrics.bootstrap_iid(pairs, metrics.paired_spearman, boot_n, level,
                                    seed=child_seed(cfg.seed, "gci", cid, key))
-        g_rows.append((cid, key, ag.agg.rho, ag.agg.p_value, ci.lower, ci.upper,
-                       *ag.overlaps, ag.wilcoxon_p, ag.bh_count, ag.mean_cycle_rho))
-    state.ws.write_csv(
-        "results/fidelity_global.csv",
-        ["config_id", "method", "rho", "p_value", "ci_lower", "ci_upper"]
-        + [f"top{k}" for k in gks] + ["wilcoxon_p", "bh_rejections", "mean_cycle_rho"],
-        g_rows)
+        g_rows.append((cid, key, *_fidelity_cells(ag, ci.lower, ci.upper)))
+    state.ws.write_csv("results/fidelity_global.csv", fidelity_columns(False, gks), g_rows)
 
     s_rows = []
     blocks = metrics.station_blocks(state.stations)
     n = state.stations.n_stations
     ks = tuple(k for k in (5, 10, 20) if k <= n)
-    for cid, mode, patch, util_abs in _spatial_cases(state, tables):
+    for cid, mode, patch, util_abs in _spatial_cases(tables):
         for key in state.scored_methods():
             imp = si_u[(cid, key)]
             ag = _agreement(imp, util_abs, ks, q)
@@ -627,12 +644,21 @@ def stage_fidelity(state: RunState) -> None:
                 lo, hi = ci.lower, ci.upper
             else:
                 lo = hi = np.nan
-            s_rows.append((cid, mode, patch, key, ag.agg.rho, ag.agg.p_value, lo, hi,
-                           *ag.overlaps, ag.wilcoxon_p, ag.bh_count, ag.mean_cycle_rho))
-    header = (["config_id", "mode", "patch", "method", "rho", "p_value",
-               "ci_lower", "ci_upper"] + [f"top{k}" for k in ks]
-              + ["wilcoxon_p", "bh_rejections", "mean_cycle_rho"])
-    state.ws.write_csv("results/fidelity_spatial.csv", header, s_rows)
+            s_rows.append((cid, mode, patch, key, *_fidelity_cells(ag, lo, hi)))
+    state.ws.write_csv("results/fidelity_spatial.csv", fidelity_columns(True, ks), s_rows)
+
+
+def methods_summary_columns(ks: tuple[int, ...]) -> tuple[str, ...]:
+    """The header of methods_summary.csv; index 4 is the top-k overlap at the largest k."""
+    return ("method", "mean_rho", "agg_sig", "wilcoxon_sig", f"mean_top{ks[-1]}", "n_configs")
+
+
+METHODS_PAIRWISE_COLUMNS = ("method_a", "method_b", "wins_a", "n_configs")
+K_SENSITIVITY_COLUMNS = ("config_id", "steps", "reference_steps", "rank_rho")
+BASELINE_SENSITIVITY_COLUMNS = ("config_id", "baseline", "steps", "rho",
+                                "delta_vs_climatology")
+SCALE_INVARIANCE_COLUMNS = ("config_id", "variable", "factor", "ig_max_rel_dev",
+                            "gti_max_rel_dev", "vg_ranking_changed", "selections_unchanged")
 
 
 def stage_methods(state: RunState) -> None:
@@ -649,27 +675,24 @@ def stage_methods(state: RunState) -> None:
                      sum(int(ag.wilcoxon_p < 0.05) for ag in col),
                      float(np.mean([ag.overlaps[-1] for ag in col])), len(cids)))
     state.ws.write_csv("results/methods_summary.csv",
-                       ["method", "mean_rho", "agg_sig", "wilcoxon_sig",
-                        f"mean_top{_global_ks(state)[-1]}", "n_configs"], rows)
+                       methods_summary_columns(_global_ks(state)), rows)
 
     pair_rows = [(a, b, sum(int(ags[(c, a)].agg.rho > ags[(c, b)].agg.rho) for c in cids),
                   len(cids))
                  for a in display for b in display if a < b]
-    state.ws.write_csv("results/methods_pairwise.csv",
-                       ["method_a", "method_b", "wins_a", "n_configs"], pair_rows)
+    state.ws.write_csv("results/methods_pairwise.csv", METHODS_PAIRWISE_COLUMNS, pair_rows)
 
     # quadrature sensitivity: do coarse step grids change the variable ranking?
     k_rows = []
     steps = sorted(set(cfg.ig_step_grid))
-    ref = f"ig@{cfg.ig_steps}"
+    ref = state.primary_key()
     for cid in state.config_ids():
         ref_rank = np.nanmean(gi[(cid, ref)], axis=0)
         for s in steps:
             key = f"ig@{s}"
             rc = metrics.spearman(np.nanmean(gi[(cid, key)], axis=0), ref_rank)
             k_rows.append((cid, s, cfg.ig_steps, rc.rho))
-    state.ws.write_csv("results/k_sensitivity.csv",
-                       ["config_id", "steps", "reference_steps", "rank_rho"], k_rows)
+    state.ws.write_csv("results/k_sensitivity.csv", K_SENSITIVITY_COLUMNS, k_rows)
 
     # baseline sensitivity: zero and persistence baselines vs climatology
     b_rows = []
@@ -682,8 +705,7 @@ def stage_methods(state: RunState) -> None:
         for base, rho in rhos.items():
             delta = rho - rhos["climatology"] if not math.isnan(rho) else np.nan
             b_rows.append((cid, base, zp, rho, delta))
-    state.ws.write_csv("results/baseline_sensitivity.csv",
-                       ["config_id", "baseline", "steps", "rho", "delta_vs_climatology"],
+    state.ws.write_csv("results/baseline_sensitivity.csv", BASELINE_SENSITIVITY_COLUMNS,
                        b_rows)
 
     _scale_invariance_table(state)
@@ -724,18 +746,22 @@ def _scale_invariance_table(state: RunState) -> None:
         rank0 = np.argsort(-attr.variable_importance(v0))
         rank1 = np.argsort(-attr.variable_importance(v1))
         vg_rank_changed = vg_rank_changed or not np.array_equal(rank0, rank1)
-    state.ws.write_csv("results/scale_invariance.csv",
-                       ["config_id", "variable", "factor", "ig_max_rel_dev",
-                        "gti_max_rel_dev", "vg_ranking_changed", "selections_unchanged"],
+    state.ws.write_csv("results/scale_invariance.csv", SCALE_INVARIANCE_COLUMNS,
                        [(cid, state.grid.variables[var], factor, max_dev["ig"],
                          max_dev["gti"], vg_rank_changed, sel_same)])
+
+
+CALIBRATION_DECILES_COLUMNS = ("config_id", "mode", "patch", "proxy", "decile",
+                               "mean_utility")
+CALIBRATION_SUMMARY_COLUMNS = ("config_id", "mode", "patch", "proxy", "gini_ratio",
+                               "overpayment", "share_spearman")
 
 
 def stage_calibrate(state: RunState) -> None:
     tables = state.ensure_tables()
     si_u = tables["si_u"]
     dec_rows, sum_rows = [], []
-    for cid, mode, patch, util in _valued_cases(state, tables):
+    for cid, mode, patch, util in _valued_cases(tables):
         proxies = {key: si_u[(cid, key)].mean(axis=0) for key in state.scored_methods()}
         proxies["distance"] = incentive.distance_scores(state.distances(cid))
         proxies["uniform"] = np.ones(state.stations.n_stations)
@@ -749,12 +775,14 @@ def stage_calibrate(state: RunState) -> None:
                                  rep.decile_mean_utility[b]))
             sum_rows.append((cid, mode, patch, name, rep.gini_ratio,
                              rep.overpayment_total, rep.share_spearman))
-    state.ws.write_csv("results/calibration_deciles.csv",
-                       ["config_id", "mode", "patch", "proxy", "decile", "mean_utility"],
+    state.ws.write_csv("results/calibration_deciles.csv", CALIBRATION_DECILES_COLUMNS,
                        dec_rows)
-    state.ws.write_csv("results/calibration_summary.csv",
-                       ["config_id", "mode", "patch", "proxy", "gini_ratio",
-                        "overpayment", "share_spearman"], sum_rows)
+    state.ws.write_csv("results/calibration_summary.csv", CALIBRATION_SUMMARY_COLUMNS,
+                       sum_rows)
+
+
+SELECTION_COLUMNS = ("config_id", "mode", "patch", "strategy", "k", "captured",
+                     "efficiency_ratio", "optimality_ratio")
 
 
 def stage_select(state: RunState) -> None:
@@ -762,15 +790,12 @@ def stage_select(state: RunState) -> None:
     tables = state.ensure_tables()
     si_u = tables["si_u"]
     n = state.stations.n_stations
-    budgets = []
     for k in cfg.selection_budgets:
         if k > n:
             warnings.warn(f"selection budget {k} clipped to station count {n}")
-            k = n
-        if k not in budgets:
-            budgets.append(k)
+    budgets = list(dict.fromkeys(min(k, n) for k in cfg.selection_budgets))
     rows = []
-    for cid, mode, patch, util in _valued_cases(state, tables):
+    for cid, mode, patch, util in _valued_cases(tables):
         dist = state.distances(cid)
         for k in budgets:
             for strategy in incentive.STRATEGIES:
@@ -785,9 +810,14 @@ def stage_select(state: RunState) -> None:
                 res = incentive.select(strategy, k, util, **kwargs)
                 rows.append((cid, mode, patch, strategy, k, res.captured,
                              res.efficiency_ratio, res.optimality_ratio))
-    state.ws.write_csv("results/selection.csv",
-                       ["config_id", "mode", "patch", "strategy", "k", "captured",
-                        "efficiency_ratio", "optimality_ratio"], rows)
+    state.ws.write_csv("results/selection.csv", SELECTION_COLUMNS, rows)
+
+
+PAYMENTS_COLUMNS = ("config_id", "method", "station_id", "share", "amount",
+                    "share_ci_lower", "share_ci_upper")
+PAYMENT_STABILITY_COLUMNS = ("config_id", "method", "ci_to_share", "top_k", "resamples")
+SHRINKAGE_COLUMNS = ("config_id", "mode", "patch", "objective", "fold", "lambda",
+                     "lambda_mean", "delta_rho")
 
 
 def stage_pay(state: RunState) -> None:
@@ -808,17 +838,13 @@ def stage_pay(state: RunState) -> None:
                 pay_rows.append((cid, key, g, alloc.shares[g], alloc.amounts[g],
                                  stab.lower[g], stab.upper[g]))
             stab_rows.append((cid, key, stab.ci_to_share, stab.top_k, stab.resamples))
-    state.ws.write_csv("results/payments.csv",
-                       ["config_id", "method", "station_id", "share", "amount",
-                        "share_ci_lower", "share_ci_upper"], pay_rows)
-    state.ws.write_csv("results/payment_stability.csv",
-                       ["config_id", "method", "ci_to_share", "top_k", "resamples"],
-                       stab_rows)
+    state.ws.write_csv("results/payments.csv", PAYMENTS_COLUMNS, pay_rows)
+    state.ws.write_csv("results/payment_stability.csv", PAYMENT_STABILITY_COLUMNS, stab_rows)
 
     # shrinkage toward the distance prior, both inner objectives
     sh_rows = []
     key = state.primary_key()
-    for cid, mode, patch, util in _valued_cases(state, tables):
+    for cid, mode, patch, util in _valued_cases(tables):
         scores = si_u[(cid, key)]
         totals = scores.sum(axis=1)
         ok = totals > 0
@@ -833,9 +859,11 @@ def stage_pay(state: RunState) -> None:
             for fold, lam in enumerate(fit.per_fold):
                 sh_rows.append((cid, mode, patch, objective, fold, lam,
                                 fit.lam, fit.delta_rho))
-    state.ws.write_csv("results/shrinkage.csv",
-                       ["config_id", "mode", "patch", "objective", "fold", "lambda",
-                        "lambda_mean", "delta_rho"], sh_rows)
+    state.ws.write_csv("results/shrinkage.csv", SHRINKAGE_COLUMNS, sh_rows)
+
+
+SUBADDITIVITY_COLUMNS = ("config_id", "mode", "patch", "set_size", "station_ids",
+                         "median_ratio", "n_defined", "n_flagged")
 
 
 def stage_subadditivity(state: RunState) -> None:
@@ -849,95 +877,93 @@ def stage_subadditivity(state: RunState) -> None:
         y_stars = [truth.verify(f) for f in state.fields]
         order = np.argsort(state.distances(cid), kind="stable")
         modes = ("mean_replace", "scale_bias") if ci == 0 else ("mean_replace",)
-        for size in (2, 3, 5):
+        for size, mode, patch in product((2, 3, 5), modes, (1, 3)):
             ids = [int(g) for g in order[:size]]
-            for mode in modes:
-                for patch in (1, 3):
-                    spec = ablation.PerturbationSpec(
-                        mode=mode, patch=patch, magnitude=cfg.perturb_magnitude,
-                        seed=child_seed(cfg.seed, "subadd", cid, mode, patch))
-                    ratios, flagged = [], 0
-                    for f, y_star in zip(state.fields, y_stars):
-                        res = ablation.joint_ablation(model, f, y_star, state.stations, ids,
-                                                      spec, state.clim, state.var_std)
-                        if res.ratio_defined:
-                            ratios.append(res.ratio)
-                        else:
-                            flagged += 1
-                    med = float(np.median(ratios)) if ratios else np.nan
-                    rows.append((cid, mode, patch, size,
-                                 ";".join(str(g) for g in ids), med,
-                                 len(ratios), flagged))
-    state.ws.write_csv("results/subadditivity.csv",
-                       ["config_id", "mode", "patch", "set_size", "station_ids",
-                        "median_ratio", "n_defined", "n_flagged"], rows)
+            spec = ablation.PerturbationSpec(
+                mode=mode, patch=patch, magnitude=cfg.perturb_magnitude,
+                seed=child_seed(cfg.seed, "subadd", cid, mode, patch))
+            ratios, flagged = [], 0
+            for f, y_star in zip(state.fields, y_stars):
+                res = ablation.joint_ablation(model, f, y_star, state.stations, ids,
+                                              spec, state.clim, state.var_std)
+                if res.ratio_defined:
+                    ratios.append(res.ratio)
+                else:
+                    flagged += 1
+            med = float(np.median(ratios)) if ratios else np.nan
+            rows.append((cid, mode, patch, size, ";".join(str(g) for g in ids), med,
+                         len(ratios), flagged))
+    state.ws.write_csv("results/subadditivity.csv", SUBADDITIVITY_COLUMNS, rows)
 
 
 def _gaming_config_ids(state: RunState) -> list[str]:
-    return [f"d{depth}-{name}-{tv}" for depth in state.cfg.model_depths
-            for name, tv in state.cfg.gaming.combos]
+    return state.config_ids(state.cfg.gaming.combos)
 
 
 def build_scenarios(state: RunState, cid: str) -> list[gaming.AttackScenario]:
-    """The desk scenario grid for one gaming configuration."""
+    """The desk scenario grid for one gaming configuration.
+
+    An id the grid repeats (an extended grid overlapping the main one) is built once.
+    """
     cfg = state.cfg
     g = cfg.gaming
     target = state.target_of(cid)
-    scenarios = []
+    scenarios, built = [], set()
 
     def add(kind, n, pct, scope, placement, seed_idx):
+        sid = f"{cid}:{kind}:n{n}:p{fmt(pct)}:{scope}:{placement}:{seed_idx}"
+        if sid in built:
+            return
+        built.add(sid)
         seed = child_seed(cfg.seed, "scenario", cid, kind, n, pct, scope, placement, seed_idx)
         attackers = gaming.sample_attackers(state.stations, target, n, placement,
                                             child_seed(cfg.seed, "placement", cid, n,
                                                        placement, seed_idx))
-        sid = f"{cid}:{kind}:n{n}:p{fmt(pct)}:{scope}:{placement}:{seed_idx}"
         scenarios.append(gaming.AttackScenario(
             scenario_id=sid, kind=kind, attackers=attackers, magnitude_pct=float(pct),
             scope=scope, scope_variables=gaming.resolve_scope(scope, state.grid.variables,
                                                               target),
             placement=placement, seed=seed))
 
-    for n in g.n_attackers:
-        for pct in g.magnitudes_pct:
-            for s in range(g.n_seeds):
-                add("inflate", n, pct, "all_surface", "uniform", s)
+    for n, pct, s in product(g.n_attackers, g.magnitudes_pct, range(g.n_seeds)):
+        add("inflate", n, pct, "all_surface", "uniform", s)
     if (target.name, target.variable) == tuple(g.extended_combo):
-        for n in g.n_attackers:
-            for pct in g.extended_magnitudes:
-                for placement in g.extended_placements:
-                    for s in range(g.extended_seeds):
-                        add("inflate", n, pct, "all_surface", placement, s)
-        for scope in ("single_target_var", "single_other_var"):
-            for n in g.n_attackers:
-                for s in range(g.scope_seeds):
-                    add("inflate", n, 50.0, scope, "close", s)
-    for n in g.n_attackers:
-        for s in range(g.spoof_seeds):
-            add("spoof", n, 0.0, "all_surface", "close", s)
+        for n, pct, placement, s in product(g.n_attackers, g.extended_magnitudes,
+                                            g.extended_placements, range(g.extended_seeds)):
+            add("inflate", n, pct, "all_surface", placement, s)
+        for scope, n, s in product(("single_target_var", "single_other_var"), g.n_attackers,
+                                   range(g.scope_seeds)):
+            add("inflate", n, 50.0, scope, "close", s)
+    for n, s in product(g.n_attackers, range(g.spoof_seeds)):
+        add("spoof", n, 0.0, "all_surface", "close", s)
     return scenarios
+
+
+GAMING_OUTCOMES_COLUMNS = ("scenario_id", "config_id", "kind", "n_attackers",
+                           "magnitude_pct", "scope", "placement", "attackers",
+                           "inflation_ratio", "mae_clean", "mae_change",
+                           "honest_share_change_pp", "attack_reached_model")
 
 
 def stage_game(state: RunState) -> None:
     manifest, outcome_rows = {}, []
     for cid, (scenarios, run) in state.ensure_gaming().items():
         for i, sc in enumerate(scenarios):
-            manifest[sc.scenario_id] = {
-                "kind": sc.kind, "attackers": list(sc.attackers),
-                "magnitude_pct": sc.magnitude_pct, "scope": sc.scope,
-                "scope_variables": list(sc.scope_variables),
-                "placement": sc.placement, "seed": sc.seed, "config_id": cid,
-            }
+            manifest[sc.scenario_id] = {k: v for k, v in asdict(sc).items()
+                                        if k != "scenario_id"} | {"config_id": cid}
             outcome_rows.append((
                 sc.scenario_id, cid, sc.kind, len(sc.attackers), sc.magnitude_pct,
                 sc.scope, sc.placement, ";".join(str(a) for a in sc.attackers),
                 run.inflation_ratio[i], run.mae_clean[i], run.mae_change[i],
                 run.honest_share_change_pp[i], bool(run.attack_reached_model[i])))
     state.ws.write_json("results/gaming_scenarios.json", manifest)
-    state.ws.write_csv("results/gaming_outcomes.csv",
-                       ["scenario_id", "config_id", "kind", "n_attackers", "magnitude_pct",
-                        "scope", "placement", "attackers", "inflation_ratio", "mae_clean",
-                        "mae_change", "honest_share_change_pp", "attack_reached_model"],
-                       outcome_rows)
+    state.ws.write_csv("results/gaming_outcomes.csv", GAMING_OUTCOMES_COLUMNS, outcome_rows)
+
+
+GAMING_RESULTS_COLUMNS = ("scenario_id", "detector", "pr_auc", "hit_at_1", "hit_at_5",
+                          "inflation_ratio", "mae_change", "flagged")
+DETECTION_SUMMARY_COLUMNS = ("config_id", "kind", "detector", "n_scenarios", "mean_pr_auc",
+                             "hit_at_1", "hit_at_5", "prevalence")
 
 
 def stage_detect(state: RunState) -> None:
@@ -970,9 +996,7 @@ def stage_detect(state: RunState) -> None:
                 summary_rows.append((cid, kind, det, int(mine.sum()),
                                      *(scored[mine, d, m].mean() for m in range(3)),
                                      prevalence[mine].mean()))
-    state.ws.write_csv("results/gaming_results.csv",
-                       ["scenario_id", "detector", "pr_auc", "hit_at_1", "hit_at_5",
-                        "inflation_ratio", "mae_change", "flagged"], results_rows)
+    state.ws.write_csv("results/gaming_results.csv", GAMING_RESULTS_COLUMNS, results_rows)
 
     if len(d7_data) >= 2:
         d7 = gaming.detector_d7_supervised(d7_data)
@@ -981,9 +1005,12 @@ def stage_detect(state: RunState) -> None:
                                  float(np.mean(d7[cid])), np.nan, np.nan,
                                  float(np.mean([y.sum() / y.size
                                                 for _, y in d7_data[cid]]))))
-    state.ws.write_csv("results/detection_summary.csv",
-                       ["config_id", "kind", "detector", "n_scenarios", "mean_pr_auc",
-                        "hit_at_1", "hit_at_5", "prevalence"], summary_rows)
+    state.ws.write_csv("results/detection_summary.csv", DETECTION_SUMMARY_COLUMNS,
+                       summary_rows)
+
+
+CONVERGENCE_COLUMNS = ("config_id", "scope", "mode", "patch", "rho_aggregate",
+                       "recovery_ratio", "converge_n")
 
 
 def stage_converge(state: RunState) -> None:
@@ -1006,98 +1033,72 @@ def stage_converge(state: RunState) -> None:
 
     rows = {cid: [analyse(cid, "global", "", "", gi[(cid, key)], gu[cid])]
             for cid in state.config_ids()}  # each config's spatial rows follow its global row
-    for cid, mode, patch, util in _spatial_cases(state, tables):
+    for cid, mode, patch, util in _spatial_cases(tables):
         rows[cid].append(analyse(cid, "spatial", mode, patch, si_u[(cid, key)], util))
-    state.ws.write_csv("results/convergence.csv",
-                       ["config_id", "scope", "mode", "patch", "rho_aggregate",
-                        "recovery_ratio", "converge_n"],
+    state.ws.write_csv("results/convergence.csv", CONVERGENCE_COLUMNS,
                        [row for cid_rows in rows.values() for row in cid_rows])
 
 
-def _mean_of(rows, col, where=None) -> float:
-    vals = [float(r[col]) for r in rows
-            if (where is None or where(r)) and r[col] not in ("", "nan")]
+def _mean(rows: list[dict[str, str]], col: str, **match) -> float:
+    """Mean of column `col` over the rows whose cells equal `match`, NaN cells left out."""
+    cells = [float(r[col]) for r in rows if all(r[c] == str(v) for c, v in match.items())]
+    vals = [x for x in cells if not math.isnan(x)]
     return float(np.mean(vals)) if vals else math.nan
 
 
 def stage_report(state: RunState) -> None:
-    ws = state.ws
-    lines = ["# Desk run report", ""]
-    lines.append(f"- config hash: `{config_hash(state.cfg)}`")
-    lines.append(f"- stations: {state.stations.n_stations}, "
-                 f"timestamps: {state.cfg.n_timestamps}")
-    lines.append("")
-    if ws.has("results/methods_summary.csv"):
-        rows = ws.read_rows("results/methods_summary.csv")
-        topcol = next(c for c in rows[0] if c.startswith("mean_top"))
-        lines.append("## Attribution methods (global fidelity)")
+    cfg, ws = state.cfg, state.ws
+
+    def table(name: str) -> list[dict[str, str]] | None:
+        """The rows of results/{name}.csv, or None when its stage has not run."""
+        rel = f"results/{name}.csv"
+        return ws.read_rows(rel) if ws.path(rel).exists() else None
+
+    lines = ["# Desk run report", "", f"- config hash: `{config_hash(cfg)}`",
+             f"- stations: {state.stations.n_stations}, timestamps: {cfg.n_timestamps}", ""]
+    if (rows := table("methods_summary")) is not None:
+        topcol = methods_summary_columns(_global_ks(state))[4]
+        lines += ["## Attribution methods (global fidelity)", "",
+                  f"| method | mean rho | agg sig | wilcoxon sig | {topcol} |",
+                  "|---|---|---|---|---|"]
+        lines += [f"| {r['method']} | {float(r['mean_rho']):.3f} | "
+                  f"{r['agg_sig']}/{r['n_configs']} | {r['wilcoxon_sig']}/{r['n_configs']} | "
+                  f"{float(r[topcol]):.2f} |" for r in rows] + [""]
+    if (rows := table("selection")) is not None:
+        lines += ["## Captured utility by strategy (mean over configurations)", "",
+                  "| K | " + " | ".join(incentive.STRATEGIES) + " | ig/oracle |",
+                  "|" + "---|" * (len(incentive.STRATEGIES) + 2)]
+        for k in sorted({int(r["k"]) for r in rows}):
+            vals = [_mean(rows, "captured", strategy=s, k=k) for s in incentive.STRATEGIES]
+            vals.append(_mean(rows, "optimality_ratio", strategy="ig", k=k))
+            lines.append(f"| {k} | " + " | ".join(f"{v:.3f}" for v in vals) + " |")
         lines.append("")
-        lines.append(f"| method | mean rho | agg sig | wilcoxon sig | {topcol} |")
-        lines.append("|---|---|---|---|---|")
+    if (rows := table("calibration_summary")) is not None:
+        lines += ["## Payment calibration (mean over configurations)", "",
+                  "| proxy | gini ratio | overpayment |", "|---|---|---|"]
+        lines += [f"| {p} | {_mean(rows, 'gini_ratio', proxy=p):.3f} | "
+                  f"{_mean(rows, 'overpayment', proxy=p):.3f} |"
+                  for p in sorted({r["proxy"] for r in rows})] + [""]
+    if (rows := table("payment_stability")) is not None:
+        lines += [f"- mean CI-to-share ratio (top-{cfg.stability_top_k}): "
+                  f"{_mean(rows, 'ci_to_share'):.3f}", ""]
+    if (rows := table("detection_summary")) is not None:
+        lines += ["## Gaming detection (mean PR-AUC / top-5 hit rate)", "",
+                  "| config | kind | detector | PR-AUC | hit@5 | prevalence |",
+                  "|---|---|---|---|---|---|"]
         for r in rows:
-            lines.append(f"| {r['method']} | {float(r['mean_rho']):.3f} | "
-                         f"{r['agg_sig']}/{r['n_configs']} | "
-                         f"{r['wilcoxon_sig']}/{r['n_configs']} | "
-                         f"{float(r[topcol]):.2f} |")
-        lines.append("")
-    if ws.has("results/selection.csv"):
-        rows = ws.read_rows("results/selection.csv")
-        lines.append("## Captured utility by strategy (mean over configurations)")
-        lines.append("")
-        ks = sorted({int(r["k"]) for r in rows})
-        lines.append("| K | " + " | ".join(incentive.STRATEGIES) + " | ig/oracle |")
-        lines.append("|" + "---|" * (len(incentive.STRATEGIES) + 2))
-        for k in ks:
-            vals = []
-            for strat in incentive.STRATEGIES:
-                vals.append(_mean_of(rows, "captured",
-                                     lambda r, s=strat, kk=k: r["strategy"] == s
-                                     and int(r["k"]) == kk))
-            ig_or = _mean_of(rows, "optimality_ratio",
-                             lambda r, kk=k: r["strategy"] == "ig" and int(r["k"]) == kk)
-            lines.append(f"| {k} | " + " | ".join(f"{v:.3f}" for v in vals)
-                         + f" | {ig_or:.3f} |")
-        lines.append("")
-    if ws.has("results/calibration_summary.csv"):
-        rows = ws.read_rows("results/calibration_summary.csv")
-        lines.append("## Payment calibration (mean over configurations)")
-        lines.append("")
-        lines.append("| proxy | gini ratio | overpayment |")
-        lines.append("|---|---|---|")
-        for proxy in sorted({r["proxy"] for r in rows}):
-            gr = _mean_of(rows, "gini_ratio", lambda r, p=proxy: r["proxy"] == p)
-            op = _mean_of(rows, "overpayment", lambda r, p=proxy: r["proxy"] == p)
-            lines.append(f"| {proxy} | {gr:.3f} | {op:.3f} |")
-        lines.append("")
-    if ws.has("results/payment_stability.csv"):
-        rows = ws.read_rows("results/payment_stability.csv")
-        lines.append(f"- mean CI-to-share ratio (top-{state.cfg.stability_top_k}): "
-                     f"{_mean_of(rows, 'ci_to_share'):.3f}")
-        lines.append("")
-    if ws.has("results/detection_summary.csv"):
-        rows = ws.read_rows("results/detection_summary.csv")
-        lines.append("## Gaming detection (mean PR-AUC / top-5 hit rate)")
-        lines.append("")
-        lines.append("| config | kind | detector | PR-AUC | hit@5 | prevalence |")
-        lines.append("|---|---|---|---|---|---|")
-        for r in rows:
-            h5 = r["hit_at_5"]
-            h5s = f"{float(h5):.2f}" if h5 not in ("", "nan") else "-"
+            h5 = float(r["hit_at_5"])  # NaN for d7, which ranks no top 5
+            h5s = "-" if math.isnan(h5) else f"{h5:.2f}"
             lines.append(f"| {r['config_id']} | {r['kind']} | {r['detector']} | "
-                         f"{float(r['mean_pr_auc']):.3f} | {h5s} | "
-                         f"{float(r['prevalence']):.4f} |")
+                         f"{float(r['mean_pr_auc']):.3f} | {h5s} | {float(r['prevalence']):.4f} |")
         lines.append("")
-    if ws.has("results/convergence.csv"):
-        rows = ws.read_rows("results/convergence.csv")
-        ns = [int(r["converge_n"]) for r in rows
-              if r["scope"] == "spatial" and r["converge_n"] != "never"]
-        never = sum(1 for r in rows if r["scope"] == "spatial" and r["converge_n"] == "never")
-        if ns:
+    if (rows := table("convergence")) is not None:
+        spatial = [r["converge_n"] for r in rows if r["scope"] == "spatial"]
+        if ns := [int(n) for n in spatial if n != "never"]:
             lines.append(f"- spatial convergence: median N = {int(np.median(ns))} "
-                         f"({never} configurations never reach significance)")
+                         f"({spatial.count('never')} configurations never reach significance)")
         lines.append("")
-    lines.append("All tables are plot-ready CSVs under `results/`.")
-    lines.append("")
+    lines += ["All tables are plot-ready CSVs under `results/`.", ""]
     ws.write_text("results/report.md", "\n".join(lines))
 
 
@@ -1112,10 +1113,8 @@ def run_stage(state: RunState, name: str) -> None:
 
 def write_manifest(state: RunState) -> dict:
     ws = state.ws
-    files = {}
-    for rel in sorted(ws.files):
-        digest = hashlib.sha256(ws.path(rel).read_bytes()).hexdigest()
-        files[rel] = digest
+    files = {rel: hashlib.sha256(ws.path(rel).read_bytes()).hexdigest()
+             for rel in sorted(ws.files)}
     manifest = {
         "config_hash": config_hash(state.cfg),
         "package_version": __version__,
@@ -1146,7 +1145,7 @@ def run_full(cfg: ExperimentConfig, stage_filter: tuple[str, ...] | None = None)
         if old != state.stamp:  # one directory never mixes the artifacts of two configs
             state.ws.clear()
     _dump_yaml(_identity(cfg), saved)  # the directory's name is no part of its contents
-    state.ws.register("config.yaml")
+    state.ws.files.add("config.yaml")
     wanted = stage_filter or STAGES
     for name in STAGES:
         if name not in wanted:

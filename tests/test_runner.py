@@ -4,7 +4,9 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
+import statistics
 from dataclasses import replace
 from pathlib import Path
 
@@ -103,6 +105,34 @@ class TestConfig:
     def test_schema_version_checked(self):
         with pytest.raises(ValueError):
             runner.config_from_dict({"schema_version": 99})
+
+    def test_input_errors_name_the_key(self):
+        # each would otherwise fail in a dataclass __init__ or in validate(), naming no key
+        target = {"name": "zurich", "lat": 47.4, "lon": 8.6}
+        for bad, key in (({"sed": 7}, "sed"),
+                         ({"seed": "7"}, "seed"),
+                         ({"seed": True}, "seed"),
+                         ({"ig_step_grid": 8}, "ig_step_grid"),
+                         ({"patches": [1, "3"]}, "patches"),
+                         ({"variables": "t2m"}, "variables"),
+                         ({"gaming": {"n_seed": 3}}, "gaming.n_seed"),
+                         ({"gaming": {"n_seeds": [3]}}, "gaming.n_seeds"),
+                         ({"gaming": {"magnitudes_pct": 50.0}}, "gaming.magnitudes_pct"),
+                         ({"gaming": {"extended_combo": ["zurich", 2]}}, "gaming.extended_combo"),
+                         ({"gaming": 3}, "gaming"),
+                         ({"targets": [{**target, "alt": 400.0}]}, "targets.alt"),
+                         ({"targets": [{**target, "lat": "north"}]}, "targets.lat"),
+                         ({"targets": ["zurich"]}, "targets"),
+                         ({"targets": target}, "targets")):
+            with pytest.raises(ValueError, match=rf"\b{re.escape(key)}\b"):
+                runner.config_from_dict(bad)
+        with pytest.raises(ValueError, match="document"):
+            runner.config_from_dict(["seed", 7])
+        # ints stand for floats, and lists (also nested ones) become tuples
+        cfg = runner.config_from_dict({"budget": 500, "gaming": {
+            "magnitudes_pct": [10, 30], "combos": [["zurich", "t2m"]]}})
+        assert cfg.budget == 500 and cfg.gaming.magnitudes_pct == (10, 30)
+        assert cfg.gaming.combos == (("zurich", "t2m"),)
 
     def test_fast_variant(self):
         fast = runner.fast_variant(runner.ExperimentConfig())
@@ -293,6 +323,51 @@ class TestRunFull:
             assert rows, path.name
             assert all(len(row) == len(header) for row in rows), path.name
 
+    def test_report_matches_the_csvs(self, tiny_run):
+        # an oracle built from the written tables with csv and statistics alone
+        _, out, _ = tiny_run
+        report = (out / "results/report.md").read_text()
+
+        def table(name):
+            with open(out / "results" / f"{name}.csv", newline="") as fh:
+                return list(csv.DictReader(fh))
+
+        def mean(rows, col, **match):
+            cells = [float(r[col]) for r in rows if all(r[k] == v for k, v in match.items())]
+            cells = [x for x in cells if not math.isnan(x)]
+            return statistics.fmean(cells) if cells else math.nan
+
+        def section(title):
+            """The cells of each body row of the markdown table under `## {title}`."""
+            lines = report.split(f"## {title}", 1)[1].split("\n## ", 1)[0].splitlines()
+            rows = [[c.strip() for c in ln.strip("|").split("|")]
+                    for ln in lines if ln.startswith("|")]
+            return rows[0], rows[2:]
+
+        def shown(text, value):  # the report prints 3 decimals
+            return text == "nan" if math.isnan(value) else abs(float(text) - value) <= 5e-4
+
+        selection = table("selection")
+        header, body = section("Captured utility by strategy")
+        strategies = header[1:-1]
+        assert [row[0] for row in body] == sorted({r["k"] for r in selection}, key=int)
+        for k, *cells in body:
+            for strategy, cell in zip(strategies, cells):
+                assert shown(cell, mean(selection, "captured", strategy=strategy, k=k))
+            assert shown(cells[-1], mean(selection, "optimality_ratio", strategy="ig", k=k))
+        calibration = table("calibration_summary")
+        _, body = section("Payment calibration")
+        assert [row[0] for row in body] == sorted({r["proxy"] for r in calibration})
+        for proxy, gini, over in body:
+            assert shown(gini, mean(calibration, "gini_ratio", proxy=proxy))
+            assert shown(over, mean(calibration, "overpayment", proxy=proxy))
+        ci_line = re.search(r"^- mean CI-to-share ratio \(top-\d+\): (\S+)$", report, re.M)
+        assert shown(ci_line.group(1), mean(table("payment_stability"), "ci_to_share"))
+        _, body = section("Gaming detection")
+        d7 = [row for row in body if row[2] == "d7"]
+        assert d7 and all(row[4] == "-" for row in d7)
+        assert all(row[4] != "-" for row in body if row[2] != "d7")
+
     def test_intermediate_stores_layout(self, tiny_run):
         _, out, manifest = tiny_run
         assert sorted(p.name for p in (out / "tables").iterdir()) == ["gaming.gsa",
@@ -334,6 +409,30 @@ class TestRunFull:
         assert _hash_tree(elsewhere) == _hash_tree(out)
         assert runner.load_config(out / "config.yaml") == replace(
             cfg, out_dir=runner.ExperimentConfig().out_dir)
+
+    def test_overlapping_extended_grid_builds_each_scenario_once(self, tmp_path):
+        # the extended grid's (uniform, 50 %, seed 0) scenarios are main-grid ones
+        cfg = tiny_config(tmp_path / "overlap")
+        cfg = replace(cfg, gaming=replace(cfg.gaming, extended_placements=("uniform",),
+                                          extended_magnitudes=(50.0,)))
+        assert runner.run_full(cfg, stage_filter=("game", "detect"))["ok"]
+        results = tmp_path / "overlap" / "results"
+
+        def read(name):
+            with open(results / name, newline="") as fh:
+                return list(csv.DictReader(fh))
+
+        outcomes = read("gaming_outcomes.csv")
+        ids = [r["scenario_id"] for r in outcomes]
+        scenarios = json.loads((results / "gaming_scenarios.json").read_text())
+        assert len(ids) == len(set(ids)) == len(scenarios) == 60
+        assert len(read("gaming_results.csv")) == 4 * 60
+        summary = read("detection_summary.csv")
+        assert {r["detector"] for r in summary} == {"d3", "d4", "d5", "u1", "d7"}
+        for r in summary:
+            assert int(r["n_scenarios"]) == sum(
+                o["config_id"] == r["config_id"] and o["kind"] == r["kind"]
+                for o in outcomes), r
 
     def test_gaming_design_without_scenarios(self, tmp_path):
         cfg = tiny_config(tmp_path / "none")
@@ -496,7 +595,7 @@ class TestAgreement:
         ks = tuple(k for k in (5, 10, 20) if k <= state.stations.n_stations)
         for (cid, key), imp in tables["gi"].items():
             yield imp, tables["gu"][cid], gks
-        for cid, mode, patch, util in runner._spatial_cases(state, tables):
+        for cid, mode, patch, util in runner._spatial_cases(tables):
             for key in state.scored_methods():
                 yield tables["si_u"][(cid, key)], util, ks
 
@@ -547,7 +646,10 @@ class TestWorkspace:
         for rel in ("results/a.csv", "results/b.csv"):
             with pytest.raises(RuntimeError):
                 ws.write_csv(rel, ["x"], rows())
-        with pytest.raises(TypeError):  # json.dump has written part of the object
+            for ragged in ([["2"], []], [["2"], ["3", "4"]]):  # a short row, a long row
+                with pytest.raises(ValueError, match=f"{rel}: row 1 has {len(ragged[1])} cells"):
+                    ws.write_csv(rel, ["x"], ragged)
+        with pytest.raises(TypeError):  # the payload does not serialise
             ws.write_json("results/c.json", {"a": 1, "b": object()})
         with pytest.raises(UnicodeEncodeError):
             ws.write_text("results/r.md", "new\ud800")
