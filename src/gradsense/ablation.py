@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Climatology, FieldTensor, StationGrid
+from .grid import Climatology, FieldTensor, StationGrid, _frozen_array
 
 MODES = ("mean_replace", "scale_bias", "additive_noise")
 _JOINT_TAG = 0x4A4E54
@@ -44,11 +44,7 @@ class GlobalUtilityVector:
     timestamp: int
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64).copy()
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("utility vector contains non-finite values")
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _frozen_array(self.values))
 
 
 @dataclass(frozen=True)
@@ -60,11 +56,7 @@ class SpatialUtilityMap:
     timestamp: int
 
     def __post_init__(self):
-        u = np.asarray(self.u_signed, dtype=np.float64).copy()
-        if not np.all(np.isfinite(u)):
-            raise ValueError("utility map contains non-finite values")
-        u.flags.writeable = False
-        object.__setattr__(self, "u_signed", u)
+        object.__setattr__(self, "u_signed", _frozen_array(self.u_signed))
 
     @property
     def u_abs(self) -> np.ndarray:
@@ -78,33 +70,34 @@ def patch_slices(grid, lat_idx: int, lon_idx: int, patch: int) -> tuple[slice, s
             slice(max(0, lon_idx - half), min(grid.n_lon, lon_idx + half + 1)))
 
 
-def _apply_mode(vals: np.ndarray, mask_rows, mask_cols, spec: PerturbationSpec,
-                clim: np.ndarray, var_std: np.ndarray | None, rng) -> None:
-    """Perturb vals in place on the (rows, cols) cell set, all variables."""
-    region = (slice(None), mask_rows, mask_cols)
-    if spec.magnitude == 0.0 and spec.mode != "mean_replace":
-        return  # zero effective magnitude: exact identity
-    if spec.mode == "mean_replace":
+def _apply_mode(vals: np.ndarray, region, mode: str, magnitude: float, clim: np.ndarray,
+                var_std: np.ndarray | None = None, rng=None) -> None:
+    """Perturb `vals` in place on `region`, an index of its trailing (variable, lat, lon) axes.
+
+    The region indexes `clim` too.  Scaling and noise at zero magnitude are the identity.
+    """
+    if magnitude == 0.0 and mode != "mean_replace":
+        return
+    if mode == "mean_replace":
         vals[region] = clim[region]
-    elif spec.mode == "scale_bias":
-        vals[region] = clim[region] + (1.0 + spec.magnitude) * (vals[region] - clim[region])
+    elif mode == "scale_bias":
+        vals[region] = clim[region] + (1.0 + magnitude) * (vals[region] - clim[region])
     else:
         if var_std is None:
             raise ValueError("additive_noise needs per-variable std from the evaluation fields")
-        block = vals[region]
-        scale = (spec.magnitude * var_std).reshape((-1,) + (1,) * (block.ndim - 1))
+        block = vals[region]  # the variable axis leads the block
+        scale = (magnitude * var_std).reshape((-1,) + (1,) * (block.ndim - 1))
         vals[region] = block + rng.standard_normal(block.shape) * scale
 
 
 def _perturb_values(x: FieldTensor, stations: StationGrid, station_id: int,
                     spec: PerturbationSpec, clim: Climatology,
                     var_std: np.ndarray | None) -> np.ndarray:
-    li, lj = stations.cell(station_id)
-    rows, cols = patch_slices(stations.grid, li, lj, spec.patch)
+    region = (slice(None), *patch_slices(stations.grid, *stations.cell(station_id), spec.patch))
     vals = x.values.copy()
     rng = np.random.default_rng(
         np.random.SeedSequence((spec.seed, int(station_id), int(x.timestamp))))
-    _apply_mode(vals, rows, cols, spec, clim.values, var_std, rng)
+    _apply_mode(vals, region, spec.mode, spec.magnitude, clim.values, var_std, rng)
     return vals
 
 
@@ -126,8 +119,7 @@ def global_ablation(model, x: FieldTensor, y_star: float, clim: Climatology) -> 
     for v in range(n_var):
         batch[v + 1] = x.values
         batch[v + 1, v] = clim.values[v]
-    preds = model.forward_many(batch)
-    errs = np.abs(preds - y_star)
+    errs = np.abs(model.forward_many(batch) - y_star)
     return GlobalUtilityVector(values=errs[1:] - errs[0], timestamp=x.timestamp)
 
 
@@ -159,15 +151,13 @@ def spatial_utility_multi(model, x: FieldTensor, y_star: float, stations: Statio
         for g in active:
             batch[b] = _perturb_values(x, stations, int(g), spec, clim, var_std)
             b += 1
-    preds = model.forward_many(batch)
-    errs = np.abs(preds - y_star)
+    errs = np.abs(model.forward_many(batch) - y_star)
     maps = []
     b = 1
     for spec, active in zip(specs, actives):
         u = np.zeros(n)
-        if active.size:
-            u[active] = errs[b:b + active.size] - errs[0]
-            b += active.size
+        u[active] = errs[b:b + active.size] - errs[0]
+        b += active.size
         maps.append(SpatialUtilityMap(u_signed=u, spec=spec, timestamp=x.timestamp))
     return maps
 
@@ -200,18 +190,16 @@ def joint_ablation(model, x: FieldTensor, y_star: float, stations: StationGrid,
     ids = sorted(int(g) for g in set(station_ids))
     if len(ids) < 1:
         raise ValueError("joint ablation needs at least one station")
-    grid = stations.grid
-    mask = np.zeros((grid.n_lat, grid.n_lon), dtype=bool)
+    mask = np.zeros(stations.grid.shape[1:], dtype=bool)  # the union of the patch cells
     for g in ids:
-        rows, cols = patch_slices(grid, *stations.cell(g), spec.patch)
-        mask[rows, cols] = True
-    rows_idx, cols_idx = np.nonzero(mask)
+        mask[patch_slices(stations.grid, *stations.cell(g), spec.patch)] = True
     # one batch: the base, the joint perturbation, then each station alone
     batch = np.empty((2 + len(ids),) + x.values.shape)
     batch[0] = batch[1] = x.values
     rng = np.random.default_rng(
         np.random.SeedSequence((spec.seed, _JOINT_TAG, int(x.timestamp))))
-    _apply_mode(batch[1], rows_idx, cols_idx, spec, clim.values, var_std, rng)
+    _apply_mode(batch[1], (slice(None), mask), spec.mode, spec.magnitude, clim.values,
+                var_std, rng)
     for b, g in enumerate(ids, start=2):
         batch[b] = _perturb_values(x, stations, g, spec, clim, var_std)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FieldTensor, StationGrid
+from .grid import FieldTensor, StationGrid, _frozen_array
 
 
 @dataclass(frozen=True)
@@ -27,12 +27,7 @@ class AttributionMap:
     n_gradient_evals: int
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("attribution map contains non-finite values")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _frozen_array(self.values))
 
 
 def _check_shapes(model, x: np.ndarray, baseline: np.ndarray | None = None):
@@ -117,14 +112,16 @@ def persistence_baseline(fields: list[FieldTensor], t: int) -> np.ndarray:
     return fields[t - 1].values
 
 
-def variable_importance(attr: AttributionMap) -> np.ndarray:
-    """Per-variable importance: absolute scores summed over all cells."""
-    return np.abs(attr.values).sum(axis=(1, 2))
+def variable_importance(values: np.ndarray) -> np.ndarray:
+    """Per-variable importance of (..., V, n_lat, n_lon) signed maps: |scores| over all cells."""
+    return np.abs(values).sum(axis=(-2, -1))
 
 
-def spatial_importance(attr: AttributionMap, stations: StationGrid) -> np.ndarray:
-    """Per-station importance: absolute scores summed over variables at the cell."""
-    if stations.grid.shape != attr.values.shape:
+def spatial_importance(values: np.ndarray, stations: StationGrid) -> np.ndarray:
+    """Per-station importance of (..., V, n_lat, n_lon) signed maps.
+
+    Absolute scores summed over the variables at each station's cell.
+    """
+    if stations.grid.shape != values.shape[-3:]:
         raise ValueError("station grid does not match attribution shape")
-    return np.abs(attr.values).sum(axis=0)[stations.lat_idx, stations.lon_idx]
-
+    return np.abs(values[..., stations.lat_idx, stations.lon_idx]).sum(axis=-2)

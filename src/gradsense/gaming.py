@@ -1,11 +1,12 @@
 """Adversarial scenarios against the attribution reward signal, and detectors.
 
-Two attack kinds: anomaly inflation scales a station's deviation from
-climatology by (1 + pct/100); climatological-mean spoofing replaces the
-station's report with the long-term mean outright.  Attacks touch only the
-attacker cells and the scoped variables.  Detector formulas (log score
-ratio, rank jump, spatial residual, supervised logistic regression, robust
-z-score) are compact reconstructions of the named detector families.
+Two attack kinds, each an `ablation` perturbation mode: anomaly inflation is
+`scale_bias` at magnitude pct/100, scaling a station's deviation from
+climatology by (1 + pct/100); climatological-mean spoofing is `mean_replace`.
+Attacks touch only the attacker cells and the scoped variables.  Detector
+formulas (log score ratio, rank jump, spatial residual, supervised logistic
+regression, robust z-score) are compact reconstructions of the named detector
+families.
 A campaign on one model is one `GamingRun` of arrays (the clean baseline, one
 row per scenario), whose fields are also that config's gaming-store arrays.
 """
@@ -16,11 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ablation import stations_in_reach
+from .ablation import _apply_mode, stations_in_reach
+from .attribution import spatial_importance
 from .grid import Climatology, FieldTensor, StationGrid, TargetSpec
 from .metrics import pr_auc, topk_indices
 
 KINDS = ("inflate", "spoof")
+_MODES = {"inflate": "scale_bias", "spoof": "mean_replace"}  # each kind's ablation mode
 SCOPES = ("single_target_var", "single_other_var", "all_surface")
 PLACEMENTS = ("uniform", "close", "mid", "mixed")
 
@@ -116,13 +119,9 @@ def _attack_in_place(vals: np.ndarray, scenario: AttackScenario, clim: Climatolo
     ids = np.asarray(scenario.attackers)
     if np.any((ids < 0) | (ids >= stations.n_stations)):  # indexing would wrap a negative id
         raise IndexError(f"invalid station id in {scenario.attackers}")
-    cells = (Ellipsis, sv[:, None], stations.lat_idx[ids], stations.lon_idx[ids])
-    c = clim.values[cells]
-    if scenario.kind == "inflate":
-        factor = 1.0 + scenario.magnitude_pct / 100.0
-        vals[cells] = c + factor * (vals[cells] - c)
-    else:
-        vals[cells] = c
+    region = (Ellipsis, sv[:, None], stations.lat_idx[ids], stations.lon_idx[ids])
+    _apply_mode(vals, region, _MODES[scenario.kind], scenario.magnitude_pct / 100.0,
+                clim.values)
 
 
 def apply_attack(x: FieldTensor, scenario: AttackScenario, clim: Climatology,
@@ -150,16 +149,15 @@ def _period_scores(model, stack: np.ndarray, clim, stations):
 
     One batched gradient pass over the (T, V, n_lat, n_lon) period stack.
     """
-    grads = model.gradient_many(stack)
-    maps = (stack - clim.values[None]) * grads
-    per_station = maps[:, :, stations.lat_idx, stations.lon_idx]
-    return np.abs(per_station).sum(axis=1).mean(axis=0), model.forward_many(stack)
+    maps = (stack - clim.values[None]) * model.gradient_many(stack)
+    return spatial_importance(maps, stations).mean(axis=0), model.forward_many(stack)
 
 
-def run_gaming_experiment(model, truth, fields, clim, stations,
+def run_gaming_experiment(model, y_star: np.ndarray, fields, clim, stations,
                           scenarios: list[AttackScenario]) -> GamingRun:
     """Score every scenario against the paired clean baseline period.
 
+    `y_star` holds the truth value of each of the fields, in order.
     Scores are GTI against the climatology baseline; no other method or
     baseline is offered.  The baseline period is the same timestamps without
     the attack, scored once by the same `_period_scores` call as each attack
@@ -170,7 +168,6 @@ def run_gaming_experiment(model, truth, fields, clim, stations,
     """
     stack = np.stack([f.values for f in fields])
     base_uns, base_preds = _period_scores(model, stack, clim, stations)
-    y_star = np.array([truth.verify(f) for f in fields])
     mae_clean = float(np.abs(base_preds - y_star).mean())
 
     n_sc = len(scenarios)

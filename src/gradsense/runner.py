@@ -25,9 +25,11 @@ import json
 import math
 import traceback
 import warnings
-from dataclasses import asdict, dataclass, field, fields as dataclass_fields, replace
+from dataclasses import (MISSING, asdict, dataclass, field, fields as dataclass_fields,
+                         is_dataclass, replace)
 from itertools import product
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
@@ -36,7 +38,7 @@ from . import __version__, ablation, attribution as attr, fieldio, gaming, incen
 from .fieldio import fmt
 from .grid import (Climatology, FieldTensor, GridConfig, GridSpec, StationGrid, TargetSpec,
                    make_grid, make_station_grid, make_target)
-from .model import MAX_DEPTH, MIN_DEPTH, DeskModel, TruthGenerator, make_desk_model, make_truth
+from .model import MAX_DEPTH, MIN_DEPTH, DeskModel, make_desk_model, make_truth
 from . import synth
 
 SCHEMA_VERSION = 1
@@ -121,6 +123,11 @@ class ExperimentConfig:
             raise ValueError("target names must be unique")
         if any("-" in name for name in names):  # config ids are d{depth}-{name}-{var}
             raise ValueError("target names must not contain '-'")
+        for t in self.targets:  # else every model stage fails on it
+            try:
+                make_target(grid, t.name, t.lat, t.lon, self.variables[0])
+            except ValueError as exc:
+                raise ValueError(f"targets entry {t.name!r}: {exc}") from None
         for combo in self.gaming.combos + (self.gaming.extended_combo,):
             if combo[0] not in names or combo[1] not in self.target_variables:
                 raise ValueError(f"gaming combo {combo} not in the target matrix")
@@ -182,40 +189,56 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return clean(d)
 
 
-_SCALARS = {"int": (int,), "float": (int, float), "str": (str,)}  # bool is no int here
+_SCALARS = {int: (int,), float: (int, float), str: (str,)}  # bool is no int here
+
+
+def _conform(kind, val, where: str):
+    """`val` as a value of type `kind`: lists made tuples, ints in float slots floats.
+
+    A mapping in a dataclass slot becomes that dataclass, its keys named after
+    the prefix `where`.  A value of another shape or type raises TypeError.
+    """
+    if is_dataclass(kind):
+        return kind(**_fields_of(kind, val, where))
+    if get_origin(kind) is tuple:  # len() of a scalar raises TypeError as well
+        args = get_args(kind)
+        slots = args[:1] * len(val) if args[-1] is Ellipsis else args
+        if not isinstance(val, (list, tuple)) or len(slots) != len(val):
+            raise TypeError
+        return tuple(_conform(a, v, where) for a, v in zip(slots, val))
+    if type(val) not in _SCALARS[kind]:
+        raise TypeError
+    return float(val) if kind is float else val
 
 
 def _fields_of(cls, d, where: str) -> dict:
-    """`d` as keyword arguments of dataclass `cls`, lists (and lists in them) made tuples.
+    """`d` as keyword arguments of dataclass `cls`, each value conformed to its field's type.
 
-    An unknown key or a value unlike its field's annotation raises ValueError naming
-    the key, after the prefix `where`.
+    An unknown or missing key, or a value unlike its field's annotation, raises
+    ValueError naming the key, after the prefix `where`.
     """
     if not isinstance(d, dict):
         raise ValueError(f"config {where.rstrip('.') or 'document'} must be a mapping")
-    kinds = {f.name: f.type for f in dataclass_fields(cls)}
+    fields, types = {f.name: f for f in dataclass_fields(cls)}, get_type_hints(cls)
+    out = {}
     for key, val in d.items():
-        if key not in kinds:
+        if key not in fields:
             raise ValueError(f"unknown config key {where}{key}")
-        kind = kinds[key]
-        seq = kind.startswith("tuple[")
-        entry = _SCALARS.get(kind[6:].split(",")[0] if seq else kind)  # X of tuple[X, ...]
-        if seq != isinstance(val, (list, tuple)) or entry and any(
-                type(v) not in entry for v in (val if seq else [val])):
-            raise ValueError(f"config key {where}{key} must be {kind}, not {val!r}")
-    return {key: tuple(tuple(v) if isinstance(v, list) else v for v in val)
-            if isinstance(val, (list, tuple)) else val for key, val in d.items()}
+        try:
+            out[key] = _conform(types[key], val, f"{where}{key}.")
+        except TypeError:
+            raise ValueError(f"config key {where}{key} must be {fields[key].type}, "
+                             f"not {val!r}") from None
+    for key, f in fields.items():
+        if key not in out and f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"config key {where}{key} is missing")
+    return out
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
     d = _fields_of(ExperimentConfig, d, "")
     if d.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {d.get('schema_version')!r}")
-    if "targets" in d:
-        d["targets"] = tuple(TargetConfig(**_fields_of(TargetConfig, t, "targets."))
-                             for t in d["targets"])
-    if "gaming" in d:
-        d["gaming"] = GamingDesign(**_fields_of(GamingDesign, d["gaming"], "gaming."))
     cfg = ExperimentConfig(**d)
     cfg.validate()
     return cfg
@@ -349,7 +372,7 @@ class RunState:
         self.fields: list | None = None
         self.clim = None
         self.var_std: np.ndarray | None = None
-        self.models: dict[str, tuple[DeskModel, TruthGenerator]] = {}
+        self.models: dict[str, tuple[DeskModel, np.ndarray]] = {}  # with (T,) truth values
         self._tables: dict = {}
         self._gaming: dict[str, tuple[list[gaming.AttackScenario], gaming.GamingRun]] = {}
         self.stage_status: dict[str, str] = {}
@@ -406,7 +429,7 @@ class RunState:
             noise_std = cfg.truth_noise_frac * float(model.forward_many(stack).std())
             truth = make_truth(model, child_seed(cfg.seed, "truth", cid),
                                noise_std=noise_std, weight_jitter=cfg.truth_weight_jitter)
-            self.models[cid] = (model, truth)
+            self.models[cid] = (model, np.array([truth.verify(f) for f in self.fields]))
             model_cfgs[cid] = {"model": model.to_config(), "noise_std": noise_std,
                                "truth_seed": child_seed(cfg.seed, "truth", cid)}
         self.ws.write_json("data/models.json", model_cfgs)
@@ -450,24 +473,16 @@ class RunState:
         si_u = {key: np.zeros((T, N)) for key in keys["si_u"]}
         gu = {key: np.zeros((T, V)) for key in keys["gu"]}
         su = {key: np.zeros((T, N)) for key in keys["su"]}
-        li, lj = self.stations.lat_idx, self.stations.lon_idx
-
-        def record(cid, key, t, values):
-            gi[(cid, key)][t] = np.abs(values).sum(axis=(1, 2))
-            if (cid, key) in si_u:
-                si_u[(cid, key)][t] = np.abs(values).sum(axis=0)[li, lj]
-
         step_grid = sorted(set(cfg.ig_step_grid))
         zp_steps = cfg.cheap_steps()
         zero_base = np.zeros(self.grid.shape)
         for cid in self.config_ids():
-            model, truth = self.models[cid]
+            model, y_stars = self.models[cid]
             specs = [ablation.PerturbationSpec(
                 mode=mode, patch=patch, magnitude=cfg.perturb_magnitude,
                 seed=child_seed(cfg.seed, "perturb", cid, mode, patch))
                 for mode in cfg.modes for patch in cfg.patches]
-            for t, f in enumerate(self.fields):
-                y_star = truth.verify(f)
+            for t, (f, y_star) in enumerate(zip(self.fields, y_stars)):
                 # every quadrature node of every path variant in one gradient batch;
                 # GTI and VG use the alpha = 1 gradient of the first path, taken at
                 # clim + (x - clim), which equals x only within rounding
@@ -478,10 +493,13 @@ class RunState:
                                   attr.persistence_baseline(self.fields, t), zp_steps))
                 maps, grad_at_x = attr.integrated_gradients_paths(
                     model, f.values, [(base, steps) for _, base, steps in paths])
-                for (key, _, _), values in zip(paths, maps):
-                    record(cid, key, t, values)
-                record(cid, "gti", t, (f.values - self.clim.values) * grad_at_x)
-                record(cid, "vg", t, grad_at_x)
+                map_keys = [key for key, _, _ in paths] + ["gti", "vg"]
+                stack = np.stack([*maps, (f.values - self.clim.values) * grad_at_x, grad_at_x])
+                for key, var_imp, st_imp in zip(map_keys, attr.variable_importance(stack),
+                                                attr.spatial_importance(stack, self.stations)):
+                    gi[(cid, key)][t] = var_imp
+                    if (cid, key) in si_u:
+                        si_u[(cid, key)][t] = st_imp
                 gu[cid][t] = ablation.global_ablation(model, f, y_star, self.clim).values
                 for smap in ablation.spatial_utility_multi(model, f, y_star,
                                                            self.stations, specs,
@@ -501,19 +519,20 @@ class RunState:
         is nonempty.
         """
         if not self._gaming:
-            stored = self.ws.store(GAMING_STORE, self.stamp, self._gaming_arrays)
-            self._gaming = {cid: (build_scenarios(self, cid), gaming.GamingRun(
+            scenarios = {cid: build_scenarios(self, cid) for cid in _gaming_config_ids(self)}
+            stored = self.ws.store(GAMING_STORE, self.stamp, lambda: self._gaming_arrays(scenarios))
+            self._gaming = {cid: (scs, gaming.GamingRun(
                 **{name: stored[f"{name}/{cid}"] for name in _GAMING_ARRAYS}))
-                for cid in _gaming_config_ids(self)}
+                for cid, scs in scenarios.items()}
         return self._gaming
 
-    def _gaming_arrays(self) -> dict[str, np.ndarray]:
+    def _gaming_arrays(self, scenarios: dict[str, list]) -> dict[str, np.ndarray]:
         self.ensure_models()
         arrays = {}
-        for cid in _gaming_config_ids(self):
-            model, truth = self.models[cid]
-            run = gaming.run_gaming_experiment(model, truth, self.fields, self.clim,
-                                               self.stations, build_scenarios(self, cid))
+        for cid, scs in scenarios.items():
+            model, y_stars = self.models[cid]
+            run = gaming.run_gaming_experiment(model, y_stars, self.fields, self.clim,
+                                               self.stations, scs)
             arrays.update({f"{name}/{cid}": getattr(run, name) for name in _GAMING_ARRAYS})
         return arrays
 
@@ -716,39 +735,34 @@ def _scale_invariance_table(state: RunState) -> None:
     state.ensure_data()
     cid = state.config_ids()[len(state.config_ids()) // 2]
     model = state.make_model(cid)
-    tables = state.ensure_tables()
-    vg_imp = np.nanmean(tables["gi"][(cid, "vg")], axis=0)
-    var = int(np.argmax(vg_imp))
+    var = int(np.argmax(np.nanmean(state.ensure_tables()["gi"][(cid, "vg")], axis=0)))
     factor = 1000.0
-    scaled_model = model.with_rescaled_variable(var, factor)
-    max_dev = {"ig": 0.0, "gti": 0.0}
-    vg_rank_changed = False
-    sel_same = True
-    for f in state.fields[:10]:  # the first 10 cycles suffice to see a proxy move
-        sv = f.values.copy()
-        sv[var] *= factor
-        scl = state.clim.values.copy()
-        scl[var] *= factor
-        sf = type(f)(grid=f.grid, values=sv, timestamp=f.timestamp)
-        maps = {"ig": (attr.integrated_gradients(model, f, state.clim.values, 8),
-                       attr.integrated_gradients(scaled_model, sf, scl, 8)),
-                "gti": (attr.gradient_times_input(model, f, state.clim.values),
-                        attr.gradient_times_input(scaled_model, sf, scl))}
-        for method, (a0, a1) in maps.items():
-            scale = np.abs(a0.values).max()
-            d = float(np.abs(a1.values - a0.values).max() / max(scale, 1e-300))
-            max_dev[method] = max(max_dev[method], d)
-            r0 = metrics.topk_indices(attr.spatial_importance(a0, state.stations), 20)
-            r1 = metrics.topk_indices(attr.spatial_importance(a1, state.stations), 20)
-            sel_same = sel_same and bool(np.array_equal(r0, r1))
-        v0 = attr.vanilla_gradient(model, f)
-        v1 = attr.vanilla_gradient(scaled_model, sf)
-        rank0 = np.argsort(-attr.variable_importance(v0))
-        rank1 = np.argsort(-attr.variable_importance(v1))
-        vg_rank_changed = vg_rank_changed or not np.array_equal(rank0, rank1)
+    unit = np.ones((state.grid.n_variables, 1, 1))
+    unit[var] = factor
+    clim = state.clim.values
+    stack = np.stack([f.values for f in state.fields[:10]])  # 10 cycles suffice to see a move
+    maps = []  # in the original, then the rescaled units: the IG, GTI and VG map stacks
+    for m, xs, base in ((model, stack, clim),
+                        (model.with_rescaled_variable(var, factor), stack * unit, clim * unit)):
+        grads = m.gradient_many(xs)
+        ig = [attr.integrated_gradients(m, FieldTensor(grid=state.grid, values=x), base, 8)
+              for x in xs]
+        maps.append((np.stack([a.values for a in ig]), (xs - base) * grads, grads))
+    (ig0, gti0, vg0), (ig1, gti1, vg1) = maps
+
+    def max_rel_dev(a0, a1):
+        dev = np.abs(a1 - a0).max(axis=(1, 2, 3))
+        return float((dev / np.maximum(np.abs(a0).max(axis=(1, 2, 3)), 1e-300)).max())
+
+    def top20(a):
+        return [metrics.topk_indices(s, 20) for s in attr.spatial_importance(a, state.stations)]
+
+    sel_same = all(np.array_equal(r0, r1) for a0, a1 in ((ig0, ig1), (gti0, gti1))
+                   for r0, r1 in zip(top20(a0), top20(a1)))
+    vg_ranks = [np.argsort(-attr.variable_importance(vg), axis=-1) for vg in (vg0, vg1)]
     state.ws.write_csv("results/scale_invariance.csv", SCALE_INVARIANCE_COLUMNS,
-                       [(cid, state.grid.variables[var], factor, max_dev["ig"],
-                         max_dev["gti"], vg_rank_changed, sel_same)])
+                       [(cid, state.grid.variables[var], factor, max_rel_dev(ig0, ig1),
+                         max_rel_dev(gti0, gti1), not np.array_equal(*vg_ranks), sel_same)])
 
 
 CALIBRATION_DECILES_COLUMNS = ("config_id", "mode", "patch", "proxy", "decile",
@@ -873,8 +887,7 @@ def stage_subadditivity(state: RunState) -> None:
     depth = max(cfg.model_depths)
     cids = [c for c in state.config_ids() if c.startswith(f"d{depth}-")]
     for ci, cid in enumerate(cids):
-        model, truth = state.models[cid]
-        y_stars = [truth.verify(f) for f in state.fields]
+        model, y_stars = state.models[cid]
         order = np.argsort(state.distances(cid), kind="stable")
         modes = ("mean_replace", "scale_bias") if ci == 0 else ("mean_replace",)
         for size, mode, patch in product((2, 3, 5), modes, (1, 3)):
@@ -1133,14 +1146,17 @@ def run_full(cfg: ExperimentConfig, stage_filter: tuple[str, ...] | None = None)
 
     Stage failures are recorded and do not stop later stages; the returned
     manifest carries per-stage status, the traceback of each failed stage
-    under `failures`, and `ok` is False if anything failed.
+    under `failures`, and `ok` is False if anything failed.  A `stage_filter`
+    name outside `STAGES` raises ValueError before the directory is touched.
     """
+    if unknown := set(stage_filter or ()) - set(STAGES):
+        raise ValueError(f"unknown stages {sorted(unknown)} in stage_filter; expected {STAGES}")
     state = RunState(cfg)
     saved = state.ws.path("config.yaml")
     if saved.exists():  # else gradsense never ran here, and nothing is its to clear
         try:  # saved before any stage runs, config.yaml names the last config run here
             old = config_hash(load_config(saved))
-        except (OSError, yaml.YAMLError, ValueError, TypeError, AttributeError):
+        except (OSError, yaml.YAMLError, ValueError):
             old = None  # unreadable
         if old != state.stamp:  # one directory never mixes the artifacts of two configs
             state.ws.clear()

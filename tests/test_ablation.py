@@ -264,7 +264,8 @@ class TestJointAblation:
             vals = x.values.copy()
             rng = np.random.default_rng(
                 np.random.SeedSequence((spec.seed, ablation._JOINT_TAG, int(x.timestamp))))
-            ablation._apply_mode(vals, *np.nonzero(mask), spec, clim.values, var_std, rng)
+            ablation._apply_mode(vals, (slice(None), *np.nonzero(mask)), spec.mode,
+                                 spec.magnitude, clim.values, var_std, rng)
             base_err = abs(model.forward_values(x.values) - y_star)
             u_joint = abs(model.forward_values(vals) - y_star) - base_err
             u_ind = np.array([abs(model.forward_values(ablation._perturb_values(

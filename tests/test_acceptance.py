@@ -145,7 +145,7 @@ def test_criterion_05_scale_invariance(full_run, desk_model, desk_stations, desk
     # direct check on the session model as well
     fields, clim = desk_data
     f = fields[0]
-    vg_imp = attr.variable_importance(attr.vanilla_gradient(desk_model, f))
+    vg_imp = attr.variable_importance(attr.vanilla_gradient(desk_model, f).values)
     var = int(np.argmax(vg_imp))
     scaled = desk_model.with_rescaled_variable(var, 1000.0)
     xs = f.values.copy(); xs[var] *= 1000.0
@@ -155,12 +155,12 @@ def test_criterion_05_scale_invariance(full_run, desk_model, desk_stations, desk
     gti1 = attr.gradient_times_input(scaled, fs, cs)
     scale = np.abs(gti0.values).max()
     assert np.abs(gti1.values - gti0.values).max() <= 1e-9 * scale
-    sel0 = metrics.topk_indices(attr.spatial_importance(gti0, desk_stations), 20)
-    sel1 = metrics.topk_indices(attr.spatial_importance(gti1, desk_stations), 20)
+    sel0 = metrics.topk_indices(attr.spatial_importance(gti0.values, desk_stations), 20)
+    sel1 = metrics.topk_indices(attr.spatial_importance(gti1.values, desk_stations), 20)
     assert np.array_equal(sel0, sel1)
     vg1 = attr.vanilla_gradient(scaled, fs)
     rank0 = np.argsort(-vg_imp)
-    rank1 = np.argsort(-attr.variable_importance(vg1))
+    rank1 = np.argsort(-attr.variable_importance(vg1.values))
     assert not np.array_equal(rank0, rank1)
     report(5, "1000x unit change: IG/GTI values and selections invariant, "
               "VG ranking moves")
@@ -336,7 +336,7 @@ def test_criterion_10_linear_fidelity_oracle(desk_grid, desk_target, desk_statio
     imps, utils = [], []
     for f in fields[:20]:
         gti = attr.gradient_times_input(lm, f, clim.values)
-        imps.append(attr.spatial_importance(gti, desk_stations))
+        imps.append(attr.spatial_importance(gti.values, desk_stations))
         utils.append(ablation.spatial_utility(lm, f, truth.verify(f), desk_stations,
                                               spec, clim).u_abs)
     rho = metrics.spearman(np.asarray(imps, dtype=np.float64).mean(axis=0),
@@ -374,8 +374,8 @@ def test_criterion_11_gaming_suite(full_run, desk_model, desk_truth, desk_data,
     # null scenarios: exact identity
     null = gaming.AttackScenario("null", "inflate", (60,), 0.0, "all_surface",
                                  tuple(range(6)), "uniform", 1)
-    run = gaming.run_gaming_experiment(desk_model, desk_truth, fields, clim,
-                                       desk_stations, [null])
+    y_star = np.array([desk_truth.verify(f) for f in fields])
+    run = gaming.run_gaming_experiment(desk_model, y_star, fields, clim, desk_stations, [null])
     assert run.inflation_ratio[0] == 1.0 and run.mae_change[0] == 0.0
 
     scen = _manifest_scenarios(full_run)

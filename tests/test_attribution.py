@@ -179,14 +179,14 @@ class TestAggregation:
     def test_variable_importance_zero_map(self, desk_data, desk_model):
         fields, _ = desk_data
         amap = attr.integrated_gradients(desk_model, fields[0], fields[0].values, 2)
-        assert np.all(attr.variable_importance(amap) == 0.0)
+        assert np.all(attr.variable_importance(amap.values) == 0.0)
 
     def test_variable_importance_single_entry(self, small_grid):
         vals = np.zeros(small_grid.shape)
         vals[2, 3, 4] = -3.0
         amap = attr.AttributionMap(values=vals, method="vg", baseline="none", steps=1,
                                    timestamp=0, model_id="m", n_gradient_evals=1)
-        imp = attr.variable_importance(amap)
+        imp = attr.variable_importance(amap.values)
         assert imp[2] == 3.0 and np.all(imp[[0, 1]] == 0.0)
 
     def test_variable_importance_brute_force(self, small_grid, rng):
@@ -198,16 +198,40 @@ class TestAggregation:
             for i in range(small_grid.n_lat):
                 for j in range(small_grid.n_lon):
                     naive[v] += abs(vals[v, i, j])
-        assert np.allclose(attr.variable_importance(amap), naive, rtol=1e-12)
+        assert np.allclose(attr.variable_importance(amap.values), naive, rtol=1e-12)
 
     def test_spatial_importance_naive(self, small_grid, small_stations, rng):
         vals = rng.normal(size=small_grid.shape)
         amap = attr.AttributionMap(values=vals, method="vg", baseline="none", steps=1,
                                    timestamp=0, model_id="m", n_gradient_evals=1)
-        s = attr.spatial_importance(amap, small_stations)
+        s = attr.spatial_importance(amap.values, small_stations)
         for g in range(small_stations.n_stations):
             i, j = small_stations.cell(g)
             assert s[g] == pytest.approx(np.abs(vals[:, i, j]).sum(), rel=1e-12)
+
+    def test_batched_reducers_match_per_map_loop(self, desk_data, desk_model, desk_model_d1,
+                                                 desk_stations):
+        # the tables reduce one timestamp's maps as a stack, the gaming campaign a period's
+        # GTI maps; either equals reducing map by map, and the inline sums they replace
+        fields, clim = desk_data
+        li, lj = desk_stations.lat_idx, desk_stations.lon_idx
+        for model in (desk_model, desk_model_d1):
+            paths = [(clim.values, 8), (np.zeros(clim.values.shape), 8), (fields[2].values, 1)]
+            ig, _ = attr.integrated_gradients_paths(model, fields[3].values, paths)
+            stack = np.stack([f.values for f in fields[:10]])
+            gti = (stack - clim.values[None]) * model.gradient_many(stack)
+            for batch in (np.stack(ig), gti, gti.reshape((2, 5) + gti.shape[1:])):
+                maps = batch.reshape((-1,) + batch.shape[-3:])
+                var_imp = attr.variable_importance(batch).reshape(len(maps), -1)
+                st_imp = attr.spatial_importance(batch, desk_stations).reshape(len(maps), -1)
+                for m, v, s in zip(maps, var_imp, st_imp):
+                    assert np.array_equal(v, attr.variable_importance(m))
+                    assert np.array_equal(v, np.abs(m).sum(axis=(1, 2)))
+                    assert np.array_equal(s, attr.spatial_importance(m, desk_stations))
+                    assert np.array_equal(s, np.abs(m).sum(axis=0)[li, lj])
+                assert np.array_equal(st_imp, np.abs(maps[:, :, li, lj]).sum(axis=1))
+        with pytest.raises(ValueError, match="station grid"):
+            attr.spatial_importance(gti[..., :-1], desk_stations)
 
     def test_spatial_importance_disjoint_support(self, small_grid, small_stations):
         vals = np.zeros(small_grid.shape)
@@ -217,4 +241,4 @@ class TestAggregation:
         vals[0, spot[0], spot[1]] = 5.0
         amap = attr.AttributionMap(values=vals, method="vg", baseline="none", steps=1,
                                    timestamp=0, model_id="m", n_gradient_evals=1)
-        assert np.all(attr.spatial_importance(amap, small_stations) == 0.0)
+        assert np.all(attr.spatial_importance(amap.values, small_stations) == 0.0)

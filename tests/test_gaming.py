@@ -17,6 +17,11 @@ def scenario(attackers, kind="inflate", pct=50.0, scope_vars=(0, 1, 2, 3, 4, 5),
         placement=placement, seed=seed)
 
 
+def truth_values(truth, fields):
+    """The (T,) truth values `run_gaming_experiment` takes, one per field."""
+    return np.array([truth.verify(f) for f in fields])
+
+
 def oracle_attack(values, sc, clim, stations):
     """The per-cell loop `apply_attack` ran before it was vectorised."""
     vals = values.copy()
@@ -147,8 +152,8 @@ class TestExperiment:
                                           desk_stations):
         fields, clim = desk_data
         sc = scenario([60], pct=0.0)
-        run = gaming.run_gaming_experiment(desk_model, desk_truth, fields, clim,
-                                           desk_stations, [sc])
+        run = gaming.run_gaming_experiment(desk_model, truth_values(desk_truth, fields),
+                                           fields, clim, desk_stations, [sc])
         assert run.inflation_ratio[0] == 1.0
         assert run.mae_change[0] == 0.0
         assert not run.attack_reached_model[0]
@@ -157,8 +162,8 @@ class TestExperiment:
                                                   desk_data, desk_stations):
         fields, clim = desk_data
         sc = scenario([0], pct=200.0)  # far corner station
-        run = gaming.run_gaming_experiment(desk_model, desk_truth, fields, clim,
-                                           desk_stations, [sc])
+        run = gaming.run_gaming_experiment(desk_model, truth_values(desk_truth, fields),
+                                           fields, clim, desk_stations, [sc])
         assert not run.attack_reached_model[0]
         assert np.array_equal(run.attack[0], run.baseline)
 
@@ -167,8 +172,8 @@ class TestExperiment:
         fields, clim = desk_data
         close = gaming.sample_attackers(desk_stations, desk_target, 1, "close", 2)
         sc = scenario(close, pct=100.0)
-        run = gaming.run_gaming_experiment(desk_model, desk_truth, fields, clim,
-                                           desk_stations, [sc])
+        run = gaming.run_gaming_experiment(desk_model, truth_values(desk_truth, fields),
+                                           fields, clim, desk_stations, [sc])
         assert run.attack_reached_model[0]
         assert run.inflation_ratio[0] > 1.0
         assert run.honest_share_change_pp[0] < 100.0 * (run.inflation_ratio[0] - 1.0)
@@ -181,7 +186,7 @@ class TestExperiment:
             base_uns, base_preds = gaming._period_scores(
                 model, np.stack([f.values for f in fields]), clim, desk_stations)
             y_star = np.array([desk_truth.verify(f) for f in fields])
-            run = gaming.run_gaming_experiment(model, desk_truth, fields, clim,
+            run = gaming.run_gaming_experiment(model, y_star, fields, clim,
                                                desk_stations, scs)
             assert np.array_equal(run.baseline, base_uns)
             n_reached = 0
@@ -330,8 +335,8 @@ class TestEvaluation:
         for model in models:
             cid = f"d{model.depth}-{target.name}-{target.variable}"
             cid_scs = [replace(sc, scenario_id=f"{cid}:{i}") for i, sc in enumerate(scs)]
-            runs[cid] = (cid_scs, gaming.run_gaming_experiment(model, truth, fields, clim,
-                                                                stations, cid_scs))
+            runs[cid] = (cid_scs, gaming.run_gaming_experiment(
+                model, truth_values(truth, fields), fields, clim, stations, cid_scs))
         return runs
 
     @staticmethod

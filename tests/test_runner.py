@@ -15,6 +15,7 @@ import pytest
 import yaml
 
 from gradsense import cli, fieldio, gaming, metrics, runner
+from gradsense.model import TruthGenerator
 
 
 def tiny_config(out_dir, **overrides) -> runner.ExperimentConfig:
@@ -123,7 +124,14 @@ class TestConfig:
                          ({"targets": [{**target, "alt": 400.0}]}, "targets.alt"),
                          ({"targets": [{**target, "lat": "north"}]}, "targets.lat"),
                          ({"targets": ["zurich"]}, "targets"),
-                         ({"targets": target}, "targets")):
+                         ({"targets": target}, "targets"),
+                         ({"gaming": {"combos": [5]}}, "gaming.combos"),
+                         ({"gaming": {"combos": [["zurich"]]}}, "gaming.combos"),
+                         ({"gaming": {"combos": [["zurich", "t2m", "x"]]}}, "gaming.combos"),
+                         ({"gaming": {"extended_combo": ["zurich"]}}, "gaming.extended_combo"),
+                         ({"targets": [{"name": "zurich", "lat": 47.4}]}, "targets.lon"),
+                         ({"targets": [{"name": "zurich", "lon": 8.6}]}, "targets.lat"),
+                         ({"targets": [{**target, "lat": 20.0}]}, "targets")):  # off the grid
             with pytest.raises(ValueError, match=rf"\b{re.escape(key)}\b"):
                 runner.config_from_dict(bad)
         with pytest.raises(ValueError, match="document"):
@@ -133,6 +141,20 @@ class TestConfig:
             "magnitudes_pct": [10, 30], "combos": [["zurich", "t2m"]]}})
         assert cfg.budget == 500 and cfg.gaming.magnitudes_pct == (10, 30)
         assert cfg.gaming.combos == (("zurich", "t2m"),)
+
+    def test_int_spelling_of_a_float_is_the_same_config(self, tmp_path):
+        # the hash and the scenario seeds (written to gaming_scenarios.json) follow the value
+        ints, floats = (runner.config_from_dict({
+            "budget": budget, "out_dir": str(tmp_path),
+            "gaming": {"magnitudes_pct": pcts, "n_seeds": 1}})
+            for budget, pcts in ((500, [10, 30, 50]), (500.0, [10.0, 30.0, 50.0])))
+        assert ints == floats and runner.config_hash(ints) == runner.config_hash(floats)
+        assert type(ints.budget) is float
+        assert all(type(p) is float for p in ints.gaming.magnitudes_pct)
+        seeds = [[(sc.scenario_id, sc.seed) for sc in
+                  runner.build_scenarios(runner.RunState(cfg), "d1-zurich-t2m")]
+                 for cfg in (ints, floats)]
+        assert seeds[0] == seeds[1] and len(seeds[0]) > 0
 
     def test_fast_variant(self):
         fast = runner.fast_variant(runner.ExperimentConfig())
@@ -534,6 +556,33 @@ class TestRunFull:
                     "selection.csv", "payments.csv", "payment_stability.csv", "shrinkage.csv",
                     "convergence.csv"):
             assert (copy / "results" / rel).read_bytes() == (out / "results" / rel).read_bytes()
+
+    def test_unknown_stage_filter_rejected(self, tmp_path):
+        out = tmp_path / "typo"
+        with pytest.raises(ValueError, match="fidelty"):
+            runner.run_full(tiny_config(out), stage_filter=("fidelty",))
+        assert not out.exists()
+
+    def test_fresh_run_derives_truth_and_scenarios_once(self, tmp_path, monkeypatch):
+        # y* once per (config, timestamp), one scenario list per gaming config
+        verify, build = TruthGenerator.verify, runner.build_scenarios
+        n_verify, built = [0], []
+
+        def counting_verify(self, field):
+            n_verify[0] += 1
+            return verify(self, field)
+
+        def counting_build(state, cid):
+            built.append(cid)
+            return build(state, cid)
+
+        monkeypatch.setattr(TruthGenerator, "verify", counting_verify)
+        monkeypatch.setattr(runner, "build_scenarios", counting_build)
+        cfg = tiny_config(tmp_path / "fresh")
+        assert runner.run_full(cfg)["ok"]
+        state = runner.RunState(cfg)
+        assert n_verify[0] == len(state.config_ids()) * cfg.n_timestamps
+        assert built == runner._gaming_config_ids(state)
 
     def test_budget_clipping_warns(self, tiny_run):
         cfg, _, _ = tiny_run
