@@ -2,9 +2,10 @@
 
 Utility is the change in absolute target error when part of the input is
 replaced: whole variables swapped for climatology (global), or local patches
-around station cells perturbed (spatial).  Signed values are kept alongside
-absolute ones; patches clip at the grid boundary, so edge stations perturb
-fewer cells.
+around station cells perturbed (spatial).  Every utility is one region
+perturbation evaluated by `_utilities`, which shares one batch and one
+forward pass with the unperturbed base.  Utilities are signed arrays;
+patches clip at the grid boundary, so edge stations perturb fewer cells.
 """
 
 from __future__ import annotations
@@ -13,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Climatology, FieldTensor, StationGrid, _frozen_array
+from .grid import Climatology, FieldTensor, StationGrid
 
 MODES = ("mean_replace", "scale_bias", "additive_noise")
 _JOINT_TAG = 0x4A4E54
+_DENOMINATOR_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -36,33 +38,6 @@ class PerturbationSpec:
             raise ValueError("magnitude must be >= 0 for scale/noise modes")
 
 
-@dataclass(frozen=True)
-class GlobalUtilityVector:
-    """Per-variable signed utility, in target-variable error units."""
-
-    values: np.ndarray
-    timestamp: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_array(self.values))
-
-
-@dataclass(frozen=True)
-class SpatialUtilityMap:
-    """Per-station signed and absolute utilities under one perturbation."""
-
-    u_signed: np.ndarray
-    spec: PerturbationSpec
-    timestamp: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "u_signed", _frozen_array(self.u_signed))
-
-    @property
-    def u_abs(self) -> np.ndarray:
-        return np.abs(self.u_signed)
-
-
 def patch_slices(grid, lat_idx: int, lon_idx: int, patch: int) -> tuple[slice, slice]:
     """Patch extent centred on a cell, clipped at the grid boundary."""
     half = patch // 2
@@ -71,10 +46,11 @@ def patch_slices(grid, lat_idx: int, lon_idx: int, patch: int) -> tuple[slice, s
 
 
 def _apply_mode(vals: np.ndarray, region, mode: str, magnitude: float, clim: np.ndarray,
-                var_std: np.ndarray | None = None, rng=None) -> None:
+                var_std: np.ndarray | None = None, entropy=None) -> None:
     """Perturb `vals` in place on `region`, an index of its trailing (variable, lat, lon) axes.
 
     The region indexes `clim` too.  Scaling and noise at zero magnitude are the identity.
+    Noise is drawn from a generator seeded by the SeedSequence `entropy`.
     """
     if magnitude == 0.0 and mode != "mean_replace":
         return
@@ -85,42 +61,48 @@ def _apply_mode(vals: np.ndarray, region, mode: str, magnitude: float, clim: np.
     else:
         if var_std is None:
             raise ValueError("additive_noise needs per-variable std from the evaluation fields")
+        rng = np.random.default_rng(np.random.SeedSequence(entropy))
         block = vals[region]  # the variable axis leads the block
         scale = (magnitude * var_std).reshape((-1,) + (1,) * (block.ndim - 1))
         vals[region] = block + rng.standard_normal(block.shape) * scale
 
 
-def _perturb_values(x: FieldTensor, stations: StationGrid, station_id: int,
-                    spec: PerturbationSpec, clim: Climatology,
-                    var_std: np.ndarray | None) -> np.ndarray:
+def _patch(stations: StationGrid, station_id: int, spec: PerturbationSpec, timestamp: int):
+    """The (region, mode, magnitude, entropy) perturbation of one station's patch."""
     region = (slice(None), *patch_slices(stations.grid, *stations.cell(station_id), spec.patch))
-    vals = x.values.copy()
-    rng = np.random.default_rng(
-        np.random.SeedSequence((spec.seed, int(station_id), int(x.timestamp))))
-    _apply_mode(vals, region, spec.mode, spec.magnitude, clim.values, var_std, rng)
-    return vals
+    return region, spec.mode, spec.magnitude, (spec.seed, int(station_id), int(timestamp))
+
+
+def _utilities(model, x: FieldTensor, y_star: float, perturbations, clim: Climatology,
+               var_std: np.ndarray | None = None) -> np.ndarray:
+    """Signed utility of each (region, mode, magnitude, entropy) perturbation of x.
+
+    The base and every perturbed field share one batch and one forward pass.
+    """
+    batch = np.empty((1 + len(perturbations),) + x.values.shape)
+    batch[:] = x.values
+    for row, (region, mode, magnitude, entropy) in zip(batch[1:], perturbations):
+        _apply_mode(row, region, mode, magnitude, clim.values, var_std, entropy)
+    errs = np.abs(model.forward_many(batch) - y_star)
+    return errs[1:] - errs[0]
 
 
 def perturb_patch(x: FieldTensor, stations: StationGrid, station_id: int,
                   spec: PerturbationSpec, clim: Climatology,
                   var_std: np.ndarray | None = None) -> FieldTensor:
     """Perturbed copy of x on the patch centred at one station's cell."""
-    vals = _perturb_values(x, stations, station_id, spec, clim, var_std)
+    region, mode, magnitude, entropy = _patch(stations, station_id, spec, x.timestamp)
+    vals = x.values.copy()
+    _apply_mode(vals, region, mode, magnitude, clim.values, var_std, entropy)
     return FieldTensor(grid=x.grid, values=vals, timestamp=x.timestamp)
 
 
-def global_ablation(model, x: FieldTensor, y_star: float, clim: Climatology) -> GlobalUtilityVector:
-    """Utility of each variable: error change when the whole layer goes climatological."""
+def global_ablation(model, x: FieldTensor, y_star: float, clim: Climatology) -> np.ndarray:
+    """Utility of each variable (V,): error change when the whole layer goes climatological."""
     if x.grid.shape != model.grid.shape or clim.grid.shape != model.grid.shape:
         raise ValueError("field/climatology shape does not match model grid")
-    n_var = model.grid.n_variables
-    batch = np.empty((n_var + 1,) + model.grid.shape)
-    batch[0] = x.values
-    for v in range(n_var):
-        batch[v + 1] = x.values
-        batch[v + 1, v] = clim.values[v]
-    errs = np.abs(model.forward_many(batch) - y_star)
-    return GlobalUtilityVector(values=errs[1:] - errs[0], timestamp=x.timestamp)
+    return _utilities(model, x, y_star, [((v,), "mean_replace", 0.0, None)
+                                         for v in range(model.grid.n_variables)], clim)
 
 
 def stations_in_reach(model, stations: StationGrid, patch: int) -> np.ndarray:
@@ -134,38 +116,28 @@ def stations_in_reach(model, stations: StationGrid, patch: int) -> np.ndarray:
 
 def spatial_utility_multi(model, x: FieldTensor, y_star: float, stations: StationGrid,
                           specs: list[PerturbationSpec], clim: Climatology,
-                          var_std: np.ndarray | None = None) -> list[SpatialUtilityMap]:
-    """Spatial utilities for several perturbation specs in one batched pass.
+                          var_std: np.ndarray | None = None) -> np.ndarray:
+    """Spatial utilities (len(specs), N) for several perturbation specs in one batched pass.
 
     Stations whose patch lies entirely outside the model's influence window
     cannot change the prediction, so their utility is exactly zero and no
     forward pass is spent on them; all remaining perturbed fields across all
     specs share a single batched forward with the unperturbed base.
     """
-    n = stations.n_stations
-    actives = [stations_in_reach(model, stations, spec.patch) for spec in specs]
-    batch = np.empty((1 + sum(a.size for a in actives),) + model.grid.shape)
-    batch[0] = x.values
-    b = 1
-    for spec, active in zip(specs, actives):
-        for g in active:
-            batch[b] = _perturb_values(x, stations, int(g), spec, clim, var_std)
-            b += 1
-    errs = np.abs(model.forward_many(batch) - y_star)
-    maps = []
-    b = 1
-    for spec, active in zip(specs, actives):
-        u = np.zeros(n)
-        u[active] = errs[b:b + active.size] - errs[0]
-        b += active.size
-        maps.append(SpatialUtilityMap(u_signed=u, spec=spec, timestamp=x.timestamp))
-    return maps
+    reach = np.zeros((len(specs), stations.n_stations), dtype=bool)
+    for row, spec in zip(reach, specs):
+        row[stations_in_reach(model, stations, spec.patch)] = True
+    u = np.zeros(reach.shape)
+    u[reach] = _utilities(model, x, y_star, [
+        _patch(stations, g, spec, x.timestamp)
+        for spec, row in zip(specs, reach) for g in np.flatnonzero(row)], clim, var_std)
+    return u
 
 
 def spatial_utility(model, x: FieldTensor, y_star: float, stations: StationGrid,
                     spec: PerturbationSpec, clim: Climatology,
-                    var_std: np.ndarray | None = None) -> SpatialUtilityMap:
-    """Per-station utility of perturbing each station's local patch."""
+                    var_std: np.ndarray | None = None) -> np.ndarray:
+    """Per-station utility (N,) of perturbing each station's local patch."""
     return spatial_utility_multi(model, x, y_star, stations, [spec], clim, var_std)[0]
 
 
@@ -179,13 +151,12 @@ class JointAblationResult:
 
 def joint_ablation(model, x: FieldTensor, y_star: float, stations: StationGrid,
                    station_ids, spec: PerturbationSpec, clim: Climatology,
-                   var_std: np.ndarray | None = None,
-                   denominator_eps: float = 1e-12) -> JointAblationResult:
+                   var_std: np.ndarray | None = None) -> JointAblationResult:
     """Perturb every patch in the set at once and compare to the per-station sum.
 
     Overlapping cells are transformed once (the union of patch cells is
     perturbed in a single pass); the ratio is flagged undefined when the sum
-    of individual utilities is smaller than `denominator_eps`.
+    of individual utilities is smaller than `_DENOMINATOR_EPS`.
     """
     ids = sorted(int(g) for g in set(station_ids))
     if len(ids) < 1:
@@ -193,21 +164,13 @@ def joint_ablation(model, x: FieldTensor, y_star: float, stations: StationGrid,
     mask = np.zeros(stations.grid.shape[1:], dtype=bool)  # the union of the patch cells
     for g in ids:
         mask[patch_slices(stations.grid, *stations.cell(g), spec.patch)] = True
-    # one batch: the base, the joint perturbation, then each station alone
-    batch = np.empty((2 + len(ids),) + x.values.shape)
-    batch[0] = batch[1] = x.values
-    rng = np.random.default_rng(
-        np.random.SeedSequence((spec.seed, _JOINT_TAG, int(x.timestamp))))
-    _apply_mode(batch[1], (slice(None), mask), spec.mode, spec.magnitude, clim.values,
-                var_std, rng)
-    for b, g in enumerate(ids, start=2):
-        batch[b] = _perturb_values(x, stations, g, spec, clim, var_std)
-
-    errs = np.abs(model.forward_many(batch) - y_star)
-    u_joint = errs[1] - errs[0]
-    u_ind = errs[2:] - errs[0]
+    joint = ((slice(None), mask), spec.mode, spec.magnitude,
+             (spec.seed, _JOINT_TAG, int(x.timestamp)))
+    u = _utilities(model, x, y_star, [joint] + [_patch(stations, g, spec, x.timestamp)
+                                                for g in ids], clim, var_std)
+    u_joint, u_ind = u[0], u[1:]
     denom = u_ind.sum()
-    defined = abs(denom) >= denominator_eps
+    defined = abs(denom) >= _DENOMINATOR_EPS
     ratio = u_joint / denom if defined else np.nan
     return JointAblationResult(u_joint=float(u_joint), u_individual=u_ind,
                                ratio=float(ratio), ratio_defined=bool(defined))

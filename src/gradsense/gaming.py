@@ -30,6 +30,8 @@ PLACEMENTS = ("uniform", "close", "mid", "mixed")
 CLOSE_KM = 500.0
 MID_KM = 1500.0
 _EPS = 1e-12
+_NEIGHBORS = 8  # D5's inverse-distance neighbourhood
+_GD_ITERS, _GD_LR = 300, 0.5  # D7's fixed gradient-descent schedule
 
 
 @dataclass(frozen=True)
@@ -41,7 +43,6 @@ class AttackScenario:
     scope: str
     scope_variables: tuple[int, ...]
     placement: str
-    seed: int
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -199,10 +200,10 @@ def run_gaming_experiment(model, y_star: np.ndarray, fields, clim, stations,
 # -- detectors ------------------------------------------------------------
 
 
-def detector_d4_proxy_log_ratio(baseline_scores, attack_scores, eps: float = _EPS) -> np.ndarray:
+def detector_d4_proxy_log_ratio(baseline_scores, attack_scores) -> np.ndarray:
     """Log ratio of attack-period to baseline-period mean unsigned scores."""
-    b = np.maximum(np.asarray(baseline_scores, dtype=np.float64), eps)
-    a = np.maximum(np.asarray(attack_scores, dtype=np.float64), eps)
+    b = np.maximum(np.asarray(baseline_scores, dtype=np.float64), _EPS)
+    a = np.maximum(np.asarray(attack_scores, dtype=np.float64), _EPS)
     return np.log(a / b)
 
 
@@ -219,9 +220,9 @@ def detector_d3_rank_jump(baseline_scores, attack_scores) -> np.ndarray:
     return (_dense_ranks(baseline_scores) - _dense_ranks(attack_scores)).astype(np.float64)
 
 
-def neighbor_model(stations: StationGrid, k: int = 8) -> tuple[np.ndarray, np.ndarray]:
-    """Per-station k nearest neighbours (haversine) and inverse-distance weights."""
-    n = stations.n_stations
+def neighbor_model(stations: StationGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Per-station `_NEIGHBORS` nearest neighbours (haversine) and inverse-distance weights."""
+    n, k = stations.n_stations, _NEIGHBORS
     if n < k + 1:
         raise ValueError(f"need at least {k + 1} stations for {k} neighbours")
     lats, lons = stations.lats, stations.lons
@@ -236,8 +237,7 @@ def neighbor_model(stations: StationGrid, k: int = 8) -> tuple[np.ndarray, np.nd
     return nbr, wts
 
 
-def detector_d5_spatial_residual(scores, stations: StationGrid, k: int = 8,
-                                 eps: float = _EPS, neighbors=None) -> np.ndarray:
+def detector_d5_spatial_residual(scores, stations: StationGrid, neighbors=None) -> np.ndarray:
     """Relative residual against an inverse-distance prediction from neighbours.
 
     Flags both conspicuous excess (score far above the local field) and
@@ -245,12 +245,12 @@ def detector_d5_spatial_residual(scores, stations: StationGrid, k: int = 8,
     active region).
     """
     s = np.asarray(scores, dtype=np.float64)
-    nbr, wts = neighbor_model(stations, k) if neighbors is None else neighbors
+    nbr, wts = neighbor_model(stations) if neighbors is None else neighbors
     pred = (s[nbr] * wts).sum(axis=1) / wts.sum(axis=1)
-    return np.abs(s - pred) / (pred + eps)
+    return np.abs(s - pred) / (pred + _EPS)
 
 
-def detector_u1_baseline_free(scores, eps: float = _EPS) -> tuple[np.ndarray, bool]:
+def detector_u1_baseline_free(scores) -> tuple[np.ndarray, bool]:
     """Robust z-score magnitude of a single snapshot (median/MAD).
 
     Returns (suspicion, mad_defined).  A zero MAD (e.g. majority-zero score
@@ -260,8 +260,8 @@ def detector_u1_baseline_free(scores, eps: float = _EPS) -> tuple[np.ndarray, bo
     s = np.asarray(scores, dtype=np.float64)
     med = np.median(s)
     mad = np.median(np.abs(s - med))
-    defined = mad > eps
-    z = 0.6745 * (s - med) / (mad if defined else eps)
+    defined = mad > _EPS
+    z = 0.6745 * (s - med) / (mad if defined else _EPS)
     return np.abs(z), bool(defined)
 
 
@@ -302,20 +302,19 @@ def score_scenario(scenario: AttackScenario, baseline: np.ndarray, attack_row: n
 # -- supervised detector ---------------------------------------------------
 
 
-def _logistic_gd(features: np.ndarray, labels: np.ndarray, iters: int = 300,
-                 lr: float = 0.5) -> np.ndarray:
+def _logistic_gd(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Full-batch logistic regression by gradient descent, zero-initialised."""
     x = np.hstack([np.ones((features.shape[0], 1)), features])
     y = labels.astype(np.float64)
     w = np.zeros(x.shape[1])
-    for _ in range(iters):
+    for _ in range(_GD_ITERS):
         p = 1.0 / (1.0 + np.exp(-np.clip(x @ w, -35, 35)))
-        w -= lr * (x.T @ (p - y)) / x.shape[0]
+        w -= _GD_LR * (x.T @ (p - y)) / x.shape[0]
     return w
 
 
-def detector_d7_supervised(config_data: dict[str, list[tuple[np.ndarray, np.ndarray]]],
-                           iters: int = 300, lr: float = 0.5) -> dict[str, list[float]]:
+def detector_d7_supervised(
+        config_data: dict[str, list[tuple[np.ndarray, np.ndarray]]]) -> dict[str, list[float]]:
     """Leave-one-configuration-out logistic regression over station rows.
 
     `config_data` maps a configuration key to its scenarios, each a
@@ -337,7 +336,7 @@ def detector_d7_supervised(config_data: dict[str, list[tuple[np.ndarray, np.ndar
             raise ValueError("degenerate labels in training configurations")
         mu = train_f.mean(axis=0)
         sd = np.maximum(train_f.std(axis=0), 1e-9)
-        w = _logistic_gd((train_f - mu) / sd, train_y, iters=iters, lr=lr)
+        w = _logistic_gd((train_f - mu) / sd, train_y)
         aucs = []
         for f, y in config_data[held_out]:
             z = np.hstack([np.ones((f.shape[0], 1)), (f - mu) / sd]) @ w

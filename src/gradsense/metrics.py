@@ -35,6 +35,7 @@ from scipy.special import stdtr
 from .grid import StationGrid
 
 MIN_SAMPLES = 3  # observations behind a Spearman rho or a bootstrap
+_EXACT_THRESHOLD = 12  # nonzero samples up to which the signed-rank null is enumerated
 
 
 @dataclass(frozen=True)
@@ -193,10 +194,10 @@ def topk_overlap(a, b, k: int) -> float:
     return len(sa & sb) / k
 
 
-def wilcoxon_signed_rank(samples, exact_threshold: int = 12) -> float:
+def wilcoxon_signed_rank(samples) -> float:
     """One-sided signed-rank p-value for a positive shift.
 
-    Zeros are removed; below `exact_threshold` nonzero samples the null
+    Zeros are removed; up to `_EXACT_THRESHOLD` nonzero samples the null
     distribution of the positive-rank sum is enumerated over all 2^n sign
     assignments (exact even with ties); above it a normal approximation with
     the usual tie correction is used.
@@ -208,7 +209,7 @@ def wilcoxon_signed_rank(samples, exact_threshold: int = 12) -> float:
         raise ValueError(f"need at least 6 nonzero samples, got {n}")
     ranks = average_ranks(np.abs(d))
     t_plus = float(ranks[d > 0].sum())
-    if n <= exact_threshold:
+    if n <= _EXACT_THRESHOLD:
         bits = (np.arange(1 << n)[:, None] >> np.arange(n)[None, :]) & 1
         sums = bits @ ranks
         return float(np.count_nonzero(sums >= t_plus - 1e-12) / (1 << n))

@@ -156,8 +156,21 @@ class ExperimentConfig:
             raise ValueError(f"need at least {metrics.MIN_SAMPLES} variables")
         if make_station_grid(grid, self.station_stride).n_stations < incentive.MIN_STATIONS:
             raise ValueError(f"station_stride leaves under {incentive.MIN_STATIONS} stations")
+        for key, value in (("channels", self.channels), ("stencil_radius", self.stencil_radius),
+                           ("n_clim_draws", self.n_clim_draws)):
+            if value < 1:
+                raise ValueError(f"{key} must be >= 1")
+        if self.truth_noise_frac < 0:
+            raise ValueError("truth_noise_frac must be >= 0")
+        if self.perturb_magnitude < 0:  # subadditivity runs scale_bias whatever modes holds
+            raise ValueError("perturb_magnitude must be >= 0")
         if not self.gaming.n_attackers:
             raise ValueError("gaming.n_attackers is empty, so no scenario is built")
+        if any(n < 1 for n in self.gaming.n_attackers):
+            raise ValueError("gaming.n_attackers entries must be >= 1")
+        for key in ("magnitudes_pct", "extended_magnitudes"):
+            if any(m < 0 for m in getattr(self.gaming, key)):
+                raise ValueError(f"gaming.{key} entries must be >= 0")
         if self.bootstrap_resamples < 1000:
             raise ValueError("bootstrap_resamples must be at least 1000")
         if not 0 < self.bootstrap_level < 1:
@@ -500,11 +513,10 @@ class RunState:
                     gi[(cid, key)][t] = var_imp
                     if (cid, key) in si_u:
                         si_u[(cid, key)][t] = st_imp
-                gu[cid][t] = ablation.global_ablation(model, f, y_star, self.clim).values
-                for smap in ablation.spatial_utility_multi(model, f, y_star,
-                                                           self.stations, specs,
-                                                           self.clim, self.var_std):
-                    su[(cid, smap.spec.mode, smap.spec.patch)][t] = smap.u_signed
+                gu[cid][t] = ablation.global_ablation(model, f, y_star, self.clim)
+                for spec, u in zip(specs, ablation.spatial_utility_multi(
+                        model, f, y_star, self.stations, specs, self.clim, self.var_std)):
+                    su[(cid, spec.mode, spec.patch)][t] = u
         tables = {"gi": gi, "si_u": si_u, "gu": gu, "su": su}
         return {_store_name(kind, key): tables[kind][key]
                 for kind, kind_keys in keys.items() for key in kind_keys}
@@ -928,7 +940,6 @@ def build_scenarios(state: RunState, cid: str) -> list[gaming.AttackScenario]:
         if sid in built:
             return
         built.add(sid)
-        seed = child_seed(cfg.seed, "scenario", cid, kind, n, pct, scope, placement, seed_idx)
         attackers = gaming.sample_attackers(state.stations, target, n, placement,
                                             child_seed(cfg.seed, "placement", cid, n,
                                                        placement, seed_idx))
@@ -936,7 +947,7 @@ def build_scenarios(state: RunState, cid: str) -> list[gaming.AttackScenario]:
             scenario_id=sid, kind=kind, attackers=attackers, magnitude_pct=float(pct),
             scope=scope, scope_variables=gaming.resolve_scope(scope, state.grid.variables,
                                                               target),
-            placement=placement, seed=seed))
+            placement=placement))
 
     for n, pct, s in product(g.n_attackers, g.magnitudes_pct, range(g.n_seeds)):
         add("inflate", n, pct, "all_surface", "uniform", s)

@@ -26,6 +26,7 @@ VARIABLE_PRESETS: dict[str, tuple[float, float]] = {
 
 _CLIM_STREAM = 0x434C494D  # distinct child-stream keys under one master seed
 _FIELD_STREAM = 0x46494C44
+_SLOPE = -1.5  # the evaluation and climatology fields' spectral slope
 
 
 def variable_offset_scale(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -50,7 +51,7 @@ def _grf(rng: np.random.Generator, n_lat: int, n_lon: int, slope: float) -> np.n
     return f
 
 
-def sample_fields(seed: int, grid: GridSpec, n: int, slope: float = -1.5) -> np.ndarray:
+def sample_fields(seed: int, grid: GridSpec, n: int, slope: float = _SLOPE) -> np.ndarray:
     """Raw (n, V, n_lat, n_lon) draws; offsets/scales applied per variable."""
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), _FIELD_STREAM)))
     offs, scls = variable_offset_scale(grid)
@@ -65,7 +66,6 @@ def synth_fields(
     seed: int,
     grid: GridSpec,
     n_timestamps: int,
-    slope: float = -1.5,
     n_clim_draws: int = 1000,
 ) -> tuple[list[FieldTensor], Climatology]:
     """Generate evaluation fields and a decoupled climatology.
@@ -77,7 +77,7 @@ def synth_fields(
     """
     if n_timestamps < 1:
         raise ValueError("n_timestamps must be >= 1")
-    raw = sample_fields(seed, grid, n_timestamps, slope)
+    raw = sample_fields(seed, grid, n_timestamps)
     fields = [FieldTensor(grid=grid, values=raw[t], timestamp=t) for t in range(n_timestamps)]
 
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), _CLIM_STREAM)))
@@ -85,7 +85,7 @@ def synth_fields(
     acc = np.zeros(grid.shape)
     for _ in range(n_clim_draws):
         for v in range(grid.n_variables):
-            acc[v] += offs[v] + scls[v] * _grf(rng, grid.n_lat, grid.n_lon, slope)
+            acc[v] += offs[v] + scls[v] * _grf(rng, grid.n_lat, grid.n_lon, _SLOPE)
     clim = Climatology(grid=grid, values=acc / n_clim_draws)
     return fields, clim
 

@@ -81,7 +81,23 @@ class TestGlobalAblation:
         _, clim = desk_data
         x = FieldTensor(grid=clim.grid, values=clim.values, timestamp=0)
         u = ablation.global_ablation(desk_model, x, 1.234, clim)
-        assert np.all(u.values == 0.0)
+        assert np.all(u == 0.0)
+
+    def test_matches_per_variable_oracle(self, desk_model, desk_model_d1, linear_model,
+                                         desk_data, desk_truth):
+        fields, clim = desk_data
+        x = fields[1]
+        y_star = desk_truth.verify(x)
+        for model in (desk_model, desk_model_d1, linear_model):
+            base = abs(model.forward_values(x.values) - y_star)
+            expected = []
+            for v in range(x.grid.n_variables):
+                xv = x.values.copy()
+                xv[v] = clim.values[v]
+                expected.append(abs(model.forward_values(xv) - y_star) - base)
+            u = ablation.global_ablation(model, x, y_star, clim)
+            assert u.shape == (x.grid.n_variables,)
+            assert np.array_equal(u, expected), model.model_id
 
     def test_linear_closed_form(self, linear_model, desk_data):
         import math
@@ -99,7 +115,7 @@ class TestGlobalAblation:
             xv = x.values.copy()
             xv[v] = clim.values[v]
             expected = abs(math.fsum((w * xv).ravel().tolist()) - y_star) - base
-            assert abs(u.values[v] - expected) <= 1e-12 * cancel
+            assert abs(u[v] - expected) <= 1e-12 * cancel
 
     def test_null_influence_variable(self, linear_model, desk_data):
         fields, clim = desk_data
@@ -108,7 +124,7 @@ class TestGlobalAblation:
         silent = type(linear_model)(linear_model.grid, linear_model.target,
                                     linear_model.seed, _weights=w)
         u = ablation.global_ablation(silent, fields[0], 0.5, clim)
-        assert u.values[2] == 0.0
+        assert u[2] == 0.0
 
 
 class TestSpatialUtility:
@@ -117,7 +133,7 @@ class TestSpatialUtility:
         x = FieldTensor(grid=clim.grid, values=clim.values, timestamp=0)
         spec = ablation.PerturbationSpec(mode="mean_replace", patch=3)
         s = ablation.spatial_utility(desk_model, x, 0.77, desk_stations, spec, clim)
-        assert np.all(s.u_signed == 0.0)
+        assert np.all(s == 0.0)
 
     def test_locality_exact_zeros(self, desk_model, desk_data, desk_stations, desk_truth):
         fields, clim = desk_data
@@ -128,29 +144,26 @@ class TestSpatialUtility:
         for g in range(desk_stations.n_stations):
             i, j = desk_stations.cell(g)
             if not (rw.start <= i < rw.stop and cw.start <= j < cw.stop):
-                assert s.u_signed[g] == 0.0
+                assert s[g] == 0.0
 
-    def test_matches_naive_per_station_oracle(self, desk_model, desk_data, desk_stations,
-                                              desk_truth, var_std, rng):
+    def test_matches_naive_per_station_oracle(self, desk_model, desk_model_d1, linear_model,
+                                              desk_data, desk_stations, desk_truth, var_std,
+                                              rng):
         fields, clim = desk_data
         x = fields[1]
         y_star = desk_truth.verify(x)
-        for mode in ("mean_replace", "scale_bias", "additive_noise"):
-            spec = ablation.PerturbationSpec(mode=mode, patch=3, magnitude=0.1, seed=5)
-            s = ablation.spatial_utility(desk_model, x, y_star, desk_stations, spec,
-                                         clim, var_std)
-            base = abs(desk_model.forward(x) - y_star)
-            for g in rng.choice(desk_stations.n_stations, size=10, replace=False):
-                pert = ablation.perturb_patch(x, desk_stations, int(g), spec, clim, var_std)
-                naive = abs(desk_model.forward(pert) - y_star) - base
-                assert s.u_signed[g] == pytest.approx(naive, rel=1e-9, abs=1e-12)
-
-    def test_abs_matches_signed(self, desk_model, desk_data, desk_stations, desk_truth):
-        fields, clim = desk_data
-        spec = ablation.PerturbationSpec(mode="scale_bias", patch=3, magnitude=0.1)
-        s = ablation.spatial_utility(desk_model, fields[0], desk_truth.verify(fields[0]),
-                                     desk_stations, spec, clim)
-        assert np.array_equal(s.u_abs, np.abs(s.u_signed))
+        for model in (desk_model, desk_model_d1, linear_model):
+            base = abs(model.forward(x) - y_star)
+            for mode in ("mean_replace", "scale_bias", "additive_noise"):
+                spec = ablation.PerturbationSpec(mode=mode, patch=3, magnitude=0.1, seed=5)
+                s = ablation.spatial_utility(model, x, y_star, desk_stations, spec,
+                                             clim, var_std)
+                assert s.shape == (desk_stations.n_stations,)
+                for g in rng.choice(desk_stations.n_stations, size=10, replace=False):
+                    pert = ablation.perturb_patch(x, desk_stations, int(g), spec, clim,
+                                                  var_std)
+                    naive = abs(model.forward(pert) - y_star) - base
+                    assert s[g] == naive, (model.model_id, mode, int(g))
 
     def test_noise_utilities_are_realization_dominated(self, desk_model, desk_data,
                                                        desk_stations, desk_truth, var_std):
@@ -168,8 +181,8 @@ class TestSpatialUtility:
         for seed in range(20):
             spec = ablation.PerturbationSpec(mode="additive_noise", patch=3,
                                              magnitude=0.1, seed=seed)
-            per_seed.append(ablation.spatial_utility(desk_model, f, y, desk_stations,
-                                                     spec, clim, var_std).u_abs[in_cone])
+            per_seed.append(np.abs(ablation.spatial_utility(desk_model, f, y, desk_stations,
+                                                            spec, clim, var_std)[in_cone]))
         rhos = [spearman(per_seed[i], per_seed[j]).rho
                 for i in range(20) for j in range(i + 1, 20)]
         single_seed_stability = float(np.mean(rhos))
@@ -262,14 +275,14 @@ class TestJointAblation:
                 mask[ablation.patch_slices(desk_stations.grid, *desk_stations.cell(g),
                                            spec.patch)] = True
             vals = x.values.copy()
-            rng = np.random.default_rng(
-                np.random.SeedSequence((spec.seed, ablation._JOINT_TAG, int(x.timestamp))))
             ablation._apply_mode(vals, (slice(None), *np.nonzero(mask)), spec.mode,
-                                 spec.magnitude, clim.values, var_std, rng)
+                                 spec.magnitude, clim.values, var_std,
+                                 (spec.seed, ablation._JOINT_TAG, int(x.timestamp)))
             base_err = abs(model.forward_values(x.values) - y_star)
             u_joint = abs(model.forward_values(vals) - y_star) - base_err
-            u_ind = np.array([abs(model.forward_values(ablation._perturb_values(
-                x, desk_stations, g, spec, clim, var_std)) - y_star) - base_err for g in ids])
+            u_ind = np.array([abs(model.forward_values(ablation.perturb_patch(
+                x, desk_stations, g, spec, clim, var_std).values) - y_star) - base_err
+                for g in ids])
             return u_joint, u_ind
 
         n_cases = 0

@@ -10,11 +10,11 @@ from gradsense.metrics import topk_indices
 
 
 def scenario(attackers, kind="inflate", pct=50.0, scope_vars=(0, 1, 2, 3, 4, 5),
-             placement="uniform", seed=1):
+             placement="uniform"):
     return gaming.AttackScenario(
         scenario_id=f"test-{kind}-{pct}", kind=kind, attackers=tuple(attackers),
         magnitude_pct=pct, scope="all_surface", scope_variables=tuple(scope_vars),
-        placement=placement, seed=seed)
+        placement=placement)
 
 
 def truth_values(truth, fields):

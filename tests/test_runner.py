@@ -82,7 +82,19 @@ class TestConfig:
                            ({"variables": ("t2m", "u10m")}, "variables"),
                            ({"station_stride": 7}, "station_stride"),  # 3 x 3 stations
                            ({"gaming": replace(tiny_config(tmp_path).gaming, n_attackers=())},
-                            "n_attackers")):
+                            "n_attackers"),
+                           ({"channels": 0}, "channels"),
+                           ({"stencil_radius": 0}, "stencil_radius"),
+                           ({"n_clim_draws": 0}, "n_clim_draws"),
+                           ({"truth_noise_frac": -0.5}, "truth_noise_frac"),
+                           ({"perturb_magnitude": -0.1}, "perturb_magnitude"),
+                           ({"gaming": replace(tiny_config(tmp_path).gaming, n_attackers=(0,))},
+                            "n_attackers"),
+                           ({"gaming": replace(tiny_config(tmp_path).gaming,
+                                               magnitudes_pct=(10.0, -5.0))}, "magnitudes_pct"),
+                           ({"gaming": replace(tiny_config(tmp_path).gaming,
+                                               extended_magnitudes=(-1.0,))},
+                            "extended_magnitudes")):
             with pytest.raises(ValueError, match=match):
                 tiny_config(tmp_path, **bad).validate()
         tiny_config(tmp_path, n_timestamps=10, station_stride=6).validate()  # 3 x 4 stations
@@ -143,7 +155,7 @@ class TestConfig:
         assert cfg.gaming.combos == (("zurich", "t2m"),)
 
     def test_int_spelling_of_a_float_is_the_same_config(self, tmp_path):
-        # the hash and the scenario seeds (written to gaming_scenarios.json) follow the value
+        # the hash and the scenario ids (written to gaming_scenarios.json) follow the value
         ints, floats = (runner.config_from_dict({
             "budget": budget, "out_dir": str(tmp_path),
             "gaming": {"magnitudes_pct": pcts, "n_seeds": 1}})
@@ -151,10 +163,10 @@ class TestConfig:
         assert ints == floats and runner.config_hash(ints) == runner.config_hash(floats)
         assert type(ints.budget) is float
         assert all(type(p) is float for p in ints.gaming.magnitudes_pct)
-        seeds = [[(sc.scenario_id, sc.seed) for sc in
-                  runner.build_scenarios(runner.RunState(cfg), "d1-zurich-t2m")]
-                 for cfg in (ints, floats)]
-        assert seeds[0] == seeds[1] and len(seeds[0]) > 0
+        ids = [[sc.scenario_id for sc in
+                runner.build_scenarios(runner.RunState(cfg), "d1-zurich-t2m")]
+               for cfg in (ints, floats)]
+        assert ids[0] == ids[1] and len(ids[0]) > 0
 
     def test_fast_variant(self):
         fast = runner.fast_variant(runner.ExperimentConfig())
