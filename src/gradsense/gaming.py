@@ -142,7 +142,8 @@ class GamingRun:
     mae_clean: np.ndarray  # (S,) forecast MAE without the attack
     mae_change: np.ndarray  # (S,) attack-period MAE minus mae_clean
     honest_share_change_pp: np.ndarray  # (S,) mean |share change| of honest stations
-    attack_reached_model: np.ndarray  # (S,) 1 where an attacker lies in the model's window
+    # (S,) 1 where an attacker in the model's window is spoofed or inflated above 0 %
+    attack_reached_model: np.ndarray
 
 
 def _period_scores(model, stack: np.ndarray, clim, stations):

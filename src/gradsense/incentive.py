@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import gini, spearman, topk_indices
+from .metrics import MIN_RESAMPLES, gini, spearman, topk_indices
 
 STRATEGIES = ("ig", "gti", "vg", "distance", "uniform", "oracle")
 MIN_STATIONS = 10    # decile_calibration: one station per decile at least
@@ -204,8 +204,8 @@ def payment_stability(score_matrix, n_resamples: int = 10000, level: float = 0.9
     t, n = m.shape
     if t < MIN_TIMESTAMPS:
         raise ValueError(f"need at least {MIN_TIMESTAMPS} timestamps, got {t}")
-    if n_resamples < 1000:
-        raise ValueError("need at least 1000 resamples")
+    if n_resamples < MIN_RESAMPLES:
+        raise ValueError(f"need at least {MIN_RESAMPLES} resamples")
     point_scores = m.mean(axis=0)
     if point_scores.sum() <= 0:
         raise ValueError("scores sum to zero; shares undefined")

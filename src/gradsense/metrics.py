@@ -35,6 +35,7 @@ from scipy.special import stdtr
 from .grid import StationGrid
 
 MIN_SAMPLES = 3  # observations behind a Spearman rho or a bootstrap
+MIN_RESAMPLES = 1000  # resamples behind a bootstrap CI
 _EXACT_THRESHOLD = 12  # nonzero samples up to which the signed-rank null is enumerated
 
 
@@ -55,8 +56,8 @@ class BootstrapCI:
     resamples: int
 
     def __post_init__(self):
-        if self.resamples < 1000:
-            raise ValueError("bootstrap CIs need at least 1000 resamples")
+        if self.resamples < MIN_RESAMPLES:
+            raise ValueError(f"bootstrap CIs need at least {MIN_RESAMPLES} resamples")
         if not 0 < self.level < 1:
             raise ValueError("level must be in (0, 1)")
 

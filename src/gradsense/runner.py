@@ -28,8 +28,9 @@ import warnings
 from dataclasses import (MISSING, asdict, dataclass, field, fields as dataclass_fields,
                          is_dataclass, replace)
 from itertools import product
+from math import inf
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import Annotated, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
@@ -60,25 +61,32 @@ class TargetConfig:
     lon: float
 
 
+# numeric field ranges, closed at both ends; the walk in `_conform` checks them
+Count = Annotated[int, (1, inf)]          # a size or step count
+NonNegInt = Annotated[int, (0, inf)]      # a seed, or a count of seeds
+NonNegative = Annotated[float, (0.0, inf)]
+UnitInterval = Annotated[float, (0.0, 1.0)]   # validate() excludes the ends where it must
+
+
 @dataclass(frozen=True)
 class GamingDesign:
     combos: tuple[tuple[str, str], ...] = (("zurich", "t2m"), ("zurich", "u10m"),
                                            ("london", "t2m"))
-    n_attackers: tuple[int, ...] = (1, 3, 5)
-    magnitudes_pct: tuple[float, ...] = (10.0, 30.0, 50.0)
-    n_seeds: int = 10
+    n_attackers: tuple[Count, ...] = (1, 3, 5)
+    magnitudes_pct: tuple[NonNegative, ...] = (10.0, 30.0, 50.0)
+    n_seeds: NonNegInt = 10
     extended_combo: tuple[str, str] = ("zurich", "t2m")
-    extended_magnitudes: tuple[float, ...] = (10.0, 30.0, 50.0, 100.0, 200.0)
+    extended_magnitudes: tuple[NonNegative, ...] = (10.0, 30.0, 50.0, 100.0, 200.0)
     extended_placements: tuple[str, ...] = ("close", "mid", "mixed")
-    extended_seeds: int = 3
-    scope_seeds: int = 3
-    spoof_seeds: int = 10
+    extended_seeds: NonNegInt = 3
+    scope_seeds: NonNegInt = 3
+    spoof_seeds: NonNegInt = 10
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     schema_version: int = SCHEMA_VERSION
-    seed: int = 7
+    seed: NonNegInt = 7
     out_dir: str = "runs/default"
     n_lat: int = 36
     n_lon: int = 50
@@ -87,32 +95,43 @@ class ExperimentConfig:
     lon_min: float = -10.0
     lon_max: float = 40.0
     variables: tuple[str, ...] = ("t2m", "u10m", "v10m", "msl", "q2m", "tp")
-    n_timestamps: int = 60
-    n_clim_draws: int = 1000
-    station_stride: int = 4
+    n_timestamps: Annotated[int, (incentive.MIN_TIMESTAMPS, inf)] = 60
+    n_clim_draws: Count = 1000
+    station_stride: Count = 4
     targets: tuple[TargetConfig, ...] = (TargetConfig("zurich", 47.4, 8.6),
                                          TargetConfig("london", 51.5, -0.1),
                                          TargetConfig("berlin", 52.5, 13.4))
     target_variables: tuple[str, ...] = ("t2m", "u10m", "msl")
-    model_depths: tuple[int, ...] = (1, 3)
-    channels: int = 4
-    stencil_radius: int = 2
-    truth_noise_frac: float = 0.02
-    truth_weight_jitter: float = 0.05
-    ig_steps: int = 50
-    ig_step_grid: tuple[int, ...] = (1, 8, 50)
-    patches: tuple[int, ...] = (1, 3, 5)
+    model_depths: tuple[Annotated[int, (MIN_DEPTH, MAX_DEPTH)], ...] = (1, 3)
+    channels: Count = 4
+    stencil_radius: Count = 2
+    truth_noise_frac: NonNegative = 0.02
+    truth_weight_jitter: NonNegative = 0.05
+    ig_steps: Count = 50
+    ig_step_grid: tuple[Count, ...] = (1, 8, 50)
+    patches: tuple[Count, ...] = (1, 3, 5)
     modes: tuple[str, ...] = ("mean_replace", "scale_bias", "additive_noise")
-    perturb_magnitude: float = 0.10
-    selection_budgets: tuple[int, ...] = (5, 10, 20, 50, 100)
-    budget: float = 10000.0
-    bootstrap_resamples: int = 10000
-    bootstrap_level: float = 0.95
-    stability_top_k: int = 20
-    bh_q: float = 0.05
+    perturb_magnitude: NonNegative = 0.10  # subadditivity runs scale_bias whatever modes holds
+    selection_budgets: tuple[Count, ...] = (5, 10, 20, 50, 100)
+    budget: NonNegative = 10000.0
+    bootstrap_resamples: Annotated[int, (metrics.MIN_RESAMPLES, inf)] = 10000
+    bootstrap_level: UnitInterval = 0.95
+    stability_top_k: Count = 20
+    bh_q: UnitInterval = 0.05
     gaming: GamingDesign = field(default_factory=GamingDesign)
 
     def validate(self) -> None:
+        """Raise ValueError unless the walk a config file takes and the cross-field rules pass."""
+        walked = _walked(self)
+        for f in dataclass_fields(self):  # a list for a tuple, a mapping for a dataclass
+            if getattr(walked, f.name) != getattr(self, f.name):
+                raise ValueError(f"config key {f.name} must be {f.type}, "
+                                 f"not {getattr(self, f.name)!r}")
+        if self.schema_version != SCHEMA_VERSION:
+            raise ValueError(f"unsupported schema_version {self.schema_version!r}")
+        for key in ("bootstrap_level", "bh_q"):
+            if getattr(self, key) in (0.0, 1.0):
+                raise ValueError(f"{key} must be in (0, 1)")
         grid = make_grid(GridConfig(self.n_lat, self.n_lon, self.lat_min, self.lat_max,
                                     self.lon_min, self.lon_max, self.variables))
         for tv in self.target_variables:
@@ -133,48 +152,20 @@ class ExperimentConfig:
                 raise ValueError(f"gaming combo {combo} not in the target matrix")
         if self.ig_steps not in self.ig_step_grid:
             raise ValueError("ig_steps must be part of ig_step_grid")
-        if any(s < 1 for s in self.ig_step_grid):
-            raise ValueError("ig_step_grid entries must be >= 1")
         if self.cheap_steps() not in self.ig_step_grid:  # the baseline-sensitivity reference
             raise ValueError(f"ig_step_grid must hold cheap_steps() = {self.cheap_steps()}")
         if not self.model_depths:
             raise ValueError("model_depths is empty, so no model is built")
-        if any(not MIN_DEPTH <= d <= MAX_DEPTH for d in self.model_depths):
-            raise ValueError(f"model_depths must lie in [{MIN_DEPTH}, {MAX_DEPTH}]")
-        if any(p < 1 or p % 2 == 0 for p in self.patches):
-            raise ValueError("patches must be odd positive cell counts")
+        if not self.gaming.n_attackers:
+            raise ValueError("gaming.n_attackers is empty, so no scenario is built")
+        if any(p % 2 == 0 for p in self.patches):
+            raise ValueError("patches must be odd cell counts")
         if any(m not in ablation.MODES for m in self.modes):
             raise ValueError(f"modes must be drawn from {ablation.MODES}")
-        if self.stability_top_k < 1:
-            raise ValueError("stability_top_k must be >= 1")
-        if any(k < 1 for k in self.selection_budgets):
-            raise ValueError("selection_budgets entries must be >= 1")
-        # the pay, fidelity and calibrate stages reject smaller inputs
-        if self.n_timestamps < incentive.MIN_TIMESTAMPS:
-            raise ValueError(f"need at least {incentive.MIN_TIMESTAMPS} timestamps")
         if len(self.variables) < metrics.MIN_SAMPLES:
             raise ValueError(f"need at least {metrics.MIN_SAMPLES} variables")
         if make_station_grid(grid, self.station_stride).n_stations < incentive.MIN_STATIONS:
             raise ValueError(f"station_stride leaves under {incentive.MIN_STATIONS} stations")
-        for key, value in (("channels", self.channels), ("stencil_radius", self.stencil_radius),
-                           ("n_clim_draws", self.n_clim_draws)):
-            if value < 1:
-                raise ValueError(f"{key} must be >= 1")
-        if self.truth_noise_frac < 0:
-            raise ValueError("truth_noise_frac must be >= 0")
-        if self.perturb_magnitude < 0:  # subadditivity runs scale_bias whatever modes holds
-            raise ValueError("perturb_magnitude must be >= 0")
-        if not self.gaming.n_attackers:
-            raise ValueError("gaming.n_attackers is empty, so no scenario is built")
-        if any(n < 1 for n in self.gaming.n_attackers):
-            raise ValueError("gaming.n_attackers entries must be >= 1")
-        for key in ("magnitudes_pct", "extended_magnitudes"):
-            if any(m < 0 for m in getattr(self.gaming, key)):
-                raise ValueError(f"gaming.{key} entries must be >= 0")
-        if self.bootstrap_resamples < 1000:
-            raise ValueError("bootstrap_resamples must be at least 1000")
-        if not 0 < self.bootstrap_level < 1:
-            raise ValueError("bootstrap_level must be in (0, 1)")
 
     def cheap_steps(self) -> int:
         """Quadrature steps of the zero- and persistence-baseline IG variants."""
@@ -209,7 +200,8 @@ def _conform(kind, val, where: str):
     """`val` as a value of type `kind`: lists made tuples, ints in float slots floats.
 
     A mapping in a dataclass slot becomes that dataclass, its keys named after
-    the prefix `where`.  A value of another shape or type raises TypeError.
+    the prefix `where`.  A value of another shape or type raises TypeError; so
+    does a number that is not finite or lies outside its `Annotated` range.
     """
     if is_dataclass(kind):
         return kind(**_fields_of(kind, val, where))
@@ -219,8 +211,11 @@ def _conform(kind, val, where: str):
         if not isinstance(val, (list, tuple)) or len(slots) != len(val):
             raise TypeError
         return tuple(_conform(a, v, where) for a, v in zip(slots, val))
+    kind, (lo, hi) = get_args(kind) if get_origin(kind) is Annotated else (kind, (-inf, inf))
     if type(val) not in _SCALARS[kind]:
         raise TypeError
+    if kind is not str and (val in (-inf, inf) or not lo <= val <= hi):  # NaN fails too
+        raise TypeError(f"be a finite number in [{lo}, {hi}]")
     return float(val) if kind is float else val
 
 
@@ -232,27 +227,30 @@ def _fields_of(cls, d, where: str) -> dict:
     """
     if not isinstance(d, dict):
         raise ValueError(f"config {where.rstrip('.') or 'document'} must be a mapping")
-    fields, types = {f.name: f for f in dataclass_fields(cls)}, get_type_hints(cls)
+    fields = {f.name: f for f in dataclass_fields(cls)}
+    types = get_type_hints(cls, include_extras=True)
     out = {}
     for key, val in d.items():
         if key not in fields:
             raise ValueError(f"unknown config key {where}{key}")
         try:
             out[key] = _conform(types[key], val, f"{where}{key}.")
-        except TypeError:
-            raise ValueError(f"config key {where}{key} must be {fields[key].type}, "
-                             f"not {val!r}") from None
+        except TypeError as exc:
+            why = exc.args[0] if exc.args else f"be {fields[key].type}"
+            raise ValueError(f"config key {where}{key} must {why}, not {val!r}") from None
     for key, f in fields.items():
         if key not in out and f.default is MISSING and f.default_factory is MISSING:
             raise ValueError(f"config key {where}{key} is missing")
     return out
 
 
+def _walked(cfg: ExperimentConfig) -> ExperimentConfig:
+    """`cfg` through the walk a config file takes: checked, with ints in float slots floats."""
+    return ExperimentConfig(**_fields_of(ExperimentConfig, asdict(cfg), ""))
+
+
 def config_from_dict(d: dict) -> ExperimentConfig:
-    d = _fields_of(ExperimentConfig, d, "")
-    if d.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {d.get('schema_version')!r}")
-    cfg = ExperimentConfig(**d)
+    cfg = ExperimentConfig(**_fields_of(ExperimentConfig, d, ""))
     cfg.validate()
     return cfg
 
@@ -272,8 +270,8 @@ def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
 
 
 def _identity(cfg: ExperimentConfig) -> dict:
-    """The config without `out_dir`: what `config_hash` hashes and a run's config.yaml holds."""
-    d = config_to_dict(cfg)
+    """The walked config without `out_dir`: what `config_hash` hashes and config.yaml holds."""
+    d = config_to_dict(_walked(cfg))
     del d["out_dir"]
     return d
 

@@ -35,30 +35,33 @@ def variable_offset_scale(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     return offs, scls
 
 
-def _grf(rng: np.random.Generator, n_lat: int, n_lon: int, slope: float) -> np.ndarray:
-    """One zero-mean, unit-std random field with power-law spectrum."""
-    ky = np.fft.fftfreq(n_lat)[:, None]
-    kx = np.fft.rfftfreq(n_lon)[None, :]
+def _draws(rng: np.random.Generator, grid: GridSpec, n: int, slope: float):
+    """`n` raw (V, n_lat, n_lon) draws, one after the other.
+
+    Each layer is a zero-mean, unit-std random field with a power-law spectrum,
+    at its variable's offset and scale; the spectrum is computed once.
+    """
+    ky = np.fft.fftfreq(grid.n_lat)[:, None]
+    kx = np.fft.rfftfreq(grid.n_lon)[None, :]
     k = np.sqrt(ky * ky + kx * kx)
     with np.errstate(divide="ignore"):
         amp = np.where(k > 0.0, k ** slope, 0.0)
-    spec = (rng.standard_normal(amp.shape) + 1j * rng.standard_normal(amp.shape)) * amp
-    f = np.fft.irfft2(spec, s=(n_lat, n_lon))
-    f -= f.mean()
-    sd = f.std()
-    if sd > 0:
-        f /= sd
-    return f
+    offs, scls = (a[:, None, None] for a in variable_offset_scale(grid))
+    for _ in range(n):
+        z = rng.standard_normal((grid.n_variables, 2) + amp.shape)  # per layer: real, imag
+        f = np.fft.irfft2((z[:, 0] + 1j * z[:, 1]) * amp, s=(grid.n_lat, grid.n_lon))
+        f -= f.mean(axis=(1, 2), keepdims=True)
+        sd = f.std(axis=(1, 2), keepdims=True)
+        np.divide(f, sd, out=f, where=sd > 0)
+        yield offs + scls * f
 
 
 def sample_fields(seed: int, grid: GridSpec, n: int, slope: float = _SLOPE) -> np.ndarray:
     """Raw (n, V, n_lat, n_lon) draws; offsets/scales applied per variable."""
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), _FIELD_STREAM)))
-    offs, scls = variable_offset_scale(grid)
-    out = np.empty((n, grid.n_variables, grid.n_lat, grid.n_lon))
-    for t in range(n):
-        for v in range(grid.n_variables):
-            out[t, v] = offs[v] + scls[v] * _grf(rng, grid.n_lat, grid.n_lon, slope)
+    out = np.empty((n,) + grid.shape)
+    for t, draw in enumerate(_draws(rng, grid, n, slope)):
+        out[t] = draw
     return out
 
 
@@ -81,11 +84,7 @@ def synth_fields(
     fields = [FieldTensor(grid=grid, values=raw[t], timestamp=t) for t in range(n_timestamps)]
 
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), _CLIM_STREAM)))
-    offs, scls = variable_offset_scale(grid)
-    acc = np.zeros(grid.shape)
-    for _ in range(n_clim_draws):
-        for v in range(grid.n_variables):
-            acc[v] += offs[v] + scls[v] * _grf(rng, grid.n_lat, grid.n_lon, _SLOPE)
+    acc = sum(_draws(rng, grid, n_clim_draws, _SLOPE), np.zeros(grid.shape))
     clim = Climatology(grid=grid, values=acc / n_clim_draws)
     return fields, clim
 

@@ -1,12 +1,15 @@
 """The names other code relies on: the README library sketch and the benchmark hooks."""
 
+import dataclasses
 import re
 import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 import gradsense
+from gradsense import runner
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -22,6 +25,17 @@ def test_readme_library_sketch_runs():
     assert alloc.budget == 10_000.0
     assert alloc.amounts.sum() == pytest.approx(alloc.budget, rel=1e-12)
     assert (alloc.amounts >= 0).all()
+
+
+def test_readme_config_block_is_the_default_config():
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```yaml\n(.*?)```", section, flags=re.S)
+    assert len(blocks) == 1
+    doc = yaml.safe_load(blocks[0])
+    assert runner.config_from_dict(doc) == runner.ExperimentConfig()
+    for keys, cls in ((doc, runner.ExperimentConfig), (doc["gaming"], runner.GamingDesign)):
+        assert set(keys) == {f.name for f in dataclasses.fields(cls)}
 
 
 def _bindings(tracing) -> dict:

@@ -5,8 +5,10 @@ import json
 import math
 import os
 import re
+import shlex
 import shutil
 import statistics
+import typing
 from dataclasses import replace
 from pathlib import Path
 
@@ -167,6 +169,77 @@ class TestConfig:
                 runner.build_scenarios(runner.RunState(cfg), "d1-zurich-t2m")]
                for cfg in (ints, floats)]
         assert ids[0] == ids[1] and len(ids[0]) > 0
+
+    def test_every_declared_range_is_checked_from_a_file_and_from_code(self):
+        # just outside each range, and NaN and infinities in every float slot; for a
+        # tuple field its first entry, the others kept
+        cfg, checked = runner.ExperimentConfig(), set()
+        for prefix, cls in (("", runner.ExperimentConfig), ("gaming.", runner.GamingDesign)):
+            for name, hint in typing.get_type_hints(cls, include_extras=True).items():
+                entry = typing.get_origin(hint) is tuple
+                kind = typing.get_args(hint)[0] if entry else hint
+                lo, hi = -math.inf, math.inf
+                if typing.get_origin(kind) is typing.Annotated:
+                    kind, (lo, hi) = typing.get_args(kind)
+                    checked.add(prefix + name)
+                if kind not in (int, float):
+                    continue
+                bad = [math.nan, math.inf, -math.inf] if kind is float else []
+                step = (lambda v, d: v + d) if kind is int else (
+                    lambda v, d: float(np.nextafter(v, v + d)))
+                bad += [step(lo, -1)] * (lo > -math.inf) + [step(hi, 1)] * (hi < math.inf)
+                owner = cfg.gaming if prefix else cfg
+                for value in bad:
+                    if entry:
+                        value = (value,) + getattr(owner, name)[1:]
+                    doc = {name: list(value) if entry else value}
+                    if prefix:
+                        doc, code = {"gaming": doc}, replace(
+                            cfg, gaming=replace(cfg.gaming, **{name: value}))
+                    else:
+                        code = replace(cfg, **{name: value})
+                    for check in (lambda: runner.config_from_dict(doc), code.validate):
+                        with pytest.raises(ValueError, match=rf"key {re.escape(prefix + name)}\b"):
+                            check()
+        assert checked == {
+            "seed", "n_timestamps", "n_clim_draws", "station_stride", "model_depths",
+            "channels", "stencil_radius", "truth_noise_frac", "truth_weight_jitter",
+            "ig_steps", "ig_step_grid", "patches", "perturb_magnitude", "selection_budgets",
+            "budget", "bootstrap_resamples", "bootstrap_level", "stability_top_k", "bh_q",
+            "gaming.n_attackers", "gaming.magnitudes_pct", "gaming.extended_magnitudes",
+            "gaming.n_seeds", "gaming.extended_seeds", "gaming.scope_seeds",
+            "gaming.spoof_seeds"}
+
+    def test_values_that_used_to_corrupt_a_run_are_rejected(self):
+        cfg = runner.ExperimentConfig()
+        for key, value in (("seed", -1), ("budget", -5), ("bh_q", 2), ("bh_q", 0),
+                           ("bh_q", 1), ("truth_weight_jitter", -0.5),
+                           ("gaming.spoof_seeds", -1), ("gaming.magnitudes_pct", [math.nan]),
+                           ("budget", math.inf)):
+            if key.startswith("gaming."):
+                name = key.split(".")[1]
+                doc = {"gaming": {name: value}}
+                code = replace(cfg, gaming=replace(cfg.gaming, **{
+                    name: tuple(value) if isinstance(value, list) else value}))
+            else:
+                doc, code = {key: value}, replace(cfg, **{key: value})
+            for check in (lambda: runner.config_from_dict(doc), code.validate):
+                with pytest.raises(ValueError, match=rf"\b{re.escape(key)}\b"):
+                    check()
+
+    def test_code_configs_take_the_file_walk(self):
+        cfg = runner.ExperimentConfig()
+        # equal to the default config but hashed differently, or unhashable
+        for key, value in (("channels", 4.0), ("patches", [1, 3]), ("seed", True)):
+            with pytest.raises(ValueError, match=rf"config key {key}\b"):
+                replace(cfg, **{key: value}).validate()
+        with pytest.raises(ValueError, match="config key gaming"):
+            replace(cfg, gaming=replace(cfg.gaming, combos=[("zurich", "t2m")])).validate()
+        # an int stands for a float in code as in a file: one hash, a float in config.yaml
+        ints = replace(cfg, budget=500)
+        ints.validate()
+        assert runner.config_hash(ints) == runner.config_hash(replace(cfg, budget=500.0))
+        assert type(runner._identity(ints)["budget"]) is float
 
     def test_fast_variant(self):
         fast = runner.fast_variant(runner.ExperimentConfig())
@@ -751,6 +824,25 @@ class TestCli:
         assert rc == 0
         saved = runner.load_config(tmp_path / "override" / "config.yaml")
         assert saved.seed == 123
+
+    def test_readme_quick_start_keeps_the_run(self, tmp_path, monkeypatch):
+        # the stage commands after `full --config my.yaml --out runs/exp1 --fast` run
+        # under the run's saved config, so they leave its files in place
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = text.split("\n## Quick start\n", 1)[1].split("\n## ", 1)[0]
+        commands = [shlex.split(line)[1:] for line in section.splitlines()
+                    if line.startswith("gradsense ") and "runs/exp1" in line]
+        assert commands[0][:3] == ["full", "--config", "my.yaml"] and len(commands) > 1
+        monkeypatch.chdir(tmp_path)
+        runner.save_config(tiny_config("unused"), "my.yaml")
+        assert cli.main(commands[0]) == 0
+        run = Path("runs/exp1")
+        before = _hash_tree(run)
+        for argv in commands[1:]:
+            assert cli.main(argv) == 0
+        after = _hash_tree(run)
+        del before["manifest.json"], after["manifest.json"]  # it records the stages run
+        assert after == before and "tables/tables.gsa" in before
 
     def test_every_stage_parses(self):
         parser = cli.build_parser()
