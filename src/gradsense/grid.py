@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 EARTH_RADIUS_KM = 6371.0
+MIN_CELLS = 4  # cells a grid needs along each axis
 
 
 @dataclass(frozen=True)
@@ -46,10 +47,9 @@ class GridSpec:
     variables: tuple[str, ...]
 
     def __post_init__(self):
-        if self.n_lat < 4 or self.n_lon < 4:
-            raise ValueError(
-                f"invalid dimension: grid must be at least 4x4, got {self.n_lat}x{self.n_lon}"
-            )
+        if self.n_lat < MIN_CELLS or self.n_lon < MIN_CELLS:
+            raise ValueError(f"invalid dimension: grid must be at least {MIN_CELLS}x{MIN_CELLS}, "
+                             f"got {self.n_lat}x{self.n_lon}")
         if not (self.lat_max > self.lat_min and self.lon_max > self.lon_min):
             raise ValueError("grid bounds must satisfy lat_max > lat_min and lon_max > lon_min")
         if len(set(self.variables)) != len(self.variables):

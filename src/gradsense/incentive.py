@@ -189,6 +189,19 @@ class PaymentStability:
     ci_to_share: float
 
 
+def _row_percentiles(rows: np.ndarray, q) -> np.ndarray:
+    """np.nanpercentile(rows, q, axis=0), bit for bit, where NaNs fill whole rows only.
+
+    A resample's shares are NaN only as a whole row (its totals are not > 0),
+    so one percentile over the defined rows replaces nanpercentile's pass per
+    column.  With no defined row every percentile is NaN.
+    """
+    defined = ~np.isnan(rows[:, 0])
+    if not defined.any():
+        return np.full((len(q), rows.shape[1]), np.nan)
+    return np.percentile(rows[defined], q, axis=0)
+
+
 def payment_stability(score_matrix, n_resamples: int = 10000, level: float = 0.95,
                       top_k: int = 20, seed: int = 0) -> PaymentStability:
     """Bootstrap per-station payment shares over timestamps.
@@ -201,6 +214,8 @@ def payment_stability(score_matrix, n_resamples: int = 10000, level: float = 0.9
     m = np.asarray(score_matrix, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError("score matrix must be (timestamps, stations)")
+    if not np.isfinite(m).all():  # else a share turns NaN alone, not with its whole row
+        raise ValueError("score matrix must be finite")
     t, n = m.shape
     if t < MIN_TIMESTAMPS:
         raise ValueError(f"need at least {MIN_TIMESTAMPS} timestamps, got {t}")
@@ -220,7 +235,7 @@ def payment_stability(score_matrix, n_resamples: int = 10000, level: float = 0.9
         with np.errstate(invalid="ignore", divide="ignore"):
             shares[lo:lo + chunk] = np.where(totals > 0, sample_mean / totals, np.nan)
     alpha = (1.0 - level) / 2.0
-    lo, hi = np.nanpercentile(shares, [100 * alpha, 100 * (1 - alpha)], axis=0)
+    lo, hi = _row_percentiles(shares, [100 * alpha, 100 * (1 - alpha)])
     top = topk_indices(point, min(top_k, n))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = (hi[top] - lo[top]) / point[top]

@@ -11,15 +11,21 @@ Two model families share one interface:
     on the target cell.  Serves as the analytically solvable reference.
 
 A DeskModel's output depends only on input cells within Chebyshev radius
-depth * stencil_radius of the target, so forward/gradient operate on that
-window; cells outside it have exactly zero gradient.  Models are immutable
-and reentrant: forward and gradient are pure functions of (weights, input).
+R = depth * stencil_radius of the target (its influence window); cells outside
+it have exactly zero gradient.  Layer l of D can reach the target only from
+within (D - l) * stencil_radius of it, so the kernel evaluates each layer on
+that receptive cone alone: a chain of valid convolutions over a (2R+1)^2
+canvas centred on the target that shrinks to the 1x1 readout cell, and a
+backward pass that grows from that cell back to the canvas.  Canvas cells off
+the grid are held at zero, as the grid edge's zero padding would hold them.
+Inputs and gradients stay full-grid arrays.  Models are immutable and
+reentrant: forward and gradient are pure functions of (weights, input).
 
 Both families are batch-invariant: row i of forward_many/gradient_many equals
 forward_values/gradient_values on that row bit for bit, at any batch size.
 Every reduction runs in an order fixed by the per-sample shape alone (see
-_conv, the readout in DeskModel._forward_cached and LinearModel.forward_many),
-so batching a call differently cannot move a result.
+_valid_conv, the readout in DeskModel._forward_cached and
+LinearModel.forward_many), so batching a call differently cannot move a result.
 """
 
 from __future__ import annotations
@@ -38,35 +44,51 @@ _ACTIVATION_TARGET_STD = 0.7
 _PROBE_COUNT = 8
 
 
-def _conv(w: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Stencil correlation: w (Co, Ci, S, S) applied to h (B, Ci, H, W).
+def _valid_conv(w: np.ndarray, hp: np.ndarray) -> np.ndarray:
+    """Valid stencil correlation: w (Co, Ci, S, S) over hp (B, Ci, H+S-1, W+S-1).
 
-    Zero padding keeps the spatial shape; output is (B, Co, H, W).
+    Output is (B, Co, H, W): only the cells whose whole stencil lies in hp.
 
     Batch-invariant: each sample is one GEMM of (Co, Ci*S*S) by its own
     (Ci*S*S, H*W) column block, so the GEMM shape, and with it the BLAS
     accumulation order, does not depend on B.  Row i of the result equals the
     result for sample i alone bit for bit.  A single GEMM over the whole batch
     (B*H*W columns) would not: OpenBLAS accumulates differently for different
-    column counts.  Blocks of 8 samples keep the im2col copy near 1.6 MB.
+    column counts.  Blocks of 8 samples keep the im2col copy small.
     """
-    co = w.shape[0]
-    r = (w.shape[2] - 1) // 2
-    b, _, hh, ww = h.shape
-    hp = np.pad(h, ((0, 0), (0, 0), (r, r), (r, r)))
-    win = sliding_window_view(hp, w.shape[2:], axis=(2, 3))  # (B, Ci, H, W, S, S)
+    co, _, s, _ = w.shape
+    b, _, hh, ww = hp.shape
+    hh, ww = hh - s + 1, ww - s + 1
+    win = sliding_window_view(hp, (s, s), axis=(2, 3))  # (B, Ci, H, W, S, S)
     out = np.empty((b, co, hh * ww))
-    for s in range(0, b, 8):
-        cols = win[s:s + 8].transpose(0, 1, 4, 5, 2, 3).reshape(-1, w[0].size, hh * ww)
-        np.matmul(w.reshape(co, -1), cols, out=out[s:s + 8])
+    for i in range(0, b, 8):
+        cols = win[i:i + 8].transpose(0, 1, 4, 5, 2, 3).reshape(-1, w[0].size, hh * ww)
+        np.matmul(w.reshape(co, -1), cols, out=out[i:i + 8])
     return out.reshape(b, co, hh, ww)
+
+
+def _conv(w: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Same-shape stencil correlation of h (B, Ci, H, W): zero padding, then _valid_conv."""
+    r = (w.shape[2] - 1) // 2
+    return _valid_conv(w, np.pad(h, ((0, 0), (0, 0), (r, r), (r, r))))
 
 
 MIN_DEPTH, MAX_DEPTH = 1, 6  # the stencil-layer counts a DeskModel accepts
 
 
 class DeskModel:
-    """Seeded stencil-tanh surrogate producing a scalar forecast at a target cell."""
+    """Seeded stencil-tanh surrogate producing a scalar forecast at a target cell.
+
+    The kernel evaluates layer l of D only on its receptive cone: the
+    (2(D - l)r + 1)^2 cells centred on the target, r the stencil radius.  The
+    normalized influence window goes into a zero (2R+1)^2 canvas, R = D*r;
+    each layer is a valid convolution of the one before, with its off-grid
+    cells set to zero, down to the 1x1 readout cell.  The backward pass zeroes
+    each layer's gradient off the grid, pads it by 2r and takes a valid
+    convolution with the flipped, transposed stencil, from the readout cell
+    back to the canvas.  forward_many/gradient_many take and give full-grid
+    arrays.
+    """
 
     kind = "desk"
 
@@ -88,17 +110,27 @@ class DeskModel:
         (self.norm_mu, self.norm_sigma, self.layers, self.readout) = _weights
         for arr in (self.norm_mu, self.norm_sigma, self.readout, *self.layers):
             arr.flags.writeable = False
-        self._set_window()
+        self._set_cone()
 
-    def _set_window(self):
-        r = self.receptive_radius
+    def _set_cone(self):
+        """The influence window on the grid, and where each cone layer leaves the grid."""
         ty, tx = self.target.lat_idx, self.target.lon_idx
-        self._r0 = max(0, ty - r)
-        self._r1 = min(self.grid.n_lat, ty + r + 1)
-        self._c0 = max(0, tx - r)
-        self._c1 = min(self.grid.n_lon, tx + r + 1)
-        self._ty = ty - self._r0
-        self._tx = tx - self._c0
+        n_lat, n_lon = self.grid.n_lat, self.grid.n_lon
+
+        def on_grid(k):  # the rows/cols of a (2k+1)^2 canvas centred on the target
+            return (slice(max(0, k - ty), min(2 * k + 1, n_lat - ty + k)),
+                    slice(max(0, k - tx), min(2 * k + 1, n_lon - tx + k)))
+
+        r = self.receptive_radius
+        self._window = (slice(max(0, ty - r), min(n_lat, ty + r + 1)),
+                        slice(max(0, tx - r), min(n_lon, tx + r + 1)))
+        self._canvas_at = on_grid(r)  # the window's place on the canvas
+        self._off_grid = []  # per layer output, True on its cells off the grid
+        for layer in range(1, self.depth + 1):
+            k = (self.depth - layer) * self.stencil_radius
+            off = np.ones((2 * k + 1, 2 * k + 1), dtype=bool)
+            off[on_grid(k)] = False
+            self._off_grid.append(off)
 
     @property
     def receptive_radius(self) -> int:
@@ -111,29 +143,36 @@ class DeskModel:
 
     def influence_window(self) -> tuple[slice, slice]:
         """Rows/cols of input cells that can affect the target output."""
-        return slice(self._r0, self._r1), slice(self._c0, self._c1)
+        return self._window
 
     # -- forward ---------------------------------------------------------
 
-    def _crop_norm(self, batch: np.ndarray) -> np.ndarray:
-        crop = batch[:, :, self._r0:self._r1, self._c0:self._c1]
-        return (crop - self.norm_mu[:, None, None]) / self.norm_sigma[:, None, None]
+    def _canvas(self, batch: np.ndarray) -> np.ndarray:
+        """The normalized influence window of each sample on a zero (2R+1)^2 canvas."""
+        rows, cols = self._window
+        side = 2 * self.receptive_radius + 1
+        canvas = np.zeros(batch.shape[:2] + (side, side))
+        canvas[(..., *self._canvas_at)] = ((batch[:, :, rows, cols] - self.norm_mu[:, None, None])
+                                           / self.norm_sigma[:, None, None])
+        return canvas
 
-    def _forward_cached(self, xn: np.ndarray):
-        h = xn
+    def _forward_cached(self, canvas: np.ndarray):
+        h = canvas
         cache = []
-        for w in self.layers:
-            h = np.tanh(_conv(w, h))
+        for w, off in zip(self.layers, self._off_grid):
+            h = np.tanh(_valid_conv(w, h))
+            # the grid edge's zero padding; assigned, as -tanh(z) * 0 would give -0.0
+            h[:, :, off] = 0.0
             cache.append(h)
         # elementwise product and a row sum: a fixed-order reduction, where a
         # matrix-vector product would be a GEMV at B > 1 and a dot at B = 1
-        preds = (cache[-1][:, :, self._ty, self._tx] * self.readout).sum(axis=1)
+        preds = (h[:, :, 0, 0] * self.readout).sum(axis=1)
         return preds, cache
 
     def forward_values(self, values: np.ndarray) -> float:
         if values.shape != self.grid.shape:
             raise ValueError(f"shape mismatch: expected {self.grid.shape}, got {values.shape}")
-        preds, _ = self._forward_cached(self._crop_norm(values[None]))
+        preds, _ = self._forward_cached(self._canvas(values[None]))
         return float(preds[0])
 
     def forward(self, field: FieldTensor) -> float:
@@ -145,7 +184,7 @@ class DeskModel:
         """Predictions for a (B, V, n_lat, n_lon) stack of raw inputs."""
         if batch.ndim != 4 or batch.shape[1:] != self.grid.shape:
             raise ValueError(f"expected (B,) + {self.grid.shape}, got {batch.shape}")
-        preds, _ = self._forward_cached(self._crop_norm(batch))
+        preds, _ = self._forward_cached(self._canvas(batch))
         return preds
 
     # -- reverse mode ----------------------------------------------------
@@ -154,18 +193,22 @@ class DeskModel:
         """Exact d(prediction)/d(input) for each batch element, full-grid shape."""
         if batch.ndim != 4 or batch.shape[1:] != self.grid.shape:
             raise ValueError(f"expected (B,) + {self.grid.shape}, got {batch.shape}")
-        xn = self._crop_norm(batch)
-        _, cache = self._forward_cached(xn)
-        g = np.zeros_like(cache[-1])
-        g[:, :, self._ty, self._tx] = self.readout
+        _, cache = self._forward_cached(self._canvas(batch))
+        pad = 2 * self.stencil_radius
+        g = self.readout[None, :, None, None]  # at the 1x1 readout cell
         for li in range(self.depth - 1, -1, -1):
-            gz = g * (1.0 - cache[li] ** 2)  # d tanh(z) = 1 - tanh(z)^2
-            # input gradient of _conv: transpose channels, flip the stencil
+            h = cache[li]
+            padded = np.zeros(h.shape[:2] + (h.shape[2] + 2 * pad, h.shape[3] + 2 * pad))
+            gz = padded[:, :, pad:-pad, pad:-pad]
+            np.multiply(g, 1.0 - h ** 2, out=gz)  # d tanh(z) = 1 - tanh(z)^2
+            gz[:, :, self._off_grid[li]] = 0.0  # the forward pass held these cells at 0
+            # input gradient of the valid convolution: a full one with the
+            # channels transposed and the stencil flipped
             wt = self.layers[li].transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
-            g = _conv(np.ascontiguousarray(wt), gz)
-        g /= self.norm_sigma[:, None, None]
+            g = _valid_conv(np.ascontiguousarray(wt), padded)
         out = np.zeros(batch.shape)
-        out[:, :, self._r0:self._r1, self._c0:self._c1] = g
+        out[(..., *self._window)] = (g[(..., *self._canvas_at)]
+                                     / self.norm_sigma[:, None, None])
         return out
 
     def gradient_values(self, values: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ first removes the artifacts of the old one.
 from __future__ import annotations
 
 import csv
+import ctypes
 import hashlib
 import json
 import math
@@ -37,8 +38,8 @@ import yaml
 
 from . import __version__, ablation, attribution as attr, fieldio, gaming, incentive, metrics
 from .fieldio import fmt
-from .grid import (Climatology, FieldTensor, GridConfig, GridSpec, StationGrid, TargetSpec,
-                   make_grid, make_station_grid, make_target)
+from .grid import (MIN_CELLS, Climatology, FieldTensor, GridConfig, GridSpec, StationGrid,
+                   TargetSpec, make_grid, make_station_grid, make_target)
 from .model import MAX_DEPTH, MIN_DEPTH, DeskModel, make_desk_model, make_truth
 from . import synth
 
@@ -88,8 +89,8 @@ class ExperimentConfig:
     schema_version: int = SCHEMA_VERSION
     seed: NonNegInt = 7
     out_dir: str = "runs/default"
-    n_lat: int = 36
-    n_lon: int = 50
+    n_lat: Annotated[int, (MIN_CELLS, inf)] = 36
+    n_lon: Annotated[int, (MIN_CELLS, inf)] = 50
     lat_min: float = 35.0
     lat_max: float = 70.0
     lon_min: float = -10.0
@@ -150,6 +151,9 @@ class ExperimentConfig:
         for combo in self.gaming.combos + (self.gaming.extended_combo,):
             if combo[0] not in names or combo[1] not in self.target_variables:
                 raise ValueError(f"gaming combo {combo} not in the target matrix")
+        if unknown := set(self.gaming.extended_placements) - set(gaming.PLACEMENTS):
+            raise ValueError(f"gaming.extended_placements {sorted(unknown)} not in "
+                             f"{gaming.PLACEMENTS}")
         if self.ig_steps not in self.ig_step_grid:
             raise ValueError("ig_steps must be part of ig_step_grid")
         if self.cheap_steps() not in self.ig_step_grid:  # the baseline-sensitivity reference
@@ -164,7 +168,11 @@ class ExperimentConfig:
             raise ValueError(f"modes must be drawn from {ablation.MODES}")
         if len(self.variables) < metrics.MIN_SAMPLES:
             raise ValueError(f"need at least {metrics.MIN_SAMPLES} variables")
-        if make_station_grid(grid, self.station_stride).n_stations < incentive.MIN_STATIONS:
+        try:
+            n_stations = make_station_grid(grid, self.station_stride).n_stations
+        except ValueError as exc:
+            raise ValueError(f"station_stride: {exc}") from None
+        if n_stations < incentive.MIN_STATIONS:
             raise ValueError(f"station_stride leaves under {incentive.MIN_STATIONS} stations")
 
     def cheap_steps(self) -> int:
@@ -1133,6 +1141,23 @@ def run_stage(state: RunState, name: str) -> None:
     _STAGE_FUNCS[name](state)
 
 
+def blas_core(libs: Path = Path(np.__file__).resolve().parent.parent / "numpy.libs") -> str:
+    """The kernel that numpy's bundled OpenBLAS (in `libs`) picked for this CPU, or "unknown".
+
+    The model's GEMMs round differently under different kernels, so the
+    gradient-derived digests of two hosts agree only when this name does.
+    """
+    for lib in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):  # not loadable, or another build's symbols
+            continue
+        corename.argtypes = []
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def write_manifest(state: RunState) -> dict:
     ws = state.ws
     files = {rel: hashlib.sha256(ws.path(rel).read_bytes()).hexdigest()
@@ -1143,6 +1168,7 @@ def write_manifest(state: RunState) -> dict:
         "schema_version": SCHEMA_VERSION,
         "stages": {name: state.stage_status.get(name, "not run") for name in STAGES},
         "files": files,
+        "host": {"blas_core": blas_core(), "numpy": np.__version__},
     }
     if state.failures:  # absent on success, so a clean manifest keeps its bytes
         manifest["failures"] = dict(state.failures)

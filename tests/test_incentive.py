@@ -196,6 +196,37 @@ class TestPaymentStability:
         with pytest.raises(ValueError):
             incentive.payment_stability(rng.random((5, 10)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_scores_rejected(self, rng, bad):
+        m = rng.random((12, 5))
+        m[3, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            incentive.payment_stability(m, n_resamples=1000)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_row_percentiles_equal_nanpercentile(self, seed):
+        rng = np.random.default_rng(seed)
+        q = [2.5, 50.0, 97.5]
+        for rows, cols in ((1000, 30), (37, 5), (2, 117), (1, 3)):
+            shares = rng.random((rows, cols))
+            tied = np.round(shares, 1)  # many equal values per column
+            holes = shares.copy()
+            holes[rng.random(rows) < 0.3] = np.nan  # resamples whose totals were not > 0
+            for m in (shares, tied, holes):
+                assert np.array_equal(incentive._row_percentiles(m, q),
+                                      np.nanpercentile(m, q, axis=0), equal_nan=True)
+        gone = np.full((50, 4), np.nan)
+        assert np.all(np.isnan(incentive._row_percentiles(gone, q)))
+        assert incentive._row_percentiles(gone, q).shape == (3, 4)
+
+    def test_resamples_without_mass_are_left_out(self):
+        # 9 of 10 timestamps score nothing, so about a third of the resamples
+        # have no shares; the interval comes from the others
+        m = np.zeros((10, 6))
+        m[3] = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        res = incentive.payment_stability(m, n_resamples=1000, seed=4)
+        assert np.allclose(res.lower, res.shares) and np.allclose(res.upper, res.shares)
+
 
 def loop_shrinkage_folds(p, d, utilities, objective, k):
     """Per-fold lambdas from the per-lambda scoring loop the grid matrix replaced."""

@@ -4,7 +4,7 @@ import pytest
 from gradsense.grid import FieldTensor, GridConfig, make_grid, make_target
 from gradsense import synth
 from gradsense.model import (
-    make_desk_model, make_linear_model, make_truth, model_from_config,
+    MAX_DEPTH, _conv, make_desk_model, make_linear_model, make_truth, model_from_config,
 )
 from gradsense import ablation
 
@@ -33,6 +33,33 @@ def naive_stencil_forward(model, values):
     return float(cur[:, model.target.lat_idx, model.target.lon_idx] @ model.readout)
 
 
+def same_padding_chain(model, batch):
+    """Predictions and full-grid gradients from a same-shape chain over the influence window.
+
+    Every layer runs over the whole clipped window with zero padding, and the
+    backward pass runs the same chain in reverse: the oracle for DeskModel's
+    receptive-cone kernel, which computes each layer on its cone alone.
+    """
+    rows, cols = model.influence_window()
+    ty, tx = model.target.lat_idx - rows.start, model.target.lon_idx - cols.start
+    h = ((batch[:, :, rows, cols] - model.norm_mu[:, None, None])
+         / model.norm_sigma[:, None, None])
+    cache = []
+    for w in model.layers:
+        h = np.tanh(_conv(w, h))
+        cache.append(h)
+    preds = (h[:, :, ty, tx] * model.readout).sum(axis=1)
+    g = np.zeros_like(h)
+    g[:, :, ty, tx] = model.readout
+    for li in range(model.depth - 1, -1, -1):
+        gz = g * (1.0 - cache[li] ** 2)
+        wt = model.layers[li].transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+        g = _conv(np.ascontiguousarray(wt), gz)
+    grads = np.zeros(batch.shape)
+    grads[:, :, rows, cols] = g / model.norm_sigma[:, None, None]
+    return preds, grads
+
+
 @pytest.fixture(scope="module")
 def tiny_setup():
     grid = make_grid(GridConfig(8, 10, 40.0, 48.0, 0.0, 10.0, variables=("t2m", "u10m")))
@@ -54,6 +81,28 @@ class TestDeskModel:
         for f in fields[:2]:
             assert m.forward(f) == pytest.approx(naive_stencil_forward(m, f.values),
                                                  rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("radius", [1, 2])
+    @pytest.mark.parametrize("depth", [1, 2, 3, MAX_DEPTH])
+    def test_cone_matches_same_padding_chain(self, small_grid, small_data, depth, radius):
+        # targets in the interior, on each edge and in a corner, where the
+        # cone's off-grid cells must act as the grid edge's zero padding
+        fields, _ = small_data
+        batch = np.stack([f.values for f in fields[:3]])
+        n_lat, n_lon = small_grid.n_lat, small_grid.n_lon
+        cells = {"interior": (6, 8), "south": (0, 8), "north": (n_lat - 1, 8),
+                 "west": (6, 0), "east": (6, n_lon - 1), "corner": (n_lat - 1, 0)}
+        for name, (i, j) in cells.items():
+            target = make_target(small_grid, name, float(small_grid.lat_of(i)),
+                                 float(small_grid.lon_of(j)), "t2m")
+            assert (target.lat_idx, target.lon_idx) == (i, j)
+            m = make_desk_model(5, small_grid, target, depth=depth, stencil_radius=radius)
+            preds, grads = same_padding_chain(m, batch)
+            cone_p, cone_g = m.forward_many(batch), m.gradient_many(batch)
+            assert np.all(np.abs(cone_p - preds) <= 1e-12 * np.abs(preds)), name
+            scale = np.abs(grads).max(axis=(1, 2, 3), keepdims=True)
+            assert np.all(np.abs(cone_g - grads) <= 1e-12 * scale), name
+            assert np.array_equal(cone_g == 0.0, grads == 0.0), name
 
     def test_determinism_and_seed_sensitivity(self, tiny_setup):
         grid, target, fields, _ = tiny_setup

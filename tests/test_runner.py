@@ -145,7 +145,12 @@ class TestConfig:
                          ({"gaming": {"extended_combo": ["zurich"]}}, "gaming.extended_combo"),
                          ({"targets": [{"name": "zurich", "lat": 47.4}]}, "targets.lon"),
                          ({"targets": [{"name": "zurich", "lon": 8.6}]}, "targets.lat"),
-                         ({"targets": [{**target, "lat": 20.0}]}, "targets")):  # off the grid
+                         ({"targets": [{**target, "lat": 20.0}]}, "targets"),  # off the grid
+                         ({"gaming": {"extended_placements": ["far"]}},
+                          "gaming.extended_placements"),
+                         ({"station_stride": 40}, "station_stride"),
+                         ({"n_lat": 2}, "n_lat"),
+                         ({"n_lon": 3}, "n_lon")):
             with pytest.raises(ValueError, match=rf"\b{re.escape(key)}\b"):
                 runner.config_from_dict(bad)
         with pytest.raises(ValueError, match="document"):
@@ -202,7 +207,8 @@ class TestConfig:
                         with pytest.raises(ValueError, match=rf"key {re.escape(prefix + name)}\b"):
                             check()
         assert checked == {
-            "seed", "n_timestamps", "n_clim_draws", "station_stride", "model_depths",
+            "seed", "n_lat", "n_lon", "n_timestamps", "n_clim_draws", "station_stride",
+            "model_depths",
             "channels", "stencil_radius", "truth_noise_frac", "truth_weight_jitter",
             "ig_steps", "ig_step_grid", "patches", "perturb_magnitude", "selection_budgets",
             "budget", "bootstrap_resamples", "bootstrap_level", "stability_top_k", "bh_q",
@@ -516,6 +522,19 @@ class TestRunFull:
         assert _hash_tree(elsewhere) == _hash_tree(out)
         assert runner.load_config(out / "config.yaml") == replace(
             cfg, out_dir=runner.ExperimentConfig().out_dir)
+
+    def test_manifest_names_the_blas_core(self, tiny_run, tmp_path):
+        # the gradient digests depend on the OpenBLAS kernel, so the manifest names it
+        cfg, out, _ = tiny_run
+        host = json.loads((out / "manifest.json").read_text())["host"]
+        assert host == {"blas_core": runner.blas_core(), "numpy": np.__version__}
+        if list((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob(
+                "libscipy_openblas*")):  # a numpy wheel bundles scipy-openblas
+            assert host["blas_core"] != "unknown"
+        assert runner.blas_core(tmp_path) == "unknown"  # no library to ask
+        again = tmp_path / "again"
+        assert runner.run_full(replace(cfg, out_dir=str(again)))["ok"]
+        assert (again / "manifest.json").read_bytes() == (out / "manifest.json").read_bytes()
 
     def test_overlapping_extended_grid_builds_each_scenario_once(self, tmp_path):
         # the extended grid's (uniform, 50 %, seed 0) scenarios are main-grid ones
