@@ -210,12 +210,23 @@ def payment_stability(score_matrix, n_resamples: int = 10000, level: float = 0.9
     renormalized into shares and percentile CIs are taken per station.  The
     headline ratio is the mean CI width over point share for the top-k
     stations by share.
+
+    Only the support is resampled: the columns with a score other than +0.0
+    at some timestamp.  A column of zeros has resample mean +0.0 (as numpy's
+    sum of -0.0s is), so its share is 0.0 in every defined resample and so
+    are both of its bounds.  The support's resample means are running sums
+    over the t drawn timestamps, in draw order, over t; they go back into a
+    zero (resamples, stations) matrix, so the share totals are summed over
+    every station as before.  Percentiles are taken over the resamples whose
+    totals are positive.
     """
     m = np.asarray(score_matrix, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError("score matrix must be (timestamps, stations)")
     if not np.isfinite(m).all():  # else a share turns NaN alone, not with its whole row
         raise ValueError("score matrix must be finite")
+    if np.any(m < 0):
+        raise ValueError("payment scores must be nonnegative")
     t, n = m.shape
     if t < MIN_TIMESTAMPS:
         raise ValueError(f"need at least {MIN_TIMESTAMPS} timestamps, got {t}")
@@ -227,15 +238,20 @@ def payment_stability(score_matrix, n_resamples: int = 10000, level: float = 0.9
     point = point_scores / point_scores.sum()
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x505354)))
     idx = rng.integers(0, t, size=(n_resamples, t))
-    shares = np.empty((n_resamples, n))
-    chunk = max(1, (1 << 22) // (t * n))  # bound the (chunk, t, n) gather buffer
-    for lo in range(0, n_resamples, chunk):
-        sample_mean = m[idx[lo:lo + chunk]].mean(axis=1)
-        totals = sample_mean.sum(axis=1, keepdims=True)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            shares[lo:lo + chunk] = np.where(totals > 0, sample_mean / totals, np.nan)
+    support = np.flatnonzero((m != 0).any(axis=0))
+    m_sup = m[:, support]
+    acc = np.zeros((n_resamples, support.size))
+    for drawn in idx.T:  # from +0.0 in draw order: the bits of numpy's mean of the draws
+        acc += m_sup[drawn]
+    sample_mean = np.zeros((n_resamples, n))
+    sample_mean[:, support] = acc / t
+    totals = sample_mean.sum(axis=1, keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        shares = np.where(totals > 0, sample_mean[:, support] / totals, np.nan)
     alpha = (1.0 - level) / 2.0
-    lo, hi = _row_percentiles(shares, [100 * alpha, 100 * (1 - alpha)])
+    bounds = np.zeros((2, n)) if (totals > 0).any() else np.full((2, n), np.nan)
+    bounds[:, support] = _row_percentiles(shares, [100 * alpha, 100 * (1 - alpha)])
+    lo, hi = bounds
     top = topk_indices(point, min(top_k, n))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = (hi[top] - lo[top]) / point[top]

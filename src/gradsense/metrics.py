@@ -8,20 +8,27 @@ pinned.  The only SciPy import is `scipy.special.stdtr`, the Student t tail
 behind the Spearman p-value.  All randomized procedures reproduce
 bit-identically from their seed.
 
-Every Spearman correlation goes through one path: rows of average ranks
-(`average_ranks_matrix`, or `resample_ranks` for bootstrap resamples) and
-their row-wise Pearson correlation `_rank_rho`.  `spearman_rows` correlates
-matching rows of two matrices, `spearman` is its one-row case, and
-`paired_spearman` feeds it resampled ranks.  Centred average ranks are
-multiples of 1/2, so every sum in `_rank_rho` is exact and no batching or
-summation order can change a bit of rho or of its p-value.
+Every Spearman correlation ends in `_rho`, on three sums of centred average
+ranks: sum(ra * rb), sum(ra^2) and sum(rb^2).  `spearman_rows` ranks the rows
+of two matrices (`average_ranks_matrix`) and sums them in `_rank_rho`;
+`spearman` is its one-row case.  `paired_spearman`, the bootstrap statistic,
+gets the same sums from station multiplicities without building a resample:
+stations are grouped by their pair of tie codes, a group's centred average
+rank in a resample is half of (values below it - values above it), and each
+group is weighted by how often its stations were drawn.  Centred average
+ranks are multiples of 1/2 and multiplicities are integers, so every partial
+sum is a multiple of 1/4 far below 2^53 and exact in any order: no batching,
+grouping or summation order can change a bit of rho or of its p-value.
 
 There is one bootstrap resampler, `bootstrap_block_spatial`; `bootstrap_iid`
-is its case with one singleton block per row, in index order, which draws the
-index matrix an i.i.d. row draw would.  A bootstrap statistic is one batched
-function, `statistic(values, idx)`, returning the statistic of `values[row]`
-for each row of a (resamples, m) index matrix; the point estimate is its value
-on the identity resample `np.arange(n)[None]`.
+is its case with one singleton block per row, in index order.  A bootstrap
+statistic is one batched function, `statistic(values, counts)`, where
+`counts` is a (resamples, n) matrix of integer station multiplicities (held
+as float64), one row per resample; it returns one value per row, and the
+point estimate is its value on a row of ones.  Multiplicities drop the draw
+order, which only a NaN can see: it is not equal to itself, so sorting gives
+each copy its own rank, in draw order.  `paired_spearman` adds that spread in
+closed form for one NaN station per column and raises for more.
 """
 
 from __future__ import annotations
@@ -92,29 +99,6 @@ def average_ranks_matrix(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def resample_ranks(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Row-wise tie-averaged ranks of `x[idx]` for a (rows, m) index matrix.
-
-    Equals `average_ranks_matrix(x[idx])` bit for bit without sorting a row.
-    Each value gets a tie code (its position among the sorted distinct values
-    of `x`), one `bincount` counts every code per row, and a value whose code
-    has `count` copies in its row and `less` smaller values there spans rank
-    positions less+1 .. less+count, so its average rank is less + (count+1)/2.
-    That is the half-integer the sorting version computes, and float64 holds
-    it exactly, so the two agree in every bit.  A NaN is not equal to itself,
-    so each NaN occurrence is its own rank group; inputs with NaN therefore
-    take the sorting path.
-    """
-    if np.isnan(x).any():
-        return average_ranks_matrix(x[idx])
-    uniq, code = np.unique(x, return_inverse=True)
-    rows, k = idx.shape[0], uniq.size
-    cell = np.arange(rows)[:, None] * k + code[idx]  # (row, code) flat in (rows, k)
-    counts = np.bincount(cell.ravel(), minlength=rows * k).reshape(rows, k)
-    less = np.cumsum(counts, axis=1) - counts
-    return (less + 0.5 * (counts + 1)).ravel()[cell]
-
-
 def _rank_rho(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
     """Row-wise Pearson correlation of two (rows, n) rank matrices; NaN where a row is constant.
 
@@ -129,9 +113,14 @@ def _rank_rho(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
     """
     ra -= ra.mean(axis=1, keepdims=True)
     rb -= rb.mean(axis=1, keepdims=True)
-    den = np.sqrt((ra * ra).sum(axis=1) * (rb * rb).sum(axis=1))
+    return _rho((ra * rb).sum(axis=1), (ra * ra).sum(axis=1), (rb * rb).sum(axis=1))
+
+
+def _rho(sab: np.ndarray, saa: np.ndarray, sbb: np.ndarray) -> np.ndarray:
+    """Correlation from the exact sums of centred rank products; NaN where a row is constant."""
+    den = np.sqrt(saa * sbb)
     with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(den > 0, np.clip((ra * rb).sum(axis=1) / den, -1.0, 1.0), np.nan)
+        return np.where(den > 0, np.clip(sab / den, -1.0, 1.0), np.nan)
 
 
 def spearman_rows(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -171,12 +160,47 @@ def spearman(a, b) -> RankCorrelation:
     return RankCorrelation(rho=float(rho[0]), n=a.size, p_value=float(p[0]))
 
 
-def paired_spearman(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Spearman rho of the two columns of an (n, 2) sample, per resample row of `idx`.
+def paired_spearman(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Spearman rho of the two columns of an (n, 2) sample, per row of station multiplicities.
 
     A bootstrap statistic; NaN where a resample leaves either column constant.
+    Stations are grouped by their pair of tie codes (positions among a
+    column's sorted distinct values).  A value's centred average rank is half
+    of (values below it - values above it).  So with `half[g, i]` half the
+    sign of group g's code minus station i's, in a column, and `member[g, i]`
+    whether station i is in group g, one product
+    `[member; half_a; half_b] @ counts.T` gives every group's weight and
+    centred ranks in every resample.  All of it is arithmetic on small
+    integers and halves, hence exact in any order.
+
+    A NaN ranks above every number and, not being equal to itself, each copy
+    of it takes its own rank, in draw order.  With one NaN station per column
+    that is exact: its c copies rank around their average like 1..c around
+    (c+1)/2, which adds (c^3 - c)/12 to the squares (and to the products,
+    where both columns are NaN at that station).  With two or more the ranks
+    depend on the draw order, which multiplicities do not keep, so that raises.
     """
-    return _rank_rho(resample_ranks(values[:, 0], idx), resample_ranks(values[:, 1], idx))
+    nan_at = [np.flatnonzero(np.isnan(values[:, col])) for col in (0, 1)]
+    if max(s.size for s in nan_at) > 1:
+        raise ValueError("a column with NaN at two or more stations has ranks that "
+                         "depend on the draw order")
+    nan_both = np.flatnonzero(np.isnan(values).all(axis=1))
+    codes = np.column_stack([np.unique(values[:, col], return_inverse=True)[1]
+                             for col in (0, 1)])
+    pairs, group = np.unique(codes, axis=0, return_inverse=True)
+    member = group == np.arange(len(pairs))[:, None]
+    half_a, half_b = (0.5 * np.sign(pairs[:, col, None] - codes[:, col]) for col in (0, 1))
+    c = np.asarray(counts, dtype=np.float64)
+    w, ra, rb = np.split(np.vstack([member, half_a, half_b]) @ c.T, 3)  # each (G, resamples)
+
+    def spread(stations):
+        k = c[:, stations]
+        return (k ** 3 - k).sum(axis=1) / 12
+
+    wa = w * ra
+    return _rho((wa * rb).sum(axis=0) + spread(nan_both),
+                (wa * ra).sum(axis=0) + spread(nan_at[0]),
+                (w * rb * rb).sum(axis=0) + spread(nan_at[1]))
 
 
 def topk_indices(scores, k: int) -> np.ndarray:
@@ -320,29 +344,30 @@ def station_blocks(stations: StationGrid, block: int = 2) -> list[np.ndarray]:
 def bootstrap_block_spatial(values, blocks: list[np.ndarray], statistic,
                             n_resamples: int = 10000, level: float = 0.95,
                             seed: int = 0) -> BootstrapCI:
-    """Percentile CI resampling whole spatial blocks; members move together."""
+    """Percentile CI resampling whole spatial blocks; members move together.
+
+    Each resample draws as many blocks as there are, with replacement.  One
+    `bincount` turns the draws into block counts, and a station's
+    multiplicity is its block's count: the statistic sees those (as float64,
+    ready for BLAS), never a gathered copy of the sample.  It is called once,
+    with a leading row of ones for the point estimate.  `blocks` must hold
+    integer station indices that cover 0..n-1 once each.
+    """
     arr = np.asarray(values, dtype=np.float64)
-    n_blocks = len(blocks)
-    if n_blocks == 0 or any(len(b) == 0 for b in blocks):
+    n, n_blocks = arr.shape[0], len(blocks)
+    members = [np.asarray(b) for b in blocks]
+    if n_blocks == 0 or any(b.size == 0 for b in members):
         raise ValueError("blocks must be nonempty")
-    covered = np.concatenate(blocks)
-    if np.unique(covered).size != arr.shape[0] or covered.size != arr.shape[0]:
+    if (any(b.ndim != 1 or b.dtype.kind not in "iu" for b in members)
+            or not np.array_equal(np.sort(covered := np.concatenate(members)), np.arange(n))):
         raise ValueError("blocks must partition the station set")
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), n_resamples)))
     draws = rng.integers(0, n_blocks, size=(n_resamples, n_blocks))
-    # one padded gather: row j of `table` lists block j's members, then -1s;
-    # dropping the pads keeps draw order and member order in every resample
-    sizes = np.array([len(b) for b in blocks])
-    table = np.full((n_blocks, sizes.max()), -1, dtype=np.intp)
-    for j, b in enumerate(blocks):
-        table[j, :len(b)] = b
-    gathered = table[draws].reshape(n_resamples, -1)
-    lengths = sizes[draws].sum(axis=1)
-    stats = np.empty(n_resamples)
-    # bucket resamples by total length so each bucket is one index matrix
-    for length in np.unique(lengths):
-        sel = np.flatnonzero(lengths == length)
-        rows = gathered[sel]
-        stats[sel] = statistic(arr, rows[rows >= 0].reshape(sel.size, length))
-    point = statistic(arr, np.arange(arr.shape[0])[None])[0]
-    return _percentile_ci(stats, point, level, n_resamples)
+    cell = np.arange(n_resamples)[:, None] * n_blocks + draws  # (resample, block) flat
+    block_counts = np.ones((1 + n_resamples, n_blocks))  # row 0, each block once: the point
+    block_counts[1:] = np.bincount(cell.ravel(), minlength=n_resamples * n_blocks).reshape(
+        n_resamples, n_blocks)
+    block_of = np.empty(n, dtype=np.intp)
+    block_of[covered] = np.repeat(np.arange(n_blocks), [b.size for b in members])
+    stats = statistic(arr, np.take(block_counts, block_of, axis=1))
+    return _percentile_ci(stats[1:], stats[0], level, n_resamples)

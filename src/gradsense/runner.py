@@ -133,6 +133,8 @@ class ExperimentConfig:
         for key in ("bootstrap_level", "bh_q"):
             if getattr(self, key) in (0.0, 1.0):
                 raise ValueError(f"{key} must be in (0, 1)")
+        if len(set(self.variables)) != len(self.variables):
+            raise ValueError(f"variables must be unique, got {list(self.variables)}")
         grid = make_grid(GridConfig(self.n_lat, self.n_lon, self.lat_min, self.lat_max,
                                     self.lon_min, self.lon_max, self.variables))
         for tv in self.target_variables:

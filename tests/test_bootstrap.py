@@ -7,9 +7,25 @@ from gradsense import metrics, synth
 from gradsense.grid import GridConfig, make_grid, make_station_grid
 
 
-def mean_stat(values, idx):
-    """Mean of each resample row (of the first column, for an (n, 2) sample)."""
-    return (values if values.ndim == 1 else values[:, 0])[idx].mean(axis=1)
+def mean_stat(values, counts):
+    """Mean of each resample (of the first column, for an (n, 2) sample), from multiplicities.
+
+    Taken about the first value, so the mean of a constant sample is that constant exactly,
+    and summed row by row, so a resample's mean does not depend on the rows beside it.
+    """
+    x = values if values.ndim == 1 else values[:, 0]
+    return x[0] + (counts * (x - x[0])).sum(axis=1) / counts.sum(axis=1)
+
+
+def counts_of(idx, n):
+    """Station multiplicities of each row of a (resamples, m) index matrix."""
+    cell = np.arange(idx.shape[0])[:, None] * n + idx
+    return np.bincount(cell.ravel(), minlength=idx.shape[0] * n).reshape(-1, n)
+
+
+def on_gather(statistic):
+    """An index-matrix statistic: `statistic` on the multiplicities of each index row."""
+    return lambda values, idx: statistic(values, counts_of(idx, values.shape[0]))
 
 
 class TestIidBootstrap:
@@ -45,12 +61,17 @@ class OldPairedSpearmanStat:
         return rc.rho if not rc.undefined else math.nan
 
     def batched(self, arr, idx):
-        return metrics._rank_rho(metrics.resample_ranks(arr[:, 0], idx),
-                                 metrics.resample_ranks(arr[:, 1], idx))
+        return metrics._rank_rho(metrics.average_ranks_matrix(arr[idx, 0]),
+                                 metrics.average_ranks_matrix(arr[idx, 1]))
 
 
-def old_mean_stat(rows):
-    return float(np.mean(rows if rows.ndim == 1 else rows[:, 0]))
+class OldMeanStat:
+    """`mean_stat` fed the multiplicities of the old draw-order index rows."""
+
+    def __call__(self, rows):
+        return mean_stat(rows, np.ones((1, rows.shape[0]), dtype=np.intp))[0]
+
+    batched = staticmethod(on_gather(mean_stat))
 
 
 def oracle_bootstrap_iid(values, statistic, n_resamples, level, seed):
@@ -88,11 +109,11 @@ class TestIidIsSingletonBlocks:
         for n in (3, 4, 6, 17, 60):
             for name, pairs in _iid_cases(rng, n):
                 old_point = OldPairedSpearmanStat()(pairs)
-                new_point = metrics.paired_spearman(pairs, np.arange(n)[None])[0]
+                new_point = metrics.paired_spearman(pairs, np.ones((1, n), dtype=np.intp))[0]
                 assert np.array_equal(new_point, old_point, equal_nan=True), (n, name)
                 for seed, level in ((0, 0.95), (7, 0.9), (123, 0.5)):
                     for new_stat, old_stat in ((metrics.paired_spearman, OldPairedSpearmanStat()),
-                                               (mean_stat, old_mean_stat)):
+                                               (mean_stat, OldMeanStat())):
                         try:
                             old = oracle_bootstrap_iid(pairs, old_stat, 1000, level, seed)
                         except ValueError as exc:
@@ -136,6 +157,13 @@ class TestBlockBootstrap:
         with pytest.raises(ValueError):
             metrics.bootstrap_block_spatial(vals, blocks, mean_stat, 1000)
 
+    @pytest.mark.parametrize("member", [0.7, -1, 6])  # a float, below 0, past n - 1
+    def test_members_must_be_station_indices(self, rng, member):
+        blocks = [np.array([member])] + [np.array([i]) for i in range(1, 6)]
+        with pytest.raises(ValueError, match="blocks must partition the station set"):
+            metrics.bootstrap_block_spatial(rng.normal(size=(6, 2)), blocks,
+                                            metrics.paired_spearman, 1000)
+
     def test_correlated_data_wider_block_ci(self):
         grid = make_grid(GridConfig(36, 50, variables=("a",)))
         st = make_station_grid(grid, 4)
@@ -163,7 +191,7 @@ class TestBlockBootstrap:
 
 
 def oracle_block_bootstrap(values, blocks, statistic, n_resamples, level, seed):
-    """The per-resample list-comprehension index builder the gather replaced."""
+    """The per-resample list-comprehension index builder, with an index-matrix statistic."""
     arr = np.asarray(values, dtype=np.float64)
     n_blocks = len(blocks)
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), n_resamples)))
@@ -187,6 +215,14 @@ def sorted_ranks_spearman(values, idx):
         return np.where(den > 0, np.clip((ra * rb).sum(axis=1) / den, -1, 1), np.nan)
 
 
+def _spearman_cases(rng, n):
+    """(n, 2) samples: heavy ties with signed zeros, all distinct, and +-inf among ties."""
+    ties = rng.integers(0, 3, size=(n, 2)).astype(float)
+    ties[:5, 0] = -0.0  # signed zeros tie with 0.0
+    with_inf = rng.choice([-np.inf, -1.0, 0.0, 2.0, np.inf], size=(n, 2))
+    return [ties, rng.normal(size=(n, 2)), with_inf]
+
+
 class TestVectorizedKernelsBitIdentical:
     @pytest.mark.parametrize("block", [1, 2, 4])
     def test_block_bootstrap_matches_oracle(self, rng, desk_stations, block):
@@ -194,34 +230,48 @@ class TestVectorizedKernelsBitIdentical:
         n = desk_stations.n_stations
         for seed in (0, 7, 11):
             pairs = np.column_stack([rng.normal(size=n), rng.integers(0, 6, n) * 0.5])
-            for statistic in (metrics.paired_spearman, mean_stat):
-                new = metrics.bootstrap_block_spatial(pairs, blocks, statistic, 1000,
-                                                      0.9, seed=seed)
-                old = oracle_block_bootstrap(pairs, blocks, statistic, 1000, 0.9, seed)
-                assert new == old, (block, seed, statistic)
-            old = oracle_block_bootstrap(pairs, blocks, sorted_ranks_spearman, 1000, 0.9, seed)
-            assert metrics.bootstrap_block_spatial(pairs, blocks, metrics.paired_spearman,
-                                                   1000, 0.9, seed=seed) == old
+            for sample in (pairs, *_spearman_cases(rng, n)):
+                # the multiplicities are the counts of the old draw-order gather
+                statistics = ((metrics.paired_spearman, mean_stat) if np.isfinite(sample).all()
+                              else (metrics.paired_spearman,))  # the mean of +-inf is undefined
+                for statistic in statistics:
+                    new = metrics.bootstrap_block_spatial(sample, blocks, statistic, 1000,
+                                                          0.9, seed=seed)
+                    old = oracle_block_bootstrap(sample, blocks, on_gather(statistic), 1000,
+                                                 0.9, seed)
+                    assert new == old, (block, seed, statistic)
+                # and the grouped rho is the sorted-rank rho of that gather
+                old = oracle_block_bootstrap(sample, blocks, sorted_ranks_spearman, 1000,
+                                             0.9, seed)
+                assert metrics.bootstrap_block_spatial(
+                    sample, blocks, metrics.paired_spearman, 1000, 0.9, seed=seed) == old
 
     def test_batched_spearman_heavy_ties_and_constant_rows(self, rng):
         n, rows = 40, 300
-        arr = rng.integers(0, 3, size=(n, 2)).astype(float)
-        arr[:5, 0] = -0.0  # signed zeros tie with 0.0
-        idx = rng.integers(0, n, size=(rows, 25))
-        idx[:10] = idx[:10, :1]  # every index equal: both columns constant
-        idx[10:20] = rng.choice(np.flatnonzero(arr[:, 1] == 2.0), size=(10, 25))
-        new = metrics.paired_spearman(arr, idx)
-        old = sorted_ranks_spearman(arr, idx)
-        assert np.all(np.isnan(new[:20])) and np.isfinite(new[20:]).any()
-        assert np.array_equal(new, old, equal_nan=True)
-        for col in range(2):
-            assert np.array_equal(metrics.resample_ranks(arr[:, col], idx),
-                                  metrics.average_ranks_matrix(arr[idx, col]))
+        for arr in _spearman_cases(rng, n):
+            idx = rng.integers(0, n, size=(rows, 25))
+            idx[:10] = idx[:10, :1]  # every index equal: both columns constant
+            idx[10:20] = rng.choice(np.flatnonzero(arr[:, 1] == arr[0, 1]), size=(10, 25))
+            new = metrics.paired_spearman(arr, counts_of(idx, n))
+            old = sorted_ranks_spearman(arr, idx)
+            assert np.all(np.isnan(new[:20])) and np.isfinite(new[20:]).any()
+            assert np.array_equal(new, old, equal_nan=True)
 
-    def test_resample_ranks_with_nan_and_inf(self, rng):
-        x = rng.integers(0, 4, size=30).astype(float)
-        x[[2, 9]] = np.nan
-        x[[4, 5]] = np.inf
-        idx = rng.integers(0, 30, size=(200, 30))
-        assert np.array_equal(metrics.resample_ranks(x, idx),
-                              metrics.average_ranks_matrix(x[idx]))
+    def test_paired_spearman_with_nan_and_inf(self, rng):
+        # one NaN station per column: its copies rank in draw order, which has a closed form
+        n = 30
+        base = rng.integers(0, 4, size=(n, 2)).astype(float)
+        base[[4, 5], 0] = np.inf
+        base[[6, 7], 1] = -np.inf
+        idx = rng.integers(0, n, size=(400, n))
+        for nan_at in ((2, None), (None, 9), (2, 9), (2, 2)):
+            x = base.copy()
+            for col, station in enumerate(nan_at):
+                if station is not None:
+                    x[station, col] = np.nan
+            assert np.array_equal(metrics.paired_spearman(x, counts_of(idx, n)),
+                                  sorted_ranks_spearman(x, idx), equal_nan=True), nan_at
+        x = base.copy()
+        x[[2, 9], 1] = np.nan
+        with pytest.raises(ValueError, match="draw order"):
+            metrics.paired_spearman(x, counts_of(idx, n))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -226,6 +227,74 @@ class TestPaymentStability:
         m[3] = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
         res = incentive.payment_stability(m, n_resamples=1000, seed=4)
         assert np.allclose(res.lower, res.shares) and np.allclose(res.upper, res.shares)
+
+
+def gathered_payment_stability(m, n_resamples, level, top_k, seed, chunk=None):
+    """`payment_stability` as it was: gather every (chunk, t, n) resample, mean over t."""
+    t, n = m.shape
+    point = m.mean(axis=0) / m.mean(axis=0).sum()
+    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x505354)))
+    idx = rng.integers(0, t, size=(n_resamples, t))
+    shares = np.empty((n_resamples, n))
+    chunk = chunk or max(1, (1 << 22) // (t * n))
+    for lo in range(0, n_resamples, chunk):
+        sample_mean = m[idx[lo:lo + chunk]].mean(axis=1)
+        totals = sample_mean.sum(axis=1, keepdims=True)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            shares[lo:lo + chunk] = np.where(totals > 0, sample_mean / totals, np.nan)
+    alpha = (1.0 - level) / 2.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN columns
+        lo, hi = np.nanpercentile(shares, [100 * alpha, 100 * (1 - alpha)], axis=0)
+    top = metrics.topk_indices(point, min(top_k, n))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = (hi[top] - lo[top]) / point[top]
+    ratios = ratios[np.isfinite(ratios)]
+    return point, lo, hi, float(ratios.mean()) if ratios.size else np.nan
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestPaymentStabilityMatchesGather:
+    @pytest.mark.parametrize("t,n", [(10, 1), (10, 2), (12, 7), (23, 40), (60, 117)])
+    def test_bit_identical(self, t, n):
+        rng = np.random.default_rng(t * 1000 + n)
+        compared = 0
+        for support in ("all", "some", "one", "signed_zero"):
+            m = rng.random((t, n)) * 10.0 ** rng.uniform(-3, 3, size=(t, n))
+            if support == "some":
+                m[:, rng.random(n) < 0.7] = 0.0
+                m[:, rng.integers(0, n)] = 1.0  # keep the total positive
+            elif support == "one":
+                m[:, 1:] = 0.0
+                m[rng.random(t) < 0.5, 0] = 0.0  # resamples of zero total leave rows undefined
+            elif support == "signed_zero":
+                m[:, rng.random(n) < 0.5] = -0.0
+                m[1:, 0] = -0.0  # about a third of the resamples draw only its -0.0s
+            if m.mean(axis=0).sum() <= 0:
+                continue
+            for seed in (0, 3):
+                res = incentive.payment_stability(m, 1000, 0.9, 20, seed)
+                for chunk in (None, 7, 333):
+                    point, lo, hi, ratio = gathered_payment_stability(m, 1000, 0.9, 20, seed,
+                                                                      chunk)
+                    assert same_bits(res.shares, point) and same_bits(res.lower, lo), support
+                    assert same_bits(res.upper, hi) and same_bits(res.ci_to_share, ratio)
+                    compared += 1
+        assert compared >= 18
+
+    def test_no_support_rejected(self):
+        with pytest.raises(ValueError, match="sum to zero"):
+            incentive.payment_stability(np.zeros((12, 5)), n_resamples=1000)
+
+    def test_negative_scores_rejected(self, rng):
+        m = rng.random((12, 5))
+        m[:, 3] = -0.5
+        with pytest.raises(ValueError, match="payment scores must be nonnegative"):
+            incentive.payment_stability(m, n_resamples=1000)
 
 
 def loop_shrinkage_folds(p, d, utilities, objective, k):

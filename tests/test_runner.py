@@ -130,6 +130,7 @@ class TestConfig:
                          ({"ig_step_grid": 8}, "ig_step_grid"),
                          ({"patches": [1, "3"]}, "patches"),
                          ({"variables": "t2m"}, "variables"),
+                         ({"variables": ["t2m", "t2m", "u10m"]}, "variables"),
                          ({"gaming": {"n_seed": 3}}, "gaming.n_seed"),
                          ({"gaming": {"n_seeds": [3]}}, "gaming.n_seeds"),
                          ({"gaming": {"magnitudes_pct": 50.0}}, "gaming.magnitudes_pct"),
