@@ -1,10 +1,11 @@
 """Command-line entry points for the experiment runner.
 
-Subcommands map to pipeline stages; `full` runs everything.  Every command
-goes through `runner.run_full`, which saves the config and writes the
-manifest, with the traceback of any failed stage.  Config files are YAML
-documents matching ExperimentConfig (see README for the schema); --seed and
---out override the file values, --fast switches to the reduced-cost variant.
+Subcommands map to the stages of `runner.STAGE_TABLE`, each with the help
+the table gives it; `full` runs everything.  Every command goes through
+`runner.run_full`, which saves the config and writes the manifest, with the
+traceback of any failed stage.  Config files are YAML documents matching
+ExperimentConfig (see README for the schema); --seed and --out override the
+file values, --fast switches to the reduced-cost variant.
 """
 
 from __future__ import annotations
@@ -14,28 +15,15 @@ from dataclasses import replace
 
 from . import runner
 
-_STAGE_HELP = {
-    "gen": "generate fields, climatology, stations and models",
-    "fidelity": "attribution vs ablation fidelity tables",
-    "methods": "method comparison, quadrature and baseline sensitivity",
-    "calibrate": "decile calibration, Gini ratios, overpayment",
-    "select": "sensor selection strategies across budgets",
-    "pay": "payments, stability intervals, shrinkage fits",
-    "subadditivity": "joint-ablation ratios of the nearest station sets",
-    "game": "adversarial scenario campaign",
-    "detect": "detector evaluation over gaming outcomes",
-    "converge": "cycle-vs-aggregate recovery and convergence",
-    "report": "markdown summary over existing results",
-    "full": "run every stage and write the manifest",
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="gradsense",
                                 description="desk-scale attribution valuation engine")
     sub = p.add_subparsers(dest="command", required=True)
-    for name in runner.STAGES + ("full",):
-        sp = sub.add_parser(name, help=_STAGE_HELP[name])
+    helps = {stage.name: stage.help for stage in runner.STAGE_TABLE}
+    helps["full"] = "run every stage and write the manifest"
+    for name, text in helps.items():
+        sp = sub.add_parser(name, help=text, description=text)
         sp.add_argument("--config", help="YAML config path (defaults to built-in desk config)")
         sp.add_argument("--seed", type=int, help="override the master seed")
         sp.add_argument("--out", help="override the output directory")

@@ -15,6 +15,12 @@ a resumed run share all code after that point.  Stages can run standalone; a
 stage writes only its own results, and its prerequisites go into stores.
 `run_full` under a config other than the directory's saved `config.yaml`
 first removes the artifacts of the old one.
+
+`STAGE_TABLE` declares the pipeline in run order: each `Stage` names its
+function, its CLI help, the stores it reads and the files it writes.
+`STAGES`, the CLI subcommands and the manifest's stage statuses come from
+it; `run_stage` loads the stores a stage declares before running it, and a
+contract test holds each stage to its declaration.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from dataclasses import (MISSING, asdict, dataclass, field, fields as dataclass_
 from itertools import product
 from math import inf
 from pathlib import Path
-from typing import Annotated, get_args, get_origin, get_type_hints
+from typing import Annotated, Callable, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
@@ -44,9 +50,6 @@ from .model import MAX_DEPTH, MIN_DEPTH, DeskModel, make_desk_model, make_truth
 from . import synth
 
 SCHEMA_VERSION = 1
-
-STAGES = ("gen", "fidelity", "methods", "calibrate", "select", "pay",
-          "subadditivity", "game", "detect", "converge", "report")
 
 DATA_STORE = "data/fields.gsa"
 TABLES_STORE = "tables/tables.gsa"
@@ -302,7 +305,8 @@ def child_seed(master: int, *tags) -> int:
 
 
 # intermediates of the layout before the config-stamped stores; nothing reads
-# them, and left in place they would sit outside the manifest
+# them, and left in place they would sit outside the manifest, so `run_full`
+# removes them from a directory with a config.yaml (one gradsense ran in)
 _LEGACY_INTERMEDIATES = ("data/field_*.bin", "data/climatology.bin",
                          "tables/global_importance.csv", "tables/spatial_importance.csv",
                          "tables/global_utility.csv", "tables/spatial_utility.csv",
@@ -316,9 +320,6 @@ class Workspace:
         self.root = Path(out_dir)
         for sub in ("data", "tables", "results"):
             (self.root / sub).mkdir(parents=True, exist_ok=True)
-        for pattern in _LEGACY_INTERMEDIATES:
-            for stale in self.root.glob(pattern):
-                stale.unlink()
         self.files: set[str] = set()
 
     def path(self, rel: str) -> Path:
@@ -632,7 +633,6 @@ STATIONS_COLUMNS = ("station_id", "lat_idx", "lon_idx", "lat", "lon")
 
 
 def stage_gen(state: RunState) -> None:
-    state.ensure_models()
     st = state.stations
     rows = [(g, int(st.lat_idx[g]), int(st.lon_idx[g]), st.lats[g], st.lons[g])
             for g in range(st.n_stations)]
@@ -752,7 +752,6 @@ def stage_methods(state: RunState) -> None:
 
 def _scale_invariance_table(state: RunState) -> None:
     """Plant a unit change in one variable and record which proxies move."""
-    state.ensure_data()
     cid = state.config_ids()[len(state.config_ids()) // 2]
     model = state.make_model(cid)
     var = int(np.argmax(np.nanmean(state.ensure_tables()["gi"][(cid, "vg")], axis=0)))
@@ -902,7 +901,6 @@ SUBADDITIVITY_COLUMNS = ("config_id", "mode", "patch", "set_size", "station_ids"
 
 def stage_subadditivity(state: RunState) -> None:
     cfg = state.cfg
-    state.ensure_models()
     rows = []
     depth = max(cfg.model_depths)
     cids = [c for c in state.config_ids() if c.startswith(f"d{depth}-")]
@@ -1134,13 +1132,63 @@ def stage_report(state: RunState) -> None:
     ws.write_text("results/report.md", "\n".join(lines))
 
 
-_STAGE_FUNCS = {name: globals()[f"stage_{name}"] for name in STAGES}
+@dataclass(frozen=True)
+class Stage:
+    """One pipeline stage and its contract.
+
+    `reads` names the `RunState.ensure_*` stores (`data`, `models`, `tables`,
+    `gaming`) that `run_stage` loads before the stage runs; `writes` lists the
+    files the stage writes itself, relative to the run directory.  The files
+    of a store, and of the stores it is computed from, are not in `writes`.
+    """
+    name: str
+    run: Callable[[RunState], None]
+    help: str
+    reads: tuple[str, ...]
+    writes: tuple[str, ...]
+
+
+STAGE_TABLE = (  # in run order
+    Stage("gen", stage_gen, "generate fields, climatology, stations and models",
+          ("models",), ("data/stations.csv",)),
+    Stage("fidelity", stage_fidelity, "attribution vs ablation fidelity tables",
+          ("tables",), ("results/fidelity_global.csv", "results/fidelity_spatial.csv")),
+    Stage("methods", stage_methods,
+          "method comparison, quadrature and baseline sensitivity, unit-scale experiment",
+          ("data", "tables"),
+          ("results/methods_summary.csv", "results/methods_pairwise.csv",
+           "results/k_sensitivity.csv", "results/baseline_sensitivity.csv",
+           "results/scale_invariance.csv")),
+    Stage("calibrate", stage_calibrate, "decile calibration, Gini ratios, overpayment",
+          ("tables",), ("results/calibration_deciles.csv", "results/calibration_summary.csv")),
+    Stage("select", stage_select, "sensor selection strategies across budgets",
+          ("tables",), ("results/selection.csv",)),
+    Stage("pay", stage_pay, "payments, stability intervals, shrinkage fits",
+          ("tables",), ("results/payments.csv", "results/payment_stability.csv",
+                        "results/shrinkage.csv")),
+    Stage("subadditivity", stage_subadditivity,
+          "joint-ablation ratios of the nearest station sets",
+          ("models",), ("results/subadditivity.csv",)),
+    Stage("game", stage_game, "adversarial scenario campaign",
+          ("gaming",), ("results/gaming_scenarios.json", "results/gaming_outcomes.csv")),
+    Stage("detect", stage_detect, "detector evaluation over gaming outcomes",
+          ("gaming",), ("results/gaming_results.csv", "results/detection_summary.csv")),
+    Stage("converge", stage_converge, "cycle-vs-aggregate recovery and convergence",
+          ("tables",), ("results/convergence.csv",)),
+    Stage("report", stage_report, "markdown summary over existing results",
+          (), ("results/report.md",)),
+)
+STAGES = tuple(stage.name for stage in STAGE_TABLE)
 
 
 def run_stage(state: RunState, name: str) -> None:
-    if name not in _STAGE_FUNCS:
+    """Load the stores the stage `name` of `STAGE_TABLE` reads, then run it on `state`."""
+    stage = next((s for s in STAGE_TABLE if s.name == name), None)
+    if stage is None:
         raise ValueError(f"unknown stage {name!r}; expected one of {STAGES}")
-    _STAGE_FUNCS[name](state)
+    for store in stage.reads:
+        getattr(state, f"ensure_{store}")()
+    stage.run(state)
 
 
 def blas_core(libs: Path = Path(np.__file__).resolve().parent.parent / "numpy.libs") -> str:
@@ -1184,8 +1232,11 @@ def run_full(cfg: ExperimentConfig, stage_filter: tuple[str, ...] | None = None)
     Stage failures are recorded and do not stop later stages; the returned
     manifest carries per-stage status, the traceback of each failed stage
     under `failures`, and `ok` is False if anything failed.  A `stage_filter`
-    name outside `STAGES` raises ValueError before the directory is touched.
+    name outside `STAGES`, or an empty one, raises ValueError before the
+    directory is touched.
     """
+    if stage_filter is not None and not stage_filter:
+        raise ValueError(f"stage_filter is empty; pass None to run all of {STAGES}")
     if unknown := set(stage_filter or ()) - set(STAGES):
         raise ValueError(f"unknown stages {sorted(unknown)} in stage_filter; expected {STAGES}")
     state = RunState(cfg)
@@ -1197,6 +1248,9 @@ def run_full(cfg: ExperimentConfig, stage_filter: tuple[str, ...] | None = None)
             old = None  # unreadable
         if old != state.stamp:  # one directory never mixes the artifacts of two configs
             state.ws.clear()
+        for pattern in _LEGACY_INTERMEDIATES:
+            for stale in state.ws.root.glob(pattern):
+                stale.unlink()
     _dump_yaml(_identity(cfg), saved)  # the directory's name is no part of its contents
     state.ws.files.add("config.yaml")
     wanted = stage_filter or STAGES
@@ -1205,7 +1259,7 @@ def run_full(cfg: ExperimentConfig, stage_filter: tuple[str, ...] | None = None)
             state.stage_status[name] = "skipped"
             continue
         try:
-            run_stage(state, name)
+            run_stage(state, name)  # by name: perfbench/tracing.py times each stage here
             state.stage_status[name] = "completed"
         except Exception as exc:  # record and continue with later stages
             state.stage_status[name] = f"failed: {exc}"

@@ -71,3 +71,27 @@ def test_benchmark_tracer_finds_every_layer_and_restores(monkeypatch):
     after = _bindings(tracing)
     assert after.keys() == before.keys()
     assert all(after[k] is before[k] for k in before)
+
+
+def test_benchmark_times_every_stage_run(monkeypatch, tmp_path):
+    # the per-stage spans exist only while run_full calls the module's run_stage
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracing
+    from test_runner import tiny_config
+
+    tracer = tracing.Tracer()
+    tracer.install(gradsense)
+    try:
+        assert runner.run_full(tiny_config(tmp_path / "traced"))["ok"]
+    finally:
+        tracer.restore()
+    stage_spans = [span[0] for span in tracer.spans if span[0].startswith("runner.stage.")]
+    assert stage_spans == [f"runner.stage.{name}" for name in runner.STAGES]
+    assert tracing.STAGES == runner.STAGES  # the benchmark's list of per-stage metrics
+
+
+def test_readme_names_every_stage_in_run_order():
+    text = (ROOT / "README.md").read_text()
+    paragraph = text.split("\nStages, in run order: ", 1)[1].split("\n\n", 1)[0]
+    named = [name for name in re.findall(r"`(\w+)`", paragraph) if name in runner.STAGES]
+    assert named == list(runner.STAGES)

@@ -46,6 +46,33 @@ def _hash_tree(root: Path) -> dict:
     return out
 
 
+_STAGE = {stage.name: stage for stage in runner.STAGE_TABLE}
+
+# the files each store a stage reads leaves in the run directory, and the stores
+# it is computed from; the models are never stored, so they always load the data
+STORE_FILES = {"data": {runner.DATA_STORE}, "models": {"data/models.json"},
+               "tables": {runner.TABLES_STORE}, "gaming": {runner.GAMING_STORE}}
+STORE_PREREQUISITES = {"data": (), "models": ("data",), "tables": ("models",),
+                       "gaming": ("models",)}
+
+
+def _read_files(reads, computed: bool) -> set[str]:
+    """The store files behind `reads`: computed into an empty directory, or loaded."""
+    files, todo = set(), list(reads)
+    while todo:
+        store = todo.pop()
+        files |= STORE_FILES[store]
+        if computed or store == "models":
+            todo += STORE_PREREQUISITES[store]
+    return files
+
+
+def _replace_runs(monkeypatch, **runs) -> None:
+    """Swap the named stages' functions in `runner.STAGE_TABLE` for this test."""
+    monkeypatch.setattr(runner, "STAGE_TABLE", tuple(
+        replace(stage, run=runs.get(stage.name, stage.run)) for stage in runner.STAGE_TABLE))
+
+
 class TestConfig:
     def test_yaml_roundtrip_identity(self, tmp_path):
         cfg = tiny_config(tmp_path / "r")
@@ -279,6 +306,54 @@ class TestRunFull:
         on_disk = {str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()}
         assert set(manifest["files"]) | {"manifest.json"} == on_disk
 
+    def test_declared_writes_cover_the_results(self, tiny_run):
+        # the full run's results and stations are each declared by one stage
+        _, out, manifest = tiny_run
+        declared = [rel for stage in runner.STAGE_TABLE for rel in stage.writes]
+        assert len(declared) == len(set(declared))
+        assert set(declared) == {str(p.relative_to(out)) for p in (out / "results").iterdir()
+                                 } | {"data/stations.csv"}
+        assert set(declared) <= set(manifest["files"])
+        assert all(hasattr(runner.RunState, f"ensure_{store}")
+                   for stage in runner.STAGE_TABLE for store in stage.reads)
+
+    @pytest.mark.parametrize("stage", runner.STAGE_TABLE, ids=runner.STAGES)
+    def test_stage_contract(self, stage, tiny_run, tmp_path, monkeypatch):
+        cfg, out, _ = tiny_run
+        # alone in an empty directory, the stage writes its files and its stores'
+        alone = tmp_path / "alone"
+        run = runner.run_full(replace(cfg, out_dir=str(alone)), stage_filter=(stage.name,))
+        assert run["ok"]
+        expected = {"config.yaml", *stage.writes} | _read_files(stage.reads, computed=True)
+        on_disk = {str(p.relative_to(alone)) for p in alone.rglob("*") if p.is_file()}
+        assert on_disk == expected | {"manifest.json"}
+        assert set(run["files"]) == expected
+        compared = set(expected)
+        if stage.name == "report":  # it summarises the results beside it, and here are none
+            compared -= set(stage.writes)
+        for rel in compared:
+            assert (alone / rel).read_bytes() == (out / rel).read_bytes(), rel
+
+        # over a complete directory, the stage computes no store it does not read
+        copy = tmp_path / "complete"
+        shutil.copytree(out, copy)
+        for rel in stage.writes:
+            (copy / rel).unlink()
+
+        def boom(*args, **kwargs):
+            raise AssertionError(f"{stage.name} computes a store or builds models")
+
+        for name in ("_synth_arrays", "_compute_tables", "_gaming_arrays"):
+            monkeypatch.setattr(runner.RunState, name, boom)
+        if "models" not in stage.reads:
+            monkeypatch.setattr(runner.RunState, "ensure_models", boom)
+        run = runner.run_full(replace(cfg, out_dir=str(copy)), stage_filter=(stage.name,))
+        assert run["ok"], run["stages"][stage.name]
+        for rel in stage.writes:
+            assert (copy / rel).read_bytes() == (out / rel).read_bytes(), rel
+        assert set(run["files"]) == ({"config.yaml", *stage.writes}
+                                     | _read_files(stage.reads, computed=False))
+
     def test_legacy_intermediates_removed(self, tiny_run, tmp_path):
         # a directory written by the layout before the stores keeps these
         cfg, out, _ = tiny_run
@@ -307,29 +382,6 @@ class TestRunFull:
         before = _hash_tree(out)
         runner.run_full(cfg)
         assert _hash_tree(out) == before
-
-    def test_expected_results_exist(self, tiny_run):
-        _, out, _ = tiny_run
-        for rel in ("results/fidelity_global.csv", "results/fidelity_spatial.csv",
-                    "results/methods_summary.csv", "results/k_sensitivity.csv",
-                    "results/baseline_sensitivity.csv", "results/scale_invariance.csv",
-                    "results/calibration_summary.csv", "results/selection.csv",
-                    "results/payments.csv", "results/payment_stability.csv",
-                    "results/shrinkage.csv", "results/subadditivity.csv",
-                    "results/gaming_outcomes.csv", "results/gaming_results.csv",
-                    "results/detection_summary.csv", "results/convergence.csv",
-                    "results/report.md", "results/gaming_scenarios.json"):
-            assert (out / rel).exists(), rel
-
-    def test_stage_standalone_reuses_persisted_tables(self, tiny_run, monkeypatch):
-        cfg, _, _ = tiny_run
-        state = runner.RunState(cfg)
-
-        def boom(self):
-            raise AssertionError("tables should load from disk, not recompute")
-
-        monkeypatch.setattr(runner.RunState, "_compute_tables", boom)
-        runner.run_stage(state, "select")  # loads tables + models from disk
 
     def test_loaded_tables_match_memory(self, tiny_run):
         cfg, _, _ = tiny_run
@@ -394,27 +446,8 @@ class TestRunFull:
         state = runner.RunState(replace(cfg, out_dir=str(copy)))
         runner.run_stage(state, "game")
         runner.run_stage(state, "detect")
-        for rel in ("gaming_outcomes.csv", "gaming_scenarios.json", "gaming_results.csv",
-                    "detection_summary.csv"):
-            assert (copy / "results" / rel).read_bytes() == (out / "results" / rel).read_bytes()
-
-    def test_detect_alone_writes_only_its_results(self, tiny_run, tmp_path, monkeypatch):
-        # the gaming store depends on the data, the models and the gaming design only
-        cfg, out, _ = tiny_run
-
-        def boom(self):
-            raise AssertionError("the gaming stages read no attribution table")
-
-        monkeypatch.setattr(runner.RunState, "_compute_tables", boom)
-        alone = tmp_path / "detect"
-        manifest = runner.run_full(replace(cfg, out_dir=str(alone)), stage_filter=("detect",))
-        assert manifest["ok"]
-        assert not (alone / runner.TABLES_STORE).exists()
-        for rel in (runner.GAMING_STORE, "results/gaming_results.csv",
-                    "results/detection_summary.csv"):
-            assert (alone / rel).read_bytes() == (out / rel).read_bytes(), rel
-        assert sorted(p.name for p in (alone / "results").iterdir()) == [
-            "detection_summary.csv", "gaming_results.csv"]
+        for rel in _STAGE["game"].writes + _STAGE["detect"].writes:
+            assert (copy / rel).read_bytes() == (out / rel).read_bytes(), rel
 
     def test_gaming_store_layout(self, tiny_run):
         # criterion 11 and resumed directories read these names, so they are the format
@@ -430,7 +463,8 @@ class TestRunFull:
         # headers are written apart from their rows, and csv.writer checks neither
         _, out, _ = tiny_run
         tables = sorted((out / "results").glob("*.csv"))
-        assert len(tables) == 18
+        assert len(tables) == sum(rel.startswith("results/") and rel.endswith(".csv")
+                                  for stage in runner.STAGE_TABLE for rel in stage.writes)
         for path in tables:
             with open(path, newline="") as fh:
                 header, *rows = list(csv.reader(fh))
@@ -590,6 +624,8 @@ class TestRunFull:
             if name == "foreign":  # a directory gradsense never ran in, with files of its own
                 (copy / "config.yaml").unlink()
                 (copy / "data/mine.csv").write_text("a,b\n")
+                for rel in foreign_legacy:  # named like the intermediates of the old layout
+                    (copy / rel).write_text("mine\n")
             (copy / "data/own").mkdir()
             (copy / "data/own/notes.txt").write_text("kept\n")
             manifest = runner.run_full(replace(cfg, out_dir=str(copy), **changes),
@@ -602,8 +638,11 @@ class TestRunFull:
         assert on_disk(same) == on_disk(out) | {"data/own/notes.txt"}
         assert (same / "results/report.md").read_bytes() == (out / "results/report.md").read_bytes()
         # without a config.yaml nothing is cleared, so a foreign file survives a new config
+        foreign_legacy = {"tables/spatial_utility.csv", "data/climatology.bin"}
         foreign, _ = rerun("foreign", ("report",), seed=8)
-        assert on_disk(foreign) == on_disk(out) | {"data/own/notes.txt", "data/mine.csv"}
+        assert on_disk(foreign) == on_disk(out) | {"data/own/notes.txt",
+                                                   "data/mine.csv"} | foreign_legacy
+        assert all((foreign / rel).read_text() == "mine\n" for rel in foreign_legacy)
         # another config, or an unreadable config.yaml, leaves only what this run wrote
         for name, stages, changes, results in (
                 ("garbled", ("report",), {}, ["report.md"]),
@@ -629,8 +668,7 @@ class TestRunFull:
         def exploding_stage(state):
             raise RuntimeError("boom")
 
-        monkeypatch.setitem(runner._STAGE_FUNCS, "gen", exploding_stage)
-        monkeypatch.setitem(runner._STAGE_FUNCS, "report", lambda state: ran.append(1))
+        _replace_runs(monkeypatch, gen=exploding_stage, report=lambda state: ran.append(1))
         out = tmp_path / "tb"
         manifest = runner.run_full(tiny_config(out), stage_filter=("gen", "report"))
         assert not manifest["ok"]
@@ -643,29 +681,12 @@ class TestRunFull:
         on_disk = json.loads((out / "manifest.json").read_text())
         assert on_disk["failures"] == manifest["failures"]
 
-    def test_analysis_stages_need_no_models(self, tiny_run, tmp_path, monkeypatch):
-        cfg, out, _ = tiny_run
-        copy = tmp_path / "nomodels"
-        shutil.copytree(out, copy)
-
-        def boom(self):
-            raise AssertionError("analysis stages read the stores and build no shared models")
-
-        monkeypatch.setattr(runner.RunState, "ensure_models", boom)
-        state = runner.RunState(replace(cfg, out_dir=str(copy)))
-        for name in ("fidelity", "methods", "calibrate", "select", "pay", "converge"):
-            runner.run_stage(state, name)
-        for rel in ("fidelity_global.csv", "fidelity_spatial.csv", "methods_summary.csv",
-                    "methods_pairwise.csv", "k_sensitivity.csv", "baseline_sensitivity.csv",
-                    "scale_invariance.csv", "calibration_deciles.csv", "calibration_summary.csv",
-                    "selection.csv", "payments.csv", "payment_stability.csv", "shrinkage.csv",
-                    "convergence.csv"):
-            assert (copy / "results" / rel).read_bytes() == (out / "results" / rel).read_bytes()
-
     def test_unknown_stage_filter_rejected(self, tmp_path):
         out = tmp_path / "typo"
         with pytest.raises(ValueError, match="fidelty"):
             runner.run_full(tiny_config(out), stage_filter=("fidelty",))
+        with pytest.raises(ValueError, match="empty"):  # not "run every stage"
+            runner.run_full(tiny_config(out), stage_filter=())
         assert not out.exists()
 
     def test_fresh_run_derives_truth_and_scenarios_once(self, tmp_path, monkeypatch):
@@ -833,6 +854,8 @@ class TestCli:
         cfg_path = tmp_path / "c2.yaml"
         runner.save_config(cfg, cfg_path)
         assert cli.main(["gen", "--config", str(cfg_path)]) == 0
+        for rel in (runner.DATA_STORE, "data/models.json", "data/stations.csv"):
+            assert (tmp_path / "cli2" / rel).exists(), rel  # fields, models and stations
         assert cli.main(["fidelity", "--config", str(cfg_path)]) == 0
         assert (tmp_path / "cli2" / "results" / "fidelity_global.csv").exists()
 
@@ -884,7 +907,7 @@ class TestCli:
         def exploding_stage(state):
             raise RuntimeError("boom")
 
-        monkeypatch.setitem(runner._STAGE_FUNCS, "report", exploding_stage)
+        _replace_runs(monkeypatch, report=exploding_stage)
         cfg_path = tmp_path / "c5.yaml"
         runner.save_config(tiny_config(tmp_path / "fails"), cfg_path)
         assert cli.main(["report", "--config", str(cfg_path)]) == 1
