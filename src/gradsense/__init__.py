@@ -16,32 +16,22 @@ from .grid import (
     GridSpec,
     StationGrid,
     TargetSpec,
-    haversine,
     make_grid,
     make_station_grid,
     make_target,
 )
 from .synth import synth_fields
-from .model import (
-    make_desk_model,
-    make_linear_model,
-    make_truth,
-    model_from_config,
-)
+from .model import make_desk_model, make_truth
 from .attribution import (
-    AttributionMap,
-    gradient_times_input,
     integrated_gradients,
     persistence_baseline,
     spatial_importance,
-    vanilla_gradient,
     variable_importance,
 )
 from .ablation import (
     PerturbationSpec,
     global_ablation,
     joint_ablation,
-    perturb_patch,
     spatial_utility,
 )
 from .incentive import (

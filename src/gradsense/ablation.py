@@ -87,16 +87,6 @@ def _utilities(model, x: FieldTensor, y_star: float, perturbations, clim: Climat
     return errs[1:] - errs[0]
 
 
-def perturb_patch(x: FieldTensor, stations: StationGrid, station_id: int,
-                  spec: PerturbationSpec, clim: Climatology,
-                  var_std: np.ndarray | None = None) -> FieldTensor:
-    """Perturbed copy of x on the patch centred at one station's cell."""
-    region, mode, magnitude, entropy = _patch(stations, station_id, spec, x.timestamp)
-    vals = x.values.copy()
-    _apply_mode(vals, region, mode, magnitude, clim.values, var_std, entropy)
-    return FieldTensor(grid=x.grid, values=vals, timestamp=x.timestamp)
-
-
 def global_ablation(model, x: FieldTensor, y_star: float, clim: Climatology) -> np.ndarray:
     """Utility of each variable (V,): error change when the whole layer goes climatological."""
     if x.grid.shape != model.grid.shape or clim.grid.shape != model.grid.shape:

@@ -1,33 +1,17 @@
-"""Gradient attribution proxies: integrated gradients and its cheap variants.
+"""Gradient attribution: integrated gradients, baselines and importance reducers.
 
-All three methods share one output type carrying signed per-(variable, cell)
-scores plus provenance.  Signs are preserved here; absolute values are taken
-only at the aggregation step (variable/spatial importance).
+Every map is a plain signed array shaped like the input field, (variable, lat,
+lon).  The cheap proxies need no code here: gradient x input is
+(x - baseline) times the model's gradient at x, and the vanilla gradient is
+that gradient alone.  Signs are preserved here; absolute values are taken only
+at the aggregation step (variable/spatial importance).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .grid import FieldTensor, StationGrid, _frozen_array
-
-
-@dataclass(frozen=True)
-class AttributionMap:
-    """Signed scores, same shape as the input field, with provenance."""
-
-    values: np.ndarray
-    method: str
-    baseline: str
-    steps: int
-    timestamp: int
-    model_id: str
-    n_gradient_evals: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_array(self.values))
+from .grid import FieldTensor, StationGrid
 
 
 def _check_shapes(model, x: np.ndarray, baseline: np.ndarray | None = None):
@@ -68,39 +52,15 @@ def integrated_gradients_paths(model, x: np.ndarray, paths: list[tuple[np.ndarra
     return maps, grads[paths[0][1]]
 
 
-def integrated_gradients(model, x: FieldTensor, baseline: np.ndarray, steps: int = 50,
-                         baseline_name: str = "climatology") -> AttributionMap:
-    """Path-integrated gradients from the baseline to the input.
+def integrated_gradients(model, x: np.ndarray, baseline: np.ndarray, steps: int) -> np.ndarray:
+    """Signed IG map of x, path-integrated from the baseline over `steps` steps.
 
     The single-path case of `integrated_gradients_paths`.  For a linear model
     this is exact at any step count, and the signed scores sum to
     F(x) - F(baseline) up to quadrature error (completeness).
     """
-    (values,), _ = integrated_gradients_paths(model, x.values, [(baseline, steps)])
-    return AttributionMap(values=values, method="ig", baseline=baseline_name,
-                          steps=steps, timestamp=x.timestamp, model_id=model.model_id,
-                          n_gradient_evals=steps + 1)
-
-
-def gradient_times_input(model, x: FieldTensor, baseline: np.ndarray,
-                         baseline_name: str = "climatology") -> AttributionMap:
-    """(x - baseline) times the gradient at x; exactly one backward pass."""
-    xv = x.values
-    _check_shapes(model, xv, baseline)
-    g = model.gradient_values(xv)
-    return AttributionMap(values=(xv - baseline) * g, method="gti", baseline=baseline_name,
-                          steps=1, timestamp=x.timestamp, model_id=model.model_id,
-                          n_gradient_evals=1)
-
-
-def vanilla_gradient(model, x: FieldTensor) -> AttributionMap:
-    """Raw input gradient at x, no input-relative scaling; one backward pass."""
-    xv = x.values
-    _check_shapes(model, xv)
-    g = model.gradient_values(xv)
-    return AttributionMap(values=g, method="vg", baseline="none", steps=1,
-                          timestamp=x.timestamp, model_id=model.model_id,
-                          n_gradient_evals=1)
+    (values,), _ = integrated_gradients_paths(model, x, [(baseline, steps)])
+    return values
 
 
 def persistence_baseline(fields: list[FieldTensor], t: int) -> np.ndarray:

@@ -227,11 +227,6 @@ def make_target(grid: GridSpec, name: str, lat: float, lon: float, variable: str
                       lat_idx=i, lon_idx=j, variable_idx=v)
 
 
-def haversine(a: tuple[float, float], b: tuple[float, float]) -> float:
-    """Great-circle distance in km between (lat, lon) points, R = 6371 km."""
-    return float(haversine_many(np.asarray([a[0]]), np.asarray([a[1]]), b[0], b[1])[0])
-
-
 def haversine_many(lats, lons, lat0: float, lon0: float) -> np.ndarray:
     """Vectorized haversine from arrays of points to a single point (km)."""
     lat1 = np.radians(np.asarray(lats, dtype=np.float64))

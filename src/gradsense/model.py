@@ -1,14 +1,11 @@
 """Differentiable surrogate forecast models with exact reverse-mode gradients.
 
-Two model families share one interface:
-
-  * DeskModel -- a stack of local-stencil linear maps with tanh nonlinearities
-    and a linear readout at the target cell.  Weights are drawn from a seed
-    and rescaled layer-by-layer on a probe sample so pre-activations stay in
-    the smooth region of tanh.  Gradients are accumulated by an explicit
-    backward pass through the stencil layers; no autodiff framework.
-  * LinearModel -- F(x) = sum_i w_i x_i with distance-decaying weights centred
-    on the target cell.  Serves as the analytically solvable reference.
+DeskModel is a stack of local-stencil linear maps with tanh nonlinearities and
+a linear readout at the target cell.  Weights are drawn from a seed and
+rescaled layer-by-layer on a probe sample so pre-activations stay in the
+smooth region of tanh.  Gradients are accumulated by an explicit backward
+pass through the stencil layers; no autodiff framework.  TruthGenerator
+verifies forecasts against a weight-jittered copy of a model.
 
 A DeskModel's output depends only on input cells within Chebyshev radius
 R = depth * stencil_radius of the target (its influence window); cells outside
@@ -21,11 +18,11 @@ the grid are held at zero, as the grid edge's zero padding would hold them.
 Inputs and gradients stay full-grid arrays.  Models are immutable and
 reentrant: forward and gradient are pure functions of (weights, input).
 
-Both families are batch-invariant: row i of forward_many/gradient_many equals
+The model is batch-invariant: row i of forward_many/gradient_many equals
 forward_values/gradient_values on that row bit for bit, at any batch size.
 Every reduction runs in an order fixed by the per-sample shape alone (see
-_valid_conv, the readout in DeskModel._forward_cached and
-LinearModel.forward_many), so batching a call differently cannot move a result.
+_valid_conv and the readout in DeskModel._forward_cached), so batching a call
+differently cannot move a result.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid import FieldTensor, GridSpec, TargetSpec, make_target
+from .grid import FieldTensor, GridSpec, TargetSpec
 from . import synth
 
 _PROBE_STREAM = 0x50524F42
@@ -247,6 +244,10 @@ class DeskModel:
                          _weights=(mu, sigma, tuple(w.copy() for w in self.layers),
                                    self.readout.copy()))
 
+    def jittered(self, jitter) -> "DeskModel":
+        """This model with `jitter` applied to each layer in order, then to the readout."""
+        return self._with_weights([jitter(w) for w in self.layers], jitter(self.readout))
+
     def _with_weights(self, layers, readout) -> "DeskModel":
         return DeskModel(self.grid, self.target, self.seed, self.depth, self.channels,
                          self.stencil_radius,
@@ -284,105 +285,14 @@ def make_desk_model(seed: int, grid: GridSpec, target: TargetSpec, depth: int = 
     return DeskModel(grid, target, seed, depth, channels, stencil_radius)
 
 
-class LinearModel:
-    """F(x) = sum w_i x_i with exp distance decay centred on the target cell."""
-
-    kind = "linear"
-
-    def __init__(self, grid: GridSpec, target: TargetSpec, seed: int,
-                 decay_cells: float = 6.0, _weights: np.ndarray | None = None):
-        self.grid = grid
-        self.target = target
-        self.seed = int(seed)
-        self.decay_cells = float(decay_cells)
-        if _weights is None:
-            rng = np.random.default_rng(np.random.SeedSequence((self.seed, 0x4C494E)))
-            ii = np.arange(grid.n_lat)[:, None] - target.lat_idx
-            jj = np.arange(grid.n_lon)[None, :] - target.lon_idx
-            d = np.sqrt(ii ** 2 + jj ** 2)
-            coeff = rng.standard_normal((grid.n_variables, 1, 1)) + 0.5
-            _weights = coeff * np.exp(-d / self.decay_cells)[None, :, :]
-        self.weights = np.asarray(_weights, dtype=np.float64).copy()
-        self.weights.flags.writeable = False
-
-    @property
-    def receptive_radius(self):
-        return None  # global influence
-
-    @property
-    def model_id(self) -> str:
-        return f"linear-s{self.seed}-{self.target.name}-{self.target.variable}"
-
-    def influence_window(self) -> tuple[slice, slice]:
-        return slice(0, self.grid.n_lat), slice(0, self.grid.n_lon)
-
-    def forward_values(self, values: np.ndarray) -> float:
-        if values.shape != self.grid.shape:
-            raise ValueError(f"shape mismatch: expected {self.grid.shape}, got {values.shape}")
-        return float(np.vdot(self.weights, values))
-
-    def forward(self, field: FieldTensor) -> float:
-        return self.forward_values(field.values)
-
-    def forward_many(self, batch: np.ndarray) -> np.ndarray:
-        if batch.ndim != 4 or batch.shape[1:] != self.grid.shape:
-            raise ValueError(f"expected (B,) + {self.grid.shape}, got {batch.shape}")
-        # one dot per row, as in forward_values: a single tensordot would be a
-        # GEMV whose accumulation order depends on B
-        return np.array([np.vdot(self.weights, values) for values in batch])
-
-    def gradient_values(self, values: np.ndarray) -> np.ndarray:
-        if values.shape != self.grid.shape:
-            raise ValueError(f"shape mismatch: expected {self.grid.shape}, got {values.shape}")
-        return self.weights.copy()
-
-    def gradient(self, field: FieldTensor) -> np.ndarray:
-        return self.gradient_values(field.values)
-
-    def gradient_many(self, batch: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(self.weights, batch.shape).copy()
-
-    def to_config(self) -> dict:
-        return {
-            "kind": self.kind,
-            "seed": self.seed,
-            "decay_cells": self.decay_cells,
-            "target": {"name": self.target.name, "lat": self.target.lat,
-                       "lon": self.target.lon, "variable": self.target.variable},
-        }
-
-    def with_rescaled_variable(self, var_idx: int, factor: float) -> "LinearModel":
-        if factor <= 0:
-            raise ValueError("unit factor must be positive")
-        w = self.weights.copy()
-        w[var_idx] /= factor
-        return LinearModel(self.grid, self.target, self.seed, self.decay_cells, _weights=w)
-
-
-def make_linear_model(seed: int, grid: GridSpec, target: TargetSpec,
-                      decay_cells: float = 6.0) -> LinearModel:
-    return LinearModel(grid, target, seed, decay_cells)
-
-
-def model_from_config(grid: GridSpec, cfg: dict):
-    """Rebuild a model from its seeded config (reproducible by construction)."""
-    t = cfg["target"]
-    target = make_target(grid, t["name"], t["lat"], t["lon"], t["variable"])
-    if cfg["kind"] == "desk":
-        return DeskModel(grid, target, cfg["seed"], cfg["depth"], cfg["channels"],
-                         cfg["stencil_radius"])
-    if cfg["kind"] == "linear":
-        return LinearModel(grid, target, cfg["seed"], cfg["decay_cells"])
-    raise ValueError(f"unknown model kind {cfg['kind']!r}")
-
-
 class TruthGenerator:
     """Verification values from a jittered copy of a model plus seeded noise.
 
     The truth model multiplies every weight by (1 + d) with d = +/-jitter
-    chosen per element from the seed; observation noise is drawn from a
-    stream keyed by (seed, timestamp) so each timestamp's verification is
-    reproducible in isolation.
+    chosen per element from the seed, in the order `model.jittered` applies
+    the jitter; observation noise is drawn from a stream keyed by
+    (seed, timestamp) so each timestamp's verification is reproducible in
+    isolation.
     """
 
     def __init__(self, model, seed: int, noise_std: float = 0.0, weight_jitter: float = 0.05):
@@ -397,14 +307,7 @@ class TruthGenerator:
             signs = rng.integers(0, 2, size=arr.shape) * 2 - 1
             return arr * (1.0 + weight_jitter * signs)
 
-        if isinstance(model, DeskModel):
-            self.model = model._with_weights([jitter(w) for w in model.layers],
-                                             jitter(model.readout))
-        elif isinstance(model, LinearModel):
-            self.model = LinearModel(model.grid, model.target, model.seed, model.decay_cells,
-                                     _weights=jitter(model.weights))
-        else:
-            raise TypeError(f"unsupported model type {type(model)!r}")
+        self.model = model.jittered(jitter)
 
     def _noise(self, timestamp: int) -> float:
         if self.noise_std == 0.0:

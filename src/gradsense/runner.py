@@ -136,16 +136,19 @@ class ExperimentConfig:
         for key in ("bootstrap_level", "bh_q"):
             if getattr(self, key) in (0.0, 1.0):
                 raise ValueError(f"{key} must be in (0, 1)")
-        if len(set(self.variables)) != len(self.variables):
-            raise ValueError(f"variables must be unique, got {list(self.variables)}")
+        names = [t.name for t in self.targets]
+        # each entry keys a grid layer, a config id or a table case
+        for key, entries in (("variables", self.variables), ("targets.name", names),
+                             ("target_variables", self.target_variables),
+                             ("model_depths", self.model_depths), ("patches", self.patches),
+                             ("modes", self.modes), ("gaming.combos", self.gaming.combos)):
+            if len(set(entries)) != len(entries):
+                raise ValueError(f"{key} must be unique, got {list(entries)}")
         grid = make_grid(GridConfig(self.n_lat, self.n_lon, self.lat_min, self.lat_max,
                                     self.lon_min, self.lon_max, self.variables))
         for tv in self.target_variables:
             if tv not in self.variables:
                 raise ValueError(f"target variable {tv!r} not in grid variables")
-        names = [t.name for t in self.targets]
-        if len(set(names)) != len(names):
-            raise ValueError("target names must be unique")
         if any("-" in name for name in names):  # config ids are d{depth}-{name}-{var}
             raise ValueError("target names must not contain '-'")
         for t in self.targets:  # else every model stage fails on it
@@ -318,8 +321,6 @@ class Workspace:
 
     def __init__(self, out_dir: str | Path):
         self.root = Path(out_dir)
-        for sub in ("data", "tables", "results"):
-            (self.root / sub).mkdir(parents=True, exist_ok=True)
         self.files: set[str] = set()
 
     def path(self, rel: str) -> Path:
@@ -764,9 +765,8 @@ def _scale_invariance_table(state: RunState) -> None:
     for m, xs, base in ((model, stack, clim),
                         (model.with_rescaled_variable(var, factor), stack * unit, clim * unit)):
         grads = m.gradient_many(xs)
-        ig = [attr.integrated_gradients(m, FieldTensor(grid=state.grid, values=x), base, 8)
-              for x in xs]
-        maps.append((np.stack([a.values for a in ig]), (xs - base) * grads, grads))
+        ig = np.stack([attr.integrated_gradients(m, x, base, 8) for x in xs])
+        maps.append((ig, (xs - base) * grads, grads))
     (ig0, gti0, vg0), (ig1, gti1, vg1) = maps
 
     def max_rel_dev(a0, a1):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from gradsense.grid import GridConfig, make_grid, make_station_grid, make_target
-from gradsense.model import make_desk_model, make_linear_model, make_truth
+from gradsense.model import make_desk_model, make_truth
+from oracles import make_linear_model
 from gradsense import synth
 
 

@@ -5,6 +5,7 @@ from gradsense import ablation, synth
 from gradsense.grid import FieldTensor
 from gradsense.metrics import spearman
 from gradsense.model import make_truth
+from oracles import perturb_patch
 
 
 @pytest.fixture(scope="module")
@@ -30,19 +31,19 @@ class TestPerturbPatch:
         _, clim = desk_data
         x = FieldTensor(grid=clim.grid, values=clim.values, timestamp=0)
         spec = ablation.PerturbationSpec(mode="mean_replace", patch=3)
-        out = ablation.perturb_patch(x, desk_stations, 40, spec, clim)
+        out = perturb_patch(x, desk_stations, 40, spec, clim)
         assert np.array_equal(out.values, x.values)
 
     def test_scale_bias_zero_magnitude_identity(self, desk_data, desk_stations):
         fields, clim = desk_data
         spec = ablation.PerturbationSpec(mode="scale_bias", patch=3, magnitude=0.0)
-        out = ablation.perturb_patch(fields[0], desk_stations, 40, spec, clim)
+        out = perturb_patch(fields[0], desk_stations, 40, spec, clim)
         assert np.array_equal(out.values, fields[0].values)
 
     def test_patch_one_touches_one_cell_per_variable(self, desk_data, desk_stations):
         fields, clim = desk_data
         spec = ablation.PerturbationSpec(mode="mean_replace", patch=1)
-        out = ablation.perturb_patch(fields[0], desk_stations, 40, spec, clim)
+        out = perturb_patch(fields[0], desk_stations, 40, spec, clim)
         changed = np.nonzero(out.values != fields[0].values)
         # diff-count oracle: every variable layer changes exactly at the station cell
         i, j = desk_stations.cell(40)
@@ -53,19 +54,19 @@ class TestPerturbPatch:
         fields, clim = desk_data
         spec = ablation.PerturbationSpec(mode="additive_noise", patch=1, seed=3)
         with pytest.raises(ValueError):
-            ablation.perturb_patch(fields[0], desk_stations, 40, spec, clim)
+            perturb_patch(fields[0], desk_stations, 40, spec, clim)
 
     def test_noise_deterministic_per_seed(self, desk_data, desk_stations, var_std):
         fields, clim = desk_data
         spec = ablation.PerturbationSpec(mode="additive_noise", patch=3, seed=3)
-        a = ablation.perturb_patch(fields[0], desk_stations, 40, spec, clim, var_std)
-        b = ablation.perturb_patch(fields[0], desk_stations, 40, spec, clim, var_std)
+        a = perturb_patch(fields[0], desk_stations, 40, spec, clim, var_std)
+        b = perturb_patch(fields[0], desk_stations, 40, spec, clim, var_std)
         assert np.array_equal(a.values, b.values)
 
     def test_boundary_clipping(self, desk_data, desk_stations):
         fields, clim = desk_data
         spec = ablation.PerturbationSpec(mode="mean_replace", patch=5)
-        out = ablation.perturb_patch(fields[0], desk_stations, 0, spec, clim)
+        out = perturb_patch(fields[0], desk_stations, 0, spec, clim)
         changed_cells = {(i, j) for _, i, j in zip(*np.nonzero(out.values != fields[0].values))}
         assert len(changed_cells) == 9  # corner station: 3x3 of the 5x5 survives
 
@@ -73,7 +74,7 @@ class TestPerturbPatch:
         fields, clim = desk_data
         spec = ablation.PerturbationSpec(mode="mean_replace", patch=1)
         with pytest.raises(IndexError):
-            ablation.perturb_patch(fields[0], desk_stations, 9999, spec, clim)
+            perturb_patch(fields[0], desk_stations, 9999, spec, clim)
 
 
 class TestGlobalAblation:
@@ -160,7 +161,7 @@ class TestSpatialUtility:
                                              clim, var_std)
                 assert s.shape == (desk_stations.n_stations,)
                 for g in rng.choice(desk_stations.n_stations, size=10, replace=False):
-                    pert = ablation.perturb_patch(x, desk_stations, int(g), spec, clim,
+                    pert = perturb_patch(x, desk_stations, int(g), spec, clim,
                                                   var_std)
                     naive = abs(model.forward(pert) - y_star) - base
                     assert s[g] == naive, (model.model_id, mode, int(g))
@@ -215,7 +216,7 @@ class TestJointAblation:
         sign = np.sign(base_pred - y_star)
 
         def delta(g):
-            pert = ablation.perturb_patch(x, desk_stations, g, spec, clim)
+            pert = perturb_patch(x, desk_stations, g, spec, clim)
             return linear_model.forward(pert) - base_pred
 
         # pick disjoint single-cell patches whose error deltas share the
@@ -280,7 +281,7 @@ class TestJointAblation:
                                  (spec.seed, ablation._JOINT_TAG, int(x.timestamp)))
             base_err = abs(model.forward_values(x.values) - y_star)
             u_joint = abs(model.forward_values(vals) - y_star) - base_err
-            u_ind = np.array([abs(model.forward_values(ablation.perturb_patch(
+            u_ind = np.array([abs(model.forward_values(perturb_patch(
                 x, desk_stations, g, spec, clim, var_std).values) - y_star) - base_err
                 for g in ids])
             return u_joint, u_ind

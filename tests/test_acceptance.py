@@ -22,7 +22,8 @@ from scipy import stats as sps
 from gradsense import (ablation, attribution as attr, fieldio, gaming, incentive, metrics, runner,
                        synth)
 from gradsense.grid import FieldTensor, GridConfig, make_grid, make_station_grid, make_target
-from gradsense.model import make_desk_model, make_linear_model, make_truth
+from gradsense.model import make_desk_model, make_truth
+from oracles import gradient_times_input, make_linear_model, perturb_patch, vanilla_gradient
 
 
 def report(num: int, text: str) -> None:
@@ -96,14 +97,14 @@ def test_criterion_01_gradient_correctness(desk_grid, desk_target, desk_data, rn
 def test_criterion_02_ig_axioms(desk_model, linear_model, desk_data):
     fields, clim = desk_data
     for f in fields[:5]:
-        ig = attr.integrated_gradients(desk_model, f, clim.values, 50)
+        ig = attr.integrated_gradients(desk_model, f.values, clim.values, 50)
         delta = desk_model.forward(f) - desk_model.forward_values(clim.values)
-        assert abs(ig.values.sum() - delta) <= 1e-3 * abs(delta) + 1e-9
-        igl = attr.integrated_gradients(linear_model, f, clim.values, 1)
+        assert abs(ig.sum() - delta) <= 1e-3 * abs(delta) + 1e-9
+        igl = attr.integrated_gradients(linear_model, f.values, clim.values, 1)
         delta_l = linear_model.forward(f) - linear_model.forward_values(clim.values)
-        assert abs(igl.values.sum() - delta_l) <= 1e-12 * abs(delta_l)
-    zero = attr.integrated_gradients(desk_model, fields[0], fields[0].values, 50)
-    assert np.all(zero.values == 0.0)
+        assert abs(igl.sum() - delta_l) <= 1e-12 * abs(delta_l)
+    zero = attr.integrated_gradients(desk_model, fields[0].values, fields[0].values, 50)
+    assert np.all(zero == 0.0)
     report(2, "signed-IG completeness holds (1e-3 desk at K=50, 1e-12 linear at K=1); "
               "input-at-baseline gives the zero map")
 
@@ -123,13 +124,13 @@ def test_criterion_03_k_convergence(full_run):
 def test_criterion_04_method_identities(desk_model, linear_model, desk_data):
     fields, clim = desk_data
     for f in fields[:5]:
-        vg = attr.vanilla_gradient(desk_model, f)
-        gti = attr.gradient_times_input(desk_model, f, clim.values)
-        assert np.array_equal(vg.values * (f.values - clim.values), gti.values)
-        gti_l = attr.gradient_times_input(linear_model, f, clim.values)
+        vg = vanilla_gradient(desk_model, f)
+        gti = gradient_times_input(desk_model, f, clim.values)
+        assert np.array_equal(vg * (f.values - clim.values), gti)
+        gti_l = gradient_times_input(linear_model, f, clim.values)
         for steps in (1, 7):
-            ig_l = attr.integrated_gradients(linear_model, f, clim.values, steps)
-            assert np.allclose(ig_l.values, gti_l.values, rtol=1e-12, atol=1e-15)
+            ig_l = attr.integrated_gradients(linear_model, f.values, clim.values, steps)
+            assert np.allclose(ig_l, gti_l, rtol=1e-12, atol=1e-15)
     report(4, "GTI = VG (x - baseline) exactly; IG = GTI on the linear model to 1e-12")
 
 
@@ -145,22 +146,22 @@ def test_criterion_05_scale_invariance(full_run, desk_model, desk_stations, desk
     # direct check on the session model as well
     fields, clim = desk_data
     f = fields[0]
-    vg_imp = attr.variable_importance(attr.vanilla_gradient(desk_model, f).values)
+    vg_imp = attr.variable_importance(vanilla_gradient(desk_model, f))
     var = int(np.argmax(vg_imp))
     scaled = desk_model.with_rescaled_variable(var, 1000.0)
     xs = f.values.copy(); xs[var] *= 1000.0
     cs = clim.values.copy(); cs[var] *= 1000.0
     fs = FieldTensor(grid=f.grid, values=xs, timestamp=f.timestamp)
-    gti0 = attr.gradient_times_input(desk_model, f, clim.values)
-    gti1 = attr.gradient_times_input(scaled, fs, cs)
-    scale = np.abs(gti0.values).max()
-    assert np.abs(gti1.values - gti0.values).max() <= 1e-9 * scale
-    sel0 = metrics.topk_indices(attr.spatial_importance(gti0.values, desk_stations), 20)
-    sel1 = metrics.topk_indices(attr.spatial_importance(gti1.values, desk_stations), 20)
+    gti0 = gradient_times_input(desk_model, f, clim.values)
+    gti1 = gradient_times_input(scaled, fs, cs)
+    scale = np.abs(gti0).max()
+    assert np.abs(gti1 - gti0).max() <= 1e-9 * scale
+    sel0 = metrics.topk_indices(attr.spatial_importance(gti0, desk_stations), 20)
+    sel1 = metrics.topk_indices(attr.spatial_importance(gti1, desk_stations), 20)
     assert np.array_equal(sel0, sel1)
-    vg1 = attr.vanilla_gradient(scaled, fs)
+    vg1 = vanilla_gradient(scaled, fs)
     rank0 = np.argsort(-vg_imp)
-    rank1 = np.argsort(-attr.variable_importance(vg1.values))
+    rank1 = np.argsort(-attr.variable_importance(vg1))
     assert not np.array_equal(rank0, rank1)
     report(5, "1000x unit change: IG/GTI values and selections invariant, "
               "VG ranking moves")
@@ -335,8 +336,8 @@ def test_criterion_10_linear_fidelity_oracle(desk_grid, desk_target, desk_statio
     spec = ablation.PerturbationSpec(mode="mean_replace", patch=1)
     imps, utils = [], []
     for f in fields[:20]:
-        gti = attr.gradient_times_input(lm, f, clim.values)
-        imps.append(attr.spatial_importance(gti.values, desk_stations))
+        gti = gradient_times_input(lm, f, clim.values)
+        imps.append(attr.spatial_importance(gti, desk_stations))
         utils.append(np.abs(ablation.spatial_utility(lm, f, truth.verify(f), desk_stations,
                                                      spec, clim)))
     rho = metrics.spearman(np.asarray(imps, dtype=np.float64).mean(axis=0),
@@ -467,7 +468,7 @@ def test_criterion_12_subadditivity(full_run, linear_model, desk_data, desk_stat
     sign = np.sign(base_pred - y_star)
     chosen = []
     for g in range(desk_stations.n_stations):
-        pert = ablation.perturb_patch(x, desk_stations, g, spec, clim)
+        pert = perturb_patch(x, desk_stations, g, spec, clim)
         if sign * (linear_model.forward(pert) - base_pred) > 0:
             chosen.append(g)
         if len(chosen) == 5:

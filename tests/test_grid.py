@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gradsense.grid import (
-    FieldTensor, GridConfig, haversine, make_grid, make_station_grid, make_target,
+    FieldTensor, GridConfig, haversine_many, make_grid, make_station_grid, make_target,
 )
 
 
@@ -101,10 +101,11 @@ class TestTarget:
 
 class TestHaversine:
     def test_identity(self):
-        assert haversine((47.4, 8.6), (47.4, 8.6)) == 0.0
+        assert haversine_many([47.4], [8.6], 47.4, 8.6)[0] == 0.0
 
     def test_equator_antipodal(self):
-        assert haversine((0.0, 0.0), (0.0, 180.0)) == pytest.approx(math.pi * 6371.0, abs=1e-6)
+        assert haversine_many([0.0], [0.0], 0.0, 180.0)[0] == pytest.approx(math.pi * 6371.0,
+                                                                           abs=1e-6)
 
     def test_against_law_of_cosines(self):
         # independent spherical-law-of-cosines oracle
@@ -112,7 +113,7 @@ class TestHaversine:
         p1, l1, p2, l2 = map(math.radians, (a[0], a[1], b[0], b[1]))
         oracle = 6371.0 * math.acos(
             math.sin(p1) * math.sin(p2) + math.cos(p1) * math.cos(p2) * math.cos(l2 - l1))
-        assert haversine(a, b) == pytest.approx(oracle, abs=1.0)
+        assert haversine_many([a[0]], [a[1]], *b)[0] == pytest.approx(oracle, abs=1.0)
 
 
 class TestFieldTensor:

@@ -3,10 +3,9 @@ import pytest
 
 from gradsense.grid import FieldTensor, GridConfig, make_grid, make_target
 from gradsense import synth
-from gradsense.model import (
-    MAX_DEPTH, _conv, make_desk_model, make_linear_model, make_truth, model_from_config,
-)
+from gradsense.model import _TRUTH_STREAM, MAX_DEPTH, _conv, make_desk_model, make_truth
 from gradsense import ablation
+from oracles import model_from_config
 
 
 def naive_stencil_forward(model, values):
@@ -278,6 +277,19 @@ class TestTruth:
         truth = make_truth(desk_model, 5, noise_std=0.0, weight_jitter=0.05)
         errs = [abs(desk_model.forward(f) - truth.verify(f)) for f in fields]
         assert np.mean(errs) > 0.0
+
+    def test_jitter_draw_order(self, desk_model):
+        # one sign draw per layer in order, then one for the readout, from the truth stream
+        seed, jitter = 5, 0.05
+        rng = np.random.default_rng(np.random.SeedSequence((seed, _TRUTH_STREAM)))
+        expected = [w * (1.0 + jitter * (rng.integers(0, 2, size=w.shape) * 2 - 1))
+                    for w in (*desk_model.layers, desk_model.readout)]
+        truth = make_truth(desk_model, seed, weight_jitter=jitter).model
+        got = [*truth.layers, truth.readout]
+        assert len(got) == len(expected)
+        assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+        assert np.array_equal(truth.norm_mu, desk_model.norm_mu)
+        assert np.array_equal(truth.norm_sigma, desk_model.norm_sigma)
 
     def test_noise_requires_nonnegative(self, desk_model):
         with pytest.raises(ValueError):

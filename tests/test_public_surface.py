@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -88,6 +89,13 @@ def test_benchmark_times_every_stage_run(monkeypatch, tmp_path):
     stage_spans = [span[0] for span in tracer.spans if span[0].startswith("runner.stage.")]
     assert stage_spans == [f"runner.stage.{name}" for name in runner.STAGES]
     assert tracing.STAGES == runner.STAGES  # the benchmark's list of per-stage metrics
+
+
+def test_benchmark_selftest_passes():
+    # the harness's own tests, which run the traced layers on a tiny config
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_readme_names_every_stage_in_run_order():

@@ -158,6 +158,12 @@ class TestConfig:
                          ({"patches": [1, "3"]}, "patches"),
                          ({"variables": "t2m"}, "variables"),
                          ({"variables": ["t2m", "t2m", "u10m"]}, "variables"),
+                         ({"target_variables": ["t2m", "t2m"]}, "target_variables"),
+                         ({"model_depths": [1, 1]}, "model_depths"),
+                         ({"patches": [1, 3, 1]}, "patches"),
+                         ({"modes": ["scale_bias", "scale_bias"]}, "modes"),
+                         ({"gaming": {"combos": [["zurich", "t2m"], ["zurich", "t2m"]]}},
+                          "gaming.combos"),
                          ({"gaming": {"n_seed": 3}}, "gaming.n_seed"),
                          ({"gaming": {"n_seeds": [3]}}, "gaming.n_seeds"),
                          ({"gaming": {"magnitudes_pct": 50.0}}, "gaming.magnitudes_pct"),
@@ -167,6 +173,7 @@ class TestConfig:
                          ({"targets": [{**target, "lat": "north"}]}, "targets.lat"),
                          ({"targets": ["zurich"]}, "targets"),
                          ({"targets": target}, "targets"),
+                         ({"targets": [target, target]}, "targets"),
                          ({"gaming": {"combos": [5]}}, "gaming.combos"),
                          ({"gaming": {"combos": [["zurich"]]}}, "gaming.combos"),
                          ({"gaming": {"combos": [["zurich", "t2m", "x"]]}}, "gaming.combos"),
@@ -835,8 +842,15 @@ class TestWorkspace:
             runner.save_config(tiny_config(ws.root, seed=object()), ws.path("config.yaml"))
         assert {rel: ws.path(rel).read_bytes() for rel in before} == before
         assert sorted(p.name for p in (ws.root / "results").iterdir()) == ["a.csv", "r.md"]
-        assert sorted(p.name for p in ws.root.iterdir()) == [
-            "config.yaml", "data", "results", "tables"]
+        assert sorted(p.name for p in ws.root.iterdir()) == ["config.yaml", "results"]
+
+    def test_config_only_state_creates_no_directory(self, tmp_path):
+        # config ids and scenarios come from the config alone, so nothing is written
+        out = tmp_path / "never"
+        state = runner.RunState(tiny_config(out))
+        for cid in state.config_ids():
+            assert runner.build_scenarios(state, cid)
+        assert not out.exists()
 
 
 class TestCli:
