@@ -9,17 +9,7 @@ scenarios and detectors (gaming), and the experiment runner (runner, cli).
 
 __version__ = "0.1.0"
 
-from .grid import (
-    Climatology,
-    FieldTensor,
-    GridConfig,
-    GridSpec,
-    StationGrid,
-    TargetSpec,
-    make_grid,
-    make_station_grid,
-    make_target,
-)
+from .grid import GridSpec, StationGrid, TargetSpec, make_station_grid, make_target
 from .synth import synth_fields
 from .model import make_desk_model, make_truth
 from .attribution import (
@@ -43,5 +33,5 @@ from .incentive import (
     select,
     shrinkage_fit,
 )
-from .gaming import AttackScenario, apply_attack, run_gaming_experiment
+from .gaming import AttackScenario, run_gaming_experiment
 from .runner import ExperimentConfig, load_config, run_full, save_config

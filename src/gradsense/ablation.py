@@ -4,8 +4,11 @@ Utility is the change in absolute target error when part of the input is
 replaced: whole variables swapped for climatology (global), or local patches
 around station cells perturbed (spatial).  Every utility is one region
 perturbation evaluated by `_utilities`, which shares one batch and one
-forward pass with the unperturbed base.  Utilities are signed arrays;
-patches clip at the grid boundary, so edge stations perturb fewer cells.
+forward pass with the unperturbed base.  Fields and the climatology are
+(V, n_lat, n_lon) arrays.  Patch noise is keyed by the field's timestamp
+`t`, which the spatial and joint utilities take explicitly.  Utilities are
+signed arrays; patches clip at the grid boundary, so edge stations perturb
+fewer cells.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Climatology, FieldTensor, StationGrid
+from .grid import StationGrid
 
 MODES = ("mean_replace", "scale_bias", "additive_noise")
 _JOINT_TAG = 0x4A4E54
@@ -73,23 +76,23 @@ def _patch(stations: StationGrid, station_id: int, spec: PerturbationSpec, times
     return region, spec.mode, spec.magnitude, (spec.seed, int(station_id), int(timestamp))
 
 
-def _utilities(model, x: FieldTensor, y_star: float, perturbations, clim: Climatology,
+def _utilities(model, x: np.ndarray, y_star: float, perturbations, clim: np.ndarray,
                var_std: np.ndarray | None = None) -> np.ndarray:
     """Signed utility of each (region, mode, magnitude, entropy) perturbation of x.
 
     The base and every perturbed field share one batch and one forward pass.
     """
-    batch = np.empty((1 + len(perturbations),) + x.values.shape)
-    batch[:] = x.values
+    batch = np.empty((1 + len(perturbations),) + x.shape)
+    batch[:] = x
     for row, (region, mode, magnitude, entropy) in zip(batch[1:], perturbations):
-        _apply_mode(row, region, mode, magnitude, clim.values, var_std, entropy)
+        _apply_mode(row, region, mode, magnitude, clim, var_std, entropy)
     errs = np.abs(model.forward_many(batch) - y_star)
     return errs[1:] - errs[0]
 
 
-def global_ablation(model, x: FieldTensor, y_star: float, clim: Climatology) -> np.ndarray:
+def global_ablation(model, x: np.ndarray, y_star: float, clim: np.ndarray) -> np.ndarray:
     """Utility of each variable (V,): error change when the whole layer goes climatological."""
-    if x.grid.shape != model.grid.shape or clim.grid.shape != model.grid.shape:
+    if x.shape != model.grid.shape or clim.shape != model.grid.shape:
         raise ValueError("field/climatology shape does not match model grid")
     return _utilities(model, x, y_star, [((v,), "mean_replace", 0.0, None)
                                          for v in range(model.grid.n_variables)], clim)
@@ -104,10 +107,10 @@ def stations_in_reach(model, stations: StationGrid, patch: int) -> np.ndarray:
     return np.flatnonzero(hit)
 
 
-def spatial_utility_multi(model, x: FieldTensor, y_star: float, stations: StationGrid,
-                          specs: list[PerturbationSpec], clim: Climatology,
+def spatial_utility_multi(model, x: np.ndarray, t: int, y_star: float, stations: StationGrid,
+                          specs: list[PerturbationSpec], clim: np.ndarray,
                           var_std: np.ndarray | None = None) -> np.ndarray:
-    """Spatial utilities (len(specs), N) for several perturbation specs in one batched pass.
+    """Spatial utilities (len(specs), N) of field x at timestamp t, one batched pass for all specs.
 
     Stations whose patch lies entirely outside the model's influence window
     cannot change the prediction, so their utility is exactly zero and no
@@ -119,16 +122,16 @@ def spatial_utility_multi(model, x: FieldTensor, y_star: float, stations: Statio
         row[stations_in_reach(model, stations, spec.patch)] = True
     u = np.zeros(reach.shape)
     u[reach] = _utilities(model, x, y_star, [
-        _patch(stations, g, spec, x.timestamp)
+        _patch(stations, g, spec, t)
         for spec, row in zip(specs, reach) for g in np.flatnonzero(row)], clim, var_std)
     return u
 
 
-def spatial_utility(model, x: FieldTensor, y_star: float, stations: StationGrid,
-                    spec: PerturbationSpec, clim: Climatology,
+def spatial_utility(model, x: np.ndarray, t: int, y_star: float, stations: StationGrid,
+                    spec: PerturbationSpec, clim: np.ndarray,
                     var_std: np.ndarray | None = None) -> np.ndarray:
-    """Per-station utility (N,) of perturbing each station's local patch."""
-    return spatial_utility_multi(model, x, y_star, stations, [spec], clim, var_std)[0]
+    """Per-station utility (N,) of perturbing each station's local patch of x at timestamp t."""
+    return spatial_utility_multi(model, x, t, y_star, stations, [spec], clim, var_std)[0]
 
 
 @dataclass(frozen=True)
@@ -139,8 +142,8 @@ class JointAblationResult:
     ratio_defined: bool
 
 
-def joint_ablation(model, x: FieldTensor, y_star: float, stations: StationGrid,
-                   station_ids, spec: PerturbationSpec, clim: Climatology,
+def joint_ablation(model, x: np.ndarray, t: int, y_star: float, stations: StationGrid,
+                   station_ids, spec: PerturbationSpec, clim: np.ndarray,
                    var_std: np.ndarray | None = None) -> JointAblationResult:
     """Perturb every patch in the set at once and compare to the per-station sum.
 
@@ -154,10 +157,9 @@ def joint_ablation(model, x: FieldTensor, y_star: float, stations: StationGrid,
     mask = np.zeros(stations.grid.shape[1:], dtype=bool)  # the union of the patch cells
     for g in ids:
         mask[patch_slices(stations.grid, *stations.cell(g), spec.patch)] = True
-    joint = ((slice(None), mask), spec.mode, spec.magnitude,
-             (spec.seed, _JOINT_TAG, int(x.timestamp)))
-    u = _utilities(model, x, y_star, [joint] + [_patch(stations, g, spec, x.timestamp)
-                                                for g in ids], clim, var_std)
+    joint = ((slice(None), mask), spec.mode, spec.magnitude, (spec.seed, _JOINT_TAG, int(t)))
+    u = _utilities(model, x, y_star, [joint] + [_patch(stations, g, spec, t) for g in ids],
+                   clim, var_std)
     u_joint, u_ind = u[0], u[1:]
     denom = u_ind.sum()
     defined = abs(denom) >= _DENOMINATOR_EPS

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import FieldTensor, StationGrid
+from .grid import StationGrid
 
 
 def _check_shapes(model, x: np.ndarray, baseline: np.ndarray | None = None):
@@ -63,13 +63,13 @@ def integrated_gradients(model, x: np.ndarray, baseline: np.ndarray, steps: int)
     return values
 
 
-def persistence_baseline(fields: list[FieldTensor], t: int) -> np.ndarray:
-    """The previous timestamp's field; undefined at t = 0."""
+def persistence_baseline(fields: np.ndarray, t: int) -> np.ndarray:
+    """The previous timestamp's field of a (T, V, n_lat, n_lon) stack; undefined at t = 0."""
     if t < 1:
         raise ValueError("persistence baseline needs a predecessor (t >= 1)")
     if t >= len(fields):
         raise IndexError(f"timestamp {t} out of range")
-    return fields[t - 1].values
+    return fields[t - 1]
 
 
 def variable_importance(values: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import FieldTensor, GridSpec
+from .grid import GridSpec
 
 _MAGIC = b"GSF1"
 _HEADER = struct.Struct("<III q dddd")  # n_var, n_lat, n_lon, timestamp, box bounds
@@ -41,20 +41,23 @@ def atomic_open(path: str | Path, mode: str = "w", **kwargs):
         raise
 
 
-def save_field(path: str | Path, field: FieldTensor) -> None:
-    grid = field.grid
+def save_field(path: str | Path, grid: GridSpec, values: np.ndarray, timestamp: int) -> None:
+    """Write one (V, n_lat, n_lon) field of `grid` at `timestamp`."""
+    if values.shape != grid.shape:
+        raise ValueError(f"expected shape {grid.shape}, got {values.shape}")
     with atomic_open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(_HEADER.pack(grid.n_variables, grid.n_lat, grid.n_lon, field.timestamp,
+        fh.write(_HEADER.pack(grid.n_variables, grid.n_lat, grid.n_lon, timestamp,
                               grid.lat_min, grid.lat_max, grid.lon_min, grid.lon_max))
         for name in grid.variables:
             raw = name.encode("utf-8")
             fh.write(struct.pack("<H", len(raw)))
             fh.write(raw)
-        fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
 
 
-def load_field(path: str | Path) -> FieldTensor:
+def load_field(path: str | Path) -> tuple[GridSpec, np.ndarray, int]:
+    """The (grid, values, timestamp) a `save_field` call wrote."""
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise ValueError("not a field file (bad magic)")
@@ -67,8 +70,8 @@ def load_field(path: str | Path) -> FieldTensor:
         grid = GridSpec(n_lat=n_lat, n_lon=n_lon, lat_min=lat_min, lat_max=lat_max,
                         lon_min=lon_min, lon_max=lon_max, variables=tuple(names))
         count = n_var * n_lat * n_lon
-        values = np.frombuffer(fh.read(count * 8), dtype="<f8", count=count).reshape(grid.shape)
-    return FieldTensor(grid=grid, values=values, timestamp=ts)
+        values = np.frombuffer(fh.read(count * 8), dtype="<f8", count=count)
+    return grid, values.astype(np.float64).reshape(grid.shape), ts
 
 
 _STORE_MAGIC = b"GSA1"

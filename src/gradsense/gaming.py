@@ -19,7 +19,7 @@ import numpy as np
 
 from .ablation import _apply_mode, stations_in_reach
 from .attribution import spatial_importance
-from .grid import Climatology, FieldTensor, StationGrid, TargetSpec
+from .grid import StationGrid, TargetSpec
 from .metrics import pr_auc, topk_indices
 
 KINDS = ("inflate", "spoof")
@@ -111,9 +111,12 @@ def sample_attackers(stations: StationGrid, target: TargetSpec, n: int,
     return fill(picks)
 
 
-def _attack_in_place(vals: np.ndarray, scenario: AttackScenario, clim: Climatology,
+def _attack_in_place(vals: np.ndarray, scenario: AttackScenario, clim: np.ndarray,
                      stations: StationGrid) -> None:
-    """Attack a (..., V, n_lat, n_lon) array in place at every attacker cell at once."""
+    """Attack a (..., V, n_lat, n_lon) array in place at every attacker cell at once.
+
+    Only the attacker cells and the scoped variables change.
+    """
     sv = np.asarray(scenario.scope_variables, dtype=np.intp)
     if np.any((sv < 0) | (sv >= vals.shape[-3])):
         raise ValueError("scope variable outside grid")
@@ -121,16 +124,7 @@ def _attack_in_place(vals: np.ndarray, scenario: AttackScenario, clim: Climatolo
     if np.any((ids < 0) | (ids >= stations.n_stations)):  # indexing would wrap a negative id
         raise IndexError(f"invalid station id in {scenario.attackers}")
     region = (Ellipsis, sv[:, None], stations.lat_idx[ids], stations.lon_idx[ids])
-    _apply_mode(vals, region, _MODES[scenario.kind], scenario.magnitude_pct / 100.0,
-                clim.values)
-
-
-def apply_attack(x: FieldTensor, scenario: AttackScenario, clim: Climatology,
-                 stations: StationGrid) -> FieldTensor:
-    """Attacked copy of x; only attacker cells and scoped variables change."""
-    vals = x.values.copy()
-    _attack_in_place(vals, scenario, clim, stations)
-    return FieldTensor(grid=x.grid, values=vals, timestamp=x.timestamp)
+    _apply_mode(vals, region, _MODES[scenario.kind], scenario.magnitude_pct / 100.0, clim)
 
 
 @dataclass(frozen=True)
@@ -151,15 +145,16 @@ def _period_scores(model, stack: np.ndarray, clim, stations):
 
     One batched gradient pass over the (T, V, n_lat, n_lon) period stack.
     """
-    maps = (stack - clim.values[None]) * model.gradient_many(stack)
+    maps = (stack - clim[None]) * model.gradient_many(stack)
     return spatial_importance(maps, stations).mean(axis=0), model.forward_many(stack)
 
 
-def run_gaming_experiment(model, y_star: np.ndarray, fields, clim, stations,
-                          scenarios: list[AttackScenario]) -> GamingRun:
+def run_gaming_experiment(model, y_star: np.ndarray, fields: np.ndarray, clim: np.ndarray,
+                          stations: StationGrid, scenarios: list[AttackScenario]) -> GamingRun:
     """Score every scenario against the paired clean baseline period.
 
-    `y_star` holds the truth value of each of the fields, in order.
+    `fields` is the (T, V, n_lat, n_lon) period stack and `y_star` holds the
+    truth value of each of its rows, in order.
     Scores are GTI against the climatology baseline; no other method or
     baseline is offered.  The baseline period is the same timestamps without
     the attack, scored once by the same `_period_scores` call as each attack
@@ -168,8 +163,7 @@ def run_gaming_experiment(model, y_star: np.ndarray, fields, clim, stations,
     the prediction or any in-window attribution, so their attack-period
     scores equal the baseline exactly.
     """
-    stack = np.stack([f.values for f in fields])
-    base_uns, base_preds = _period_scores(model, stack, clim, stations)
+    base_uns, base_preds = _period_scores(model, fields, clim, stations)
     mae_clean = float(np.abs(base_preds - y_star).mean())
 
     n_sc = len(scenarios)
@@ -182,7 +176,7 @@ def run_gaming_experiment(model, y_star: np.ndarray, fields, clim, stations,
         effective = (sc.kind == "spoof" or sc.magnitude_pct > 0)
         reached[i] = bool(np.isin(sc.attackers, in_reach).any()) and effective
         if reached[i]:
-            attacked = stack.copy()
+            attacked = fields.copy()
             _attack_in_place(attacked, sc, clim, stations)
             attack[i], atk_preds = _period_scores(model, attacked, clim, stations)
             mae_change[i] = float(np.abs(atk_preds - y_star).mean()) - mae_clean

@@ -1,15 +1,16 @@
-"""Grids, fields, stations and forecast targets.
+"""Grids, stations and forecast targets.
 
 The spatial domain is a regular lat/lon box of uniform cells.  A field is a
-stack of per-variable layers over that box; a station grid is a sparse
-subsample of cells at a fixed stride.  All objects are immutable after
-construction (array payloads are made read-only) and safe for concurrent
-reads.
+plain float64 array of per-variable layers over that box, shaped
+`GridSpec.shape` = (variable, lat, lon); a period of fields is a
+(timestamp, variable, lat, lon) stack whose row index is the timestamp.  A
+station grid is a sparse subsample of cells at a fixed stride.  All objects
+here are immutable after construction (index arrays are made read-only).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,8 +19,13 @@ MIN_CELLS = 4  # cells a grid needs along each axis
 
 
 @dataclass(frozen=True)
-class GridConfig:
-    """Raw, unvalidated grid parameters (what a config file deserializes to)."""
+class GridSpec:
+    """Validated uniform lat/lon grid with an ordered variable list.
+
+    Cell centers: lat(i) = lat_min + (i + 0.5) * dlat, row 0 is the
+    southernmost row; analogously for longitude columns.  The defaults are
+    the desk box and variables, so `GridSpec(36, 50)` is the desk grid.
+    """
 
     n_lat: int
     n_lon: int
@@ -28,23 +34,6 @@ class GridConfig:
     lon_min: float = -10.0
     lon_max: float = 40.0
     variables: tuple[str, ...] = ("t2m", "u10m", "v10m", "msl", "q2m", "tp")
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Validated uniform lat/lon grid with an ordered variable list.
-
-    Cell centers: lat(i) = lat_min + (i + 0.5) * dlat, row 0 is the
-    southernmost row; analogously for longitude columns.
-    """
-
-    n_lat: int
-    n_lon: int
-    lat_min: float
-    lat_max: float
-    lon_min: float
-    lon_max: float
-    variables: tuple[str, ...]
 
     def __post_init__(self):
         if self.n_lat < MIN_CELLS or self.n_lon < MIN_CELLS:
@@ -95,52 +84,6 @@ class GridSpec:
         return i, j
 
 
-def make_grid(config: GridConfig) -> GridSpec:
-    """Validate a GridConfig into a GridSpec (rejects non-positive/small dims)."""
-    return GridSpec(
-        n_lat=int(config.n_lat),
-        n_lon=int(config.n_lon),
-        lat_min=float(config.lat_min),
-        lat_max=float(config.lat_max),
-        lon_min=float(config.lon_min),
-        lon_max=float(config.lon_max),
-        variables=tuple(config.variables),
-    )
-
-
-def _frozen_array(values, shape=None) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, copy=True)
-    if shape is not None and arr.shape != shape:
-        raise ValueError(f"expected shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("array contains non-finite values")
-    arr.flags.writeable = False
-    return arr
-
-
-@dataclass(frozen=True)
-class FieldTensor:
-    """One gridded multi-variable state, indexed (variable, lat, lon)."""
-
-    grid: GridSpec
-    values: np.ndarray
-    timestamp: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_array(self.values, self.grid.shape))
-
-
-@dataclass(frozen=True)
-class Climatology:
-    """Per-variable long-term mean field, same layout as a FieldTensor."""
-
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_array(self.values, self.grid.shape))
-
-
 @dataclass(frozen=True)
 class StationGrid:
     """Sparse set of grid cells hosting stations, with integer ids 0..N-1.
@@ -171,10 +114,6 @@ class StationGrid:
     @property
     def n_stations(self) -> int:
         return int(self.lat_idx.size)
-
-    @property
-    def ids(self) -> np.ndarray:
-        return np.arange(self.n_stations)
 
     @property
     def lats(self) -> np.ndarray:

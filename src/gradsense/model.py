@@ -15,8 +15,11 @@ that receptive cone alone: a chain of valid convolutions over a (2R+1)^2
 canvas centred on the target that shrinks to the 1x1 readout cell, and a
 backward pass that grows from that cell back to the canvas.  Canvas cells off
 the grid are held at zero, as the grid edge's zero padding would hold them.
-Inputs and gradients stay full-grid arrays.  Models are immutable and
-reentrant: forward and gradient are pure functions of (weights, input).
+Inputs and gradients stay full-grid float64 arrays: one field is
+(V, n_lat, n_lon) for forward_values/gradient_values, a batch is
+(B, V, n_lat, n_lon) for forward_many/gradient_many, and each entry point
+checks its input's shape.  Models are immutable and reentrant: forward and
+gradient are pure functions of (weights, input).
 
 The model is batch-invariant: row i of forward_many/gradient_many equals
 forward_values/gradient_values on that row bit for bit, at any batch size.
@@ -30,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid import FieldTensor, GridSpec, TargetSpec
+from .grid import GridSpec, TargetSpec
 from . import synth
 
 _PROBE_STREAM = 0x50524F42
@@ -172,11 +175,6 @@ class DeskModel:
         preds, _ = self._forward_cached(self._canvas(values[None]))
         return float(preds[0])
 
-    def forward(self, field: FieldTensor) -> float:
-        if field.grid.shape != self.grid.shape:
-            raise ValueError("field grid does not match model grid")
-        return self.forward_values(field.values)
-
     def forward_many(self, batch: np.ndarray) -> np.ndarray:
         """Predictions for a (B, V, n_lat, n_lon) stack of raw inputs."""
         if batch.ndim != 4 or batch.shape[1:] != self.grid.shape:
@@ -212,11 +210,6 @@ class DeskModel:
         if values.shape != self.grid.shape:
             raise ValueError(f"shape mismatch: expected {self.grid.shape}, got {values.shape}")
         return self.gradient_many(values[None])[0]
-
-    def gradient(self, field: FieldTensor) -> np.ndarray:
-        if field.grid.shape != self.grid.shape:
-            raise ValueError("field grid does not match model grid")
-        return self.gradient_values(field.values)
 
     # -- persistence -----------------------------------------------------
 
@@ -316,8 +309,9 @@ class TruthGenerator:
             np.random.SeedSequence((self.seed, _NOISE_STREAM, int(timestamp))))
         return float(rng.normal(0.0, self.noise_std))
 
-    def verify(self, field: FieldTensor) -> float:
-        return self.model.forward(field) + self._noise(field.timestamp)
+    def verify(self, x: np.ndarray, t: int) -> float:
+        """The verification value of field x at timestamp t."""
+        return self.model.forward_values(x) + self._noise(t)
 
 
 def make_truth(model, seed: int, noise_std: float = 0.0,

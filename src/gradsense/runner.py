@@ -44,8 +44,7 @@ import yaml
 
 from . import __version__, ablation, attribution as attr, fieldio, gaming, incentive, metrics
 from .fieldio import fmt
-from .grid import (MIN_CELLS, Climatology, FieldTensor, GridConfig, GridSpec, StationGrid,
-                   TargetSpec, make_grid, make_station_grid, make_target)
+from .grid import MIN_CELLS, GridSpec, StationGrid, TargetSpec, make_station_grid, make_target
 from .model import MAX_DEPTH, MIN_DEPTH, DeskModel, make_desk_model, make_truth
 from . import synth
 
@@ -144,8 +143,8 @@ class ExperimentConfig:
                              ("modes", self.modes), ("gaming.combos", self.gaming.combos)):
             if len(set(entries)) != len(entries):
                 raise ValueError(f"{key} must be unique, got {list(entries)}")
-        grid = make_grid(GridConfig(self.n_lat, self.n_lon, self.lat_min, self.lat_max,
-                                    self.lon_min, self.lon_max, self.variables))
+        grid = GridSpec(self.n_lat, self.n_lon, self.lat_min, self.lat_max, self.lon_min,
+                        self.lon_max, self.variables)
         for tv in self.target_variables:
             if tv not in self.variables:
                 raise ValueError(f"target variable {tv!r} not in grid variables")
@@ -388,12 +387,11 @@ class RunState:
         self.cfg = cfg
         self.stamp = config_hash(cfg)
         self.ws = workspace or Workspace(cfg.out_dir)
-        self.grid: GridSpec = make_grid(GridConfig(
-            cfg.n_lat, cfg.n_lon, cfg.lat_min, cfg.lat_max, cfg.lon_min, cfg.lon_max,
-            cfg.variables))
+        self.grid = GridSpec(cfg.n_lat, cfg.n_lon, cfg.lat_min, cfg.lat_max, cfg.lon_min,
+                             cfg.lon_max, cfg.variables)
         self.stations: StationGrid = make_station_grid(self.grid, cfg.station_stride)
-        self.fields: list | None = None
-        self.clim = None
+        self.fields: np.ndarray | None = None  # (T, V, n_lat, n_lon); row t is timestamp t
+        self.clim: np.ndarray | None = None  # (V, n_lat, n_lon)
         self.var_std: np.ndarray | None = None
         self.models: dict[str, tuple[DeskModel, np.ndarray]] = {}  # with (T,) truth values
         self._tables: dict = {}
@@ -417,19 +415,22 @@ class RunState:
         return make_target(self.grid, tc.name, tc.lat, tc.lon, variable)
 
     def ensure_data(self) -> None:
+        """Load or generate the field stack and climatology, checked finite and made read-only."""
         if self.fields is not None:
             return
         stored = self.ws.store(DATA_STORE, self.stamp, self._synth_arrays)
-        self.fields = [FieldTensor(grid=self.grid, values=v, timestamp=t)
-                       for t, v in enumerate(stored["fields"])]
-        self.clim = Climatology(grid=self.grid, values=stored["climatology"])
-        self.var_std = synth.field_std(self.fields)
+        fields, clim = stored["fields"], stored["climatology"]
+        if not (np.isfinite(fields).all() and np.isfinite(clim).all()):
+            raise ValueError(f"{DATA_STORE}: fields or climatology hold non-finite values")
+        fields.flags.writeable = clim.flags.writeable = False
+        self.fields, self.clim = fields, clim
+        self.var_std = synth.field_std(fields)
 
     def _synth_arrays(self) -> dict[str, np.ndarray]:
         cfg = self.cfg
         fields, clim = synth.synth_fields(cfg.seed, self.grid, cfg.n_timestamps,
                                           n_clim_draws=cfg.n_clim_draws)
-        return {"fields": np.stack([f.values for f in fields]), "climatology": clim.values}
+        return {"fields": fields, "climatology": clim}
 
     def make_model(self, cid: str) -> DeskModel:
         """The surrogate of config id d{depth}-{name}-{variable}; reuses an `ensure_models` one."""
@@ -445,14 +446,14 @@ class RunState:
             return
         self.ensure_data()
         cfg = self.cfg
-        stack = np.stack([f.values for f in self.fields])
         model_cfgs = {}
         for cid in self.config_ids():
             model = self.make_model(cid)
-            noise_std = cfg.truth_noise_frac * float(model.forward_many(stack).std())
+            noise_std = cfg.truth_noise_frac * float(model.forward_many(self.fields).std())
             truth = make_truth(model, child_seed(cfg.seed, "truth", cid),
                                noise_std=noise_std, weight_jitter=cfg.truth_weight_jitter)
-            self.models[cid] = (model, np.array([truth.verify(f) for f in self.fields]))
+            self.models[cid] = (model, np.array([truth.verify(x, t)
+                                                 for t, x in enumerate(self.fields)]))
             model_cfgs[cid] = {"model": model.to_config(), "noise_std": noise_std,
                                "truth_seed": child_seed(cfg.seed, "truth", cid)}
         self.ws.write_json("data/models.json", model_cfgs)
@@ -505,27 +506,27 @@ class RunState:
                 mode=mode, patch=patch, magnitude=cfg.perturb_magnitude,
                 seed=child_seed(cfg.seed, "perturb", cid, mode, patch))
                 for mode in cfg.modes for patch in cfg.patches]
-            for t, (f, y_star) in enumerate(zip(self.fields, y_stars)):
+            for t, (x, y_star) in enumerate(zip(self.fields, y_stars)):
                 # every quadrature node of every path variant in one gradient batch;
                 # GTI and VG use the alpha = 1 gradient of the first path, taken at
                 # clim + (x - clim), which equals x only within rounding
-                paths = [(f"ig@{s}", self.clim.values, s) for s in step_grid]
+                paths = [(f"ig@{s}", self.clim, s) for s in step_grid]
                 paths.append((f"ig-zero@{zp_steps}", zero_base, zp_steps))
                 if t >= 1:
                     paths.append((f"ig-pers@{zp_steps}",
                                   attr.persistence_baseline(self.fields, t), zp_steps))
                 maps, grad_at_x = attr.integrated_gradients_paths(
-                    model, f.values, [(base, steps) for _, base, steps in paths])
+                    model, x, [(base, steps) for _, base, steps in paths])
                 map_keys = [key for key, _, _ in paths] + ["gti", "vg"]
-                stack = np.stack([*maps, (f.values - self.clim.values) * grad_at_x, grad_at_x])
+                stack = np.stack([*maps, (x - self.clim) * grad_at_x, grad_at_x])
                 for key, var_imp, st_imp in zip(map_keys, attr.variable_importance(stack),
                                                 attr.spatial_importance(stack, self.stations)):
                     gi[(cid, key)][t] = var_imp
                     if (cid, key) in si_u:
                         si_u[(cid, key)][t] = st_imp
-                gu[cid][t] = ablation.global_ablation(model, f, y_star, self.clim)
+                gu[cid][t] = ablation.global_ablation(model, x, y_star, self.clim)
                 for spec, u in zip(specs, ablation.spatial_utility_multi(
-                        model, f, y_star, self.stations, specs, self.clim, self.var_std)):
+                        model, x, t, y_star, self.stations, specs, self.clim, self.var_std)):
                     su[(cid, spec.mode, spec.patch)][t] = u
         tables = {"gi": gi, "si_u": si_u, "gu": gu, "su": su}
         return {_store_name(kind, key): tables[kind][key]
@@ -759,8 +760,8 @@ def _scale_invariance_table(state: RunState) -> None:
     factor = 1000.0
     unit = np.ones((state.grid.n_variables, 1, 1))
     unit[var] = factor
-    clim = state.clim.values
-    stack = np.stack([f.values for f in state.fields[:10]])  # 10 cycles suffice to see a move
+    clim = state.clim
+    stack = state.fields[:10]  # 10 cycles suffice to see a move
     maps = []  # in the original, then the rescaled units: the IG, GTI and VG map stacks
     for m, xs, base in ((model, stack, clim),
                         (model.with_rescaled_variable(var, factor), stack * unit, clim * unit)):
@@ -914,8 +915,8 @@ def stage_subadditivity(state: RunState) -> None:
                 mode=mode, patch=patch, magnitude=cfg.perturb_magnitude,
                 seed=child_seed(cfg.seed, "subadd", cid, mode, patch))
             ratios, flagged = [], 0
-            for f, y_star in zip(state.fields, y_stars):
-                res = ablation.joint_ablation(model, f, y_star, state.stations, ids,
+            for t, (x, y_star) in enumerate(zip(state.fields, y_stars)):
+                res = ablation.joint_ablation(model, x, t, y_star, state.stations, ids,
                                               spec, state.clim, state.var_std)
                 if res.ratio_defined:
                     ratios.append(res.ratio)

@@ -3,16 +3,17 @@
 Each variable layer is a Gaussian random field built in Fourier space with a
 power-law amplitude spectrum (|k|^slope, slope = -1.5 by default), which gives
 smooth, spatially correlated fields; a per-variable offset and scale place
-the layers at loosely meteorological magnitudes.  The climatology is the
-per-variable mean over a long independent pre-sample so that baseline and
-evaluation data stay decoupled.
+the layers at loosely meteorological magnitudes.  The evaluation fields are
+one (T, V, n_lat, n_lon) float64 stack, row t the field at timestamp t; the
+climatology is a (V, n_lat, n_lon) array, the mean over a long independent
+pre-sample so that baseline and evaluation data stay decoupled.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grid import Climatology, FieldTensor, GridSpec
+from .grid import GridSpec
 
 # (offset, scale) per canonical variable; unknown names fall back to (0, 1).
 VARIABLE_PRESETS: dict[str, tuple[float, float]] = {
@@ -70,8 +71,8 @@ def synth_fields(
     grid: GridSpec,
     n_timestamps: int,
     n_clim_draws: int = 1000,
-) -> tuple[list[FieldTensor], Climatology]:
-    """Generate evaluation fields and a decoupled climatology.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Generate the (T, V, n_lat, n_lon) evaluation stack and a decoupled climatology.
 
     The climatology is the mean of `n_clim_draws` independent draws from a
     separate stream of the same seed, not of the evaluation fields, so the
@@ -80,18 +81,14 @@ def synth_fields(
     """
     if n_timestamps < 1:
         raise ValueError("n_timestamps must be >= 1")
-    raw = sample_fields(seed, grid, n_timestamps)
-    fields = [FieldTensor(grid=grid, values=raw[t], timestamp=t) for t in range(n_timestamps)]
-
+    fields = sample_fields(seed, grid, n_timestamps)
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), _CLIM_STREAM)))
     acc = sum(_draws(rng, grid, n_clim_draws, _SLOPE), np.zeros(grid.shape))
-    clim = Climatology(grid=grid, values=acc / n_clim_draws)
-    return fields, clim
+    return fields, acc / n_clim_draws
 
 
-def field_std(fields: list[FieldTensor]) -> np.ndarray:
-    """Per-variable standard deviation pooled over a field list."""
-    if not fields:
-        raise ValueError("empty field list")
-    stacked = np.stack([f.values for f in fields])
-    return stacked.std(axis=(0, 2, 3))
+def field_std(fields: np.ndarray) -> np.ndarray:
+    """Per-variable standard deviation pooled over a (T, V, n_lat, n_lon) stack."""
+    if len(fields) == 0:
+        raise ValueError("empty field stack")
+    return fields.std(axis=(0, 2, 3))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gradsense.grid import GridConfig, make_grid, make_station_grid, make_target
+from gradsense.grid import GridSpec, make_station_grid, make_target
 from gradsense.model import make_desk_model, make_truth
 from oracles import make_linear_model
 from gradsense import synth
@@ -9,8 +9,7 @@ from gradsense import synth
 
 @pytest.fixture(scope="session")
 def small_grid():
-    return make_grid(GridConfig(12, 16, 40.0, 52.0, 0.0, 16.0,
-                                variables=("t2m", "u10m", "msl")))
+    return GridSpec(12, 16, 40.0, 52.0, 0.0, 16.0, variables=("t2m", "u10m", "msl"))
 
 
 @pytest.fixture(scope="session")
@@ -23,15 +22,20 @@ def small_stations(small_grid):
     return make_station_grid(small_grid, 3)
 
 
-@pytest.fixture(scope="session")
-def small_data(small_grid):
-    fields, clim = synth.synth_fields(11, small_grid, 8, n_clim_draws=80)
+def _frozen(fields, clim):
+    """The session fixtures' (T, V, n_lat, n_lon) stack and climatology, read-only."""
+    fields.flags.writeable = clim.flags.writeable = False
     return fields, clim
 
 
 @pytest.fixture(scope="session")
+def small_data(small_grid):
+    return _frozen(*synth.synth_fields(11, small_grid, 8, n_clim_draws=80))
+
+
+@pytest.fixture(scope="session")
 def desk_grid():
-    return make_grid(GridConfig(36, 50))
+    return GridSpec(36, 50)
 
 
 @pytest.fixture(scope="session")
@@ -46,8 +50,7 @@ def desk_stations(desk_grid):
 
 @pytest.fixture(scope="session")
 def desk_data(desk_grid):
-    fields, clim = synth.synth_fields(7, desk_grid, 24, n_clim_draws=200)
-    return fields, clim
+    return _frozen(*synth.synth_fields(7, desk_grid, 24, n_clim_draws=200))
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,8 @@ None of this runs in a stage, the CLI or the README sketch:
     single-field calls, the maps the runner computes inline from a batch;
   * perturb_patch -- one station's perturbed field, the per-station oracle of
     the batched ablation.
+
+Fields are (V, n_lat, n_lon) float64 arrays, as in the engine.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ import numpy as np
 
 from gradsense.ablation import PerturbationSpec, _apply_mode, _patch
 from gradsense.attribution import _check_shapes
-from gradsense.grid import (Climatology, FieldTensor, GridSpec, StationGrid, TargetSpec,
-                            make_target)
+from gradsense.grid import GridSpec, StationGrid, TargetSpec, make_target
 from gradsense.model import DeskModel
 
 
@@ -59,9 +60,6 @@ class LinearModel:
             raise ValueError(f"shape mismatch: expected {self.grid.shape}, got {values.shape}")
         return float(np.vdot(self.weights, values))
 
-    def forward(self, field: FieldTensor) -> float:
-        return self.forward_values(field.values)
-
     def forward_many(self, batch: np.ndarray) -> np.ndarray:
         if batch.ndim != 4 or batch.shape[1:] != self.grid.shape:
             raise ValueError(f"expected (B,) + {self.grid.shape}, got {batch.shape}")
@@ -73,9 +71,6 @@ class LinearModel:
         if values.shape != self.grid.shape:
             raise ValueError(f"shape mismatch: expected {self.grid.shape}, got {values.shape}")
         return self.weights.copy()
-
-    def gradient(self, field: FieldTensor) -> np.ndarray:
-        return self.gradient_values(field.values)
 
     def gradient_many(self, batch: np.ndarray) -> np.ndarray:
         return np.broadcast_to(self.weights, batch.shape).copy()
@@ -118,26 +113,23 @@ def model_from_config(grid: GridSpec, cfg: dict):
     raise ValueError(f"unknown model kind {cfg['kind']!r}")
 
 
-def gradient_times_input(model, x: FieldTensor, baseline: np.ndarray) -> np.ndarray:
+def gradient_times_input(model, x: np.ndarray, baseline: np.ndarray) -> np.ndarray:
     """(x - baseline) times the gradient at x; exactly one backward pass."""
-    xv = x.values
-    _check_shapes(model, xv, baseline)
-    g = model.gradient_values(xv)
-    return (xv - baseline) * g
+    _check_shapes(model, x, baseline)
+    return (x - baseline) * model.gradient_values(x)
 
 
-def vanilla_gradient(model, x: FieldTensor) -> np.ndarray:
+def vanilla_gradient(model, x: np.ndarray) -> np.ndarray:
     """Raw input gradient at x, no input-relative scaling; one backward pass."""
-    xv = x.values
-    _check_shapes(model, xv)
-    return model.gradient_values(xv)
+    _check_shapes(model, x)
+    return model.gradient_values(x)
 
 
-def perturb_patch(x: FieldTensor, stations: StationGrid, station_id: int,
-                  spec: PerturbationSpec, clim: Climatology,
-                  var_std: np.ndarray | None = None) -> FieldTensor:
-    """Perturbed copy of x on the patch centred at one station's cell."""
-    region, mode, magnitude, entropy = _patch(stations, station_id, spec, x.timestamp)
-    vals = x.values.copy()
-    _apply_mode(vals, region, mode, magnitude, clim.values, var_std, entropy)
-    return FieldTensor(grid=x.grid, values=vals, timestamp=x.timestamp)
+def perturb_patch(x: np.ndarray, t: int, stations: StationGrid, station_id: int,
+                  spec: PerturbationSpec, clim: np.ndarray,
+                  var_std: np.ndarray | None = None) -> np.ndarray:
+    """Perturbed copy of field x at timestamp t on the patch centred at one station's cell."""
+    region, mode, magnitude, entropy = _patch(stations, station_id, spec, t)
+    vals = x.copy()
+    _apply_mode(vals, region, mode, magnitude, clim, var_std, entropy)
+    return vals

@@ -21,7 +21,7 @@ from scipy import stats as sps
 
 from gradsense import (ablation, attribution as attr, fieldio, gaming, incentive, metrics, runner,
                        synth)
-from gradsense.grid import FieldTensor, GridConfig, make_grid, make_station_grid, make_target
+from gradsense.grid import GridSpec, make_station_grid, make_target
 from gradsense.model import make_desk_model, make_truth
 from oracles import gradient_times_input, make_linear_model, perturb_patch, vanilla_gradient
 
@@ -56,7 +56,7 @@ def _rows(run, rel):
 
 def test_criterion_01_gradient_correctness(desk_grid, desk_target, desk_data, rng):
     fields, _ = desk_data
-    x = fields[0].values
+    x = fields[0]
     t0 = time.time()
     models = [make_desk_model(1, desk_grid, desk_target, depth=3),
               make_desk_model(4, desk_grid, desk_target, depth=1),
@@ -97,13 +97,13 @@ def test_criterion_01_gradient_correctness(desk_grid, desk_target, desk_data, rn
 def test_criterion_02_ig_axioms(desk_model, linear_model, desk_data):
     fields, clim = desk_data
     for f in fields[:5]:
-        ig = attr.integrated_gradients(desk_model, f.values, clim.values, 50)
-        delta = desk_model.forward(f) - desk_model.forward_values(clim.values)
+        ig = attr.integrated_gradients(desk_model, f, clim, 50)
+        delta = desk_model.forward_values(f) - desk_model.forward_values(clim)
         assert abs(ig.sum() - delta) <= 1e-3 * abs(delta) + 1e-9
-        igl = attr.integrated_gradients(linear_model, f.values, clim.values, 1)
-        delta_l = linear_model.forward(f) - linear_model.forward_values(clim.values)
+        igl = attr.integrated_gradients(linear_model, f, clim, 1)
+        delta_l = linear_model.forward_values(f) - linear_model.forward_values(clim)
         assert abs(igl.sum() - delta_l) <= 1e-12 * abs(delta_l)
-    zero = attr.integrated_gradients(desk_model, fields[0].values, fields[0].values, 50)
+    zero = attr.integrated_gradients(desk_model, fields[0], fields[0], 50)
     assert np.all(zero == 0.0)
     report(2, "signed-IG completeness holds (1e-3 desk at K=50, 1e-12 linear at K=1); "
               "input-at-baseline gives the zero map")
@@ -125,11 +125,11 @@ def test_criterion_04_method_identities(desk_model, linear_model, desk_data):
     fields, clim = desk_data
     for f in fields[:5]:
         vg = vanilla_gradient(desk_model, f)
-        gti = gradient_times_input(desk_model, f, clim.values)
-        assert np.array_equal(vg * (f.values - clim.values), gti)
-        gti_l = gradient_times_input(linear_model, f, clim.values)
+        gti = gradient_times_input(desk_model, f, clim)
+        assert np.array_equal(vg * (f - clim), gti)
+        gti_l = gradient_times_input(linear_model, f, clim)
         for steps in (1, 7):
-            ig_l = attr.integrated_gradients(linear_model, f.values, clim.values, steps)
+            ig_l = attr.integrated_gradients(linear_model, f, clim, steps)
             assert np.allclose(ig_l, gti_l, rtol=1e-12, atol=1e-15)
     report(4, "GTI = VG (x - baseline) exactly; IG = GTI on the linear model to 1e-12")
 
@@ -149,17 +149,16 @@ def test_criterion_05_scale_invariance(full_run, desk_model, desk_stations, desk
     vg_imp = attr.variable_importance(vanilla_gradient(desk_model, f))
     var = int(np.argmax(vg_imp))
     scaled = desk_model.with_rescaled_variable(var, 1000.0)
-    xs = f.values.copy(); xs[var] *= 1000.0
-    cs = clim.values.copy(); cs[var] *= 1000.0
-    fs = FieldTensor(grid=f.grid, values=xs, timestamp=f.timestamp)
-    gti0 = gradient_times_input(desk_model, f, clim.values)
-    gti1 = gradient_times_input(scaled, fs, cs)
+    xs = f.copy(); xs[var] *= 1000.0
+    cs = clim.copy(); cs[var] *= 1000.0
+    gti0 = gradient_times_input(desk_model, f, clim)
+    gti1 = gradient_times_input(scaled, xs, cs)
     scale = np.abs(gti0).max()
     assert np.abs(gti1 - gti0).max() <= 1e-9 * scale
     sel0 = metrics.topk_indices(attr.spatial_importance(gti0, desk_stations), 20)
     sel1 = metrics.topk_indices(attr.spatial_importance(gti1, desk_stations), 20)
     assert np.array_equal(sel0, sel1)
-    vg1 = vanilla_gradient(scaled, fs)
+    vg1 = vanilla_gradient(scaled, xs)
     rank0 = np.argsort(-vg_imp)
     rank1 = np.argsort(-attr.variable_importance(vg1))
     assert not np.array_equal(rank0, rank1)
@@ -310,7 +309,7 @@ def test_criterion_09_bootstrap_behaviour(rng):
     coverage = hits / 500
     assert abs(coverage - 0.95) <= 0.03
 
-    grid = make_grid(GridConfig(36, 50, variables=("a",)))
+    grid = GridSpec(36, 50, variables=("a",))
     st = make_station_grid(grid, 4)
     blocks = metrics.station_blocks(st, 2)
     draws = synth.sample_fields(777, grid, 120, slope=-2.2)
@@ -335,11 +334,11 @@ def test_criterion_10_linear_fidelity_oracle(desk_grid, desk_target, desk_statio
     truth = make_truth(lm, 31, noise_std=0.0, weight_jitter=0.0)
     spec = ablation.PerturbationSpec(mode="mean_replace", patch=1)
     imps, utils = [], []
-    for f in fields[:20]:
-        gti = gradient_times_input(lm, f, clim.values)
+    for t, f in enumerate(fields[:20]):
+        gti = gradient_times_input(lm, f, clim)
         imps.append(attr.spatial_importance(gti, desk_stations))
-        utils.append(np.abs(ablation.spatial_utility(lm, f, truth.verify(f), desk_stations,
-                                                     spec, clim)))
+        utils.append(np.abs(ablation.spatial_utility(lm, f, t, truth.verify(f, t),
+                                                     desk_stations, spec, clim)))
     rho = metrics.spearman(np.asarray(imps, dtype=np.float64).mean(axis=0),
                            np.asarray(utils, dtype=np.float64).mean(axis=0)).rho
     assert rho >= 0.95
@@ -375,7 +374,7 @@ def test_criterion_11_gaming_suite(full_run, desk_model, desk_truth, desk_data,
     # null scenarios: exact identity
     null = gaming.AttackScenario("null", "inflate", (60,), 0.0, "all_surface",
                                  tuple(range(6)), "uniform")
-    y_star = np.array([desk_truth.verify(f) for f in fields])
+    y_star = np.array([desk_truth.verify(x, t) for t, x in enumerate(fields)])
     run = gaming.run_gaming_experiment(desk_model, y_star, fields, clim, desk_stations, [null])
     assert run.inflation_ratio[0] == 1.0 and run.mae_change[0] == 0.0
 
@@ -463,17 +462,17 @@ def test_criterion_12_subadditivity(full_run, linear_model, desk_data, desk_stat
     truth = make_truth(linear_model, 9, noise_std=0.0, weight_jitter=0.05)
     spec = ablation.PerturbationSpec(mode="mean_replace", patch=1)
     x = fields[0]
-    y_star = truth.verify(x)
-    base_pred = linear_model.forward(x)
+    y_star = truth.verify(x, 0)
+    base_pred = linear_model.forward_values(x)
     sign = np.sign(base_pred - y_star)
     chosen = []
     for g in range(desk_stations.n_stations):
-        pert = perturb_patch(x, desk_stations, g, spec, clim)
-        if sign * (linear_model.forward(pert) - base_pred) > 0:
+        pert = perturb_patch(x, 0, desk_stations, g, spec, clim)
+        if sign * (linear_model.forward_values(pert) - base_pred) > 0:
             chosen.append(g)
         if len(chosen) == 5:
             break
-    res = ablation.joint_ablation(linear_model, x, y_star, desk_stations, chosen,
+    res = ablation.joint_ablation(linear_model, x, 0, y_star, desk_stations, chosen,
                                   spec, clim)
     assert res.ratio_defined
     assert res.ratio == pytest.approx(1.0, abs=1e-9)

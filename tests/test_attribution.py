@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from gradsense import attribution as attr
-from gradsense.grid import FieldTensor
 from oracles import gradient_times_input, vanilla_gradient
 
 
@@ -28,15 +27,15 @@ class CountingModel:
 class TestIntegratedGradients:
     def test_linear_exact_any_steps(self, linear_model, desk_data):
         fields, clim = desk_data
-        expected = (fields[0].values - clim.values) * linear_model.weights
+        expected = (fields[0] - clim) * linear_model.weights
         for k in (1, 3, 50):
-            ig = attr.integrated_gradients(linear_model, fields[0].values, clim.values, k)
+            ig = attr.integrated_gradients(linear_model, fields[0], clim, k)
             assert np.allclose(ig, expected, rtol=1e-12, atol=1e-15)
 
     def test_input_equals_baseline_zero_map(self, desk_model, desk_data):
         fields, _ = desk_data
         x = fields[0]
-        ig = attr.integrated_gradients(desk_model, x.values, x.values, 8)
+        ig = attr.integrated_gradients(desk_model, x, x, 8)
         assert np.all(ig == 0.0)
 
     @pytest.mark.parametrize("model_fixture", ["desk_model", "desk_model_d1"])
@@ -44,14 +43,14 @@ class TestIntegratedGradients:
         model = request.getfixturevalue(model_fixture)
         fields, clim = desk_data
         for f in fields[:3]:
-            ig = attr.integrated_gradients(model, f.values, clim.values, 50)
-            delta = model.forward(f) - model.forward_values(clim.values)
+            ig = attr.integrated_gradients(model, f, clim, 50)
+            delta = model.forward_values(f) - model.forward_values(clim)
             assert abs(ig.sum() - delta) <= 1e-3 * abs(delta) + 1e-9
 
     def test_gradient_eval_count(self, desk_model, desk_data):
         fields, clim = desk_data
         counting = CountingModel(desk_model)
-        attr.integrated_gradients(counting, fields[0].values, clim.values, 12)
+        attr.integrated_gradients(counting, fields[0], clim, 12)
         assert counting.gradient_evals == 13
 
     @pytest.mark.parametrize("model_fixture", ["desk_model", "desk_model_d1"])
@@ -60,33 +59,32 @@ class TestIntegratedGradients:
         model = request.getfixturevalue(model_fixture)
         fields, clim = desk_data
         x = fields[3]
-        paths = [(clim.values, 1), (clim.values, 8), (np.zeros_like(x.values), 4),
-                 (fields[2].values, 3)]
+        paths = [(clim, 1), (clim, 8), (np.zeros_like(x), 4), (fields[2], 3)]
         counting = CountingModel(model)
-        maps, grad_end = attr.integrated_gradients_paths(counting, x.values, paths)
+        maps, grad_end = attr.integrated_gradients_paths(counting, x, paths)
         assert counting.gradient_evals == 2 + 9 + 5 + 4
         for (base, steps), values in zip(paths, maps):
-            single = attr.integrated_gradients(model, x.values, base, steps)
+            single = attr.integrated_gradients(model, x, base, steps)
             assert np.array_equal(values, single)
-        end_node = clim.values + (x.values - clim.values)
+        end_node = clim + (x - clim)
         assert np.array_equal(grad_end, model.gradient_values(end_node))
 
     def test_invalid_steps(self, desk_model, desk_data):
         fields, clim = desk_data
         with pytest.raises(ValueError):
-            attr.integrated_gradients(desk_model, fields[0].values, clim.values, 0)
+            attr.integrated_gradients(desk_model, fields[0], clim, 0)
 
     def test_shape_mismatch(self, desk_model, desk_data):
         fields, clim = desk_data
         with pytest.raises(ValueError):
-            attr.integrated_gradients(desk_model, fields[0].values, clim.values[:, :-1, :], 4)
+            attr.integrated_gradients(desk_model, fields[0], clim[:, :-1, :], 4)
 
     def test_quadrature_error_shrinks_with_steps(self, desk_model, desk_data):
         fields, clim = desk_data
-        ref = attr.integrated_gradients(desk_model, fields[0].values, clim.values, 200)
+        ref = attr.integrated_gradients(desk_model, fields[0], clim, 200)
         diffs = []
         for k in (2, 4, 8, 16, 32):
-            ig = attr.integrated_gradients(desk_model, fields[0].values, clim.values, k)
+            ig = attr.integrated_gradients(desk_model, fields[0], clim, k)
             diffs.append(np.abs(ig - ref).mean())
         assert all(diffs[i + 1] <= diffs[i] for i in range(len(diffs) - 1))
 
@@ -94,27 +92,27 @@ class TestIntegratedGradients:
 class TestGtiVg:
     def test_gti_equals_ig_on_linear(self, linear_model, desk_data):
         fields, clim = desk_data
-        gti = gradient_times_input(linear_model, fields[0], clim.values)
-        ig = attr.integrated_gradients(linear_model, fields[0].values, clim.values, 1)
+        gti = gradient_times_input(linear_model, fields[0], clim)
+        ig = attr.integrated_gradients(linear_model, fields[0], clim, 1)
         assert np.allclose(gti, ig, rtol=1e-12, atol=1e-15)
 
     def test_gti_zero_at_baseline(self, desk_model, desk_data):
         fields, _ = desk_data
-        gti = gradient_times_input(desk_model, fields[0], fields[0].values)
+        gti = gradient_times_input(desk_model, fields[0], fields[0])
         assert np.all(gti == 0.0)
 
     def test_gti_is_single_node_quadrature_at_input(self, desk_model, desk_data):
         # right-endpoint one-node path rule, evaluated independently
         fields, clim = desk_data
         x = fields[0]
-        gti = gradient_times_input(desk_model, x, clim.values)
-        single = (x.values - clim.values) * desk_model.gradient_values(x.values)
+        gti = gradient_times_input(desk_model, x, clim)
+        single = (x - clim) * desk_model.gradient_values(x)
         assert np.array_equal(gti, single)
 
     def test_gti_costs_one_gradient(self, desk_model, desk_data):
         fields, clim = desk_data
         counting = CountingModel(desk_model)
-        gradient_times_input(counting, fields[0], clim.values)
+        gradient_times_input(counting, fields[0], clim)
         assert counting.gradient_evals == 1
 
     def test_vg_weight_field_on_linear(self, linear_model, desk_data):
@@ -125,8 +123,8 @@ class TestGtiVg:
     def test_vg_times_diff_equals_gti(self, desk_model, desk_data):
         fields, clim = desk_data
         vg = vanilla_gradient(desk_model, fields[0])
-        gti = gradient_times_input(desk_model, fields[0], clim.values)
-        assert np.array_equal(vg * (fields[0].values - clim.values), gti)
+        gti = gradient_times_input(desk_model, fields[0], clim)
+        assert np.array_equal(vg * (fields[0] - clim), gti)
 
     def test_vg_differs_across_inputs_on_desk(self, desk_model, desk_data):
         fields, _ = desk_data
@@ -141,17 +139,16 @@ class TestScaleInvariance:
         x = fields[0]
         var, c = 1, 1000.0
         scaled_model = linear_model.with_rescaled_variable(var, c)
-        xs = x.values.copy(); xs[var] *= c
-        cs = clim.values.copy(); cs[var] *= c
-        xf = FieldTensor(grid=x.grid, values=xs, timestamp=x.timestamp)
-        ig0 = attr.integrated_gradients(linear_model, x.values, clim.values, 4)
-        ig1 = attr.integrated_gradients(scaled_model, xf.values, cs, 4)
+        xs = x.copy(); xs[var] *= c
+        cs = clim.copy(); cs[var] *= c
+        ig0 = attr.integrated_gradients(linear_model, x, clim, 4)
+        ig1 = attr.integrated_gradients(scaled_model, xs, cs, 4)
         assert np.allclose(ig0, ig1, rtol=1e-12, atol=1e-15)
-        gti0 = gradient_times_input(linear_model, x, clim.values)
-        gti1 = gradient_times_input(scaled_model, xf, cs)
+        gti0 = gradient_times_input(linear_model, x, clim)
+        gti1 = gradient_times_input(scaled_model, xs, cs)
         assert np.allclose(gti0, gti1, rtol=1e-12, atol=1e-15)
         vg0 = vanilla_gradient(linear_model, x)
-        vg1 = vanilla_gradient(scaled_model, xf)
+        vg1 = vanilla_gradient(scaled_model, xs)
         assert np.allclose(vg1[var] * c, vg0[var], rtol=1e-12)
         assert not np.allclose(vg0[var], vg1[var])
 
@@ -159,7 +156,7 @@ class TestScaleInvariance:
 class TestBaselines:
     def test_persistence_returns_previous(self, desk_data):
         fields, _ = desk_data
-        assert np.array_equal(attr.persistence_baseline(fields, 5), fields[4].values)
+        assert np.array_equal(attr.persistence_baseline(fields, 5), fields[4])
 
     def test_persistence_t0_error(self, desk_data):
         fields, _ = desk_data
@@ -168,17 +165,16 @@ class TestBaselines:
 
     def test_identical_consecutive_fields_zero_map(self, desk_model, desk_data):
         fields, _ = desk_data
-        dup = FieldTensor(grid=fields[0].grid, values=fields[0].values, timestamp=1)
-        seq = [fields[0], dup]
+        seq = np.stack([fields[0], fields[0]])
         base = attr.persistence_baseline(seq, 1)
-        ig = attr.integrated_gradients(desk_model, dup.values, base, 8)
+        ig = attr.integrated_gradients(desk_model, seq[1], base, 8)
         assert np.all(ig == 0.0)
 
 
 class TestAggregation:
     def test_variable_importance_zero_map(self, desk_data, desk_model):
         fields, _ = desk_data
-        ig = attr.integrated_gradients(desk_model, fields[0].values, fields[0].values, 2)
+        ig = attr.integrated_gradients(desk_model, fields[0], fields[0], 2)
         assert np.all(attr.variable_importance(ig) == 0.0)
 
     def test_variable_importance_single_entry(self, small_grid):
@@ -210,10 +206,10 @@ class TestAggregation:
         fields, clim = desk_data
         li, lj = desk_stations.lat_idx, desk_stations.lon_idx
         for model in (desk_model, desk_model_d1):
-            paths = [(clim.values, 8), (np.zeros(clim.values.shape), 8), (fields[2].values, 1)]
-            ig, _ = attr.integrated_gradients_paths(model, fields[3].values, paths)
-            stack = np.stack([f.values for f in fields[:10]])
-            gti = (stack - clim.values[None]) * model.gradient_many(stack)
+            paths = [(clim, 8), (np.zeros(clim.shape), 8), (fields[2], 1)]
+            ig, _ = attr.integrated_gradients_paths(model, fields[3], paths)
+            stack = fields[:10]
+            gti = (stack - clim[None]) * model.gradient_many(stack)
             for batch in (np.stack(ig), gti, gti.reshape((2, 5) + gti.shape[1:])):
                 maps = batch.reshape((-1,) + batch.shape[-3:])
                 var_imp = attr.variable_importance(batch).reshape(len(maps), -1)

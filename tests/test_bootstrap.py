@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gradsense import metrics, synth
-from gradsense.grid import GridConfig, make_grid, make_station_grid
+from gradsense.grid import GridSpec, make_station_grid
 
 
 def mean_stat(values, counts):
@@ -129,7 +129,7 @@ class TestIidIsSingletonBlocks:
 
 class TestStationBlocks:
     def test_partition_2x2(self):
-        grid = make_grid(GridConfig(36, 50))
+        grid = GridSpec(36, 50)
         st = make_station_grid(grid, 4)  # 9 x 13 station lattice
         blocks = metrics.station_blocks(st, 2)
         assert len(blocks) == 35  # ceil(9/2) * ceil(13/2)
@@ -165,7 +165,7 @@ class TestBlockBootstrap:
                                             metrics.paired_spearman, 1000)
 
     def test_correlated_data_wider_block_ci(self):
-        grid = make_grid(GridConfig(36, 50, variables=("a",)))
+        grid = GridSpec(36, 50, variables=("a",))
         st = make_station_grid(grid, 4)
         blocks = metrics.station_blocks(st, 2)
         wider = 0

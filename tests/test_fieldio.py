@@ -2,19 +2,19 @@ import numpy as np
 import pytest
 
 from gradsense import fieldio
-from gradsense.grid import FieldTensor
 
 
 class TestBinaryRoundTrip:
     def test_field(self, small_grid, rng, tmp_path):
-        f = FieldTensor(grid=small_grid, values=rng.normal(size=small_grid.shape),
-                        timestamp=17)
+        values = rng.normal(size=small_grid.shape)
         path = tmp_path / "f.bin"
-        fieldio.save_field(path, f)
-        loaded = fieldio.load_field(path)
-        assert loaded.timestamp == 17
-        assert loaded.grid == small_grid
-        assert np.array_equal(loaded.values, f.values)
+        fieldio.save_field(path, small_grid, values, 17)
+        grid, loaded, timestamp = fieldio.load_field(path)
+        assert timestamp == 17
+        assert grid == small_grid
+        assert loaded.dtype == np.float64 and np.array_equal(loaded, values)
+        with pytest.raises(ValueError, match="shape"):
+            fieldio.save_field(path, small_grid, values[:, :-1], 17)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.bin"

@@ -19,20 +19,27 @@ def scenario(attackers, kind="inflate", pct=50.0, scope_vars=(0, 1, 2, 3, 4, 5),
 
 def truth_values(truth, fields):
     """The (T,) truth values `run_gaming_experiment` takes, one per field."""
-    return np.array([truth.verify(f) for f in fields])
+    return np.array([truth.verify(x, t) for t, x in enumerate(fields)])
+
+
+def attacked(x, sc, clim, stations):
+    """A copy of field x under scenario sc."""
+    out = x.copy()
+    gaming._attack_in_place(out, sc, clim, stations)
+    return out
 
 
 def oracle_attack(values, sc, clim, stations):
-    """The per-cell loop `apply_attack` ran before it was vectorised."""
+    """The per-cell loop the attack ran before it was vectorised."""
     vals = values.copy()
     sv = list(sc.scope_variables)
     for g in sc.attackers:
         i, j = stations.cell(g)
         if sc.kind == "inflate":
             factor = 1.0 + sc.magnitude_pct / 100.0
-            vals[sv, i, j] = clim.values[sv, i, j] + factor * (vals[sv, i, j] - clim.values[sv, i, j])
+            vals[sv, i, j] = clim[sv, i, j] + factor * (vals[sv, i, j] - clim[sv, i, j])
         else:
-            vals[sv, i, j] = clim.values[sv, i, j]
+            vals[sv, i, j] = clim[sv, i, j]
     return vals
 
 
@@ -51,8 +58,8 @@ class TestApplyAttack:
     def test_sparsity_exact(self, desk_data, desk_stations):
         fields, clim = desk_data
         sc = scenario([10, 40], scope_vars=(0, 2))
-        out = gaming.apply_attack(fields[0], sc, clim, desk_stations)
-        changed = np.nonzero(out.values != fields[0].values)
+        out = attacked(fields[0], sc, clim, desk_stations)
+        changed = np.nonzero(out != fields[0])
         cells = set(zip(changed[1].tolist(), changed[2].tolist()))
         assert cells <= {desk_stations.cell(10), desk_stations.cell(40)}
         assert set(changed[0].tolist()) <= {0, 2}
@@ -60,44 +67,39 @@ class TestApplyAttack:
     def test_zero_pct_identity(self, desk_data, desk_stations):
         fields, clim = desk_data
         sc = scenario([40], pct=0.0)
-        out = gaming.apply_attack(fields[0], sc, clim, desk_stations)
-        assert np.array_equal(out.values, fields[0].values)
+        out = attacked(fields[0], sc, clim, desk_stations)
+        assert np.array_equal(out, fields[0])
 
     def test_spoof_identity_on_climatology(self, desk_data, desk_stations):
         _, clim = desk_data
-        from gradsense.grid import FieldTensor
-        x = FieldTensor(grid=clim.grid, values=clim.values, timestamp=0)
         sc = scenario([40], kind="spoof", pct=0.0)
-        out = gaming.apply_attack(x, sc, clim, desk_stations)
-        assert np.array_equal(out.values, x.values)
+        assert np.array_equal(attacked(clim, sc, clim, desk_stations), clim)
 
     def test_inflation_factor_exact(self, desk_data, desk_stations):
         fields, clim = desk_data
         sc = scenario([40], pct=50.0, scope_vars=(1,))
-        out = gaming.apply_attack(fields[0], sc, clim, desk_stations)
+        out = attacked(fields[0], sc, clim, desk_stations)
         i, j = desk_stations.cell(40)
-        old = fields[0].values[1, i, j] - clim.values[1, i, j]
-        new = out.values[1, i, j] - clim.values[1, i, j]
+        old = fields[0][1, i, j] - clim[1, i, j]
+        new = out[1, i, j] - clim[1, i, j]
         assert new == pytest.approx(1.5 * old, rel=1e-12)
-        diff = np.sum(out.values != fields[0].values)
+        diff = np.sum(out != fields[0])
         assert diff == 1
 
     def test_matches_per_cell_loop(self, desk_data, desk_stations, desk_target):
         fields, clim = desk_data
         for sc in oracle_scenarios(desk_stations, desk_target):
             for f in fields[:3]:
-                out = gaming.apply_attack(f, sc, clim, desk_stations)
-                assert np.array_equal(out.values, oracle_attack(f.values, sc, clim,
-                                                                desk_stations)), sc
+                out = attacked(f, sc, clim, desk_stations)
+                assert np.array_equal(out, oracle_attack(f, sc, clim, desk_stations)), sc
 
     def test_invalid_inputs_rejected(self, desk_data, desk_stations):
         fields, clim = desk_data
         with pytest.raises(ValueError, match="scope variable"):
-            gaming.apply_attack(fields[0], scenario([3], scope_vars=(0, 6)), clim,
-                                desk_stations)
+            attacked(fields[0], scenario([3], scope_vars=(0, 6)), clim, desk_stations)
         for bad in (-1, desk_stations.n_stations):  # -1 would wrap to the last station
             with pytest.raises(IndexError, match="station id"):
-                gaming.apply_attack(fields[0], scenario([3, bad]), clim, desk_stations)
+                attacked(fields[0], scenario([3, bad]), clim, desk_stations)
 
     def test_scope_resolution(self, desk_grid, desk_target):
         assert gaming.resolve_scope("single_target_var", desk_grid.variables,
@@ -183,9 +185,8 @@ class TestExperiment:
         fields, clim = desk_data
         scs = oracle_scenarios(desk_stations, desk_target)
         for model in (desk_model, desk_model_d1):
-            base_uns, base_preds = gaming._period_scores(
-                model, np.stack([f.values for f in fields]), clim, desk_stations)
-            y_star = np.array([desk_truth.verify(f) for f in fields])
+            base_uns, base_preds = gaming._period_scores(model, fields, clim, desk_stations)
+            y_star = truth_values(desk_truth, fields)
             run = gaming.run_gaming_experiment(model, y_star, fields, clim,
                                                desk_stations, scs)
             assert np.array_equal(run.baseline, base_uns)
@@ -195,7 +196,7 @@ class TestExperiment:
                     assert np.array_equal(run.attack[i], base_uns)
                     continue
                 n_reached += 1
-                stack = np.stack([oracle_attack(f.values, sc, clim, desk_stations)
+                stack = np.stack([oracle_attack(f, sc, clim, desk_stations)
                                   for f in fields])
                 atk_uns, atk_preds = gaming._period_scores(model, stack, clim, desk_stations)
                 assert np.array_equal(run.attack[i], atk_uns), sc

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from gradsense.grid import FieldTensor, GridConfig, make_grid, make_target
+from gradsense.grid import GridSpec, make_target
 from gradsense import synth
-from gradsense.model import _TRUTH_STREAM, MAX_DEPTH, _conv, make_desk_model, make_truth
+from gradsense.model import (_NOISE_STREAM, _TRUTH_STREAM, MAX_DEPTH, _conv, make_desk_model,
+                             make_truth)
 from gradsense import ablation
 from oracles import model_from_config
 
@@ -61,7 +62,7 @@ def same_padding_chain(model, batch):
 
 @pytest.fixture(scope="module")
 def tiny_setup():
-    grid = make_grid(GridConfig(8, 10, 40.0, 48.0, 0.0, 10.0, variables=("t2m", "u10m")))
+    grid = GridSpec(8, 10, 40.0, 48.0, 0.0, 10.0, variables=("t2m", "u10m"))
     target = make_target(grid, "mid", 44.1, 5.2, "t2m")
     fields, clim = synth.synth_fields(5, grid, 4, n_clim_draws=30)
     return grid, target, fields, clim
@@ -78,7 +79,7 @@ class TestDeskModel:
         grid, target, fields, _ = tiny_setup
         m = make_desk_model(3, grid, target, depth=2)
         for f in fields[:2]:
-            assert m.forward(f) == pytest.approx(naive_stencil_forward(m, f.values),
+            assert m.forward_values(f) == pytest.approx(naive_stencil_forward(m, f),
                                                  rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("radius", [1, 2])
@@ -87,7 +88,7 @@ class TestDeskModel:
         # targets in the interior, on each edge and in a corner, where the
         # cone's off-grid cells must act as the grid edge's zero padding
         fields, _ = small_data
-        batch = np.stack([f.values for f in fields[:3]])
+        batch = fields[:3]
         n_lat, n_lon = small_grid.n_lat, small_grid.n_lon
         cells = {"interior": (6, 8), "south": (0, 8), "north": (n_lat - 1, 8),
                  "west": (6, 0), "east": (6, n_lon - 1), "corner": (n_lat - 1, 0)}
@@ -109,24 +110,39 @@ class TestDeskModel:
         b = make_desk_model(1, grid, target, depth=3)
         c = make_desk_model(2, grid, target, depth=3)
         x = fields[0]
-        assert a.forward(x) == b.forward(x)
-        assert a.forward(x) != c.forward(x)
+        assert a.forward_values(x) == b.forward_values(x)
+        assert a.forward_values(x) != c.forward_values(x)
 
     def test_forward_finite_and_pure(self, desk_model, desk_data):
         fields, _ = desk_data
         x = fields[0]
-        before = x.values.copy()
-        p1 = desk_model.forward(x)
-        p2 = desk_model.forward(x)
+        before = x.copy()
+        p1 = desk_model.forward_values(x)
+        p2 = desk_model.forward_values(x)
         assert np.isfinite(p1) and p1 == p2
-        assert np.array_equal(x.values, before)
+        assert np.array_equal(x, before)
 
     def test_shape_mismatch(self, desk_model, small_grid):
-        f = FieldTensor(grid=small_grid, values=np.zeros(small_grid.shape))
-        with pytest.raises(ValueError):
-            desk_model.forward(f)
-        with pytest.raises(ValueError):
-            desk_model.gradient(f)
+        bad = np.zeros(small_grid.shape)  # a field of another grid
+        with pytest.raises(ValueError, match="shape mismatch"):
+            desk_model.forward_values(bad)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            desk_model.gradient_values(bad)
+
+    def test_shape_validation(self, desk_model, small_grid):
+        # a bare layer and a one-row batch both miss (V, n_lat, n_lon)
+        shape = desk_model.grid.shape
+        for bad in (np.zeros(shape[1:]), np.zeros((1,) + shape)):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                desk_model.forward_values(bad)
+            with pytest.raises(ValueError, match="shape mismatch"):
+                desk_model.gradient_values(bad)
+        # the batched entry points want (B,) + (V, n_lat, n_lon)
+        for bad in (np.zeros(shape), np.zeros((1,) + small_grid.shape)):
+            with pytest.raises(ValueError, match="expected"):
+                desk_model.forward_many(bad)
+            with pytest.raises(ValueError, match="expected"):
+                desk_model.gradient_many(bad)
 
     def test_activation_scale_in_smooth_region(self, desk_grid, desk_target):
         m = make_desk_model(9, desk_grid, desk_target, depth=3)
@@ -140,7 +156,7 @@ class TestDeskModel:
 
     def test_gradient_finite_difference(self, desk_model, desk_data, rng):
         fields, _ = desk_data
-        x = fields[0].values
+        x = fields[0]
         g = desk_model.gradient_values(x)
         rw, cw = desk_model.influence_window()
         shape = desk_model.grid.shape
@@ -159,7 +175,7 @@ class TestDeskModel:
 
     def test_gradient_zero_outside_window(self, desk_model, desk_data):
         fields, _ = desk_data
-        g = desk_model.gradient(fields[0])
+        g = desk_model.gradient_values(fields[0])
         rw, cw = desk_model.influence_window()
         mask = np.ones_like(g, dtype=bool)
         mask[:, rw, cw] = False
@@ -169,11 +185,11 @@ class TestDeskModel:
         fields, _ = desk_data
         silent = desk_model._with_weights([w.copy() for w in desk_model.layers],
                                           np.zeros_like(desk_model.readout))
-        assert np.all(silent.gradient(fields[0]) == 0.0)
+        assert np.all(silent.gradient_values(fields[0]) == 0.0)
 
     def test_batch_consistency(self, desk_model, desk_model_d1, desk_data):
         fields, _ = desk_data
-        period = np.stack([f.values for f in fields])
+        period = fields
         assert len(period) == 24
         for model in (desk_model, desk_model_d1):
             singles_p = [model.forward_values(x) for x in period]
@@ -189,7 +205,7 @@ class TestDeskModel:
         grid, target, fields, _ = tiny_setup
         for depth in (2, 3):
             m = make_desk_model(6, grid, target, depth=depth)
-            x, y = fields[0].values, fields[1].values
+            x, y = fields[0], fields[1]
             lhs = m.forward_values(x + y)
             rhs = m.forward_values(x) + m.forward_values(y)
             assert abs(lhs - rhs) > 1e-6 * max(1.0, abs(lhs))
@@ -197,12 +213,13 @@ class TestDeskModel:
     def test_config_roundtrip(self, desk_model, desk_grid, desk_data):
         fields, _ = desk_data
         clone = model_from_config(desk_grid, desk_model.to_config())
-        assert clone.forward(fields[0]) == desk_model.forward(fields[0])
-        assert np.array_equal(clone.gradient(fields[1]), desk_model.gradient(fields[1]))
+        assert clone.forward_values(fields[0]) == desk_model.forward_values(fields[0])
+        assert np.array_equal(clone.gradient_values(fields[1]),
+                              desk_model.gradient_values(fields[1]))
 
     def test_rescaled_variable_units(self, desk_model, desk_data):
         fields, _ = desk_data
-        x = fields[0].values
+        x = fields[0]
         scaled = desk_model.with_rescaled_variable(2, 1000.0)
         xs = x.copy()
         xs[2] *= 1000.0
@@ -219,27 +236,27 @@ class TestLinearModel:
 
     def test_additivity(self, linear_model, desk_data):
         fields, _ = desk_data
-        x, y = fields[0].values, fields[1].values
+        x, y = fields[0], fields[1]
         lhs = linear_model.forward_values(x + y)
         rhs = linear_model.forward_values(x) + linear_model.forward_values(y)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_gradient_is_weight_field(self, linear_model, desk_data):
         fields, _ = desk_data
-        g1 = linear_model.gradient(fields[0])
-        g2 = linear_model.gradient(fields[1])
+        g1 = linear_model.gradient_values(fields[0])
+        g2 = linear_model.gradient_values(fields[1])
         assert np.array_equal(g1, linear_model.weights)
         assert np.array_equal(g1, g2)
 
     def test_forward_dot_product_oracle(self, linear_model, desk_data):
         fields, clim = desk_data
         # direct elementwise dot-product oracle on the climatology input
-        expected = float(np.sum(linear_model.weights * clim.values))
-        assert linear_model.forward_values(clim.values) == pytest.approx(expected, rel=1e-12)
+        expected = float(np.sum(linear_model.weights * clim))
+        assert linear_model.forward_values(clim) == pytest.approx(expected, rel=1e-12)
 
     def test_batch_consistency(self, linear_model, desk_data):
         fields, _ = desk_data
-        period = np.stack([f.values for f in fields])
+        period = fields
         for size in (1, 5, 24):
             preds = linear_model.forward_many(period[:size])
             grads = linear_model.gradient_many(period[:size])
@@ -257,10 +274,10 @@ class TestTruth:
         fields, clim = desk_data
         truth = make_truth(desk_model, 5, noise_std=0.0, weight_jitter=0.0)
         x = fields[0]
-        assert truth.verify(x) == desk_model.forward(x)
-        u = ablation.global_ablation(desk_model, x, truth.verify(x), clim)
+        assert truth.verify(x, 0) == desk_model.forward_values(x)
+        u = ablation.global_ablation(desk_model, x, truth.verify(x, 0), clim)
         spec = ablation.PerturbationSpec(mode="mean_replace", patch=1)
-        s = ablation.spatial_utility(desk_model, x, truth.verify(x), desk_stations,
+        s = ablation.spatial_utility(desk_model, x, 0, truth.verify(x, 0), desk_stations,
                                      spec, clim)
         # full-field forecast has zero error, so every ablation can only hurt
         assert np.all(u >= 0.0)
@@ -270,12 +287,25 @@ class TestTruth:
         fields, _ = desk_data
         t1 = make_truth(desk_model, 5, noise_std=0.5)
         t2 = make_truth(desk_model, 5, noise_std=0.5)
-        assert [t1.verify(f) for f in fields[:4]] == [t2.verify(f) for f in fields[:4]]
+        assert ([t1.verify(x, t) for t, x in enumerate(fields[:4])]
+                == [t2.verify(x, t) for t, x in enumerate(fields[:4])])
+
+    def test_noise_stream_is_keyed_by_seed_and_timestamp(self, desk_model, desk_data):
+        # the noise of timestamp t is one normal draw from (seed, _NOISE_STREAM, t),
+        # whatever field it is added to
+        fields, _ = desk_data
+        seed, noise_std = 5, 0.5
+        truth = make_truth(desk_model, seed, noise_std=noise_std)
+        for t in (0, 3, 17):
+            rng = np.random.default_rng(np.random.SeedSequence((seed, _NOISE_STREAM, t)))
+            expected = truth.model.forward_values(fields[1]) + rng.normal(0.0, noise_std)
+            assert truth.verify(fields[1], t) == expected
 
     def test_jitter_creates_error(self, desk_model, desk_data):
         fields, _ = desk_data
         truth = make_truth(desk_model, 5, noise_std=0.0, weight_jitter=0.05)
-        errs = [abs(desk_model.forward(f) - truth.verify(f)) for f in fields]
+        errs = [abs(desk_model.forward_values(x) - truth.verify(x, t))
+                for t, x in enumerate(fields)]
         assert np.mean(errs) > 0.0
 
     def test_jitter_draw_order(self, desk_model):

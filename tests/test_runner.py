@@ -17,7 +17,7 @@ import pytest
 import yaml
 
 from gradsense import cli, fieldio, gaming, metrics, runner
-from gradsense.model import TruthGenerator
+from gradsense.model import DeskModel, TruthGenerator
 
 
 def tiny_config(out_dir, **overrides) -> runner.ExperimentConfig:
@@ -502,6 +502,15 @@ class TestRunFull:
         def shown(text, value):  # the report prints 3 decimals
             return text == "nan" if math.isnan(value) else abs(float(text) - value) <= 5e-4
 
+        methods = table("methods_summary")
+        header, body = section("Attribution methods")
+        topcol = header[-1]  # the mean_top{k} column of the largest k
+        assert [row[0] for row in body] == [r["method"] for r in methods]
+        for (_, rho, agg, wilcoxon, top), r in zip(body, methods):
+            assert shown(rho, float(r["mean_rho"]))
+            assert agg == f"{r['agg_sig']}/{r['n_configs']}"
+            assert wilcoxon == f"{r['wilcoxon_sig']}/{r['n_configs']}"
+            assert abs(float(top) - float(r[topcol])) <= 5e-3  # printed with 2 decimals
         selection = table("selection")
         header, body = section("Captured utility by strategy")
         strategies = header[1:-1]
@@ -522,6 +531,12 @@ class TestRunFull:
         d7 = [row for row in body if row[2] == "d7"]
         assert d7 and all(row[4] == "-" for row in d7)
         assert all(row[4] != "-" for row in body if row[2] != "d7")
+        spatial = [r["converge_n"] for r in table("convergence") if r["scope"] == "spatial"]
+        ns = [int(n) for n in spatial if n != "never"]
+        line = re.search(r"^- spatial convergence: median N = (\d+) \((\d+) configurations "
+                         r"never reach significance\)$", report, re.M)
+        assert ns and int(line.group(1)) == int(statistics.median(ns))
+        assert int(line.group(2)) == spatial.count("never")
 
     def test_intermediate_stores_layout(self, tiny_run):
         _, out, manifest = tiny_run
@@ -701,9 +716,9 @@ class TestRunFull:
         verify, build = TruthGenerator.verify, runner.build_scenarios
         n_verify, built = [0], []
 
-        def counting_verify(self, field):
+        def counting_verify(self, x, t):
             n_verify[0] += 1
-            return verify(self, field)
+            return verify(self, x, t)
 
         def counting_build(state, cid):
             built.append(cid)
@@ -812,6 +827,47 @@ class TestAgreement:
         util[5] = -0.0  # constant utility row
         ag = self._check(imp, util, ks)
         assert ag.cycle_rho.size == imp.shape[0] - 2
+
+
+class TestFieldData:
+    """Fields enter a run in `RunState.ensure_data`, which checks and freezes them."""
+
+    def test_fields_read_only_fresh_and_resumed(self, tiny_run, tmp_path):
+        cfg, _, _ = tiny_run
+        fresh = runner.RunState(replace(cfg, out_dir=str(tmp_path / "fresh")))
+        resumed = runner.RunState(cfg)  # over the tiny run's data store
+        for state in (fresh, resumed):
+            state.ensure_data()
+            assert state.fields.shape == (cfg.n_timestamps,) + state.grid.shape
+            assert state.clim.shape == state.grid.shape
+            for arr in (state.fields, state.clim):
+                assert arr.dtype == np.float64
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0, 0, 0] = 1.0
+        assert np.array_equal(fresh.fields, resumed.fields)
+        assert np.array_equal(fresh.clim, resumed.clim)
+
+    @pytest.mark.parametrize("name,bad", [("fields", np.nan), ("fields", np.inf),
+                                          ("climatology", -np.inf)])
+    def test_non_finite_store_raises_before_the_model(self, tiny_run, tmp_path, monkeypatch,
+                                                      name, bad):
+        cfg, out, _ = tiny_run
+        stamp = runner.config_hash(cfg)
+        arrays = fieldio.load_store(out / runner.DATA_STORE, stamp)
+        arrays[name][(1,) * arrays[name].ndim] = bad
+        copy = tmp_path / "bad"
+        (copy / "data").mkdir(parents=True)
+        fieldio.save_store(copy / runner.DATA_STORE, stamp, arrays)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a non-finite field reached the model")
+
+        for attr in ("forward_values", "gradient_values", "forward_many", "gradient_many"):
+            monkeypatch.setattr(DeskModel, attr, boom)
+        state = runner.RunState(replace(cfg, out_dir=str(copy)))
+        with pytest.raises(ValueError, match=runner.DATA_STORE):
+            state.ensure_models()
+        assert state.fields is None and not state.models
 
 
 class TestWorkspace:
