@@ -3,12 +3,12 @@
 Utility is the change in absolute target error when part of the input is
 replaced: whole variables swapped for climatology (global), or local patches
 around station cells perturbed (spatial).  Every utility is one region
-perturbation evaluated by `_utilities`, which shares one batch and one
-forward pass with the unperturbed base.  Fields and the climatology are
-(V, n_lat, n_lon) arrays.  Patch noise is keyed by the field's timestamp
-`t`, which the spatial and joint utilities take explicitly.  Utilities are
-signed arrays; patches clip at the grid boundary, so edge stations perturb
-fewer cells.
+perturbation evaluated by `_utilities`, which shares one batch of
+influence-window rows and one forward pass with the unperturbed base.
+Fields and the climatology are (V, n_lat, n_lon) arrays.  Patch noise is
+keyed by the field's timestamp `t`, which the spatial and joint utilities take
+explicitly.  Utilities are signed arrays; patches clip at the grid boundary,
+so edge stations perturb fewer cells.
 """
 
 from __future__ import annotations
@@ -80,13 +80,20 @@ def _utilities(model, x: np.ndarray, y_star: float, perturbations, clim: np.ndar
                var_std: np.ndarray | None = None) -> np.ndarray:
     """Signed utility of each (region, mode, magnitude, entropy) perturbation of x.
 
-    The base and every perturbed field share one batch and one forward pass.
+    The base and every perturbed field share one batch of influence-window
+    rows and one forward pass.  Each perturbation is applied to one reused
+    full-grid copy of x, so a noise block keeps its full region shape, and is
+    undone after its window is copied out.
     """
-    batch = np.empty((1 + len(perturbations),) + x.shape)
-    batch[:] = x
+    window = (slice(None), *model.influence_window())
+    batch = np.empty((1 + len(perturbations),) + x[window].shape)
+    batch[0] = x[window]
+    vals = x.copy()
     for row, (region, mode, magnitude, entropy) in zip(batch[1:], perturbations):
-        _apply_mode(row, region, mode, magnitude, clim, var_std, entropy)
-    errs = np.abs(model.forward_many(batch) - y_star)
+        _apply_mode(vals, region, mode, magnitude, clim, var_std, entropy)
+        row[:] = vals[window]
+        vals[region] = x[region]
+    errs = np.abs(model.forward_window(batch) - y_star)
     return errs[1:] - errs[0]
 
 

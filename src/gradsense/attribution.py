@@ -27,29 +27,45 @@ def integrated_gradients_paths(model, x: np.ndarray, paths: list[tuple[np.ndarra
 
     `paths` holds (baseline, steps) pairs.  Each path is a trapezoidal
     quadrature over steps+1 nodes at k/steps, endpoint weights 0.5, interior
-    weights 1, so it costs steps+1 gradient evaluations; its map is
-    (x - baseline) times the averaged path gradient.  Also returns the
-    gradient at the first path's alpha = 1 node.  The model's batched
-    gradient is row-wise identical to a single call, so a path's map does not
-    depend on which other paths share the batch.
+    weights 1; its map is (x - baseline) times the averaged path gradient.
+    Also returns the gradient at the first path's alpha = 1 node.
+
+    The nodes are built on the model's influence window, and a node two paths
+    share (the same baseline object at the same alpha, such as alpha = 1/2 of
+    8 and of 50 steps) is evaluated once.  The model's batched gradient is
+    row-wise identical to a single call, so a path's map does not depend on
+    which other paths share the batch.  Each quadrature runs on a zero-filled
+    full-grid gradient stack, the operand shape of a single path's call.
     """
     for _, steps in paths:
         if steps < 1:
             raise ValueError("steps must be >= 1")
-    points = []
+    window = (..., *model.influence_window())
+    xw = x[window]
+    nodes: dict[tuple[int, float], int] = {}  # (baseline id, alpha) -> node row
+    points, path_rows = [], []
     for baseline, steps in paths:
         _check_shapes(model, x, baseline)
-        alphas = (np.arange(steps + 1) / steps)[:, None, None, None]
-        points.append(baseline[None] + alphas * (x - baseline)[None])
-    grads = model.gradient_many(np.concatenate(points))
-    maps, offset = [], 0
-    for baseline, steps in paths:
+        alphas = (np.arange(steps + 1) / steps).tolist()
+        fresh = [a for a in alphas if (id(baseline), a) not in nodes]
+        for a in fresh:
+            nodes[(id(baseline), a)] = len(nodes)
+        if fresh:
+            bw = baseline[window]
+            points.append(bw[None] + np.array(fresh)[:, None, None, None] * (xw - bw)[None])
+        path_rows.append([nodes[(id(baseline), a)] for a in alphas])
+    _, grads = model.value_and_gradient_window(np.concatenate(points))
+    maps, grad_end = [], None
+    for (baseline, steps), rows in zip(paths, path_rows):
         weights = np.ones(steps + 1)
         weights[0] = weights[-1] = 0.5
-        avg = np.tensordot(weights, grads[offset:offset + steps + 1], axes=1) / steps
+        full = np.zeros((steps + 1,) + x.shape)
+        full[window] = grads[rows]
+        avg = np.tensordot(weights, full, axes=1) / steps
         maps.append((x - baseline) * avg)
-        offset += steps + 1
-    return maps, grads[paths[0][1]]
+        if grad_end is None:
+            grad_end = full[-1]
+    return maps, grad_end
 
 
 def integrated_gradients(model, x: np.ndarray, baseline: np.ndarray, steps: int) -> np.ndarray:

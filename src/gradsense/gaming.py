@@ -112,10 +112,11 @@ def sample_attackers(stations: StationGrid, target: TargetSpec, n: int,
 
 
 def _attack_in_place(vals: np.ndarray, scenario: AttackScenario, clim: np.ndarray,
-                     stations: StationGrid) -> None:
-    """Attack a (..., V, n_lat, n_lon) array in place at every attacker cell at once.
+                     stations: StationGrid, window: tuple[slice, slice]) -> None:
+    """Attack a (..., V, h, w) array of the grid's `window` rows/cols in place.
 
-    Only the attacker cells and the scoped variables change.
+    `clim` covers the same cells.  Every attacker cell inside the window is
+    attacked at once; only the attacker cells and the scoped variables change.
     """
     sv = np.asarray(scenario.scope_variables, dtype=np.intp)
     if np.any((sv < 0) | (sv >= vals.shape[-3])):
@@ -123,7 +124,11 @@ def _attack_in_place(vals: np.ndarray, scenario: AttackScenario, clim: np.ndarra
     ids = np.asarray(scenario.attackers)
     if np.any((ids < 0) | (ids >= stations.n_stations)):  # indexing would wrap a negative id
         raise IndexError(f"invalid station id in {scenario.attackers}")
-    region = (Ellipsis, sv[:, None], stations.lat_idx[ids], stations.lon_idx[ids])
+    (r0, r1, _), (c0, c1, _) = (s.indices(n) for s, n in
+                                zip(window, (stations.grid.n_lat, stations.grid.n_lon)))
+    li, lj = stations.lat_idx[ids], stations.lon_idx[ids]
+    inside = (li >= r0) & (li < r1) & (lj >= c0) & (lj < c1)
+    region = (Ellipsis, sv[:, None], li[inside] - r0, lj[inside] - c0)
     _apply_mode(vals, region, _MODES[scenario.kind], scenario.magnitude_pct / 100.0, clim)
 
 
@@ -140,13 +145,18 @@ class GamingRun:
     attack_reached_model: np.ndarray
 
 
-def _period_scores(model, stack: np.ndarray, clim, stations):
+def _period_scores(model, window_stack: np.ndarray, window_clim: np.ndarray, stations):
     """Period-mean GTI station scores (climatology baseline) and per-field predictions.
 
-    One batched gradient pass over the (T, V, n_lat, n_lon) period stack.
+    One forward-and-gradient pass over the (T, V, h, w) influence-window
+    stack; `window_clim` is the climatology on the same cells.  The station
+    scores reduce full-grid maps, zero off the window, the shape whose gather
+    order `spatial_importance` fixes.
     """
-    maps = (stack - clim[None]) * model.gradient_many(stack)
-    return spatial_importance(maps, stations).mean(axis=0), model.forward_many(stack)
+    preds, grads = model.value_and_gradient_window(window_stack)
+    maps = np.zeros((len(window_stack),) + model.grid.shape)
+    maps[(..., *model.influence_window())] = (window_stack - window_clim[None]) * grads
+    return spatial_importance(maps, stations).mean(axis=0), preds
 
 
 def run_gaming_experiment(model, y_star: np.ndarray, fields: np.ndarray, clim: np.ndarray,
@@ -163,7 +173,9 @@ def run_gaming_experiment(model, y_star: np.ndarray, fields: np.ndarray, clim: n
     the prediction or any in-window attribution, so their attack-period
     scores equal the baseline exactly.
     """
-    base_uns, base_preds = _period_scores(model, fields, clim, stations)
+    window = model.influence_window()
+    stack, window_clim = fields[(..., *window)], clim[(..., *window)]
+    base_uns, base_preds = _period_scores(model, stack, window_clim, stations)
     mae_clean = float(np.abs(base_preds - y_star).mean())
 
     n_sc = len(scenarios)
@@ -176,9 +188,9 @@ def run_gaming_experiment(model, y_star: np.ndarray, fields: np.ndarray, clim: n
         effective = (sc.kind == "spoof" or sc.magnitude_pct > 0)
         reached[i] = bool(np.isin(sc.attackers, in_reach).any()) and effective
         if reached[i]:
-            attacked = fields.copy()
-            _attack_in_place(attacked, sc, clim, stations)
-            attack[i], atk_preds = _period_scores(model, attacked, clim, stations)
+            attacked = stack.copy()
+            _attack_in_place(attacked, sc, window_clim, stations, window)
+            attack[i], atk_preds = _period_scores(model, attacked, window_clim, stations)
             mae_change[i] = float(np.abs(atk_preds - y_star).mean()) - mae_clean
         atk_uns = attack[i]
         attackers = np.asarray(sc.attackers)

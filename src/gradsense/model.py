@@ -15,17 +15,22 @@ that receptive cone alone: a chain of valid convolutions over a (2R+1)^2
 canvas centred on the target that shrinks to the 1x1 readout cell, and a
 backward pass that grows from that cell back to the canvas.  Canvas cells off
 the grid are held at zero, as the grid edge's zero padding would hold them.
-Inputs and gradients stay full-grid float64 arrays: one field is
-(V, n_lat, n_lon) for forward_values/gradient_values, a batch is
-(B, V, n_lat, n_lon) for forward_many/gradient_many, and each entry point
-checks its input's shape.  Models are immutable and reentrant: forward and
-gradient are pure functions of (weights, input).
 
-The model is batch-invariant: row i of forward_many/gradient_many equals
-forward_values/gradient_values on that row bit for bit, at any batch size.
-Every reduction runs in an order fixed by the per-sample shape alone (see
-_valid_conv and the readout in DeskModel._forward_cached), so batching a call
-differently cannot move a result.
+The model evaluates only the influence window: forward_window and
+value_and_gradient_window take a (B, V, h, w) stack of the window's cells
+(`x[..., rows, cols]` with `rows, cols = influence_window()`) and return
+window-shaped gradients.  The full-grid entry points are wrappers over them:
+forward_many/gradient_many take (B, V, n_lat, n_lon) and crop it, and
+gradient_many scatters its gradients into a zero full-grid array;
+forward_values/gradient_values do the same for one (V, n_lat, n_lon) field.
+Each entry point checks its input's shape.  Models are immutable and
+reentrant: forward and gradient are pure functions of (weights, input).
+
+The model is batch-invariant: row i of a batched call equals the call on that
+row alone bit for bit, at any batch size.  Every reduction runs in an order
+fixed by the per-sample shape alone (see _valid_conv and the readout in
+DeskModel._forward_cached), so batching a call differently cannot move a
+result.
 """
 
 from __future__ import annotations
@@ -44,6 +49,9 @@ _ACTIVATION_TARGET_STD = 0.7
 _PROBE_COUNT = 8
 
 
+_IM2COL_BUDGET = 1 << 17  # float64 elements (1 MiB) of the im2col copy per GEMM block
+
+
 def _valid_conv(w: np.ndarray, hp: np.ndarray) -> np.ndarray:
     """Valid stencil correlation: w (Co, Ci, S, S) over hp (B, Ci, H+S-1, W+S-1).
 
@@ -54,16 +62,18 @@ def _valid_conv(w: np.ndarray, hp: np.ndarray) -> np.ndarray:
     accumulation order, does not depend on B.  Row i of the result equals the
     result for sample i alone bit for bit.  A single GEMM over the whole batch
     (B*H*W columns) would not: OpenBLAS accumulates differently for different
-    column counts.  Blocks of 8 samples keep the im2col copy small.
+    column counts.  The im2col copy is made for as many samples at a time as
+    fit in `_IM2COL_BUDGET` elements, and at least one.
     """
     co, _, s, _ = w.shape
     b, _, hh, ww = hp.shape
     hh, ww = hh - s + 1, ww - s + 1
     win = sliding_window_view(hp, (s, s), axis=(2, 3))  # (B, Ci, H, W, S, S)
     out = np.empty((b, co, hh * ww))
-    for i in range(0, b, 8):
-        cols = win[i:i + 8].transpose(0, 1, 4, 5, 2, 3).reshape(-1, w[0].size, hh * ww)
-        np.matmul(w.reshape(co, -1), cols, out=out[i:i + 8])
+    step = max(1, _IM2COL_BUDGET // (w[0].size * hh * ww))
+    for i in range(0, b, step):
+        cols = win[i:i + step].transpose(0, 1, 4, 5, 2, 3).reshape(-1, w[0].size, hh * ww)
+        np.matmul(w.reshape(co, -1), cols, out=out[i:i + step])
     return out.reshape(b, co, hh, ww)
 
 
@@ -86,8 +96,8 @@ class DeskModel:
     cells set to zero, down to the 1x1 readout cell.  The backward pass zeroes
     each layer's gradient off the grid, pads it by 2r and takes a valid
     convolution with the flipped, transposed stencil, from the readout cell
-    back to the canvas.  forward_many/gradient_many take and give full-grid
-    arrays.
+    back to the canvas.  forward_window/value_and_gradient_window take the
+    window's cells; forward_many/gradient_many crop and scatter full-grid arrays.
     """
 
     kind = "desk"
@@ -145,14 +155,19 @@ class DeskModel:
         """Rows/cols of input cells that can affect the target output."""
         return self._window
 
-    # -- forward ---------------------------------------------------------
+    # -- window entry points -----------------------------------------------
 
-    def _canvas(self, batch: np.ndarray) -> np.ndarray:
-        """The normalized influence window of each sample on a zero (2R+1)^2 canvas."""
+    def _check_window(self, batch: np.ndarray) -> None:
         rows, cols = self._window
+        shape = (self.grid.n_variables, rows.stop - rows.start, cols.stop - cols.start)
+        if batch.ndim != 4 or batch.shape[1:] != shape:
+            raise ValueError(f"expected (B,) + {shape} window stack, got {batch.shape}")
+
+    def _canvas(self, window: np.ndarray) -> np.ndarray:
+        """The normalized (B, V, h, w) window stack on a zero (2R+1)^2 canvas."""
         side = 2 * self.receptive_radius + 1
-        canvas = np.zeros(batch.shape[:2] + (side, side))
-        canvas[(..., *self._canvas_at)] = ((batch[:, :, rows, cols] - self.norm_mu[:, None, None])
+        canvas = np.zeros(window.shape[:2] + (side, side))
+        canvas[(..., *self._canvas_at)] = ((window - self.norm_mu[:, None, None])
                                            / self.norm_sigma[:, None, None])
         return canvas
 
@@ -169,26 +184,16 @@ class DeskModel:
         preds = (h[:, :, 0, 0] * self.readout).sum(axis=1)
         return preds, cache
 
-    def forward_values(self, values: np.ndarray) -> float:
-        if values.shape != self.grid.shape:
-            raise ValueError(f"shape mismatch: expected {self.grid.shape}, got {values.shape}")
-        preds, _ = self._forward_cached(self._canvas(values[None]))
-        return float(preds[0])
-
-    def forward_many(self, batch: np.ndarray) -> np.ndarray:
-        """Predictions for a (B, V, n_lat, n_lon) stack of raw inputs."""
-        if batch.ndim != 4 or batch.shape[1:] != self.grid.shape:
-            raise ValueError(f"expected (B,) + {self.grid.shape}, got {batch.shape}")
-        preds, _ = self._forward_cached(self._canvas(batch))
+    def forward_window(self, window: np.ndarray) -> np.ndarray:
+        """Predictions for a (B, V, h, w) stack of raw influence-window inputs."""
+        self._check_window(window)
+        preds, _ = self._forward_cached(self._canvas(window))
         return preds
 
-    # -- reverse mode ----------------------------------------------------
-
-    def gradient_many(self, batch: np.ndarray) -> np.ndarray:
-        """Exact d(prediction)/d(input) for each batch element, full-grid shape."""
-        if batch.ndim != 4 or batch.shape[1:] != self.grid.shape:
-            raise ValueError(f"expected (B,) + {self.grid.shape}, got {batch.shape}")
-        _, cache = self._forward_cached(self._canvas(batch))
+    def value_and_gradient_window(self, window: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Predictions (B,) and exact input gradients (B, V, h, w) of a window stack, one pass."""
+        self._check_window(window)
+        preds, cache = self._forward_cached(self._canvas(window))
         pad = 2 * self.stencil_radius
         g = self.readout[None, :, None, None]  # at the 1x1 readout cell
         for li in range(self.depth - 1, -1, -1):
@@ -201,9 +206,28 @@ class DeskModel:
             # channels transposed and the stencil flipped
             wt = self.layers[li].transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
             g = _valid_conv(np.ascontiguousarray(wt), padded)
+        return preds, g[(..., *self._canvas_at)] / self.norm_sigma[:, None, None]
+
+    # -- full-grid wrappers ----------------------------------------------------
+
+    def _crop(self, batch: np.ndarray) -> np.ndarray:
+        if batch.ndim != 4 or batch.shape[1:] != self.grid.shape:
+            raise ValueError(f"expected (B,) + {self.grid.shape}, got {batch.shape}")
+        return batch[(..., *self._window)]
+
+    def forward_values(self, values: np.ndarray) -> float:
+        if values.shape != self.grid.shape:
+            raise ValueError(f"shape mismatch: expected {self.grid.shape}, got {values.shape}")
+        return float(self.forward_window(self._crop(values[None]))[0])
+
+    def forward_many(self, batch: np.ndarray) -> np.ndarray:
+        """Predictions for a (B, V, n_lat, n_lon) stack of raw inputs."""
+        return self.forward_window(self._crop(batch))
+
+    def gradient_many(self, batch: np.ndarray) -> np.ndarray:
+        """Exact d(prediction)/d(input) for each batch element, full-grid shape."""
         out = np.zeros(batch.shape)
-        out[(..., *self._window)] = (g[(..., *self._canvas_at)]
-                                     / self.norm_sigma[:, None, None])
+        out[(..., *self._window)] = self.value_and_gradient_window(self._crop(batch))[1]
         return out
 
     def gradient_values(self, values: np.ndarray) -> np.ndarray:

@@ -75,6 +75,14 @@ class LinearModel:
     def gradient_many(self, batch: np.ndarray) -> np.ndarray:
         return np.broadcast_to(self.weights, batch.shape).copy()
 
+    # the influence window is the whole grid, so a window stack is a full-grid batch
+
+    def forward_window(self, window: np.ndarray) -> np.ndarray:
+        return self.forward_many(window)
+
+    def value_and_gradient_window(self, window: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.forward_many(window), self.gradient_many(window)
+
     def to_config(self) -> dict:
         return {
             "kind": self.kind,

@@ -3,8 +3,15 @@ import pytest
 
 from gradsense import ablation, synth
 from gradsense.metrics import spearman
-from gradsense.model import make_truth
+from gradsense.grid import make_target
+from gradsense.model import make_desk_model, make_truth
 from oracles import perturb_patch
+
+
+@pytest.fixture(scope="module")
+def corner_model(desk_grid):
+    """A depth-3 model whose target sits in the grid's south-west corner cell."""
+    return make_desk_model(8, desk_grid, make_target(desk_grid, "corner", 35.5, -9.5, "t2m"))
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +194,32 @@ class TestSpatialUtility:
             got.append(u[0, g])
         assert len(set(got)) == 3
 
+    @pytest.mark.parametrize("model_fixture", ["desk_model", "desk_model_d1", "corner_model"])
+    def test_noise_patch_across_the_window_edge_matches_full_grid(
+            self, model_fixture, desk_data, desk_stations, var_std, request):
+        # a noise patch that straddles the influence window is drawn at its full shape, so
+        # its utility equals perturb_patch followed by a full-grid forward_many
+        model = request.getfixturevalue(model_fixture)
+        fields, clim = desk_data
+        rw, cw = model.influence_window()
+        x, t, y_star = fields[4], 4, 0.3
+        base = model.forward_many(x[None])[0]
+        n_straddling = 0
+        for patch in (3, 5):
+            spec = ablation.PerturbationSpec(mode="additive_noise", patch=patch, seed=7)
+            u = ablation.spatial_utility(model, x, t, y_star, desk_stations, spec, clim, var_std)
+            for g in ablation.stations_in_reach(model, desk_stations, patch):
+                rows, cols = ablation.patch_slices(desk_stations.grid, *desk_stations.cell(g),
+                                                   patch)
+                if rw.start <= rows.start and rows.stop <= rw.stop \
+                        and cw.start <= cols.start and cols.stop <= cw.stop:
+                    continue  # inside the window
+                n_straddling += 1
+                pert = perturb_patch(x, t, desk_stations, int(g), spec, clim, var_std)
+                expected = abs(model.forward_many(pert[None])[0] - y_star) - abs(base - y_star)
+                assert u[g] == expected, (patch, int(g))
+        assert n_straddling > 0
+
     def test_noise_utilities_are_realization_dominated(self, desk_model, desk_data,
                                                        desk_stations, desk_truth, var_std):
         # Single-realization noise utilities rank stations erratically across
@@ -280,6 +313,33 @@ class TestJointAblation:
                                       far, spec, clim)
         assert not res.ratio_defined
         assert np.isnan(res.ratio)
+
+    @pytest.mark.parametrize("mode", ["mean_replace", "scale_bias", "additive_noise"])
+    def test_station_set_partly_outside_the_window(self, corner_model, desk_data,
+                                                   desk_stations, var_std, mode):
+        # the corner target's nearest stations: the union of their patches reaches past the
+        # clipped window, and the joint utility is that of the whole union on the full grid
+        fields, clim = desk_data
+        order = np.argsort(desk_stations.distances_to(corner_model.target.lat,
+                                                      corner_model.target.lon), kind="stable")
+        ids = sorted(int(g) for g in order[:5])  # joint_ablation reports them sorted
+        in_reach = set(ablation.stations_in_reach(corner_model, desk_stations, 1).tolist())
+        assert in_reach & set(ids) and set(ids) - in_reach
+        spec = ablation.PerturbationSpec(mode=mode, patch=5, seed=13)
+        x, t, y_star = fields[6], 6, 0.1
+        res = ablation.joint_ablation(corner_model, x, t, y_star, desk_stations, ids, spec,
+                                      clim, var_std)
+        mask = np.zeros(desk_stations.grid.shape[1:], dtype=bool)
+        for g in ids:
+            mask[ablation.patch_slices(desk_stations.grid, *desk_stations.cell(g), 5)] = True
+        joint = x.copy()
+        ablation._apply_mode(joint, (slice(None), mask), mode, spec.magnitude, clim, var_std,
+                             (spec.seed, ablation._JOINT_TAG, t))
+        singles = [perturb_patch(x, t, desk_stations, g, spec, clim, var_std) for g in ids]
+        errs = np.abs(corner_model.forward_many(np.stack([x, joint, *singles])) - y_star)
+        assert res.u_joint == errs[1] - errs[0]
+        assert np.array_equal(res.u_individual, errs[2:] - errs[0])
+        assert res.u_joint != 0.0
 
     def test_needs_a_station(self, desk_model, desk_data, desk_stations, desk_truth):
         fields, clim = desk_data

@@ -23,6 +23,10 @@ class CountingModel:
         self.gradient_evals += batch.shape[0]
         return self.inner.gradient_many(batch)
 
+    def value_and_gradient_window(self, window):
+        self.gradient_evals += window.shape[0]
+        return self.inner.value_and_gradient_window(window)
+
 
 class TestIntegratedGradients:
     def test_linear_exact_any_steps(self, linear_model, desk_data):
@@ -55,19 +59,37 @@ class TestIntegratedGradients:
 
     @pytest.mark.parametrize("model_fixture", ["desk_model", "desk_model_d1"])
     def test_multi_path_matches_single_paths(self, model_fixture, desk_data, request):
-        # one batch over every path gives each path's single-path map bit for bit
+        # one batch over every path gives each path's single-path map bit for bit; the
+        # climatology paths share their alpha = 0 and 1 nodes, so 9 + 5 + 4 rows run
         model = request.getfixturevalue(model_fixture)
         fields, clim = desk_data
         x = fields[3]
         paths = [(clim, 1), (clim, 8), (np.zeros_like(x), 4), (fields[2], 3)]
         counting = CountingModel(model)
         maps, grad_end = attr.integrated_gradients_paths(counting, x, paths)
-        assert counting.gradient_evals == 2 + 9 + 5 + 4
+        assert counting.gradient_evals == 9 + 5 + 4
         for (base, steps), values in zip(paths, maps):
             single = attr.integrated_gradients(model, x, base, steps)
             assert np.array_equal(values, single)
         end_node = clim + (x - clim)
         assert np.array_equal(grad_end, model.gradient_values(end_node))
+
+    @pytest.mark.parametrize("model_fixture", ["desk_model", "desk_model_d1", "linear_model"])
+    def test_default_paths_evaluate_each_distinct_node_once(self, model_fixture, desk_data,
+                                                            request):
+        # the tables' paths at t >= 1: ig@1, ig@8 and ig@50 on the climatology, and 8 steps
+        # from zero and from persistence.  ig@8 and ig@50 repeat ig@1's alpha 0 and 1, and
+        # ig@50 repeats ig@8's alpha 1/2, so 75 of the 80 nodes are distinct
+        model = request.getfixturevalue(model_fixture)
+        fields, clim = desk_data
+        x = fields[5]
+        paths = [(clim, 1), (clim, 8), (clim, 50), (np.zeros_like(x), 8), (fields[4], 8)]
+        counting = CountingModel(model)
+        maps, grad_end = attr.integrated_gradients_paths(counting, x, paths)
+        assert counting.gradient_evals == 75
+        for (base, steps), values in zip(paths, maps):
+            assert np.array_equal(values, attr.integrated_gradients(model, x, base, steps))
+        assert np.array_equal(grad_end, model.gradient_values(clim + (x - clim)))
 
     def test_invalid_steps(self, desk_model, desk_data):
         fields, clim = desk_data

@@ -5,7 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gradsense import gaming, runner
+from gradsense import ablation, gaming, runner
+from gradsense import attribution as attr
+from gradsense.model import DeskModel
 from gradsense.metrics import topk_indices
 
 
@@ -25,7 +27,7 @@ def truth_values(truth, fields):
 def attacked(x, sc, clim, stations):
     """A copy of field x under scenario sc."""
     out = x.copy()
-    gaming._attack_in_place(out, sc, clim, stations)
+    gaming._attack_in_place(out, sc, clim, stations, (slice(None), slice(None)))
     return out
 
 
@@ -185,7 +187,9 @@ class TestExperiment:
         fields, clim = desk_data
         scs = oracle_scenarios(desk_stations, desk_target)
         for model in (desk_model, desk_model_d1):
-            base_uns, base_preds = gaming._period_scores(model, fields, clim, desk_stations)
+            window = (..., *model.influence_window())
+            base_uns, base_preds = gaming._period_scores(model, fields[window], clim[window],
+                                                         desk_stations)
             y_star = truth_values(desk_truth, fields)
             run = gaming.run_gaming_experiment(model, y_star, fields, clim,
                                                desk_stations, scs)
@@ -198,12 +202,52 @@ class TestExperiment:
                 n_reached += 1
                 stack = np.stack([oracle_attack(f, sc, clim, desk_stations)
                                   for f in fields])
-                atk_uns, atk_preds = gaming._period_scores(model, stack, clim, desk_stations)
+                atk_uns, atk_preds = gaming._period_scores(model, stack[window], clim[window],
+                                                           desk_stations)
                 assert np.array_equal(run.attack[i], atk_uns), sc
                 mae_change = (float(np.abs(atk_preds - y_star).mean())
                               - float(np.abs(base_preds - y_star).mean()))
                 assert run.mae_change[i] == mae_change, sc
             assert 0 < n_reached < len(scs)
+
+    def test_period_scores_match_full_grid_composition(self, desk_model, desk_model_d1,
+                                                       desk_data, desk_stations, desk_target,
+                                                       monkeypatch):
+        # one forward pass per period, and the scores of the full-grid composition it
+        # replaced: gradient_many, forward_many and spatial_importance on full-grid maps,
+        # also when some attackers lie outside the window
+        fields, clim = desk_data
+        passes = []
+        forward = DeskModel._forward_cached
+
+        def counted(self, canvas):
+            passes.append(len(canvas))
+            return forward(self, canvas)
+
+        monkeypatch.setattr(DeskModel, "_forward_cached", counted)
+        close = gaming.sample_attackers(desk_stations, desk_target, 3, "close", 3)
+        for model in (desk_model, desk_model_d1):
+            window = (..., *model.influence_window())
+            in_reach = ablation.stations_in_reach(model, desk_stations, 1)
+            straddling = (int(in_reach[0]), 0, 1)  # one attacker in the window, two far out
+            assert not set(in_reach.tolist()) & {0, 1}
+            for sc in (None, scenario(close, pct=80.0),
+                       scenario(straddling, kind="spoof", pct=0.0, scope_vars=(0, 4))):
+                stack = fields if sc is None else np.stack(
+                    [oracle_attack(f, sc, clim, desk_stations) for f in fields])
+                passes.clear()
+                scores, preds = gaming._period_scores(model, stack[window], clim[window],
+                                                      desk_stations)
+                assert passes == [len(fields)]
+                maps = (stack - clim[None]) * model.gradient_many(stack)
+                assert np.array_equal(
+                    scores, attr.spatial_importance(maps, desk_stations).mean(axis=0))
+                assert np.array_equal(preds, model.forward_many(stack))
+                if sc is not None:  # the window-space attack equals the full-grid one
+                    attacked = fields[window].copy()
+                    gaming._attack_in_place(attacked, sc, clim[window], desk_stations,
+                                            model.influence_window())
+                    assert np.array_equal(attacked, stack[window])
 
 
 class TestDetectors:

@@ -3,8 +3,9 @@ import pytest
 
 from gradsense.grid import GridSpec, make_target
 from gradsense import synth
-from gradsense.model import (_NOISE_STREAM, _TRUTH_STREAM, MAX_DEPTH, _conv, make_desk_model,
-                             make_truth)
+from gradsense import model as model_module
+from gradsense.model import (_NOISE_STREAM, _TRUTH_STREAM, MAX_DEPTH, _conv, _valid_conv,
+                             make_desk_model, make_truth)
 from gradsense import ablation
 from oracles import model_from_config
 
@@ -194,12 +195,57 @@ class TestDeskModel:
         for model in (desk_model, desk_model_d1):
             singles_p = [model.forward_values(x) for x in period]
             singles_g = [model.gradient_values(x) for x in period]
-            for size in (1, 5, 8, 9, 24):  # _conv works in blocks of 8 samples
+            for size in (1, 5, 8, 9, 24):  # _valid_conv copies several samples per block
                 preds = model.forward_many(period[:size])
                 grads = model.gradient_many(period[:size])
                 for i in range(size):
                     assert preds[i] == singles_p[i], (model.model_id, size, i)
                     assert np.array_equal(grads[i], singles_g[i]), (model.model_id, size, i)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_window_entry_points_match_full_grid_calls(self, desk_grid, desk_data, depth):
+        # the window stack's forward and one-pass value and gradient equal forward_many,
+        # gradient_many and the B = 1 calls bit for bit; the corner target's window is clipped
+        fields, _ = desk_data
+        for lat, lon in ((47.4, 8.6), (35.5, -9.5)):
+            m = make_desk_model(9, desk_grid, make_target(desk_grid, "t", lat, lon, "t2m"),
+                                depth=depth)
+            rows, cols = m.influence_window()
+            singles_p = [m.forward_values(x) for x in fields[:17]]
+            singles_g = [m.gradient_values(x) for x in fields[:17]]
+            for size in (1, 3, 8, 17):
+                batch = fields[:size]
+                window = batch[:, :, rows, cols]
+                preds = m.forward_window(window)
+                values, grads = m.value_and_gradient_window(window)
+                full = m.gradient_many(batch)
+                assert np.array_equal(preds, m.forward_many(batch)), (lat, size)
+                assert np.array_equal(values, preds), (lat, size)
+                assert np.array_equal(grads, full[:, :, rows, cols]), (lat, size)
+                off_window = full.copy()
+                off_window[:, :, rows, cols] = 0.0
+                assert not off_window.any()
+                assert preds.tolist() == singles_p[:size], (lat, size)
+                assert np.array_equal(full, np.stack(singles_g[:size])), (lat, size)
+            with pytest.raises(ValueError):
+                m.forward_window(fields[:2])
+            with pytest.raises(ValueError):
+                m.value_and_gradient_window(fields[:2, :, rows, cols][..., 1:])
+
+    def test_im2col_block_budget_does_not_move_bits(self, desk_model, desk_data, monkeypatch,
+                                                    rng):
+        # one sample per block and the whole batch in one block give the same bits, in
+        # _valid_conv and through the model's forward and backward passes
+        fields, _ = desk_data
+        w = rng.standard_normal((4, 6, 5, 5))
+        hp = rng.standard_normal((11, 6, 17, 17))
+        got = []
+        for budget in (1, hp.size * 25):
+            monkeypatch.setattr(model_module, "_IM2COL_BUDGET", budget)
+            got.append((_valid_conv(w, hp), desk_model.forward_many(fields),
+                        desk_model.gradient_many(fields)))
+        for one_sample, one_block in zip(*got):
+            assert np.array_equal(one_sample, one_block)
 
     def test_nonlinearity_detectable_at_depth_2(self, tiny_setup):
         grid, target, fields, _ = tiny_setup

@@ -862,7 +862,8 @@ class TestFieldData:
         def boom(*args, **kwargs):
             raise AssertionError("a non-finite field reached the model")
 
-        for attr in ("forward_values", "gradient_values", "forward_many", "gradient_many"):
+        for attr in ("forward_values", "gradient_values", "forward_many", "gradient_many",
+                     "forward_window", "value_and_gradient_window"):
             monkeypatch.setattr(DeskModel, attr, boom)
         state = runner.RunState(replace(cfg, out_dir=str(copy)))
         with pytest.raises(ValueError, match=runner.DATA_STORE):
