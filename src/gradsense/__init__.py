@@ -4,7 +4,8 @@ Modules cover the pipeline end to end: synthetic gridded data (grid, synth),
 surrogate models with exact reverse-mode gradients (model), the attribution
 proxy family (attribution), counterfactual reference utilities (ablation),
 statistics (metrics), selection/payment analytics (incentive), adversarial
-scenarios and detectors (gaming), and the experiment runner (runner, cli).
+scenarios and detectors (gaming), and the experiment config and runner
+(config, runner, cli).
 """
 
 __version__ = "0.1.0"
@@ -34,4 +35,5 @@ from .incentive import (
     shrinkage_fit,
 )
 from .gaming import AttackScenario, run_gaming_experiment
-from .runner import ExperimentConfig, load_config, run_full, save_config
+from .config import ExperimentConfig, load_config, save_config
+from .runner import run_full

@@ -2,10 +2,10 @@
 
 Subcommands map to the stages of `runner.STAGE_TABLE`, each with the help
 the table gives it; `full` runs everything.  Every command goes through
-`runner.run_full`, which saves the config and writes the manifest, with the
-traceback of any failed stage.  Config files are YAML documents matching
-ExperimentConfig (see README for the schema); --seed and --out override the
-file values, --fast switches to the reduced-cost variant.
+`runner.run_full`, which checks the config, saves it and writes the manifest,
+with the traceback of any failed stage.  Config files are YAML documents
+matching `config.ExperimentConfig` (see README for the schema); --seed and
+--out override the file values, --fast switches to the reduced-cost variant.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 from dataclasses import replace
 
-from . import runner
+from . import config, runner
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -35,15 +35,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _resolve_config(args) -> runner.ExperimentConfig:
-    cfg = runner.load_config(args.config) if args.config else runner.ExperimentConfig()
+def _resolve_config(args) -> config.ExperimentConfig:
+    cfg = config.load_config(args.config) if args.config else config.ExperimentConfig()
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     if args.out is not None:
         cfg = replace(cfg, out_dir=args.out)
     if args.fast:
-        cfg = runner.fast_variant(cfg)
-    cfg.validate()
+        cfg = config.fast_variant(cfg)
     return cfg
 
 

@@ -1,20 +1,20 @@
 """Configuration-driven experiment orchestration.
 
-A single seeded config drives the whole desk matrix: synthetic data, a grid
-of surrogate models (depth x target x target variable), attribution and
-ablation passes, fidelity/method/calibration/selection/payment/convergence
-analyses, the gaming campaign, and detector evaluation.  Every stage writes
-deterministic CSV/JSON results under the output directory; the manifest
-records the config hash and a content hash for every emitted file, so a
-rerun with the same config is byte-identical.  Intermediate arrays (fields,
-per-timestamp tables, gaming runs) live in `fieldio` array stores stamped
-with the config hash, and every store goes through `Workspace.store`: loaded
-when the stamp matches the config, else computed and saved.  Either way the
-`RunState.ensure_*` entry points decode the arrays it returns, so a fresh and
-a resumed run share all code after that point.  Stages can run standalone; a
-stage writes only its own results, and its prerequisites go into stores.
-`run_full` under a config other than the directory's saved `config.yaml`
-first removes the artifacts of the old one.
+A single seeded `config.ExperimentConfig` drives the whole desk matrix:
+synthetic data, a grid of surrogate models (depth x target x target variable),
+attribution and ablation passes, fidelity/method/calibration/selection/
+payment/convergence analyses, the gaming campaign, and detector evaluation.
+Every stage writes deterministic CSV/JSON results under the output directory;
+the manifest records the config hash and a content hash for every emitted
+file, so a rerun with the same config is byte-identical.  Intermediate arrays
+(fields, per-timestamp tables, gaming runs) live in `fieldio` array stores
+stamped with the config hash, and every store goes through `Workspace.store`:
+loaded when the stamp matches the config, else computed and saved.  Either
+way the `RunState.ensure_*` entry points decode the arrays it returns, so a
+fresh and a resumed run share all code after that point.  Stages can run
+standalone; a stage writes only its own results, and its prerequisites go
+into stores.  `run_full` under a config other than the directory's saved
+`config.yaml` first removes the artifacts of the old one.
 
 `STAGE_TABLE` declares the pipeline in run order: each `Stage` names its
 function, its CLI help, the stores it reads and the files it writes.
@@ -32,269 +32,28 @@ import json
 import math
 import traceback
 import warnings
-from dataclasses import (MISSING, asdict, dataclass, field, fields as dataclass_fields,
-                         is_dataclass, replace)
+from dataclasses import asdict, dataclass, fields as dataclass_fields
 from itertools import product
-from math import inf
 from pathlib import Path
-from typing import Annotated, Callable, get_args, get_origin, get_type_hints
+from typing import Callable
 
 import numpy as np
 import yaml
 
 from . import __version__, ablation, attribution as attr, fieldio, gaming, incentive, metrics
+# config_from_dict stays bound here: perfbench/child.py reads its jobs with it
+from .config import (SCHEMA_VERSION, ExperimentConfig, _dump_yaml, _identity, config_from_dict,
+                     config_hash, load_config)
 from .fieldio import fmt
-from .grid import MIN_CELLS, GridSpec, StationGrid, TargetSpec, make_station_grid, make_target
-from .model import MAX_DEPTH, MIN_DEPTH, DeskModel, make_desk_model, make_truth
+from .grid import StationGrid, TargetSpec, make_station_grid, make_target
+from .model import DeskModel, make_desk_model, make_truth
 from . import synth
-
-SCHEMA_VERSION = 1
 
 DATA_STORE = "data/fields.gsa"
 TABLES_STORE = "tables/tables.gsa"
 GAMING_STORE = "tables/gaming.gsa"
 # each gaming config's arrays in the gaming store, as "{name}/{config id}", in this order
 _GAMING_ARRAYS = tuple(f.name for f in dataclass_fields(gaming.GamingRun))
-
-
-@dataclass(frozen=True)
-class TargetConfig:
-    name: str
-    lat: float
-    lon: float
-
-
-# numeric field ranges, closed at both ends; the walk in `_conform` checks them
-Count = Annotated[int, (1, inf)]          # a size or step count
-NonNegInt = Annotated[int, (0, inf)]      # a seed, or a count of seeds
-NonNegative = Annotated[float, (0.0, inf)]
-UnitInterval = Annotated[float, (0.0, 1.0)]   # validate() excludes the ends where it must
-
-
-@dataclass(frozen=True)
-class GamingDesign:
-    combos: tuple[tuple[str, str], ...] = (("zurich", "t2m"), ("zurich", "u10m"),
-                                           ("london", "t2m"))
-    n_attackers: tuple[Count, ...] = (1, 3, 5)
-    magnitudes_pct: tuple[NonNegative, ...] = (10.0, 30.0, 50.0)
-    n_seeds: NonNegInt = 10
-    extended_combo: tuple[str, str] = ("zurich", "t2m")
-    extended_magnitudes: tuple[NonNegative, ...] = (10.0, 30.0, 50.0, 100.0, 200.0)
-    extended_placements: tuple[str, ...] = ("close", "mid", "mixed")
-    extended_seeds: NonNegInt = 3
-    scope_seeds: NonNegInt = 3
-    spoof_seeds: NonNegInt = 10
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    schema_version: int = SCHEMA_VERSION
-    seed: NonNegInt = 7
-    out_dir: str = "runs/default"
-    n_lat: Annotated[int, (MIN_CELLS, inf)] = 36
-    n_lon: Annotated[int, (MIN_CELLS, inf)] = 50
-    lat_min: float = 35.0
-    lat_max: float = 70.0
-    lon_min: float = -10.0
-    lon_max: float = 40.0
-    variables: tuple[str, ...] = ("t2m", "u10m", "v10m", "msl", "q2m", "tp")
-    n_timestamps: Annotated[int, (incentive.MIN_TIMESTAMPS, inf)] = 60
-    n_clim_draws: Count = 1000
-    station_stride: Count = 4
-    targets: tuple[TargetConfig, ...] = (TargetConfig("zurich", 47.4, 8.6),
-                                         TargetConfig("london", 51.5, -0.1),
-                                         TargetConfig("berlin", 52.5, 13.4))
-    target_variables: tuple[str, ...] = ("t2m", "u10m", "msl")
-    model_depths: tuple[Annotated[int, (MIN_DEPTH, MAX_DEPTH)], ...] = (1, 3)
-    channels: Count = 4
-    stencil_radius: Count = 2
-    truth_noise_frac: NonNegative = 0.02
-    truth_weight_jitter: NonNegative = 0.05
-    ig_steps: Count = 50
-    ig_step_grid: tuple[Count, ...] = (1, 8, 50)
-    patches: tuple[Count, ...] = (1, 3, 5)
-    modes: tuple[str, ...] = ("mean_replace", "scale_bias", "additive_noise")
-    perturb_magnitude: NonNegative = 0.10  # subadditivity runs scale_bias whatever modes holds
-    selection_budgets: tuple[Count, ...] = (5, 10, 20, 50, 100)
-    budget: NonNegative = 10000.0
-    bootstrap_resamples: Annotated[int, (metrics.MIN_RESAMPLES, inf)] = 10000
-    bootstrap_level: UnitInterval = 0.95
-    stability_top_k: Count = 20
-    bh_q: UnitInterval = 0.05
-    gaming: GamingDesign = field(default_factory=GamingDesign)
-
-    def validate(self) -> None:
-        """Raise ValueError unless the walk a config file takes and the cross-field rules pass."""
-        walked = _walked(self)
-        for f in dataclass_fields(self):  # a list for a tuple, a mapping for a dataclass
-            if getattr(walked, f.name) != getattr(self, f.name):
-                raise ValueError(f"config key {f.name} must be {f.type}, "
-                                 f"not {getattr(self, f.name)!r}")
-        if self.schema_version != SCHEMA_VERSION:
-            raise ValueError(f"unsupported schema_version {self.schema_version!r}")
-        for key in ("bootstrap_level", "bh_q"):
-            if getattr(self, key) in (0.0, 1.0):
-                raise ValueError(f"{key} must be in (0, 1)")
-        names = [t.name for t in self.targets]
-        # each entry keys a grid layer, a config id or a table case
-        for key, entries in (("variables", self.variables), ("targets.name", names),
-                             ("target_variables", self.target_variables),
-                             ("model_depths", self.model_depths), ("patches", self.patches),
-                             ("modes", self.modes), ("gaming.combos", self.gaming.combos)):
-            if len(set(entries)) != len(entries):
-                raise ValueError(f"{key} must be unique, got {list(entries)}")
-        grid = GridSpec(self.n_lat, self.n_lon, self.lat_min, self.lat_max, self.lon_min,
-                        self.lon_max, self.variables)
-        for tv in self.target_variables:
-            if tv not in self.variables:
-                raise ValueError(f"target variable {tv!r} not in grid variables")
-        if any("-" in name for name in names):  # config ids are d{depth}-{name}-{var}
-            raise ValueError("target names must not contain '-'")
-        for t in self.targets:  # else every model stage fails on it
-            try:
-                make_target(grid, t.name, t.lat, t.lon, self.variables[0])
-            except ValueError as exc:
-                raise ValueError(f"targets entry {t.name!r}: {exc}") from None
-        for combo in self.gaming.combos + (self.gaming.extended_combo,):
-            if combo[0] not in names or combo[1] not in self.target_variables:
-                raise ValueError(f"gaming combo {combo} not in the target matrix")
-        if unknown := set(self.gaming.extended_placements) - set(gaming.PLACEMENTS):
-            raise ValueError(f"gaming.extended_placements {sorted(unknown)} not in "
-                             f"{gaming.PLACEMENTS}")
-        if self.ig_steps not in self.ig_step_grid:
-            raise ValueError("ig_steps must be part of ig_step_grid")
-        if self.cheap_steps() not in self.ig_step_grid:  # the baseline-sensitivity reference
-            raise ValueError(f"ig_step_grid must hold cheap_steps() = {self.cheap_steps()}")
-        if not self.model_depths:
-            raise ValueError("model_depths is empty, so no model is built")
-        if not self.gaming.n_attackers:
-            raise ValueError("gaming.n_attackers is empty, so no scenario is built")
-        if any(p % 2 == 0 for p in self.patches):
-            raise ValueError("patches must be odd cell counts")
-        if any(m not in ablation.MODES for m in self.modes):
-            raise ValueError(f"modes must be drawn from {ablation.MODES}")
-        if len(self.variables) < metrics.MIN_SAMPLES:
-            raise ValueError(f"need at least {metrics.MIN_SAMPLES} variables")
-        try:
-            n_stations = make_station_grid(grid, self.station_stride).n_stations
-        except ValueError as exc:
-            raise ValueError(f"station_stride: {exc}") from None
-        if n_stations < incentive.MIN_STATIONS:
-            raise ValueError(f"station_stride leaves under {incentive.MIN_STATIONS} stations")
-
-    def cheap_steps(self) -> int:
-        """Quadrature steps of the zero- and persistence-baseline IG variants."""
-        return min(8, self.ig_steps)
-
-
-def fast_variant(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Reduced-cost variant: coarse quadrature, fewer resamples and seeds."""
-    return replace(cfg, ig_steps=8, ig_step_grid=(1, 8), bootstrap_resamples=1000,
-                   n_clim_draws=200,
-                   gaming=replace(cfg.gaming, n_seeds=3, extended_seeds=1,
-                                  scope_seeds=1, spoof_seeds=3))
-
-
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    d = asdict(cfg)
-
-    def clean(obj):
-        if isinstance(obj, dict):
-            return {k: clean(v) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [clean(v) for v in obj]
-        return obj
-
-    return clean(d)
-
-
-_SCALARS = {int: (int,), float: (int, float), str: (str,)}  # bool is no int here
-
-
-def _conform(kind, val, where: str):
-    """`val` as a value of type `kind`: lists made tuples, ints in float slots floats.
-
-    A mapping in a dataclass slot becomes that dataclass, its keys named after
-    the prefix `where`.  A value of another shape or type raises TypeError; so
-    does a number that is not finite or lies outside its `Annotated` range.
-    """
-    if is_dataclass(kind):
-        return kind(**_fields_of(kind, val, where))
-    if get_origin(kind) is tuple:  # len() of a scalar raises TypeError as well
-        args = get_args(kind)
-        slots = args[:1] * len(val) if args[-1] is Ellipsis else args
-        if not isinstance(val, (list, tuple)) or len(slots) != len(val):
-            raise TypeError
-        return tuple(_conform(a, v, where) for a, v in zip(slots, val))
-    kind, (lo, hi) = get_args(kind) if get_origin(kind) is Annotated else (kind, (-inf, inf))
-    if type(val) not in _SCALARS[kind]:
-        raise TypeError
-    if kind is not str and (val in (-inf, inf) or not lo <= val <= hi):  # NaN fails too
-        raise TypeError(f"be a finite number in [{lo}, {hi}]")
-    return float(val) if kind is float else val
-
-
-def _fields_of(cls, d, where: str) -> dict:
-    """`d` as keyword arguments of dataclass `cls`, each value conformed to its field's type.
-
-    An unknown or missing key, or a value unlike its field's annotation, raises
-    ValueError naming the key, after the prefix `where`.
-    """
-    if not isinstance(d, dict):
-        raise ValueError(f"config {where.rstrip('.') or 'document'} must be a mapping")
-    fields = {f.name: f for f in dataclass_fields(cls)}
-    types = get_type_hints(cls, include_extras=True)
-    out = {}
-    for key, val in d.items():
-        if key not in fields:
-            raise ValueError(f"unknown config key {where}{key}")
-        try:
-            out[key] = _conform(types[key], val, f"{where}{key}.")
-        except TypeError as exc:
-            why = exc.args[0] if exc.args else f"be {fields[key].type}"
-            raise ValueError(f"config key {where}{key} must {why}, not {val!r}") from None
-    for key, f in fields.items():
-        if key not in out and f.default is MISSING and f.default_factory is MISSING:
-            raise ValueError(f"config key {where}{key} is missing")
-    return out
-
-
-def _walked(cfg: ExperimentConfig) -> ExperimentConfig:
-    """`cfg` through the walk a config file takes: checked, with ints in float slots floats."""
-    return ExperimentConfig(**_fields_of(ExperimentConfig, asdict(cfg), ""))
-
-
-def config_from_dict(d: dict) -> ExperimentConfig:
-    cfg = ExperimentConfig(**_fields_of(ExperimentConfig, d, ""))
-    cfg.validate()
-    return cfg
-
-
-def load_config(path: str | Path) -> ExperimentConfig:
-    with open(path) as fh:
-        return config_from_dict(yaml.safe_load(fh))
-
-
-def _dump_yaml(d: dict, path: str | Path) -> None:
-    with fieldio.atomic_open(path) as fh:
-        yaml.safe_dump(d, fh, sort_keys=True)
-
-
-def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
-    _dump_yaml(config_to_dict(cfg), path)
-
-
-def _identity(cfg: ExperimentConfig) -> dict:
-    """The walked config without `out_dir`: what `config_hash` hashes and config.yaml holds."""
-    d = config_to_dict(_walked(cfg))
-    del d["out_dir"]
-    return d
-
-
-def config_hash(cfg: ExperimentConfig) -> str:
-    """Hash of the experiment identity (the output location does not count)."""
-    blob = json.dumps(_identity(cfg), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
 
 
 def child_seed(master: int, *tags) -> int:
@@ -360,7 +119,7 @@ class Workspace:
         return arrays
 
     def read_rows(self, rel: str) -> list[dict[str, str]]:
-        with open(self.path(rel), newline="") as fh:
+        with open(self.root / rel, newline="") as fh:
             return list(csv.DictReader(fh))
 
     def clear(self) -> None:
@@ -387,8 +146,7 @@ class RunState:
         self.cfg = cfg
         self.stamp = config_hash(cfg)
         self.ws = workspace or Workspace(cfg.out_dir)
-        self.grid = GridSpec(cfg.n_lat, cfg.n_lon, cfg.lat_min, cfg.lat_max, cfg.lon_min,
-                             cfg.lon_max, cfg.variables)
+        self.grid = cfg.grid()
         self.stations: StationGrid = make_station_grid(self.grid, cfg.station_stride)
         self.fields: np.ndarray | None = None  # (T, V, n_lat, n_lon); row t is timestamp t
         self.clim: np.ndarray | None = None  # (V, n_lat, n_lon)
@@ -462,7 +220,7 @@ class RunState:
 
     def _method_keys(self) -> list[str]:
         cheap = self.cfg.cheap_steps()
-        return [*(f"ig@{k}" for k in sorted(set(self.cfg.ig_step_grid))), "gti", "vg",
+        return [*(f"ig@{k}" for k in sorted(self.cfg.ig_step_grid)), "gti", "vg",
                 f"ig-zero@{cheap}", f"ig-pers@{cheap}"]
 
     def primary_key(self) -> str:
@@ -497,7 +255,7 @@ class RunState:
         si_u = {key: np.zeros((T, N)) for key in keys["si_u"]}
         gu = {key: np.zeros((T, V)) for key in keys["gu"]}
         su = {key: np.zeros((T, N)) for key in keys["su"]}
-        step_grid = sorted(set(cfg.ig_step_grid))
+        step_grid = sorted(cfg.ig_step_grid)
         zp_steps = cfg.cheap_steps()
         zero_base = np.zeros(self.grid.shape)
         for cid in self.config_ids():
@@ -542,7 +300,8 @@ class RunState:
         is nonempty.
         """
         if not self._gaming:
-            scenarios = {cid: build_scenarios(self, cid) for cid in _gaming_config_ids(self)}
+            scenarios = {cid: build_scenarios(self, cid)
+                         for cid in self.config_ids(self.cfg.gaming.combos)}
             stored = self.ws.store(GAMING_STORE, self.stamp, lambda: self._gaming_arrays(scenarios))
             self._gaming = {cid: (scs, gaming.GamingRun(
                 **{name: stored[f"{name}/{cid}"] for name in _GAMING_ARRAYS}))
@@ -671,8 +430,7 @@ def stage_fidelity(state: RunState) -> None:
 
     s_rows = []
     blocks = metrics.station_blocks(state.stations)
-    n = state.stations.n_stations
-    ks = tuple(k for k in (5, 10, 20) if k <= n)
+    ks = tuple(k for k in (5, 10, 20) if k <= state.stations.n_stations)
     for cid, mode, patch, util_abs in _spatial_cases(tables):
         for key in state.scored_methods():
             imp = si_u[(cid, key)]
@@ -725,13 +483,10 @@ def stage_methods(state: RunState) -> None:
 
     # quadrature sensitivity: do coarse step grids change the variable ranking?
     k_rows = []
-    steps = sorted(set(cfg.ig_step_grid))
-    ref = state.primary_key()
     for cid in state.config_ids():
-        ref_rank = np.nanmean(gi[(cid, ref)], axis=0)
-        for s in steps:
-            key = f"ig@{s}"
-            rc = metrics.spearman(np.nanmean(gi[(cid, key)], axis=0), ref_rank)
+        ref_rank = np.nanmean(gi[(cid, state.primary_key())], axis=0)
+        for s in sorted(cfg.ig_step_grid):
+            rc = metrics.spearman(np.nanmean(gi[(cid, f"ig@{s}")], axis=0), ref_rank)
             k_rows.append((cid, s, cfg.ig_steps, rc.rho))
     state.ws.write_csv("results/k_sensitivity.csv", K_SENSITIVITY_COLUMNS, k_rows)
 
@@ -804,9 +559,8 @@ def stage_calibrate(state: RunState) -> None:
             if proxy.sum() <= 0:
                 continue
             rep = incentive.decile_calibration(proxy, util)
-            for b in range(10):
-                dec_rows.append((cid, mode, patch, name, b + 1,
-                                 rep.decile_mean_utility[b]))
+            dec_rows += [(cid, mode, patch, name, b + 1, u)
+                         for b, u in enumerate(rep.decile_mean_utility)]
             sum_rows.append((cid, mode, patch, name, rep.gini_ratio,
                              rep.overpayment_total, rep.share_spearman))
     state.ws.write_csv("results/calibration_deciles.csv", CALIBRATION_DECILES_COLUMNS,
@@ -926,10 +680,6 @@ def stage_subadditivity(state: RunState) -> None:
             rows.append((cid, mode, patch, size, ";".join(str(g) for g in ids), med,
                          len(ratios), flagged))
     state.ws.write_csv("results/subadditivity.csv", SUBADDITIVITY_COLUMNS, rows)
-
-
-def _gaming_config_ids(state: RunState) -> list[str]:
-    return state.config_ids(state.cfg.gaming.combos)
 
 
 def build_scenarios(state: RunState, cid: str) -> list[gaming.AttackScenario]:
@@ -1083,7 +833,7 @@ def stage_report(state: RunState) -> None:
     def table(name: str) -> list[dict[str, str]] | None:
         """The rows of results/{name}.csv, or None when its stage has not run."""
         rel = f"results/{name}.csv"
-        return ws.read_rows(rel) if ws.path(rel).exists() else None
+        return ws.read_rows(rel) if (ws.root / rel).exists() else None
 
     lines = ["# Desk run report", "", f"- config hash: `{config_hash(cfg)}`",
              f"- stations: {state.stations.n_stations}, timestamps: {cfg.n_timestamps}", ""]

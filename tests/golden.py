@@ -33,12 +33,12 @@ def _run_here() -> dict:
 
     import numpy as np
 
-    from gradsense import runner
+    from gradsense import config, runner
     from test_runner import tiny_config
 
     with tempfile.TemporaryDirectory() as tmp:
         base = tiny_config(tmp)
-        cfg = replace(base, targets=base.targets + (runner.TargetConfig("corner", 35.5, -9.5),),
+        cfg = replace(base, targets=base.targets + (config.TargetConfig("corner", 35.5, -9.5),),
                       modes=("mean_replace", "scale_bias", "additive_noise"), patches=(1, 3, 5))
         manifest = runner.run_full(cfg)
         if not manifest["ok"]:

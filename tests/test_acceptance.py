@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from gradsense import (ablation, attribution as attr, fieldio, gaming, incentive, metrics, runner,
-                       synth)
+from gradsense import (ablation, attribution as attr, config, fieldio, gaming, incentive, metrics,
+                       runner, synth)
 from gradsense.grid import GridSpec, make_station_grid, make_target
 from gradsense.model import make_desk_model, make_truth
 from oracles import gradient_times_input, make_linear_model, perturb_patch, vanilla_gradient
@@ -38,7 +38,7 @@ def _hash_tree(root: Path) -> dict:
 @pytest.fixture(scope="session")
 def full_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("acceptance_run")
-    cfg = replace(runner.ExperimentConfig(), out_dir=str(out))
+    cfg = replace(config.ExperimentConfig(), out_dir=str(out))
     t0 = time.time()
     manifest = runner.run_full(cfg)
     elapsed = time.time() - t0
@@ -358,7 +358,7 @@ def _gaming_scores(run):
     results/gaming_outcomes.csv lists that config's scenarios.
     """
     store = fieldio.load_store(run["out"] / runner.GAMING_STORE,
-                               runner.config_hash(run["cfg"]))
+                               config.config_hash(run["cfg"]))
     assert store is not None
     out, seen = {}, {}
     for r in _rows(run, "results/gaming_outcomes.csv"):

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gradsense import ablation, gaming, runner
+from gradsense import ablation, config, gaming, runner
 from gradsense import attribution as attr
 from gradsense.model import DeskModel
 from gradsense.metrics import topk_indices
@@ -387,7 +387,7 @@ class TestEvaluation:
     @staticmethod
     def _detect(out, monkeypatch, runs):
         """The detect stage over `runs`: the D7 input it builds and its two result tables."""
-        state = runner.RunState(replace(runner.ExperimentConfig(), out_dir=str(out)))
+        state = runner.RunState(replace(config.ExperimentConfig(), out_dir=str(out)))
         monkeypatch.setattr(state, "ensure_gaming", lambda: runs)
         d7_input, real = {}, gaming.detector_d7_supervised
 

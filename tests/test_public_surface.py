@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 import gradsense
-from gradsense import runner
+from gradsense import config, runner
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -34,8 +34,8 @@ def test_readme_config_block_is_the_default_config():
     blocks = re.findall(r"```yaml\n(.*?)```", section, flags=re.S)
     assert len(blocks) == 1
     doc = yaml.safe_load(blocks[0])
-    assert runner.config_from_dict(doc) == runner.ExperimentConfig()
-    for keys, cls in ((doc, runner.ExperimentConfig), (doc["gaming"], runner.GamingDesign)):
+    assert config.config_from_dict(doc) == config.ExperimentConfig()
+    for keys, cls in ((doc, config.ExperimentConfig), (doc["gaming"], config.GamingDesign)):
         assert set(keys) == {f.name for f in dataclasses.fields(cls)}
 
 

@@ -3,12 +3,10 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import re
 import shlex
 import shutil
 import statistics
-import typing
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,26 +14,26 @@ import numpy as np
 import pytest
 import yaml
 
-from gradsense import cli, fieldio, gaming, metrics, runner
+from gradsense import cli, config, fieldio, gaming, metrics, runner
 from gradsense.model import DeskModel, TruthGenerator
 
 
-def tiny_config(out_dir, **overrides) -> runner.ExperimentConfig:
+def tiny_config(out_dir, **overrides) -> config.ExperimentConfig:
     base = dict(
         n_lat=16, n_lon=20, n_timestamps=12, n_clim_draws=40,
         variables=("t2m", "u10m", "msl"),
-        targets=(runner.TargetConfig("zurich", 47.4, 8.6),),
+        targets=(config.TargetConfig("zurich", 47.4, 8.6),),
         target_variables=("t2m",),
         model_depths=(1, 3),
         ig_steps=8, ig_step_grid=(1, 8),
         patches=(1, 3), modes=("mean_replace", "scale_bias"),
         selection_budgets=(3, 5), bootstrap_resamples=1000,
-        gaming=replace(runner.GamingDesign(),
+        gaming=replace(config.GamingDesign(),
                        combos=(("zurich", "t2m"),), extended_combo=("zurich", "t2m"),
                        n_seeds=2, extended_seeds=1, scope_seeds=1, spoof_seeds=2),
         out_dir=str(out_dir))
     base.update(overrides)
-    return replace(runner.ExperimentConfig(), **base)
+    return replace(config.ExperimentConfig(), **base)
 
 
 def _hash_tree(root: Path) -> dict:
@@ -73,224 +71,10 @@ def _replace_runs(monkeypatch, **runs) -> None:
         replace(stage, run=runs.get(stage.name, stage.run)) for stage in runner.STAGE_TABLE))
 
 
-class TestConfig:
-    def test_yaml_roundtrip_identity(self, tmp_path):
-        cfg = tiny_config(tmp_path / "r")
-        path = tmp_path / "cfg.yaml"
-        runner.save_config(cfg, path)
-        assert runner.load_config(path) == cfg
-
-    def test_hash_ignores_out_dir(self, tmp_path):
-        a = tiny_config(tmp_path / "a")
-        b = tiny_config(tmp_path / "b")
-        assert runner.config_hash(a) == runner.config_hash(b)
-        assert runner.config_hash(a) != runner.config_hash(replace(a, seed=99))
-
-    def test_validation_errors(self, tmp_path):
-        with pytest.raises(ValueError):
-            tiny_config(tmp_path, target_variables=("nope",)).validate()
-        with pytest.raises(ValueError):
-            tiny_config(tmp_path, ig_steps=50).validate()  # not in the step grid
-        with pytest.raises(ValueError):
-            tiny_config(
-                tmp_path,
-                gaming=replace(runner.GamingDesign(), combos=(("oslo", "t2m"),)),
-            ).validate()
-        for bad in ({"bootstrap_resamples": 500}, {"bootstrap_level": 0.0},
-                    {"bootstrap_level": 1.0}, {"bootstrap_level": 1.5}):
-            with pytest.raises(ValueError, match="bootstrap"):
-                tiny_config(tmp_path, **bad).validate()
-        # a later stage rejects each of these, but only after building models and tables
-        for bad, match in (({"patches": (1, 2)}, "patches"), ({"patches": (0,)}, "patches"),
-                           ({"patches": (-1,)}, "patches"),
-                           ({"modes": ("mean_replace", "swap")}, "modes"),
-                           ({"ig_step_grid": (0, 8)}, "ig_step_grid"),
-                           ({"stability_top_k": 0}, "stability_top_k"),
-                           ({"selection_budgets": (0, 5)}, "selection_budgets"),
-                           ({"n_timestamps": 9}, "timestamps"),
-                           ({"variables": ("t2m", "u10m")}, "variables"),
-                           ({"station_stride": 7}, "station_stride"),  # 3 x 3 stations
-                           ({"gaming": replace(tiny_config(tmp_path).gaming, n_attackers=())},
-                            "n_attackers"),
-                           ({"channels": 0}, "channels"),
-                           ({"stencil_radius": 0}, "stencil_radius"),
-                           ({"n_clim_draws": 0}, "n_clim_draws"),
-                           ({"truth_noise_frac": -0.5}, "truth_noise_frac"),
-                           ({"perturb_magnitude": -0.1}, "perturb_magnitude"),
-                           ({"gaming": replace(tiny_config(tmp_path).gaming, n_attackers=(0,))},
-                            "n_attackers"),
-                           ({"gaming": replace(tiny_config(tmp_path).gaming,
-                                               magnitudes_pct=(10.0, -5.0))}, "magnitudes_pct"),
-                           ({"gaming": replace(tiny_config(tmp_path).gaming,
-                                               extended_magnitudes=(-1.0,))},
-                            "extended_magnitudes")):
-            with pytest.raises(ValueError, match=match):
-                tiny_config(tmp_path, **bad).validate()
-        tiny_config(tmp_path, n_timestamps=10, station_stride=6).validate()  # 3 x 4 stations
-        # methods compares the zero/persistence variants to ig@cheap_steps(); subadditivity
-        # takes max(model_depths); every stage builds its models only after the data
-        for bad, match in (({"ig_steps": 12, "ig_step_grid": (1, 12)}, "ig_step_grid"),
-                           ({"model_depths": ()}, "model_depths"),
-                           ({"model_depths": (1, 7)}, "model_depths"),
-                           ({"model_depths": (0,)}, "model_depths")):
-            with pytest.raises(ValueError, match=match):
-                tiny_config(tmp_path, **bad).validate()
-        tiny_config(tmp_path, ig_steps=12, ig_step_grid=(1, 8, 12), model_depths=(6,)).validate()
-        # config ids are d{depth}-{name}-{var}, parsed back with split("-", 2)
-        with pytest.raises(ValueError, match="'-'"):
-            tiny_config(
-                tmp_path, targets=(runner.TargetConfig("new-york", 47.4, 8.6),),
-                gaming=replace(runner.GamingDesign(), combos=(("new-york", "t2m"),),
-                               extended_combo=("new-york", "t2m")),
-            ).validate()
-
-    def test_schema_version_checked(self):
-        with pytest.raises(ValueError):
-            runner.config_from_dict({"schema_version": 99})
-
-    def test_input_errors_name_the_key(self):
-        # each would otherwise fail in a dataclass __init__ or in validate(), naming no key
-        target = {"name": "zurich", "lat": 47.4, "lon": 8.6}
-        for bad, key in (({"sed": 7}, "sed"),
-                         ({"seed": "7"}, "seed"),
-                         ({"seed": True}, "seed"),
-                         ({"ig_step_grid": 8}, "ig_step_grid"),
-                         ({"patches": [1, "3"]}, "patches"),
-                         ({"variables": "t2m"}, "variables"),
-                         ({"variables": ["t2m", "t2m", "u10m"]}, "variables"),
-                         ({"target_variables": ["t2m", "t2m"]}, "target_variables"),
-                         ({"model_depths": [1, 1]}, "model_depths"),
-                         ({"patches": [1, 3, 1]}, "patches"),
-                         ({"modes": ["scale_bias", "scale_bias"]}, "modes"),
-                         ({"gaming": {"combos": [["zurich", "t2m"], ["zurich", "t2m"]]}},
-                          "gaming.combos"),
-                         ({"gaming": {"n_seed": 3}}, "gaming.n_seed"),
-                         ({"gaming": {"n_seeds": [3]}}, "gaming.n_seeds"),
-                         ({"gaming": {"magnitudes_pct": 50.0}}, "gaming.magnitudes_pct"),
-                         ({"gaming": {"extended_combo": ["zurich", 2]}}, "gaming.extended_combo"),
-                         ({"gaming": 3}, "gaming"),
-                         ({"targets": [{**target, "alt": 400.0}]}, "targets.alt"),
-                         ({"targets": [{**target, "lat": "north"}]}, "targets.lat"),
-                         ({"targets": ["zurich"]}, "targets"),
-                         ({"targets": target}, "targets"),
-                         ({"targets": [target, target]}, "targets"),
-                         ({"gaming": {"combos": [5]}}, "gaming.combos"),
-                         ({"gaming": {"combos": [["zurich"]]}}, "gaming.combos"),
-                         ({"gaming": {"combos": [["zurich", "t2m", "x"]]}}, "gaming.combos"),
-                         ({"gaming": {"extended_combo": ["zurich"]}}, "gaming.extended_combo"),
-                         ({"targets": [{"name": "zurich", "lat": 47.4}]}, "targets.lon"),
-                         ({"targets": [{"name": "zurich", "lon": 8.6}]}, "targets.lat"),
-                         ({"targets": [{**target, "lat": 20.0}]}, "targets"),  # off the grid
-                         ({"gaming": {"extended_placements": ["far"]}},
-                          "gaming.extended_placements"),
-                         ({"station_stride": 40}, "station_stride"),
-                         ({"n_lat": 2}, "n_lat"),
-                         ({"n_lon": 3}, "n_lon")):
-            with pytest.raises(ValueError, match=rf"\b{re.escape(key)}\b"):
-                runner.config_from_dict(bad)
-        with pytest.raises(ValueError, match="document"):
-            runner.config_from_dict(["seed", 7])
-        # ints stand for floats, and lists (also nested ones) become tuples
-        cfg = runner.config_from_dict({"budget": 500, "gaming": {
-            "magnitudes_pct": [10, 30], "combos": [["zurich", "t2m"]]}})
-        assert cfg.budget == 500 and cfg.gaming.magnitudes_pct == (10, 30)
-        assert cfg.gaming.combos == (("zurich", "t2m"),)
-
-    def test_int_spelling_of_a_float_is_the_same_config(self, tmp_path):
-        # the hash and the scenario ids (written to gaming_scenarios.json) follow the value
-        ints, floats = (runner.config_from_dict({
-            "budget": budget, "out_dir": str(tmp_path),
-            "gaming": {"magnitudes_pct": pcts, "n_seeds": 1}})
-            for budget, pcts in ((500, [10, 30, 50]), (500.0, [10.0, 30.0, 50.0])))
-        assert ints == floats and runner.config_hash(ints) == runner.config_hash(floats)
-        assert type(ints.budget) is float
-        assert all(type(p) is float for p in ints.gaming.magnitudes_pct)
-        ids = [[sc.scenario_id for sc in
-                runner.build_scenarios(runner.RunState(cfg), "d1-zurich-t2m")]
-               for cfg in (ints, floats)]
-        assert ids[0] == ids[1] and len(ids[0]) > 0
-
-    def test_every_declared_range_is_checked_from_a_file_and_from_code(self):
-        # just outside each range, and NaN and infinities in every float slot; for a
-        # tuple field its first entry, the others kept
-        cfg, checked = runner.ExperimentConfig(), set()
-        for prefix, cls in (("", runner.ExperimentConfig), ("gaming.", runner.GamingDesign)):
-            for name, hint in typing.get_type_hints(cls, include_extras=True).items():
-                entry = typing.get_origin(hint) is tuple
-                kind = typing.get_args(hint)[0] if entry else hint
-                lo, hi = -math.inf, math.inf
-                if typing.get_origin(kind) is typing.Annotated:
-                    kind, (lo, hi) = typing.get_args(kind)
-                    checked.add(prefix + name)
-                if kind not in (int, float):
-                    continue
-                bad = [math.nan, math.inf, -math.inf] if kind is float else []
-                step = (lambda v, d: v + d) if kind is int else (
-                    lambda v, d: float(np.nextafter(v, v + d)))
-                bad += [step(lo, -1)] * (lo > -math.inf) + [step(hi, 1)] * (hi < math.inf)
-                owner = cfg.gaming if prefix else cfg
-                for value in bad:
-                    if entry:
-                        value = (value,) + getattr(owner, name)[1:]
-                    doc = {name: list(value) if entry else value}
-                    if prefix:
-                        doc, code = {"gaming": doc}, replace(
-                            cfg, gaming=replace(cfg.gaming, **{name: value}))
-                    else:
-                        code = replace(cfg, **{name: value})
-                    for check in (lambda: runner.config_from_dict(doc), code.validate):
-                        with pytest.raises(ValueError, match=rf"key {re.escape(prefix + name)}\b"):
-                            check()
-        assert checked == {
-            "seed", "n_lat", "n_lon", "n_timestamps", "n_clim_draws", "station_stride",
-            "model_depths",
-            "channels", "stencil_radius", "truth_noise_frac", "truth_weight_jitter",
-            "ig_steps", "ig_step_grid", "patches", "perturb_magnitude", "selection_budgets",
-            "budget", "bootstrap_resamples", "bootstrap_level", "stability_top_k", "bh_q",
-            "gaming.n_attackers", "gaming.magnitudes_pct", "gaming.extended_magnitudes",
-            "gaming.n_seeds", "gaming.extended_seeds", "gaming.scope_seeds",
-            "gaming.spoof_seeds"}
-
-    def test_values_that_used_to_corrupt_a_run_are_rejected(self):
-        cfg = runner.ExperimentConfig()
-        for key, value in (("seed", -1), ("budget", -5), ("bh_q", 2), ("bh_q", 0),
-                           ("bh_q", 1), ("truth_weight_jitter", -0.5),
-                           ("gaming.spoof_seeds", -1), ("gaming.magnitudes_pct", [math.nan]),
-                           ("budget", math.inf)):
-            if key.startswith("gaming."):
-                name = key.split(".")[1]
-                doc = {"gaming": {name: value}}
-                code = replace(cfg, gaming=replace(cfg.gaming, **{
-                    name: tuple(value) if isinstance(value, list) else value}))
-            else:
-                doc, code = {key: value}, replace(cfg, **{key: value})
-            for check in (lambda: runner.config_from_dict(doc), code.validate):
-                with pytest.raises(ValueError, match=rf"\b{re.escape(key)}\b"):
-                    check()
-
-    def test_code_configs_take_the_file_walk(self):
-        cfg = runner.ExperimentConfig()
-        # equal to the default config but hashed differently, or unhashable
-        for key, value in (("channels", 4.0), ("patches", [1, 3]), ("seed", True)):
-            with pytest.raises(ValueError, match=rf"config key {key}\b"):
-                replace(cfg, **{key: value}).validate()
-        with pytest.raises(ValueError, match="config key gaming"):
-            replace(cfg, gaming=replace(cfg.gaming, combos=[("zurich", "t2m")])).validate()
-        # an int stands for a float in code as in a file: one hash, a float in config.yaml
-        ints = replace(cfg, budget=500)
-        ints.validate()
-        assert runner.config_hash(ints) == runner.config_hash(replace(cfg, budget=500.0))
-        assert type(runner._identity(ints)["budget"]) is float
-
-    def test_fast_variant(self):
-        fast = runner.fast_variant(runner.ExperimentConfig())
-        fast.validate()
-        assert fast.ig_steps == 8 and fast.bootstrap_resamples == 1000
-
-    def test_child_seed_stable_and_distinct(self):
-        assert runner.child_seed(7, "model", "a") == runner.child_seed(7, "model", "a")
-        assert runner.child_seed(7, "model", "a") != runner.child_seed(7, "model", "b")
-        assert runner.child_seed(7, "model", "a") != runner.child_seed(8, "model", "a")
+def test_child_seed_stable_and_distinct():
+    assert runner.child_seed(7, "model", "a") == runner.child_seed(7, "model", "a")
+    assert runner.child_seed(7, "model", "a") != runner.child_seed(7, "model", "b")
+    assert runner.child_seed(7, "model", "a") != runner.child_seed(8, "model", "a")
 
 
 @pytest.fixture(scope="module")
@@ -425,7 +209,7 @@ class TestRunFull:
         computed = state.ensure_gaming()
         monkeypatch.undo()
         loaded = runner.RunState(cfg).ensure_gaming()
-        assert list(loaded) == list(computed) == runner._gaming_config_ids(runner.RunState(cfg))
+        assert list(loaded) == list(computed) == runner.RunState(cfg).config_ids(cfg.gaming.combos)
         assert len(raw) == len(loaded) > 0
         for cid, run in zip(loaded, raw):
             (scs_l, b), (scs_c, c) = loaded[cid], computed[cid]
@@ -459,8 +243,8 @@ class TestRunFull:
     def test_gaming_store_layout(self, tiny_run):
         # criterion 11 and resumed directories read these names, so they are the format
         cfg, out, _ = tiny_run
-        store = fieldio.load_store(out / runner.GAMING_STORE, runner.config_hash(cfg))
-        cids = runner._gaming_config_ids(runner.RunState(cfg))
+        store = fieldio.load_store(out / runner.GAMING_STORE, config.config_hash(cfg))
+        cids = runner.RunState(cfg).config_ids(cfg.gaming.combos)
         assert len(cids) == 2
         assert list(store) == [f"{name}/{cid}" for cid in cids for name in (
             "baseline", "attack", "inflation_ratio", "mae_clean", "mae_change",
@@ -577,8 +361,8 @@ class TestRunFull:
         elsewhere = tmp_path / "elsewhere"
         assert runner.run_full(replace(cfg, out_dir=str(elsewhere)))["ok"]
         assert _hash_tree(elsewhere) == _hash_tree(out)
-        assert runner.load_config(out / "config.yaml") == replace(
-            cfg, out_dir=runner.ExperimentConfig().out_dir)
+        assert config.load_config(out / "config.yaml") == replace(
+            cfg, out_dir=config.ExperimentConfig().out_dir)
 
     def test_manifest_names_the_blas_core(self, tiny_run, tmp_path):
         # the gradient digests depend on the OpenBLAS kernel, so the manifest names it
@@ -627,7 +411,7 @@ class TestRunFull:
         state = runner.RunState(cfg)
         store = fieldio.load_store(tmp_path / "none" / runner.GAMING_STORE, state.stamp)
         n = state.stations.n_stations
-        for cid in runner._gaming_config_ids(state):
+        for cid in state.config_ids(cfg.gaming.combos):
             assert store[f"baseline/{cid}"].shape == (n,)
             assert store[f"attack/{cid}"].shape == (0, n)
             assert store[f"mae_change/{cid}"].shape == (0,)
@@ -730,7 +514,7 @@ class TestRunFull:
         assert runner.run_full(cfg)["ok"]
         state = runner.RunState(cfg)
         assert n_verify[0] == len(state.config_ids()) * cfg.n_timestamps
-        assert built == runner._gaming_config_ids(state)
+        assert built == state.config_ids(cfg.gaming.combos)
 
     def test_budget_clipping_warns(self, tiny_run):
         cfg, _, _ = tiny_run
@@ -852,7 +636,7 @@ class TestFieldData:
     def test_non_finite_store_raises_before_the_model(self, tiny_run, tmp_path, monkeypatch,
                                                       name, bad):
         cfg, out, _ = tiny_run
-        stamp = runner.config_hash(cfg)
+        stamp = config.config_hash(cfg)
         arrays = fieldio.load_store(out / runner.DATA_STORE, stamp)
         arrays[name][(1,) * arrays[name].ndim] = bad
         copy = tmp_path / "bad"
@@ -893,13 +677,19 @@ class TestWorkspace:
         with pytest.raises(UnicodeEncodeError):
             ws.write_text("results/r.md", "new\ud800")
         assert ws.files == set(before)
-        runner.save_config(tiny_config(ws.root), ws.path("config.yaml"))
+        config.save_config(tiny_config(ws.root), ws.path("config.yaml"))
         before["config.yaml"] = ws.path("config.yaml").read_bytes()
         with pytest.raises(yaml.representer.RepresenterError):
-            runner.save_config(tiny_config(ws.root, seed=object()), ws.path("config.yaml"))
+            config.save_config(tiny_config(ws.root, seed=object()), ws.path("config.yaml"))
         assert {rel: ws.path(rel).read_bytes() for rel in before} == before
         assert sorted(p.name for p in (ws.root / "results").iterdir()) == ["a.csv", "r.md"]
         assert sorted(p.name for p in ws.root.iterdir()) == ["config.yaml", "results"]
+
+    def test_read_of_a_missing_file_creates_no_directory(self, tmp_path):
+        ws = runner.Workspace(tmp_path / "ws")
+        with pytest.raises(FileNotFoundError):
+            ws.read_rows("results/missing.csv")
+        assert not ws.root.exists()
 
     def test_config_only_state_creates_no_directory(self, tmp_path):
         # config ids and scenarios come from the config alone, so nothing is written
@@ -914,7 +704,7 @@ class TestCli:
     def test_full_with_stage_filter(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path / "cli")
         cfg_path = tmp_path / "c.yaml"
-        runner.save_config(cfg, cfg_path)
+        config.save_config(cfg, cfg_path)
         rc = cli.main(["full", "--config", str(cfg_path), "--stage-filter", "gen"])
         assert rc == 0
         assert "gen: completed" in capsys.readouterr().out
@@ -923,7 +713,7 @@ class TestCli:
     def test_single_stage_then_dependent_stage(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path / "cli2")
         cfg_path = tmp_path / "c2.yaml"
-        runner.save_config(cfg, cfg_path)
+        config.save_config(cfg, cfg_path)
         assert cli.main(["gen", "--config", str(cfg_path)]) == 0
         for rel in (runner.DATA_STORE, "data/models.json", "data/stations.csv"):
             assert (tmp_path / "cli2" / rel).exists(), rel  # fields, models and stations
@@ -932,11 +722,11 @@ class TestCli:
 
     def test_seed_and_out_override(self, tmp_path):
         cfg_path = tmp_path / "c3.yaml"
-        runner.save_config(tiny_config(tmp_path / "orig"), cfg_path)
+        config.save_config(tiny_config(tmp_path / "orig"), cfg_path)
         rc = cli.main(["gen", "--config", str(cfg_path), "--seed", "123",
                        "--out", str(tmp_path / "override")])
         assert rc == 0
-        saved = runner.load_config(tmp_path / "override" / "config.yaml")
+        saved = config.load_config(tmp_path / "override" / "config.yaml")
         assert saved.seed == 123
 
     def test_readme_quick_start_keeps_the_run(self, tmp_path, monkeypatch):
@@ -948,7 +738,7 @@ class TestCli:
                     if line.startswith("gradsense ") and "runs/exp1" in line]
         assert commands[0][:3] == ["full", "--config", "my.yaml"] and len(commands) > 1
         monkeypatch.chdir(tmp_path)
-        runner.save_config(tiny_config("unused"), "my.yaml")
+        config.save_config(tiny_config("unused"), "my.yaml")
         assert cli.main(commands[0]) == 0
         run = Path("runs/exp1")
         before = _hash_tree(run)
@@ -958,6 +748,14 @@ class TestCli:
         del before["manifest.json"], after["manifest.json"]  # it records the stages run
         assert after == before and "tables/tables.gsa" in before
 
+    def test_invalid_override_raises_before_the_directory(self, tmp_path):
+        # run_full checks the config the flags built before it touches the directory
+        cfg_path = tmp_path / "c6.yaml"
+        config.save_config(tiny_config(tmp_path / "never"), cfg_path)
+        with pytest.raises(ValueError, match=r"\bseed\b"):
+            cli.main(["gen", "--config", str(cfg_path), "--seed", "-1"])
+        assert not (tmp_path / "never").exists()
+
     def test_every_stage_parses(self):
         parser = cli.build_parser()
         for name in runner.STAGES + ("full",):
@@ -965,7 +763,7 @@ class TestCli:
 
     def test_subadditivity_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "c4.yaml"
-        runner.save_config(tiny_config(tmp_path / "sub"), cfg_path)
+        config.save_config(tiny_config(tmp_path / "sub"), cfg_path)
         assert cli.main(["subadditivity", "--config", str(cfg_path)]) == 0
         assert "subadditivity: completed" in capsys.readouterr().out
         assert (tmp_path / "sub" / "results" / "subadditivity.csv").exists()
@@ -980,7 +778,7 @@ class TestCli:
 
         _replace_runs(monkeypatch, report=exploding_stage)
         cfg_path = tmp_path / "c5.yaml"
-        runner.save_config(tiny_config(tmp_path / "fails"), cfg_path)
+        config.save_config(tiny_config(tmp_path / "fails"), cfg_path)
         assert cli.main(["report", "--config", str(cfg_path)]) == 1
         manifest = json.loads((tmp_path / "fails" / "manifest.json").read_text())
         assert manifest["stages"]["report"] == "failed: boom"
