@@ -14,6 +14,7 @@ import json
 from dataclasses import (MISSING, asdict, dataclass, field, fields as dataclass_fields,
                          is_dataclass, replace)
 from math import inf
+from operator import attrgetter
 from pathlib import Path
 from typing import Annotated, get_args, get_origin, get_type_hints
 
@@ -124,13 +125,12 @@ class ExperimentConfig:
             if getattr(self, key) in (0.0, 1.0):
                 raise ValueError(f"{key} must be in (0, 1)")
         names = [t.name for t in self.targets]
-        # each entry keys a grid layer, a config id or a table case
-        for key, entries in (("variables", self.variables), ("targets.name", names),
-                             ("target_variables", self.target_variables),
-                             ("model_depths", self.model_depths), ("patches", self.patches),
-                             ("modes", self.modes), ("gaming.combos", self.gaming.combos),
-                             ("ig_step_grid", self.ig_step_grid),
-                             ("selection_budgets", self.selection_budgets)):
+        # each entry keys a grid layer, a config id, a table case or a scenario
+        for key in ("variables", "targets.name", "target_variables", "model_depths", "patches",
+                    "modes", "ig_step_grid", "selection_budgets", "gaming.combos",
+                    "gaming.n_attackers", "gaming.magnitudes_pct", "gaming.extended_magnitudes",
+                    "gaming.extended_placements"):
+            entries = names if key == "targets.name" else attrgetter(key)(self)
             if len(set(entries)) != len(entries):
                 raise ValueError(f"{key} must be unique, got {list(entries)}")
         grid = self.grid()

@@ -159,6 +159,12 @@ def _period_scores(model, window_stack: np.ndarray, window_clim: np.ndarray, sta
     return spatial_importance(maps, stations).mean(axis=0), preds
 
 
+def _shares(scores: np.ndarray) -> np.ndarray:
+    """Each station's share of the total score; all zero when the total is not positive."""
+    total = scores.sum()
+    return scores / total if total > 0 else np.zeros_like(scores)
+
+
 def run_gaming_experiment(model, y_star: np.ndarray, fields: np.ndarray, clim: np.ndarray,
                           stations: StationGrid, scenarios: list[AttackScenario]) -> GamingRun:
     """Score every scenario against the paired clean baseline period.
@@ -181,8 +187,7 @@ def run_gaming_experiment(model, y_star: np.ndarray, fields: np.ndarray, clim: n
     n_sc = len(scenarios)
     attack = np.tile(base_uns, (n_sc, 1))  # an attack that misses the model scores as clean
     ratio, honest_pp, reached, mae_change = np.zeros((4, n_sc))
-    base_total = base_uns.sum()
-    base_shares = base_uns / base_total if base_total > 0 else np.zeros_like(base_uns)
+    base_shares = _shares(base_uns)
     in_reach = stations_in_reach(model, stations, 1)
     for i, sc in enumerate(scenarios):
         effective = (sc.kind == "spoof" or sc.magnitude_pct > 0)
@@ -195,10 +200,8 @@ def run_gaming_experiment(model, y_star: np.ndarray, fields: np.ndarray, clim: n
         atk_uns = attack[i]
         attackers = np.asarray(sc.attackers)
         ratio[i] = np.mean((atk_uns[attackers] + _EPS) / (base_uns[attackers] + _EPS))
-        atk_total = atk_uns.sum()
-        atk_shares = atk_uns / atk_total if atk_total > 0 else np.zeros_like(atk_uns)
         honest = np.setdiff1d(np.arange(stations.n_stations), attackers)
-        honest_pp[i] = np.abs(atk_shares[honest] - base_shares[honest]).mean() * 100.0
+        honest_pp[i] = np.abs(_shares(atk_uns)[honest] - base_shares[honest]).mean() * 100.0
     return GamingRun(baseline=base_uns, attack=attack, inflation_ratio=ratio,
                      mae_clean=np.full(n_sc, mae_clean), mae_change=mae_change,
                      honest_share_change_pp=honest_pp, attack_reached_model=reached)
@@ -283,26 +286,24 @@ def attacker_labels(scenario: AttackScenario, n_stations: int) -> np.ndarray:
 
 
 def score_scenario(scenario: AttackScenario, baseline: np.ndarray, attack_row: np.ndarray,
-                   stations: StationGrid, neighbors=None) -> tuple[np.ndarray, np.ndarray, bool]:
+                   stations: StationGrid, neighbors=None,
+                   labels=None) -> tuple[np.ndarray, np.ndarray, bool]:
     """Run the unsupervised detector family on one scenario's station scores.
 
     Returns the suspicions (one row per detector of `DETECTORS`, one column
     per station), a (detectors x 3) array of PR-AUC, hit@1 and hit@5 against
-    the attackers, and whether U1 met a zero MAD.
+    the attackers, and whether U1 met a zero MAD.  `neighbors` and `labels`
+    default to `neighbor_model(stations)` and the scenario's `attacker_labels`.
     """
     u1, mad_defined = detector_u1_baseline_free(attack_row)
     suspicions = np.stack([
         detector_d3_rank_jump(baseline, attack_row),
         detector_d4_proxy_log_ratio(baseline, attack_row),
         detector_d5_spatial_residual(attack_row, stations, neighbors=neighbors), u1])
-    labels = attacker_labels(scenario, stations.n_stations)
-    attackers = set(scenario.attackers)
-
-    def hit(s, k):
-        return float(bool(set(topk_indices(s, k).tolist()) & attackers))
-
-    metrics = np.array([(pr_auc(s, labels), hit(s, 1), hit(s, min(5, stations.n_stations)))
-                        for s in suspicions])
+    labels = attacker_labels(scenario, stations.n_stations) if labels is None else labels
+    ks = (1, min(5, stations.n_stations))  # hit@k: 1.0 when an attacker ranks in the top k
+    metrics = np.array([(pr_auc(s, labels), *(float(labels[topk_indices(s, k)].any())
+                                              for k in ks)) for s in suspicions])
     return suspicions, metrics, not mad_defined
 
 
@@ -335,10 +336,8 @@ def detector_d7_supervised(
     results: dict[str, list[float]] = {}
     keys = sorted(config_data)
     for held_out in keys:
-        train_f = np.vstack([f for key in keys if key != held_out
-                             for f, _ in config_data[key]])
-        train_y = np.concatenate([y for key in keys if key != held_out
-                                  for _, y in config_data[key]])
+        train = [pair for key in keys if key != held_out for pair in config_data[key]]
+        train_f, train_y = np.vstack([f for f, _ in train]), np.concatenate([y for _, y in train])
         if train_y.sum() == 0 or train_y.sum() == train_y.size:
             raise ValueError("degenerate labels in training configurations")
         mu = train_f.mean(axis=0)
@@ -350,3 +349,53 @@ def detector_d7_supervised(
             aucs.append(pr_auc(z, y))
         results[held_out] = aucs
     return results
+
+
+# -- evaluation over a campaign ----------------------------------------------
+
+
+@dataclass(frozen=True)
+class DetectorEvaluation:
+    """Every detector over a campaign; the dicts are keyed by config id in campaign order."""
+    scored: dict[str, np.ndarray]  # (S, len(DETECTORS), 3) PR-AUC, hit@1, hit@5 per scenario
+    u1_zero_mad: dict[str, list[bool]]  # per scenario, whether U1 met a zero MAD
+    # rows (config id, kind, detector, n_scenarios, mean PR-AUC, hit@1, hit@5, prevalence):
+    # each config's kinds x DETECTORS, then D7's rows: NaN hits, the inflate n and prevalence
+    summary: list[tuple]
+
+
+def evaluate_detectors(campaigns: dict, stations: StationGrid) -> DetectorEvaluation:
+    """Score a campaign with the unsupervised family, then with D7 across its configs.
+
+    `campaigns` maps each config id, in sorted order, to its scenarios, their
+    `GamingRun` and the (N,) station distances to its target in km.  D7 reads
+    each inflate scenario's D3, D4 and D5 suspicions, baseline score shares and
+    distances, leave-one-config-out, when 2 or more configs have inflate scenarios.
+    """
+    nbrs, n = neighbor_model(stations), stations.n_stations
+    scored, zero_mad, summary, counts = {}, {}, [], {}
+    d7_data: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
+    for cid, (scenarios, run, distances) in campaigns.items():
+        share = _shares(run.baseline)
+        scored[cid], zero_mad[cid] = np.empty((len(scenarios), len(DETECTORS), 3)), []
+        for i, sc in enumerate(scenarios):
+            labels = attacker_labels(sc, n)
+            suspicions, scored[cid][i], u1_zero_mad = score_scenario(
+                sc, run.baseline, run.attack[i], stations, nbrs, labels)
+            zero_mad[cid].append(u1_zero_mad)
+            if sc.kind == "inflate":  # suspicions[:3] are D3, D4 and D5
+                d7_data.setdefault(cid, []).append(
+                    (np.column_stack([*suspicions[:3], share, distances]), labels))
+        prevalence = np.array([len(sc.attackers) for sc in scenarios]) / n
+        for kind in KINDS:
+            mine = np.array([sc.kind == kind for sc in scenarios], dtype=bool)
+            if mine.any():
+                n_kind, prev = counts[cid, kind] = int(mine.sum()), prevalence[mine].mean()
+                summary += [(cid, kind, det, n_kind,
+                             *(scored[cid][mine, d, m].mean() for m in range(3)), prev)
+                            for d, det in enumerate(DETECTORS)]
+    if len(d7_data) >= 2:
+        d7 = detector_d7_supervised(d7_data)
+        summary += [(cid, "inflate", "d7", counts[cid, "inflate"][0], float(np.mean(d7[cid])),
+                     np.nan, np.nan, counts[cid, "inflate"][1]) for cid in sorted(d7)]
+    return DetectorEvaluation(scored=scored, u1_zero_mad=zero_mad, summary=summary)

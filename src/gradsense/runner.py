@@ -65,15 +65,6 @@ def child_seed(master: int, *tags) -> int:
 # -- workspace --------------------------------------------------------------
 
 
-# intermediates of the layout before the config-stamped stores; nothing reads
-# them, and left in place they would sit outside the manifest, so `run_full`
-# removes them from a directory with a config.yaml (one gradsense ran in)
-_LEGACY_INTERMEDIATES = ("data/field_*.bin", "data/climatology.bin",
-                         "tables/global_importance.csv", "tables/spatial_importance.csv",
-                         "tables/global_utility.csv", "tables/spatial_utility.csv",
-                         "tables/gaming_scores.csv")
-
-
 class Workspace:
     """Output directory handle that tracks every file written for the manifest."""
 
@@ -435,14 +426,13 @@ def stage_fidelity(state: RunState) -> None:
         for key in state.scored_methods():
             imp = si_u[(cid, key)]
             ag = _agreement(imp, util_abs, ks, q)
+            lo = hi = np.nan  # a block-bootstrap CI for the primary method only
             if key == state.primary_key():
                 pairs = np.column_stack([imp.mean(axis=0), util_abs.mean(axis=0)])
                 ci = metrics.bootstrap_block_spatial(
                     pairs, blocks, metrics.paired_spearman, boot_n, level,
                     seed=child_seed(cfg.seed, "sci", cid, mode, patch))
                 lo, hi = ci.lower, ci.upper
-            else:
-                lo = hi = np.nan
             s_rows.append((cid, mode, patch, key, *_fidelity_cells(ag, lo, hi)))
     state.ws.write_csv("results/fidelity_spatial.csv", fidelity_columns(True, ks), s_rows)
 
@@ -583,19 +573,16 @@ def stage_select(state: RunState) -> None:
             warnings.warn(f"selection budget {k} clipped to station count {n}")
     budgets = list(dict.fromkeys(min(k, n) for k in cfg.selection_budgets))
     rows = []
+    score_keys = {"ig": state.primary_key(), "gti": "gti", "vg": "vg"}
     for cid, mode, patch, util in _valued_cases(tables):
         dist = state.distances(cid)
+        # each strategy reads the input it ranks by: a time mean, the distances or the seed
+        means = {s: si_u[(cid, key)].mean(axis=0) for s, key in score_keys.items()}
         for k in budgets:
+            seed = child_seed(cfg.seed, "uniform", cid, mode, patch, k)
             for strategy in incentive.STRATEGIES:
-                kwargs = {}
-                if strategy in ("ig", "gti", "vg"):
-                    key = state.primary_key() if strategy == "ig" else strategy
-                    kwargs["scores"] = si_u[(cid, key)].mean(axis=0)
-                elif strategy == "distance":
-                    kwargs["distances_km"] = dist
-                elif strategy == "uniform":
-                    kwargs["seed"] = child_seed(cfg.seed, "uniform", cid, mode, patch, k)
-                res = incentive.select(strategy, k, util, **kwargs)
+                res = incentive.select(strategy, k, util, scores=means.get(strategy),
+                                       distances_km=dist, seed=seed)
                 rows.append((cid, mode, patch, strategy, k, res.captured,
                              res.efficiency_ratio, res.optimality_ratio))
     state.ws.write_csv("results/selection.csv", SELECTION_COLUMNS, rows)
@@ -668,17 +655,13 @@ def stage_subadditivity(state: RunState) -> None:
             spec = ablation.PerturbationSpec(
                 mode=mode, patch=patch, magnitude=cfg.perturb_magnitude,
                 seed=child_seed(cfg.seed, "subadd", cid, mode, patch))
-            ratios, flagged = [], 0
-            for t, (x, y_star) in enumerate(zip(state.fields, y_stars)):
-                res = ablation.joint_ablation(model, x, t, y_star, state.stations, ids,
-                                              spec, state.clim, state.var_std)
-                if res.ratio_defined:
-                    ratios.append(res.ratio)
-                else:
-                    flagged += 1
+            joint = [ablation.joint_ablation(model, x, t, y_star, state.stations, ids, spec,
+                                             state.clim, state.var_std)
+                     for t, (x, y_star) in enumerate(zip(state.fields, y_stars))]
+            ratios = [res.ratio for res in joint if res.ratio_defined]
             med = float(np.median(ratios)) if ratios else np.nan
             rows.append((cid, mode, patch, size, ";".join(str(g) for g in ids), med,
-                         len(ratios), flagged))
+                         len(ratios), len(joint) - len(ratios)))
     state.ws.write_csv("results/subadditivity.csv", SUBADDITIVITY_COLUMNS, rows)
 
 
@@ -748,46 +731,15 @@ DETECTION_SUMMARY_COLUMNS = ("config_id", "kind", "detector", "n_scenarios", "me
 
 
 def stage_detect(state: RunState) -> None:
-    st = state.stations
-    nbrs = gaming.neighbor_model(st)
-    results_rows, summary_rows = [], []
-    d7_data: dict[str, list] = {}
-    for cid, (scenarios, run) in sorted(state.ensure_gaming().items()):
-        # PR-AUC, hit@1 and hit@5 of each detector on each scenario
-        scored = np.empty((len(scenarios), len(gaming.DETECTORS), 3))
-        total = run.baseline.sum()
-        share = run.baseline / total if total > 0 else np.zeros_like(run.baseline)
-        dist = state.distances(cid)
-        for i, sc in enumerate(scenarios):
-            suspicions, scored[i], u1_zero_mad = gaming.score_scenario(
-                sc, run.baseline, run.attack[i], st, nbrs)
-            for det, row in zip(gaming.DETECTORS, scored[i].tolist()):
-                results_rows.append((sc.scenario_id, det, *row, run.inflation_ratio[i],
-                                     run.mae_change[i], det == "u1" and u1_zero_mad))
-            if sc.kind == "inflate":  # D7 features: d3, d4, d5, baseline share, distance
-                d7_data.setdefault(cid, []).append((
-                    np.column_stack([*suspicions[:3], share, dist]),
-                    gaming.attacker_labels(sc, st.n_stations)))
-        prevalence = np.array([len(sc.attackers) for sc in scenarios]) / st.n_stations
-        for kind in gaming.KINDS:
-            mine = np.array([sc.kind == kind for sc in scenarios], dtype=bool)
-            if not mine.any():
-                continue
-            for d, det in enumerate(gaming.DETECTORS):
-                summary_rows.append((cid, kind, det, int(mine.sum()),
-                                     *(scored[mine, d, m].mean() for m in range(3)),
-                                     prevalence[mine].mean()))
-    state.ws.write_csv("results/gaming_results.csv", GAMING_RESULTS_COLUMNS, results_rows)
-
-    if len(d7_data) >= 2:
-        d7 = gaming.detector_d7_supervised(d7_data)
-        for cid in sorted(d7):
-            summary_rows.append((cid, "inflate", "d7", len(d7[cid]),
-                                 float(np.mean(d7[cid])), np.nan, np.nan,
-                                 float(np.mean([y.sum() / y.size
-                                                for _, y in d7_data[cid]]))))
-    state.ws.write_csv("results/detection_summary.csv", DETECTION_SUMMARY_COLUMNS,
-                       summary_rows)
+    campaigns = {cid: (scenarios, run, state.distances(cid))
+                 for cid, (scenarios, run) in sorted(state.ensure_gaming().items())}
+    ev = gaming.evaluate_detectors(campaigns, state.stations)
+    rows = [(sc.scenario_id, det, *cells, run.inflation_ratio[i], run.mae_change[i],
+             det == "u1" and ev.u1_zero_mad[cid][i])
+            for cid, (scenarios, run, _) in campaigns.items() for i, sc in enumerate(scenarios)
+            for det, cells in zip(gaming.DETECTORS, ev.scored[cid][i].tolist())]
+    state.ws.write_csv("results/gaming_results.csv", GAMING_RESULTS_COLUMNS, rows)
+    state.ws.write_csv("results/detection_summary.csv", DETECTION_SUMMARY_COLUMNS, ev.summary)
 
 
 CONVERGENCE_COLUMNS = ("config_id", "scope", "mode", "patch", "rho_aggregate",
@@ -999,9 +951,6 @@ def run_full(cfg: ExperimentConfig, stage_filter: tuple[str, ...] | None = None)
             old = None  # unreadable
         if old != state.stamp:  # one directory never mixes the artifacts of two configs
             state.ws.clear()
-        for pattern in _LEGACY_INTERMEDIATES:
-            for stale in state.ws.root.glob(pattern):
-                stale.unlink()
     _dump_yaml(_identity(cfg), saved)  # the directory's name is no part of its contents
     state.ws.files.add("config.yaml")
     wanted = stage_filter or STAGES

@@ -106,6 +106,12 @@ class TestConfig:
                          ({"selection_budgets": [5, 5]}, "selection_budgets"),
                          ({"gaming": {"combos": [["zurich", "t2m"], ["zurich", "t2m"]]}},
                           "gaming.combos"),
+                         ({"gaming": {"n_attackers": [1, 1, 3]}}, "gaming.n_attackers"),
+                         ({"gaming": {"magnitudes_pct": [50.0, 50.0]}}, "gaming.magnitudes_pct"),
+                         ({"gaming": {"extended_magnitudes": [10.0, 10.0]}},
+                          "gaming.extended_magnitudes"),
+                         ({"gaming": {"extended_placements": ["close", "close"]}},
+                          "gaming.extended_placements"),
                          ({"gaming": {"n_seed": 3}}, "gaming.n_seed"),
                          ({"gaming": {"n_seeds": [3]}}, "gaming.n_seeds"),
                          ({"gaming": {"magnitudes_pct": 50.0}}, "gaming.magnitudes_pct"),

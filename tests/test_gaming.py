@@ -438,9 +438,15 @@ class TestEvaluation:
             for det in gaming.DETECTORS]
         kinds = {(s["kind"], s["detector"]) for s in summary}
         assert ("inflate", "d4") in kinds and ("spoof", "d4") in kinds
+        inflate_rows = {s["config_id"]: s for s in summary
+                        if s["kind"] == "inflate" and s["detector"] != "d7"}
         for s in summary:
             assert 0.0 <= float(s["mean_pr_auc"]) <= 1.0
             if s["detector"] == "d7":
+                # D7 is scored on the inflate scenarios, so its counts are the inflate row's
+                inflate = inflate_rows[s["config_id"]]
+                assert (s["n_scenarios"], s["prevalence"]) == (inflate["n_scenarios"],
+                                                               inflate["prevalence"])
                 continue
             # aggregation matches the per-scenario mean
             rows = per_scenario[(s["config_id"], s["kind"], s["detector"])]

@@ -145,24 +145,6 @@ class TestRunFull:
         assert set(run["files"]) == ({"config.yaml", *stage.writes}
                                      | _read_files(stage.reads, computed=False))
 
-    def test_legacy_intermediates_removed(self, tiny_run, tmp_path):
-        # a directory written by the layout before the stores keeps these
-        cfg, out, _ = tiny_run
-        copy = tmp_path / "legacy"
-        shutil.copytree(out, copy)
-        legacy = [f"data/field_{t:04d}.bin" for t in range(cfg.n_timestamps)]
-        legacy += ["data/climatology.bin"] + [
-            f"tables/{name}.csv" for name in ("global_importance", "spatial_importance",
-                                              "global_utility", "spatial_utility",
-                                              "gaming_scores")]
-        for rel in legacy:
-            (copy / rel).write_bytes(b"stale")
-        manifest = runner.run_full(replace(cfg, out_dir=str(copy)))
-        assert manifest["ok"]
-        on_disk = {str(p.relative_to(copy)) for p in copy.rglob("*") if p.is_file()}
-        assert set(manifest["files"]) | {"manifest.json"} == on_disk
-        assert not any((copy / rel).exists() for rel in legacy)
-
     def test_manifest_hashes_match_disk(self, tiny_run):
         _, out, manifest = tiny_run
         for rel, digest in manifest["files"].items():
