@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import MIN_RESAMPLES, gini, spearman, topk_indices
+from .metrics import MIN_RESAMPLES, gini, spearman_rho, topk_indices
 
 STRATEGIES = ("ig", "gti", "vg", "distance", "uniform", "oracle")
 MIN_STATIONS = 10    # decile_calibration: one station per decile at least
@@ -173,9 +173,9 @@ def decile_calibration(proxy_scores, utilities) -> CalibrationReport:
     pp = payment(proxy, 1.0).shares
     pt = payment(u_abs, 1.0).shares
     over, _ = overpayment(pp, pt)
-    rc = spearman(pp, pt)
     return CalibrationReport(decile_mean_utility=means, gini_ratio=float(g_ratio),
-                             overpayment_total=over, share_spearman=rc.rho)
+                             overpayment_total=over,
+                             share_spearman=float(spearman_rho(pp[None], pt[None])[0]))
 
 
 @dataclass(frozen=True)
@@ -312,6 +312,6 @@ def shrinkage_fit(proxy_shares_per_t, dist_shares, utilities, objective: str = "
         per_fold[t] = _LAMBDA_GRID[int(np.argmin(losses))]
     lam = float(per_fold.mean())
     pbar = p.mean(axis=0)
-    rho_blend = spearman(lam * pbar + (1 - lam) * d, truth).rho
-    rho_pure = spearman(pbar, truth).rho
+    rho_blend, rho_pure = spearman_rho(np.stack([lam * pbar + (1 - lam) * d, pbar]),
+                                       np.stack([truth, truth]))
     return ShrinkageFit(lam=lam, per_fold=per_fold, delta_rho=float(rho_blend - rho_pure))

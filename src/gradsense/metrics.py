@@ -4,46 +4,57 @@ Everything here is implemented directly (average-rank Spearman with a
 t-approximation, one-sided Wilcoxon signed-rank with exact enumeration for
 small n, Benjamini-Hochberg step-up, trapezoidal PR-AUC with tie grouping,
 percentile bootstrap over spatial blocks) so the exact conventions are
-pinned.  The only SciPy import is `scipy.special.stdtr`, the Student t tail
-behind the Spearman p-value.  All randomized procedures reproduce
-bit-identically from their seed.
+pinned.  The Student t tail behind the Spearman p-value, `t_lower_tail`, is
+Abramowitz & Stegun's series for integer degrees of freedom, so the module
+needs NumPy only.  All randomized procedures reproduce bit-identically from
+their seed.
 
 Every Spearman correlation ends in `_rho`, on three sums of centred average
-ranks: sum(ra * rb), sum(ra^2) and sum(rb^2).  `spearman_rows` ranks the rows
+ranks: sum(ra * rb), sum(ra^2) and sum(rb^2).  `spearman_rho` ranks the rows
 of two matrices (`average_ranks_matrix`) and sums them in `_rank_rho`;
-`spearman` is its one-row case.  `paired_spearman`, the bootstrap statistic,
-gets the same sums from station multiplicities without building a resample:
-stations are grouped by their pair of tie codes, a group's centred average
-rank in a resample is half of (values below it - values above it), and each
-group is weighted by how often its stations were drawn.  Centred average
+`spearman_rows` adds each row's p-value, and `spearman` is its one-row case.
+Callers that read rho alone call `spearman_rho`, which evaluates no t tail.
+`paired_spearman`, the bootstrap statistic, gets the same sums from station
+multiplicities without building a resample: stations are grouped by their
+pair of tie codes, a group's centred average rank in a resample is half of
+(values below it - values above it), and each group is weighted by how often
+its stations were drawn.  Centred average
 ranks are multiples of 1/2 and multiplicities are integers, so every partial
 sum is a multiple of 1/4 far below 2^53 and exact in any order: no batching,
-grouping or summation order can change a bit of rho or of its p-value.
+grouping or summation order can change a bit of rho, and `t_lower_tail` gives
+each p-value from its own t alone.
 
 There is one bootstrap resampler, `bootstrap_block_spatial`; `bootstrap_iid`
 is its case with one singleton block per row, in index order.  A bootstrap
 statistic is one batched function, `statistic(values, counts)`, where
 `counts` is a (resamples, n) matrix of integer station multiplicities (held
 as float64), one row per resample; it returns one value per row, and the
-point estimate is its value on a row of ones.  Multiplicities drop the draw
-order, which only a NaN can see: it is not equal to itself, so sorting gives
-each copy its own rank, in draw order.  `paired_spearman` adds that spread in
-closed form for one NaN station per column and raises for more.
+point estimate is its value on a row of ones.  The resamples reach it in
+chunks, so a row's value must not depend on the rows beside it.
+Multiplicities drop the draw order, which only a NaN can see: it is not equal
+to itself, so sorting gives each copy its own rank, in draw order.
+`paired_spearman` adds that spread in closed form for one NaN station per
+column and raises for more.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtr
 
 from .grid import StationGrid
 
 MIN_SAMPLES = 3  # observations behind a Spearman rho or a bootstrap
 MIN_RESAMPLES = 1000  # resamples behind a bootstrap CI
 _EXACT_THRESHOLD = 12  # nonzero samples up to which the signed-rank null is enumerated
+_COUNTS_BUDGET = 1 << 17  # float64 station multiplicities (1 MiB) per bootstrap statistic call
+# |t| from which `t_lower_tail` sums the complementary series: below it the tail
+# is at least 0.0228 for every nu, so the finite sum's cancellation costs little
+_T_SPLIT = 2.0
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -51,7 +62,11 @@ class RankCorrelation:
     rho: float
     n: int
     p_value: float
-    undefined: bool = False
+
+    @property
+    def undefined(self) -> bool:
+        """A constant input leaves rho (and p) NaN: flagged, never coerced to zero."""
+        return math.isnan(self.rho)
 
 
 @dataclass(frozen=True)
@@ -123,11 +138,11 @@ def _rho(sab: np.ndarray, saa: np.ndarray, sbb: np.ndarray) -> np.ndarray:
         return np.where(den > 0, np.clip(sab / den, -1.0, 1.0), np.nan)
 
 
-def spearman_rows(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Spearman rho and t-approximated p of each row pair of two (rows, n) matrices.
+def spearman_rho(a, b) -> np.ndarray:
+    """Spearman rho of each row pair of two (rows, n) matrices, without a p-value.
 
-    A row pair whose correlation is undefined (either row constant) gets NaN
-    for both rho and p.  Row i equals `spearman(a[i], b[i])` bit for bit.
+    NaN where a row pair's correlation is undefined (either row constant).
+    Row i equals `spearman(a[i], b[i]).rho` bit for bit.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -137,10 +152,119 @@ def spearman_rows(a, b) -> tuple[np.ndarray, np.ndarray]:
     if n < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} observations")
     ranks = average_ranks_matrix(np.concatenate([a, b]))
-    rho = _rank_rho(ranks[:rows], ranks[rows:])
+    return _rank_rho(ranks[:rows], ranks[rows:])
+
+
+def spearman_rows(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Spearman rho and t-approximated p of each row pair of two (rows, n) matrices.
+
+    A row pair whose correlation is undefined (either row constant) gets NaN
+    for both rho and p; rho = +-1 makes t infinite, and p 0.  Row i equals
+    `spearman(a[i], b[i])` bit for bit.
+    """
+    rho = spearman_rho(a, b)
+    n = np.shape(a)[1]
     with np.errstate(invalid="ignore", divide="ignore"):
         tstat = rho * np.sqrt((n - 2) / (1.0 - rho * rho))
-    return rho, np.where(np.abs(rho) == 1.0, 0.0, 2.0 * stdtr(n - 2, -np.abs(tstat)))
+    return rho, 2.0 * t_lower_tail(n - 2, -np.abs(tstat))
+
+
+def t_lower_tail(nu: int, t) -> np.ndarray:
+    """P(T <= t) of Student's t with integer `nu` >= 1 degrees of freedom, per t <= 0 of 1-D `t`.
+
+    With x = nu / (nu + t^2) = cos^2(theta), tan(theta) = |t| / sqrt(nu), the
+    tail is (1 - A) / 2 for A of Abramowitz & Stegun 26.7.3 (odd nu) and
+    26.7.4 (even nu), a finite series in x of about nu/2 terms.  Where
+    |t| < `_T_SPLIT` the tail is that.  Further out 1 - A would cancel, so the
+    tail is the rest of the series' infinite continuation, whose terms are all
+    positive: for even nu = 2m, 1 - A = sin(theta) sum_{j >= m} c_j x^j with
+    c_j = (2j - 1)!! / (2j)!!; for odd nu = 2m + 1,
+    1 - A = (2 / pi) sin(theta) cos(theta) sum_{j >= m} d_j x^j with
+    d_j = (2j)!! / (2j + 1)!!.  t = -inf gives 0 and NaN gives NaN.
+
+    For a contiguous `t`, each value depends on its own t alone, not on the
+    values beside it (see `_t_series_sum`).
+    """
+    m, odd, ratios, factor = _t_series(nu)
+    a = -np.asarray(t, dtype=np.float64)
+    if a.ndim != 1 or (a < 0).any():
+        raise ValueError("t must be a 1-D array of values <= 0 or NaN")
+    far = a >= _T_SPLIT  # -inf too; NaN is near
+    n_far = np.count_nonzero(far)
+    if n_far == a.size:
+        return _t_far(nu, m, odd, ratios, factor, a)
+    if n_far == 0:
+        return _t_near(nu, m, odd, ratios, a)
+    out = np.empty_like(a)
+    out[far] = _t_far(nu, m, odd, ratios, factor, a[far])
+    out[~far] = _t_near(nu, m, odd, ratios, a[~far])
+    return out
+
+
+@functools.cache
+def _t_series(nu: int) -> tuple[int, int, np.ndarray, float]:
+    """nu's series: m, nu's parity, the ratios of consecutive coefficients, and the far factor.
+
+    Coefficient j + 1 over coefficient j is (2j + 1) / (2j + 2) for even nu
+    and (2j + 2) / (2j + 3) for odd nu.  The ratios run past m for as many
+    terms as the complementary series needs at |t| = `_T_SPLIT`.  The far
+    factor is coefficient m over 2 (even nu) or over pi (odd nu).
+    """
+    if not (isinstance(nu, (int, np.integer)) and nu >= 1):
+        raise ValueError(f"degrees of freedom must be an integer >= 1, got {nu!r}")
+    m, odd = divmod(int(nu), 2)
+    j = np.arange(m + _t_terms(nu / (nu + _T_SPLIT ** 2)))
+    ratios = (2 * j + 1 + odd) / (2 * j + 2 + odd)
+    ratios.flags.writeable = False
+    return m, odd, ratios, math.prod(ratios[:m].tolist()) / (math.pi if odd else 2.0)
+
+
+def _t_terms(x: float) -> int:
+    """Terms of a series in x whose ratios are below 1 up to the first term under (1 - x) eps/4."""
+    if x == 0.0:
+        return 1
+    return math.ceil((math.log(_EPS / 4) + math.log1p(-x)) / math.log(x))
+
+
+def _t_series_sum(x: np.ndarray, ratios: np.ndarray) -> np.ndarray:
+    """sum_k x^k prod_{i<k} ratios[i] over k = 0 .. len(ratios), per x, summed in order.
+
+    With ratios below 1 the terms fall from 1, so the running sum is at least 1
+    and a term under epsilon/4 leaves it as it is: terms past the first one
+    that small change no bit, however many `ratios` there are.
+    """
+    terms = np.empty((ratios.size + 1, x.size))
+    terms[0] = 1.0
+    np.multiply(ratios[:, None], x, out=terms[1:])
+    np.multiply.accumulate(terms, axis=0, out=terms)
+    return np.add.accumulate(terms, axis=0, out=terms)[-1]
+
+
+def _t_near(nu, m, odd, ratios, a):
+    """The tail at -a for 0 <= a < `_T_SPLIT` (or NaN): A&S's finite sum."""
+    tan = a / math.sqrt(nu)
+    cos = 1.0 / np.hypot(1.0, tan)
+    sin = tan * cos
+    if not odd:
+        return 0.5 - 0.5 * sin * _t_series_sum(cos * cos, ratios[:m - 1])
+    theta = np.arctan(tan)
+    if m:
+        theta += sin * cos * _t_series_sum(cos * cos, ratios[:m - 1])
+    return 0.5 - theta / math.pi
+
+
+def _t_far(nu, m, odd, ratios, factor, a):
+    """The tail at -a for a >= `_T_SPLIT` (or inf): the complementary series from term m.
+
+    Its terms past index k sum to under term k / (1 - x), so the sum stops at
+    the first term under (1 - x) eps/4, as `_t_terms` counts for the largest x.
+    """
+    cot = math.sqrt(nu) / a
+    sin = 1.0 / np.hypot(1.0, cot)
+    x = nu / (nu + a * a)
+    s = _t_series_sum(x, ratios[m:m + _t_terms(float(x.max())) - 1])
+    tail = (factor * x ** m) * sin * s
+    return tail * (cot * sin) if odd else tail
 
 
 def spearman(a, b) -> RankCorrelation:
@@ -155,8 +279,6 @@ def spearman(a, b) -> RankCorrelation:
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("inputs must be equal-length vectors")
     rho, p = spearman_rows(a[None], b[None])
-    if math.isnan(rho[0]):
-        return RankCorrelation(rho=math.nan, n=a.size, p_value=math.nan, undefined=True)
     return RankCorrelation(rho=float(rho[0]), n=a.size, p_value=float(p[0]))
 
 
@@ -346,12 +468,13 @@ def bootstrap_block_spatial(values, blocks: list[np.ndarray], statistic,
                             seed: int = 0) -> BootstrapCI:
     """Percentile CI resampling whole spatial blocks; members move together.
 
-    Each resample draws as many blocks as there are, with replacement.  One
-    `bincount` turns the draws into block counts, and a station's
+    Each resample draws as many blocks as there are, with replacement; a
+    leading draw of each block once gives the point estimate.  Per chunk of
+    draws, one `bincount` turns them into block counts, and a station's
     multiplicity is its block's count: the statistic sees those (as float64,
-    ready for BLAS), never a gathered copy of the sample.  It is called once,
-    with a leading row of ones for the point estimate.  `blocks` must hold
-    integer station indices that cover 0..n-1 once each.
+    ready for BLAS), never a gathered copy of the sample.  A chunk holds as
+    many draws as fit in `_COUNTS_BUDGET` multiplicities, and at least one.
+    `blocks` must hold integer station indices that cover 0..n-1 once each.
     """
     arr = np.asarray(values, dtype=np.float64)
     n, n_blocks = arr.shape[0], len(blocks)
@@ -362,12 +485,19 @@ def bootstrap_block_spatial(values, blocks: list[np.ndarray], statistic,
             or not np.array_equal(np.sort(covered := np.concatenate(members)), np.arange(n))):
         raise ValueError("blocks must partition the station set")
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), n_resamples)))
-    draws = rng.integers(0, n_blocks, size=(n_resamples, n_blocks))
-    cell = np.arange(n_resamples)[:, None] * n_blocks + draws  # (resample, block) flat
-    block_counts = np.ones((1 + n_resamples, n_blocks))  # row 0, each block once: the point
-    block_counts[1:] = np.bincount(cell.ravel(), minlength=n_resamples * n_blocks).reshape(
-        n_resamples, n_blocks)
+    draws = np.vstack([np.arange(n_blocks),
+                       rng.integers(0, n_blocks, size=(n_resamples, n_blocks))])
     block_of = np.empty(n, dtype=np.intp)
     block_of[covered] = np.repeat(np.arange(n_blocks), [b.size for b in members])
-    stats = statistic(arr, np.take(block_counts, block_of, axis=1))
+    step = max(1, _COUNTS_BUDGET // n)
+    stats = np.concatenate([statistic(arr, _station_counts(draws[i:i + step], block_of))
+                            for i in range(0, 1 + n_resamples, step)])
     return _percentile_ci(stats[1:], stats[0], level, n_resamples)
+
+
+def _station_counts(draws: np.ndarray, block_of: np.ndarray) -> np.ndarray:
+    """Station multiplicities (as float64) of each row of a (rows, n_blocks) block draw."""
+    rows, n_blocks = draws.shape
+    cell = np.arange(rows)[:, None] * n_blocks + draws  # (row, block) flat
+    block_counts = np.bincount(cell.ravel(), minlength=rows * n_blocks).reshape(rows, n_blocks)
+    return np.take(block_counts.astype(np.float64), block_of, axis=1)

@@ -246,6 +246,28 @@ class TestVectorizedKernelsBitIdentical:
                 assert metrics.bootstrap_block_spatial(
                     sample, blocks, metrics.paired_spearman, 1000, 0.9, seed=seed) == old
 
+    def test_chunked_resamples_match_one_chunk(self, rng, desk_stations, monkeypatch):
+        blocks = metrics.station_blocks(desk_stations, 2)
+        n = desk_stations.n_stations
+        pairs = np.column_stack([rng.normal(size=n), rng.integers(0, 6, n) * 0.5])
+        budgets = (metrics._COUNTS_BUDGET, 64 * n)
+        for statistic in (metrics.paired_spearman, mean_stat):
+            runs = {}
+            for budget in budgets:
+                monkeypatch.setattr(metrics, "_COUNTS_BUDGET", budget)
+                rows, values = [], []
+
+                def recorded(v, counts):
+                    rows.append(counts.shape[0])
+                    values.append(statistic(v, counts))
+                    return values[-1]
+
+                ci = metrics.bootstrap_block_spatial(pairs, blocks, recorded, 1000, 0.9, seed=3)
+                runs[budget] = rows, np.concatenate(values), ci
+            (one, whole, ci_one), (chunks, chunked, ci_chunked) = runs.values()
+            assert one == [1001] and chunks == [64] * 15 + [41]  # the point rides in chunk 0
+            assert np.array_equal(whole, chunked, equal_nan=True) and ci_one == ci_chunked
+
     def test_batched_spearman_heavy_ties_and_constant_rows(self, rng):
         n, rows = 40, 300
         for arr in _spearman_cases(rng, n):

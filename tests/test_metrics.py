@@ -35,7 +35,7 @@ def loop_average_ranks(x):
 
 
 def loop_spearman(a, b):
-    """`spearman` on loop ranks, with the p-value from `scipy.stats.t.sf`."""
+    """`spearman` on loop ranks, with its t statistic fed through `t_lower_tail` one at a time."""
     ra, rb = loop_average_ranks(a), loop_average_ranks(b)
     ra -= ra.mean()
     rb -= rb.mean()
@@ -43,7 +43,7 @@ def loop_spearman(a, b):
     p = 0.0
     if abs(rho) != 1.0:
         t = rho * math.sqrt((a.size - 2) / (1.0 - rho * rho))
-        p = float(2.0 * sps.t.sf(abs(t), df=a.size - 2))
+        p = float(2.0 * metrics.t_lower_tail(a.size - 2, np.array([-abs(t)]))[0])
     return metrics.RankCorrelation(rho=rho, n=a.size, p_value=p)
 
 
@@ -115,7 +115,7 @@ class TestSpearman:
             assert ours.rho == pytest.approx(ref_rho, abs=1e-12)
             assert ours.p_value == pytest.approx(ref_p, abs=1e-9)
 
-    def test_matches_loop_oracle_with_scipy_t_tail(self, rng):
+    def test_matches_loop_oracle_through_t_tail(self, rng):
         for i in range(300):
             n = int(rng.integers(3, 150))
             a = rng.normal(size=n) if i % 2 else rng.integers(0, 5, size=n) * 1.0
@@ -166,6 +166,7 @@ class TestSpearmanRows:
         for a, b in _row_matrices(rng):
             rho, p = metrics.spearman_rows(a, b)
             assert rho.shape == p.shape == (a.shape[0],)
+            assert np.array_equal(metrics.spearman_rho(a, b), rho, equal_nan=True)
             for i in range(a.shape[0]):
                 if np.all(a[i] == a[i, 0]) or np.all(b[i] == b[i, 0]):
                     assert math.isnan(rho[i]) and math.isnan(p[i])
@@ -187,6 +188,8 @@ class TestSpearmanRows:
                      (np.ones((2, 2)), np.ones((2, 2))), (np.ones((1, 2, 3)), np.ones((1, 2, 3)))):
             with pytest.raises(ValueError):
                 metrics.spearman_rows(a, b)
+            with pytest.raises(ValueError):
+                metrics.spearman_rho(a, b)
 
     def test_rank_rho_sums_are_exact(self, rng):
         # centred average ranks are multiples of 1/2, so every summation order agrees
@@ -201,6 +204,43 @@ class TestSpearmanRows:
                 assert np.array_equal(summed, np.array([r @ s for r, s in zip(ra, rb)]))
                 if hasattr(np, "vecdot"):
                     assert np.array_equal(summed, np.vecdot(ra, rb))
+
+
+class TestTLowerTail:
+    # |t| from 0 through 1e8, with the split between the two series in A&S's form
+    T = -np.r_[0.0, np.logspace(-8, 8, 321), np.nextafter(2.0, 0.0), 2.0]
+
+    def test_against_scipy_stdtr(self):
+        from scipy.special import stdtr
+        for nu in (*range(2, 401), 1000):
+            ours, ref = metrics.t_lower_tail(nu, self.T), stdtr(nu, self.T)
+            normal = ref >= 1e-300
+            assert np.all(np.abs(ours[normal] / ref[normal] - 1) <= 1e-12), nu
+            assert np.all(ours[~normal] <= 1e-290) and np.all(ref[~normal] <= 1e-290), nu
+
+    def test_cauchy_closed_form(self):
+        # nu = 1: 0.5 - atan(|t|) / pi, written atan2(1, |t|) / pi to stay exact for large |t|
+        ours = metrics.t_lower_tail(1, self.T)
+        exact = np.arctan2(1.0, -self.T) / np.pi
+        assert np.all(np.abs(ours / exact - 1) <= 1e-14)
+        assert metrics.t_lower_tail(1, np.array([-1e-8]))[0] == pytest.approx(
+            0.49999999681690116, rel=1e-15)
+
+    def test_edges(self):
+        for nu in (1, 2, 3, 4, 115, 1000):
+            out = metrics.t_lower_tail(nu, np.array([0.0, -0.0, -np.inf, np.nan]))
+            assert out[0] == out[1] == 0.5 and out[2] == 0.0 and math.isnan(out[3])
+        for nu, t in ((0, [-1.0]), (2.0, [-1.0]), (3, [1.0]), (3, [[-1.0]])):
+            with pytest.raises(ValueError):
+                metrics.t_lower_tail(nu, np.array(t))
+
+    def test_value_does_not_depend_on_its_neighbours(self, rng):
+        for nu in (1, 4, 115, 116, 1000):
+            t = -np.abs(rng.standard_t(3, size=200)) * rng.choice([0.1, 1.0, 10.0], size=200)
+            t[::17] = -np.inf
+            t[::23] = np.nan
+            one_by_one = [metrics.t_lower_tail(nu, t[i:i + 1])[0] for i in range(t.size)]
+            assert np.array_equal(metrics.t_lower_tail(nu, t), one_by_one, equal_nan=True)
 
 
 class TestTopK:

@@ -3,10 +3,13 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
 import shlex
 import shutil
 import statistics
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -34,6 +37,21 @@ def tiny_config(out_dir, **overrides) -> config.ExperimentConfig:
         out_dir=str(out_dir))
     base.update(overrides)
     return replace(config.ExperimentConfig(), **base)
+
+
+def test_a_run_loads_no_scipy(tmp_path):
+    """SciPy is a test dependency only: the CLI and a full run import none of it."""
+    config.save_config(tiny_config(tmp_path / "run"), tmp_path / "tiny.yaml")
+    probe = ("import sys\n"
+             "import gradsense, gradsense.cli\n"
+             f"code = gradsense.cli.main(['full', '--config', {str(tmp_path / 'tiny.yaml')!r}])\n"
+             "print(code, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def _hash_tree(root: Path) -> dict:
