@@ -32,6 +32,7 @@ MID_KM = 1500.0
 _EPS = 1e-12
 _NEIGHBORS = 8  # D5's inverse-distance neighbourhood
 _GD_ITERS, _GD_LR = 300, 0.5  # D7's fixed gradient-descent schedule
+_STD_BLOCK_BUDGET = 1 << 17  # float64 squared deviations (1 MiB) per block of D7's feature std
 
 
 @dataclass(frozen=True)
@@ -310,15 +311,51 @@ def score_scenario(scenario: AttackScenario, baseline: np.ndarray, attack_row: n
 # -- supervised detector ---------------------------------------------------
 
 
-def _logistic_gd(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Full-batch logistic regression by gradient descent, zero-initialised."""
-    x = np.hstack([np.ones((features.shape[0], 1)), features])
+def _logistic_gd(design: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Full-batch logistic regression by gradient descent, zero-initialised.
+
+    `design` is the (rows, 1 + features) matrix whose column 0 is the intercept's
+    ones.  Each step computes p = 1 / (1 + exp(-clip(x @ w, -35, 35))) and the
+    gradient x.T @ (p - y) in two reused buffers, element by element as the
+    expression would.
+    """
     y = labels.astype(np.float64)
-    w = np.zeros(x.shape[1])
+    w = np.zeros(design.shape[1])
+    p, grad = np.empty(design.shape[0]), np.empty(design.shape[1])
     for _ in range(_GD_ITERS):
-        p = 1.0 / (1.0 + np.exp(-np.clip(x @ w, -35, 35)))
-        w -= _GD_LR * (x.T @ (p - y)) / x.shape[0]
+        np.matmul(design, w, out=p)
+        np.clip(p, -35, 35, out=p)
+        np.negative(p, out=p)
+        np.exp(p, out=p)
+        np.add(1.0, p, out=p)
+        np.divide(1.0, p, out=p)
+        np.subtract(p, y, out=p)
+        np.matmul(design.T, p, out=grad)
+        w -= _GD_LR * grad / design.shape[0]
     return w
+
+
+def _standardize_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Standardize the columns of `x` in place by their mean and std floored at 1e-9.
+
+    Returns the mean and the floored std.  Each element is what
+    `(x - x.mean(0)) / np.maximum(x.std(0), 1e-9)` makes of it, bit for bit:
+    numpy's axis-0 sums add the rows in order, so the squared deviations are
+    squared a block of rows at a time into a buffer whose row 0 carries the
+    running sum, never into a full-size copy.
+    """
+    rows, cols = x.shape
+    mu = x.mean(axis=0)
+    x -= mu
+    step = max(1, _STD_BLOCK_BUDGET // cols)
+    buf = np.zeros((min(step, rows) + 1, cols))
+    for start in range(0, rows, step):
+        block = x[start:start + step]
+        np.square(block, out=buf[1:1 + block.shape[0]])
+        buf[0] = buf[:1 + block.shape[0]].sum(axis=0)
+    sd = np.maximum(np.sqrt(buf[0] / rows), 1e-9)
+    x /= sd
+    return mu, sd
 
 
 def detector_d7_supervised(
@@ -333,22 +370,29 @@ def detector_d7_supervised(
     """
     if len(config_data) < 2:
         raise ValueError("leave-one-configuration-out needs at least 2 configurations")
-    results: dict[str, list[float]] = {}
     keys = sorted(config_data)
-    for held_out in keys:
-        train = [pair for key in keys if key != held_out for pair in config_data[key]]
-        train_f, train_y = np.vstack([f for f, _ in train]), np.concatenate([y for _, y in train])
-        if train_y.sum() == 0 or train_y.sum() == train_y.size:
-            raise ValueError("degenerate labels in training configurations")
-        mu = train_f.mean(axis=0)
-        sd = np.maximum(train_f.std(axis=0), 1e-9)
-        w = _logistic_gd((train_f - mu) / sd, train_y)
-        aucs = []
-        for f, y in config_data[held_out]:
-            z = np.hstack([np.ones((f.shape[0], 1)), (f - mu) / sd]) @ w
-            aucs.append(pr_auc(z, y))
-        results[held_out] = aucs
-    return results
+    return {held_out: _d7_fold([pair for key in keys if key != held_out
+                                for pair in config_data[key]], config_data[held_out])
+            for held_out in keys}
+
+
+def _d7_fold(train: list[tuple[np.ndarray, np.ndarray]],
+             held_out: list[tuple[np.ndarray, np.ndarray]]) -> list[float]:
+    """One D7 fold: fit on the `train` scenarios, then the PR-AUC of each `held_out` one.
+
+    The fold's design, the intercept's ones beside the features standardized in
+    place, is freed on return, before the next fold builds its own.
+    """
+    train_y = np.concatenate([y for _, y in train])
+    if train_y.sum() == 0 or train_y.sum() == train_y.size:
+        raise ValueError("degenerate labels in training configurations")
+    design = np.empty((train_y.size, 1 + train[0][0].shape[1]))
+    design[:, 0] = 1.0
+    np.concatenate([f for f, _ in train], out=design[:, 1:])
+    mu, sd = _standardize_columns(design[:, 1:])
+    w = _logistic_gd(design, train_y)
+    return [pr_auc(np.hstack([np.ones((f.shape[0], 1)), (f - mu) / sd]) @ w, y)
+            for f, y in held_out]
 
 
 # -- evaluation over a campaign ----------------------------------------------

@@ -5,6 +5,15 @@ utility; payments split a fixed budget proportionally to nonnegative scores,
 which makes them budget-balanced and individually rational by construction.
 Selection is a deterministic top-K (ties to the lower station id) except for
 the seeded uniform strategy.
+
+The analyses take one case (one utility vector) per call: `select_case`
+scores every strategy at every budget, `calibrate_case` every proxy, and
+`shrinkage_fits` every fold under every objective.  Each computes the case's
+invariants once (the sort orders, |utility|, its total, Gini and shares, the
+blends) and keeps every element's scalar arithmetic and every reduction's
+width and order, so a case's results equal those of one call per strategy and
+budget, proxy, or objective bit for bit.  `select`, `decile_calibration` and
+`shrinkage_fit` are those one-at-a-time calls, as thin wrappers.
 """
 
 from __future__ import annotations
@@ -14,11 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import MIN_RESAMPLES, gini, spearman_rho, topk_indices
+from .metrics import MIN_RESAMPLES, descending_order, gini, spearman_rho, topk_indices
 
 STRATEGIES = ("ig", "gti", "vg", "distance", "uniform", "oracle")
 MIN_STATIONS = 10    # decile_calibration: one station per decile at least
 MIN_TIMESTAMPS = 10  # payment_stability: cycles to resample
+_RESAMPLE_BUDGET = 1 << 17  # float64 resample means (1 MiB) per payment_stability chunk
 
 
 @dataclass(frozen=True)
@@ -77,18 +87,33 @@ def distance_scores(distances_km) -> np.ndarray:
 def select(strategy: str, k: int, utilities, *, scores=None, distances_km=None,
            seed: int | None = None) -> SelectionResult:
     """Pick K stations under one strategy and score the pick against oracle/uniform."""
-    if strategy not in STRATEGIES:
-        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+    return select_case(utilities, (k,), (strategy,),
+                       scores=None if scores is None else {strategy: scores},
+                       distances_km=distances_km, seeds=(seed,))[0]
+
+
+def select_case(utilities, budgets, strategies=STRATEGIES, *, scores=None, distances_km=None,
+                seeds=None) -> list[SelectionResult]:
+    """Every (budget, strategy) pick of one case, budget-major, each scored as `select` scores it.
+
+    `scores` maps ig, gti and vg to their per-station scores, and `seeds` holds
+    the uniform strategy's seed per budget.  Each ranked strategy sorts its
+    stations once (`metrics.descending_order`), and a budget's pick is a prefix
+    of that order; the uniform pick is drawn per budget from its own seed.
+    """
+    if bad := [s for s in strategies if s not in STRATEGIES]:
+        raise ValueError(f"strategy must be one of {STRATEGIES}, got {bad[0]!r}")
     u_abs = np.abs(np.asarray(utilities, dtype=np.float64))
     n = u_abs.size
-    if not 1 <= k <= n:
-        raise ValueError(f"K must be in [1, {n}], got {k}")
-    if strategy == "uniform":
-        if seed is None:
-            raise ValueError("uniform selection needs a seed")
-        rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x554E49)))
-        chosen = np.sort(rng.choice(n, size=k, replace=False))
-    else:
+    for k in budgets:
+        if not 1 <= k <= n:
+            raise ValueError(f"K must be in [1, {n}], got {k}")
+    orders = {}
+    for strategy in strategies:
+        if strategy == "uniform":
+            if seeds is None or len(seeds) != len(budgets) or None in seeds:
+                raise ValueError("uniform selection needs a seed per budget")
+            continue
         if strategy == "oracle":
             rank_scores = u_abs
         elif strategy == "distance":
@@ -96,35 +121,54 @@ def select(strategy: str, k: int, utilities, *, scores=None, distances_km=None,
                 raise ValueError("distance selection needs per-station distances")
             rank_scores = distance_scores(distances_km)
         else:
-            if scores is None:
+            if scores is None or scores.get(strategy) is None:
                 raise ValueError(f"{strategy} selection needs per-station scores")
-            rank_scores = np.asarray(scores, dtype=np.float64)
+            rank_scores = np.asarray(scores[strategy], dtype=np.float64)
         if rank_scores.size != n:
             raise ValueError("scores and utilities must align")
-        chosen = topk_indices(rank_scores, k)
-    captured = captured_utility(chosen, u_abs)
-    c_oracle = captured_utility(topk_indices(u_abs, k), u_abs)
-    c_uniform = k / n
-    return SelectionResult(strategy=strategy, k=k, selected=tuple(int(g) for g in chosen),
-                           captured=captured, efficiency_ratio=captured / c_uniform,
-                           optimality_ratio=captured / c_oracle if c_oracle > 0 else np.nan)
+        orders[strategy] = descending_order(rank_scores)
+    total = u_abs.sum()
+    if total <= 0:
+        raise ValueError("total absolute utility is zero; captured share undefined")
+    oracle = orders["oracle"] if "oracle" in orders else descending_order(u_abs)
+    results = []
+    for i, k in enumerate(budgets):
+        c_oracle = float(u_abs[np.sort(oracle[:k])].sum() / total)
+        c_uniform = k / n
+        for strategy in strategies:
+            if strategy == "uniform":
+                rng = np.random.default_rng(np.random.SeedSequence((int(seeds[i]), 0x554E49)))
+                chosen = np.sort(rng.choice(n, size=k, replace=False))
+            else:
+                chosen = orders[strategy][:k]
+            captured = float(u_abs[np.sort(chosen)].sum() / total)
+            results.append(SelectionResult(
+                strategy=strategy, k=k, selected=tuple(chosen.tolist()), captured=captured,
+                efficiency_ratio=captured / c_uniform,
+                optimality_ratio=captured / c_oracle if c_oracle > 0 else np.nan))
+    return results
 
 
 def payment(scores, budget: float) -> PaymentAllocation:
     """Split the budget proportionally to nonnegative scores."""
-    s = np.asarray(scores, dtype=np.float64)
-    if np.any(s < 0):
-        raise ValueError("payment scores must be nonnegative")
-    total = s.sum()
-    if total <= 0:
-        raise ValueError("cannot allocate a budget over all-zero scores")
-    shares = s / total
+    shares = _shares(np.asarray(scores, dtype=np.float64)[None])[0]
     return PaymentAllocation(budget=float(budget), shares=shares, amounts=shares * budget)
 
 
+def _shares(scores: np.ndarray) -> np.ndarray:
+    """Each row of a (rows, N) matrix of nonnegative scores over its own total."""
+    if np.any(scores < 0):
+        raise ValueError("payment scores must be nonnegative")
+    totals = scores.sum(axis=1, keepdims=True)
+    if np.any(totals <= 0):
+        raise ValueError("cannot allocate a budget over all-zero scores")
+    return scores / totals
+
+
 def _check_prob_vector(p, name: str) -> np.ndarray:
+    """`p`, checked to hold one normalized share vector per row (a vector is one row)."""
     p = np.asarray(p, dtype=np.float64)
-    if np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-8:
+    if np.any(p < -1e-12) or np.any(np.abs(p.sum(axis=-1) - 1.0) > 1e-8):
         raise ValueError(f"{name} is not a normalized share vector")
     return p
 
@@ -154,28 +198,40 @@ def decile_calibration(proxy_scores, utilities) -> CalibrationReport:
     bins, ties broken by station id).  The Gini ratio divides proxy-score
     concentration by utility concentration.
     """
-    proxy = np.asarray(proxy_scores, dtype=np.float64)
+    return calibrate_case(np.asarray(proxy_scores, dtype=np.float64)[None], utilities)[0]
+
+
+def calibrate_case(proxies, utilities) -> list[CalibrationReport]:
+    """`decile_calibration` of each row of a (proxies, N) score matrix against one utility vector.
+
+    The utility side (|utility|, its Gini and its payment shares) is computed
+    once; the proxies are ranked by one row-wise stable sort, and their share
+    Spearman rhos come from one `spearman_rho` call.  Each row's sums keep the
+    width and order of a one-proxy call, so every report has its bits.
+    """
+    proxy = np.asarray(proxies, dtype=np.float64)
     u_abs = np.abs(np.asarray(utilities, dtype=np.float64))
-    n = proxy.size
+    if proxy.ndim != 2:
+        raise ValueError("proxies must be a (proxies, stations) matrix")
+    n = proxy.shape[1]
     if n < MIN_STATIONS:
         raise ValueError(f"decile calibration needs at least {MIN_STATIONS} stations")
-    if u_abs.shape != proxy.shape:
+    if u_abs.shape != proxy.shape[1:]:
         raise ValueError("proxy and utility vectors must align")
-    order = np.lexsort((np.arange(n), proxy))  # ascending, ties by id
+    # a stable sort of each row: ascending, ties by station id
+    ranked = u_abs[np.argsort(proxy, axis=1, kind="stable")]
     base, rem = divmod(n, 10)
-    sizes = [base + 1 if b < rem else base for b in range(10)]
-    means = np.empty(10)
-    start = 0
-    for b, size in enumerate(sizes):
-        means[b] = u_abs[order[start:start + size]].mean()
-        start += size
-    g_ratio = gini(proxy) / gini(u_abs)
-    pp = payment(proxy, 1.0).shares
-    pt = payment(u_abs, 1.0).shares
-    over, _ = overpayment(pp, pt)
-    return CalibrationReport(decile_mean_utility=means, gini_ratio=float(g_ratio),
-                             overpayment_total=over,
-                             share_spearman=float(spearman_rho(pp[None], pt[None])[0]))
+    ends = np.cumsum([base + 1 if b < rem else base for b in range(10)])
+    means = np.column_stack([ranked[:, start:end].mean(axis=1)
+                             for start, end in zip([0, *ends[:-1]], ends)])
+    g_util = gini(u_abs)
+    pp = _check_prob_vector(_shares(proxy), "proxy shares")
+    pt = _check_prob_vector(_shares(u_abs[None])[0], "true shares")
+    over = np.maximum(0.0, pp - pt).sum(axis=1)
+    rho = spearman_rho(pp, np.broadcast_to(pt, pp.shape))
+    return [CalibrationReport(decile_mean_utility=row_means, gini_ratio=gini(row) / g_util,
+                              overpayment_total=float(row_over), share_spearman=float(row_rho))
+            for row, row_means, row_over, row_rho in zip(proxy, means, over, rho)]
 
 
 @dataclass(frozen=True)
@@ -217,8 +273,10 @@ def payment_stability(score_matrix, n_resamples: int = 10000, level: float = 0.9
     are both of its bounds.  The support's resample means are running sums
     over the t drawn timestamps, in draw order, over t; they go back into a
     zero (resamples, stations) matrix, so the share totals are summed over
-    every station as before.  Percentiles are taken over the resamples whose
-    totals are positive.
+    every station as before.  That matrix is built for as many resamples at a
+    time as fit in `_RESAMPLE_BUDGET` entries, and at least one; each row's
+    sums keep their width and order, so the chunking moves no bit.
+    Percentiles are taken over the resamples whose totals are positive.
     """
     m = np.asarray(score_matrix, dtype=np.float64)
     if m.ndim != 2:
@@ -240,16 +298,23 @@ def payment_stability(score_matrix, n_resamples: int = 10000, level: float = 0.9
     idx = rng.integers(0, t, size=(n_resamples, t))
     support = np.flatnonzero((m != 0).any(axis=0))
     m_sup = m[:, support]
-    acc = np.zeros((n_resamples, support.size))
-    for drawn in idx.T:  # from +0.0 in draw order: the bits of numpy's mean of the draws
-        acc += m_sup[drawn]
-    sample_mean = np.zeros((n_resamples, n))
-    sample_mean[:, support] = acc / t
-    totals = sample_mean.sum(axis=1, keepdims=True)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        shares = np.where(totals > 0, sample_mean[:, support] / totals, np.nan)
+    shares = np.empty((n_resamples, support.size))
+    any_defined = False
+    step = max(1, _RESAMPLE_BUDGET // n)
+    for start in range(0, n_resamples, step):
+        drawn_rows = idx[start:start + step]
+        acc = np.zeros((drawn_rows.shape[0], support.size))
+        for drawn in drawn_rows.T:  # from +0.0 in draw order: the bits of numpy's mean
+            acc += m_sup[drawn]
+        sample_mean = np.zeros((drawn_rows.shape[0], n))
+        sample_mean[:, support] = acc / t
+        totals = sample_mean.sum(axis=1, keepdims=True)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            shares[start:start + step] = np.where(totals > 0, sample_mean[:, support] / totals,
+                                                  np.nan)
+        any_defined = any_defined or bool((totals > 0).any())
     alpha = (1.0 - level) / 2.0
-    bounds = np.zeros((2, n)) if (totals > 0).any() else np.full((2, n), np.nan)
+    bounds = np.zeros((2, n)) if any_defined else np.full((2, n), np.nan)
     bounds[:, support] = _row_percentiles(shares, [100 * alpha, 100 * (1 - alpha)])
     lo, hi = bounds
     top = topk_indices(point, min(top_k, n))
@@ -285,9 +350,22 @@ def shrinkage_fit(proxy_shares_per_t, dist_shares, utilities, objective: str = "
     delta_rho compares the blended and pure time-averaged proxies on utility
     ranking.
     """
-    if objective not in ("mse", "captured_utility"):
-        raise ValueError("objective must be 'mse' or 'captured_utility'")
-    if objective == "captured_utility" and k < 1:
+    return shrinkage_fits(proxy_shares_per_t, dist_shares, utilities, (objective,), k)[0]
+
+
+def shrinkage_fits(proxy_shares_per_t, dist_shares, utilities,
+                   objectives=("mse", "captured_utility"), k: int = 20) -> list[ShrinkageFit]:
+    """`shrinkage_fit` under each of `objectives`, over one (folds, lambdas, stations) blend.
+
+    Every fold's blends are one broadcast, each element the per-fold blend's
+    arithmetic.  The mse losses are one mean over the stations axis; the
+    captured losses one stable argsort of the negated blends (`topk_indices`'s
+    lower-index tie-break) and one gather, each row summed by `math.fsum`.
+    The delta_rhos of all objectives come from one `spearman_rho` call.
+    """
+    if bad := [o for o in objectives if o not in ("mse", "captured_utility")]:
+        raise ValueError(f"objective must be 'mse' or 'captured_utility', got {bad[0]!r}")
+    if "captured_utility" in objectives and k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     p = np.asarray(proxy_shares_per_t, dtype=np.float64)
     if p.ndim != 2 or p.shape[0] < 3:
@@ -297,21 +375,20 @@ def shrinkage_fit(proxy_shares_per_t, dist_shares, utilities, objective: str = "
     truth = u_abs / u_abs.sum()
 
     grid = _LAMBDA_GRID[:, None]
-    top_k = min(k, p.shape[1])
-    per_fold = np.empty(p.shape[0])
-    for t in range(p.shape[0]):
-        blends = grid * p[t] + (1 - grid) * d  # one row per lambda
+    blends = grid * p[:, None, :] + (1 - grid) * d  # (fold, lambda, station)
+    folds = {}
+    for objective in objectives:
         if objective == "mse":
-            losses = ((blends - truth) ** 2).mean(axis=1)
+            losses = ((blends - truth) ** 2).mean(axis=2)
         else:
-            # stable sort of the negated blend: `topk_indices`'s lower-index
-            # tie-break; the total utility is a positive constant, so it need
-            # not divide here
-            top = np.argsort(-blends, axis=1, kind="stable")[:, :top_k]
-            losses = [-math.fsum(u_abs[row]) for row in top]
-        per_fold[t] = _LAMBDA_GRID[int(np.argmin(losses))]
-    lam = float(per_fold.mean())
+            # the total utility is a positive constant, so it need not divide here
+            top = np.argsort(-blends, axis=2, kind="stable")[:, :, :min(k, p.shape[1])]
+            captured = [math.fsum(row) for row in u_abs[top].reshape(-1, top.shape[2]).tolist()]
+            losses = -np.array(captured).reshape(top.shape[:2])
+        folds[objective] = _LAMBDA_GRID[np.argmin(losses, axis=1)]
+    lams = [float(folds[o].mean()) for o in objectives]
     pbar = p.mean(axis=0)
-    rho_blend, rho_pure = spearman_rho(np.stack([lam * pbar + (1 - lam) * d, pbar]),
-                                       np.stack([truth, truth]))
-    return ShrinkageFit(lam=lam, per_fold=per_fold, delta_rho=float(rho_blend - rho_pure))
+    rows = np.stack([*(lam * pbar + (1 - lam) * d for lam in lams), pbar])
+    rhos = spearman_rho(rows, np.broadcast_to(truth, rows.shape))
+    return [ShrinkageFit(lam=lam, per_fold=folds[o], delta_rho=float(rho - rhos[-1]))
+            for o, lam, rho in zip(objectives, lams, rhos)]

@@ -11,9 +11,11 @@ their seed.
 
 Every Spearman correlation ends in `_rho`, on three sums of centred average
 ranks: sum(ra * rb), sum(ra^2) and sum(rb^2).  `spearman_rho` ranks the rows
-of two matrices (`average_ranks_matrix`) and sums them in `_rank_rho`;
-`spearman_rows` adds each row's p-value, and `spearman` is its one-row case.
-Callers that read rho alone call `spearman_rho`, which evaluates no t tail.
+of two matrices (`average_ranks_matrix`) and sums them in `_rank_rho`,
+as the row pairs of `spearman_indexed`, which ranks the rows of one matrix
+once and pairs them by index; `spearman_rows` adds each row's p-value
+(`spearman_p`), and `spearman` is its one-row case.  Callers that read rho
+alone call `spearman_rho` or `spearman_indexed`, which evaluate no t tail.
 `paired_spearman`, the bootstrap statistic, gets the same sums from station
 multiplicities without building a resample: stations are grouped by their
 pair of tie codes, a group's centred average rank in a resample is half of
@@ -148,11 +150,24 @@ def spearman_rho(a, b) -> np.ndarray:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 2:
         raise ValueError("inputs must be equal-shape (rows, n) matrices")
-    rows, n = a.shape
-    if n < MIN_SAMPLES:
+    rows = np.arange(a.shape[0])
+    return spearman_indexed(np.concatenate([a, b]), rows, a.shape[0] + rows)
+
+
+def spearman_indexed(x, ia, ib) -> np.ndarray:
+    """Spearman rho of rows `x[ia[i]]` and `x[ib[i]]` of one (rows, n) matrix, per i.
+
+    Each row of `x` is ranked once, however many pairs it is in.  Entry i
+    equals `spearman_rho(x[ia], x[ib])[i]` bit for bit: a row's average ranks
+    do not depend on the rows ranked with it, and the rank sums are exact.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError("input must be a (rows, n) matrix")
+    if x.shape[1] < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} observations")
-    ranks = average_ranks_matrix(np.concatenate([a, b]))
-    return _rank_rho(ranks[:rows], ranks[rows:])
+    ranks = average_ranks_matrix(x)
+    return _rank_rho(ranks[np.asarray(ia, dtype=np.intp)], ranks[np.asarray(ib, dtype=np.intp)])
 
 
 def spearman_rows(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -163,10 +178,14 @@ def spearman_rows(a, b) -> tuple[np.ndarray, np.ndarray]:
     `spearman(a[i], b[i])` bit for bit.
     """
     rho = spearman_rho(a, b)
-    n = np.shape(a)[1]
+    return rho, spearman_p(rho, np.shape(a)[1])
+
+
+def spearman_p(rho, n: int) -> np.ndarray:
+    """The two-sided t-approximated p-value of each Spearman rho in 1-D `rho` over n samples."""
     with np.errstate(invalid="ignore", divide="ignore"):
         tstat = rho * np.sqrt((n - 2) / (1.0 - rho * rho))
-    return rho, 2.0 * t_lower_tail(n - 2, -np.abs(tstat))
+    return 2.0 * t_lower_tail(n - 2, -np.abs(tstat))
 
 
 def t_lower_tail(nu: int, t) -> np.ndarray:
@@ -325,13 +344,18 @@ def paired_spearman(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
                 (w * rb * rb).sum(axis=0) + spread(nan_at[1]))
 
 
+def descending_order(scores) -> np.ndarray:
+    """Every index of a score vector from the largest score down, ties toward the lower index."""
+    scores = np.asarray(scores, dtype=np.float64)
+    return np.lexsort((np.arange(scores.size), -scores))
+
+
 def topk_indices(scores, k: int) -> np.ndarray:
     """Indices of the k largest scores, ties broken toward the lower index."""
     scores = np.asarray(scores, dtype=np.float64)
     if not 1 <= k <= scores.size:
         raise ValueError(f"k must be in [1, {scores.size}], got {k}")
-    order = np.lexsort((np.arange(scores.size), -scores))
-    return order[:k]
+    return descending_order(scores)[:k]
 
 
 def topk_overlap(a, b, k: int) -> float:

@@ -30,6 +30,8 @@ import ctypes
 import hashlib
 import json
 import math
+import sys
+import time
 import traceback
 import warnings
 from dataclasses import asdict, dataclass, fields as dataclass_fields
@@ -39,6 +41,11 @@ from typing import Callable
 
 import numpy as np
 import yaml
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 from . import __version__, ablation, attribution as attr, fieldio, gaming, incentive, metrics
 # config_from_dict stays bound here: perfbench/child.py reads its jobs with it
@@ -145,6 +152,7 @@ class RunState:
         self.models: dict[str, tuple[DeskModel, np.ndarray]] = {}  # with (T,) truth values
         self._tables: dict = {}
         self._gaming: dict[str, tuple[list[gaming.AttackScenario], gaming.GamingRun]] = {}
+        self._agreements: dict[str, dict[tuple, Agreement]] = {}
         self.stage_status: dict[str, str] = {}
         self.failures: dict[str, str] = {}  # stage -> traceback
 
@@ -309,6 +317,35 @@ class RunState:
             arrays.update({f"{name}/{cid}": getattr(run, name) for name in _GAMING_ARRAYS})
         return arrays
 
+    # -- agreements ------------------------------------------------------------
+
+    def agreements(self, scope: str) -> dict[tuple, Agreement]:
+        """The `Agreement` of each case's scored importance with its utility, built once per run.
+
+        "global": per (cid, scored method), variable importance against the
+        global ablation utility, with the top-k overlaps of `_global_ks`.
+        "spatial": per (cid, mode, patch, scored method), station importance
+        against the case's |utility|, with those of `_spatial_ks`.  fidelity,
+        methods and converge read the same memo; the first to run builds it.
+        """
+        if scope not in self._agreements:
+            tables, methods = self.ensure_tables(), self.scored_methods()
+            if scope == "global":  # each case: its key, importance kind, utility and ks
+                cases = [((cid,), "gi", tables["gu"][cid], _global_ks(self))
+                         for cid in self.config_ids()]
+            elif scope == "spatial":
+                cases = [((cid, mode, patch), "si_u", util, _spatial_ks(self))
+                         for cid, mode, patch, util in _spatial_cases(tables)]
+            else:
+                raise ValueError(f"scope must be 'global' or 'spatial', got {scope!r}")
+            built = {}
+            for case, kind, util, ks in cases:
+                imps = [tables[kind][(case[0], key)] for key in methods]
+                for key, ag in zip(methods, _agreements(imps, util, ks, self.cfg.bh_q)):
+                    built[(*case, key)] = ag
+            self._agreements[scope] = built
+        return self._agreements[scope]
+
     # -- shared small helpers ------------------------------------------------
 
     def distances(self, cid: str) -> np.ndarray:
@@ -318,6 +355,10 @@ class RunState:
 
 def _global_ks(state: RunState) -> tuple[int, ...]:
     return tuple(k for k in (1, 3, 5) if k <= state.grid.n_variables)
+
+
+def _spatial_ks(state: RunState) -> tuple[int, ...]:
+    return tuple(k for k in (5, 10, 20) if k <= state.stations.n_stations)
 
 
 def _spatial_cases(tables: dict):
@@ -346,37 +387,52 @@ class Agreement:
     recovery: float  # mean per-timestamp rho against the mean utility, over agg.rho
 
 
-def _agreement(imp: np.ndarray, util: np.ndarray, ks: tuple[int, ...], q: float) -> Agreement:
-    """Aggregate and per-timestamp agreement; timestamps with NaN importance are left out."""
-    imp_mean = np.nanmean(imp, axis=0)
+def _agreements(imps: list[np.ndarray], util: np.ndarray, ks: tuple[int, ...],
+                q: float) -> list[Agreement]:
+    """Aggregate and per-timestamp agreement of each (T, n) table in `imps` with `util`.
+
+    Timestamps with NaN importance are left out.  Every row of the case is
+    ranked once, in one `metrics.spearman_indexed` call: the utility's time
+    mean and timestamps, then each table's time mean and its timestamps
+    without NaN.  Each table pairs its time mean with the utility's (the
+    aggregate), each timestamp with the utility's at that timestamp, and each
+    timestamp with the utility's time mean (the recovery).
+    """
     util_mean = util.mean(axis=0)
-    ok = ~np.isnan(imp).any(axis=1)
-    cycles = imp[ok]
-    # row 0 is the time means: the aggregate shares the per-timestamp p-value batch
-    rho, p = metrics.spearman_rows(np.vstack([imp_mean, cycles]), np.vstack([util_mean, util[ok]]))
-    agg = metrics.RankCorrelation(rho=float(rho[0]), n=imp.shape[1], p_value=float(p[0]))
-    vs_mean = metrics.spearman_rho(cycles, np.broadcast_to(util_mean, cycles.shape))
-    defined = ~np.isnan(rho[1:])
-    cycle_rho, cycle_p = rho[1:][defined], p[1:][defined]
-    try:
-        wil_p = metrics.wilcoxon_signed_rank(cycle_rho)
-    except ValueError:
-        wil_p = np.nan
-    return Agreement(
-        agg=agg,
-        overlaps=tuple(metrics.topk_overlap(imp_mean, util_mean, k) for k in ks),
-        cycle_rho=cycle_rho, wilcoxon_p=wil_p,
-        bh_count=int(metrics.bh_fdr(cycle_p, q).sum()),
-        mean_cycle_rho=float(np.mean(cycle_rho)) if cycle_rho.size else np.nan,
-        recovery=(float(np.nanmean(vs_mean) / agg.rho)
-                  if not math.isnan(agg.rho) and agg.rho != 0 else np.nan))
-
-
-def _global_agreements(state: RunState, tables: dict) -> dict[tuple[str, str], Agreement]:
-    """Per (cid, scored method), the agreement of variable importance with ablation utility."""
-    return {(cid, key): _agreement(tables["gi"][(cid, key)], tables["gu"][cid],
-                                   _global_ks(state), state.cfg.bh_q)
-            for cid in state.config_ids() for key in state.scored_methods()}
+    rows, ia, ib, tables = [util_mean[None], util], [], [], []
+    base = 1 + util.shape[0]
+    for imp in imps:
+        ts = np.flatnonzero(~np.isnan(imp).any(axis=1))
+        imp_mean = np.nanmean(imp, axis=0)
+        rows += [imp_mean[None], imp[ts]]
+        own = base + 1 + np.arange(ts.size)
+        ia.append(np.concatenate([[base], own, own]))
+        ib.append(np.concatenate([[0], 1 + ts, np.zeros(ts.size, dtype=np.intp)]))
+        tables.append((imp_mean, ts.size))
+        base += 1 + ts.size
+    rho = metrics.spearman_indexed(np.vstack(rows), np.concatenate(ia), np.concatenate(ib))
+    p = metrics.spearman_p(rho, util.shape[1])
+    out, at = [], 0
+    for imp_mean, n_ts in tables:
+        agg = metrics.RankCorrelation(rho=float(rho[at]), n=util.shape[1], p_value=float(p[at]))
+        cycles, cycles_p = rho[at + 1:at + 1 + n_ts], p[at + 1:at + 1 + n_ts]
+        vs_mean = rho[at + 1 + n_ts:at + 1 + 2 * n_ts]
+        at += 1 + 2 * n_ts
+        defined = ~np.isnan(cycles)
+        cycle_rho, cycle_p = cycles[defined], cycles_p[defined]
+        try:
+            wil_p = metrics.wilcoxon_signed_rank(cycle_rho)
+        except ValueError:
+            wil_p = np.nan
+        out.append(Agreement(
+            agg=agg,
+            overlaps=tuple(metrics.topk_overlap(imp_mean, util_mean, k) for k in ks),
+            cycle_rho=cycle_rho, wilcoxon_p=wil_p,
+            bh_count=int(metrics.bh_fdr(cycle_p, q).sum()),
+            mean_cycle_rho=float(np.mean(cycle_rho)) if cycle_rho.size else np.nan,
+            recovery=(float(np.nanmean(vs_mean) / agg.rho)
+                      if not math.isnan(agg.rho) and agg.rho != 0 else np.nan)))
+    return out
 
 
 # -- stages -----------------------------------------------------------------
@@ -409,24 +465,24 @@ def stage_fidelity(state: RunState) -> None:
     cfg = state.cfg
     tables = state.ensure_tables()
     gi, si_u, gu = tables["gi"], tables["si_u"], tables["gu"]
-    boot_n, level, q = cfg.bootstrap_resamples, cfg.bootstrap_level, cfg.bh_q
+    boot_n, level = cfg.bootstrap_resamples, cfg.bootstrap_level
 
     g_rows = []
-    gks = _global_ks(state)
-    for (cid, key), ag in _global_agreements(state, tables).items():
+    for (cid, key), ag in state.agreements("global").items():
         pairs = np.column_stack([np.nanmean(gi[(cid, key)], axis=0), gu[cid].mean(axis=0)])
         ci = metrics.bootstrap_iid(pairs, metrics.paired_spearman, boot_n, level,
                                    seed=child_seed(cfg.seed, "gci", cid, key))
         g_rows.append((cid, key, *_fidelity_cells(ag, ci.lower, ci.upper)))
-    state.ws.write_csv("results/fidelity_global.csv", fidelity_columns(False, gks), g_rows)
+    state.ws.write_csv("results/fidelity_global.csv", fidelity_columns(False, _global_ks(state)),
+                       g_rows)
 
     s_rows = []
     blocks = metrics.station_blocks(state.stations)
-    ks = tuple(k for k in (5, 10, 20) if k <= state.stations.n_stations)
+    spatial = state.agreements("spatial")
     for cid, mode, patch, util_abs in _spatial_cases(tables):
         for key in state.scored_methods():
             imp = si_u[(cid, key)]
-            ag = _agreement(imp, util_abs, ks, q)
+            ag = spatial[(cid, mode, patch, key)]
             lo = hi = np.nan  # a block-bootstrap CI for the primary method only
             if key == state.primary_key():
                 pairs = np.column_stack([imp.mean(axis=0), util_abs.mean(axis=0)])
@@ -435,7 +491,8 @@ def stage_fidelity(state: RunState) -> None:
                     seed=child_seed(cfg.seed, "sci", cid, mode, patch))
                 lo, hi = ci.lower, ci.upper
             s_rows.append((cid, mode, patch, key, *_fidelity_cells(ag, lo, hi)))
-    state.ws.write_csv("results/fidelity_spatial.csv", fidelity_columns(True, ks), s_rows)
+    state.ws.write_csv("results/fidelity_spatial.csv", fidelity_columns(True, _spatial_ks(state)),
+                       s_rows)
 
 
 def methods_summary_columns(ks: tuple[int, ...]) -> tuple[str, ...]:
@@ -456,7 +513,7 @@ def stage_methods(state: RunState) -> None:
     tables = state.ensure_tables()
     gi, gu = tables["gi"], tables["gu"]
     display, cids = state.scored_methods(), state.config_ids()
-    ags = _global_agreements(state, tables)
+    ags = state.agreements("global")
     rows = []
     for key in display:
         col = [ags[(cid, key)] for cid in cids]  # a NaN p-value is never significant
@@ -547,11 +604,9 @@ def stage_calibrate(state: RunState) -> None:
         proxies = {key: si_u[(cid, key)].mean(axis=0) for key in state.scored_methods()}
         proxies["distance"] = incentive.distance_scores(state.distances(cid))
         proxies["uniform"] = np.ones(state.stations.n_stations)
-        for name in sorted(proxies):
-            proxy = proxies[name]
-            if proxy.sum() <= 0:
-                continue
-            rep = incentive.decile_calibration(proxy, util)
+        names = [name for name in sorted(proxies) if proxies[name].sum() > 0]
+        reports = incentive.calibrate_case(np.stack([proxies[name] for name in names]), util)
+        for name, rep in zip(names, reports):
             dec_rows += [(cid, mode, patch, name, b + 1, u)
                          for b, u in enumerate(rep.decile_mean_utility)]
             sum_rows.append((cid, mode, patch, name, rep.gini_ratio,
@@ -581,13 +636,11 @@ def stage_select(state: RunState) -> None:
         dist = state.distances(cid)
         # each strategy reads the input it ranks by: a time mean, the distances or the seed
         means = {s: si_u[(cid, key)].mean(axis=0) for s, key in score_keys.items()}
-        for k in budgets:
-            seed = child_seed(cfg.seed, "uniform", cid, mode, patch, k)
-            for strategy in incentive.STRATEGIES:
-                res = incentive.select(strategy, k, util, scores=means.get(strategy),
-                                       distances_km=dist, seed=seed)
-                rows.append((cid, mode, patch, strategy, k, res.captured,
-                             res.efficiency_ratio, res.optimality_ratio))
+        seeds = [child_seed(cfg.seed, "uniform", cid, mode, patch, k) for k in budgets]
+        rows += [(cid, mode, patch, res.strategy, res.k, res.captured, res.efficiency_ratio,
+                  res.optimality_ratio)
+                 for res in incentive.select_case(util, budgets, scores=means,
+                                                  distances_km=dist, seeds=seeds)]
     state.ws.write_csv("results/selection.csv", SELECTION_COLUMNS, rows)
 
 
@@ -596,6 +649,7 @@ PAYMENTS_COLUMNS = ("config_id", "method", "station_id", "share", "amount",
 PAYMENT_STABILITY_COLUMNS = ("config_id", "method", "ci_to_share", "top_k", "resamples")
 SHRINKAGE_COLUMNS = ("config_id", "mode", "patch", "objective", "fold", "lambda",
                      "lambda_mean", "delta_rho")
+SHRINKAGE_OBJECTIVES = ("mse", "captured_utility")  # each case's rows, in this order
 
 
 def stage_pay(state: RunState) -> None:
@@ -631,9 +685,9 @@ def stage_pay(state: RunState) -> None:
         proxy_shares = scores[ok] / totals[ok, None]
         dist = incentive.distance_scores(state.distances(cid))
         dist_shares = dist / dist.sum()
-        for objective in ("mse", "captured_utility"):
-            fit = incentive.shrinkage_fit(proxy_shares, dist_shares, util,
-                                          objective=objective, k=cfg.stability_top_k)
+        fits = incentive.shrinkage_fits(proxy_shares, dist_shares, util, SHRINKAGE_OBJECTIVES,
+                                        k=cfg.stability_top_k)
+        for objective, fit in zip(SHRINKAGE_OBJECTIVES, fits):
             for fold, lam in enumerate(fit.per_fold):
                 sh_rows.append((cid, mode, patch, objective, fold, lam,
                                 fit.lam, fit.delta_rho))
@@ -750,13 +804,9 @@ CONVERGENCE_COLUMNS = ("config_id", "scope", "mode", "patch", "rho_aggregate",
 
 
 def stage_converge(state: RunState) -> None:
-    cfg = state.cfg
-    tables = state.ensure_tables()
-    gi, si_u, gu = tables["gi"], tables["si_u"], tables["gu"]
     key = state.primary_key()
 
-    def analyse(cid, scope, mode, patch, imp: np.ndarray, util: np.ndarray) -> tuple:
-        ag = _agreement(imp, util, (), cfg.bh_q)
+    def analyse(cid, scope, mode, patch, ag: Agreement) -> tuple:
         converge_n = "never"
         for n in range(6, ag.cycle_rho.size + 1):
             try:
@@ -767,18 +817,27 @@ def stage_converge(state: RunState) -> None:
                 continue
         return (cid, scope, mode, patch, ag.agg.rho, ag.recovery, converge_n)
 
-    rows = {cid: [analyse(cid, "global", "", "", gi[(cid, key)], gu[cid])]
+    global_ags = state.agreements("global")
+    rows = {cid: [analyse(cid, "global", "", "", global_ags[(cid, key)])]
             for cid in state.config_ids()}  # each config's spatial rows follow its global row
-    for cid, mode, patch, util in _spatial_cases(tables):
-        rows[cid].append(analyse(cid, "spatial", mode, patch, si_u[(cid, key)], util))
+    for (cid, mode, patch, method), ag in state.agreements("spatial").items():
+        if method == key:
+            rows[cid].append(analyse(cid, "spatial", mode, patch, ag))
     state.ws.write_csv("results/convergence.csv", CONVERGENCE_COLUMNS,
                        [row for cid_rows in rows.values() for row in cid_rows])
 
 
-def _mean(rows: list[dict[str, str]], col: str, **match) -> float:
-    """Mean of column `col` over the rows whose cells equal `match`, NaN cells left out."""
-    cells = [float(r[col]) for r in rows if all(r[c] == str(v) for c, v in match.items())]
-    vals = [x for x in cells if not math.isnan(x)]
+def _group(rows: list[dict[str, str]], *cols: str) -> dict[tuple[str, ...], list[dict[str, str]]]:
+    """The rows by their cells in `cols`, in one pass; each group keeps the file order."""
+    groups: dict[tuple[str, ...], list[dict[str, str]]] = {}
+    for r in rows:
+        groups.setdefault(tuple(r[c] for c in cols), []).append(r)
+    return groups
+
+
+def _mean(rows: list[dict[str, str]], col: str) -> float:
+    """Mean of column `col` over `rows`, NaN cells left out; NaN for no rows."""
+    vals = [x for x in (float(r[col]) for r in rows) if not math.isnan(x)]
     return float(np.mean(vals)) if vals else math.nan
 
 
@@ -804,17 +863,17 @@ def stage_report(state: RunState) -> None:
         lines += ["## Captured utility by strategy (mean over configurations)", "",
                   "| K | " + " | ".join(incentive.STRATEGIES) + " | ig/oracle |",
                   "|" + "---|" * (len(incentive.STRATEGIES) + 2)]
+        cells = _group(rows, "strategy", "k")
         for k in sorted({int(r["k"]) for r in rows}):
-            vals = [_mean(rows, "captured", strategy=s, k=k) for s in incentive.STRATEGIES]
-            vals.append(_mean(rows, "optimality_ratio", strategy="ig", k=k))
+            vals = [_mean(cells.get((s, str(k)), []), "captured") for s in incentive.STRATEGIES]
+            vals.append(_mean(cells.get(("ig", str(k)), []), "optimality_ratio"))
             lines.append(f"| {k} | " + " | ".join(f"{v:.3f}" for v in vals) + " |")
         lines.append("")
     if (rows := table("calibration_summary")) is not None:
         lines += ["## Payment calibration (mean over configurations)", "",
                   "| proxy | gini ratio | overpayment |", "|---|---|---|"]
-        lines += [f"| {p} | {_mean(rows, 'gini_ratio', proxy=p):.3f} | "
-                  f"{_mean(rows, 'overpayment', proxy=p):.3f} |"
-                  for p in sorted({r["proxy"] for r in rows})] + [""]
+        lines += [f"| {p} | {_mean(group, 'gini_ratio'):.3f} | {_mean(group, 'overpayment'):.3f} |"
+                  for (p,), group in sorted(_group(rows, "proxy").items())] + [""]
     if (rows := table("payment_stability")) is not None:
         lines += [f"- mean CI-to-share ratio (top-{cfg.stability_top_k}): "
                   f"{_mean(rows, 'ci_to_share'):.3f}", ""]
@@ -940,10 +999,31 @@ def _pin_malloc_thresholds() -> None:
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
+def _progress(message: str) -> None:
+    """One progress line on stderr; stdout stays the CLI's."""
+    print(f"gradsense: {message}", file=sys.stderr, flush=True)
+
+
+def _max_rss_mb() -> float:
+    """The process's peak resident set so far in MB (`ru_maxrss`); NaN where it is unknown."""
+    if resource is None:
+        return math.nan
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20) if sys.platform == "darwin" else peak / 1024  # bytes, else KiB
+
+
+def _file_sha256(path: Path) -> str:
+    """The sha256 of a file, read a MiB at a time: a store is never held whole to hash it."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def write_manifest(state: RunState) -> dict:
     ws = state.ws
-    files = {rel: hashlib.sha256(ws.path(rel).read_bytes()).hexdigest()
-             for rel in sorted(ws.files)}
+    files = {rel: _file_sha256(ws.path(rel)) for rel in sorted(ws.files)}
     manifest = {
         "config_hash": config_hash(state.cfg),
         "package_version": __version__,
@@ -961,7 +1041,9 @@ def write_manifest(state: RunState) -> dict:
 def run_full(cfg: ExperimentConfig, stage_filter: tuple[str, ...] | None = None) -> dict:
     """Run every stage (or a filtered subset), write the manifest, and report.
 
-    Stage failures are recorded and do not stop later stages; the returned
+    Each stage prints one line on stderr as it starts, and one as it ends with
+    its status, wall seconds and the process's peak RSS so far.  Stage
+    failures are recorded and do not stop later stages; the returned
     manifest carries per-stage status, the traceback of each failed stage
     under `failures`, and `ok` is False if anything failed.  A `stage_filter`
     name outside `STAGES`, or an empty one, raises ValueError before the
@@ -988,12 +1070,16 @@ def run_full(cfg: ExperimentConfig, stage_filter: tuple[str, ...] | None = None)
         if name not in wanted:
             state.stage_status[name] = "skipped"
             continue
+        _progress(f"{name}: started")
+        start = time.perf_counter()
         try:
             run_stage(state, name)  # by name: perfbench/tracing.py times each stage here
             state.stage_status[name] = "completed"
         except Exception as exc:  # record and continue with later stages
             state.stage_status[name] = f"failed: {exc}"
             state.failures[name] = traceback.format_exc()
+        _progress(f"{name}: {'failed' if name in state.failures else 'completed'} in "
+                  f"{time.perf_counter() - start:.2f} s, max RSS {_max_rss_mb():.1f} MB")
     manifest = write_manifest(state)
     manifest["ok"] = not state.failures
     return manifest

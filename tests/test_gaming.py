@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracles
 from gradsense import ablation, config, gaming, runner
 from gradsense import attribution as attr
 from gradsense.model import DeskModel
@@ -366,6 +367,32 @@ class TestSupervised:
     def test_needs_two_configs(self, rng):
         with pytest.raises(ValueError):
             gaming.detector_d7_supervised({"a": self._planted(rng, 3)})
+
+    def test_matches_copying_oracle(self, rng, monkeypatch):
+        # the in-place design, any std block size and the reused GD buffers keep every bit
+        data = {"a": self._planted(rng, 5), "b": self._planted(rng, 4, separable=False),
+                "c": self._planted(rng, 3)}
+        data["b"][0][0][:, 3] = 2.5  # a feature constant in one scenario
+        want = oracles.detector_d7_supervised(data)
+        assert gaming.detector_d7_supervised(data) == want
+        for budget in (1, 5 * 7, 5 * 200 + 3):  # 1, 7 and 200 rows a block
+            monkeypatch.setattr(gaming, "_STD_BLOCK_BUDGET", budget)
+            assert gaming.detector_d7_supervised(data) == want
+
+    @pytest.mark.parametrize("rows,cols", [(1, 1), (2, 5), (37, 3), (5000, 5)])
+    def test_standardize_columns_in_place(self, rows, cols, monkeypatch):
+        rng = np.random.default_rng(rows * 10 + cols)
+        x = rng.normal(size=(rows, cols)) * 10.0 ** rng.uniform(-3, 3, size=cols)
+        x[:, 0] = -0.0 if rows > 1 else x[:, 0]  # a constant column: std floored at 1e-9
+        want = (x - x.mean(axis=0)) / np.maximum(x.std(axis=0), 1e-9)
+        for budget in (1, 3 * cols, 1 << 17):
+            monkeypatch.setattr(gaming, "_STD_BLOCK_BUDGET", budget)
+            design = np.empty((rows, cols + 1))
+            design[:, 1:] = x
+            mu, sd = gaming._standardize_columns(design[:, 1:])
+            assert np.array_equal(design[:, 1:], want), budget
+            assert np.array_equal(mu, x.mean(axis=0))
+            assert np.array_equal(sd, np.maximum(x.std(axis=0), 1e-9))
 
 
 class TestEvaluation:

@@ -1,9 +1,11 @@
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import oracles
 from gradsense import incentive, metrics
 
 
@@ -258,24 +260,32 @@ def same_bits(a, b) -> bool:
     return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
+def stability_matrices(t, n):
+    """(support kind, score matrix) pairs of positive total, among them -0.0 and zero columns."""
+    rng = np.random.default_rng(t * 1000 + n)
+    for support in ("all", "some", "one", "signed_zero"):
+        m = rng.random((t, n)) * 10.0 ** rng.uniform(-3, 3, size=(t, n))
+        if support == "some":
+            m[:, rng.random(n) < 0.7] = 0.0
+            m[:, rng.integers(0, n)] = 1.0  # keep the total positive
+        elif support == "one":
+            m[:, 1:] = 0.0
+            m[rng.random(t) < 0.5, 0] = 0.0  # resamples of zero total leave rows undefined
+        elif support == "signed_zero":
+            m[:, rng.random(n) < 0.5] = -0.0
+            m[1:, 0] = -0.0  # about a third of the resamples draw only its -0.0s
+        if m.mean(axis=0).sum() > 0:
+            yield support, m
+
+
+STABILITY_SHAPES = [(10, 1), (10, 2), (12, 7), (23, 40), (60, 117)]
+
+
 class TestPaymentStabilityMatchesGather:
-    @pytest.mark.parametrize("t,n", [(10, 1), (10, 2), (12, 7), (23, 40), (60, 117)])
+    @pytest.mark.parametrize("t,n", STABILITY_SHAPES)
     def test_bit_identical(self, t, n):
-        rng = np.random.default_rng(t * 1000 + n)
         compared = 0
-        for support in ("all", "some", "one", "signed_zero"):
-            m = rng.random((t, n)) * 10.0 ** rng.uniform(-3, 3, size=(t, n))
-            if support == "some":
-                m[:, rng.random(n) < 0.7] = 0.0
-                m[:, rng.integers(0, n)] = 1.0  # keep the total positive
-            elif support == "one":
-                m[:, 1:] = 0.0
-                m[rng.random(t) < 0.5, 0] = 0.0  # resamples of zero total leave rows undefined
-            elif support == "signed_zero":
-                m[:, rng.random(n) < 0.5] = -0.0
-                m[1:, 0] = -0.0  # about a third of the resamples draw only its -0.0s
-            if m.mean(axis=0).sum() <= 0:
-                continue
+        for support, m in stability_matrices(t, n):
             for seed in (0, 3):
                 res = incentive.payment_stability(m, 1000, 0.9, 20, seed)
                 for chunk in (None, 7, 333):
@@ -285,6 +295,22 @@ class TestPaymentStabilityMatchesGather:
                     assert same_bits(res.upper, hi) and same_bits(res.ci_to_share, ratio)
                     compared += 1
         assert compared >= 18
+
+    @pytest.mark.parametrize("t,n", STABILITY_SHAPES)
+    def test_chunks_equal_one_chunk(self, t, n, monkeypatch):
+        # at the default budget 1,000 resamples of up to 131 stations are one chunk
+        assert 1000 * n <= incentive._RESAMPLE_BUDGET
+        kinds = set()
+        for support, m in stability_matrices(t, n):
+            one = incentive.payment_stability(m, 1000, 0.9, 20, seed=5)
+            for budget in (1, 7 * n, 333 * n + 1):  # 1, 7 and 333 resamples a chunk
+                monkeypatch.setattr(incentive, "_RESAMPLE_BUDGET", budget)
+                res = incentive.payment_stability(m, 1000, 0.9, 20, seed=5)
+                monkeypatch.undo()
+                for field in ("shares", "lower", "upper", "ci_to_share"):
+                    assert same_bits(getattr(res, field), getattr(one, field)), (support, field)
+            kinds.add(support)
+        assert len(kinds) >= 3  # -0.0 columns drop out of some shapes' draws
 
     def test_no_support_rejected(self):
         with pytest.raises(ValueError, match="sum to zero"):
@@ -406,3 +432,87 @@ class TestShrinkage:
         with pytest.raises(ValueError):
             incentive.shrinkage_fit(np.full((4, 5), 0.2), np.full(5, 0.2),
                                     rng.random(5), objective="nope")
+
+
+def _same_report(a, b) -> bool:
+    """Field by field: floats and arrays bit for bit, the rest equal."""
+    return all(same_bits(x, y) if isinstance(x, (float, np.ndarray)) else x == y
+               for x, y in ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a)))
+
+
+def _signed_utilities(rng, n):
+    """|utility| with ties, +0.0 and -0.0 entries, and a positive total."""
+    u = np.round(rng.normal(size=n) * rng.uniform(0.5, 3), 1)
+    u[rng.random(n) < 0.3] = 0.0
+    u[rng.random(n) < 0.3] = -0.0
+    u[rng.integers(0, n)] = 1.5
+    return u
+
+
+class TestCaseFunctionsMatchPerCallOracles:
+    """The case-at-a-time functions against the per-call bodies they replaced, bit for bit."""
+
+    @pytest.mark.parametrize("n", [10, 23, 117])
+    def test_select_case(self, n):
+        rng = np.random.default_rng(n)
+        for trial in range(4):
+            util = _signed_utilities(rng, n)
+            scores = {"ig": np.round(rng.random(n), 1),  # ties
+                      "gti": np.ones(n),  # all tied: lower ids first
+                      "vg": np.where(rng.random(n) < 0.5, -0.0, rng.random(n))}
+            dist = np.round(rng.random(n) * 500, -1)  # ties, and stations on the target cell
+            budgets = (1, 3, n - 1, n)  # k = N selects everything
+            seeds = [int(s) for s in rng.integers(1 << 40, size=len(budgets))]
+            got = incentive.select_case(util, budgets, scores=scores, distances_km=dist,
+                                        seeds=seeds)
+            want = [oracles.select(strategy, k, util, scores=scores.get(strategy),
+                                   distances_km=dist, seed=seed)
+                    for k, seed in zip(budgets, seeds) for strategy in incentive.STRATEGIES]
+            assert len(got) == len(want) == len(budgets) * len(incentive.STRATEGIES)
+            for g, w in zip(got, want):
+                assert _same_report(g, w), (trial, w.strategy, w.k)
+
+    @pytest.mark.parametrize("n", [10, 13, 37, 117])
+    def test_calibrate_case(self, n):
+        rng = np.random.default_rng(n)
+        for trial in range(4):
+            util = _signed_utilities(rng, n)
+            proxies = np.stack([rng.random(n), np.round(rng.random(n), 1), np.ones(n),
+                                np.where(rng.random(n) < 0.6, -0.0, rng.random(n) + 0.1),
+                                np.abs(util) + 0.0])
+            proxies[3, 0] = 1.0  # a positive total
+            got = incentive.calibrate_case(proxies, util)
+            assert len(got) == len(proxies)
+            for row, rep in zip(proxies, got):
+                assert _same_report(rep, oracles.decile_calibration(row, util)), trial
+
+    @pytest.mark.parametrize("folds,n", [(3, 5), (3, 117), (8, 20), (60, 117)])
+    def test_shrinkage_fits(self, folds, n):
+        rng = np.random.default_rng(folds * 1000 + n)
+        for trial in range(3):
+            util = _signed_utilities(rng, n)
+            raw = np.round(rng.random((folds, n)), 1) + 0.0  # tied shares
+            raw[:, 0] += 0.05
+            proxy = raw / raw.sum(axis=1, keepdims=True)
+            dist = rng.random(n) + 0.01
+            dist /= dist.sum()
+            for k in (3, 20, n + 5):  # top_k = min(k, N)
+                got = incentive.shrinkage_fits(proxy, dist, util, ("mse", "captured_utility"), k)
+                for objective, fit in zip(("mse", "captured_utility"), got):
+                    want = oracles.shrinkage_fit(proxy, dist, util, objective, k)
+                    assert _same_report(fit, want), (trial, objective, k)
+                single = incentive.shrinkage_fit(proxy, dist, util, "captured_utility", k)
+                assert _same_report(single, got[1])
+
+    def test_errors(self, rng):
+        u = rng.random(12)
+        with pytest.raises(ValueError, match="seed per budget"):
+            incentive.select_case(u, (3, 5), ("uniform",), seeds=(1,))
+        with pytest.raises(ValueError, match="must be one of"):
+            incentive.select_case(u, (3,), ("ig", "nope"), scores={"ig": u})
+        with pytest.raises(ValueError, match="proxies must be"):
+            incentive.calibrate_case(u, u)
+        with pytest.raises(ValueError, match="all-zero"):
+            incentive.calibrate_case(np.stack([u, np.zeros(12)]), u)
+        with pytest.raises(ValueError, match="objective"):
+            incentive.shrinkage_fits(np.full((4, 5), 0.2), np.full(5, 0.2), u[:5], ("nope",))

@@ -191,6 +191,26 @@ class TestSpearmanRows:
             with pytest.raises(ValueError):
                 metrics.spearman_rho(a, b)
 
+    def test_indexed_pairs_match_row_pairs(self, rng):
+        # each row ranked once and paired many times gives the rhos of the gathered pairs,
+        # and spearman_p of any subset gives those rows' p-values
+        for a, b in _row_matrices(rng):
+            x = np.concatenate([a, b])
+            rows = a.shape[0]
+            ia = rng.integers(0, 2 * rows, size=3 * rows)
+            ib = rng.integers(0, 2 * rows, size=3 * rows)
+            want = metrics.spearman_rho(x[ia], x[ib])
+            got = metrics.spearman_indexed(x, ia, ib)
+            assert np.array_equal(got, want, equal_nan=True)
+            rho, p = metrics.spearman_rows(a, b)
+            pairs = metrics.spearman_indexed(x, np.arange(rows), rows + np.arange(rows))
+            assert np.array_equal(pairs, rho, equal_nan=True)
+            pick = rng.permutation(rows)[:max(1, rows // 2)]
+            assert np.array_equal(metrics.spearman_p(rho[pick], a.shape[1]), p[pick],
+                                  equal_nan=True)
+        with pytest.raises(ValueError):
+            metrics.spearman_indexed(np.ones((3, 2)), [0], [1])
+
     def test_rank_rho_sums_are_exact(self, rng):
         # centred average ranks are multiples of 1/2, so every summation order agrees
         for n in (3, 4, 17, 150, 400):

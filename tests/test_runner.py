@@ -487,6 +487,27 @@ class TestRunFull:
         on_disk = json.loads((out / "manifest.json").read_text())
         assert on_disk["failures"] == manifest["failures"]
 
+    def test_progress_lines_on_stderr(self, tiny_run, tmp_path, capsys, monkeypatch):
+        cfg, out, _ = tiny_run
+        copy = tmp_path / "progress"
+        shutil.copytree(out, copy)
+
+        def exploding_stage(state):
+            raise RuntimeError("boom")
+
+        _replace_runs(monkeypatch, report=exploding_stage)
+        ran = runner.STAGES[1:]
+        runner.run_full(replace(cfg, out_dir=str(copy)), stage_filter=ran)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines[0::2] == [f"gradsense: {name}: started" for name in ran]
+        assert len(lines[1::2]) == len(ran)
+        for name, line in zip(ran, lines[1::2]):
+            status = "failed" if name == "report" else "completed"
+            assert re.fullmatch(rf"gradsense: {name}: {status} in \d+\.\d\d s, "
+                                rf"max RSS \d+\.\d MB", line), line
+
     def test_unknown_stage_filter_rejected(self, tmp_path):
         out = tmp_path / "typo"
         with pytest.raises(ValueError, match="fidelty"):
@@ -524,7 +545,7 @@ class TestRunFull:
 
 
 def oracle_fidelity_stats(imp, util, ks, q):
-    """The per-timestamp loop `_agreement` replaced in fidelity and methods."""
+    """The per-timestamp loop `_agreements` replaced in fidelity and methods."""
     imp_mean = np.nanmean(imp, axis=0)
     util_mean = util.mean(axis=0)
     agg = metrics.spearman(imp_mean, util_mean)
@@ -547,7 +568,7 @@ def oracle_fidelity_stats(imp, util, ks, q):
 
 
 def oracle_converge(imp, util):
-    """The per-timestamp loop `_agreement` replaced in converge."""
+    """The per-timestamp loop `_agreements` replaced in converge."""
     util_mean = util.mean(axis=0)
     agg = metrics.spearman(np.nanmean(imp, axis=0), util_mean)
     per_t_agg, per_t_cyc = [], []
@@ -581,7 +602,7 @@ class TestAgreement:
                 yield tables["si_u"][(cid, key)], util, ks
 
     def _check(self, imp, util, ks, q=0.05):
-        ag = runner._agreement(imp, util, ks, q)
+        ag = runner._agreements([imp], util, ks, q)[0]
         agg, overlaps, wil_p, bh, cyc = oracle_fidelity_stats(imp, util, ks, q)
         assert ag.agg == agg
         assert list(ag.overlaps) == overlaps
@@ -602,6 +623,73 @@ class TestAgreement:
                 n_pers += 1
                 assert ag.cycle_rho.size <= imp.shape[0] - 1
         assert n_pers == len(cfg.model_depths) and n_pairs > 30
+
+    def test_tables_of_one_case_match_one_at_a_time(self, tiny_run):
+        # every importance table of a config at once, ig-pers's NaN first row among them
+        cfg, _, _ = tiny_run
+        tables = runner.RunState(cfg).ensure_tables()
+        for cid, util in tables["gu"].items():
+            keys = [key for c, key in tables["gi"] if c == cid]
+            imps = [tables["gi"][(cid, key)] for key in keys]
+            assert any(np.isnan(imp[0]).any() for imp in imps)
+            for imp, ag in zip(imps, runner._agreements(imps, util, (1, 3), 0.05)):
+                one = runner._agreements([imp], util, (1, 3), 0.05)[0]
+                assert ag.agg == one.agg and ag.overlaps == one.overlaps
+                assert np.array_equal(ag.cycle_rho, one.cycle_rho)
+                assert _same(ag.wilcoxon_p, one.wilcoxon_p) and ag.bh_count == one.bh_count
+                assert _same(ag.mean_cycle_rho, one.mean_cycle_rho)
+                assert _same(ag.recovery, one.recovery)
+
+    def _count_agreements(self, monkeypatch) -> list:
+        """A list that gains one entry per importance table `runner._agreements` is given."""
+        calls, agreements = [], runner._agreements
+
+        def counting(imps, *args):
+            calls.extend(range(len(imps)))
+            return agreements(imps, *args)
+
+        monkeypatch.setattr(runner, "_agreements", counting)
+        return calls
+
+    def _case_counts(self, cfg) -> dict[str, int]:
+        state = runner.RunState(cfg)
+        n_spatial = sum(1 for _ in runner._spatial_cases(state.ensure_tables()))
+        methods = len(state.scored_methods())
+        return {"global": len(state.config_ids()) * methods, "spatial": n_spatial * methods}
+
+    def test_built_once_per_run(self, tiny_run, tmp_path, monkeypatch):
+        cfg, out, _ = tiny_run
+        counts = self._case_counts(cfg)
+        copy = tmp_path / "shared"
+        shutil.copytree(out, copy)
+        calls = self._count_agreements(monkeypatch)
+        state = runner.RunState(replace(cfg, out_dir=str(copy)))
+        for name in ("fidelity", "methods", "converge"):
+            before = len(calls)
+            runner.run_stage(state, name)
+            assert len(calls) - before == (0 if name != "fidelity" else sum(counts.values()))
+        assert state.agreements("global") is state.agreements("global")
+        with pytest.raises(ValueError, match="scope"):
+            state.agreements("local")
+
+    @pytest.mark.parametrize("stage,scopes", [("methods", ("global",)),
+                                              ("converge", ("global", "spatial"))])
+    def test_stage_alone_builds_what_it_reads(self, stage, scopes, tiny_run, tmp_path,
+                                              monkeypatch):
+        # alone over a prepared directory, the stage builds the memo it reads cold and
+        # writes the bytes of the full run, where fidelity built it first
+        cfg, out, _ = tiny_run
+        counts = self._case_counts(cfg)
+        copy = tmp_path / "prepared"
+        shutil.copytree(out, copy)
+        writes = runner.STAGE_TABLE[runner.STAGES.index(stage)].writes
+        for rel in writes:
+            (copy / rel).unlink()
+        calls = self._count_agreements(monkeypatch)
+        assert runner.run_full(replace(cfg, out_dir=str(copy)), stage_filter=(stage,))["ok"]
+        assert len(calls) == sum(counts[scope] for scope in scopes)
+        for rel in writes:
+            assert (copy / rel).read_bytes() == (out / rel).read_bytes(), rel
 
     def test_constant_rows_left_out(self, tiny_run):
         cfg, _, _ = tiny_run
