@@ -265,12 +265,12 @@ def config_from_dict(d: dict) -> ExperimentConfig:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return config_from_dict(yaml.safe_load(fh))
 
 
 def _dump_yaml(d: dict, path: str | Path) -> None:
-    with fieldio.atomic_open(path) as fh:
+    with fieldio.atomic_open(path, encoding="utf-8") as fh:
         yaml.safe_dump(d, fh, sort_keys=True)
 
 

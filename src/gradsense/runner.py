@@ -4,7 +4,7 @@ A single seeded `config.ExperimentConfig` drives the whole desk matrix:
 synthetic data, a grid of surrogate models (depth x target x target variable),
 attribution and ablation passes, fidelity/method/calibration/selection/
 payment/convergence analyses, the gaming campaign, and detector evaluation.
-Every stage writes deterministic CSV/JSON results under the output directory;
+Every stage returns deterministic CSV/JSON results for the output directory;
 the manifest records the config hash and a content hash for every emitted
 file, so a rerun with the same config is byte-identical.  Intermediate arrays
 (fields, per-timestamp tables, gaming runs) live in `fieldio` array stores
@@ -17,10 +17,11 @@ into stores.  `run_full` under a config other than the directory's saved
 `config.yaml` first removes the artifacts of the old one.
 
 `STAGE_TABLE` declares the pipeline in run order: each `Stage` names its
-function, its CLI help, the stores it reads and the files it writes.
-`STAGES`, the CLI subcommands and the manifest's stage statuses come from
-it; `run_stage` loads the stores a stage declares before running it, and a
-contract test holds each stage to its declaration.
+function, its CLI help, the stores it reads, and the files it writes with
+each one's columns.  `STAGES`, the CLI subcommands and the manifest's stage
+statuses come from it; `run_stage` loads the stores a stage declares before
+running it and is the one writer of the files it returns, and a contract
+test holds each stage to its declaration.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ class Workspace:
 
         A row whose width is not the header's raises ValueError and leaves `rel` as it was.
         """
-        with fieldio.atomic_open(self.path(rel), "w", newline="") as fh:
+        with fieldio.atomic_open(self.path(rel), "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(header)
             for i, row in enumerate(rows):
@@ -103,7 +104,7 @@ class Workspace:
         self.write_text(rel, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     def write_text(self, rel: str, text: str) -> None:
-        with fieldio.atomic_open(self.path(rel)) as fh:
+        with fieldio.atomic_open(self.path(rel), encoding="utf-8") as fh:
             fh.write(text)
         self.files.add(rel)
 
@@ -117,7 +118,7 @@ class Workspace:
         return arrays
 
     def read_rows(self, rel: str) -> list[dict[str, str]]:
-        with open(self.root / rel, newline="") as fh:
+        with open(self.root / rel, newline="", encoding="utf-8") as fh:
             return list(csv.DictReader(fh))
 
     def clear(self) -> None:
@@ -438,21 +439,11 @@ def _agreements(imps: list[np.ndarray], util: np.ndarray, ks: tuple[int, ...],
 # -- stages -----------------------------------------------------------------
 
 
-STATIONS_COLUMNS = ("station_id", "lat_idx", "lon_idx", "lat", "lon")
-
-
-def stage_gen(state: RunState) -> None:
+def stage_gen(state: RunState) -> dict:
     st = state.stations
     rows = [(g, int(st.lat_idx[g]), int(st.lon_idx[g]), st.lats[g], st.lons[g])
             for g in range(st.n_stations)]
-    state.ws.write_csv("data/stations.csv", STATIONS_COLUMNS, rows)
-
-
-def fidelity_columns(spatial: bool, ks: tuple[int, ...]) -> tuple[str, ...]:
-    """The header of fidelity_spatial.csv, or of fidelity_global.csv (no mode or patch)."""
-    case = ("config_id", "mode", "patch", "method") if spatial else ("config_id", "method")
-    return (*case, "rho", "p_value", "ci_lower", "ci_upper", *(f"top{k}" for k in ks),
-            "wilcoxon_p", "bh_rejections", "mean_cycle_rho")
+    return {"data/stations.csv": rows}
 
 
 def _fidelity_cells(ag: Agreement, ci_lower: float, ci_upper: float) -> tuple:
@@ -461,7 +452,7 @@ def _fidelity_cells(ag: Agreement, ci_lower: float, ci_upper: float) -> tuple:
             ag.bh_count, ag.mean_cycle_rho)
 
 
-def stage_fidelity(state: RunState) -> None:
+def stage_fidelity(state: RunState) -> dict:
     cfg = state.cfg
     tables = state.ensure_tables()
     gi, si_u, gu = tables["gi"], tables["si_u"], tables["gu"]
@@ -473,8 +464,6 @@ def stage_fidelity(state: RunState) -> None:
         ci = metrics.bootstrap_iid(pairs, metrics.paired_spearman, boot_n, level,
                                    seed=child_seed(cfg.seed, "gci", cid, key))
         g_rows.append((cid, key, *_fidelity_cells(ag, ci.lower, ci.upper)))
-    state.ws.write_csv("results/fidelity_global.csv", fidelity_columns(False, _global_ks(state)),
-                       g_rows)
 
     s_rows = []
     blocks = metrics.station_blocks(state.stations)
@@ -491,43 +480,25 @@ def stage_fidelity(state: RunState) -> None:
                     seed=child_seed(cfg.seed, "sci", cid, mode, patch))
                 lo, hi = ci.lower, ci.upper
             s_rows.append((cid, mode, patch, key, *_fidelity_cells(ag, lo, hi)))
-    state.ws.write_csv("results/fidelity_spatial.csv", fidelity_columns(True, _spatial_ks(state)),
-                       s_rows)
+    return {"results/fidelity_global.csv": g_rows, "results/fidelity_spatial.csv": s_rows}
 
 
-def methods_summary_columns(ks: tuple[int, ...]) -> tuple[str, ...]:
-    """The header of methods_summary.csv; index 4 is the top-k overlap at the largest k."""
-    return ("method", "mean_rho", "agg_sig", "wilcoxon_sig", f"mean_top{ks[-1]}", "n_configs")
-
-
-METHODS_PAIRWISE_COLUMNS = ("method_a", "method_b", "wins_a", "n_configs")
-K_SENSITIVITY_COLUMNS = ("config_id", "steps", "reference_steps", "rank_rho")
-BASELINE_SENSITIVITY_COLUMNS = ("config_id", "baseline", "steps", "rho",
-                                "delta_vs_climatology")
-SCALE_INVARIANCE_COLUMNS = ("config_id", "variable", "factor", "ig_max_rel_dev",
-                            "gti_max_rel_dev", "vg_ranking_changed", "selections_unchanged")
-
-
-def stage_methods(state: RunState) -> None:
+def stage_methods(state: RunState) -> dict:
     cfg = state.cfg
     tables = state.ensure_tables()
     gi, gu = tables["gi"], tables["gu"]
     display, cids = state.scored_methods(), state.config_ids()
     ags = state.agreements("global")
-    rows = []
+    summary_rows = []
     for key in display:
         col = [ags[(cid, key)] for cid in cids]  # a NaN p-value is never significant
-        rows.append((key, float(np.nanmean([ag.agg.rho for ag in col])),
+        summary_rows.append((key, float(np.nanmean([ag.agg.rho for ag in col])),
                      sum(int(ag.agg.p_value < 0.05) for ag in col),
                      sum(int(ag.wilcoxon_p < 0.05) for ag in col),
                      float(np.mean([ag.overlaps[-1] for ag in col])), len(cids)))
-    state.ws.write_csv("results/methods_summary.csv",
-                       methods_summary_columns(_global_ks(state)), rows)
-
     pair_rows = [(a, b, sum(int(ags[(c, a)].agg.rho > ags[(c, b)].agg.rho) for c in cids),
                   len(cids))
                  for a in display for b in display if a < b]
-    state.ws.write_csv("results/methods_pairwise.csv", METHODS_PAIRWISE_COLUMNS, pair_rows)
 
     # quadrature sensitivity: do coarse step grids change the variable ranking?
     k_rows = []
@@ -537,7 +508,6 @@ def stage_methods(state: RunState) -> None:
         ref_rank = np.nanmean(gi[(cid, state.primary_key())], axis=0)
         rhos = metrics.spearman_rho(coarse, np.broadcast_to(ref_rank, coarse.shape))
         k_rows.extend((cid, s, cfg.ig_steps, rho) for s, rho in zip(steps, rhos))
-    state.ws.write_csv("results/k_sensitivity.csv", K_SENSITIVITY_COLUMNS, k_rows)
 
     # baseline sensitivity: zero and persistence baselines vs climatology
     b_rows = []
@@ -551,13 +521,13 @@ def stage_methods(state: RunState) -> None:
         for (base, _), rho in zip(bases, rhos):  # rhos[0] is climatology's
             delta = rho - rhos[0] if not math.isnan(rho) else np.nan
             b_rows.append((cid, base, zp, rho, delta))
-    state.ws.write_csv("results/baseline_sensitivity.csv", BASELINE_SENSITIVITY_COLUMNS,
-                       b_rows)
+    return {"results/methods_summary.csv": summary_rows,
+            "results/methods_pairwise.csv": pair_rows, "results/k_sensitivity.csv": k_rows,
+            "results/baseline_sensitivity.csv": b_rows,
+            "results/scale_invariance.csv": [_scale_invariance_row(state)]}
 
-    _scale_invariance_table(state)
 
-
-def _scale_invariance_table(state: RunState) -> None:
+def _scale_invariance_row(state: RunState) -> tuple:
     """Plant a unit change in one variable and record which proxies move."""
     cid = state.config_ids()[len(state.config_ids()) // 2]
     model = state.make_model(cid)
@@ -579,24 +549,18 @@ def _scale_invariance_table(state: RunState) -> None:
         dev = np.abs(a1 - a0).max(axis=(1, 2, 3))
         return float((dev / np.maximum(np.abs(a0).max(axis=(1, 2, 3)), 1e-300)).max())
 
-    def top20(a):
-        return [metrics.topk_indices(s, 20) for s in attr.spatial_importance(a, state.stations)]
+    def top20(a):  # or every station, when there are fewer
+        k = min(20, state.stations.n_stations)
+        return [metrics.topk_indices(s, k) for s in attr.spatial_importance(a, state.stations)]
 
     sel_same = all(np.array_equal(r0, r1) for a0, a1 in ((ig0, ig1), (gti0, gti1))
                    for r0, r1 in zip(top20(a0), top20(a1)))
     vg_ranks = [np.argsort(-attr.variable_importance(vg), axis=-1) for vg in (vg0, vg1)]
-    state.ws.write_csv("results/scale_invariance.csv", SCALE_INVARIANCE_COLUMNS,
-                       [(cid, state.grid.variables[var], factor, max_rel_dev(ig0, ig1),
-                         max_rel_dev(gti0, gti1), not np.array_equal(*vg_ranks), sel_same)])
+    return (cid, state.grid.variables[var], factor, max_rel_dev(ig0, ig1),
+            max_rel_dev(gti0, gti1), not np.array_equal(*vg_ranks), sel_same)
 
 
-CALIBRATION_DECILES_COLUMNS = ("config_id", "mode", "patch", "proxy", "decile",
-                               "mean_utility")
-CALIBRATION_SUMMARY_COLUMNS = ("config_id", "mode", "patch", "proxy", "gini_ratio",
-                               "overpayment", "share_spearman")
-
-
-def stage_calibrate(state: RunState) -> None:
+def stage_calibrate(state: RunState) -> dict:
     tables = state.ensure_tables()
     si_u = tables["si_u"]
     dec_rows, sum_rows = [], []
@@ -611,17 +575,11 @@ def stage_calibrate(state: RunState) -> None:
                          for b, u in enumerate(rep.decile_mean_utility)]
             sum_rows.append((cid, mode, patch, name, rep.gini_ratio,
                              rep.overpayment_total, rep.share_spearman))
-    state.ws.write_csv("results/calibration_deciles.csv", CALIBRATION_DECILES_COLUMNS,
-                       dec_rows)
-    state.ws.write_csv("results/calibration_summary.csv", CALIBRATION_SUMMARY_COLUMNS,
-                       sum_rows)
+    return {"results/calibration_deciles.csv": dec_rows,
+            "results/calibration_summary.csv": sum_rows}
 
 
-SELECTION_COLUMNS = ("config_id", "mode", "patch", "strategy", "k", "captured",
-                     "efficiency_ratio", "optimality_ratio")
-
-
-def stage_select(state: RunState) -> None:
+def stage_select(state: RunState) -> dict:
     cfg = state.cfg
     tables = state.ensure_tables()
     si_u = tables["si_u"]
@@ -641,18 +599,13 @@ def stage_select(state: RunState) -> None:
                   res.optimality_ratio)
                  for res in incentive.select_case(util, budgets, scores=means,
                                                   distances_km=dist, seeds=seeds)]
-    state.ws.write_csv("results/selection.csv", SELECTION_COLUMNS, rows)
+    return {"results/selection.csv": rows}
 
 
-PAYMENTS_COLUMNS = ("config_id", "method", "station_id", "share", "amount",
-                    "share_ci_lower", "share_ci_upper")
-PAYMENT_STABILITY_COLUMNS = ("config_id", "method", "ci_to_share", "top_k", "resamples")
-SHRINKAGE_COLUMNS = ("config_id", "mode", "patch", "objective", "fold", "lambda",
-                     "lambda_mean", "delta_rho")
 SHRINKAGE_OBJECTIVES = ("mse", "captured_utility")  # each case's rows, in this order
 
 
-def stage_pay(state: RunState) -> None:
+def stage_pay(state: RunState) -> dict:
     cfg = state.cfg
     tables = state.ensure_tables()
     si_u = tables["si_u"]
@@ -670,8 +623,6 @@ def stage_pay(state: RunState) -> None:
                 pay_rows.append((cid, key, g, alloc.shares[g], alloc.amounts[g],
                                  stab.lower[g], stab.upper[g]))
             stab_rows.append((cid, key, stab.ci_to_share, stab.top_k, stab.resamples))
-    state.ws.write_csv("results/payments.csv", PAYMENTS_COLUMNS, pay_rows)
-    state.ws.write_csv("results/payment_stability.csv", PAYMENT_STABILITY_COLUMNS, stab_rows)
 
     # shrinkage toward the distance prior, both inner objectives
     sh_rows = []
@@ -691,14 +642,11 @@ def stage_pay(state: RunState) -> None:
             for fold, lam in enumerate(fit.per_fold):
                 sh_rows.append((cid, mode, patch, objective, fold, lam,
                                 fit.lam, fit.delta_rho))
-    state.ws.write_csv("results/shrinkage.csv", SHRINKAGE_COLUMNS, sh_rows)
+    return {"results/payments.csv": pay_rows, "results/payment_stability.csv": stab_rows,
+            "results/shrinkage.csv": sh_rows}
 
 
-SUBADDITIVITY_COLUMNS = ("config_id", "mode", "patch", "set_size", "station_ids",
-                         "median_ratio", "n_defined", "n_flagged")
-
-
-def stage_subadditivity(state: RunState) -> None:
+def stage_subadditivity(state: RunState) -> dict:
     cfg = state.cfg
     rows = []
     depth = max(cfg.model_depths)
@@ -719,7 +667,7 @@ def stage_subadditivity(state: RunState) -> None:
             med = float(np.median(ratios)) if ratios else np.nan
             rows.append((cid, mode, patch, size, ";".join(str(g) for g in ids), med,
                          len(ratios), len(joint) - len(ratios)))
-    state.ws.write_csv("results/subadditivity.csv", SUBADDITIVITY_COLUMNS, rows)
+    return {"results/subadditivity.csv": rows}
 
 
 def build_scenarios(state: RunState, cid: str) -> list[gaming.AttackScenario]:
@@ -760,13 +708,7 @@ def build_scenarios(state: RunState, cid: str) -> list[gaming.AttackScenario]:
     return scenarios
 
 
-GAMING_OUTCOMES_COLUMNS = ("scenario_id", "config_id", "kind", "n_attackers",
-                           "magnitude_pct", "scope", "placement", "attackers",
-                           "inflation_ratio", "mae_clean", "mae_change",
-                           "honest_share_change_pp", "attack_reached_model")
-
-
-def stage_game(state: RunState) -> None:
+def stage_game(state: RunState) -> dict:
     manifest, outcome_rows = {}, []
     for cid, (scenarios, run) in state.ensure_gaming().items():
         for i, sc in enumerate(scenarios):
@@ -777,17 +719,11 @@ def stage_game(state: RunState) -> None:
                 sc.scope, sc.placement, ";".join(str(a) for a in sc.attackers),
                 run.inflation_ratio[i], run.mae_clean[i], run.mae_change[i],
                 run.honest_share_change_pp[i], bool(run.attack_reached_model[i])))
-    state.ws.write_json("results/gaming_scenarios.json", manifest)
-    state.ws.write_csv("results/gaming_outcomes.csv", GAMING_OUTCOMES_COLUMNS, outcome_rows)
+    return {"results/gaming_scenarios.json": manifest,
+            "results/gaming_outcomes.csv": outcome_rows}
 
 
-GAMING_RESULTS_COLUMNS = ("scenario_id", "detector", "pr_auc", "hit_at_1", "hit_at_5",
-                          "inflation_ratio", "mae_change", "flagged")
-DETECTION_SUMMARY_COLUMNS = ("config_id", "kind", "detector", "n_scenarios", "mean_pr_auc",
-                             "hit_at_1", "hit_at_5", "prevalence")
-
-
-def stage_detect(state: RunState) -> None:
+def stage_detect(state: RunState) -> dict:
     campaigns = {cid: (scenarios, run, state.distances(cid))
                  for cid, (scenarios, run) in sorted(state.ensure_gaming().items())}
     ev = gaming.evaluate_detectors(campaigns, state.stations)
@@ -795,15 +731,10 @@ def stage_detect(state: RunState) -> None:
              det == "u1" and ev.u1_zero_mad[cid][i])
             for cid, (scenarios, run, _) in campaigns.items() for i, sc in enumerate(scenarios)
             for det, cells in zip(gaming.DETECTORS, ev.scored[cid][i].tolist())]
-    state.ws.write_csv("results/gaming_results.csv", GAMING_RESULTS_COLUMNS, rows)
-    state.ws.write_csv("results/detection_summary.csv", DETECTION_SUMMARY_COLUMNS, ev.summary)
+    return {"results/gaming_results.csv": rows, "results/detection_summary.csv": ev.summary}
 
 
-CONVERGENCE_COLUMNS = ("config_id", "scope", "mode", "patch", "rho_aggregate",
-                       "recovery_ratio", "converge_n")
-
-
-def stage_converge(state: RunState) -> None:
+def stage_converge(state: RunState) -> dict:
     key = state.primary_key()
 
     def analyse(cid, scope, mode, patch, ag: Agreement) -> tuple:
@@ -823,8 +754,7 @@ def stage_converge(state: RunState) -> None:
     for (cid, mode, patch, method), ag in state.agreements("spatial").items():
         if method == key:
             rows[cid].append(analyse(cid, "spatial", mode, patch, ag))
-    state.ws.write_csv("results/convergence.csv", CONVERGENCE_COLUMNS,
-                       [row for cid_rows in rows.values() for row in cid_rows])
+    return {"results/convergence.csv": [row for cid_rows in rows.values() for row in cid_rows]}
 
 
 def _group(rows: list[dict[str, str]], *cols: str) -> dict[tuple[str, ...], list[dict[str, str]]]:
@@ -841,7 +771,7 @@ def _mean(rows: list[dict[str, str]], col: str) -> float:
     return float(np.mean(vals)) if vals else math.nan
 
 
-def stage_report(state: RunState) -> None:
+def stage_report(state: RunState) -> dict:
     cfg, ws = state.cfg, state.ws
 
     def table(name: str) -> list[dict[str, str]] | None:
@@ -852,7 +782,7 @@ def stage_report(state: RunState) -> None:
     lines = ["# Desk run report", "", f"- config hash: `{config_hash(cfg)}`",
              f"- stations: {state.stations.n_stations}, timestamps: {cfg.n_timestamps}", ""]
     if (rows := table("methods_summary")) is not None:
-        topcol = methods_summary_columns(_global_ks(state))[4]
+        topcol = f"mean_top{_global_ks(state)[-1]}"
         lines += ["## Attribution methods (global fidelity)", "",
                   f"| method | mean rho | agg sig | wilcoxon sig | {topcol} |",
                   "|---|---|---|---|---|"]
@@ -894,7 +824,7 @@ def stage_report(state: RunState) -> None:
                          f"({spatial.count('never')} configurations never reach significance)")
         lines.append("")
     lines += ["All tables are plot-ready CSVs under `results/`.", ""]
-    ws.write_text("results/report.md", "\n".join(lines))
+    return {"results/report.md": "\n".join(lines)}
 
 
 @dataclass(frozen=True)
@@ -902,58 +832,113 @@ class Stage:
     """One pipeline stage and its contract.
 
     `reads` names the `RunState.ensure_*` stores (`data`, `models`, `tables`,
-    `gaming`) that `run_stage` loads before the stage runs; `writes` lists the
-    files the stage writes itself, relative to the run directory.  The files
-    of a store, and of the stores it is computed from, are not in `writes`.
+    `gaming`) that `run_stage` loads before the stage runs.  `writes` maps each
+    file the stage writes, relative to the run directory, to its columns: a
+    tuple, a function of the `RunState` where the config sets them, or None
+    for a JSON or markdown file.  The stage returns each file's rows or
+    payload and `run_stage` writes them.  The files of a store, and of the
+    stores it is computed from, are not in `writes`.
     """
     name: str
-    run: Callable[[RunState], None]
+    run: Callable[[RunState], dict]
     help: str
     reads: tuple[str, ...]
-    writes: tuple[str, ...]
+    writes: dict[str, tuple[str, ...] | Callable[[RunState], tuple[str, ...]] | None]
 
 
 STAGE_TABLE = (  # in run order
-    Stage("gen", stage_gen, "generate fields, climatology, stations and models",
-          ("models",), ("data/stations.csv",)),
-    Stage("fidelity", stage_fidelity, "attribution vs ablation fidelity tables",
-          ("tables",), ("results/fidelity_global.csv", "results/fidelity_spatial.csv")),
+    Stage("gen", stage_gen, "generate fields, climatology, stations and models", ("models",),
+          {"data/stations.csv": ("station_id", "lat_idx", "lon_idx", "lat", "lon")}),
+    Stage("fidelity", stage_fidelity, "attribution vs ablation fidelity tables", ("tables",),
+          {"results/fidelity_global.csv": lambda state: (
+              "config_id", "method", "rho", "p_value", "ci_lower", "ci_upper",
+              *(f"top{k}" for k in _global_ks(state)), "wilcoxon_p", "bh_rejections",
+              "mean_cycle_rho"),
+           "results/fidelity_spatial.csv": lambda state: (
+              "config_id", "mode", "patch", "method", "rho", "p_value", "ci_lower", "ci_upper",
+              *(f"top{k}" for k in _spatial_ks(state)), "wilcoxon_p", "bh_rejections",
+              "mean_cycle_rho")}),
     Stage("methods", stage_methods,
           "method comparison, quadrature and baseline sensitivity, unit-scale experiment",
           ("data", "tables"),
-          ("results/methods_summary.csv", "results/methods_pairwise.csv",
-           "results/k_sensitivity.csv", "results/baseline_sensitivity.csv",
-           "results/scale_invariance.csv")),
+          {"results/methods_summary.csv": lambda state: (  # the report reads mean_top{k}
+              "method", "mean_rho", "agg_sig", "wilcoxon_sig",
+              f"mean_top{_global_ks(state)[-1]}", "n_configs"),
+           "results/methods_pairwise.csv": ("method_a", "method_b", "wins_a", "n_configs"),
+           "results/k_sensitivity.csv": ("config_id", "steps", "reference_steps", "rank_rho"),
+           "results/baseline_sensitivity.csv": ("config_id", "baseline", "steps", "rho",
+                                                "delta_vs_climatology"),
+           "results/scale_invariance.csv": ("config_id", "variable", "factor", "ig_max_rel_dev",
+                                            "gti_max_rel_dev", "vg_ranking_changed",
+                                            "selections_unchanged")}),
     Stage("calibrate", stage_calibrate, "decile calibration, Gini ratios, overpayment",
-          ("tables",), ("results/calibration_deciles.csv", "results/calibration_summary.csv")),
-    Stage("select", stage_select, "sensor selection strategies across budgets",
-          ("tables",), ("results/selection.csv",)),
-    Stage("pay", stage_pay, "payments, stability intervals, shrinkage fits",
-          ("tables",), ("results/payments.csv", "results/payment_stability.csv",
-                        "results/shrinkage.csv")),
+          ("tables",),
+          {"results/calibration_deciles.csv": ("config_id", "mode", "patch", "proxy", "decile",
+                                               "mean_utility"),
+           "results/calibration_summary.csv": ("config_id", "mode", "patch", "proxy",
+                                               "gini_ratio", "overpayment", "share_spearman")}),
+    Stage("select", stage_select, "sensor selection strategies across budgets", ("tables",),
+          {"results/selection.csv": ("config_id", "mode", "patch", "strategy", "k", "captured",
+                                     "efficiency_ratio", "optimality_ratio")}),
+    Stage("pay", stage_pay, "payments, stability intervals, shrinkage fits", ("tables",),
+          {"results/payments.csv": ("config_id", "method", "station_id", "share", "amount",
+                                    "share_ci_lower", "share_ci_upper"),
+           "results/payment_stability.csv": ("config_id", "method", "ci_to_share", "top_k",
+                                             "resamples"),
+           "results/shrinkage.csv": ("config_id", "mode", "patch", "objective", "fold",
+                                     "lambda", "lambda_mean", "delta_rho")}),
     Stage("subadditivity", stage_subadditivity,
-          "joint-ablation ratios of the nearest station sets",
-          ("models",), ("results/subadditivity.csv",)),
-    Stage("game", stage_game, "adversarial scenario campaign",
-          ("gaming",), ("results/gaming_scenarios.json", "results/gaming_outcomes.csv")),
-    Stage("detect", stage_detect, "detector evaluation over gaming outcomes",
-          ("gaming",), ("results/gaming_results.csv", "results/detection_summary.csv")),
+          "joint-ablation ratios of the nearest station sets", ("models",),
+          {"results/subadditivity.csv": ("config_id", "mode", "patch", "set_size",
+                                         "station_ids", "median_ratio", "n_defined",
+                                         "n_flagged")}),
+    Stage("game", stage_game, "adversarial scenario campaign", ("gaming",),
+          {"results/gaming_scenarios.json": None,
+           "results/gaming_outcomes.csv": ("scenario_id", "config_id", "kind", "n_attackers",
+                                           "magnitude_pct", "scope", "placement", "attackers",
+                                           "inflation_ratio", "mae_clean", "mae_change",
+                                           "honest_share_change_pp", "attack_reached_model")}),
+    Stage("detect", stage_detect, "detector evaluation over gaming outcomes", ("gaming",),
+          {"results/gaming_results.csv": ("scenario_id", "detector", "pr_auc", "hit_at_1",
+                                          "hit_at_5", "inflation_ratio", "mae_change",
+                                          "flagged"),
+           "results/detection_summary.csv": ("config_id", "kind", "detector", "n_scenarios",
+                                             "mean_pr_auc", "hit_at_1", "hit_at_5",
+                                             "prevalence")}),
     Stage("converge", stage_converge, "cycle-vs-aggregate recovery and convergence",
-          ("tables",), ("results/convergence.csv",)),
-    Stage("report", stage_report, "markdown summary over existing results",
-          (), ("results/report.md",)),
+          ("tables",),
+          {"results/convergence.csv": ("config_id", "scope", "mode", "patch", "rho_aggregate",
+                                       "recovery_ratio", "converge_n")}),
+    Stage("report", stage_report, "markdown summary over existing results", (),
+          {"results/report.md": None}),
 )
 STAGES = tuple(stage.name for stage in STAGE_TABLE)
 
 
 def run_stage(state: RunState, name: str) -> None:
-    """Load the stores the stage `name` of `STAGE_TABLE` reads, then run it on `state`."""
+    """Load the stores the stage `name` of `STAGE_TABLE` reads, run it, and write its files.
+
+    A stage returns each file it declares: rows for a CSV, written under the
+    declared columns, a payload for a JSON file and text for any other.  A
+    stage that raises, or returns other files than it declares, writes none.
+    """
     stage = next((s for s in STAGE_TABLE if s.name == name), None)
     if stage is None:
         raise ValueError(f"unknown stage {name!r}; expected one of {STAGES}")
     for store in stage.reads:
         getattr(state, f"ensure_{store}")()
-    stage.run(state)
+    out = stage.run(state) or {}
+    returned, declared = set(out), set(stage.writes)
+    if returned != declared:
+        raise ValueError(f"stage {name!r} returned undeclared files {sorted(returned - declared)} "
+                         f"and left out declared ones {sorted(declared - returned)}")
+    for rel, columns in stage.writes.items():
+        if rel.endswith(".csv"):
+            state.ws.write_csv(rel, columns(state) if callable(columns) else columns, out[rel])
+        elif rel.endswith(".json"):
+            state.ws.write_json(rel, out[rel])
+        else:
+            state.ws.write_text(rel, out[rel])
 
 
 def blas_core(libs: Path = Path(np.__file__).resolve().parent.parent / "numpy.libs") -> str:

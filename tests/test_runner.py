@@ -54,6 +54,32 @@ def test_a_run_loads_no_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "0 []"
 
 
+def test_text_artifacts_do_not_depend_on_the_locale(tmp_path):
+    """A target name outside ASCII gives the same bytes under a C locale as under UTF-8."""
+    base = tiny_config(tmp_path / "unused", model_depths=(1,))
+    combo = ("zürich", "t2m")
+    cfg = replace(base, targets=(config.TargetConfig(combo[0], 47.4, 8.6),),
+                  gaming=replace(base.gaming, combos=(combo,), extended_combo=combo))
+    config.save_config(cfg, tmp_path / "zurich.yaml")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    trees = {}
+    for name, locale in (("c", dict(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")),
+                         ("utf8", dict(PYTHONUTF8="1"))):
+        out = tmp_path / name
+        probe = ("import gradsense.cli\n"
+                 f"raise SystemExit(gradsense.cli.main(['full', '--config', "
+                 f"{str(tmp_path / 'zurich.yaml')!r}, '--out', {str(out)!r}]))\n")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src, **locale)
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        trees[name] = _hash_tree(out / "results")
+    assert "d1-zürich-t2m" in (tmp_path / "c/results/selection.csv").read_text(encoding="utf-8")
+    assert trees["c"] == trees["utf8"]
+    assert len(trees["c"]) == sum(rel.startswith("results/")
+                                  for stage in runner.STAGE_TABLE for rel in stage.writes)
+
+
 def _hash_tree(root: Path) -> dict:
     out = {}
     for p in sorted(root.rglob("*")):
@@ -137,6 +163,14 @@ class TestRunFull:
         on_disk = {str(p.relative_to(alone)) for p in alone.rglob("*") if p.is_file()}
         assert on_disk == expected | {"manifest.json"}
         assert set(run["files"]) == expected
+        state = runner.RunState(replace(cfg, out_dir=str(alone)))
+        for rel, columns in stage.writes.items():  # each CSV under its declared columns
+            if columns is None:
+                assert not rel.endswith(".csv"), rel
+                continue
+            with open(alone / rel, newline="", encoding="utf-8") as fh:
+                header = next(csv.reader(fh))
+            assert tuple(header) == (columns(state) if callable(columns) else columns), rel
         compared = set(expected)
         if stage.name == "report":  # it summarises the results beside it, and here are none
             compared -= set(stage.writes)
@@ -237,7 +271,7 @@ class TestRunFull:
         state = runner.RunState(replace(cfg, out_dir=str(copy)))
         runner.run_stage(state, "game")
         runner.run_stage(state, "detect")
-        for rel in _STAGE["game"].writes + _STAGE["detect"].writes:
+        for rel in [*_STAGE["game"].writes, *_STAGE["detect"].writes]:
             assert (copy / rel).read_bytes() == (out / rel).read_bytes(), rel
 
     def test_gaming_store_layout(self, tiny_run):
@@ -474,7 +508,8 @@ class TestRunFull:
         def exploding_stage(state):
             raise RuntimeError("boom")
 
-        _replace_runs(monkeypatch, gen=exploding_stage, report=lambda state: ran.append(1))
+        _replace_runs(monkeypatch, gen=exploding_stage,
+                      report=lambda state: ran.append(1) or {"results/report.md": ""})
         out = tmp_path / "tb"
         manifest = runner.run_full(tiny_config(out), stage_filter=("gen", "report"))
         assert not manifest["ok"]
@@ -486,6 +521,45 @@ class TestRunFull:
         assert trace.rstrip().endswith("RuntimeError: boom")
         on_disk = json.loads((out / "manifest.json").read_text())
         assert on_disk["failures"] == manifest["failures"]
+
+    @pytest.mark.parametrize("returned,named", [
+        ({"results/report.md": "", "results/extra.md": ""}, "results/extra.md"),
+        ({}, "results/report.md")])
+    def test_stage_returns_exactly_its_declared_files(self, returned, named, tmp_path,
+                                                      monkeypatch):
+        _replace_runs(monkeypatch, report=lambda state: returned)
+        state = runner.RunState(tiny_config(tmp_path / "undeclared"))
+        with pytest.raises(ValueError, match=re.escape(repr(named))):
+            runner.run_stage(state, "report")
+        assert not state.ws.files and not state.ws.root.exists()
+
+    def test_failed_stage_keeps_all_its_previous_files(self, tiny_run, tmp_path, monkeypatch):
+        # pay raises in its last step, after the rows of its first two files are built
+        cfg, out, _ = tiny_run
+        copy = tmp_path / "failing"
+        shutil.copytree(out, copy)
+        writes = _STAGE["pay"].writes
+        for rel in writes:
+            (copy / rel).write_text("previous\n")
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("shrinkage fails")
+
+        monkeypatch.setattr(runner.incentive, "shrinkage_fits", boom)
+        manifest = runner.run_full(replace(cfg, out_dir=str(copy)), stage_filter=("pay",))
+        assert manifest["stages"]["pay"] == "failed: shrinkage fails"
+        assert all((copy / rel).read_text() == "previous\n" for rel in writes)
+        assert not set(writes) & set(manifest["files"])
+
+    def test_methods_with_under_20_stations(self, tmp_path):
+        # the unit-scale experiment compares top-20 sets, clipped to the station count
+        cfg = tiny_config(tmp_path / "few", n_lon=16, model_depths=(1,))
+        assert runner.RunState(cfg).stations.n_stations < 20
+        manifest = runner.run_full(cfg, stage_filter=("methods",))
+        assert manifest["stages"]["methods"] == "completed"
+        with open(tmp_path / "few/results/scale_invariance.csv", newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["selections_unchanged"] in ("True", "False")
 
     def test_progress_lines_on_stderr(self, tiny_run, tmp_path, capsys, monkeypatch):
         cfg, out, _ = tiny_run
