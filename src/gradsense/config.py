@@ -57,7 +57,8 @@ class GamingDesign:
 
 
 # the stamped stores a field's value can change, as the "stores" of its metadata:
-# data (data/fields.gsa), tables (tables/tables.gsa) and gaming (tables/gaming.gsa)
+# data (data/fields.gsa), and per config id the tables (tables/tables-{id}.gsa)
+# and gaming (tables/gaming-{id}.gsa) stores
 STORES = ("data", "tables", "gaming")
 ALL_STORES = {"stores": STORES}                  # an input of the fields, so of all else
 MODEL_STORES = {"stores": ("tables", "gaming")}  # an input of the models or their truth
@@ -170,6 +171,9 @@ class ExperimentConfig:
             raise ValueError(f"station_stride: {exc}") from None
         if n_stations < incentive.MIN_STATIONS:
             raise ValueError(f"station_stride leaves under {incentive.MIN_STATIONS} stations")
+        if max(self.gaming.n_attackers) >= n_stations:  # detection needs an honest station
+            raise ValueError(f"gaming.n_attackers must each be below the {n_stations} "
+                             f"stations, got {list(self.gaming.n_attackers)}")
 
     def cheap_steps(self) -> int:
         """Quadrature steps of the zero- and persistence-baseline IG variants."""

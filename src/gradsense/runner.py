@@ -7,14 +7,16 @@ payment/convergence analyses, the gaming campaign, and detector evaluation.
 Every stage returns deterministic CSV/JSON results for the output directory;
 the manifest records the config hash and a content hash for every emitted
 file, so a rerun with the same config is byte-identical.  Intermediate arrays
-(fields, per-timestamp tables, gaming runs) live in `fieldio` array stores
-stamped with the config hash, and every store goes through `Workspace.store`:
-loaded when the stamp matches the config, else computed and saved.  Either
-way the `RunState.ensure_*` entry points decode the arrays it returns, so a
-fresh and a resumed run share all code after that point.  Stages can run
-standalone; a stage writes only its own results, and its prerequisites go
-into stores.  `run_full` under a config other than the directory's saved
-`config.yaml` first removes the artifacts of the old one.
+live in `fieldio` array stores: the fields in one, and each configuration's
+per-timestamp tables and gaming run in a store of its own, stamped with the
+config hash and its config id.  Every store goes through `Workspace.store`:
+loaded when the stamp matches, else computed and saved, so a run that stops
+part-way resumes from the last saved configuration.  A store's array names
+are the keys the stages read, so a fresh and a resumed run share all code
+after that point.  Stages can run standalone; a stage writes only its own
+results, and its prerequisites go into stores.  `run_full` under a config
+other than the directory's saved `config.yaml` first removes the artifacts of
+the old one.
 
 `STAGE_TABLE` declares the pipeline in run order: each `Stage` names its
 function, its CLI help, the stores it reads, and the files it writes with
@@ -35,10 +37,11 @@ import sys
 import time
 import traceback
 import warnings
-from dataclasses import asdict, dataclass, fields as dataclass_fields
+from dataclasses import asdict, dataclass
 from itertools import product
 from pathlib import Path
 from typing import Callable
+from urllib.parse import quote
 
 import numpy as np
 import yaml
@@ -58,10 +61,15 @@ from .model import DeskModel, make_desk_model, make_truth
 from . import synth
 
 DATA_STORE = "data/fields.gsa"
-TABLES_STORE = "tables/tables.gsa"
-GAMING_STORE = "tables/gaming.gsa"
-# each gaming config's arrays in the gaming store, as "{name}/{config id}", in this order
-_GAMING_ARRAYS = tuple(f.name for f in dataclass_fields(gaming.GamingRun))
+
+
+def config_store(kind: str, cid: str) -> str:
+    """The file of config `cid`'s "tables" or "gaming" store, directly under tables/.
+
+    The id is percent-encoded: any locale can encode the name, and a "/" in a
+    target name makes no subdirectory.
+    """
+    return f"tables/{kind}-{quote(cid, safe='')}.gsa"
 
 
 def child_seed(master: int, *tags) -> int:
@@ -129,11 +137,6 @@ class Workspace:
                 p.unlink()
 
 
-def _store_name(kind: str, key) -> str:
-    """Array name of one table in the tables store, e.g. "su/d1-zurich-t2m/mean_replace/3"."""
-    return "/".join([kind, *map(str, key if isinstance(key, tuple) else (key,))])
-
-
 # -- run state ---------------------------------------------------------------
 
 
@@ -151,7 +154,7 @@ class RunState:
         self.clim: np.ndarray | None = None  # (V, n_lat, n_lon)
         self.var_std: np.ndarray | None = None
         self.models: dict[str, tuple[DeskModel, np.ndarray]] = {}  # with (T,) truth values
-        self._tables: dict = {}
+        self._tables: dict[str, dict[str, np.ndarray]] = {}
         self._gaming: dict[str, tuple[list[gaming.AttackScenario], gaming.GamingRun]] = {}
         self._agreements: dict[str, dict[tuple, Agreement]] = {}
         self.stage_status: dict[str, str] = {}
@@ -229,94 +232,89 @@ class RunState:
     def scored_methods(self) -> list[str]:
         return [self.primary_key(), "gti", "vg"]
 
-    def _table_keys(self) -> dict[str, list]:
-        """Every key of each table kind, in store order."""
-        cfg, cids = self.cfg, self.config_ids()
-        return {"gi": [(cid, key) for cid in cids for key in self._method_keys()],
-                "si_u": [(cid, key) for cid in cids for key in self.scored_methods()],
-                "gu": cids,
-                "su": [(cid, mode, patch) for cid in cids
-                       for mode in cfg.modes for patch in cfg.patches]}
+    def ensure_tables(self) -> dict[str, dict[str, np.ndarray]]:
+        """Per config id, its table arrays by store name.
 
-    def ensure_tables(self) -> dict:
+        `gi/{method}` holds the variable importance, `si_u/{method}` the
+        unsigned station importance, `gu` the variable ablation utility and
+        `su/{mode}/{patch}` the signed station ablation utility.  Each config's
+        store is stamped with its id, so a store found under another config's
+        file name is recomputed, not trusted.
+        """
         if not self._tables:
-            stored = self.ws.store(TABLES_STORE, self.stamp, self._compute_tables)
-            self._tables = {kind: {key: stored[_store_name(kind, key)] for key in keys}
-                            for kind, keys in self._table_keys().items()}
+            self._tables = {cid: self.ws.store(config_store("tables", cid), f"{self.stamp}/{cid}",
+                                               lambda: self._compute_tables(cid))
+                            for cid in self.config_ids()}
         return self._tables
 
-    def _compute_tables(self) -> dict[str, np.ndarray]:
-        """Every table array, keyed by its store name, in store order."""
+    def _compute_tables(self, cid: str) -> dict[str, np.ndarray]:
+        """The table arrays of config `cid`, keyed by their store names, in store order."""
         self.ensure_models()
         cfg = self.cfg
         T, V, N = cfg.n_timestamps, self.grid.n_variables, self.stations.n_stations
-        keys = self._table_keys()
-        gi = {key: np.full((T, V), np.nan) for key in keys["gi"]}
-        si_u = {key: np.zeros((T, N)) for key in keys["si_u"]}
-        gu = {key: np.zeros((T, V)) for key in keys["gu"]}
-        su = {key: np.zeros((T, N)) for key in keys["su"]}
+        tables = {f"gi/{key}": np.full((T, V), np.nan) for key in self._method_keys()}
+        tables.update({f"si_u/{key}": np.zeros((T, N)) for key in self.scored_methods()})
+        tables["gu"] = np.zeros((T, V))
+        tables.update({f"su/{mode}/{patch}": np.zeros((T, N))
+                       for mode in cfg.modes for patch in cfg.patches})
         step_grid = sorted(cfg.ig_step_grid)
         zp_steps = cfg.cheap_steps()
         zero_base = np.zeros(self.grid.shape)
-        for cid in self.config_ids():
-            model, y_stars = self.models[cid]
-            specs = [ablation.PerturbationSpec(
-                mode=mode, patch=patch, magnitude=cfg.perturb_magnitude,
-                seed=child_seed(cfg.seed, "perturb", cid, mode, patch))
-                for mode in cfg.modes for patch in cfg.patches]
-            for t, (x, y_star) in enumerate(zip(self.fields, y_stars)):
-                # every quadrature node of every path variant in one gradient batch;
-                # GTI and VG use the alpha = 1 gradient of the first path, taken at
-                # clim + (x - clim), which equals x only within rounding
-                paths = [(f"ig@{s}", self.clim, s) for s in step_grid]
-                paths.append((f"ig-zero@{zp_steps}", zero_base, zp_steps))
-                if t >= 1:
-                    paths.append((f"ig-pers@{zp_steps}",
-                                  attr.persistence_baseline(self.fields, t), zp_steps))
-                maps, grad_at_x = attr.integrated_gradients_paths(
-                    model, x, [(base, steps) for _, base, steps in paths])
-                map_keys = [key for key, _, _ in paths] + ["gti", "vg"]
-                stack = np.stack([*maps, (x - self.clim) * grad_at_x, grad_at_x])
-                for key, var_imp, st_imp in zip(map_keys, attr.variable_importance(stack),
-                                                attr.spatial_importance(stack, self.stations)):
-                    gi[(cid, key)][t] = var_imp
-                    if (cid, key) in si_u:
-                        si_u[(cid, key)][t] = st_imp
-                gu[cid][t] = ablation.global_ablation(model, x, y_star, self.clim)
-                for spec, u in zip(specs, ablation.spatial_utility_multi(
-                        model, x, t, y_star, self.stations, specs, self.clim, self.var_std)):
-                    su[(cid, spec.mode, spec.patch)][t] = u
-        tables = {"gi": gi, "si_u": si_u, "gu": gu, "su": su}
-        return {_store_name(kind, key): tables[kind][key]
-                for kind, kind_keys in keys.items() for key in kind_keys}
+        model, y_stars = self.models[cid]
+        specs = [ablation.PerturbationSpec(
+            mode=mode, patch=patch, magnitude=cfg.perturb_magnitude,
+            seed=child_seed(cfg.seed, "perturb", cid, mode, patch))
+            for mode in cfg.modes for patch in cfg.patches]
+        for t, (x, y_star) in enumerate(zip(self.fields, y_stars)):
+            # every quadrature node of every path variant in one gradient batch;
+            # GTI and VG use the alpha = 1 gradient of the first path, taken at
+            # clim + (x - clim), which equals x only within rounding
+            paths = [(f"ig@{s}", self.clim, s) for s in step_grid]
+            paths.append((f"ig-zero@{zp_steps}", zero_base, zp_steps))
+            if t >= 1:
+                paths.append((f"ig-pers@{zp_steps}",
+                              attr.persistence_baseline(self.fields, t), zp_steps))
+            maps, grad_at_x = attr.integrated_gradients_paths(
+                model, x, [(base, steps) for _, base, steps in paths])
+            map_keys = [key for key, _, _ in paths] + ["gti", "vg"]
+            stack = np.stack([*maps, (x - self.clim) * grad_at_x, grad_at_x])
+            for key, var_imp, st_imp in zip(map_keys, attr.variable_importance(stack),
+                                            attr.spatial_importance(stack, self.stations)):
+                tables[f"gi/{key}"][t] = var_imp
+                if f"si_u/{key}" in tables:
+                    tables[f"si_u/{key}"][t] = st_imp
+            tables["gu"][t] = ablation.global_ablation(model, x, y_star, self.clim)
+            for spec, u in zip(specs, ablation.spatial_utility_multi(
+                    model, x, t, y_star, self.stations, specs, self.clim, self.var_std)):
+                tables[f"su/{spec.mode}/{spec.patch}"][t] = u
+        return tables
 
     # -- gaming runs ----------------------------------------------------------
 
     def ensure_gaming(self) -> dict[str, tuple[list[gaming.AttackScenario], gaming.GamingRun]]:
         """Per gaming config id, its build_scenarios list and the GamingRun over it.
 
-        The store holds each run field as `{field}/{config id}`, so a loaded and
-        a computed run hold the same arrays; with no scenario, only the baseline
-        is nonempty.
+        Each config's store holds the run's fields under their own names, so a
+        loaded and a computed run hold the same arrays; with no scenario, only
+        the baseline is nonempty.
         """
         if not self._gaming:
-            scenarios = {cid: build_scenarios(self, cid)
-                         for cid in self.config_ids(self.cfg.gaming.combos)}
-            stored = self.ws.store(GAMING_STORE, self.stamp, lambda: self._gaming_arrays(scenarios))
-            self._gaming = {cid: (scs, gaming.GamingRun(
-                **{name: stored[f"{name}/{cid}"] for name in _GAMING_ARRAYS}))
-                for cid, scs in scenarios.items()}
+            runs = {}
+            for cid in self.config_ids(self.cfg.gaming.combos):
+                scenarios = build_scenarios(self, cid)
+                stored = self.ws.store(config_store("gaming", cid), f"{self.stamp}/{cid}",
+                                       lambda: self._compute_gaming(cid, scenarios))
+                runs[cid] = (scenarios, gaming.GamingRun(**stored))
+            self._gaming = runs
         return self._gaming
 
-    def _gaming_arrays(self, scenarios: dict[str, list]) -> dict[str, np.ndarray]:
+    def _compute_gaming(self, cid: str, scenarios: list[gaming.AttackScenario]
+                        ) -> dict[str, np.ndarray]:
+        """The `GamingRun` fields of config `cid` over `scenarios`, by name, in field order."""
         self.ensure_models()
-        arrays = {}
-        for cid, scs in scenarios.items():
-            model, y_stars = self.models[cid]
-            run = gaming.run_gaming_experiment(model, y_stars, self.fields, self.clim,
-                                               self.stations, scs)
-            arrays.update({f"{name}/{cid}": getattr(run, name) for name in _GAMING_ARRAYS})
-        return arrays
+        model, y_stars = self.models[cid]
+        return vars(gaming.run_gaming_experiment(model, y_stars, self.fields, self.clim,
+                                                 self.stations, scenarios))
 
     # -- agreements ------------------------------------------------------------
 
@@ -332,16 +330,16 @@ class RunState:
         if scope not in self._agreements:
             tables, methods = self.ensure_tables(), self.scored_methods()
             if scope == "global":  # each case: its key, importance kind, utility and ks
-                cases = [((cid,), "gi", tables["gu"][cid], _global_ks(self))
+                cases = [((cid,), "gi", tables[cid]["gu"], _global_ks(self))
                          for cid in self.config_ids()]
             elif scope == "spatial":
                 cases = [((cid, mode, patch), "si_u", util, _spatial_ks(self))
-                         for cid, mode, patch, util in _spatial_cases(tables)]
+                         for cid, mode, patch, util in _spatial_cases(self)]
             else:
                 raise ValueError(f"scope must be 'global' or 'spatial', got {scope!r}")
             built = {}
             for case, kind, util, ks in cases:
-                imps = [tables[kind][(case[0], key)] for key in methods]
+                imps = [tables[case[0]][f"{kind}/{key}"] for key in methods]
                 for key, ag in zip(methods, _agreements(imps, util, ks, self.cfg.bh_q)):
                     built[(*case, key)] = ag
             self._agreements[scope] = built
@@ -362,15 +360,16 @@ def _spatial_ks(state: RunState) -> tuple[int, ...]:
     return tuple(k for k in (5, 10, 20) if k <= state.stations.n_stations)
 
 
-def _spatial_cases(tables: dict):
+def _spatial_cases(state: RunState):
     """Each spatial ablation case (cid, mode, patch) with its (T, N) |utility|."""
-    for (cid, mode, patch), util in tables["su"].items():  # in `_table_keys` order
-        yield cid, mode, patch, np.abs(util)
+    for cid, tables in state.ensure_tables().items():
+        for mode, patch in product(state.cfg.modes, state.cfg.patches):
+            yield cid, mode, patch, np.abs(tables[f"su/{mode}/{patch}"])
 
 
-def _valued_cases(tables: dict):
+def _valued_cases(state: RunState):
     """The spatial cases whose time-mean |utility| is positive somewhere, with that mean."""
-    for cid, mode, patch, util in _spatial_cases(tables):
+    for cid, mode, patch, util in _spatial_cases(state):
         util_mean = util.mean(axis=0)
         if util_mean.sum() > 0:
             yield cid, mode, patch, util_mean
@@ -455,12 +454,12 @@ def _fidelity_cells(ag: Agreement, ci_lower: float, ci_upper: float) -> tuple:
 def stage_fidelity(state: RunState) -> dict:
     cfg = state.cfg
     tables = state.ensure_tables()
-    gi, si_u, gu = tables["gi"], tables["si_u"], tables["gu"]
     boot_n, level = cfg.bootstrap_resamples, cfg.bootstrap_level
 
     g_rows = []
     for (cid, key), ag in state.agreements("global").items():
-        pairs = np.column_stack([np.nanmean(gi[(cid, key)], axis=0), gu[cid].mean(axis=0)])
+        pairs = np.column_stack([np.nanmean(tables[cid][f"gi/{key}"], axis=0),
+                                 tables[cid]["gu"].mean(axis=0)])
         ci = metrics.bootstrap_iid(pairs, metrics.paired_spearman, boot_n, level,
                                    seed=child_seed(cfg.seed, "gci", cid, key))
         g_rows.append((cid, key, *_fidelity_cells(ag, ci.lower, ci.upper)))
@@ -468,12 +467,14 @@ def stage_fidelity(state: RunState) -> dict:
     s_rows = []
     blocks = metrics.station_blocks(state.stations)
     spatial = state.agreements("spatial")
-    for cid, mode, patch, util_abs in _spatial_cases(tables):
+    for cid, mode, patch, util_abs in _spatial_cases(state):
         for key in state.scored_methods():
-            imp = si_u[(cid, key)]
+            imp = tables[cid][f"si_u/{key}"]
             ag = spatial[(cid, mode, patch, key)]
-            lo = hi = np.nan  # a block-bootstrap CI for the primary method only
-            if key == state.primary_key():
+            # a block-bootstrap CI for the primary method only, and only where its rho
+            # is defined: a constant utility leaves every resample's undefined too
+            lo = hi = np.nan
+            if key == state.primary_key() and not ag.agg.undefined:
                 pairs = np.column_stack([imp.mean(axis=0), util_abs.mean(axis=0)])
                 ci = metrics.bootstrap_block_spatial(
                     pairs, blocks, metrics.paired_spearman, boot_n, level,
@@ -486,7 +487,6 @@ def stage_fidelity(state: RunState) -> dict:
 def stage_methods(state: RunState) -> dict:
     cfg = state.cfg
     tables = state.ensure_tables()
-    gi, gu = tables["gi"], tables["gu"]
     display, cids = state.scored_methods(), state.config_ids()
     ags = state.agreements("global")
     summary_rows = []
@@ -504,8 +504,8 @@ def stage_methods(state: RunState) -> dict:
     k_rows = []
     steps = sorted(cfg.ig_step_grid)
     for cid in state.config_ids():
-        coarse = np.stack([np.nanmean(gi[(cid, f"ig@{s}")], axis=0) for s in steps])
-        ref_rank = np.nanmean(gi[(cid, state.primary_key())], axis=0)
+        coarse = np.stack([np.nanmean(tables[cid][f"gi/ig@{s}"], axis=0) for s in steps])
+        ref_rank = np.nanmean(tables[cid][f"gi/{state.primary_key()}"], axis=0)
         rhos = metrics.spearman_rho(coarse, np.broadcast_to(ref_rank, coarse.shape))
         k_rows.extend((cid, s, cfg.ig_steps, rho) for s, rho in zip(steps, rhos))
 
@@ -515,8 +515,8 @@ def stage_methods(state: RunState) -> dict:
     bases = (("climatology", f"ig@{zp}"), ("zero", f"ig-zero@{zp}"),
              ("persistence", f"ig-pers@{zp}"))
     for cid in state.config_ids():
-        imps = np.stack([np.nanmean(gi[(cid, key)], axis=0) for _, key in bases])
-        util_mean = gu[cid].mean(axis=0)
+        imps = np.stack([np.nanmean(tables[cid][f"gi/{key}"], axis=0) for _, key in bases])
+        util_mean = tables[cid]["gu"].mean(axis=0)
         rhos = metrics.spearman_rho(imps, np.broadcast_to(util_mean, imps.shape))
         for (base, _), rho in zip(bases, rhos):  # rhos[0] is climatology's
             delta = rho - rhos[0] if not math.isnan(rho) else np.nan
@@ -531,7 +531,7 @@ def _scale_invariance_row(state: RunState) -> tuple:
     """Plant a unit change in one variable and record which proxies move."""
     cid = state.config_ids()[len(state.config_ids()) // 2]
     model = state.make_model(cid)
-    var = int(np.argmax(np.nanmean(state.ensure_tables()["gi"][(cid, "vg")], axis=0)))
+    var = int(np.argmax(np.nanmean(state.ensure_tables()[cid]["gi/vg"], axis=0)))
     factor = 1000.0
     unit = np.ones((state.grid.n_variables, 1, 1))
     unit[var] = factor
@@ -562,10 +562,9 @@ def _scale_invariance_row(state: RunState) -> tuple:
 
 def stage_calibrate(state: RunState) -> dict:
     tables = state.ensure_tables()
-    si_u = tables["si_u"]
     dec_rows, sum_rows = [], []
-    for cid, mode, patch, util in _valued_cases(tables):
-        proxies = {key: si_u[(cid, key)].mean(axis=0) for key in state.scored_methods()}
+    for cid, mode, patch, util in _valued_cases(state):
+        proxies = {key: tables[cid][f"si_u/{key}"].mean(axis=0) for key in state.scored_methods()}
         proxies["distance"] = incentive.distance_scores(state.distances(cid))
         proxies["uniform"] = np.ones(state.stations.n_stations)
         names = [name for name in sorted(proxies) if proxies[name].sum() > 0]
@@ -582,7 +581,6 @@ def stage_calibrate(state: RunState) -> dict:
 def stage_select(state: RunState) -> dict:
     cfg = state.cfg
     tables = state.ensure_tables()
-    si_u = tables["si_u"]
     n = state.stations.n_stations
     for k in cfg.selection_budgets:
         if k > n:
@@ -590,10 +588,10 @@ def stage_select(state: RunState) -> dict:
     budgets = list(dict.fromkeys(min(k, n) for k in cfg.selection_budgets))
     rows = []
     score_keys = {"ig": state.primary_key(), "gti": "gti", "vg": "vg"}
-    for cid, mode, patch, util in _valued_cases(tables):
+    for cid, mode, patch, util in _valued_cases(state):
         dist = state.distances(cid)
         # each strategy reads the input it ranks by: a time mean, the distances or the seed
-        means = {s: si_u[(cid, key)].mean(axis=0) for s, key in score_keys.items()}
+        means = {s: tables[cid][f"si_u/{key}"].mean(axis=0) for s, key in score_keys.items()}
         seeds = [child_seed(cfg.seed, "uniform", cid, mode, patch, k) for k in budgets]
         rows += [(cid, mode, patch, res.strategy, res.k, res.captured, res.efficiency_ratio,
                   res.optimality_ratio)
@@ -608,11 +606,10 @@ SHRINKAGE_OBJECTIVES = ("mse", "captured_utility")  # each case's rows, in this 
 def stage_pay(state: RunState) -> dict:
     cfg = state.cfg
     tables = state.ensure_tables()
-    si_u = tables["si_u"]
     pay_rows, stab_rows = [], []
     for cid in state.config_ids():
         for key in state.scored_methods():
-            scores = si_u[(cid, key)]
+            scores = tables[cid][f"si_u/{key}"]
             if scores.mean(axis=0).sum() <= 0:
                 continue
             stab = incentive.payment_stability(
@@ -627,8 +624,8 @@ def stage_pay(state: RunState) -> dict:
     # shrinkage toward the distance prior, both inner objectives
     sh_rows = []
     key = state.primary_key()
-    for cid, mode, patch, util in _valued_cases(tables):
-        scores = si_u[(cid, key)]
+    for cid, mode, patch, util in _valued_cases(state):
+        scores = tables[cid][f"si_u/{key}"]
         totals = scores.sum(axis=1)
         ok = totals > 0
         if ok.sum() < 3:

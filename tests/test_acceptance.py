@@ -352,19 +352,20 @@ def _manifest_scenarios(run):
 
 
 def _gaming_scores(run):
-    """Baseline and attack station scores per scenario, from the gaming store.
+    """Baseline and attack station scores per scenario, from the gaming stores.
 
-    The store keeps one attack row per scenario of a config, in the order
+    A config's store keeps one attack row per scenario, in the order
     results/gaming_outcomes.csv lists that config's scenarios.
     """
-    store = fieldio.load_store(run["out"] / runner.GAMING_STORE,
-                               config.config_hash(run["cfg"]))
-    assert store is not None
-    out, seen = {}, {}
+    stores, out, seen = {}, {}, {}
     for r in _rows(run, "results/gaming_outcomes.csv"):
         cid = r["config_id"]
+        if cid not in stores:
+            stores[cid] = fieldio.load_store(run["out"] / runner.config_store("gaming", cid),
+                                             f"{config.config_hash(run['cfg'])}/{cid}")
+            assert stores[cid] is not None, cid
         i = seen[cid] = seen.get(cid, -1) + 1
-        out[r["scenario_id"]] = (store[f"baseline/{cid}"], store[f"attack/{cid}"][i])
+        out[r["scenario_id"]] = (stores[cid]["baseline"], stores[cid]["attack"][i])
     return out
 
 

@@ -107,6 +107,11 @@ class TestConfig:
                          ({"gaming": {"combos": [["zurich", "t2m"], ["zurich", "t2m"]]}},
                           "gaming.combos"),
                          ({"gaming": {"n_attackers": [1, 1, 3]}}, "gaming.n_attackers"),
+                         # 20 stations: an attacker count must leave an honest station
+                         ({"n_lat": 16, "n_lon": 20, "gaming": {"n_attackers": [1, 30]}},
+                          "gaming.n_attackers"),
+                         ({"n_lat": 16, "n_lon": 20, "gaming": {"n_attackers": [1, 20]}},
+                          "gaming.n_attackers"),
                          ({"gaming": {"magnitudes_pct": [50.0, 50.0]}}, "gaming.magnitudes_pct"),
                          ({"gaming": {"extended_magnitudes": [10.0, 10.0]}},
                           "gaming.extended_magnitudes"),
@@ -282,12 +287,19 @@ ALTERNATIVES = {
 
 
 def _store_computers(cfg, root) -> dict:
-    """Per store, a function that computes its arrays for `cfg` in the directory `root`."""
+    """Per store, a function that computes its arrays for `cfg` in the directory `root`.
+
+    The tables and gaming stores are one per config id; their arrays are keyed
+    by (config id, array name).
+    """
     state = runner.RunState(cfg, runner.Workspace(root))
     scenarios = {cid: runner.build_scenarios(state, cid)
                  for cid in state.config_ids(cfg.gaming.combos)}
-    return {"data": state._synth_arrays, "tables": state._compute_tables,
-            "gaming": lambda: state._gaming_arrays(scenarios)}
+    return {"data": state._synth_arrays,
+            "tables": lambda: {(cid, name): arr for cid in state.config_ids()
+                               for name, arr in state._compute_tables(cid).items()},
+            "gaming": lambda: {(cid, name): arr for cid, scs in scenarios.items()
+                               for name, arr in state._compute_gaming(cid, scs).items()}}
 
 
 class TestStoreTags:

@@ -90,20 +90,27 @@ def _hash_tree(root: Path) -> dict:
 
 _STAGE = {stage.name: stage for stage in runner.STAGE_TABLE}
 
-# the files each store a stage reads leaves in the run directory, and the stores
-# it is computed from; the models are never stored, so they always load the data
-STORE_FILES = {"data": {runner.DATA_STORE}, "models": {"data/models.json"},
-               "tables": {runner.TABLES_STORE}, "gaming": {runner.GAMING_STORE}}
+# the stores each store is computed from; the models are never stored, so they
+# always load the data
 STORE_PREREQUISITES = {"data": (), "models": ("data",), "tables": ("models",),
                        "gaming": ("models",)}
 
 
-def _read_files(reads, computed: bool) -> set[str]:
+def _store_files(cfg) -> dict[str, set[str]]:
+    """The files each store a stage reads leaves in the run directory of `cfg`."""
+    state = runner.RunState(cfg)
+    return {"data": {runner.DATA_STORE}, "models": {"data/models.json"},
+            "tables": {runner.config_store("tables", cid) for cid in state.config_ids()},
+            "gaming": {runner.config_store("gaming", cid)
+                       for cid in state.config_ids(cfg.gaming.combos)}}
+
+
+def _read_files(cfg, reads, computed: bool) -> set[str]:
     """The store files behind `reads`: computed into an empty directory, or loaded."""
-    files, todo = set(), list(reads)
+    files, todo, store_files = set(), list(reads), _store_files(cfg)
     while todo:
         store = todo.pop()
-        files |= STORE_FILES[store]
+        files |= store_files[store]
         if computed or store == "models":
             todo += STORE_PREREQUISITES[store]
     return files
@@ -159,7 +166,7 @@ class TestRunFull:
         alone = tmp_path / "alone"
         run = runner.run_full(replace(cfg, out_dir=str(alone)), stage_filter=(stage.name,))
         assert run["ok"]
-        expected = {"config.yaml", *stage.writes} | _read_files(stage.reads, computed=True)
+        expected = {"config.yaml", *stage.writes} | _read_files(cfg, stage.reads, computed=True)
         on_disk = {str(p.relative_to(alone)) for p in alone.rglob("*") if p.is_file()}
         assert on_disk == expected | {"manifest.json"}
         assert set(run["files"]) == expected
@@ -186,7 +193,7 @@ class TestRunFull:
         def boom(*args, **kwargs):
             raise AssertionError(f"{stage.name} computes a store or builds models")
 
-        for name in ("_synth_arrays", "_compute_tables", "_gaming_arrays"):
+        for name in ("_synth_arrays", "_compute_tables", "_compute_gaming"):
             monkeypatch.setattr(runner.RunState, name, boom)
         if "models" not in stage.reads:
             monkeypatch.setattr(runner.RunState, "ensure_models", boom)
@@ -195,7 +202,7 @@ class TestRunFull:
         for rel in stage.writes:
             assert (copy / rel).read_bytes() == (out / rel).read_bytes(), rel
         assert set(run["files"]) == ({"config.yaml", *stage.writes}
-                                     | _read_files(stage.reads, computed=False))
+                                     | _read_files(cfg, stage.reads, computed=False))
 
     def test_manifest_hashes_match_disk(self, tiny_run):
         _, out, manifest = tiny_run
@@ -210,28 +217,27 @@ class TestRunFull:
 
     def test_loaded_tables_match_memory(self, tiny_run):
         cfg, _, _ = tiny_run
-        fresh = runner.RunState(cfg)
-        loaded = fresh.ensure_tables()
+        loaded = runner.RunState(cfg).ensure_tables()
         recomputed_state = runner.RunState(cfg)
         recomputed_state.ws.files.clear()
-        recomputed = recomputed_state._compute_tables()
-        assert set(loaded) == {"gi", "si_u", "gu", "su"}
-        # every computed array is compared, in store order
-        names = [runner._store_name(kind, key) for kind in loaded for key in loaded[kind]]
-        assert names == list(recomputed)
-        compared = set()
-        for kind, tables in loaded.items():
-            for key, arr in tables.items():
-                name = runner._store_name(kind, key)
-                assert np.array_equal(arr, recomputed[name], equal_nan=True), (kind, key)
-                compared.add(kind)
-        assert compared == {"gi", "si_u", "gu", "su"} and len(names) > 0
+        assert list(loaded) == recomputed_state.config_ids() and len(loaded) == 2
+        # each config's arrays under the names the stages read, in store order
+        names = ["gi/ig@1", "gi/ig@8", "gi/gti", "gi/vg", f"gi/ig-zero@{cfg.cheap_steps()}",
+                 f"gi/ig-pers@{cfg.cheap_steps()}", "si_u/ig@8", "si_u/gti", "si_u/vg", "gu",
+                 *(f"su/{mode}/{patch}" for mode in cfg.modes for patch in cfg.patches)]
+        for cid, tables in loaded.items():
+            recomputed = recomputed_state._compute_tables(cid)
+            assert list(tables) == list(recomputed) == names, cid
+            for name, arr in tables.items():
+                assert np.array_equal(arr, recomputed[name], equal_nan=True), (cid, name)
 
     def test_loaded_gaming_matches_computed(self, tiny_run, tmp_path, monkeypatch):
         cfg, out, _ = tiny_run
         copy = tmp_path / "nogaming"
         shutil.copytree(out, copy)
-        (copy / runner.GAMING_STORE).unlink()
+        cids = runner.RunState(cfg).config_ids(cfg.gaming.combos)
+        for cid in cids:
+            (copy / runner.config_store("gaming", cid)).unlink()
         raw, real = [], gaming.run_gaming_experiment
 
         def recording(*args, **kwargs):
@@ -243,7 +249,7 @@ class TestRunFull:
         computed = state.ensure_gaming()
         monkeypatch.undo()
         loaded = runner.RunState(cfg).ensure_gaming()
-        assert list(loaded) == list(computed) == runner.RunState(cfg).config_ids(cfg.gaming.combos)
+        assert list(loaded) == list(computed) == cids
         assert len(raw) == len(loaded) > 0
         for cid, run in zip(loaded, raw):
             (scs_l, b), (scs_c, c) = loaded[cid], computed[cid]
@@ -255,7 +261,8 @@ class TestRunFull:
                 assert x.dtype == y.dtype == z.dtype == np.float64, (cid, f.name)
                 assert x.shape[0] == (state.stations.n_stations if f.name == "baseline"
                                       else len(scs_l)), (cid, f.name)
-        assert (copy / runner.GAMING_STORE).read_bytes() == (out / runner.GAMING_STORE).read_bytes()
+        for rel in (runner.config_store("gaming", cid) for cid in cids):
+            assert (copy / rel).read_bytes() == (out / rel).read_bytes(), rel
 
     def test_game_reuses_matching_gaming_store(self, tiny_run, tmp_path, monkeypatch):
         cfg, out, _ = tiny_run
@@ -277,12 +284,14 @@ class TestRunFull:
     def test_gaming_store_layout(self, tiny_run):
         # criterion 11 and resumed directories read these names, so they are the format
         cfg, out, _ = tiny_run
-        store = fieldio.load_store(out / runner.GAMING_STORE, config.config_hash(cfg))
         cids = runner.RunState(cfg).config_ids(cfg.gaming.combos)
         assert len(cids) == 2
-        assert list(store) == [f"{name}/{cid}" for cid in cids for name in (
-            "baseline", "attack", "inflation_ratio", "mae_clean", "mae_change",
-            "honest_share_change_pp", "attack_reached_model")]
+        for cid in cids:
+            store = fieldio.load_store(out / runner.config_store("gaming", cid),
+                                       f"{config.config_hash(cfg)}/{cid}")
+            assert list(store) == ["baseline", "attack", "inflation_ratio", "mae_clean",
+                                   "mae_change", "honest_share_change_pp",
+                                   "attack_reached_model"], cid
 
     def test_results_csvs_rectangular(self, tiny_run):
         # headers are written apart from their rows, and csv.writer checks neither
@@ -357,23 +366,116 @@ class TestRunFull:
         assert int(line.group(2)) == spatial.count("never")
 
     def test_intermediate_stores_layout(self, tiny_run):
-        _, out, manifest = tiny_run
-        assert sorted(p.name for p in (out / "tables").iterdir()) == ["gaming.gsa",
-                                                                      "tables.gsa"]
+        cfg, out, manifest = tiny_run
+        assert sorted(p.name for p in (out / "tables").iterdir()) == [
+            "gaming-d1-zurich-t2m.gsa", "gaming-d3-zurich-t2m.gsa",
+            "tables-d1-zurich-t2m.gsa", "tables-d3-zurich-t2m.gsa"]
         assert sorted(p.name for p in (out / "data").iterdir()) == [
             "fields.gsa", "models.json", "stations.csv"]
-        for rel in (runner.DATA_STORE, runner.TABLES_STORE, runner.GAMING_STORE):
-            assert rel in manifest["files"]
+        for rel in _read_files(cfg, ("tables", "gaming"), computed=True):
+            assert rel in manifest["files"], rel
 
     def test_truncated_store_raises(self, tiny_run, tmp_path):
         cfg, out, _ = tiny_run
         copy = tmp_path / "copy"
         shutil.copytree(out, copy)
-        store = copy / runner.TABLES_STORE
+        store = copy / runner.config_store("tables", runner.RunState(cfg).config_ids()[0])
         raw = store.read_bytes()
         store.write_bytes(raw[:len(raw) - 8 * 17])
         with pytest.raises(ValueError, match="truncated"):
             runner.RunState(replace(cfg, out_dir=str(copy))).ensure_tables()
+
+    def test_tables_resume_from_the_last_saved_config(self, tiny_run, tmp_path, monkeypatch):
+        # a run that stops in the second config's tables keeps the first config's store
+        cfg, out, _ = tiny_run
+        copy = tmp_path / "resumed"
+        shutil.copytree(out, copy)
+        cfg = replace(cfg, out_dir=str(copy))
+        cids = runner.RunState(cfg).config_ids()
+        for cid in cids:
+            (copy / runner.config_store("tables", cid)).unlink()
+        computed, real = [], runner.RunState._compute_tables
+
+        def crash_on_second(state, cid):
+            computed.append(cid)
+            if cid == cids[1]:
+                raise RuntimeError("stopped")
+            return real(state, cid)
+
+        monkeypatch.setattr(runner.RunState, "_compute_tables", crash_on_second)
+        with pytest.raises(RuntimeError, match="stopped"):
+            runner.RunState(cfg).ensure_tables()
+        assert computed == cids[:2]
+        assert (copy / runner.config_store("tables", cids[0])).exists()
+        assert not (copy / runner.config_store("tables", cids[1])).exists()
+        computed.clear()
+        monkeypatch.setattr(runner.RunState, "_compute_tables",
+                            lambda state, cid: computed.append(cid) or real(state, cid))
+        runner.RunState(cfg).ensure_tables()
+        assert computed == cids[1:]
+        for cid in cids:
+            rel = runner.config_store("tables", cid)
+            assert (copy / rel).read_bytes() == (out / rel).read_bytes(), rel
+
+    def test_store_under_another_config_name_is_recomputed(self, tiny_run, tmp_path,
+                                                           monkeypatch):
+        # each store is stamped with its config id, so a copied or case-folded file is
+        # not taken for another config's
+        cfg, out, _ = tiny_run
+        copy = tmp_path / "swapped"
+        shutil.copytree(out, copy)
+        cfg = replace(cfg, out_dir=str(copy))
+        first, second = runner.RunState(cfg).config_ids()
+        shutil.copyfile(copy / runner.config_store("tables", first),
+                        copy / runner.config_store("tables", second))
+        computed, real = [], runner.RunState._compute_tables
+        monkeypatch.setattr(runner.RunState, "_compute_tables",
+                            lambda state, cid: computed.append(cid) or real(state, cid))
+        tables = runner.RunState(cfg).ensure_tables()
+        assert computed == [second]
+        assert not np.array_equal(tables[first]["gu"], tables[second]["gu"])
+        rel = runner.config_store("tables", second)
+        assert (copy / rel).read_bytes() == (out / rel).read_bytes()
+
+    def test_a_dropped_target_leaves_no_store(self, tmp_path):
+        # a rerun with one target fewer keeps only the remaining configs' stores
+        two = tiny_config(tmp_path / "run", n_timestamps=10, model_depths=(1,),
+                          targets=(config.TargetConfig("zurich", 47.4, 8.6),
+                                   config.TargetConfig("london", 51.5, -0.1)))
+        stages = ("converge", "game")
+        assert runner.run_full(two, stage_filter=stages)["ok"]
+        assert len(list((tmp_path / "run/tables").iterdir())) == 3
+        one = replace(two, targets=two.targets[:1])
+        assert runner.run_full(one, stage_filter=stages)["ok"]
+        assert sorted(p.name for p in (tmp_path / "run/tables").iterdir()) == [
+            "gaming-d1-zurich-t2m.gsa", "tables-d1-zurich-t2m.gsa"]
+
+    def test_a_slash_in_a_target_name_makes_no_subdirectory(self, tmp_path):
+        base = tiny_config(tmp_path / "slash", n_timestamps=10, model_depths=(1,))
+        combo = ("a/b", "t2m")
+        cfg = replace(base, targets=(config.TargetConfig(combo[0], 47.4, 8.6),),
+                      gaming=replace(base.gaming, combos=(combo,), extended_combo=combo))
+        state = runner.RunState(cfg)
+        state.ensure_tables()
+        state.ensure_gaming()
+        assert sorted(p.name for p in (tmp_path / "slash/tables").iterdir()) == [
+            "gaming-d1-a%2Fb-t2m.gsa", "tables-d1-a%2Fb-t2m.gsa"]
+        assert runner.config_store("tables", "d1-a/b-t2m") == "tables/tables-d1-a%2Fb-t2m.gsa"
+
+    def test_fidelity_without_a_reaching_station(self, tmp_path):
+        # at stride 8 no station's patch 1 or 3 reaches the d1 window: the case's utility
+        # is constant, its rho undefined, and its primary row gets NaN bounds
+        cfg = tiny_config(tmp_path / "unreached", n_lat=36, n_lon=50, station_stride=8,
+                          n_timestamps=10, model_depths=(1,))
+        manifest = runner.run_full(cfg, stage_filter=("fidelity",))
+        assert manifest["ok"], manifest.get("failures")
+        with open(tmp_path / "unreached/results/fidelity_spatial.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        primary = [r for r in rows if r["method"] == f"ig@{cfg.ig_steps}"]
+        assert len(primary) == len(cfg.modes) * len(cfg.patches)
+        unreached = [r for r in primary if math.isnan(float(r["rho"]))]
+        assert unreached
+        assert all(r["ci_lower"] == r["ci_upper"] == "nan" for r in unreached)
 
     def test_stale_config_artifacts_recomputed(self, tmp_path):
         # seed 7, then seed 8 into the same directory: every seed-8 result must
@@ -443,12 +545,13 @@ class TestRunFull:
         assert (tmp_path / "none/results/gaming_outcomes.csv").read_text().count("\n") == 1
         # each config still stores its baseline; every per-scenario array is empty
         state = runner.RunState(cfg)
-        store = fieldio.load_store(tmp_path / "none" / runner.GAMING_STORE, state.stamp)
         n = state.stations.n_stations
         for cid in state.config_ids(cfg.gaming.combos):
-            assert store[f"baseline/{cid}"].shape == (n,)
-            assert store[f"attack/{cid}"].shape == (0, n)
-            assert store[f"mae_change/{cid}"].shape == (0,)
+            store = fieldio.load_store(tmp_path / "none" / runner.config_store("gaming", cid),
+                                       f"{state.stamp}/{cid}")
+            assert store["baseline"].shape == (n,)
+            assert store["attack"].shape == (0, n)
+            assert store["mae_change"].shape == (0,)
 
     def test_config_change_clears_other_artifacts(self, tiny_run, tmp_path):
         cfg, out, _ = tiny_run
@@ -494,12 +597,15 @@ class TestRunFull:
                                                                 "data/own/notes.txt"}, name
             assert sorted(p.name for p in (copy / "results").iterdir()) == results, name
 
-    def test_stage_failure_recorded(self, tmp_path):
-        cfg = tiny_config(tmp_path / "fail", n_timestamps=10)
-        bad = replace(cfg, gaming=replace(cfg.gaming, combos=(("zurich", "t2m"),),
-                                          n_attackers=(500,)))
-        manifest = runner.run_full(bad, stage_filter=("gen", "game"))
+    def test_stage_failure_recorded(self, tmp_path, monkeypatch):
+        def no_room(*args, **kwargs):
+            raise ValueError("cannot place the attackers")
+
+        monkeypatch.setattr(gaming, "sample_attackers", no_room)
+        manifest = runner.run_full(tiny_config(tmp_path / "fail", n_timestamps=10),
+                                   stage_filter=("gen", "game"))
         assert not manifest["ok"]
+        assert manifest["stages"]["gen"] == "completed"
         assert manifest["stages"]["game"].startswith("failed")
 
     def test_stage_failure_keeps_traceback(self, tmp_path, monkeypatch):
@@ -669,11 +775,13 @@ class TestAgreement:
         tables = state.ensure_tables()
         gks = runner._global_ks(state)
         ks = tuple(k for k in (5, 10, 20) if k <= state.stations.n_stations)
-        for (cid, key), imp in tables["gi"].items():
-            yield imp, tables["gu"][cid], gks
-        for cid, mode, patch, util in runner._spatial_cases(tables):
+        for cid, arrays in tables.items():
+            for name, imp in arrays.items():
+                if name.startswith("gi/"):
+                    yield imp, arrays["gu"], gks
+        for cid, mode, patch, util in runner._spatial_cases(state):
             for key in state.scored_methods():
-                yield tables["si_u"][(cid, key)], util, ks
+                yield tables[cid][f"si_u/{key}"], util, ks
 
     def _check(self, imp, util, ks, q=0.05):
         ag = runner._agreements([imp], util, ks, q)[0]
@@ -702,9 +810,9 @@ class TestAgreement:
         # every importance table of a config at once, ig-pers's NaN first row among them
         cfg, _, _ = tiny_run
         tables = runner.RunState(cfg).ensure_tables()
-        for cid, util in tables["gu"].items():
-            keys = [key for c, key in tables["gi"] if c == cid]
-            imps = [tables["gi"][(cid, key)] for key in keys]
+        for cid, arrays in tables.items():
+            util = arrays["gu"]
+            imps = [imp for name, imp in arrays.items() if name.startswith("gi/")]
             assert any(np.isnan(imp[0]).any() for imp in imps)
             for imp, ag in zip(imps, runner._agreements(imps, util, (1, 3), 0.05)):
                 one = runner._agreements([imp], util, (1, 3), 0.05)[0]
@@ -727,7 +835,7 @@ class TestAgreement:
 
     def _case_counts(self, cfg) -> dict[str, int]:
         state = runner.RunState(cfg)
-        n_spatial = sum(1 for _ in runner._spatial_cases(state.ensure_tables()))
+        n_spatial = sum(1 for _ in runner._spatial_cases(state))
         methods = len(state.scored_methods())
         return {"global": len(state.config_ids()) * methods, "spatial": n_spatial * methods}
 
@@ -908,7 +1016,7 @@ class TestCli:
             assert cli.main(argv) == 0
         after = _hash_tree(run)
         del before["manifest.json"], after["manifest.json"]  # it records the stages run
-        assert after == before and "tables/tables.gsa" in before
+        assert after == before and "tables/tables-d1-zurich-t2m.gsa" in before
 
     def test_invalid_override_raises_before_the_directory(self, tmp_path):
         # run_full checks the config the flags built before it touches the directory
