@@ -31,8 +31,8 @@ CLOSE_KM = 500.0
 MID_KM = 1500.0
 _EPS = 1e-12
 _NEIGHBORS = 8  # D5's inverse-distance neighbourhood
-_GD_ITERS, _GD_LR = 300, 0.5  # D7's fixed gradient-descent schedule
-_STD_BLOCK_BUDGET = 1 << 17  # float64 squared deviations (1 MiB) per block of D7's feature std
+_D7_L2, _D7_TOL, _D7_MAX_STEPS = 1e-3, 1e-10, 50  # D7's penalty, max |gradient| and Newton cap
+_STD_BLOCK_BUDGET = 1 << 17  # float64 entries (1 MiB) per row block of D7's std and Hessian
 
 
 @dataclass(frozen=True)
@@ -311,28 +311,38 @@ def score_scenario(scenario: AttackScenario, baseline: np.ndarray, attack_row: n
 # -- supervised detector ---------------------------------------------------
 
 
-def _logistic_gd(design: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Full-batch logistic regression by gradient descent, zero-initialised.
+def _logistic_newton(design: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """L2-penalised logistic regression by Newton's method (IRLS), from zero.
 
     `design` is the (rows, 1 + features) matrix whose column 0 is the intercept's
-    ones.  Each step computes p = 1 / (1 + exp(-clip(x @ w, -35, 35))) and the
-    gradient x.T @ (p - y) in two reused buffers, element by element as the
-    expression would.
+    ones.  The objective is the mean NLL plus (_D7_L2 / 2) |w[1:]|^2.  Each step
+    sets p = 1 / (1 + exp(-clip(x @ w, -35, 35))) in one reused buffer and sums
+    the score and the Hessian x.T diag(p (1 - p)) x a block of rows at a time.
+    Raises once _D7_MAX_STEPS steps leave max |gradient| above _D7_TOL.
     """
-    y = labels.astype(np.float64)
-    w = np.zeros(design.shape[1])
-    p, grad = np.empty(design.shape[0]), np.empty(design.shape[1])
-    for _ in range(_GD_ITERS):
+    rows, cols = design.shape
+    penalty = np.full(cols, _D7_L2)
+    penalty[0] = 0.0
+    w, p, block = np.zeros(cols), np.empty(rows), max(1, _STD_BLOCK_BUDGET // cols)
+    for _ in range(_D7_MAX_STEPS + 1):  # the gradient at zero, then after each step
         np.matmul(design, w, out=p)
         np.clip(p, -35, 35, out=p)
         np.negative(p, out=p)
         np.exp(p, out=p)
         np.add(1.0, p, out=p)
         np.divide(1.0, p, out=p)
-        np.subtract(p, y, out=p)
-        np.matmul(design.T, p, out=grad)
-        w -= _GD_LR * grad / design.shape[0]
-    return w
+        score, info = np.zeros(cols), np.zeros((cols, cols))
+        for start in range(0, rows, block):
+            x, pb = design[start:start + block], p[start:start + block]
+            score += x.T @ (pb - labels[start:start + block])
+            info += x.T @ (x * (pb * (1.0 - pb))[:, None])
+        grad = score / rows + penalty * w
+        norm = float(np.abs(grad).max())
+        if norm <= _D7_TOL:
+            return w
+        w -= np.linalg.solve(info / rows + np.diag(penalty), grad)
+    raise ValueError(f"D7's Newton fit left max |gradient| {norm:.3g} above {_D7_TOL:g} "
+                     f"after {_D7_MAX_STEPS} steps")
 
 
 def _standardize_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -366,7 +376,6 @@ def detector_d7_supervised(
     (features, labels) pair.  For every held-out configuration the model is
     trained on all other configurations' rows (features standardized with
     training statistics) and scored per held-out scenario by PR-AUC.
-    Training is deterministic: zero init, fixed step count.
     """
     if len(config_data) < 2:
         raise ValueError("leave-one-configuration-out needs at least 2 configurations")
@@ -390,7 +399,7 @@ def _d7_fold(train: list[tuple[np.ndarray, np.ndarray]],
     design[:, 0] = 1.0
     np.concatenate([f for f, _ in train], out=design[:, 1:])
     mu, sd = _standardize_columns(design[:, 1:])
-    w = _logistic_gd(design, train_y)
+    w = _logistic_newton(design, train_y)
     return [pr_auc(np.hstack([np.ones((f.shape[0], 1)), (f - mu) / sd]) @ w, y)
             for f, y in held_out]
 

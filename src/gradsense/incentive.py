@@ -273,9 +273,11 @@ def payment_stability(score_matrix, n_resamples: int = 10000, level: float = 0.9
     are both of its bounds.  The support's resample means are running sums
     over the t drawn timestamps, in draw order, over t; they go back into a
     zero (resamples, stations) matrix, so the share totals are summed over
-    every station as before.  That matrix is built for as many resamples at a
-    time as fit in `_RESAMPLE_BUDGET` entries, and at least one; each row's
-    sums keep their width and order, so the chunking moves no bit.
+    every station as before.  That matrix, and its rows of drawn timestamps,
+    are built for as many resamples at a time as fit in `_RESAMPLE_BUDGET`
+    entries, and at least one; each row's sums keep their width and order, and
+    consecutive `integers` draws continue one stream, so the chunking moves no
+    bit.
     Percentiles are taken over the resamples whose totals are positive.
     """
     m = np.asarray(score_matrix, dtype=np.float64)
@@ -295,14 +297,13 @@ def payment_stability(score_matrix, n_resamples: int = 10000, level: float = 0.9
         raise ValueError("scores sum to zero; shares undefined")
     point = point_scores / point_scores.sum()
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x505354)))
-    idx = rng.integers(0, t, size=(n_resamples, t))
     support = np.flatnonzero((m != 0).any(axis=0))
     m_sup = m[:, support]
     shares = np.empty((n_resamples, support.size))
     any_defined = False
     step = max(1, _RESAMPLE_BUDGET // n)
     for start in range(0, n_resamples, step):
-        drawn_rows = idx[start:start + step]
+        drawn_rows = rng.integers(0, t, size=(min(step, n_resamples - start), t))
         acc = np.zeros((drawn_rows.shape[0], support.size))
         for drawn in drawn_rows.T:  # from +0.0 in draw order: the bits of numpy's mean
             acc += m_sup[drawn]

@@ -14,8 +14,9 @@ None of this runs in a stage, the CLI or the README sketch:
     bodies of the incentive module's case-at-a-time `select_case`,
     `calibrate_case` and `shrinkage_fits`;
   * detector_d7_supervised -- D7 with a stacked, a standardized and an
-    intercept copy of each fold's features, the reference for the gaming
-    module's one in-place design per fold.
+    intercept copy of each fold's features and an unblocked Newton step, the
+    reference for the gaming module's one in-place design and row-blocked
+    Hessian per fold.
 
 Fields are (V, n_lat, n_lon) float64 arrays, as in the engine.
 """
@@ -28,7 +29,7 @@ import numpy as np
 
 from gradsense.ablation import PerturbationSpec, _apply_mode, _patch
 from gradsense.attribution import _check_shapes
-from gradsense.gaming import _GD_ITERS, _GD_LR
+from gradsense.gaming import _D7_L2, _D7_MAX_STEPS, _D7_TOL
 from gradsense.grid import GridSpec, StationGrid, TargetSpec, make_target
 from gradsense.incentive import (_LAMBDA_GRID, MIN_STATIONS, STRATEGIES, CalibrationReport,
                                  SelectionResult, ShrinkageFit, _check_prob_vector,
@@ -251,9 +252,13 @@ def shrinkage_fit(proxy_shares_per_t, dist_shares, utilities, objective: str = "
     return ShrinkageFit(lam=lam, per_fold=per_fold, delta_rho=float(rho_blend - rho_pure))
 
 
-def detector_d7_supervised(config_data: dict) -> dict[str, list[float]]:
-    """Leave-one-configuration-out logistic regression, each fold's design built by copies."""
-    results = {}
+def detector_d7_supervised(config_data: dict) -> tuple[dict[str, list[float]],
+                                                       dict[str, np.ndarray]]:
+    """Leave-one-configuration-out logistic regression, each fold's design built by copies.
+
+    Returns each held-out configuration's PR-AUCs and the weights its fold fitted.
+    """
+    results, weights = {}, {}
     keys = sorted(config_data)
     for held_out in keys:
         train = [pair for key in keys if key != held_out for pair in config_data[key]]
@@ -262,10 +267,18 @@ def detector_d7_supervised(config_data: dict) -> dict[str, list[float]]:
         sd = np.maximum(train_f.std(axis=0), 1e-9)
         x = np.hstack([np.ones((train_f.shape[0], 1)), (train_f - mu) / sd])
         y = train_y.astype(np.float64)
+        penalty = np.r_[0.0, np.full(x.shape[1] - 1, _D7_L2)]
         w = np.zeros(x.shape[1])
-        for _ in range(_GD_ITERS):
+        for _ in range(_D7_MAX_STEPS + 1):
             p = 1.0 / (1.0 + np.exp(-np.clip(x @ w, -35, 35)))
-            w -= _GD_LR * (x.T @ (p - y)) / x.shape[0]
+            grad = x.T @ (p - y) / x.shape[0] + penalty * w
+            if np.abs(grad).max() <= _D7_TOL:
+                break
+            hess = (x.T * (p * (1.0 - p))) @ x / x.shape[0] + np.diag(penalty)
+            w = w - np.linalg.solve(hess, grad)
+        else:
+            raise ValueError(f"the oracle's D7 fit did not converge for {held_out!r}")
+        weights[held_out] = w
         results[held_out] = [pr_auc(np.hstack([np.ones((f.shape[0], 1)), (f - mu) / sd]) @ w, y)
                              for f, y in config_data[held_out]]
-    return results
+    return results, weights

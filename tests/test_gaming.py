@@ -9,7 +9,7 @@ import oracles
 from gradsense import ablation, config, gaming, runner
 from gradsense import attribution as attr
 from gradsense.model import DeskModel
-from gradsense.metrics import topk_indices
+from gradsense.metrics import pr_auc, topk_indices
 
 
 def scenario(attackers, kind="inflate", pct=50.0, scope_vars=(0, 1, 2, 3, 4, 5),
@@ -369,15 +369,65 @@ class TestSupervised:
             gaming.detector_d7_supervised({"a": self._planted(rng, 3)})
 
     def test_matches_copying_oracle(self, rng, monkeypatch):
-        # the in-place design, any std block size and the reused GD buffers keep every bit
+        # the in-place design and any std and Hessian block size give the oracle's
+        # PR-AUCs, and its weights to 1e-9 relative
         data = {"a": self._planted(rng, 5), "b": self._planted(rng, 4, separable=False),
                 "c": self._planted(rng, 3)}
         data["b"][0][0][:, 3] = 2.5  # a feature constant in one scenario
-        want = oracles.detector_d7_supervised(data)
-        assert gaming.detector_d7_supervised(data) == want
-        for budget in (1, 5 * 7, 5 * 200 + 3):  # 1, 7 and 200 rows a block
+        want, want_w = oracles.detector_d7_supervised(data)
+        fitted, fit = [], gaming._logistic_newton
+        monkeypatch.setattr(gaming, "_logistic_newton",
+                            lambda design, labels: fitted.append(fit(design, labels)) or fitted[-1])
+        # the default budget, then 1, 7 and 200 rows a std block
+        for budget in (gaming._STD_BLOCK_BUDGET, 1, 5 * 7, 5 * 200 + 3):
             monkeypatch.setattr(gaming, "_STD_BLOCK_BUDGET", budget)
-            assert gaming.detector_d7_supervised(data) == want
+            fitted.clear()
+            assert gaming.detector_d7_supervised(data) == want, budget
+            for w, key in zip(fitted, sorted(want_w), strict=True):
+                assert np.abs(w - want_w[key]).max() <= 1e-9 * np.abs(want_w[key]).max(), budget
+
+    @staticmethod
+    def _fold_design(rng, separable=False):
+        """A standardized design of 400 rows with 10 positives, and its labels."""
+        f = rng.normal(size=(400, 4))
+        y = np.zeros(400, dtype=int)
+        y[rng.choice(400, size=10, replace=False)] = 1
+        if separable:
+            f[y == 1, 0] += 20.0
+        design = np.empty((400, 5))
+        design[:, 0] = 1.0
+        design[:, 1:] = f
+        gaming._standardize_columns(design[:, 1:])
+        return design, y
+
+    def test_newton_meets_the_penalised_score_equations(self, rng):
+        design, y = self._fold_design(rng)
+        w = gaming._logistic_newton(design, y)
+        p = 1.0 / (1.0 + np.exp(-(design @ w)))
+        score = design.T @ (p - y) / len(y) + gaming._D7_L2 * np.r_[0.0, w[1:]]
+        assert np.abs(score).max() <= gaming._D7_TOL
+
+    def test_newton_keeps_separable_weights_finite(self, rng):
+        design, y = self._fold_design(rng, separable=True)
+        w = gaming._logistic_newton(design, y)  # the unpenalised optimum lies at infinity
+        assert np.isfinite(w).all() and np.abs(w).max() < 100.0
+        assert pr_auc(design @ w, y) == 1.0
+
+    def test_newton_step_cap(self, rng, monkeypatch):
+        design, y = self._fold_design(rng)
+        want, calls = gaming._logistic_newton(design, y), []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(1) or solve(a, b))
+        assert np.array_equal(gaming._logistic_newton(design, y), want)
+        reached = len(calls)
+        assert 0 < reached < gaming._D7_MAX_STEPS
+        monkeypatch.setattr(gaming, "_D7_MAX_STEPS", reached + 40)
+        assert np.array_equal(gaming._logistic_newton(design, y), want)  # a higher cap: same bits
+        monkeypatch.setattr(gaming, "_D7_MAX_STEPS", reached)
+        assert np.array_equal(gaming._logistic_newton(design, y), want)  # the count reached
+        monkeypatch.setattr(gaming, "_D7_MAX_STEPS", reached - 1)
+        with pytest.raises(ValueError, match=r"D7.*\|gradient\| [0-9.e+-]+ above"):
+            gaming._logistic_newton(design, y)
 
     @pytest.mark.parametrize("rows,cols", [(1, 1), (2, 5), (37, 3), (5000, 5)])
     def test_standardize_columns_in_place(self, rows, cols, monkeypatch):
