@@ -13,9 +13,9 @@ Every Spearman correlation ends in `_rho`, on three sums of centred average
 ranks: sum(ra * rb), sum(ra^2) and sum(rb^2).  `spearman_rho` ranks the rows
 of two matrices (`average_ranks_matrix`) and sums them in `_rank_rho`,
 as the row pairs of `spearman_indexed`, which ranks the rows of one matrix
-once and pairs them by index; `spearman_rows` adds each row's p-value
-(`spearman_p`), and `spearman` is its one-row case.  Callers that read rho
-alone call `spearman_rho` or `spearman_indexed`, which evaluate no t tail.
+once and pairs them by index.  `spearman_p` gives the p-value of any rho, and
+`spearman` is the one-row case of both.  Callers that read rho alone call
+`spearman_rho` or `spearman_indexed`, which evaluate no t tail.
 `paired_spearman`, the bootstrap statistic, gets the same sums from station
 multiplicities without building a resample: stations are grouped by their
 pair of tie codes, a group's centred average rank in a resample is half of
@@ -33,10 +33,8 @@ statistic is one batched function, `statistic(values, counts)`, where
 as float64), one row per resample; it returns one value per row, and the
 point estimate is its value on a row of ones.  The resamples reach it in
 chunks, so a row's value must not depend on the rows beside it.
-Multiplicities drop the draw order, which only a NaN can see: it is not equal
-to itself, so sorting gives each copy its own rank, in draw order.
-`paired_spearman` adds that spread in closed form for one NaN station per
-column and raises for more.
+Multiplicities drop the draw order, which only a NaN could see (sorting ranks
+each copy of it apart, in draw order), so `paired_spearman` rejects NaN.
 """
 
 from __future__ import annotations
@@ -84,10 +82,6 @@ class BootstrapCI:
             raise ValueError(f"bootstrap CIs need at least {MIN_RESAMPLES} resamples")
         if not 0 < self.level < 1:
             raise ValueError("level must be in (0, 1)")
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
 
 
 def average_ranks(x: np.ndarray) -> np.ndarray:
@@ -168,17 +162,6 @@ def spearman_indexed(x, ia, ib) -> np.ndarray:
         raise ValueError(f"need at least {MIN_SAMPLES} observations")
     ranks = average_ranks_matrix(x)
     return _rank_rho(ranks[np.asarray(ia, dtype=np.intp)], ranks[np.asarray(ib, dtype=np.intp)])
-
-
-def spearman_rows(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Spearman rho and t-approximated p of each row pair of two (rows, n) matrices.
-
-    A row pair whose correlation is undefined (either row constant) gets NaN
-    for both rho and p; rho = +-1 makes t infinite, and p 0.  Row i equals
-    `spearman(a[i], b[i])` bit for bit.
-    """
-    rho = spearman_rho(a, b)
-    return rho, spearman_p(rho, np.shape(a)[1])
 
 
 def spearman_p(rho, n: int) -> np.ndarray:
@@ -289,16 +272,18 @@ def _t_far(nu, m, odd, ratios, factor, a):
 def spearman(a, b) -> RankCorrelation:
     """Spearman rho: Pearson correlation of average ranks, t-approximated p.
 
-    The one-row case of `spearman_rows`.  Constant inputs leave the
-    correlation undefined; the result is flagged rather than coerced to zero
-    so aggregates cannot be silently polluted.
+    The one-row case of `spearman_rho` and `spearman_p`.  Constant inputs
+    leave the correlation undefined; the result is flagged rather than
+    coerced to zero so aggregates cannot be silently polluted.  NaNs rank
+    above every number, each apart from the others, in input order.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("inputs must be equal-length vectors")
-    rho, p = spearman_rows(a[None], b[None])
-    return RankCorrelation(rho=float(rho[0]), n=a.size, p_value=float(p[0]))
+    rho = spearman_rho(a[None], b[None])
+    return RankCorrelation(rho=float(rho[0]), n=a.size,
+                           p_value=float(spearman_p(rho, a.size)[0]))
 
 
 def paired_spearman(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -314,18 +299,11 @@ def paired_spearman(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     centred ranks in every resample.  All of it is arithmetic on small
     integers and halves, hence exact in any order.
 
-    A NaN ranks above every number and, not being equal to itself, each copy
-    of it takes its own rank, in draw order.  With one NaN station per column
-    that is exact: its c copies rank around their average like 1..c around
-    (c+1)/2, which adds (c^3 - c)/12 to the squares (and to the products,
-    where both columns are NaN at that station).  With two or more the ranks
-    depend on the draw order, which multiplicities do not keep, so that raises.
+    A sample holding NaN raises ValueError: each drawn copy of a NaN would
+    take its own rank, in draw order, which multiplicities do not keep.
     """
-    nan_at = [np.flatnonzero(np.isnan(values[:, col])) for col in (0, 1)]
-    if max(s.size for s in nan_at) > 1:
-        raise ValueError("a column with NaN at two or more stations has ranks that "
-                         "depend on the draw order")
-    nan_both = np.flatnonzero(np.isnan(values).all(axis=1))
+    if np.isnan(values).any():
+        raise ValueError("paired_spearman: NaN ranks depend on the draw order")
     codes = np.column_stack([np.unique(values[:, col], return_inverse=True)[1]
                              for col in (0, 1)])
     pairs, group = np.unique(codes, axis=0, return_inverse=True)
@@ -333,15 +311,8 @@ def paired_spearman(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     half_a, half_b = (0.5 * np.sign(pairs[:, col, None] - codes[:, col]) for col in (0, 1))
     c = np.asarray(counts, dtype=np.float64)
     w, ra, rb = np.split(np.vstack([member, half_a, half_b]) @ c.T, 3)  # each (G, resamples)
-
-    def spread(stations):
-        k = c[:, stations]
-        return (k ** 3 - k).sum(axis=1) / 12
-
     wa = w * ra
-    return _rho((wa * rb).sum(axis=0) + spread(nan_both),
-                (wa * ra).sum(axis=0) + spread(nan_at[0]),
-                (w * rb * rb).sum(axis=0) + spread(nan_at[1]))
+    return _rho((wa * rb).sum(axis=0), (wa * ra).sum(axis=0), (w * rb * rb).sum(axis=0))
 
 
 def descending_order(scores) -> np.ndarray:

@@ -100,8 +100,6 @@ class DeskModel:
     window's cells; forward_many/gradient_many crop and scatter full-grid arrays.
     """
 
-    kind = "desk"
-
     def __init__(self, grid: GridSpec, target: TargetSpec, seed: int, depth: int = 3,
                  channels: int = 4, stencil_radius: int = 2, _weights=None):
         if not MIN_DEPTH <= depth <= MAX_DEPTH:
@@ -145,11 +143,6 @@ class DeskModel:
     @property
     def receptive_radius(self) -> int:
         return self.depth * self.stencil_radius
-
-    @property
-    def model_id(self) -> str:
-        return (f"desk-d{self.depth}-c{self.channels}-r{self.stencil_radius}-s{self.seed}"
-                f"-{self.target.name}-{self.target.variable}")
 
     def influence_window(self) -> tuple[slice, slice]:
         """Rows/cols of input cells that can affect the target output."""
@@ -239,7 +232,7 @@ class DeskModel:
 
     def to_config(self) -> dict:
         return {
-            "kind": self.kind,
+            "kind": "desk",
             "seed": self.seed,
             "depth": self.depth,
             "channels": self.channels,
@@ -252,24 +245,20 @@ class DeskModel:
         """Equivalent model for inputs whose variable `var_idx` changed units by `factor`."""
         if factor <= 0:
             raise ValueError("unit factor must be positive")
-        mu = self.norm_mu.copy()
-        sigma = self.norm_sigma.copy()
-        mu[var_idx] *= factor
-        sigma[var_idx] *= factor
-        return DeskModel(self.grid, self.target, self.seed, self.depth, self.channels,
-                         self.stencil_radius,
-                         _weights=(mu, sigma, tuple(w.copy() for w in self.layers),
-                                   self.readout.copy()))
+        scale = np.ones_like(self.norm_mu)
+        scale[var_idx] = factor  # x * 1.0 == x: the other variables keep their bits
+        return self._derived(self.norm_mu * scale, self.norm_sigma * scale, self.layers,
+                             self.readout)
 
     def jittered(self, jitter) -> "DeskModel":
         """This model with `jitter` applied to each layer in order, then to the readout."""
-        return self._with_weights([jitter(w) for w in self.layers], jitter(self.readout))
+        return self._derived(self.norm_mu, self.norm_sigma, [jitter(w) for w in self.layers],
+                             jitter(self.readout))
 
-    def _with_weights(self, layers, readout) -> "DeskModel":
+    def _derived(self, mu, sigma, layers, readout) -> "DeskModel":
+        """This model's grid, target and shape with other weights; read-only arrays are shared."""
         return DeskModel(self.grid, self.target, self.seed, self.depth, self.channels,
-                         self.stencil_radius,
-                         _weights=(self.norm_mu.copy(), self.norm_sigma.copy(),
-                                   tuple(layers), readout))
+                         self.stencil_radius, _weights=(mu, sigma, tuple(layers), readout))
 
 
 def _calibrate_desk_weights(grid, target, seed, depth, channels, stencil_radius):

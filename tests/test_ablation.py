@@ -104,7 +104,7 @@ class TestGlobalAblation:
                 expected.append(abs(model.forward_values(xv) - y_star) - base)
             u = ablation.global_ablation(model, x, y_star, clim)
             assert u.shape == (x.shape[0],)
-            assert np.array_equal(u, expected), model.model_id
+            assert np.array_equal(u, expected), model.to_config()
 
     def test_linear_closed_form(self, linear_model, desk_data):
         import math
@@ -169,7 +169,7 @@ class TestSpatialUtility:
                 for g in rng.choice(desk_stations.n_stations, size=10, replace=False):
                     pert = perturb_patch(x, 1, desk_stations, int(g), spec, clim, var_std)
                     naive = abs(model.forward_values(pert) - y_star) - base
-                    assert s[g] == naive, (model.model_id, mode, int(g))
+                    assert s[g] == naive, (model.to_config(), mode, int(g))
 
     def test_noise_stream_is_keyed_by_seed_station_and_timestamp(self, desk_model, desk_data,
                                                                 desk_stations, var_std):
@@ -385,7 +385,7 @@ class TestJointAblation:
                             res = ablation.joint_ablation(model, x, t, y_star, desk_stations,
                                                           ids, spec, clim, var_std)
                             u_joint, u_ind = oracle(model, x, t, y_star, ids, spec)
-                            assert res.u_joint == u_joint, (model.model_id, ids, mode, patch)
+                            assert res.u_joint == u_joint, (model.to_config(), ids, mode, patch)
                             assert np.array_equal(res.u_individual, u_ind)
                             n_cases += 1
         assert n_cases == 3 * 4 * 3 * 2 * 2

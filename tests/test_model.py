@@ -184,8 +184,8 @@ class TestDeskModel:
 
     def test_zero_readout_gives_zero_gradient(self, desk_model, desk_data):
         fields, _ = desk_data
-        silent = desk_model._with_weights([w.copy() for w in desk_model.layers],
-                                          np.zeros_like(desk_model.readout))
+        silent = desk_model._derived(desk_model.norm_mu, desk_model.norm_sigma,
+                                     desk_model.layers, np.zeros_like(desk_model.readout))
         assert np.all(silent.gradient_values(fields[0]) == 0.0)
 
     def test_batch_consistency(self, desk_model, desk_model_d1, desk_data):
@@ -199,8 +199,8 @@ class TestDeskModel:
                 preds = model.forward_many(period[:size])
                 grads = model.gradient_many(period[:size])
                 for i in range(size):
-                    assert preds[i] == singles_p[i], (model.model_id, size, i)
-                    assert np.array_equal(grads[i], singles_g[i]), (model.model_id, size, i)
+                    assert preds[i] == singles_p[i], (model.depth, size, i)
+                    assert np.array_equal(grads[i], singles_g[i]), (model.depth, size, i)
 
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_window_entry_points_match_full_grid_calls(self, desk_grid, desk_data, depth):
@@ -274,6 +274,32 @@ class TestDeskModel:
         g0 = desk_model.gradient_values(x)
         g1 = scaled.gradient_values(xs)
         assert np.allclose(g1[2] * 1000.0, g0[2], rtol=1e-9, atol=1e-18)
+
+    def test_derived_models_share_read_only_weights(self, desk_model, desk_data):
+        def weights(m):
+            return (m.norm_mu, m.norm_sigma, *m.layers, m.readout)
+
+        fields, _ = desk_data
+        before = [w.copy() for w in weights(desk_model)]
+        var, factor = 1, 1000.0
+        rescaled = desk_model.with_rescaled_variable(var, factor)
+        jittered = desk_model.jittered(lambda w: w * 1.05)
+        for m in (rescaled, jittered):
+            assert all(not w.flags.writeable for w in weights(m))
+        assert all(w.tobytes() == b.tobytes() for w, b in zip(weights(desk_model), before))
+        # the rescaled model as it was first built: copies, scaled at var_idx alone
+        mu, sigma = desk_model.norm_mu.copy(), desk_model.norm_sigma.copy()
+        mu[var] *= factor
+        sigma[var] *= factor
+        copied = model_module.DeskModel(
+            desk_model.grid, desk_model.target, desk_model.seed, desk_model.depth,
+            desk_model.channels, desk_model.stencil_radius,
+            _weights=(mu, sigma, tuple(w.copy() for w in desk_model.layers),
+                      desk_model.readout.copy()))
+        xs = fields[:4].copy()
+        xs[:, var] *= factor
+        assert np.array_equal(rescaled.forward_many(xs), copied.forward_many(xs))
+        assert np.array_equal(rescaled.gradient_many(xs), copied.gradient_many(xs))
 
 
 class TestLinearModel:

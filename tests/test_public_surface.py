@@ -1,5 +1,6 @@
 """The names other code relies on: the README library sketch and the benchmark hooks."""
 
+import ast
 import dataclasses
 import re
 import subprocess
@@ -15,13 +16,17 @@ from gradsense import config, runner
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_readme_library_sketch_runs():
+def _library_sketch() -> str:
     text = (ROOT / "README.md").read_text()
     section = text.split("\n## Library sketch\n", 1)[1].split("\n## ", 1)[0]
     blocks = re.findall(r"```python\n(.*?)```", section, flags=re.S)
     assert len(blocks) == 1
+    return blocks[0]
+
+
+def test_readme_library_sketch_runs():
     env: dict = {}
-    exec(compile(blocks[0], "README.md:library-sketch", "exec"), env)
+    exec(compile(_library_sketch(), "README.md:library-sketch", "exec"), env)
     alloc = env["alloc"]
     assert alloc.budget == 10_000.0
     assert alloc.amounts.sum() == pytest.approx(alloc.budget, rel=1e-12)
@@ -103,3 +108,46 @@ def test_readme_names_every_stage_in_run_order():
     paragraph = text.split("\nStages, in run order: ", 1)[1].split("\n\n", 1)[0]
     named = [name for name in re.findall(r"`(\w+)`", paragraph) if name in runner.STAGES]
     assert named == list(runner.STAGES)
+
+
+# Functions that nothing in src/, the README sketch, the package exports or the
+# console scripts uses: perfbench/tracing.py traces them by name, so they stay
+# until ROADMAP items 7d and 16 take them out of the benchmark and then delete them.
+KEPT = {"gradient_values", "save_field", "load_field", "spearman"}
+
+
+def _references(tree: ast.AST, scopes: tuple = ()):
+    """(name, enclosing function defs) for every name and attribute read in `tree`."""
+    if isinstance(tree, ast.Name):
+        yield tree.id, scopes
+    elif isinstance(tree, ast.Attribute):
+        yield tree.attr, scopes
+    if isinstance(tree, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        scopes += (tree,)
+    for child in ast.iter_child_nodes(tree):
+        yield from _references(child, scopes)
+
+
+def test_every_function_has_a_user():
+    # dead code does not grow back: each function and method is read in src/ outside
+    # its own body, named by the README sketch, exported or a console script; KEPT
+    # holds exactly the rest, so it cannot go stale either
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "gradsense").glob("*.py"))}
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    scripts = pyproject.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    users = ({name for name, _ in _references(ast.parse(_library_sketch()))}
+             | {alias.name for node in ast.walk(trees["__init__.py"])
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+             | set(re.findall(r':(\w+)"', scripts)))
+    readers: dict[str, list[tuple]] = {}
+    for tree in trees.values():
+        for name, scopes in _references(tree):
+            readers.setdefault(name, []).append(scopes)
+    unused = sorted(
+        fn.name for tree in trees.values() for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (fn.name.startswith("__") and fn.name.endswith("__"))
+        and fn.name not in users
+        and all(fn in scopes for scopes in readers.get(fn.name, [])))
+    assert unused == sorted(KEPT)
