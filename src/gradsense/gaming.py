@@ -151,8 +151,11 @@ def _period_scores(model, window_stack: np.ndarray, window_clim: np.ndarray, sta
 
     One forward-and-gradient pass over the (T, V, h, w) influence-window
     stack; `window_clim` is the climatology on the same cells.  The station
-    scores reduce full-grid maps, zero off the window, the shape whose gather
-    order `spatial_importance` fixes.
+    scores gather from full-grid maps, zero off the window.  The gather leaves
+    the (T, N) scores station-major, so their time mean sums each station's T
+    values pairwise; a C-ordered (T, N), such as a tables store's `si_u`,
+    sums them in order and differs in the last bits.  A station reduction in
+    window space must keep this order, or the gaming digests move.
     """
     preds, grads = model.value_and_gradient_window(window_stack)
     maps = np.zeros((len(window_stack),) + model.grid.shape)

@@ -13,15 +13,17 @@ config hash and its config id.  Every store goes through `Workspace.store`:
 loaded when the stamp matches, else computed and saved, so a run that stops
 part-way resumes from the last saved configuration.  A store's array names
 are the keys the stages read, so a fresh and a resumed run share all code
-after that point.  Stages can run standalone; a stage writes only its own
-results, and its prerequisites go into stores.  `run_full` under a config
-other than the directory's saved `config.yaml` first removes the artifacts of
-the old one.
+after that point.  The fields and the gaming runs stay in memory for the run,
+but each analysis stage reads the tables, which grow with the configuration
+count, in one pass that holds one configuration's at a time (`RunState.tables`).
+Stages can run standalone; a stage writes only its own results, and its
+prerequisites go into stores.  `run_full` under a config other than the
+directory's saved `config.yaml` first removes the artifacts of the old one.
 
 `STAGE_TABLE` declares the pipeline in run order: each `Stage` names its
 function, its CLI help, the stores it reads, and the files it writes with
 each one's columns.  `STAGES`, the CLI subcommands and the manifest's stage
-statuses come from it; `run_stage` loads the stores a stage declares before
+statuses come from it; `run_stage` ensures the stores a stage declares before
 running it and is the one writer of the files it returns, and a contract
 test holds each stage to its declaration.
 """
@@ -154,9 +156,9 @@ class RunState:
         self.clim: np.ndarray | None = None  # (V, n_lat, n_lon)
         self.var_std: np.ndarray | None = None
         self.models: dict[str, tuple[DeskModel, np.ndarray]] = {}  # with (T,) truth values
-        self._tables: dict[str, dict[str, np.ndarray]] = {}
+        self._tables_current = False  # every table store saved under this config
         self._gaming: dict[str, tuple[list[gaming.AttackScenario], gaming.GamingRun]] = {}
-        self._agreements: dict[str, dict[tuple, Agreement]] = {}
+        self._agreements: dict[str, dict[str, dict]] = {"global": {}, "spatial": {}}  # scope, cid
         self.stage_status: dict[str, str] = {}
         self.failures: dict[str, str] = {}  # stage -> traceback
 
@@ -232,20 +234,25 @@ class RunState:
     def scored_methods(self) -> list[str]:
         return [self.primary_key(), "gti", "vg"]
 
-    def ensure_tables(self) -> dict[str, dict[str, np.ndarray]]:
-        """Per config id, its table arrays by store name.
+    def tables(self):
+        """Each config id with its table arrays by store name, one config at a time.
 
         `gi/{method}` holds the variable importance, `si_u/{method}` the
         unsigned station importance, `gu` the variable ablation utility and
         `su/{mode}/{patch}` the signed station ablation utility.  Each config's
         store is stamped with its id, so a store found under another config's
-        file name is recomputed, not trusted.
+        file name is recomputed, not trusted.  Nothing here keeps the arrays.
         """
-        if not self._tables:
-            self._tables = {cid: self.ws.store(config_store("tables", cid), f"{self.stamp}/{cid}",
-                                               lambda: self._compute_tables(cid))
-                            for cid in self.config_ids()}
-        return self._tables
+        for cid in self.config_ids():
+            yield cid, self.ws.store(config_store("tables", cid), f"{self.stamp}/{cid}",
+                                     lambda: self._compute_tables(cid))
+
+    def ensure_tables(self) -> None:
+        """Compute and save each config's table store that is missing or stale; keep none."""
+        if not self._tables_current:
+            for _ in self.tables():
+                pass
+            self._tables_current = True
 
     def _compute_tables(self, cid: str) -> dict[str, np.ndarray]:
         """The table arrays of config `cid`, keyed by their store names, in store order."""
@@ -296,7 +303,8 @@ class RunState:
 
         Each config's store holds the run's fields under their own names, so a
         loaded and a computed run hold the same arrays; with no scenario, only
-        the baseline is nonempty.
+        the baseline is nonempty.  Unlike the tables, the runs stay for the run:
+        detect fits D7 leave-one-config-out over every campaign, and they are few.
         """
         if not self._gaming:
             runs = {}
@@ -318,31 +326,39 @@ class RunState:
 
     # -- agreements ------------------------------------------------------------
 
-    def agreements(self, scope: str) -> dict[tuple, Agreement]:
-        """The `Agreement` of each case's scored importance with its utility, built once per run.
+    def config_agreements(self, scope: str, cid: str, arrays: dict[str, np.ndarray]
+                          ) -> dict[tuple, Agreement]:
+        """The `Agreement` of each of config `cid`'s cases in `scope`, from its table `arrays`.
 
-        "global": per (cid, scored method), variable importance against the
-        global ablation utility, with the top-k overlaps of `_global_ks`.
-        "spatial": per (cid, mode, patch, scored method), station importance
-        against the case's |utility|, with those of `_spatial_ks`.  fidelity,
-        methods and converge read the same memo; the first to run builds it.
+        "global": per scored method, variable importance against the global
+        ablation utility, with the top-k overlaps of `_global_ks`, keyed
+        (method,).  "spatial": per (mode, patch, scored method), station
+        importance against the case's |utility|, with those of `_spatial_ks`.
+        Built once per run, by the first pass over the tables that asks.
         """
-        if scope not in self._agreements:
-            tables, methods = self.ensure_tables(), self.scored_methods()
+        memo, methods = self._agreements[scope], self.scored_methods()
+        if cid not in memo:
             if scope == "global":  # each case: its key, importance kind, utility and ks
-                cases = [((cid,), "gi", tables[cid]["gu"], _global_ks(self))
-                         for cid in self.config_ids()]
-            elif scope == "spatial":
-                cases = [((cid, mode, patch), "si_u", util, _spatial_ks(self))
-                         for cid, mode, patch, util in _spatial_cases(self)]
+                cases = [((), "gi", arrays["gu"], _global_ks(self))]
             else:
-                raise ValueError(f"scope must be 'global' or 'spatial', got {scope!r}")
-            built = {}
+                cases = [((mode, patch), "si_u", np.abs(arrays[f"su/{mode}/{patch}"]),
+                          _spatial_ks(self))
+                         for mode, patch in product(self.cfg.modes, self.cfg.patches)]
+            memo[cid] = {}
             for case, kind, util, ks in cases:
-                imps = [tables[case[0]][f"{kind}/{key}"] for key in methods]
+                imps = [arrays[f"{kind}/{key}"] for key in methods]
                 for key, ag in zip(methods, _agreements(imps, util, ks, self.cfg.bh_q)):
-                    built[(*case, key)] = ag
-            self._agreements[scope] = built
+                    memo[cid][(*case, key)] = ag
+        return memo[cid]
+
+    def agreements(self, scope: str) -> dict[str, dict[tuple, Agreement]]:
+        """Per config id, its `config_agreements` in `scope`; one pass builds any missing."""
+        if scope not in self._agreements:
+            raise ValueError(f"scope must be 'global' or 'spatial', got {scope!r}")
+        if len(self._agreements[scope]) < len(self.config_ids()):
+            for cid, arrays in self.tables():
+                for each in self._agreements:
+                    self.config_agreements(each, cid, arrays)
         return self._agreements[scope]
 
     # -- shared small helpers ------------------------------------------------
@@ -360,19 +376,13 @@ def _spatial_ks(state: RunState) -> tuple[int, ...]:
     return tuple(k for k in (5, 10, 20) if k <= state.stations.n_stations)
 
 
-def _spatial_cases(state: RunState):
-    """Each spatial ablation case (cid, mode, patch) with its (T, N) |utility|."""
-    for cid, tables in state.ensure_tables().items():
-        for mode, patch in product(state.cfg.modes, state.cfg.patches):
-            yield cid, mode, patch, np.abs(tables[f"su/{mode}/{patch}"])
-
-
-def _valued_cases(state: RunState):
-    """The spatial cases whose time-mean |utility| is positive somewhere, with that mean."""
-    for cid, mode, patch, util in _spatial_cases(state):
-        util_mean = util.mean(axis=0)
+def _valued_cases(state: RunState, arrays: dict[str, np.ndarray]):
+    """Each spatial case (mode, patch) of one config's tables whose time-mean |utility| is
+    positive somewhere, with that mean."""
+    for mode, patch in product(state.cfg.modes, state.cfg.patches):
+        util_mean = np.abs(arrays[f"su/{mode}/{patch}"]).mean(axis=0)
         if util_mean.sum() > 0:
-            yield cid, mode, patch, util_mean
+            yield mode, patch, util_mean
 
 
 @dataclass(frozen=True)
@@ -453,29 +463,23 @@ def _fidelity_cells(ag: Agreement, ci_lower: float, ci_upper: float) -> tuple:
 
 def stage_fidelity(state: RunState) -> dict:
     cfg = state.cfg
-    tables = state.ensure_tables()
     boot_n, level = cfg.bootstrap_resamples, cfg.bootstrap_level
-
-    g_rows = []
-    for (cid, key), ag in state.agreements("global").items():
-        pairs = np.column_stack([np.nanmean(tables[cid][f"gi/{key}"], axis=0),
-                                 tables[cid]["gu"].mean(axis=0)])
-        ci = metrics.bootstrap_iid(pairs, metrics.paired_spearman, boot_n, level,
-                                   seed=child_seed(cfg.seed, "gci", cid, key))
-        g_rows.append((cid, key, *_fidelity_cells(ag, ci.lower, ci.upper)))
-
-    s_rows = []
     blocks = metrics.station_blocks(state.stations)
-    spatial = state.agreements("spatial")
-    for cid, mode, patch, util_abs in _spatial_cases(state):
-        for key in state.scored_methods():
-            imp = tables[cid][f"si_u/{key}"]
-            ag = spatial[(cid, mode, patch, key)]
+    g_rows, s_rows = [], []
+    for cid, arrays in state.tables():
+        for (key,), ag in state.config_agreements("global", cid, arrays).items():
+            pairs = np.column_stack([np.nanmean(arrays[f"gi/{key}"], axis=0),
+                                     arrays["gu"].mean(axis=0)])
+            ci = metrics.bootstrap_iid(pairs, metrics.paired_spearman, boot_n, level,
+                                       seed=child_seed(cfg.seed, "gci", cid, key))
+            g_rows.append((cid, key, *_fidelity_cells(ag, ci.lower, ci.upper)))
+        for (mode, patch, key), ag in state.config_agreements("spatial", cid, arrays).items():
             # a block-bootstrap CI for the primary method only, and only where its rho
             # is defined: a constant utility leaves every resample's undefined too
             lo = hi = np.nan
             if key == state.primary_key() and not ag.agg.undefined:
-                pairs = np.column_stack([imp.mean(axis=0), util_abs.mean(axis=0)])
+                pairs = np.column_stack([arrays[f"si_u/{key}"].mean(axis=0),
+                                         np.abs(arrays[f"su/{mode}/{patch}"]).mean(axis=0)])
                 ci = metrics.bootstrap_block_spatial(
                     pairs, blocks, metrics.paired_spearman, boot_n, level,
                     seed=child_seed(cfg.seed, "sci", cid, mode, patch))
@@ -486,52 +490,47 @@ def stage_fidelity(state: RunState) -> dict:
 
 def stage_methods(state: RunState) -> dict:
     cfg = state.cfg
-    tables = state.ensure_tables()
     display, cids = state.scored_methods(), state.config_ids()
-    ags = state.agreements("global")
-    summary_rows = []
-    for key in display:
-        col = [ags[(cid, key)] for cid in cids]  # a NaN p-value is never significant
-        summary_rows.append((key, float(np.nanmean([ag.agg.rho for ag in col])),
-                     sum(int(ag.agg.p_value < 0.05) for ag in col),
-                     sum(int(ag.wilcoxon_p < 0.05) for ag in col),
-                     float(np.mean([ag.overlaps[-1] for ag in col])), len(cids)))
-    pair_rows = [(a, b, sum(int(ags[(c, a)].agg.rho > ags[(c, b)].agg.rho) for c in cids),
-                  len(cids))
-                 for a in display for b in display if a < b]
-
-    # quadrature sensitivity: do coarse step grids change the variable ranking?
-    k_rows = []
-    steps = sorted(cfg.ig_step_grid)
-    for cid in state.config_ids():
-        coarse = np.stack([np.nanmean(tables[cid][f"gi/ig@{s}"], axis=0) for s in steps])
-        ref_rank = np.nanmean(tables[cid][f"gi/{state.primary_key()}"], axis=0)
-        rhos = metrics.spearman_rho(coarse, np.broadcast_to(ref_rank, coarse.shape))
-        k_rows.extend((cid, s, cfg.ig_steps, rho) for s, rho in zip(steps, rhos))
-
-    # baseline sensitivity: zero and persistence baselines vs climatology
-    b_rows = []
-    zp = cfg.cheap_steps()
+    steps, zp = sorted(cfg.ig_step_grid), cfg.cheap_steps()
     bases = (("climatology", f"ig@{zp}"), ("zero", f"ig-zero@{zp}"),
              ("persistence", f"ig-pers@{zp}"))
-    for cid in state.config_ids():
-        imps = np.stack([np.nanmean(tables[cid][f"gi/{key}"], axis=0) for _, key in bases])
-        util_mean = tables[cid]["gu"].mean(axis=0)
+    ags, k_rows, b_rows = {}, [], []
+    for cid, arrays in state.tables():
+        ags[cid] = state.config_agreements("global", cid, arrays)
+        # quadrature sensitivity: do coarse step grids change the variable ranking?
+        coarse = np.stack([np.nanmean(arrays[f"gi/ig@{s}"], axis=0) for s in steps])
+        ref_rank = np.nanmean(arrays[f"gi/{state.primary_key()}"], axis=0)
+        rhos = metrics.spearman_rho(coarse, np.broadcast_to(ref_rank, coarse.shape))
+        k_rows.extend((cid, s, cfg.ig_steps, rho) for s, rho in zip(steps, rhos))
+        # baseline sensitivity: zero and persistence baselines vs climatology
+        imps = np.stack([np.nanmean(arrays[f"gi/{key}"], axis=0) for _, key in bases])
+        util_mean = arrays["gu"].mean(axis=0)
         rhos = metrics.spearman_rho(imps, np.broadcast_to(util_mean, imps.shape))
         for (base, _), rho in zip(bases, rhos):  # rhos[0] is climatology's
             delta = rho - rhos[0] if not math.isnan(rho) else np.nan
             b_rows.append((cid, base, zp, rho, delta))
+        if cid == cids[len(cids) // 2]:
+            scale_row = _scale_invariance_row(state, cid, arrays)
+    summary_rows = []
+    for key in display:
+        col = [ags[cid][(key,)] for cid in cids]  # a NaN p-value is never significant
+        summary_rows.append((key, float(np.nanmean([ag.agg.rho for ag in col])),
+                     sum(int(ag.agg.p_value < 0.05) for ag in col),
+                     sum(int(ag.wilcoxon_p < 0.05) for ag in col),
+                     float(np.mean([ag.overlaps[-1] for ag in col])), len(cids)))
+    pair_rows = [(a, b, sum(int(ags[c][(a,)].agg.rho > ags[c][(b,)].agg.rho) for c in cids),
+                  len(cids))
+                 for a in display for b in display if a < b]
     return {"results/methods_summary.csv": summary_rows,
             "results/methods_pairwise.csv": pair_rows, "results/k_sensitivity.csv": k_rows,
             "results/baseline_sensitivity.csv": b_rows,
-            "results/scale_invariance.csv": [_scale_invariance_row(state)]}
+            "results/scale_invariance.csv": [scale_row]}
 
 
-def _scale_invariance_row(state: RunState) -> tuple:
-    """Plant a unit change in one variable and record which proxies move."""
-    cid = state.config_ids()[len(state.config_ids()) // 2]
+def _scale_invariance_row(state: RunState, cid: str, arrays: dict[str, np.ndarray]) -> tuple:
+    """Plant a unit change in one variable of config `cid`; record which proxies move."""
     model = state.make_model(cid)
-    var = int(np.argmax(np.nanmean(state.ensure_tables()[cid]["gi/vg"], axis=0)))
+    var = int(np.argmax(np.nanmean(arrays["gi/vg"], axis=0)))
     factor = 1000.0
     unit = np.ones((state.grid.n_variables, 1, 1))
     unit[var] = factor
@@ -561,26 +560,25 @@ def _scale_invariance_row(state: RunState) -> tuple:
 
 
 def stage_calibrate(state: RunState) -> dict:
-    tables = state.ensure_tables()
     dec_rows, sum_rows = [], []
-    for cid, mode, patch, util in _valued_cases(state):
-        proxies = {key: tables[cid][f"si_u/{key}"].mean(axis=0) for key in state.scored_methods()}
+    for cid, arrays in state.tables():
+        proxies = {key: arrays[f"si_u/{key}"].mean(axis=0) for key in state.scored_methods()}
         proxies["distance"] = incentive.distance_scores(state.distances(cid))
         proxies["uniform"] = np.ones(state.stations.n_stations)
         names = [name for name in sorted(proxies) if proxies[name].sum() > 0]
-        reports = incentive.calibrate_case(np.stack([proxies[name] for name in names]), util)
-        for name, rep in zip(names, reports):
-            dec_rows += [(cid, mode, patch, name, b + 1, u)
-                         for b, u in enumerate(rep.decile_mean_utility)]
-            sum_rows.append((cid, mode, patch, name, rep.gini_ratio,
-                             rep.overpayment_total, rep.share_spearman))
+        stacked = np.stack([proxies[name] for name in names])
+        for mode, patch, util in _valued_cases(state, arrays):
+            for name, rep in zip(names, incentive.calibrate_case(stacked, util)):
+                dec_rows += [(cid, mode, patch, name, b + 1, u)
+                             for b, u in enumerate(rep.decile_mean_utility)]
+                sum_rows.append((cid, mode, patch, name, rep.gini_ratio,
+                                 rep.overpayment_total, rep.share_spearman))
     return {"results/calibration_deciles.csv": dec_rows,
             "results/calibration_summary.csv": sum_rows}
 
 
 def stage_select(state: RunState) -> dict:
     cfg = state.cfg
-    tables = state.ensure_tables()
     n = state.stations.n_stations
     for k in cfg.selection_budgets:
         if k > n:
@@ -588,15 +586,16 @@ def stage_select(state: RunState) -> dict:
     budgets = list(dict.fromkeys(min(k, n) for k in cfg.selection_budgets))
     rows = []
     score_keys = {"ig": state.primary_key(), "gti": "gti", "vg": "vg"}
-    for cid, mode, patch, util in _valued_cases(state):
+    for cid, arrays in state.tables():
         dist = state.distances(cid)
         # each strategy reads the input it ranks by: a time mean, the distances or the seed
-        means = {s: tables[cid][f"si_u/{key}"].mean(axis=0) for s, key in score_keys.items()}
-        seeds = [child_seed(cfg.seed, "uniform", cid, mode, patch, k) for k in budgets]
-        rows += [(cid, mode, patch, res.strategy, res.k, res.captured, res.efficiency_ratio,
-                  res.optimality_ratio)
-                 for res in incentive.select_case(util, budgets, scores=means,
-                                                  distances_km=dist, seeds=seeds)]
+        means = {s: arrays[f"si_u/{key}"].mean(axis=0) for s, key in score_keys.items()}
+        for mode, patch, util in _valued_cases(state, arrays):
+            seeds = [child_seed(cfg.seed, "uniform", cid, mode, patch, k) for k in budgets]
+            rows += [(cid, mode, patch, res.strategy, res.k, res.captured, res.efficiency_ratio,
+                      res.optimality_ratio)
+                     for res in incentive.select_case(util, budgets, scores=means,
+                                                      distances_km=dist, seeds=seeds)]
     return {"results/selection.csv": rows}
 
 
@@ -605,11 +604,10 @@ SHRINKAGE_OBJECTIVES = ("mse", "captured_utility")  # each case's rows, in this 
 
 def stage_pay(state: RunState) -> dict:
     cfg = state.cfg
-    tables = state.ensure_tables()
-    pay_rows, stab_rows = [], []
-    for cid in state.config_ids():
+    pay_rows, stab_rows, sh_rows = [], [], []
+    for cid, arrays in state.tables():
         for key in state.scored_methods():
-            scores = tables[cid][f"si_u/{key}"]
+            scores = arrays[f"si_u/{key}"]
             if scores.mean(axis=0).sum() <= 0:
                 continue
             stab = incentive.payment_stability(
@@ -621,11 +619,8 @@ def stage_pay(state: RunState) -> dict:
                                  stab.lower[g], stab.upper[g]))
             stab_rows.append((cid, key, stab.ci_to_share, stab.top_k, stab.resamples))
 
-    # shrinkage toward the distance prior, both inner objectives
-    sh_rows = []
-    key = state.primary_key()
-    for cid, mode, patch, util in _valued_cases(state):
-        scores = tables[cid][f"si_u/{key}"]
+        # shrinkage toward the distance prior, both inner objectives
+        scores = arrays[f"si_u/{state.primary_key()}"]
         totals = scores.sum(axis=1)
         ok = totals > 0
         if ok.sum() < 3:
@@ -633,12 +628,13 @@ def stage_pay(state: RunState) -> dict:
         proxy_shares = scores[ok] / totals[ok, None]
         dist = incentive.distance_scores(state.distances(cid))
         dist_shares = dist / dist.sum()
-        fits = incentive.shrinkage_fits(proxy_shares, dist_shares, util, SHRINKAGE_OBJECTIVES,
-                                        k=cfg.stability_top_k)
-        for objective, fit in zip(SHRINKAGE_OBJECTIVES, fits):
-            for fold, lam in enumerate(fit.per_fold):
-                sh_rows.append((cid, mode, patch, objective, fold, lam,
-                                fit.lam, fit.delta_rho))
+        for mode, patch, util in _valued_cases(state, arrays):
+            fits = incentive.shrinkage_fits(proxy_shares, dist_shares, util,
+                                            SHRINKAGE_OBJECTIVES, k=cfg.stability_top_k)
+            for objective, fit in zip(SHRINKAGE_OBJECTIVES, fits):
+                for fold, lam in enumerate(fit.per_fold):
+                    sh_rows.append((cid, mode, patch, objective, fold, lam,
+                                    fit.lam, fit.delta_rho))
     return {"results/payments.csv": pay_rows, "results/payment_stability.csv": stab_rows,
             "results/shrinkage.csv": sh_rows}
 
@@ -745,13 +741,13 @@ def stage_converge(state: RunState) -> dict:
                 continue
         return (cid, scope, mode, patch, ag.agg.rho, ag.recovery, converge_n)
 
-    global_ags = state.agreements("global")
-    rows = {cid: [analyse(cid, "global", "", "", global_ags[(cid, key)])]
-            for cid in state.config_ids()}  # each config's spatial rows follow its global row
-    for (cid, mode, patch, method), ag in state.agreements("spatial").items():
-        if method == key:
-            rows[cid].append(analyse(cid, "spatial", mode, patch, ag))
-    return {"results/convergence.csv": [row for cid_rows in rows.values() for row in cid_rows]}
+    global_ags, spatial_ags = state.agreements("global"), state.agreements("spatial")
+    rows = []
+    for cid in state.config_ids():  # each config's spatial rows follow its global row
+        rows.append(analyse(cid, "global", "", "", global_ags[cid][(key,)]))
+        rows += [analyse(cid, "spatial", mode, patch, ag)
+                 for (mode, patch, method), ag in spatial_ags[cid].items() if method == key]
+    return {"results/convergence.csv": rows}
 
 
 def _group(rows: list[dict[str, str]], *cols: str) -> dict[tuple[str, ...], list[dict[str, str]]]:
@@ -829,7 +825,7 @@ class Stage:
     """One pipeline stage and its contract.
 
     `reads` names the `RunState.ensure_*` stores (`data`, `models`, `tables`,
-    `gaming`) that `run_stage` loads before the stage runs.  `writes` maps each
+    `gaming`) that `run_stage` ensures before the stage runs.  `writes` maps each
     file the stage writes, relative to the run directory, to its columns: a
     tuple, a function of the `RunState` where the config sets them, or None
     for a JSON or markdown file.  The stage returns each file's rows or
@@ -913,7 +909,7 @@ STAGES = tuple(stage.name for stage in STAGE_TABLE)
 
 
 def run_stage(state: RunState, name: str) -> None:
-    """Load the stores the stage `name` of `STAGE_TABLE` reads, run it, and write its files.
+    """Ensure the stores the stage `name` of `STAGE_TABLE` reads, run it, and write its files.
 
     A stage returns each file it declares: rows for a CSV, written under the
     declared columns, a payload for a JSON file and text for any other.  A

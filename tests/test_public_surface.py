@@ -130,7 +130,8 @@ def _references(tree: ast.AST, scopes: tuple = ()):
 
 def test_every_function_has_a_user():
     # dead code does not grow back: each function and method is read in src/ outside
-    # its own body, named by the README sketch, exported or a console script; KEPT
+    # its own body, named by the README sketch, exported, a console script or a store
+    # loader that run_stage dispatches to by name; KEPT
     # holds exactly the rest, so it cannot go stale either
     trees = {path.name: ast.parse(path.read_text())
              for path in sorted((ROOT / "src" / "gradsense").glob("*.py"))}
@@ -139,7 +140,9 @@ def test_every_function_has_a_user():
     users = ({name for name, _ in _references(ast.parse(_library_sketch()))}
              | {alias.name for node in ast.walk(trees["__init__.py"])
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
-             | set(re.findall(r':(\w+)"', scripts)))
+             | set(re.findall(r':(\w+)"', scripts))
+             # run_stage calls getattr(state, f"ensure_{store}") for each store a stage reads
+             | {f"ensure_{store}" for stage in runner.STAGE_TABLE for store in stage.reads})
     readers: dict[str, list[tuple]] = {}
     for tree in trees.values():
         for name, scopes in _references(tree):

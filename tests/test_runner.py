@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -217,7 +219,7 @@ class TestRunFull:
 
     def test_loaded_tables_match_memory(self, tiny_run):
         cfg, _, _ = tiny_run
-        loaded = runner.RunState(cfg).ensure_tables()
+        loaded = dict(runner.RunState(cfg).tables())
         recomputed_state = runner.RunState(cfg)
         recomputed_state.ws.files.clear()
         assert list(loaded) == recomputed_state.config_ids() and len(loaded) == 2
@@ -431,7 +433,7 @@ class TestRunFull:
         computed, real = [], runner.RunState._compute_tables
         monkeypatch.setattr(runner.RunState, "_compute_tables",
                             lambda state, cid: computed.append(cid) or real(state, cid))
-        tables = runner.RunState(cfg).ensure_tables()
+        tables = dict(runner.RunState(cfg).tables())
         assert computed == [second]
         assert not np.array_equal(tables[first]["gu"], tables[second]["gu"])
         rel = runner.config_store("tables", second)
@@ -772,16 +774,17 @@ def _same(x, y) -> bool:
 class TestAgreement:
     def _pairs(self, cfg):
         state = runner.RunState(cfg)
-        tables = state.ensure_tables()
+        tables = dict(state.tables())
         gks = runner._global_ks(state)
         ks = tuple(k for k in (5, 10, 20) if k <= state.stations.n_stations)
         for cid, arrays in tables.items():
             for name, imp in arrays.items():
                 if name.startswith("gi/"):
                     yield imp, arrays["gu"], gks
-        for cid, mode, patch, util in runner._spatial_cases(state):
-            for key in state.scored_methods():
-                yield tables[cid][f"si_u/{key}"], util, ks
+        for cid, arrays in tables.items():
+            for mode, patch in itertools.product(cfg.modes, cfg.patches):
+                for key in state.scored_methods():
+                    yield arrays[f"si_u/{key}"], np.abs(arrays[f"su/{mode}/{patch}"]), ks
 
     def _check(self, imp, util, ks, q=0.05):
         ag = runner._agreements([imp], util, ks, q)[0]
@@ -809,8 +812,7 @@ class TestAgreement:
     def test_tables_of_one_case_match_one_at_a_time(self, tiny_run):
         # every importance table of a config at once, ig-pers's NaN first row among them
         cfg, _, _ = tiny_run
-        tables = runner.RunState(cfg).ensure_tables()
-        for cid, arrays in tables.items():
+        for cid, arrays in runner.RunState(cfg).tables():
             util = arrays["gu"]
             imps = [imp for name, imp in arrays.items() if name.startswith("gi/")]
             assert any(np.isnan(imp[0]).any() for imp in imps)
@@ -835,9 +837,9 @@ class TestAgreement:
 
     def _case_counts(self, cfg) -> dict[str, int]:
         state = runner.RunState(cfg)
-        n_spatial = sum(1 for _ in runner._spatial_cases(state))
-        methods = len(state.scored_methods())
-        return {"global": len(state.config_ids()) * methods, "spatial": n_spatial * methods}
+        n_configs, methods = len(state.config_ids()), len(state.scored_methods())
+        n_spatial = n_configs * len(cfg.modes) * len(cfg.patches)
+        return {"global": n_configs * methods, "spatial": n_spatial * methods}
 
     def test_built_once_per_run(self, tiny_run, tmp_path, monkeypatch):
         cfg, out, _ = tiny_run
@@ -881,6 +883,87 @@ class TestAgreement:
         util[5] = -0.0  # constant utility row
         ag = self._check(imp, util, ks)
         assert ag.cycle_rho.size == imp.shape[0] - 2
+
+
+def three_config(out_dir) -> config.ExperimentConfig:
+    return tiny_config(out_dir, n_timestamps=10, model_depths=(1,),
+                       target_variables=("t2m", "u10m", "msl"))
+
+
+@pytest.fixture(scope="module")
+def three_config_run(tmp_path_factory):
+    cfg = three_config(tmp_path_factory.mktemp("threerun"))
+    assert runner.run_full(cfg, stage_filter=("fidelity",))["ok"]
+    return cfg
+
+
+ANALYSIS_STAGES = [stage.name for stage in runner.STAGE_TABLE if "tables" in stage.reads]
+
+
+def _watch_table_stores(monkeypatch) -> list[tuple[str, list, list[str]]]:
+    """Per `Workspace.store` call on a tables store: the store, weakrefs to its arrays,
+    and the earlier calls' stores, the last one aside, whose arrays were alive at it.
+
+    A pass holds one config's tables while it loads the next, so that last list
+    stays empty when at most one config's tables are in memory at a time.
+    """
+    returned, real = [], runner.Workspace.store
+
+    def store(ws, rel, stamp, compute):
+        if not rel.startswith("tables/tables-"):
+            return real(ws, rel, stamp, compute)
+        alive = [earlier for earlier, refs, _ in returned[:-1]
+                 if any(ref() is not None for ref in refs)]
+        arrays = real(ws, rel, stamp, compute)
+        returned.append((rel, [weakref.ref(arr) for arr in arrays.values()], alive))
+        return arrays
+
+    monkeypatch.setattr(runner.Workspace, "store", store)
+    return returned
+
+
+class TestOneConfigAtATime:
+    """The analysis stages read each configuration's tables in its turn."""
+
+    @pytest.mark.parametrize("stage", ANALYSIS_STAGES)
+    def test_at_most_one_config_alive(self, stage, three_config_run, tmp_path, monkeypatch):
+        copy = tmp_path / "prepared"
+        shutil.copytree(three_config_run.out_dir, copy)
+        state = runner.RunState(replace(three_config_run, out_dir=str(copy)))
+        returned = _watch_table_stores(monkeypatch)
+        runner.run_stage(state, stage)
+        assert len(returned) >= 2 * len(state.config_ids()) == 6
+        assert [(rel, alive) for rel, _, alive in returned if alive] == []
+        assert all(ref() is None for _, refs, _ in returned for ref in refs)
+
+    @pytest.mark.parametrize("stage", ANALYSIS_STAGES)
+    def test_each_store_opened_at_most_twice(self, stage, three_config_run, tmp_path,
+                                             monkeypatch):
+        # the preload, then the stage's one pass: the agreements and the scale-invariance
+        # row come from that pass, not from passes of their own
+        copy = tmp_path / "prepared"
+        shutil.copytree(three_config_run.out_dir, copy)
+        state = runner.RunState(replace(three_config_run, out_dir=str(copy)))
+        returned = _watch_table_stores(monkeypatch)
+        runner.run_stage(state, stage)
+        opened = [rel for rel, _, _ in returned]
+        stores = [runner.config_store("tables", cid) for cid in state.config_ids()]
+        assert sorted(set(opened)) == sorted(stores)
+        assert max(opened.count(rel) for rel in stores) <= 2, opened
+
+    def test_run_state_keeps_no_table_array(self, tmp_path, monkeypatch):
+        states, init = [], runner.RunState.__init__
+
+        def keep(state, *args, **kwargs):
+            init(state, *args, **kwargs)
+            states.append(state)
+
+        monkeypatch.setattr(runner.RunState, "__init__", keep)
+        returned = _watch_table_stores(monkeypatch)
+        assert runner.run_full(three_config(tmp_path / "fresh"))["ok"]
+        (state,) = states  # still alive here, so nothing it holds has been freed
+        assert len(returned) >= 3 and state.models
+        assert all(ref() is None for _, refs, _ in returned for ref in refs)
 
 
 class TestFieldData:
