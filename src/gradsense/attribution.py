@@ -34,8 +34,8 @@ def integrated_gradients_paths(model, x: np.ndarray, paths: list[tuple[np.ndarra
     share (the same baseline object at the same alpha, such as alpha = 1/2 of
     8 and of 50 steps) is evaluated once.  The model's batched gradient is
     row-wise identical to a single call, so a path's map does not depend on
-    which other paths share the batch.  Each quadrature runs on a zero-filled
-    full-grid gradient stack, the operand shape of a single path's call.
+    which other paths share the batch.  Each quadrature sums the path's window
+    gradients in node order, a fixed order that no BLAS kernel can change.
     """
     for _, steps in paths:
         if steps < 1:
@@ -55,16 +55,15 @@ def integrated_gradients_paths(model, x: np.ndarray, paths: list[tuple[np.ndarra
             points.append(bw[None] + np.array(fresh)[:, None, None, None] * (xw - bw)[None])
         path_rows.append([nodes[(id(baseline), a)] for a in alphas])
     _, grads = model.value_and_gradient_window(np.concatenate(points))
-    maps, grad_end = [], None
+    maps = []
     for (baseline, steps), rows in zip(paths, path_rows):
         weights = np.ones(steps + 1)
         weights[0] = weights[-1] = 0.5
-        full = np.zeros((steps + 1,) + x.shape)
-        full[window] = grads[rows]
-        avg = np.tensordot(weights, full, axes=1) / steps
+        avg = np.zeros(x.shape)
+        avg[window] = (weights[:, None, None, None] * grads[rows]).sum(axis=0) / steps
         maps.append((x - baseline) * avg)
-        if grad_end is None:
-            grad_end = full[-1]
+    grad_end = np.zeros(x.shape)
+    grad_end[window] = grads[path_rows[0][-1]]
     return maps, grad_end
 
 

@@ -9,7 +9,17 @@ thread.  The digests are the sha256 of every file under data/, tables/ and
 results/, keyed by "{blas core}/{numpy version}": the model's GEMMs round
 differently under another OpenBLAS kernel.
 
-Rewrite this host's entry after a deliberate change of the outputs:
+Each x86 host also pins the same runs under OPENBLAS_CORETYPE=Prescott, the
+lowest x86-64 kernel (blas_core() names it "Katmai").  That entry's key names
+both kernels, "{forced core}@{native key}", e.g. "Katmai@SkylakeX/2.4.6": the
+forced kernel fixes the GEMMs' rounding, but numpy's own SIMD loops (np.tanh,
+np.exp) still dispatch on the host's CPU, so an entry holds only for the
+native kernel it was recorded on.  A change that keeps every byte under the
+forced kernel but moves the native kernel's last bits is checked exactly by
+this entry.  Where the forced kernel is the native one (non-x86 hosts) there
+is no second entry.
+
+Rewrite this host's entries after a deliberate change of the outputs:
 
     python tests/golden.py --write
 """
@@ -28,6 +38,7 @@ HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden_digests.json"
 HASHED_DIRS = ("data", "tables", "results")
 BENCH_DESK_SEED = 7
+FORCED_CORETYPE = "Prescott"
 
 
 def _digests(cfg, prefix: str = "") -> dict[str, str]:
@@ -62,11 +73,17 @@ def _run_here() -> dict:
     return {"key": f"{runner.blas_core()}/{np.__version__}", "digests": digests}
 
 
-def run_in_child() -> tuple[str, dict[str, str]]:
-    """The golden run in a child interpreter with one BLAS thread: (host key, digests)."""
+def run_in_child(coretype: str | None = None) -> tuple[str, dict[str, str]]:
+    """The golden run in a child interpreter with one BLAS thread: (host key, digests).
+
+    With `coretype` the child runs under OPENBLAS_CORETYPE=coretype, and the
+    key is the child's, which names the kernel it got.
+    """
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join([str(HERE.parent / "src"), str(HERE),
                                            str(HERE.parent / "perfbench")]))
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
     proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--print"], env=env,
                           capture_output=True, text=True, timeout=600)
     if proc.returncode != 0:
@@ -75,15 +92,38 @@ def run_in_child() -> tuple[str, dict[str, str]]:
     return result["key"], result["digests"]
 
 
+def run_forced(native_key: str) -> tuple[str, dict[str, str]] | None:
+    """The golden run under FORCED_CORETYPE: ("{forced core}@{native key}", digests).
+
+    None when the forced kernel is the native one, so there is nothing to pin.
+    """
+    key, digests = run_in_child(FORCED_CORETYPE)
+    core = key.split("/")[0]
+    if core == native_key.split("/")[0]:
+        return None
+    return f"{core}@{native_key}", digests
+
+
+def moved(expected: dict[str, str], digests: dict[str, str]) -> list[str]:
+    """The output files whose digest differs from, or is missing in, either set."""
+    return sorted(name for name in expected.keys() | digests.keys()
+                  if expected.get(name) != digests.get(name))
+
+
 def main(argv: list[str]) -> None:
     if argv == ["--print"]:
         print(json.dumps(_run_here()))
     elif argv == ["--write"]:
         key, digests = run_in_child()
+        entries = {key: digests}
+        forced = run_forced(key)
+        if forced is not None:
+            entries[forced[0]] = forced[1]
         pinned = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
-        pinned[key] = digests
+        pinned.update(entries)
         GOLDEN.write_text(json.dumps(pinned, indent=1, sort_keys=True) + "\n")
-        print(f"wrote {len(digests)} digests under {key!r} to {GOLDEN}")
+        for key, digests in entries.items():
+            print(f"wrote {len(digests)} digests under {key!r} to {GOLDEN}")
     else:
         raise SystemExit(__doc__)
 

@@ -7,6 +7,8 @@ None of this runs in a stage, the CLI or the README sketch:
   * model_from_config -- rebuilds a model from its `to_config()` dict;
   * gradient_times_input and vanilla_gradient -- the one-gradient proxies as
     single-field calls, the maps the runner computes inline from a batch;
+  * integrated_gradients_loop -- one IG path as an explicit trapezoid loop
+    over its window gradients, node by node, then a scatter onto the grid;
   * perturb_patch -- one station's perturbed field, the per-station oracle of
     the batched ablation;
   * select, decile_calibration and shrinkage_fit -- one strategy and budget,
@@ -146,6 +148,30 @@ def vanilla_gradient(model, x: np.ndarray) -> np.ndarray:
     """Raw input gradient at x, no input-relative scaling; one backward pass."""
     _check_shapes(model, x)
     return model.gradient_values(x)
+
+
+def integrated_gradients_loop(model, x: np.ndarray, baseline: np.ndarray,
+                              steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Signed IG map of one path and the gradient at its alpha = 1 node.
+
+    acc = w[0] g[0], then acc = acc + w[k] g[k] for k = 1..steps over the
+    window gradients, with trapezoid weights 0.5 at the ends and 1 inside;
+    the average acc / steps is scattered into a zero full grid.
+    """
+    _check_shapes(model, x, baseline)
+    window = (..., *model.influence_window())
+    xw, bw = x[window], baseline[window]
+    alphas = np.arange(steps + 1) / steps
+    _, grads = model.value_and_gradient_window(
+        bw[None] + alphas[:, None, None, None] * (xw - bw)[None])
+    weights = [0.5] + [1.0] * (steps - 1) + [0.5]
+    acc = weights[0] * grads[0]
+    for k in range(1, steps + 1):
+        acc = acc + weights[k] * grads[k]
+    avg, grad_end = np.zeros(x.shape), np.zeros(x.shape)
+    avg[window] = acc / steps
+    grad_end[window] = grads[steps]
+    return (x - baseline) * avg, grad_end
 
 
 def perturb_patch(x: np.ndarray, t: int, stations: StationGrid, station_id: int,

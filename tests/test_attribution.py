@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gradsense import attribution as attr
-from oracles import gradient_times_input, vanilla_gradient
+from gradsense.grid import make_target
+from gradsense.model import make_desk_model
+from oracles import gradient_times_input, integrated_gradients_loop, vanilla_gradient
 
 
 class CountingModel:
@@ -109,6 +113,50 @@ class TestIntegratedGradients:
             ig = attr.integrated_gradients(desk_model, fields[0], clim, k)
             diffs.append(np.abs(ig - ref).mean())
         assert all(diffs[i + 1] <= diffs[i] for i in range(len(diffs) - 1))
+
+
+class TestWindowQuadrature:
+    """The trapezoid on the influence window, against a fixed-order loop, bit for bit.
+
+    The oracle adds the window gradients node by node.  A BLAS tensordot over
+    the same gradients sums in an order its kernel picks, and on the SkylakeX
+    kernel it fails this check.
+    """
+
+    @pytest.mark.parametrize("depth", [1, 3])
+    @pytest.mark.parametrize("where", ["interior", "corner"])
+    def test_paths_match_fixed_order_loop(self, depth, where, desk_grid, desk_target,
+                                          desk_data):
+        # the golden run's corner target: the grid edge clips its influence window
+        target = desk_target if where == "interior" else make_target(
+            desk_grid, "corner", 35.5, -9.5, "t2m")
+        model = make_desk_model(4, desk_grid, target, depth=depth)
+        rows, _ = model.influence_window()
+        clipped = rows.stop - rows.start < 2 * model.receptive_radius + 1
+        assert clipped == (where == "corner")
+        fields, clim = desk_data
+        x = fields[5]
+        paths = [(clim, 1), (clim, 8), (clim, 50), (np.zeros_like(x), 8), (fields[4], 8)]
+        maps, grad_end = attr.integrated_gradients_paths(model, x, paths)
+        for (base, steps), values in zip(paths, maps):
+            expected, _ = integrated_gradients_loop(model, x, base, steps)
+            assert np.array_equal(values, expected)
+        _, expected_end = integrated_gradients_loop(model, x, clim, 1)
+        assert np.array_equal(grad_end, expected_end)
+
+    def test_traced_peak_below_one_full_grid_stack(self, desk_model_d1, desk_data):
+        # a d1 ig@50 path needs 51 window rows of 6 x 5 x 5 cells; one zero-filled
+        # (51, 6, 36, 50) full-grid stack alone would take 4.4 MB
+        fields, clim = desk_data
+        x = fields[5]
+        attr.integrated_gradients(desk_model_d1, x, clim, 50)  # warm any lazy model state
+        tracemalloc.start()
+        try:
+            attr.integrated_gradients(desk_model_d1, x, clim, 50)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 51 * x.nbytes
 
 
 class TestGtiVg:
