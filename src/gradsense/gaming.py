@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ablation import _apply_mode, stations_in_reach
-from .attribution import spatial_importance
 from .grid import StationGrid, TargetSpec
 from .metrics import pr_auc, topk_indices
 
@@ -150,17 +149,22 @@ def _period_scores(model, window_stack: np.ndarray, window_clim: np.ndarray, sta
     """Period-mean GTI station scores (climatology baseline) and per-field predictions.
 
     One forward-and-gradient pass over the (T, V, h, w) influence-window
-    stack; `window_clim` is the climatology on the same cells.  The station
-    scores gather from full-grid maps, zero off the window.  The gather leaves
-    the (T, N) scores station-major, so their time mean sums each station's T
-    values pairwise; a C-ordered (T, N), such as a tables store's `si_u`,
-    sums them in order and differs in the last bits.  A station reduction in
-    window space must keep this order, or the gaming digests move.
+    stack; `window_clim` is the climatology on the same cells.  Each station
+    in the window gathers its cell's scores there; a station outside scores
+    exactly zero.  The (T, N) scores are station-major, so their time mean
+    sums each station's T values pairwise, as a gather from full-grid maps
+    leaves them; a C-ordered (T, N), such as a tables store's `si_u`, sums
+    them in order and differs in the last bits.
     """
     preds, grads = model.value_and_gradient_window(window_stack)
-    maps = np.zeros((len(window_stack),) + model.grid.shape)
-    maps[(..., *model.influence_window())] = (window_stack - window_clim[None]) * grads
-    return spatial_importance(maps, stations).mean(axis=0), preds
+    rw, cw = model.influence_window()
+    inside = np.flatnonzero((stations.lat_idx >= rw.start) & (stations.lat_idx < rw.stop)
+                            & (stations.lon_idx >= cw.start) & (stations.lon_idx < cw.stop))
+    maps = (window_stack - window_clim[None]) * grads
+    scores = np.zeros((len(window_stack), stations.n_stations), order="F")
+    scores[:, inside] = np.abs(maps[..., stations.lat_idx[inside] - rw.start,
+                                    stations.lon_idx[inside] - cw.start]).sum(axis=-2)
+    return scores.mean(axis=0), preds
 
 
 def _shares(scores: np.ndarray) -> np.ndarray:

@@ -160,8 +160,9 @@ class DeskModel:
         """The normalized (B, V, h, w) window stack on a zero (2R+1)^2 canvas."""
         side = 2 * self.receptive_radius + 1
         canvas = np.zeros(window.shape[:2] + (side, side))
-        canvas[(..., *self._canvas_at)] = ((window - self.norm_mu[:, None, None])
-                                           / self.norm_sigma[:, None, None])
+        view = canvas[(..., *self._canvas_at)]  # normalized in place: no window temporaries
+        np.subtract(window, self.norm_mu[:, None, None], out=view)
+        np.divide(view, self.norm_sigma[:, None, None], out=view)
         return canvas
 
     def _forward_cached(self, canvas: np.ndarray):

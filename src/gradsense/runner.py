@@ -272,6 +272,12 @@ class RunState:
             mode=mode, patch=patch, magnitude=cfg.perturb_magnitude,
             seed=child_seed(cfg.seed, "perturb", cid, mode, patch))
             for mode in cfg.modes for patch in cfg.patches]
+        # the global rows, then each spec's stations in reach: built once, and one
+        # forward pass per timestamp; a station out of reach keeps its exact zero
+        reach = [ablation.stations_in_reach(model, self.stations, spec.patch) for spec in specs]
+        blocks = [ablation._variable_rows(model)] + [
+            ablation._patch_rows(model, self.stations, ids, spec)
+            for spec, ids in zip(specs, reach)]
         for t, (x, y_star) in enumerate(zip(self.fields, y_stars)):
             # every quadrature node of every path variant in one gradient batch;
             # GTI and VG use the alpha = 1 gradient of the first path, taken at
@@ -290,10 +296,10 @@ class RunState:
                 tables[f"gi/{key}"][t] = var_imp
                 if f"si_u/{key}" in tables:
                     tables[f"si_u/{key}"][t] = st_imp
-            tables["gu"][t] = ablation.global_ablation(model, x, y_star, self.clim)
-            for spec, u in zip(specs, ablation.spatial_utility_multi(
-                    model, x, t, y_star, self.stations, specs, self.clim, self.var_std)):
-                tables[f"su/{spec.mode}/{spec.patch}"][t] = u
+            gu, *su = ablation._utilities(model, x, t, y_star, blocks, self.clim, self.var_std)
+            tables["gu"][t] = gu
+            for spec, ids, u in zip(specs, reach, su):
+                tables[f"su/{spec.mode}/{spec.patch}"][t, ids] = u
         return tables
 
     # -- gaming runs ----------------------------------------------------------
@@ -640,26 +646,45 @@ def stage_pay(state: RunState) -> dict:
 
 
 def stage_subadditivity(state: RunState) -> dict:
+    """Joint against summed single utilities of each configuration's nearest station sets.
+
+    One forward pass per (configuration, timestamp) evaluates every (mode,
+    patch) case: a single row per station of the largest set, and one union
+    row per set.  Each set sums its stations' single utilities in id order.
+    """
     cfg = state.cfg
     rows = []
     depth = max(cfg.model_depths)
     cids = [c for c in state.config_ids() if c.startswith(f"d{depth}-")]
+    sizes = (2, 3, 5)
     for ci, cid in enumerate(cids):
         model, y_stars = state.models[cid]
-        order = np.argsort(state.distances(cid), kind="stable")
+        nearest = np.argsort(state.distances(cid), kind="stable")[:max(sizes)]
+        by_id = [np.argsort(nearest[:size]) for size in sizes]  # singles' positions, id order
         modes = ("mean_replace", "scale_bias") if ci == 0 else ("mean_replace",)
-        for size, mode, patch in product((2, 3, 5), modes, (1, 3)):
-            ids = [int(g) for g in order[:size]]
+        cases = list(product(modes, (1, 3)))
+        blocks = []
+        for mode, patch in cases:
             spec = ablation.PerturbationSpec(
                 mode=mode, patch=patch, magnitude=cfg.perturb_magnitude,
                 seed=child_seed(cfg.seed, "subadd", cid, mode, patch))
-            joint = [ablation.joint_ablation(model, x, t, y_star, state.stations, ids, spec,
-                                             state.clim, state.var_std)
-                     for t, (x, y_star) in enumerate(zip(state.fields, y_stars))]
-            ratios = [res.ratio for res in joint if res.ratio_defined]
+            blocks.append(ablation._patch_rows(model, state.stations, nearest, spec))
+            blocks += [ablation._union_rows(model, state.stations, nearest[:size], spec)
+                       for size in sizes]
+        joint = {}  # (size, mode, patch) -> each timestamp's JointAblationResult
+        for t, (x, y_star) in enumerate(zip(state.fields, y_stars)):
+            u = iter(ablation._utilities(model, x, t, y_star, blocks, state.clim, state.var_std))
+            for case in cases:
+                single = next(u)
+                for size, pos in zip(sizes, by_id):
+                    joint.setdefault((size, *case), []).append(
+                        ablation._joint_result(next(u)[0], single[pos]))
+        for size, mode, patch in product(sizes, modes, (1, 3)):
+            results = joint[(size, mode, patch)]
+            ratios = [res.ratio for res in results if res.ratio_defined]
             med = float(np.median(ratios)) if ratios else np.nan
-            rows.append((cid, mode, patch, size, ";".join(str(g) for g in ids), med,
-                         len(ratios), len(joint) - len(ratios)))
+            rows.append((cid, mode, patch, size, ";".join(str(g) for g in nearest[:size]), med,
+                         len(ratios), len(results) - len(ratios)))
     return {"results/subadditivity.csv": rows}
 
 

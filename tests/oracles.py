@@ -29,8 +29,8 @@ import math
 
 import numpy as np
 
-from gradsense.ablation import PerturbationSpec, _apply_mode, _patch
-from gradsense.attribution import _check_shapes
+from gradsense.ablation import PerturbationSpec, _apply_mode, patch_slices
+from gradsense.attribution import _check_shapes, spatial_importance
 from gradsense.gaming import _D7_L2, _D7_MAX_STEPS, _D7_TOL
 from gradsense.grid import GridSpec, StationGrid, TargetSpec, make_target
 from gradsense.incentive import (_LAMBDA_GRID, MIN_STATIONS, STRATEGIES, CalibrationReport,
@@ -178,9 +178,10 @@ def perturb_patch(x: np.ndarray, t: int, stations: StationGrid, station_id: int,
                   spec: PerturbationSpec, clim: np.ndarray,
                   var_std: np.ndarray | None = None) -> np.ndarray:
     """Perturbed copy of field x at timestamp t on the patch centred at one station's cell."""
-    region, mode, magnitude, entropy = _patch(stations, station_id, spec, t)
+    region = (slice(None), *patch_slices(stations.grid, *stations.cell(station_id), spec.patch))
     vals = x.copy()
-    _apply_mode(vals, region, mode, magnitude, clim, var_std, entropy)
+    _apply_mode(vals, region, spec.mode, spec.magnitude, clim, var_std,
+                (spec.seed, int(station_id), int(t)))
     return vals
 
 
@@ -308,3 +309,48 @@ def detector_d7_supervised(config_data: dict) -> tuple[dict[str, list[float]],
         results[held_out] = [pr_auc(np.hstack([np.ones((f.shape[0], 1)), (f - mu) / sd]) @ w, y)
                              for f, y in config_data[held_out]]
     return results, weights
+
+
+def period_scores_full_grid(model, window_stack: np.ndarray, window_clim: np.ndarray,
+                            stations: StationGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Period-mean GTI station scores and predictions, gathered from zero full-grid maps.
+
+    The gaming module's `_period_scores` gathers in window space; its scores
+    must equal these bit for bit, time-mean summation order included.
+    """
+    preds, grads = model.value_and_gradient_window(window_stack)
+    maps = np.zeros((len(window_stack),) + model.grid.shape)
+    maps[(..., *model.influence_window())] = (window_stack - window_clim[None]) * grads
+    return spatial_importance(maps, stations).mean(axis=0), preds
+
+
+def subadditivity_rows(state) -> list[tuple]:
+    """The rows of `runner.stage_subadditivity` from one `joint_ablation` call per case.
+
+    Per configuration of the deepest model, per (set size, mode, patch) and
+    per timestamp, each call evaluates its own base, union and single rows.
+    """
+    from itertools import product
+
+    from gradsense.ablation import joint_ablation
+    from gradsense.runner import child_seed
+
+    cfg, rows = state.cfg, []
+    depth = max(cfg.model_depths)
+    cids = [c for c in state.config_ids() if c.startswith(f"d{depth}-")]
+    for ci, cid in enumerate(cids):
+        model, y_stars = state.models[cid]
+        order = np.argsort(state.distances(cid), kind="stable")
+        modes = ("mean_replace", "scale_bias") if ci == 0 else ("mean_replace",)
+        for size, mode, patch in product((2, 3, 5), modes, (1, 3)):
+            ids = [int(g) for g in order[:size]]
+            spec = PerturbationSpec(mode=mode, patch=patch, magnitude=cfg.perturb_magnitude,
+                                    seed=child_seed(cfg.seed, "subadd", cid, mode, patch))
+            joint = [joint_ablation(model, x, t, y_star, state.stations, ids, spec,
+                                    state.clim, state.var_std)
+                     for t, (x, y_star) in enumerate(zip(state.fields, y_stars))]
+            ratios = [res.ratio for res in joint if res.ratio_defined]
+            med = float(np.median(ratios)) if ratios else np.nan
+            rows.append((cid, mode, patch, size, ";".join(str(g) for g in ids), med,
+                         len(ratios), len(joint) - len(ratios)))
+    return rows

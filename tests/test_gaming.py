@@ -8,7 +8,8 @@ import pytest
 import oracles
 from gradsense import ablation, config, gaming, runner
 from gradsense import attribution as attr
-from gradsense.model import DeskModel
+from gradsense.grid import make_target
+from gradsense.model import DeskModel, make_desk_model
 from gradsense.metrics import pr_auc, topk_indices
 
 
@@ -44,6 +45,11 @@ def oracle_attack(values, sc, clim, stations):
         else:
             vals[sv, i, j] = clim[sv, i, j]
     return vals
+
+
+def gaming_corner_model(grid):
+    """A depth-3 model whose target sits in the grid's south-west corner cell."""
+    return make_desk_model(8, grid, make_target(grid, "corner", 35.5, -9.5, "t2m"))
 
 
 def oracle_scenarios(stations, target):
@@ -210,6 +216,24 @@ class TestExperiment:
                               - float(np.abs(base_preds - y_star).mean()))
                 assert run.mae_change[i] == mae_change, sc
             assert 0 < n_reached < len(scs)
+
+    def test_period_scores_match_full_grid_gather_bit_for_bit(self, desk_model, desk_model_d1,
+                                                              desk_grid, desk_data,
+                                                              desk_stations):
+        # the window-space gather against the full-grid one, at period lengths whose time
+        # mean sums pairwise in blocks, and for a corner target whose window is clipped
+        fields, clim = desk_data
+        corner = gaming_corner_model(desk_grid)
+        for model in (desk_model, desk_model_d1, corner):
+            window = (..., *model.influence_window())
+            for n in (1, 9, 24):
+                got = gaming._period_scores(model, fields[:n][window], clim[window],
+                                            desk_stations)
+                want = oracles.period_scores_full_grid(model, fields[:n][window],
+                                                       clim[window], desk_stations)
+                assert np.array_equal(got[0], want[0]), (model.to_config(), n)
+                assert np.array_equal(got[1], want[1]), (model.to_config(), n)
+                assert (got[0] == 0.0).any() and (got[0] > 0.0).any()
 
     def test_period_scores_match_full_grid_composition(self, desk_model, desk_model_d1,
                                                        desk_data, desk_stations, desk_target,

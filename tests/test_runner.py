@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 import yaml
 
+import oracles
 from gradsense import cli, config, fieldio, gaming, metrics, runner
 from gradsense.model import DeskModel, TruthGenerator
 
@@ -128,6 +129,30 @@ def test_child_seed_stable_and_distinct():
     assert runner.child_seed(7, "model", "a") == runner.child_seed(7, "model", "a")
     assert runner.child_seed(7, "model", "a") != runner.child_seed(7, "model", "b")
     assert runner.child_seed(7, "model", "a") != runner.child_seed(8, "model", "a")
+
+
+def test_subadditivity_matches_per_case_joint_ablation_loop(tmp_path, monkeypatch):
+    # a second target in the grid's corner clips its window and covers the configs after
+    # the first; the stage makes one forward pass per (configuration, timestamp)
+    base = tiny_config(tmp_path / "sub")
+    state = runner.RunState(replace(
+        base, targets=base.targets + (config.TargetConfig("corner", 35.5, -9.5),)))
+    state.ensure_models()
+    expected = oracles.subadditivity_rows(state)
+    rows, forward = [], DeskModel.forward_window
+
+    def counted(self, window):
+        rows.append(len(window))
+        return forward(self, window)
+
+    monkeypatch.setattr(DeskModel, "forward_window", counted)
+    got = runner.stage_subadditivity(state)["results/subadditivity.csv"]
+    assert len(rows) == 2 * state.cfg.n_timestamps
+    assert sum(rows) == state.cfg.n_timestamps * (1 + 4 * (5 + 3) + 1 + 2 * (5 + 3))
+    assert len(got) == len(expected) == 3 * 4 + 3 * 2
+    for a, b in zip(got, expected):
+        assert a[:5] == b[:5] and a[6:] == b[6:]
+        assert a[5] == b[5] or (math.isnan(a[5]) and math.isnan(b[5])), (a, b)
 
 
 @pytest.fixture(scope="module")
