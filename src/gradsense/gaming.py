@@ -158,8 +158,7 @@ def _period_scores(model, window_stack: np.ndarray, window_clim: np.ndarray, sta
     """
     preds, grads = model.value_and_gradient_window(window_stack)
     rw, cw = model.influence_window()
-    inside = np.flatnonzero((stations.lat_idx >= rw.start) & (stations.lat_idx < rw.stop)
-                            & (stations.lon_idx >= cw.start) & (stations.lon_idx < cw.stop))
+    inside = stations_in_reach(model, stations, 1)  # the stations whose cell is in the window
     maps = (window_stack - window_clim[None]) * grads
     scores = np.zeros((len(window_stack), stations.n_stations), order="F")
     scores[:, inside] = np.abs(maps[..., stations.lat_idx[inside] - rw.start,

@@ -26,17 +26,25 @@ forward_values/gradient_values do the same for one (V, n_lat, n_lon) field.
 Each entry point checks its input's shape.  Models are immutable and
 reentrant: forward and gradient are pure functions of (weights, input).
 
+Each stencil layer is a row-folded GEMM (_valid_conv).  Per sample, S
+column-shifted slabs of the layer's input copy each cell S times, where an
+im2col copy would make S*S.  One GEMM by the layer's (S*Co, Ci*S) operand,
+laid out once per model, gives the partial sums of every stencil row, and the
+S row-shifted slices of that product are added in a fixed order.
+`_IM2COL_BUDGET` bounds the slabs and products held at once; the output
+array comes on top.
+
 The model is batch-invariant: row i of a batched call equals the call on that
 row alone bit for bit, at any batch size.  Every reduction runs in an order
-fixed by the per-sample shape alone (see _valid_conv and the readout in
-DeskModel._forward_cached), so batching a call differently cannot move a
+fixed by the per-sample shape alone: one GEMM of a fixed shape per sample and
+elementwise row adds in _valid_conv, and the readout in
+DeskModel._forward_cached.  So batching a call differently cannot move a
 result.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import GridSpec, TargetSpec
 from . import synth
@@ -49,7 +57,18 @@ _ACTIVATION_TARGET_STD = 0.7
 _PROBE_COUNT = 8
 
 
-_IM2COL_BUDGET = 1 << 17  # float64 elements (1 MiB) of the im2col copy per GEMM block
+_IM2COL_BUDGET = 1 << 17  # float64 elements (1 MiB) of row slabs and GEMM products per block
+
+
+def _gemm_ready(w: np.ndarray) -> np.ndarray:
+    """A read-only copy of the stencil w (Co, Ci, S, S) laid out as `_valid_conv`'s GEMM operand.
+
+    The copy is (Co, Ci, S, S) over (S, Co, Ci, S) memory, so `_valid_conv`
+    reshapes it to its (S*Co, Ci*S) operand without copying.
+    """
+    rows = np.ascontiguousarray(w.transpose(2, 0, 1, 3))
+    rows.flags.writeable = False
+    return rows.transpose(1, 2, 0, 3)
 
 
 def _valid_conv(w: np.ndarray, hp: np.ndarray) -> np.ndarray:
@@ -57,24 +76,42 @@ def _valid_conv(w: np.ndarray, hp: np.ndarray) -> np.ndarray:
 
     Output is (B, Co, H, W): only the cells whose whole stencil lies in hp.
 
-    Batch-invariant: each sample is one GEMM of (Co, Ci*S*S) by its own
-    (Ci*S*S, H*W) column block, so the GEMM shape, and with it the BLAS
-    accumulation order, does not depend on B.  Row i of the result equals the
-    result for sample i alone bit for bit.  A single GEMM over the whole batch
-    (B*H*W columns) would not: OpenBLAS accumulates differently for different
-    column counts.  The im2col copy is made for as many samples at a time as
-    fit in `_IM2COL_BUDGET` elements, and at least one.
+    Row-folded GEMM: each sample's S column-shifted slabs
+    x2[c, dx] = hp[c, :, dx:dx+W] form a (Ci*S, (H+S-1)*W) block, a copy of
+    S cells per input cell where im2col would copy S*S.  One GEMM of the
+    (S*Co, Ci*S) operand, row dy*Co + o and column c*S + dx holding
+    w[o, c, dy, dx], by that block gives each stencil row dy's partial sums
+    on every padded row; the output adds the S row-shifted slices of that
+    product in the fixed order dy = 0..S-1.  `_gemm_ready(w)` lays w out so
+    the operand is a view; any other w is copied.
+
+    Batch-invariant: each sample is one GEMM of a shape that does not depend
+    on B, so the BLAS accumulation order does not either, and the row adds
+    are elementwise in a fixed order.  Row i of the result equals the result
+    for sample i alone bit for bit.  A single GEMM over the whole batch would
+    not: OpenBLAS accumulates differently for different column counts.  The
+    slabs and the GEMM product are made for as many samples at a time as fit
+    together in `_IM2COL_BUDGET` elements, and at least one.
     """
-    co, _, s, _ = w.shape
-    b, _, hh, ww = hp.shape
-    hh, ww = hh - s + 1, ww - s + 1
-    win = sliding_window_view(hp, (s, s), axis=(2, 3))  # (B, Ci, H, W, S, S)
-    out = np.empty((b, co, hh * ww))
-    step = max(1, _IM2COL_BUDGET // (w[0].size * hh * ww))
+    co, ci, s, _ = w.shape
+    b, _, hp_h, hp_w = hp.shape
+    hh, ww = hp_h - s + 1, hp_w - s + 1
+    rows = w.transpose(2, 0, 1, 3).reshape(s * co, ci * s)
+    out = np.empty((b, co, hh, ww))
+    step = max(1, min(b, _IM2COL_BUDGET // ((ci + co) * s * hp_h * ww)))
+    slabs = np.empty((step, ci, s, hp_h, ww))
+    prod = np.empty((step, s, co, hp_h, ww))
     for i in range(0, b, step):
-        cols = win[i:i + step].transpose(0, 1, 4, 5, 2, 3).reshape(-1, w[0].size, hh * ww)
-        np.matmul(w.reshape(co, -1), cols, out=out[i:i + step])
-    return out.reshape(b, co, hh, ww)
+        n = min(step, b - i)
+        for dx in range(s):
+            slabs[:n, :, dx] = hp[i:i + n, :, :, dx:dx + ww]
+        np.matmul(rows, slabs[:n].reshape(n, ci * s, hp_h * ww),
+                  out=prod[:n].reshape(n, s * co, hp_h * ww))
+        acc = out[i:i + n]
+        np.copyto(acc, prod[:n, 0, :, :hh])
+        for dy in range(1, s):
+            np.add(acc, prod[:n, dy, :, dy:dy + hh], out=acc)
+    return out
 
 
 def _conv(w: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -101,7 +138,7 @@ class DeskModel:
     """
 
     def __init__(self, grid: GridSpec, target: TargetSpec, seed: int, depth: int = 3,
-                 channels: int = 4, stencil_radius: int = 2, _weights=None):
+                 channels: int = 4, stencil_radius: int = 2, _weights=None, _stencils=None):
         if not MIN_DEPTH <= depth <= MAX_DEPTH:
             raise ValueError(f"depth must be in [{MIN_DEPTH}, {MAX_DEPTH}], got {depth}")
         if stencil_radius < 1:
@@ -118,6 +155,11 @@ class DeskModel:
         (self.norm_mu, self.norm_sigma, self.layers, self.readout) = _weights
         for arr in (self.norm_mu, self.norm_sigma, self.readout, *self.layers):
             arr.flags.writeable = False
+        # each layer's forward stencil and its backward one (channels transposed,
+        # stencil flipped), laid out once as read-only GEMM operands
+        self._stencils = _stencils or (
+            tuple(_gemm_ready(w) for w in self.layers),
+            tuple(_gemm_ready(w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]) for w in self.layers))
         self._set_cone()
 
     def _set_cone(self):
@@ -168,7 +210,7 @@ class DeskModel:
     def _forward_cached(self, canvas: np.ndarray):
         h = canvas
         cache = []
-        for w, off in zip(self.layers, self._off_grid):
+        for w, off in zip(self._stencils[0], self._off_grid):
             h = np.tanh(_valid_conv(w, h))
             # the grid edge's zero padding; assigned, as -tanh(z) * 0 would give -0.0
             h[:, :, off] = 0.0
@@ -198,8 +240,7 @@ class DeskModel:
             gz[:, :, self._off_grid[li]] = 0.0  # the forward pass held these cells at 0
             # input gradient of the valid convolution: a full one with the
             # channels transposed and the stencil flipped
-            wt = self.layers[li].transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
-            g = _valid_conv(np.ascontiguousarray(wt), padded)
+            g = _valid_conv(self._stencils[1][li], padded)
         return preds, g[(..., *self._canvas_at)] / self.norm_sigma[:, None, None]
 
     # -- full-grid wrappers ----------------------------------------------------
@@ -257,9 +298,13 @@ class DeskModel:
                              jitter(self.readout))
 
     def _derived(self, mu, sigma, layers, readout) -> "DeskModel":
-        """This model's grid, target and shape with other weights; read-only arrays are shared."""
+        """This model's grid, target and shape with other weights; read-only arrays are shared.
+
+        Given this model's own `layers`, the new model shares its stencil operands too.
+        """
         return DeskModel(self.grid, self.target, self.seed, self.depth, self.channels,
-                         self.stencil_radius, _weights=(mu, sigma, tuple(layers), readout))
+                         self.stencil_radius, _weights=(mu, sigma, tuple(layers), readout),
+                         _stencils=self._stencils if layers is self.layers else None)
 
 
 def _calibrate_desk_weights(grid, target, seed, depth, channels, stencil_radius):

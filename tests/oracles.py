@@ -2,6 +2,8 @@
 
 None of this runs in a stage, the CLI or the README sketch:
 
+  * valid_conv_im2col -- the stencil correlation as one im2col GEMM per
+    sample, the reference for the model's row-folded `_valid_conv`;
   * LinearModel -- F(x) = sum_i w_i x_i with distance-decaying weights centred
     on the target cell, the analytically solvable reference model;
   * model_from_config -- rebuilds a model from its `to_config()` dict;
@@ -11,6 +13,10 @@ None of this runs in a stage, the CLI or the README sketch:
     over its window gradients, node by node, then a scatter onto the grid;
   * perturb_patch -- one station's perturbed field, the per-station oracle of
     the batched ablation;
+  * subadditivity_rows -- the subadditivity stage as one `joint_ablation`
+    call per case and timestamp;
+  * period_scores_full_grid -- gaming's period scores gathered from zero
+    full-grid maps;
   * select, decile_calibration and shrinkage_fit -- one strategy and budget,
     one proxy, and one objective per call, each fold in a loop: the per-call
     bodies of the incentive module's case-at-a-time `select_case`,
@@ -28,6 +34,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from gradsense.ablation import PerturbationSpec, _apply_mode, patch_slices
 from gradsense.attribution import _check_shapes, spatial_importance
@@ -38,6 +45,20 @@ from gradsense.incentive import (_LAMBDA_GRID, MIN_STATIONS, STRATEGIES, Calibra
                                  captured_utility, distance_scores, overpayment, payment)
 from gradsense.metrics import gini, pr_auc, spearman_rho, topk_indices
 from gradsense.model import DeskModel
+
+
+def valid_conv_im2col(w: np.ndarray, hp: np.ndarray) -> np.ndarray:
+    """Valid stencil correlation of w (Co, Ci, S, S) over hp (B, Ci, H+S-1, W+S-1) by im2col.
+
+    Each sample's S*S shifted copies of its input form a (Ci*S*S, H*W) column
+    block, and one GEMM by w as a (Co, Ci*S*S) matrix gives its (Co, H, W) output.
+    """
+    co, _, s, _ = w.shape
+    b, _, hh, ww = hp.shape
+    hh, ww = hh - s + 1, ww - s + 1
+    win = sliding_window_view(hp, (s, s), axis=(2, 3))  # (B, Ci, H, W, S, S)
+    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(b, w[0].size, hh * ww)
+    return np.matmul(w.reshape(co, -1), cols).reshape(b, co, hh, ww)
 
 
 class LinearModel:

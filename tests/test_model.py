@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from gradsense import model as model_module
 from gradsense.model import (_NOISE_STREAM, _TRUTH_STREAM, MAX_DEPTH, _conv, _valid_conv,
                              make_desk_model, make_truth)
 from gradsense import ablation
-from oracles import model_from_config
+from oracles import model_from_config, valid_conv_im2col
 
 
 def naive_stencil_forward(model, values):
@@ -247,6 +249,34 @@ class TestDeskModel:
         for one_sample, one_block in zip(*got):
             assert np.array_equal(one_sample, one_block)
 
+    @pytest.mark.parametrize("out_hw", [(1, 1), (5, 5), (9, 9), (13, 13), (36, 50)])
+    def test_valid_conv_matches_im2col_oracle(self, out_hw, rng):
+        # the row-folded GEMM sums in another order than one im2col GEMM: equal to
+        # rounding, and equal bit for bit whether w is laid out by _gemm_ready or not
+        hh, ww = out_hw
+        for co, ci, b in ((4, 6, 3), (6, 4, 19), (4, 4, 1)):
+            w = rng.standard_normal((co, ci, 5, 5))
+            hp = rng.standard_normal((b, ci, hh + 4, ww + 4))
+            got, want = _valid_conv(w, hp), valid_conv_im2col(w, hp)
+            assert got.shape == want.shape == (b, co, hh, ww)
+            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want).max())
+            assert np.array_equal(_valid_conv(model_module._gemm_ready(w), hp), got)
+
+    def test_valid_conv_holds_its_budget(self, rng):
+        # one call at the d3 IG backward shape of the first layer, 75 nodes, with the
+        # stencil laid out as the model keeps it: the slabs and GEMM products stay within
+        # the budget, with the output on top
+        w = model_module._gemm_ready(rng.standard_normal((6, 4, 5, 5)))
+        hp = rng.standard_normal((75, 4, 17, 17))
+        tracemalloc.start()
+        try:
+            out = _valid_conv(w, hp)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (75, 6, 13, 13)
+        assert peak <= model_module._IM2COL_BUDGET * 8 + out.nbytes
+
     def test_nonlinearity_detectable_at_depth_2(self, tiny_setup):
         grid, target, fields, _ = tiny_setup
         for depth in (2, 3):
@@ -274,6 +304,21 @@ class TestDeskModel:
         g0 = desk_model.gradient_values(x)
         g1 = scaled.gradient_values(xs)
         assert np.allclose(g1[2] * 1000.0, g0[2], rtol=1e-9, atol=1e-18)
+
+    def test_stencil_operands_are_laid_out_once_and_shared(self, desk_model):
+        # each layer's forward and backward GEMM operand is a read-only view the
+        # convolution reshapes without a copy; a rescaled model keeps the layers and
+        # shares them, a jittered one has its own
+        forward, backward = desk_model._stencils
+        for w, fw, bw in zip(desk_model.layers, forward, backward):
+            assert np.array_equal(fw, w)
+            assert np.array_equal(bw, w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
+            for op in (fw, bw):
+                assert not op.flags.writeable
+                assert op.transpose(2, 0, 1, 3).flags.c_contiguous
+        assert desk_model.with_rescaled_variable(1, 10.0)._stencils is desk_model._stencils
+        jittered = desk_model.jittered(lambda w: w * 1.05)
+        assert np.array_equal(jittered._stencils[0][0], desk_model.layers[0] * 1.05)
 
     def test_derived_models_share_read_only_weights(self, desk_model, desk_data):
         def weights(m):
