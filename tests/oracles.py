@@ -2,6 +2,9 @@
 
 None of this runs in a stage, the CLI or the README sketch:
 
+  * synth_fields_loop -- the synthetic data drawn one field at a time, one
+    `standard_normal` call and one transform per draw, the climatology a
+    `sum` over its draws: the reference for synth's chunked draws;
   * valid_conv_im2col -- the stencil correlation as one im2col GEMM per
     sample, the reference for the model's row-folded `_valid_conv`;
   * LinearModel -- F(x) = sum_i w_i x_i with distance-decaying weights centred
@@ -45,6 +48,35 @@ from gradsense.incentive import (_LAMBDA_GRID, MIN_STATIONS, STRATEGIES, Calibra
                                  captured_utility, distance_scores, overpayment, payment)
 from gradsense.metrics import gini, pr_auc, spearman_rho, topk_indices
 from gradsense.model import DeskModel
+from gradsense.synth import _CLIM_STREAM, _FIELD_STREAM, _SLOPE, variable_offset_scale
+
+
+def _draws_loop(rng: np.random.Generator, grid: GridSpec, n: int):
+    """`n` raw (V, n_lat, n_lon) draws, one after the other."""
+    ky = np.fft.fftfreq(grid.n_lat)[:, None]
+    kx = np.fft.rfftfreq(grid.n_lon)[None, :]
+    k = np.sqrt(ky * ky + kx * kx)
+    with np.errstate(divide="ignore"):
+        amp = np.where(k > 0.0, k ** _SLOPE, 0.0)
+    offs, scls = (a[:, None, None] for a in variable_offset_scale(grid))
+    for _ in range(n):
+        z = rng.standard_normal((grid.n_variables, 2) + amp.shape)  # per layer: real, imag
+        f = np.fft.irfft2((z[:, 0] + 1j * z[:, 1]) * amp, s=(grid.n_lat, grid.n_lon))
+        f -= f.mean(axis=(1, 2), keepdims=True)
+        sd = f.std(axis=(1, 2), keepdims=True)
+        np.divide(f, sd, out=f, where=sd > 0)
+        yield offs + scls * f
+
+
+def synth_fields_loop(seed: int, grid: GridSpec, n_timestamps: int,
+                      n_clim_draws: int) -> tuple[np.ndarray, np.ndarray]:
+    """`synth.synth_fields` one draw at a time: the (T, V, n_lat, n_lon) stack and climatology."""
+    def rng(stream):
+        return np.random.default_rng(np.random.SeedSequence((int(seed), stream)))
+
+    fields = np.stack(list(_draws_loop(rng(_FIELD_STREAM), grid, n_timestamps)))
+    clim = sum(_draws_loop(rng(_CLIM_STREAM), grid, n_clim_draws), np.zeros(grid.shape))
+    return fields, clim / n_clim_draws
 
 
 def valid_conv_im2col(w: np.ndarray, hp: np.ndarray) -> np.ndarray:
