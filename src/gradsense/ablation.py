@@ -6,9 +6,11 @@ around station cells perturbed (spatial).  Every utility is one region
 perturbation evaluated by `_utilities`, which shares one batch of
 influence-window rows and one forward pass with the unperturbed base.  The
 perturbations come in `_Rows` blocks of one mode and magnitude, each row a
-window mask; a block's rows are filled by mask from one perturbed window, so
-a caller can build its blocks once per model and evaluate them at every
-timestamp.  Fields and the climatology are (V, n_lat, n_lon) arrays.  Patch noise is
+window mask, so a caller can build its blocks once per model and evaluate
+them at every timestamp.  `_fill` is the one perturbation operator: it fills
+rows by a block's mask from one perturbed window, the mask broadcasting over
+the rows it fills, so gaming's one-row attack mask fills a whole window stack.
+Fields and the climatology are (V, n_lat, n_lon) arrays.  Patch noise is
 keyed by the field's timestamp `t`, which the spatial and joint utilities take
 explicitly.  Utilities are signed arrays; patches clip at the grid boundary,
 so edge stations perturb fewer cells.
@@ -51,38 +53,17 @@ def patch_slices(grid, lat_idx: int, lon_idx: int, patch: int) -> tuple[slice, s
             slice(max(0, lon_idx - half), min(grid.n_lon, lon_idx + half + 1)))
 
 
-def _apply_mode(vals: np.ndarray, region, mode: str, magnitude: float, clim: np.ndarray,
-                var_std: np.ndarray | None = None, entropy=None) -> None:
-    """Perturb `vals` in place on `region`, an index of its trailing (variable, lat, lon) axes.
-
-    The region indexes `clim` too.  Scaling and noise at zero magnitude are the identity.
-    Noise is drawn from a generator seeded by the SeedSequence `entropy`.
-    """
-    if magnitude == 0.0 and mode != "mean_replace":
-        return
-    if mode == "mean_replace":
-        vals[region] = clim[region]
-    elif mode == "scale_bias":
-        vals[region] = clim[region] + (1.0 + magnitude) * (vals[region] - clim[region])
-    else:
-        if var_std is None:
-            raise ValueError("additive_noise needs per-variable std from the evaluation fields")
-        rng = np.random.default_rng(np.random.SeedSequence(entropy))
-        block = vals[region]  # the variable axis leads the block
-        scale = (magnitude * var_std).reshape((-1,) + (1,) * (block.ndim - 1))
-        vals[region] = block + rng.standard_normal(block.shape) * scale
-
-
 @dataclass(frozen=True)
 class _Rows:
     """Perturbations of one mode and magnitude, one batch row each.
 
     `mask` (P, V or 1, h, w) marks the influence-window cells each row
-    perturbs.  An additive_noise row draws its block over its whole region,
-    clipped at the grid edge but not at the window, so its stream does not
-    depend on the model: `noise` holds per row the region's cell count, the
-    positions of its in-window cells in the region's row-major order, and its
-    generator's entropy less the timestamp.
+    perturbs, and broadcasts over the rows `_fill` fills.  An additive_noise
+    row draws its block over its whole region, clipped at the grid edge but
+    not at the window, so its stream does not depend on the model: `noise`
+    holds per row the region's cell count, the positions of its in-window
+    cells in the region's row-major order, and its generator's entropy less
+    the timestamp.
     """
     mode: str
     magnitude: float
@@ -130,10 +111,13 @@ def _union_rows(model, stations: StationGrid, ids, spec: PerturbationSpec) -> _R
 
 def _fill(rows: np.ndarray, block: _Rows, xw: np.ndarray, climw: np.ndarray, t: int,
           var_std: np.ndarray | None) -> None:
-    """Write `block`'s perturbed window rows of the window field xw at timestamp t into `rows`.
+    """Write `block`'s perturbed window rows of xw at timestamp t into `rows`.
 
-    A mean_replace or scale_bias row takes its masked cells from one perturbed
-    window, the same elementwise operations `_apply_mode` makes on the field.
+    `xw` and the block's mask broadcast over `rows`: P mask rows over one
+    window field, or one mask row over a (T, V, h, w) window stack xw when the
+    block draws no noise.  A mean_replace or scale_bias row takes its masked
+    cells from xw perturbed elementwise as a whole; an additive_noise row needs
+    one window field.
     """
     rows[:] = xw
     mode, magnitude = block.mode, block.magnitude

@@ -145,9 +145,12 @@ class ExperimentConfig:
                 make_target(grid, t.name, t.lat, t.lon, self.variables[0])
             except ValueError as exc:
                 raise ValueError(f"targets entry {t.name!r}: {exc}") from None
-        for combo in self.gaming.combos + (self.gaming.extended_combo,):
+        for combo in self.gaming.combos:
             if combo[0] not in names or combo[1] not in self.target_variables:
                 raise ValueError(f"gaming combo {combo} not in the target matrix")
+        if self.gaming.extended_combo not in self.gaming.combos:  # else no scenario uses it
+            raise ValueError(f"gaming.extended_combo must be one of gaming.combos, "
+                             f"got {list(self.gaming.extended_combo)}")
         if unknown := set(self.gaming.extended_placements) - set(gaming.PLACEMENTS):
             raise ValueError(f"gaming.extended_placements {sorted(unknown)} not in "
                              f"{gaming.PLACEMENTS}")

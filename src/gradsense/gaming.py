@@ -3,7 +3,9 @@
 Two attack kinds, each an `ablation` perturbation mode: anomaly inflation is
 `scale_bias` at magnitude pct/100, scaling a station's deviation from
 climatology by (1 + pct/100); climatological-mean spoofing is `mean_replace`.
-Attacks touch only the attacker cells and the scoped variables.  Detector
+An attack is one ablation mask row, the attacker cells in the model's
+influence window on the scoped variables, which `ablation._fill` fills over
+the period's window stack; it touches nothing else.  Detector
 formulas (log score ratio, rank jump, spatial residual, supervised logistic
 regression, robust z-score) are compact reconstructions of the named detector
 families.
@@ -13,11 +15,11 @@ row per scenario), whose fields are also that config's gaming-store arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ablation import _apply_mode, stations_in_reach
+from .ablation import PerturbationSpec, _fill, _Rows, _union_rows, stations_in_reach
 from .grid import StationGrid, TargetSpec
 from .metrics import pr_auc, topk_indices
 
@@ -111,25 +113,20 @@ def sample_attackers(stations: StationGrid, target: TargetSpec, n: int,
     return fill(picks)
 
 
-def _attack_in_place(vals: np.ndarray, scenario: AttackScenario, clim: np.ndarray,
-                     stations: StationGrid, window: tuple[slice, slice]) -> None:
-    """Attack a (..., V, h, w) array of the grid's `window` rows/cols in place.
+def _attack_rows(model, stations: StationGrid, scenario: AttackScenario) -> _Rows:
+    """The attack as one ablation row: a (1, V, h, w) mask over the model's window.
 
-    `clim` covers the same cells.  Every attacker cell inside the window is
-    attacked at once; only the attacker cells and the scoped variables change.
+    The mask is the attackers' patch-1 union, clipped to the window, on the
+    scoped variables only; `_fill` broadcasts it over a period's window stack.
     """
+    scoped = np.zeros(stations.grid.n_variables, dtype=bool)
     sv = np.asarray(scenario.scope_variables, dtype=np.intp)
-    if np.any((sv < 0) | (sv >= vals.shape[-3])):
+    if np.any((sv < 0) | (sv >= scoped.size)):
         raise ValueError("scope variable outside grid")
-    ids = np.asarray(scenario.attackers)
-    if np.any((ids < 0) | (ids >= stations.n_stations)):  # indexing would wrap a negative id
-        raise IndexError(f"invalid station id in {scenario.attackers}")
-    (r0, r1, _), (c0, c1, _) = (s.indices(n) for s, n in
-                                zip(window, (stations.grid.n_lat, stations.grid.n_lon)))
-    li, lj = stations.lat_idx[ids], stations.lon_idx[ids]
-    inside = (li >= r0) & (li < r1) & (lj >= c0) & (lj < c1)
-    region = (Ellipsis, sv[:, None], li[inside] - r0, lj[inside] - c0)
-    _apply_mode(vals, region, _MODES[scenario.kind], scenario.magnitude_pct / 100.0, clim)
+    scoped[sv] = True
+    spec = PerturbationSpec(_MODES[scenario.kind], 1, scenario.magnitude_pct / 100.0)
+    union = _union_rows(model, stations, scenario.attackers, spec)
+    return replace(union, mask=union.mask & scoped[:, None, None])
 
 
 @dataclass(frozen=True)
@@ -141,7 +138,8 @@ class GamingRun:
     mae_clean: np.ndarray  # (S,) forecast MAE without the attack
     mae_change: np.ndarray  # (S,) attack-period MAE minus mae_clean
     honest_share_change_pp: np.ndarray  # (S,) mean |share change| of honest stations
-    # (S,) 1 where an attacker in the model's window is spoofed or inflated above 0 %
+    # (S,) 1 where the attack's mask has a cell in the model's window and it is a
+    # spoof or an inflation above 0 %
     attack_reached_model: np.ndarray
 
 
@@ -181,10 +179,10 @@ def run_gaming_experiment(model, y_star: np.ndarray, fields: np.ndarray, clim: n
     Scores are GTI against the climatology baseline; no other method or
     baseline is offered.  The baseline period is the same timestamps without
     the attack, scored once by the same `_period_scores` call as each attack
-    period, so both take the gradient at the fields themselves.  Scenarios
-    whose attackers all lie outside the model's influence window cannot move
-    the prediction or any in-window attribution, so their attack-period
-    scores equal the baseline exactly.
+    period, so both take the gradient at the fields themselves.  A scenario
+    whose mask has no cell in the model's influence window cannot move the
+    prediction or any in-window attribution, so its attack-period scores
+    equal the baseline exactly.
     """
     window = model.influence_window()
     stack, window_clim = fields[(..., *window)], clim[(..., *window)]
@@ -195,13 +193,12 @@ def run_gaming_experiment(model, y_star: np.ndarray, fields: np.ndarray, clim: n
     attack = np.tile(base_uns, (n_sc, 1))  # an attack that misses the model scores as clean
     ratio, honest_pp, reached, mae_change = np.zeros((4, n_sc))
     base_shares = _shares(base_uns)
-    in_reach = stations_in_reach(model, stations, 1)
     for i, sc in enumerate(scenarios):
-        effective = (sc.kind == "spoof" or sc.magnitude_pct > 0)
-        reached[i] = bool(np.isin(sc.attackers, in_reach).any()) and effective
+        block = _attack_rows(model, stations, sc)
+        reached[i] = block.mask.any() and (sc.kind == "spoof" or sc.magnitude_pct > 0)
         if reached[i]:
-            attacked = stack.copy()
-            _attack_in_place(attacked, sc, window_clim, stations, window)
+            attacked = np.empty(stack.shape)
+            _fill(attacked, block, stack, window_clim, 0, None)  # no attack draws noise
             attack[i], atk_preds = _period_scores(model, attacked, window_clim, stations)
             mae_change[i] = float(np.abs(atk_preds - y_star).mean()) - mae_clean
         atk_uns = attack[i]

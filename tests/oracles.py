@@ -14,6 +14,8 @@ None of this runs in a stage, the CLI or the README sketch:
     single-field calls, the maps the runner computes inline from a batch;
   * integrated_gradients_loop -- one IG path as an explicit trapezoid loop
     over its window gradients, node by node, then a scatter onto the grid;
+  * apply_mode -- one perturbation of an index region of a field, the
+    field-level reference of the ablation's and the attacks' masked fill;
   * perturb_patch -- one station's perturbed field, the per-station oracle of
     the batched ablation;
   * subadditivity_rows -- the subadditivity stage as one `joint_ablation`
@@ -39,7 +41,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from gradsense.ablation import PerturbationSpec, _apply_mode, patch_slices
+from gradsense.ablation import PerturbationSpec, patch_slices
 from gradsense.attribution import _check_shapes, spatial_importance
 from gradsense.gaming import _D7_L2, _D7_MAX_STEPS, _D7_TOL
 from gradsense.grid import GridSpec, StationGrid, TargetSpec, make_target
@@ -227,14 +229,36 @@ def integrated_gradients_loop(model, x: np.ndarray, baseline: np.ndarray,
     return (x - baseline) * avg, grad_end
 
 
+def apply_mode(vals: np.ndarray, region, mode: str, magnitude: float, clim: np.ndarray,
+               var_std: np.ndarray | None = None, entropy=None) -> None:
+    """Perturb `vals` in place on `region`, an index of its trailing (variable, lat, lon) axes.
+
+    The region indexes `clim` too.  Scaling and noise at zero magnitude are the identity.
+    Noise is drawn from a generator seeded by the SeedSequence `entropy`.
+    """
+    if magnitude == 0.0 and mode != "mean_replace":
+        return
+    if mode == "mean_replace":
+        vals[region] = clim[region]
+    elif mode == "scale_bias":
+        vals[region] = clim[region] + (1.0 + magnitude) * (vals[region] - clim[region])
+    else:
+        if var_std is None:
+            raise ValueError("additive_noise needs per-variable std from the evaluation fields")
+        rng = np.random.default_rng(np.random.SeedSequence(entropy))
+        block = vals[region]  # the variable axis leads the block
+        scale = (magnitude * var_std).reshape((-1,) + (1,) * (block.ndim - 1))
+        vals[region] = block + rng.standard_normal(block.shape) * scale
+
+
 def perturb_patch(x: np.ndarray, t: int, stations: StationGrid, station_id: int,
                   spec: PerturbationSpec, clim: np.ndarray,
                   var_std: np.ndarray | None = None) -> np.ndarray:
     """Perturbed copy of field x at timestamp t on the patch centred at one station's cell."""
     region = (slice(None), *patch_slices(stations.grid, *stations.cell(station_id), spec.patch))
     vals = x.copy()
-    _apply_mode(vals, region, spec.mode, spec.magnitude, clim, var_std,
-                (spec.seed, int(station_id), int(t)))
+    apply_mode(vals, region, spec.mode, spec.magnitude, clim, var_std,
+               (spec.seed, int(station_id), int(t)))
     return vals
 
 

@@ -5,7 +5,7 @@ from gradsense import ablation, synth
 from gradsense.metrics import spearman
 from gradsense.grid import make_target
 from gradsense.model import make_desk_model, make_truth
-from oracles import perturb_patch
+from oracles import apply_mode, perturb_patch
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +81,37 @@ class TestPerturbPatch:
         spec = ablation.PerturbationSpec(mode="mean_replace", patch=1)
         with pytest.raises(IndexError):
             perturb_patch(fields[0], 0, desk_stations, 9999, spec, clim)
+
+
+class TestFill:
+    @pytest.mark.parametrize("mode", ablation.MODES)
+    def test_patch_rows_match_perturb_patch_in_the_window(self, mode, desk_model,
+                                                          corner_model, desk_data,
+                                                          desk_stations, var_std):
+        # each filled row against the field-level oracle cropped to the window, for every
+        # station in reach: patches inside the window, straddling its edge, and clipped at
+        # the grid's edge (the corner target's window starts at cell (0, 0))
+        fields, clim = desk_data
+        t, x = 5, fields[5]
+        n_rows = n_straddling = 0
+        for model in (desk_model, corner_model):
+            window = (slice(None), *model.influence_window())
+            xw, climw = x[window], clim[window]
+            for patch in (1, 3, 5):
+                spec = ablation.PerturbationSpec(mode=mode, patch=patch, magnitude=0.3, seed=17)
+                ids = ablation.stations_in_reach(model, desk_stations, patch)
+                rows = np.empty((len(ids),) + xw.shape)
+                ablation._fill(rows, ablation._patch_rows(model, desk_stations, ids, spec),
+                               xw, climw, t, var_std)
+                for row, g in zip(rows, ids):
+                    want = perturb_patch(x, t, desk_stations, g, spec, clim, var_std)[window]
+                    assert np.array_equal(row.view(np.uint64), want.view(np.uint64)), (
+                        model.to_config(), patch, g)
+                n_rows += len(ids)
+                n_straddling += len(ids) - len(ablation.stations_in_reach(model,
+                                                                          desk_stations, 1))
+        assert corner_model.influence_window()[0].start == 0 and desk_stations.cell(0) == (0, 0)
+        assert n_rows > 0 and n_straddling > 0
 
 
 class TestGlobalAblation:
@@ -333,8 +364,8 @@ class TestJointAblation:
         for g in ids:
             mask[ablation.patch_slices(desk_stations.grid, *desk_stations.cell(g), 5)] = True
         joint = x.copy()
-        ablation._apply_mode(joint, (slice(None), mask), mode, spec.magnitude, clim, var_std,
-                             (spec.seed, ablation._JOINT_TAG, t))
+        apply_mode(joint, (slice(None), mask), mode, spec.magnitude, clim, var_std,
+                   (spec.seed, ablation._JOINT_TAG, t))
         singles = [perturb_patch(x, t, desk_stations, g, spec, clim, var_std) for g in ids]
         errs = np.abs(corner_model.forward_many(np.stack([x, joint, *singles])) - y_star)
         assert res.u_joint == errs[1] - errs[0]
@@ -360,9 +391,8 @@ class TestJointAblation:
                 mask[ablation.patch_slices(desk_stations.grid, *desk_stations.cell(g),
                                            spec.patch)] = True
             vals = x.copy()
-            ablation._apply_mode(vals, (slice(None), *np.nonzero(mask)), spec.mode,
-                                 spec.magnitude, clim, var_std,
-                                 (spec.seed, ablation._JOINT_TAG, t))
+            apply_mode(vals, (slice(None), *np.nonzero(mask)), spec.mode, spec.magnitude,
+                       clim, var_std, (spec.seed, ablation._JOINT_TAG, t))
             base_err = abs(model.forward_values(x) - y_star)
             u_joint = abs(model.forward_values(vals) - y_star) - base_err
             u_ind = np.array([abs(model.forward_values(perturb_patch(

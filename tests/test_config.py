@@ -221,6 +221,19 @@ class TestConfig:
                 with pytest.raises(ValueError, match=rf"\b{re.escape(key)}\b"):
                     check()
 
+    def test_extended_combo_must_be_a_combo(self):
+        # build_scenarios builds the extended, scope and placement scenarios of a gaming
+        # combo only, so an extended_combo outside gaming.combos would leave them unbuilt
+        cfg = config.ExperimentConfig()
+        doc = {"gaming": {"combos": [["zurich", "t2m"]], "extended_combo": ["london", "t2m"]}}
+        code = replace(cfg, gaming=replace(cfg.gaming, combos=(("zurich", "t2m"),),
+                                           extended_combo=("london", "t2m")))
+        for check in (lambda: config.config_from_dict(doc), code.validate):
+            with pytest.raises(ValueError,
+                               match=r"gaming\.extended_combo must be one of gaming\.combos"):
+                check()
+        replace(code, gaming=replace(code.gaming, extended_combo=("zurich", "t2m"))).validate()
+
     def test_code_configs_take_the_file_walk(self):
         cfg = config.ExperimentConfig()
         # equal to the default config but hashed differently, or unhashable

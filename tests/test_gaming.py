@@ -11,6 +11,7 @@ from gradsense import attribution as attr
 from gradsense.grid import make_target
 from gradsense.model import DeskModel, make_desk_model
 from gradsense.metrics import pr_auc, topk_indices
+from test_runner import tiny_config
 
 
 def scenario(attackers, kind="inflate", pct=50.0, scope_vars=(0, 1, 2, 3, 4, 5),
@@ -26,11 +27,16 @@ def truth_values(truth, fields):
     return np.array([truth.verify(x, t) for t, x in enumerate(fields)])
 
 
-def attacked(x, sc, clim, stations):
-    """A copy of field x under scenario sc."""
-    out = x.copy()
-    gaming._attack_in_place(out, sc, clim, stations, (slice(None), slice(None)))
-    return out
+def attacked(x, sc, clim, stations, model):
+    """Field x, or a (T, V, n_lat, n_lon) stack, under scenario sc, on the model's window.
+
+    The engine's path: the scenario's mask row filled by the ablation's `_fill`.
+    """
+    window = (..., *model.influence_window())
+    xw = x[window]
+    out = np.empty(xw.shape if xw.ndim == 4 else (1,) + xw.shape)
+    ablation._fill(out, gaming._attack_rows(model, stations, sc), xw, clim[window], 0, None)
+    return out.reshape(xw.shape)
 
 
 def oracle_attack(values, sc, clim, stations):
@@ -47,9 +53,9 @@ def oracle_attack(values, sc, clim, stations):
     return vals
 
 
-def gaming_corner_model(grid):
-    """A depth-3 model whose target sits in the grid's south-west corner cell."""
-    return make_desk_model(8, grid, make_target(grid, "corner", 35.5, -9.5, "t2m"))
+def gaming_corner_model(grid, depth=3):
+    """A model whose target sits in the grid's south-west corner cell."""
+    return make_desk_model(8, grid, make_target(grid, "corner", 35.5, -9.5, "t2m"), depth)
 
 
 def oracle_scenarios(stations, target):
@@ -64,30 +70,31 @@ def oracle_scenarios(stations, target):
 
 
 class TestApplyAttack:
-    def test_sparsity_exact(self, desk_data, desk_stations):
+    # the linear model's influence window is the whole grid, so these attack whole fields
+    def test_sparsity_exact(self, linear_model, desk_data, desk_stations):
         fields, clim = desk_data
         sc = scenario([10, 40], scope_vars=(0, 2))
-        out = attacked(fields[0], sc, clim, desk_stations)
+        out = attacked(fields[0], sc, clim, desk_stations, linear_model)
         changed = np.nonzero(out != fields[0])
         cells = set(zip(changed[1].tolist(), changed[2].tolist()))
         assert cells <= {desk_stations.cell(10), desk_stations.cell(40)}
         assert set(changed[0].tolist()) <= {0, 2}
 
-    def test_zero_pct_identity(self, desk_data, desk_stations):
+    def test_zero_pct_identity(self, linear_model, desk_data, desk_stations):
         fields, clim = desk_data
         sc = scenario([40], pct=0.0)
-        out = attacked(fields[0], sc, clim, desk_stations)
+        out = attacked(fields[0], sc, clim, desk_stations, linear_model)
         assert np.array_equal(out, fields[0])
 
-    def test_spoof_identity_on_climatology(self, desk_data, desk_stations):
+    def test_spoof_identity_on_climatology(self, linear_model, desk_data, desk_stations):
         _, clim = desk_data
         sc = scenario([40], kind="spoof", pct=0.0)
-        assert np.array_equal(attacked(clim, sc, clim, desk_stations), clim)
+        assert np.array_equal(attacked(clim, sc, clim, desk_stations, linear_model), clim)
 
-    def test_inflation_factor_exact(self, desk_data, desk_stations):
+    def test_inflation_factor_exact(self, linear_model, desk_data, desk_stations):
         fields, clim = desk_data
         sc = scenario([40], pct=50.0, scope_vars=(1,))
-        out = attacked(fields[0], sc, clim, desk_stations)
+        out = attacked(fields[0], sc, clim, desk_stations, linear_model)
         i, j = desk_stations.cell(40)
         old = fields[0][1, i, j] - clim[1, i, j]
         new = out[1, i, j] - clim[1, i, j]
@@ -95,20 +102,71 @@ class TestApplyAttack:
         diff = np.sum(out != fields[0])
         assert diff == 1
 
-    def test_matches_per_cell_loop(self, desk_data, desk_stations, desk_target):
+    def test_matches_per_cell_loop(self, linear_model, desk_model, desk_model_d1, desk_grid,
+                                   desk_data, desk_stations):
+        # full-grid, centred and corner-clipped windows at depths 1 and 3, with attackers
+        # straddling each window; a period stack is attacked as a whole
         fields, clim = desk_data
-        for sc in oracle_scenarios(desk_stations, desk_target):
-            for f in fields[:3]:
-                out = attacked(f, sc, clim, desk_stations)
-                assert np.array_equal(out, oracle_attack(f, sc, clim, desk_stations)), sc
+        models = (linear_model, desk_model, desk_model_d1, gaming_corner_model(desk_grid),
+                  gaming_corner_model(desk_grid, depth=1))
+        n_cases = 0
+        for model in models:
+            window = (..., *model.influence_window())
+            in_reach = ablation.stations_in_reach(model, desk_stations, 1)
+            out_of_reach = np.setdiff1d(np.arange(desk_stations.n_stations), in_reach)
+            scs = oracle_scenarios(desk_stations, model.target)
+            if out_of_reach.size:  # the linear model's window holds every station
+                straddling = sorted({int(in_reach[0]), int(in_reach[-1]),
+                                     int(out_of_reach[0]), int(out_of_reach[-1])})
+                scs += [scenario(straddling, pct=70.0, scope_vars=(1, 4)),
+                        scenario(straddling, kind="spoof", pct=0.0)]
+            for sc in scs:
+                want = np.stack([oracle_attack(f, sc, clim, desk_stations)
+                                 for f in fields[:3]])[window]
+                for got in (attacked(fields[:3], sc, clim, desk_stations, model),
+                            np.stack([attacked(f, sc, clim, desk_stations, model)
+                                      for f in fields[:3]])):
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (
+                        model.to_config(), sc)
+                n_cases += 1
+        assert n_cases == 5 * 6 + 4 * 2
 
-    def test_invalid_inputs_rejected(self, desk_data, desk_stations):
+    def test_invalid_inputs_rejected(self, linear_model, desk_model, desk_data,
+                                     desk_stations):
         fields, clim = desk_data
-        with pytest.raises(ValueError, match="scope variable"):
-            attacked(fields[0], scenario([3], scope_vars=(0, 6)), clim, desk_stations)
-        for bad in (-1, desk_stations.n_stations):  # -1 would wrap to the last station
-            with pytest.raises(IndexError, match="station id"):
-                attacked(fields[0], scenario([3, bad]), clim, desk_stations)
+        for model in (linear_model, desk_model):
+            with pytest.raises(ValueError, match="scope variable"):
+                attacked(fields[0], scenario([3], scope_vars=(0, 6)), clim, desk_stations,
+                         model)
+            with pytest.raises(ValueError, match="scope variable"):
+                attacked(fields[0], scenario([3], scope_vars=(-1,)), clim, desk_stations,
+                         model)
+            for bad in (-1, desk_stations.n_stations):  # -1 would wrap to the last station
+                with pytest.raises(IndexError, match="station id"):
+                    attacked(fields[0], scenario([3, bad]), clim, desk_stations, model)
+
+    def test_reach_flag_is_the_in_reach_rule(self, tmp_path):
+        # an attack reaches the model when its mask has a cell and it is a spoof or a
+        # positive inflation: for every scenario the run builds, that is an attacker among
+        # the stations in reach; a corner target's clipped window leaves more out of it
+        base = tiny_config(tmp_path / "reach")
+        combos = (("zurich", "t2m"), ("corner", "t2m"))
+        state = runner.RunState(replace(
+            base, targets=base.targets + (config.TargetConfig("corner", 35.5, -9.5),),
+            gaming=replace(base.gaming, combos=combos)))
+        state.ensure_models()
+        flags = []
+        for cid in state.config_ids(combos):
+            model, y_stars = state.models[cid]
+            scs = runner.build_scenarios(state, cid)
+            run = gaming.run_gaming_experiment(model, y_stars, state.fields, state.clim,
+                                               state.stations, scs)
+            in_reach = ablation.stations_in_reach(model, state.stations, 1)
+            rule = [bool(np.isin(sc.attackers, in_reach).any())
+                    and (sc.kind == "spoof" or sc.magnitude_pct > 0) for sc in scs]
+            assert run.attack_reached_model.tolist() == rule, cid
+            flags += rule
+        assert len(flags) > 100 and any(flags) and not all(flags)
 
     def test_scope_resolution(self, desk_grid, desk_target):
         assert gaming.resolve_scope("single_target_var", desk_grid.variables,
@@ -269,10 +327,8 @@ class TestExperiment:
                     scores, attr.spatial_importance(maps, desk_stations).mean(axis=0))
                 assert np.array_equal(preds, model.forward_many(stack))
                 if sc is not None:  # the window-space attack equals the full-grid one
-                    attacked = fields[window].copy()
-                    gaming._attack_in_place(attacked, sc, clim[window], desk_stations,
-                                            model.influence_window())
-                    assert np.array_equal(attacked, stack[window])
+                    assert np.array_equal(attacked(fields, sc, clim, desk_stations, model),
+                                          stack[window])
 
 
 class TestDetectors:
