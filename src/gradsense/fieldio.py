@@ -1,30 +1,25 @@
-"""Flat binary field serialization and the named-array store.
-
-Field layout: magic "GSF1", header (counts, timestamp, box bounds),
-length-prefixed variable names, then the float64 payload in (variable, lat,
-lon) C order (variable-major, row-major).
+"""The named-array store, and one field saved as a store.
 
 Store layout: magic "GSA1", a length-prefixed stamp string, the array count,
 then per array a length-prefixed name, its rank and shape, and the "<f8"
-payload in C order.  The store holds no timestamps, so equal inputs give equal
+payload in C order.  A store records no write time, so equal inputs give equal
 bytes.  Every writer here goes through `atomic_open`, so a crash mid-write
 leaves the previous file (or none), never a truncated one.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import struct
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .grid import GridSpec
-
-_MAGIC = b"GSF1"
-_HEADER = struct.Struct("<III q dddd")  # n_var, n_lat, n_lon, timestamp, box bounds
 
 
 @contextmanager
@@ -42,36 +37,20 @@ def atomic_open(path: str | Path, mode: str = "w", **kwargs):
 
 
 def save_field(path: str | Path, grid: GridSpec, values: np.ndarray, timestamp: int) -> None:
-    """Write one (V, n_lat, n_lon) field of `grid` at `timestamp`."""
+    """Write one (V, n_lat, n_lon) field of `grid` at `timestamp`: a store of the one array
+    `values`, stamped with the JSON of the grid and the timestamp."""
     if values.shape != grid.shape:
         raise ValueError(f"expected shape {grid.shape}, got {values.shape}")
-    with atomic_open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(_HEADER.pack(grid.n_variables, grid.n_lat, grid.n_lon, timestamp,
-                              grid.lat_min, grid.lat_max, grid.lon_min, grid.lon_max))
-        for name in grid.variables:
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-        fh.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
+    save_store(path, json.dumps({"grid": asdict(grid), "timestamp": timestamp}, sort_keys=True),
+               {"values": values})
 
 
 def load_field(path: str | Path) -> tuple[GridSpec, np.ndarray, int]:
     """The (grid, values, timestamp) a `save_field` call wrote."""
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValueError("not a field file (bad magic)")
-        n_var, n_lat, n_lon, ts, lat_min, lat_max, lon_min, lon_max = _HEADER.unpack(
-            fh.read(_HEADER.size))
-        names = []
-        for _ in range(n_var):
-            (ln,) = struct.unpack("<H", fh.read(2))
-            names.append(fh.read(ln).decode("utf-8"))
-        grid = GridSpec(n_lat=n_lat, n_lon=n_lon, lat_min=lat_min, lat_max=lat_max,
-                        lon_min=lon_min, lon_max=lon_max, variables=tuple(names))
-        count = n_var * n_lat * n_lon
-        values = np.frombuffer(fh.read(count * 8), dtype="<f8", count=count)
-    return grid, values.astype(np.float64).reshape(grid.shape), ts
+    stamp, arrays = _read_store(path)
+    meta = json.loads(stamp)
+    grid = GridSpec(**meta["grid"] | {"variables": tuple(meta["grid"]["variables"])})
+    return grid, arrays["values"], meta["timestamp"]
 
 
 _STORE_MAGIC = b"GSA1"
@@ -98,10 +77,15 @@ def load_store(path: str | Path, stamp: str) -> dict[str, np.ndarray] | None:
     A bad magic number, a short payload or trailing bytes raise ValueError.
     """
     try:
-        buf = memoryview(Path(path).read_bytes())
+        found, arrays = _read_store(path)
     except FileNotFoundError:
         return None
-    pos = 0
+    return arrays if found == stamp else None
+
+
+def _read_store(path: str | Path) -> tuple[str, dict[str, np.ndarray]]:
+    """The stamp and the arrays of the store at `path`."""
+    buf, pos = memoryview(Path(path).read_bytes()), 0
 
     def take(n: int) -> memoryview:
         nonlocal pos
@@ -115,9 +99,7 @@ def load_store(path: str | Path, stamp: str) -> dict[str, np.ndarray] | None:
 
     if take(4) != _STORE_MAGIC:
         raise ValueError(f"{path}: not an array store (bad magic)")
-    if bytes(take(unpack("<H")[0])).decode("utf-8") != stamp:
-        return None
-    arrays = {}
+    stamp, arrays = bytes(take(unpack("<H")[0])).decode("utf-8"), {}
     for _ in range(unpack("<I")[0]):
         name = bytes(take(unpack("<H")[0])).decode("utf-8")
         shape = unpack(f"<{unpack('<B')[0]}q")
@@ -125,7 +107,7 @@ def load_store(path: str | Path, stamp: str) -> dict[str, np.ndarray] | None:
         arrays[name] = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
     if pos != len(buf):
         raise ValueError(f"{path}: trailing bytes after the last array")
-    return arrays
+    return stamp, arrays
 
 
 def fmt(x) -> str:

@@ -4,7 +4,7 @@ A single seeded `config.ExperimentConfig` drives the whole desk matrix:
 synthetic data, a grid of surrogate models (depth x target x target variable),
 attribution and ablation passes, fidelity/method/calibration/selection/
 payment/convergence analyses, the gaming campaign, and detector evaluation.
-Every stage returns deterministic CSV/JSON results for the output directory;
+Every stage yields deterministic CSV/JSON results for the output directory;
 the manifest records the config hash and a content hash for every emitted
 file, so a rerun with the same config is byte-identical.  Intermediate arrays
 live in `fieldio` array stores: the fields in one, and each configuration's
@@ -24,8 +24,9 @@ directory's saved `config.yaml` first removes the artifacts of the old one.
 function, its CLI help, the stores it reads, and the files it writes with
 each one's columns.  `STAGES`, the CLI subcommands and the manifest's stage
 statuses come from it; `run_stage` ensures the stores a stage declares before
-running it and is the one writer of the files it returns, and a contract
-test holds each stage to its declaration.
+running it and is the one writer of the files it yields: each CSV's rows go
+to its file as they come, so no stage holds its rows, and a contract test
+holds each stage to its declaration.
 """
 
 from __future__ import annotations
@@ -39,10 +40,11 @@ import sys
 import time
 import traceback
 import warnings
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass
-from itertools import product
+from itertools import count, product
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 from urllib.parse import quote
 
 import numpy as np
@@ -96,18 +98,11 @@ class Workspace:
         return p
 
     def write_csv(self, rel: str, header: tuple[str, ...], rows) -> None:
-        """Write `rows` of raw cells: `fmt` for a float, `str` for anything else.
-
-        A row whose width is not the header's raises ValueError and leaves `rel` as it was.
-        """
+        """Write `rows` through one `_csv_writer`; a bad row leaves `rel` as it was."""
         with fieldio.atomic_open(self.path(rel), "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for i, row in enumerate(rows):
-                if len(row) != len(header):
-                    raise ValueError(f"{rel}: row {i} has {len(row)} cells for "
-                                     f"{len(header)} columns")
-                w.writerow([fmt(v) if isinstance(v, float) else str(v) for v in row])
+            write = _csv_writer(fh, rel, header)
+            for row in rows:
+                write(row)
         self.files.add(rel)
 
     def write_json(self, rel: str, payload) -> None:
@@ -127,9 +122,14 @@ class Workspace:
         self.files.add(rel)
         return arrays
 
-    def read_rows(self, rel: str) -> list[dict[str, str]]:
-        with open(self.root / rel, newline="", encoding="utf-8") as fh:
-            return list(csv.DictReader(fh))
+    def read_rows(self, rel: str) -> Iterator[dict[str, str]]:
+        """The rows of CSV `rel` as dicts, one at a time; a missing file raises at the call."""
+        fh = open(self.root / rel, newline="", encoding="utf-8")
+
+        def rows():
+            with fh:
+                yield from csv.DictReader(fh)
+        return rows()
 
     def clear(self) -> None:
         """Remove the files directly in data/, tables/ and results/, and the manifest."""
@@ -137,6 +137,20 @@ class Workspace:
         for p in stale + [self.root / "manifest.json"]:
             if p.is_file():
                 p.unlink()
+
+
+def _csv_writer(fh, rel: str, header: tuple[str, ...]) -> Callable[[tuple], None]:
+    """Write `header` to `fh`, and return the writer of CSV `rel`'s rows of raw cells under it:
+    `fmt` for a float, `str` for anything else.  A row of another width raises ValueError."""
+    w, index = csv.writer(fh), count()
+    w.writerow(header)
+
+    def write(row) -> None:
+        i = next(index)
+        if len(row) != len(header):
+            raise ValueError(f"{rel}: row {i} has {len(row)} cells for {len(header)} columns")
+        w.writerow([fmt(v) if isinstance(v, float) else str(v) for v in row])
+    return write
 
 
 # -- run state ---------------------------------------------------------------
@@ -454,11 +468,11 @@ def _agreements(imps: list[np.ndarray], util: np.ndarray, ks: tuple[int, ...],
 # -- stages -----------------------------------------------------------------
 
 
-def stage_gen(state: RunState) -> dict:
+def stage_gen(state: RunState):
     st = state.stations
-    rows = [(g, int(st.lat_idx[g]), int(st.lon_idx[g]), st.lats[g], st.lons[g])
-            for g in range(st.n_stations)]
-    return {"data/stations.csv": rows}
+    for g in range(st.n_stations):
+        yield "data/stations.csv", (g, int(st.lat_idx[g]), int(st.lon_idx[g]), st.lats[g],
+                                    st.lons[g])
 
 
 def _fidelity_cells(ag: Agreement, ci_lower: float, ci_upper: float) -> tuple:
@@ -467,18 +481,18 @@ def _fidelity_cells(ag: Agreement, ci_lower: float, ci_upper: float) -> tuple:
             ag.bh_count, ag.mean_cycle_rho)
 
 
-def stage_fidelity(state: RunState) -> dict:
+def stage_fidelity(state: RunState):
     cfg = state.cfg
     boot_n, level = cfg.bootstrap_resamples, cfg.bootstrap_level
     blocks = metrics.station_blocks(state.stations)
-    g_rows, s_rows = [], []
     for cid, arrays in state.tables():
         for (key,), ag in state.config_agreements("global", cid, arrays).items():
             pairs = np.column_stack([np.nanmean(arrays[f"gi/{key}"], axis=0),
                                      arrays["gu"].mean(axis=0)])
             ci = metrics.bootstrap_iid(pairs, metrics.paired_spearman, boot_n, level,
                                        seed=child_seed(cfg.seed, "gci", cid, key))
-            g_rows.append((cid, key, *_fidelity_cells(ag, ci.lower, ci.upper)))
+            yield ("results/fidelity_global.csv",
+                   (cid, key, *_fidelity_cells(ag, ci.lower, ci.upper)))
         for (mode, patch, key), ag in state.config_agreements("spatial", cid, arrays).items():
             # a block-bootstrap CI for the primary method only, and only where its rho
             # is defined: a constant utility leaves every resample's undefined too
@@ -490,47 +504,45 @@ def stage_fidelity(state: RunState) -> dict:
                     pairs, blocks, metrics.paired_spearman, boot_n, level,
                     seed=child_seed(cfg.seed, "sci", cid, mode, patch))
                 lo, hi = ci.lower, ci.upper
-            s_rows.append((cid, mode, patch, key, *_fidelity_cells(ag, lo, hi)))
-    return {"results/fidelity_global.csv": g_rows, "results/fidelity_spatial.csv": s_rows}
+            yield ("results/fidelity_spatial.csv",
+                   (cid, mode, patch, key, *_fidelity_cells(ag, lo, hi)))
 
 
-def stage_methods(state: RunState) -> dict:
+def stage_methods(state: RunState):
     cfg = state.cfg
     display, cids = state.scored_methods(), state.config_ids()
     steps, zp = sorted(cfg.ig_step_grid), cfg.cheap_steps()
     bases = (("climatology", f"ig@{zp}"), ("zero", f"ig-zero@{zp}"),
              ("persistence", f"ig-pers@{zp}"))
-    ags, k_rows, b_rows = {}, [], []
+    ags = {}
     for cid, arrays in state.tables():
         ags[cid] = state.config_agreements("global", cid, arrays)
         # quadrature sensitivity: do coarse step grids change the variable ranking?
         coarse = np.stack([np.nanmean(arrays[f"gi/ig@{s}"], axis=0) for s in steps])
         ref_rank = np.nanmean(arrays[f"gi/{state.primary_key()}"], axis=0)
         rhos = metrics.spearman_rho(coarse, np.broadcast_to(ref_rank, coarse.shape))
-        k_rows.extend((cid, s, cfg.ig_steps, rho) for s, rho in zip(steps, rhos))
+        for s, rho in zip(steps, rhos):
+            yield "results/k_sensitivity.csv", (cid, s, cfg.ig_steps, rho)
         # baseline sensitivity: zero and persistence baselines vs climatology
         imps = np.stack([np.nanmean(arrays[f"gi/{key}"], axis=0) for _, key in bases])
         util_mean = arrays["gu"].mean(axis=0)
         rhos = metrics.spearman_rho(imps, np.broadcast_to(util_mean, imps.shape))
         for (base, _), rho in zip(bases, rhos):  # rhos[0] is climatology's
             delta = rho - rhos[0] if not math.isnan(rho) else np.nan
-            b_rows.append((cid, base, zp, rho, delta))
+            yield "results/baseline_sensitivity.csv", (cid, base, zp, rho, delta)
         if cid == cids[len(cids) // 2]:
-            scale_row = _scale_invariance_row(state, cid, arrays)
-    summary_rows = []
+            yield "results/scale_invariance.csv", _scale_invariance_row(state, cid, arrays)
     for key in display:
         col = [ags[cid][(key,)] for cid in cids]  # a NaN p-value is never significant
-        summary_rows.append((key, float(np.nanmean([ag.agg.rho for ag in col])),
-                     sum(int(ag.agg.p_value < 0.05) for ag in col),
-                     sum(int(ag.wilcoxon_p < 0.05) for ag in col),
-                     float(np.mean([ag.overlaps[-1] for ag in col])), len(cids)))
-    pair_rows = [(a, b, sum(int(ags[c][(a,)].agg.rho > ags[c][(b,)].agg.rho) for c in cids),
-                  len(cids))
-                 for a in display for b in display if a < b]
-    return {"results/methods_summary.csv": summary_rows,
-            "results/methods_pairwise.csv": pair_rows, "results/k_sensitivity.csv": k_rows,
-            "results/baseline_sensitivity.csv": b_rows,
-            "results/scale_invariance.csv": [scale_row]}
+        yield "results/methods_summary.csv", (
+            key, float(np.nanmean([ag.agg.rho for ag in col])),
+            sum(int(ag.agg.p_value < 0.05) for ag in col),
+            sum(int(ag.wilcoxon_p < 0.05) for ag in col),
+            float(np.mean([ag.overlaps[-1] for ag in col])), len(cids))
+    for a, b in product(display, display):
+        if a < b:
+            wins = sum(int(ags[c][(a,)].agg.rho > ags[c][(b,)].agg.rho) for c in cids)
+            yield "results/methods_pairwise.csv", (a, b, wins, len(cids))
 
 
 def _scale_invariance_row(state: RunState, cid: str, arrays: dict[str, np.ndarray]) -> tuple:
@@ -565,8 +577,7 @@ def _scale_invariance_row(state: RunState, cid: str, arrays: dict[str, np.ndarra
             max_rel_dev(gti0, gti1), not np.array_equal(*vg_ranks), sel_same)
 
 
-def stage_calibrate(state: RunState) -> dict:
-    dec_rows, sum_rows = [], []
+def stage_calibrate(state: RunState):
     for cid, arrays in state.tables():
         proxies = {key: arrays[f"si_u/{key}"].mean(axis=0) for key in state.scored_methods()}
         proxies["distance"] = incentive.distance_scores(state.distances(cid))
@@ -575,22 +586,20 @@ def stage_calibrate(state: RunState) -> dict:
         stacked = np.stack([proxies[name] for name in names])
         for mode, patch, util in _valued_cases(state, arrays):
             for name, rep in zip(names, incentive.calibrate_case(stacked, util)):
-                dec_rows += [(cid, mode, patch, name, b + 1, u)
-                             for b, u in enumerate(rep.decile_mean_utility)]
-                sum_rows.append((cid, mode, patch, name, rep.gini_ratio,
-                                 rep.overpayment_total, rep.share_spearman))
-    return {"results/calibration_deciles.csv": dec_rows,
-            "results/calibration_summary.csv": sum_rows}
+                for b, u in enumerate(rep.decile_mean_utility):
+                    yield "results/calibration_deciles.csv", (cid, mode, patch, name, b + 1, u)
+                yield "results/calibration_summary.csv", (
+                    cid, mode, patch, name, rep.gini_ratio, rep.overpayment_total,
+                    rep.share_spearman)
 
 
-def stage_select(state: RunState) -> dict:
+def stage_select(state: RunState):
     cfg = state.cfg
     n = state.stations.n_stations
     for k in cfg.selection_budgets:
         if k > n:
             warnings.warn(f"selection budget {k} clipped to station count {n}")
     budgets = list(dict.fromkeys(min(k, n) for k in cfg.selection_budgets))
-    rows = []
     score_keys = {"ig": state.primary_key(), "gti": "gti", "vg": "vg"}
     for cid, arrays in state.tables():
         dist = state.distances(cid)
@@ -598,19 +607,18 @@ def stage_select(state: RunState) -> dict:
         means = {s: arrays[f"si_u/{key}"].mean(axis=0) for s, key in score_keys.items()}
         for mode, patch, util in _valued_cases(state, arrays):
             seeds = [child_seed(cfg.seed, "uniform", cid, mode, patch, k) for k in budgets]
-            rows += [(cid, mode, patch, res.strategy, res.k, res.captured, res.efficiency_ratio,
-                      res.optimality_ratio)
-                     for res in incentive.select_case(util, budgets, scores=means,
-                                                      distances_km=dist, seeds=seeds)]
-    return {"results/selection.csv": rows}
+            for res in incentive.select_case(util, budgets, scores=means, distances_km=dist,
+                                             seeds=seeds):
+                yield "results/selection.csv", (
+                    cid, mode, patch, res.strategy, res.k, res.captured, res.efficiency_ratio,
+                    res.optimality_ratio)
 
 
 SHRINKAGE_OBJECTIVES = ("mse", "captured_utility")  # each case's rows, in this order
 
 
-def stage_pay(state: RunState) -> dict:
+def stage_pay(state: RunState):
     cfg = state.cfg
-    pay_rows, stab_rows, sh_rows = [], [], []
     for cid, arrays in state.tables():
         for key in state.scored_methods():
             scores = arrays[f"si_u/{key}"]
@@ -621,9 +629,10 @@ def stage_pay(state: RunState) -> dict:
                 top_k=cfg.stability_top_k, seed=child_seed(cfg.seed, "stab", cid, key))
             alloc = incentive.payment(scores.mean(axis=0), cfg.budget)
             for g in range(state.stations.n_stations):
-                pay_rows.append((cid, key, g, alloc.shares[g], alloc.amounts[g],
-                                 stab.lower[g], stab.upper[g]))
-            stab_rows.append((cid, key, stab.ci_to_share, stab.top_k, stab.resamples))
+                yield "results/payments.csv", (cid, key, g, alloc.shares[g], alloc.amounts[g],
+                                               stab.lower[g], stab.upper[g])
+            yield "results/payment_stability.csv", (cid, key, stab.ci_to_share, stab.top_k,
+                                                    stab.resamples)
 
         # shrinkage toward the distance prior, both inner objectives
         scores = arrays[f"si_u/{state.primary_key()}"]
@@ -639,13 +648,11 @@ def stage_pay(state: RunState) -> dict:
                                             SHRINKAGE_OBJECTIVES, k=cfg.stability_top_k)
             for objective, fit in zip(SHRINKAGE_OBJECTIVES, fits):
                 for fold, lam in enumerate(fit.per_fold):
-                    sh_rows.append((cid, mode, patch, objective, fold, lam,
-                                    fit.lam, fit.delta_rho))
-    return {"results/payments.csv": pay_rows, "results/payment_stability.csv": stab_rows,
-            "results/shrinkage.csv": sh_rows}
+                    yield "results/shrinkage.csv", (cid, mode, patch, objective, fold, lam,
+                                                    fit.lam, fit.delta_rho)
 
 
-def stage_subadditivity(state: RunState) -> dict:
+def stage_subadditivity(state: RunState):
     """Joint against summed single utilities of each configuration's nearest station sets.
 
     One forward pass per (configuration, timestamp) evaluates every (mode,
@@ -653,7 +660,6 @@ def stage_subadditivity(state: RunState) -> dict:
     row per set.  Each set sums its stations' single utilities in id order.
     """
     cfg = state.cfg
-    rows = []
     depth = max(cfg.model_depths)
     cids = [c for c in state.config_ids() if c.startswith(f"d{depth}-")]
     sizes = (2, 3, 5)
@@ -683,9 +689,9 @@ def stage_subadditivity(state: RunState) -> dict:
             results = joint[(size, mode, patch)]
             ratios = [res.ratio for res in results if res.ratio_defined]
             med = float(np.median(ratios)) if ratios else np.nan
-            rows.append((cid, mode, patch, size, ";".join(str(g) for g in nearest[:size]), med,
-                         len(ratios), len(results) - len(ratios)))
-    return {"results/subadditivity.csv": rows}
+            yield "results/subadditivity.csv", (
+                cid, mode, patch, size, ";".join(str(g) for g in nearest[:size]), med,
+                len(ratios), len(results) - len(ratios))
 
 
 def build_scenarios(state: RunState, cid: str) -> list[gaming.AttackScenario]:
@@ -726,33 +732,34 @@ def build_scenarios(state: RunState, cid: str) -> list[gaming.AttackScenario]:
     return scenarios
 
 
-def stage_game(state: RunState) -> dict:
-    manifest, outcome_rows = {}, []
+def stage_game(state: RunState):
+    manifest = {}
     for cid, (scenarios, run) in state.ensure_gaming().items():
         for i, sc in enumerate(scenarios):
             manifest[sc.scenario_id] = {k: v for k, v in asdict(sc).items()
                                         if k != "scenario_id"} | {"config_id": cid}
-            outcome_rows.append((
+            yield "results/gaming_outcomes.csv", (
                 sc.scenario_id, cid, sc.kind, len(sc.attackers), sc.magnitude_pct,
                 sc.scope, sc.placement, ";".join(str(a) for a in sc.attackers),
                 run.inflation_ratio[i], run.mae_clean[i], run.mae_change[i],
-                run.honest_share_change_pp[i], bool(run.attack_reached_model[i])))
-    return {"results/gaming_scenarios.json": manifest,
-            "results/gaming_outcomes.csv": outcome_rows}
+                run.honest_share_change_pp[i], bool(run.attack_reached_model[i]))
+    yield "results/gaming_scenarios.json", manifest
 
 
-def stage_detect(state: RunState) -> dict:
+def stage_detect(state: RunState):
     campaigns = {cid: (scenarios, run, state.distances(cid))
                  for cid, (scenarios, run) in sorted(state.ensure_gaming().items())}
     ev = gaming.evaluate_detectors(campaigns, state.stations)
-    rows = [(sc.scenario_id, det, *cells, run.inflation_ratio[i], run.mae_change[i],
-             det == "u1" and ev.u1_zero_mad[cid][i])
-            for cid, (scenarios, run, _) in campaigns.items() for i, sc in enumerate(scenarios)
-            for det, cells in zip(gaming.DETECTORS, ev.scored[cid][i].tolist())]
-    return {"results/gaming_results.csv": rows, "results/detection_summary.csv": ev.summary}
+    for cid, (scenarios, run, _) in campaigns.items():
+        for i, sc in enumerate(scenarios):
+            for det, cells in zip(gaming.DETECTORS, ev.scored[cid][i].tolist()):
+                yield "results/gaming_results.csv", (
+                    sc.scenario_id, det, *cells, run.inflation_ratio[i], run.mae_change[i],
+                    det == "u1" and ev.u1_zero_mad[cid][i])
+    yield from (("results/detection_summary.csv", row) for row in ev.summary)
 
 
-def stage_converge(state: RunState) -> dict:
+def stage_converge(state: RunState):
     key = state.primary_key()
 
     def analyse(cid, scope, mode, patch, ag: Agreement) -> tuple:
@@ -767,33 +774,24 @@ def stage_converge(state: RunState) -> dict:
         return (cid, scope, mode, patch, ag.agg.rho, ag.recovery, converge_n)
 
     global_ags, spatial_ags = state.agreements("global"), state.agreements("spatial")
-    rows = []
     for cid in state.config_ids():  # each config's spatial rows follow its global row
-        rows.append(analyse(cid, "global", "", "", global_ags[cid][(key,)]))
-        rows += [analyse(cid, "spatial", mode, patch, ag)
-                 for (mode, patch, method), ag in spatial_ags[cid].items() if method == key]
-    return {"results/convergence.csv": rows}
+        yield "results/convergence.csv", analyse(cid, "global", "", "", global_ags[cid][(key,)])
+        for (mode, patch, method), ag in spatial_ags[cid].items():
+            if method == key:
+                yield "results/convergence.csv", analyse(cid, "spatial", mode, patch, ag)
 
 
-def _group(rows: list[dict[str, str]], *cols: str) -> dict[tuple[str, ...], list[dict[str, str]]]:
-    """The rows by their cells in `cols`, in one pass; each group keeps the file order."""
-    groups: dict[tuple[str, ...], list[dict[str, str]]] = {}
-    for r in rows:
-        groups.setdefault(tuple(r[c] for c in cols), []).append(r)
-    return groups
-
-
-def _mean(rows: list[dict[str, str]], col: str) -> float:
-    """Mean of column `col` over `rows`, NaN cells left out; NaN for no rows."""
-    vals = [x for x in (float(r[col]) for r in rows) if not math.isnan(x)]
+def _mean(cells) -> float:
+    """Mean of the floats of `cells`, in their order, NaN ones left out; NaN for none."""
+    vals = [x for x in map(float, cells) if not math.isnan(x)]
     return float(np.mean(vals)) if vals else math.nan
 
 
-def stage_report(state: RunState) -> dict:
+def stage_report(state: RunState):
     cfg, ws = state.cfg, state.ws
 
-    def table(name: str) -> list[dict[str, str]] | None:
-        """The rows of results/{name}.csv, or None when its stage has not run."""
+    def table(name: str) -> Iterator[dict[str, str]] | None:
+        """The rows of results/{name}.csv, one at a time, or None when its stage has not run."""
         rel = f"results/{name}.csv"
         return ws.read_rows(rel) if (ws.root / rel).exists() else None
 
@@ -811,20 +809,27 @@ def stage_report(state: RunState) -> dict:
         lines += ["## Captured utility by strategy (mean over configurations)", "",
                   "| K | " + " | ".join(incentive.STRATEGIES) + " | ig/oracle |",
                   "|" + "---|" * (len(incentive.STRATEGIES) + 2)]
-        cells = _group(rows, "strategy", "k")
-        for k in sorted({int(r["k"]) for r in rows}):
-            vals = [_mean(cells.get((s, str(k)), []), "captured") for s in incentive.STRATEGIES]
-            vals.append(_mean(cells.get(("ig", str(k)), []), "optimality_ratio"))
+        cells = {}  # captured by (strategy, K), and ig's optimality ratio by (None, K)
+        for r in rows:
+            cells.setdefault((r["strategy"], int(r["k"])), []).append(float(r["captured"]))
+            if r["strategy"] == "ig":
+                cells.setdefault((None, int(r["k"])), []).append(float(r["optimality_ratio"]))
+        for k in sorted({k for _, k in cells}):
+            vals = [_mean(cells.get((s, k), ())) for s in (*incentive.STRATEGIES, None)]
             lines.append(f"| {k} | " + " | ".join(f"{v:.3f}" for v in vals) + " |")
         lines.append("")
     if (rows := table("calibration_summary")) is not None:
         lines += ["## Payment calibration (mean over configurations)", "",
                   "| proxy | gini ratio | overpayment |", "|---|---|---|"]
-        lines += [f"| {p} | {_mean(group, 'gini_ratio'):.3f} | {_mean(group, 'overpayment'):.3f} |"
-                  for (p,), group in sorted(_group(rows, "proxy").items())] + [""]
+        cells = {}  # (gini ratio, overpayment) by proxy
+        for r in rows:
+            cells.setdefault(r["proxy"], []).append((float(r["gini_ratio"]),
+                                                     float(r["overpayment"])))
+        lines += [f"| {p} | {_mean(g for g, _ in pairs):.3f} | {_mean(o for _, o in pairs):.3f} |"
+                  for p, pairs in sorted(cells.items())] + [""]
     if (rows := table("payment_stability")) is not None:
         lines += [f"- mean CI-to-share ratio (top-{cfg.stability_top_k}): "
-                  f"{_mean(rows, 'ci_to_share'):.3f}", ""]
+                  f"{_mean(r['ci_to_share'] for r in rows):.3f}", ""]
     if (rows := table("detection_summary")) is not None:
         lines += ["## Gaming detection (mean PR-AUC / top-5 hit rate)", "",
                   "| config | kind | detector | PR-AUC | hit@5 | prevalence |",
@@ -842,7 +847,7 @@ def stage_report(state: RunState) -> dict:
                          f"({spatial.count('never')} configurations never reach significance)")
         lines.append("")
     lines += ["All tables are plot-ready CSVs under `results/`.", ""]
-    return {"results/report.md": "\n".join(lines)}
+    yield "results/report.md", "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -853,12 +858,13 @@ class Stage:
     `gaming`) that `run_stage` ensures before the stage runs.  `writes` maps each
     file the stage writes, relative to the run directory, to its columns: a
     tuple, a function of the `RunState` where the config sets them, or None
-    for a JSON or markdown file.  The stage returns each file's rows or
-    payload and `run_stage` writes them.  The files of a store, and of the
-    stores it is computed from, are not in `writes`.
+    for a JSON or markdown file.  The stage yields (file, item) pairs: an item
+    is one row of raw cells of a CSV, in file order, or the one payload of a
+    JSON or markdown file; `run_stage` writes them.  The files of a store,
+    and of the stores it is computed from, are not in `writes`.
     """
     name: str
-    run: Callable[[RunState], dict]
+    run: Callable[[RunState], Iterable[tuple[str, object]]]
     help: str
     reads: tuple[str, ...]
     writes: dict[str, tuple[str, ...] | Callable[[RunState], tuple[str, ...]] | None]
@@ -936,27 +942,39 @@ STAGES = tuple(stage.name for stage in STAGE_TABLE)
 def run_stage(state: RunState, name: str) -> None:
     """Ensure the stores the stage `name` of `STAGE_TABLE` reads, run it, and write its files.
 
-    A stage returns each file it declares: rows for a CSV, written under the
-    declared columns, a payload for a JSON file and text for any other.  A
-    stage that raises, or returns other files than it declares, writes none.
+    Each row the stage yields for a CSV goes, as it comes, to the file's temp
+    sibling under its declared columns; a JSON or markdown payload is held
+    until the stage ends.  Then each file is moved into place.  A stage that
+    raises, yields an undeclared file or leaves out a declared payload unlinks
+    every temp, so all its files stay as they were.  A crash between two moves
+    can leave one new file beside an old one, as writing one file at a time
+    could; `manifest.json`, written last, then records no complete run.
     """
     stage = next((s for s in STAGE_TABLE if s.name == name), None)
     if stage is None:
         raise ValueError(f"unknown stage {name!r}; expected one of {STAGES}")
     for store in stage.reads:
         getattr(state, f"ensure_{store}")()
-    out = stage.run(state) or {}
-    returned, declared = set(out), set(stage.writes)
-    if returned != declared:
-        raise ValueError(f"stage {name!r} returned undeclared files {sorted(returned - declared)} "
-                         f"and left out declared ones {sorted(declared - returned)}")
-    for rel, columns in stage.writes.items():
-        if rel.endswith(".csv"):
-            state.ws.write_csv(rel, columns(state) if callable(columns) else columns, out[rel])
-        elif rel.endswith(".json"):
-            state.ws.write_json(rel, out[rel])
-        else:
-            state.ws.write_text(rel, out[rel])
+    ws, writers, payloads = state.ws, {}, {}
+    with ExitStack() as temps:
+        for rel, columns in stage.writes.items():
+            if rel.endswith(".csv"):
+                fh = temps.enter_context(fieldio.atomic_open(ws.path(rel), "w", newline="",
+                                                             encoding="utf-8"))
+                writers[rel] = _csv_writer(fh, rel, columns(state) if callable(columns)
+                                           else columns)
+        for rel, item in stage.run(state):
+            if rel in writers:
+                writers[rel](item)
+            elif rel in stage.writes:
+                payloads[rel] = item
+            else:
+                raise ValueError(f"stage {name!r} yielded undeclared file {rel!r}")
+        for rel in sorted(stage.writes.keys() - writers.keys()):
+            if rel not in payloads:
+                raise ValueError(f"stage {name!r} left out declared file {rel!r}")
+            (ws.write_json if rel.endswith(".json") else ws.write_text)(rel, payloads[rel])
+    ws.files.update(stage.writes)
 
 
 def blas_core(libs: Path = Path(np.__file__).resolve().parent.parent / "numpy.libs") -> str:

@@ -1,7 +1,11 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from gradsense import fieldio
+from gradsense.grid import GridSpec
 
 
 class TestBinaryRoundTrip:
@@ -15,6 +19,20 @@ class TestBinaryRoundTrip:
         assert loaded.dtype == np.float64 and np.array_equal(loaded, values)
         with pytest.raises(ValueError, match="shape"):
             fieldio.save_field(path, small_grid, values[:, :-1], 17)
+
+    def test_field_is_a_store(self, rng, tmp_path):
+        # one array, "values", under the JSON of the grid and the timestamp
+        grid = GridSpec(10, 14, 30.0, 44.5, -5.25, 9.0, variables=("q", "t2m", "msl"))
+        values = rng.normal(size=grid.shape)
+        path = tmp_path / "f.gsa"
+        fieldio.save_field(path, grid, values, 3)
+        assert path.read_bytes().startswith(b"GSA1")
+        stamp = json.dumps({"grid": asdict(grid), "timestamp": 3}, sort_keys=True)
+        arrays = fieldio.load_store(path, stamp)
+        assert list(arrays) == ["values"] and np.array_equal(arrays["values"], values)
+        loaded_grid, loaded, timestamp = fieldio.load_field(path)
+        assert loaded_grid == grid and timestamp == 3
+        assert loaded.dtype == np.float64 and np.array_equal(loaded, values)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.bin"

@@ -113,7 +113,7 @@ def test_readme_names_every_stage_in_run_order():
 # Functions that nothing in src/, the README sketch, the package exports or the
 # console scripts uses: perfbench/tracing.py traces them by name, so they stay
 # until ROADMAP items 7d and 16 take them out of the benchmark and then delete them.
-KEPT = {"gradient_values", "save_field", "load_field", "spearman"}
+KEPT = {"gradient_values", "save_field", "load_field", "spearman", "write_csv"}
 
 
 def _references(tree: ast.AST, scopes: tuple = ()):

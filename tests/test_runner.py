@@ -12,6 +12,7 @@ import statistics
 import subprocess
 import sys
 import weakref
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -146,7 +147,9 @@ def test_subadditivity_matches_per_case_joint_ablation_loop(tmp_path, monkeypatc
         return forward(self, window)
 
     monkeypatch.setattr(DeskModel, "forward_window", counted)
-    got = runner.stage_subadditivity(state)["results/subadditivity.csv"]
+    pairs = list(runner.stage_subadditivity(state))
+    assert {rel for rel, _ in pairs} == {"results/subadditivity.csv"}
+    got = [row for _, row in pairs]
     assert len(rows) == 2 * state.cfg.n_timestamps
     assert sum(rows) == state.cfg.n_timestamps * (1 + 4 * (5 + 3) + 1 + 2 * (5 + 3))
     assert len(got) == len(expected) == 3 * 4 + 3 * 2
@@ -642,7 +645,7 @@ class TestRunFull:
             raise RuntimeError("boom")
 
         _replace_runs(monkeypatch, gen=exploding_stage,
-                      report=lambda state: ran.append(1) or {"results/report.md": ""})
+                      report=lambda state: ran.append(1) or [("results/report.md", "")])
         out = tmp_path / "tb"
         manifest = runner.run_full(tiny_config(out), stage_filter=("gen", "report"))
         assert not manifest["ok"]
@@ -656,8 +659,8 @@ class TestRunFull:
         assert on_disk["failures"] == manifest["failures"]
 
     @pytest.mark.parametrize("returned,named", [
-        ({"results/report.md": "", "results/extra.md": ""}, "results/extra.md"),
-        ({}, "results/report.md")])
+        ([("results/report.md", ""), ("results/extra.md", "")], "results/extra.md"),
+        ([], "results/report.md")])
     def test_stage_returns_exactly_its_declared_files(self, returned, named, tmp_path,
                                                       monkeypatch):
         _replace_runs(monkeypatch, report=lambda state: returned)
@@ -667,7 +670,8 @@ class TestRunFull:
         assert not state.ws.files and not state.ws.root.exists()
 
     def test_failed_stage_keeps_all_its_previous_files(self, tiny_run, tmp_path, monkeypatch):
-        # pay raises in its last step, after the rows of its first two files are built
+        # pay raises in its last step, after its first configuration's payments.csv rows
+        # have streamed into a temp file
         cfg, out, _ = tiny_run
         copy = tmp_path / "failing"
         shutil.copytree(out, copy)
@@ -683,6 +687,7 @@ class TestRunFull:
         assert manifest["stages"]["pay"] == "failed: shrinkage fails"
         assert all((copy / rel).read_text() == "previous\n" for rel in writes)
         assert not set(writes) & set(manifest["files"])
+        assert not list((copy / "results").glob(".*.tmp"))
 
     def test_methods_with_under_20_stations(self, tmp_path):
         # the unit-scale experiment compares top-20 sets, clipped to the station count
@@ -975,6 +980,40 @@ class TestOneConfigAtATime:
         stores = [runner.config_store("tables", cid) for cid in state.config_ids()]
         assert sorted(set(opened)) == sorted(stores)
         assert max(opened.count(rel) for rel in stores) <= 2, opened
+
+    @pytest.mark.parametrize("stage", ["fidelity", "methods", "calibrate", "select", "pay"])
+    def test_rows_stream_config_by_config(self, stage, three_config_run, tmp_path, monkeypatch):
+        # every row of a configuration is handed to its file's writer before the next
+        # configuration's tables load; rows handed over are counted, since the file
+        # buffer delays the bytes on disk
+        copy = tmp_path / "prepared"
+        shutil.copytree(three_config_run.out_dir, copy)
+        state = runner.RunState(replace(three_config_run, out_dir=str(copy)))
+        state.ensure_tables()  # the preload, before the stage's one pass
+        handed, loads = [], []  # each row's first cell; per load, the rows handed so far
+        csv_writer, store = runner._csv_writer, runner.Workspace.store
+
+        def counting_writer(fh, rel, header):
+            write = csv_writer(fh, rel, header)
+
+            def counted(row):
+                handed.append(row[0])
+                write(row)
+            return counted
+
+        def watched_store(ws, rel, stamp, compute):
+            if rel.startswith("tables/tables-"):
+                loads.append((rel, Counter(handed)))
+            return store(ws, rel, stamp, compute)
+
+        monkeypatch.setattr(runner, "_csv_writer", counting_writer)
+        monkeypatch.setattr(runner.Workspace, "store", watched_store)
+        runner.run_stage(state, stage)
+        cids, total = state.config_ids(), Counter(handed)
+        assert [rel for rel, _ in loads] == [runner.config_store("tables", c) for c in cids]
+        assert all(total[cid] > 0 for cid in cids), total
+        for previous, (rel, so_far) in zip(cids, loads[1:]):
+            assert so_far[previous] == total[previous], (rel, so_far)
 
     def test_run_state_keeps_no_table_array(self, tmp_path, monkeypatch):
         states, init = [], runner.RunState.__init__
